@@ -19,12 +19,12 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"net/http"
 	"os"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -84,10 +84,10 @@ func main() {
 		switch {
 		case err == nil:
 			latencies = append(latencies, d)
-		case err == context.DeadlineExceeded || err == context.Canceled ||
-			strings.Contains(err.Error(), service.ErrCanceled):
+		case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled),
+			errors.Is(err, service.ErrCanceled):
 			canceled++
-		case strings.Contains(err.Error(), service.ErrRejected.Error()):
+		case errors.Is(err, service.ErrRejected):
 			rejected++
 		default:
 			failed++

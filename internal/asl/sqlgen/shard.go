@@ -11,6 +11,7 @@ package sqlgen
 // id of the owning TestRun, so they can never disagree.
 
 import (
+	"context"
 	"fmt"
 	"sync"
 
@@ -30,9 +31,10 @@ type RoutedPreparer interface {
 }
 
 // RoutedExecutor is the text-protocol analogue of RoutedPreparer: one-shot
-// query execution routed by the run id bound under runParam.
+// query execution routed by the run id bound under runParam. It takes the
+// context outright — there is no uncancellable twin to probe past.
 type RoutedExecutor interface {
-	ExecQueryRouted(query, runParam string, params *sqldb.Params) (*sqldb.ResultSet, error)
+	ExecQueryRouted(ctx context.Context, query, runParam string, params *sqldb.Params) (*sqldb.ResultSet, error)
 }
 
 // RoutedStatement is one statement of a sharded load plan: the statement

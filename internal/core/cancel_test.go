@@ -135,3 +135,52 @@ func TestAnalyzeSQLCtxUncanceledMatchesPlain(t *testing.T) {
 		t.Errorf("ctx analysis differs from plain:\n--- plain ---\n%s--- ctx ---\n%s", want.Render(), got.Render())
 	}
 }
+
+// TestShardedTextProtocolCancelAtCheckout: with prepared statements disabled
+// a sharded analysis runs one-shot routed text queries. Mid-analysis on a
+// slow wire the test takes every pooled connection away, so each worker's
+// next query waits at pool checkout; canceling must free them there — the
+// routed text path observes the context like every other path — rather than
+// leave the analysis waiting for connections that never come back.
+func TestShardedTextProtocolCancelAtCheckout(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	g := buildGraph(t, apprentice.Particles())
+	h := startProfiledShardHarness(t, g, 2, wire.ProfileOracleRemote)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	errc := make(chan error, 1)
+	go func() {
+		a := New(g, WithPreparedStatements(false), WithWorkers(4))
+		_, err := a.AnalyzeSQLCtx(ctx, lastRun(g), h.sdb)
+		errc <- err
+	}()
+	time.Sleep(8 * time.Millisecond) // let queries reach the wire
+
+	// Get hands over each connection as the query holding it completes.
+	for i := 0; i < h.sdb.Shards(); i++ {
+		pool := h.sdb.Pool(i)
+		for j := 0; j < shardConns; j++ {
+			c, err := pool.Get()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer pool.Put(c)
+		}
+	}
+	select {
+	case err := <-errc:
+		t.Fatalf("analysis ended (%v) before it could be starved of connections", err)
+	default:
+	}
+
+	cancel()
+	select {
+	case err := <-errc:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("canceled analysis still waits at pool checkout")
+	}
+}

@@ -535,7 +535,7 @@ func (c *compiledProp) exec(ctx context.Context, q QueryExec, params *sqldb.Para
 		return c.pq.ExecQuery(params)
 	}
 	if re, ok := q.(sqlgen.RoutedExecutor); ok && c.runParam != "" {
-		return re.ExecQueryRouted(c.sql, c.runParam, params)
+		return re.ExecQueryRouted(ctx, c.sql, c.runParam, params)
 	}
 	if ce, ok := q.(sqlgen.ContextQueryExecutor); ok && cancelable {
 		return ce.ExecQueryContext(ctx, c.sql, params)

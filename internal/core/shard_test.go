@@ -22,14 +22,25 @@ type shardHarness struct {
 	sdb     *godbc.ShardedDB
 }
 
-// startShardHarness shards a graph across n servers and dials them.
+// startShardHarness shards a graph across n zero-overhead servers and dials
+// them.
 func startShardHarness(t testing.TB, g *model.Graph, n int, opts ...godbc.ShardedOption) *shardHarness {
+	t.Helper()
+	return startProfiledShardHarness(t, g, n, wire.ProfileFast, opts...)
+}
+
+// shardConns is the harness's pool size per shard.
+const shardConns = 8
+
+// startProfiledShardHarness is startShardHarness with the servers charging
+// the given vendor profile.
+func startProfiledShardHarness(t testing.TB, g *model.Graph, n int, profile wire.Profile, opts ...godbc.ShardedOption) *shardHarness {
 	t.Helper()
 	h := &shardHarness{}
 	addrs := make([]string, n)
 	for i := 0; i < n; i++ {
 		db := sqldb.NewDB()
-		srv, err := wire.NewServer(db, wire.ProfileFast, nil)
+		srv, err := wire.NewServer(db, profile, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -41,7 +52,7 @@ func startShardHarness(t testing.TB, g *model.Graph, n int, opts ...godbc.Sharde
 		h.dbs = append(h.dbs, db)
 		addrs[i] = srv.Addr()
 	}
-	sdb, err := godbc.DialSharded(addrs, 8, opts...)
+	sdb, err := godbc.DialSharded(addrs, shardConns, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,13 +4,12 @@ package godbc
 // Bindings accumulated on a prepared statement are shipped to the server in
 // one ReqExecBatch round trip (split transparently when they exceed the
 // protocol's MaxBatch), so N executions of the same statement cost one
-// client/server round trip instead of N. Against a server that predates the
-// batch extension the statement falls back to per-execution round trips —
-// same results, pre-batch cost.
+// client/server round trip instead of N. The request is built and its reply
+// decoded in request.go (execBatch), once for Stmt and MuxStmt.
 
 import (
+	"context"
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/asl/sqlgen"
@@ -46,86 +45,9 @@ func (st *Stmt) ExecuteBatch() ([]BatchResult, error) {
 // binding order regardless of the split.
 func (st *Stmt) ExecBatch(bindings []*sqldb.Params) ([]BatchResult, error) {
 	if st.closed {
-		return nil, fmt.Errorf("godbc: prepared statement is closed")
+		return nil, errStmtClosed
 	}
-	out := make([]BatchResult, 0, len(bindings))
-	for start := 0; start < len(bindings); start += wire.MaxBatch {
-		end := min(start+wire.MaxBatch, len(bindings))
-		chunk, err := st.execBatchChunk(bindings[start:end])
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, chunk...)
-	}
-	return out, nil
-}
-
-func (st *Stmt) execBatchChunk(bindings []*sqldb.Params) ([]BatchResult, error) {
-	if len(bindings) == 0 {
-		return nil, nil
-	}
-	if !st.conn.noBatch {
-		req := &wire.Request{Kind: wire.ReqExecBatch, StmtID: st.id, Batch: make([]wire.BatchBinding, len(bindings))}
-		for i, p := range bindings {
-			req.Batch[i] = toBinding(p)
-		}
-		resp, err := st.conn.roundTrip(req)
-		if err != nil {
-			return nil, err
-		}
-		switch {
-		case resp.Err == "":
-			if len(resp.Items) != len(bindings) {
-				return nil, fmt.Errorf("godbc: batch returned %d results for %d bindings", len(resp.Items), len(bindings))
-			}
-			out := make([]BatchResult, len(resp.Items))
-			for i, item := range resp.Items {
-				if item.Err != "" {
-					out[i] = BatchResult{Err: fmt.Errorf("godbc: %s", item.Err)}
-					continue
-				}
-				out[i] = BatchResult{Affected: item.Affected, Set: decodeItem(item)}
-			}
-			return out, nil
-		case batchUnsupported(resp.Err):
-			// A server without the batch extension: remember and fall back to
-			// per-execution round trips for the rest of this connection.
-			st.conn.noBatch = true
-		default:
-			return nil, fmt.Errorf("godbc: %s", resp.Err)
-		}
-	}
-	out := make([]BatchResult, len(bindings))
-	for i, p := range bindings {
-		req := &wire.Request{Kind: wire.ReqExecPrepared, StmtID: st.id}
-		encodeParams(req, p)
-		resp, err := st.conn.roundTrip(req)
-		if err != nil {
-			return nil, err // transport failure: the connection state is undefined
-		}
-		if resp.Err != "" {
-			out[i] = BatchResult{Err: fmt.Errorf("godbc: %s", resp.Err)}
-			continue
-		}
-		out[i] = BatchResult{Affected: resp.Affected, Set: decodeSet(resp)}
-	}
-	return out, nil
-}
-
-// batchUnsupported recognizes the error a server without ReqExecBatch
-// returns for the unknown request kind.
-func batchUnsupported(errText string) bool {
-	return strings.Contains(errText, "unknown request kind")
-}
-
-func toBinding(params *sqldb.Params) wire.BatchBinding {
-	var b wire.BatchBinding
-	b.Pos, b.Named = encodeValues(params)
-	return b
-}
-
-func decodeItem(item wire.BatchItem) *sqldb.ResultSet {
-	return decodeRows(item.Columns, item.Rows)
+	return execBatch(context.Background(), st.conn, st.id, bindings)
 }
 
 // ---------------------------------------------------------------------------
@@ -136,15 +58,16 @@ func decodeItem(item wire.BatchItem) *sqldb.ResultSet {
 // ExecQueryBatch implements sqlgen.BatchPreparedQuery on a connection-bound
 // prepared statement.
 func (st *Stmt) ExecQueryBatch(bindings []*sqldb.Params) ([]sqlgen.BatchQueryResult, error) {
-	results, err := st.ExecBatch(bindings)
-	if err != nil {
-		return nil, err
+	return st.ExecQueryBatchContext(context.Background(), bindings)
+}
+
+// ExecQueryBatchContext is ExecQueryBatch observing ctx on every chunk's
+// round trip.
+func (st *Stmt) ExecQueryBatchContext(ctx context.Context, bindings []*sqldb.Params) ([]sqlgen.BatchQueryResult, error) {
+	if st.closed {
+		return nil, errStmtClosed
 	}
-	out := make([]sqlgen.BatchQueryResult, len(results))
-	for i, r := range results {
-		out[i] = sqlgen.BatchQueryResult{Set: r.Set, Err: r.Err}
-	}
-	return out, nil
+	return queryBatch(ctx, st.conn, st.id, bindings)
 }
 
 // ExecQueryBatch implements sqlgen.BatchPreparedQuery over the pool: the
@@ -152,34 +75,25 @@ func (st *Stmt) ExecQueryBatch(bindings []*sqldb.Params) ([]sqlgen.BatchQueryRes
 // round trip per wire.MaxBatch chunk. A statement the server refused to
 // prepare falls back to per-binding text execution, like ExecQuery.
 func (ps *PooledStmt) ExecQueryBatch(bindings []*sqldb.Params) ([]sqlgen.BatchQueryResult, error) {
-	ps.mu.Lock()
-	closed, textOnly := ps.closed, ps.textOnly
-	ps.mu.Unlock()
-	if closed {
-		return nil, fmt.Errorf("godbc: prepared statement is closed")
-	}
-	c, err := ps.pool.Get()
+	return ps.ExecQueryBatchContext(context.Background(), bindings)
+}
+
+// ExecQueryBatchContext is ExecQueryBatch observing ctx at checkout and on
+// every round trip.
+func (ps *PooledStmt) ExecQueryBatchContext(ctx context.Context, bindings []*sqldb.Params) ([]sqlgen.BatchQueryResult, error) {
+	c, st, err := ps.checkout(ctx)
 	if err != nil {
 		return nil, err
 	}
 	defer ps.pool.Put(c)
-	if !textOnly {
-		st, err := c.prepared(ps.sql)
-		if err == nil {
-			return st.ExecQueryBatch(bindings)
-		}
-		if c.broken {
-			return nil, err
-		}
-		ps.mu.Lock()
-		ps.textOnly = true
-		ps.mu.Unlock()
+	if st != nil {
+		return st.ExecQueryBatchContext(ctx, bindings)
 	}
 	out := make([]sqlgen.BatchQueryResult, len(bindings))
 	for i, p := range bindings {
-		set, err := c.ExecQuery(ps.sql, p)
+		set, err := c.ExecQueryContext(ctx, ps.sql, p)
 		if err != nil {
-			if c.broken {
+			if c.broken || ctx.Err() != nil {
 				return nil, err
 			}
 			out[i] = sqlgen.BatchQueryResult{Err: err}
@@ -193,7 +107,13 @@ func (ps *PooledStmt) ExecQueryBatch(bindings []*sqldb.Params) ([]sqlgen.BatchQu
 // ExecQueryBatch implements sqlgen.BatchPreparedQuery on the in-process
 // engine: one statement-lock acquisition for the whole batch.
 func (s embeddedStmt) ExecQueryBatch(bindings []*sqldb.Params) ([]sqlgen.BatchQueryResult, error) {
-	results, err := s.ps.ExecuteBatch(bindings)
+	return s.ExecQueryBatchContext(context.Background(), bindings)
+}
+
+// ExecQueryBatchContext hands ctx to the engine, which observes it between
+// bindings.
+func (s embeddedStmt) ExecQueryBatchContext(ctx context.Context, bindings []*sqldb.Params) ([]sqlgen.BatchQueryResult, error) {
+	results, err := s.ps.ExecuteBatchContext(ctx, bindings)
 	if err != nil {
 		return nil, err
 	}
@@ -205,7 +125,13 @@ func (s embeddedStmt) ExecQueryBatch(bindings []*sqldb.Params) ([]sqlgen.BatchQu
 // profiled batches exist so the batched analyzer runs against this executor
 // with the same cost model as per-execution calls.
 func (s profiledStmt) ExecQueryBatch(bindings []*sqldb.Params) ([]sqlgen.BatchQueryResult, error) {
-	results, err := s.ps.ExecuteBatch(bindings)
+	return s.ExecQueryBatchContext(context.Background(), bindings)
+}
+
+// ExecQueryBatchContext is ExecQueryBatch observing ctx between bindings and
+// during the vendor delay.
+func (s profiledStmt) ExecQueryBatchContext(ctx context.Context, bindings []*sqldb.Params) ([]sqlgen.BatchQueryResult, error) {
+	results, err := s.ps.ExecuteBatchContext(ctx, bindings)
 	if err != nil {
 		return nil, err
 	}
@@ -219,7 +145,9 @@ func (s profiledStmt) ExecQueryBatch(bindings []*sqldb.Params) ([]sqlgen.BatchQu
 			delay += time.Duration(len(r.Res.Set.Rows)) * s.profile.PerRowRead
 		}
 	}
-	wire.Delay(delay)
+	if err := wire.DelayCtx(ctx, delay); err != nil {
+		return nil, err
+	}
 	return toQueryResults(results), nil
 }
 
@@ -242,3 +170,7 @@ var _ sqlgen.BatchPreparedQuery = (*Stmt)(nil)
 var _ sqlgen.BatchPreparedQuery = (*PooledStmt)(nil)
 var _ sqlgen.BatchPreparedQuery = embeddedStmt{}
 var _ sqlgen.BatchPreparedQuery = profiledStmt{}
+var _ sqlgen.ContextBatchPreparedQuery = (*Stmt)(nil)
+var _ sqlgen.ContextBatchPreparedQuery = (*PooledStmt)(nil)
+var _ sqlgen.ContextBatchPreparedQuery = embeddedStmt{}
+var _ sqlgen.ContextBatchPreparedQuery = profiledStmt{}

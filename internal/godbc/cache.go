@@ -2,16 +2,10 @@ package godbc
 
 // Result-cache statistics. The cache itself lives server side (one per sqldb
 // engine, so every kojakdb shard caches independently); this file surfaces
-// its counters to clients through the ReqCacheStats protocol extension, with
-// a graceful answer when the server predates it.
+// its counters to clients through ReqCacheStats (built and decoded in
+// request.go).
 
-import (
-	"fmt"
-	"strings"
-
-	"repro/internal/sqldb"
-	"repro/internal/sqldb/wire"
-)
+import "repro/internal/sqldb"
 
 // CacheStats is a snapshot of a database's result-cache counters. For a
 // sharded database it is the sum over all shards. The JSON tags are the
@@ -24,40 +18,18 @@ type CacheStats struct {
 	Entries       int   `json:"entries"`
 }
 
-func (cs *CacheStats) add(w *wire.CacheStats) {
-	cs.Hits += w.Hits
-	cs.Misses += w.Misses
-	cs.Invalidations += w.Invalidations
-	cs.Evictions += w.Evictions
-	cs.Entries += w.Entries
-}
-
-// cacheUnsupported recognizes the error a server without ReqCacheStats
-// returns for the unknown request kind.
-func cacheUnsupported(errText string) bool {
-	return strings.Contains(errText, "unknown request kind")
+func (cs *CacheStats) add(o CacheStats) {
+	cs.Hits += o.Hits
+	cs.Misses += o.Misses
+	cs.Invalidations += o.Invalidations
+	cs.Evictions += o.Evictions
+	cs.Entries += o.Entries
 }
 
 // CacheStats fetches the server's result-cache counters. ok is false when
-// the server predates the cache extension; the zero stats are then returned
-// without error, so callers degrade to "no cache visibility" rather than
-// failing.
-func (c *Conn) CacheStats() (stats CacheStats, ok bool, err error) {
-	resp, err := c.roundTrip(&wire.Request{Kind: wire.ReqCacheStats})
-	if err != nil {
-		return CacheStats{}, false, err
-	}
-	if resp.Err != "" {
-		if cacheUnsupported(resp.Err) {
-			return CacheStats{}, false, nil
-		}
-		return CacheStats{}, false, fmt.Errorf("godbc: %s", resp.Err)
-	}
-	if resp.Cache == nil {
-		return CacheStats{}, false, nil
-	}
-	stats.add(resp.Cache)
-	return stats, true, nil
+// the reply did not carry them; the zero stats are then returned.
+func (c *Conn) CacheStats() (CacheStats, bool, error) {
+	return cacheStats(c)
 }
 
 // CacheStats fetches the server's result-cache counters on a pooled
@@ -71,10 +43,16 @@ func (p *Pool) CacheStats() (CacheStats, bool, error) {
 	return c.CacheStats()
 }
 
+// CacheStats fetches the server's result-cache counters over the multiplexed
+// connection.
+func (m *MuxConn) CacheStats() (CacheStats, bool, error) {
+	return cacheStats(m)
+}
+
 // CacheStats sums the result-cache counters over every shard — each shard
 // caches independently, so the merged snapshot is simply the total. ok is
-// false when any shard predates the cache extension; transport failures are
-// tagged with the dead shard's address.
+// false when any shard's reply lacked them; transport failures are tagged
+// with the dead shard's address.
 func (s *ShardedDB) CacheStats() (CacheStats, bool, error) {
 	var total CacheStats
 	ok := true
@@ -83,15 +61,8 @@ func (s *ShardedDB) CacheStats() (CacheStats, bool, error) {
 		if err != nil {
 			return CacheStats{}, false, s.tag(i, err)
 		}
-		if !shardOK {
-			ok = false
-			continue
-		}
-		total.Hits += st.Hits
-		total.Misses += st.Misses
-		total.Invalidations += st.Invalidations
-		total.Evictions += st.Evictions
-		total.Entries += st.Entries
+		ok = ok && shardOK
+		total.add(st)
 	}
 	return total, ok, nil
 }

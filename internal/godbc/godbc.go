@@ -7,14 +7,39 @@
 // access; the row-at-a-time default fetch size reproduces that behaviour
 // against a wire server, while Embedded provides the in-process path that
 // stands in for "C-based" access.
+//
+// Every operation has one body, and it takes a context first. A method with a
+// plain name is its ...Context form called with context.Background() — never
+// a second implementation — and an operation that has no ...Context form runs
+// its single body under context.Background(). A context that can never be
+// canceled costs nothing extra: no watchdog is armed and no clock is read.
+//
+// The resident analysis service runs many concurrent analyses with
+// per-request deadlines, so every blocking point of the driver observes the
+// context:
+//
+//   - pool checkout (Pool.GetCtx) — a request canceled while waiting for a
+//     connection leaves the queue instead of executing doomed work;
+//   - the wire round trip — a plain Conn has no way to interleave a cancel
+//     message into its strict request/response turn, so cancellation snaps
+//     the connection's deadline: the round trip fails, the connection is
+//     marked broken, and the pool discards it. That frees the caller, not the
+//     server: wire.Server serves a plain connection's requests inline in its
+//     read loop and cannot notice the close until the request it is serving
+//     returns, so the server-side work runs to completion. Only MuxConn
+//     (mux.go), whose ReqCancel the server reads while the work runs, stops
+//     it — and keeps the connection;
+//   - the profiled vendor delays — wire.DelayCtx returns early on cancel.
 package godbc
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net"
 	"time"
 
+	"repro/internal/asl/sqlgen"
 	"repro/internal/sqldb"
 	"repro/internal/sqldb/wire"
 )
@@ -36,9 +61,6 @@ type Conn struct {
 	// stmts caches prepared statements by SQL text so pooled prepared
 	// statements plan at most once per connection (see prepared.go).
 	stmts map[string]*Stmt
-	// noBatch records that the server rejected ReqExecBatch as an unknown
-	// request kind; batches on this connection run as per-execution loops.
-	noBatch bool
 }
 
 // Dial connects to a wire server.
@@ -89,18 +111,37 @@ func (c *Conn) Close() error {
 }
 
 // Ping performs a protocol round trip.
-func (c *Conn) Ping() error {
-	resp, err := c.roundTrip(&wire.Request{Kind: wire.ReqPing})
-	if err != nil {
-		return err
+func (c *Conn) Ping() error { return ping(c) }
+
+// roundTrip performs one exchange observing ctx. A Conn cannot interleave a
+// cancel message into its one-at-a-time protocol, so cancellation mid round
+// trip snaps the socket's deadline: the exchange fails and the connection,
+// its protocol state now undefined, is sacrificed (broken, for a pool to
+// discard).
+func (c *Conn) roundTrip(ctx context.Context, req *wire.Request) (*wire.Response, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
-	if resp.Err != "" {
-		return fmt.Errorf("godbc: %s", resp.Err)
+	if ctx.Done() == nil {
+		return c.exchange(req)
 	}
-	return nil
+	stop := context.AfterFunc(ctx, func() {
+		// Snap the in-flight read/write; exchange fails and marks broken.
+		c.nc.SetDeadline(time.Unix(1, 0))
+	})
+	resp, err := c.exchange(req)
+	if !stop() {
+		// The watchdog ran. If the exchange still completed, clear the
+		// poisoned deadline so the error (if any) is the only casualty.
+		c.nc.SetDeadline(time.Time{})
+		if err != nil {
+			return nil, fmt.Errorf("godbc: round trip canceled: %w", ctx.Err())
+		}
+	}
+	return resp, err
 }
 
-func (c *Conn) roundTrip(req *wire.Request) (*wire.Response, error) {
+func (c *Conn) exchange(req *wire.Request) (*wire.Response, error) {
 	if c.closed {
 		return nil, fmt.Errorf("godbc: connection closed")
 	}
@@ -116,26 +157,6 @@ func (c *Conn) roundTrip(req *wire.Request) (*wire.Response, error) {
 	return resp, nil
 }
 
-func encodeParams(req *wire.Request, params *sqldb.Params) {
-	req.Pos, req.Named = encodeValues(params)
-}
-
-func encodeValues(params *sqldb.Params) (pos []wire.WireValue, named map[string]wire.WireValue) {
-	if params == nil {
-		return nil, nil
-	}
-	for _, v := range params.Positional {
-		pos = append(pos, wire.ToWire(v))
-	}
-	if len(params.Named) > 0 {
-		named = make(map[string]wire.WireValue, len(params.Named))
-		for k, v := range params.Named {
-			named[k] = wire.ToWire(v)
-		}
-	}
-	return pos, named
-}
-
 // Result reports the outcome of a non-query statement.
 type Result struct {
 	Affected int
@@ -144,47 +165,23 @@ type Result struct {
 // Exec runs a statement and returns the affected-row count. SELECTs may also
 // be run through Exec; their rows are returned inline by ExecQuery instead.
 func (c *Conn) Exec(query string, params *sqldb.Params) (Result, error) {
-	req := &wire.Request{Kind: wire.ReqExec, SQL: query}
-	encodeParams(req, params)
-	resp, err := c.roundTrip(req)
-	if err != nil {
-		return Result{}, err
-	}
-	if resp.Err != "" {
-		return Result{}, fmt.Errorf("godbc: %s", resp.Err)
-	}
-	return Result{Affected: resp.Affected}, nil
+	return c.ExecContext(context.Background(), query, params)
+}
+
+// ExecContext is Exec observing a context.
+func (c *Conn) ExecContext(ctx context.Context, query string, params *sqldb.Params) (Result, error) {
+	return execAffected(ctx, c, textExec(query, params))
 }
 
 // ExecQuery runs a SELECT and returns the complete result set in a single
 // round trip (the bulk path).
 func (c *Conn) ExecQuery(query string, params *sqldb.Params) (*sqldb.ResultSet, error) {
-	req := &wire.Request{Kind: wire.ReqExec, SQL: query}
-	encodeParams(req, params)
-	resp, err := c.roundTrip(req)
-	if err != nil {
-		return nil, err
-	}
-	if resp.Err != "" {
-		return nil, fmt.Errorf("godbc: %s", resp.Err)
-	}
-	return decodeSet(resp), nil
+	return c.ExecQueryContext(context.Background(), query, params)
 }
 
-func decodeSet(resp *wire.Response) *sqldb.ResultSet {
-	return decodeRows(resp.Columns, resp.Rows)
-}
-
-func decodeRows(columns []string, rows [][]wire.WireValue) *sqldb.ResultSet {
-	set := &sqldb.ResultSet{Columns: columns}
-	for _, wr := range rows {
-		row := make(sqldb.Row, len(wr))
-		for i, wv := range wr {
-			row[i] = wv.FromWire()
-		}
-		set.Rows = append(set.Rows, row)
-	}
-	return set
+// ExecQueryContext is ExecQuery observing a context.
+func (c *Conn) ExecQueryContext(ctx context.Context, query string, params *sqldb.Params) (*sqldb.ResultSet, error) {
+	return execSet(ctx, c, textExec(query, params))
 }
 
 // Rows is a cursor over a query result, fetched in batches of the
@@ -203,13 +200,10 @@ type Rows struct {
 // Query opens a cursor for a SELECT.
 func (c *Conn) Query(query string, params *sqldb.Params) (*Rows, error) {
 	req := &wire.Request{Kind: wire.ReqQueryCursor, SQL: query}
-	encodeParams(req, params)
-	resp, err := c.roundTrip(req)
+	req.Pos, req.Named = encodeValues(params)
+	resp, err := call(context.Background(), c, req)
 	if err != nil {
 		return nil, err
-	}
-	if resp.Err != "" {
-		return nil, fmt.Errorf("godbc: %s", resp.Err)
 	}
 	return &Rows{conn: c, cursorID: resp.CursorID, columns: resp.Columns}, nil
 }
@@ -228,7 +222,7 @@ func (r *Rows) Next() bool {
 		if r.done {
 			return false
 		}
-		resp, err := r.conn.roundTrip(&wire.Request{
+		resp, err := call(context.Background(), r.conn, &wire.Request{
 			Kind:     wire.ReqFetch,
 			CursorID: r.cursorID,
 			FetchN:   r.conn.fetchSize,
@@ -237,18 +231,7 @@ func (r *Rows) Next() bool {
 			r.err = err
 			return false
 		}
-		if resp.Err != "" {
-			r.err = fmt.Errorf("godbc: %s", resp.Err)
-			return false
-		}
-		r.buf = r.buf[:0]
-		for _, wr := range resp.Rows {
-			row := make(sqldb.Row, len(wr))
-			for i, wv := range wr {
-				row[i] = wv.FromWire()
-			}
-			r.buf = append(r.buf, row)
-		}
+		r.buf = appendRows(r.buf[:0], resp.Rows)
 		r.pos = 0
 		r.done = resp.Done
 		if len(r.buf) == 0 {
@@ -272,14 +255,8 @@ func (r *Rows) Close() error {
 		return nil
 	}
 	r.done = true
-	resp, err := r.conn.roundTrip(&wire.Request{Kind: wire.ReqCloseCursor, CursorID: r.cursorID})
-	if err != nil {
-		return err
-	}
-	if resp.Err != "" {
-		return fmt.Errorf("godbc: %s", resp.Err)
-	}
-	return nil
+	_, err := call(context.Background(), r.conn, &wire.Request{Kind: wire.ReqCloseCursor, CursorID: r.cursorID})
+	return err
 }
 
 // Executor is the interface shared by networked connections and the
@@ -307,7 +284,20 @@ func (e Embedded) Exec(query string, params *sqldb.Params) (Result, error) {
 
 // ExecQuery implements Executor.
 func (e Embedded) ExecQuery(query string, params *sqldb.Params) (*sqldb.ResultSet, error) {
-	res, err := e.DB.Exec(query, params)
+	return e.ExecQueryContext(context.Background(), query, params)
+}
+
+// ExecQueryContext checks ctx before executing; the in-process scan itself
+// is uninterruptible but fast.
+func (e Embedded) ExecQueryContext(ctx context.Context, query string, params *sqldb.Params) (*sqldb.ResultSet, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return resultSet(e.DB.Exec(query, params))
+}
+
+// resultSet unwraps an engine result that must carry rows.
+func resultSet(res *sqldb.Result, err error) (*sqldb.ResultSet, error) {
 	if err != nil {
 		return nil, err
 	}
@@ -346,17 +336,30 @@ func (e ProfiledEmbedded) Exec(query string, params *sqldb.Params) (Result, erro
 // ExecQuery implements Executor. A result the engine's cache answered skips
 // the vendor delays — the modeled driver never compiled or executed anything.
 func (e ProfiledEmbedded) ExecQuery(query string, params *sqldb.Params) (*sqldb.ResultSet, error) {
-	res, err := e.DB.Exec(query, params)
-	if err != nil {
+	return e.ExecQueryContext(context.Background(), query, params)
+}
+
+// ExecQueryContext applies the vendor delays through wire.DelayCtx, so a
+// canceled request stops paying simulated latency immediately.
+func (e ProfiledEmbedded) ExecQueryContext(ctx context.Context, query string, params *sqldb.Params) (*sqldb.ResultSet, error) {
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if res.Set == nil {
-		return nil, fmt.Errorf("godbc: statement produced no result set")
+	res, err := e.DB.Exec(query, params)
+	return chargedSet(ctx, res, err, e.Profile.PerPrepare+e.Profile.PerStatement, e.Profile.PerRowRead)
+}
+
+// chargedSet unwraps an engine result like resultSet and charges the vendor's
+// fixed and per-row costs for it, unless the engine's cache answered.
+func chargedSet(ctx context.Context, res *sqldb.Result, err error, fixed, perRow time.Duration) (*sqldb.ResultSet, error) {
+	set, err := resultSet(res, err)
+	if err != nil || res.Cached {
+		return set, err
 	}
-	if !res.Cached {
-		wire.Delay(e.Profile.PerPrepare + e.Profile.PerStatement + time.Duration(len(res.Set.Rows))*e.Profile.PerRowRead)
+	if err := wire.DelayCtx(ctx, fixed+time.Duration(len(set.Rows))*perRow); err != nil {
+		return nil, err
 	}
-	return res.Set, nil
+	return set, nil
 }
 
 // ProfiledEmbedded deliberately does not implement ConcurrentQuery: it
@@ -391,3 +394,6 @@ func (c CursorQuery) ExecQuery(query string, params *sqldb.Params) (*sqldb.Resul
 var _ Executor = (*Conn)(nil)
 var _ Executor = Embedded{}
 var _ Executor = ProfiledEmbedded{}
+var _ sqlgen.ContextQueryExecutor = (*Conn)(nil)
+var _ sqlgen.ContextQueryExecutor = Embedded{}
+var _ sqlgen.ContextQueryExecutor = ProfiledEmbedded{}

@@ -5,16 +5,10 @@ package godbc
 // for a pooled connection, multiplexed on one socket, or inside the simulated
 // vendor. This file surfaces those layers as snapshot structs — PoolStats and
 // MuxStats are client-side counters read from atomics, ServerStats is fetched
-// from the wire server through the ReqServerStats protocol extension with the
-// usual graceful degradation against peers that predate it.
+// from the wire server through ReqServerStats (built and decoded in
+// request.go).
 
-import (
-	"context"
-	"fmt"
-
-	"repro/internal/metrics"
-	"repro/internal/sqldb/wire"
-)
+import "repro/internal/metrics"
 
 // PoolStats is a snapshot of one connection pool's counters. Capacity, InUse,
 // and Idle are current occupancy; the rest are cumulative since the pool was
@@ -67,16 +61,10 @@ func (s *ShardedDB) PoolMetrics() []PoolStats {
 
 // MuxStats is a snapshot of a multiplexed connection's counters.
 type MuxStats struct {
-	// Mode is the detected server mode: "mux" (IDs echoed, requests
-	// interleave), "serial" (pre-mux peer, strict turns), or "unknown"
-	// (no reply seen yet).
-	Mode string `json:"mode"`
-	// InFlight counts requests awaiting replies, including abandoned
-	// requests whose replies a serial peer still owes (tombstones).
+	// InFlight counts requests awaiting replies.
 	InFlight int `json:"in_flight"`
 	// Requests counts requests sent; Cancels counts callers that stopped
-	// waiting (each sent a ReqCancel in mux mode, or left a tombstone in
-	// serial mode).
+	// waiting (each sent a ReqCancel).
 	Requests int64 `json:"requests"`
 	Cancels  int64 `json:"cancels"`
 }
@@ -84,18 +72,9 @@ type MuxStats struct {
 // Metrics returns a snapshot of the multiplexed connection's counters.
 func (m *MuxConn) Metrics() MuxStats {
 	m.mu.Lock()
-	mode := m.mode
 	inflight := len(m.pending)
 	m.mu.Unlock()
-	name := "unknown"
-	switch mode {
-	case muxYes:
-		name = "mux"
-	case muxNo:
-		name = "serial"
-	}
 	return MuxStats{
-		Mode:     name,
 		InFlight: inflight,
 		Requests: m.requests.Value(),
 		Cancels:  m.cancels.Value(),
@@ -109,8 +88,7 @@ type ServerStats struct {
 	Engine       string `json:"engine"`
 	VecSelects   int64  `json:"vec_selects"`
 	VecFallbacks int64  `json:"vec_fallbacks"`
-	// FbJoinShape..FbOther break VecFallbacks down by refused plan shape;
-	// all zero against servers predating the breakdown.
+	// FbJoinShape..FbOther break VecFallbacks down by refused plan shape.
 	FbJoinShape     int64 `json:"fb_join_shape"`
 	FbStar          int64 `json:"fb_star"`
 	FbOrderExpr     int64 `json:"fb_order_expr"`
@@ -124,48 +102,26 @@ type ServerStats struct {
 	VendorNanos int64 `json:"vendor_ns"`
 }
 
-func (ss *ServerStats) add(w *wire.ServerStats) {
-	ss.Engine = w.Engine
-	ss.VecSelects += w.VecSelects
-	ss.VecFallbacks += w.VecFallbacks
-	ss.FbJoinShape += w.FbJoinShape
-	ss.FbStar += w.FbStar
-	ss.FbOrderExpr += w.FbOrderExpr
-	ss.FbSubquery += w.FbSubquery
-	ss.FbOther += w.FbOther
-	ss.PlanCacheHits += w.PlanCacheHits
-	ss.PlanCacheMisses += w.PlanCacheMisses
-	ss.Requests += w.Requests
-	ss.VendorNanos += w.VendorNanos
-}
-
-// serverStatsResp interprets a ReqServerStats reply, degrading to ok=false
-// against a server that predates the extension (the same unknown-request-kind
-// discipline as the cache extension — see cacheUnsupported).
-func serverStatsResp(resp *wire.Response) (ServerStats, bool, error) {
-	if resp.Err != "" {
-		if cacheUnsupported(resp.Err) {
-			return ServerStats{}, false, nil
-		}
-		return ServerStats{}, false, fmt.Errorf("godbc: %s", resp.Err)
-	}
-	if resp.Server == nil {
-		return ServerStats{}, false, nil
-	}
-	var st ServerStats
-	st.add(resp.Server)
-	return st, true, nil
+// add sums o into ss; Engine is taken from o (deployments are homogeneous).
+func (ss *ServerStats) add(o ServerStats) {
+	ss.Engine = o.Engine
+	ss.VecSelects += o.VecSelects
+	ss.VecFallbacks += o.VecFallbacks
+	ss.FbJoinShape += o.FbJoinShape
+	ss.FbStar += o.FbStar
+	ss.FbOrderExpr += o.FbOrderExpr
+	ss.FbSubquery += o.FbSubquery
+	ss.FbOther += o.FbOther
+	ss.PlanCacheHits += o.PlanCacheHits
+	ss.PlanCacheMisses += o.PlanCacheMisses
+	ss.Requests += o.Requests
+	ss.VendorNanos += o.VendorNanos
 }
 
 // ServerStats fetches the server's engine and cost counters. ok is false when
-// the server predates the observability extension; the zero stats are then
-// returned without error, so callers degrade to "no backend visibility".
+// the reply did not carry them; the zero stats are then returned.
 func (c *Conn) ServerStats() (ServerStats, bool, error) {
-	resp, err := c.roundTrip(&wire.Request{Kind: wire.ReqServerStats})
-	if err != nil {
-		return ServerStats{}, false, err
-	}
-	return serverStatsResp(resp)
+	return serverStats(c)
 }
 
 // ServerStats fetches the server's counters on a pooled connection.
@@ -180,37 +136,11 @@ func (p *Pool) ServerStats() (ServerStats, bool, error) {
 
 // ServerStats fetches the server's counters over the multiplexed connection.
 func (m *MuxConn) ServerStats() (ServerStats, bool, error) {
-	resp, err := m.roundTrip(context.Background(), &wire.Request{Kind: wire.ReqServerStats})
-	if err != nil {
-		return ServerStats{}, false, err
-	}
-	return serverStatsResp(resp)
+	return serverStats(m)
 }
 
-// CacheStats fetches the server's result-cache counters over the multiplexed
-// connection, with the same degradation as the pooled variant.
-func (m *MuxConn) CacheStats() (CacheStats, bool, error) {
-	resp, err := m.roundTrip(context.Background(), &wire.Request{Kind: wire.ReqCacheStats})
-	if err != nil {
-		return CacheStats{}, false, err
-	}
-	if resp.Err != "" {
-		if cacheUnsupported(resp.Err) {
-			return CacheStats{}, false, nil
-		}
-		return CacheStats{}, false, fmt.Errorf("godbc: %s", resp.Err)
-	}
-	if resp.Cache == nil {
-		return CacheStats{}, false, nil
-	}
-	var stats CacheStats
-	stats.add(resp.Cache)
-	return stats, true, nil
-}
-
-// ServerStats sums the counters over every shard; Engine is taken from the
-// last shard (deployments are homogeneous). ok is false when any shard
-// predates the extension; transport failures are tagged with the dead
+// ServerStats sums the counters over every shard. ok is false when any
+// shard's reply lacked them; transport failures are tagged with the dead
 // shard's address.
 func (s *ShardedDB) ServerStats() (ServerStats, bool, error) {
 	var total ServerStats
@@ -220,22 +150,8 @@ func (s *ShardedDB) ServerStats() (ServerStats, bool, error) {
 		if err != nil {
 			return ServerStats{}, false, s.tag(i, err)
 		}
-		if !shardOK {
-			ok = false
-			continue
-		}
-		total.Engine = st.Engine
-		total.VecSelects += st.VecSelects
-		total.VecFallbacks += st.VecFallbacks
-		total.FbJoinShape += st.FbJoinShape
-		total.FbStar += st.FbStar
-		total.FbOrderExpr += st.FbOrderExpr
-		total.FbSubquery += st.FbSubquery
-		total.FbOther += st.FbOther
-		total.PlanCacheHits += st.PlanCacheHits
-		total.PlanCacheMisses += st.PlanCacheMisses
-		total.Requests += st.Requests
-		total.VendorNanos += st.VendorNanos
+		ok = ok && shardOK
+		total.add(st)
 	}
 	return total, ok, nil
 }

@@ -5,16 +5,7 @@ package godbc
 // request is tagged with a fresh nonzero ID, a single reader goroutine
 // demultiplexes the replies by their echoed IDs, and a canceled caller sends
 // a ReqCancel so the server stops the request's work — the connection itself
-// survives cancellation, unlike the deadline-snapping fallback of a plain
-// Conn.
-//
-// Interop is the protocol's usual gob discipline: a pre-mux server drops the
-// unknown ID field and answers requests one at a time, in order. The MuxConn
-// detects this from the first reply (a mux server echoes the nonzero ID, a
-// pre-mux server leaves it zero) and falls back to serial pairing: requests
-// take turns, replies are matched to requests by order, and cancellation
-// degrades to abandoning the reply (a tombstone keeps the pairing aligned).
-// Either way the caller sees the same results.
+// survives cancellation, unlike the deadline-snapping of a plain Conn.
 
 import (
 	"context"
@@ -28,13 +19,6 @@ import (
 	"repro/internal/sqldb/wire"
 )
 
-// mux-mode detection states.
-const (
-	muxUnknown = iota // no reply seen yet; requests serialize until one arrives
-	muxYes            // server echoes IDs: full multiplexing
-	muxNo             // pre-mux server: serial turns, order-based pairing
-)
-
 // MuxConn is a multiplexed connection: one socket, many concurrent requests.
 // It is safe for concurrent use. It implements Executor, sqlgen.QueryPreparer
 // and the context-observing execution interfaces, so it drops into every
@@ -46,28 +30,19 @@ type MuxConn struct {
 	// writeMu serializes request encoding on the shared gob stream.
 	writeMu sync.Mutex
 
-	mu      sync.Mutex
-	mode    int
-	nextID  int64
+	mu     sync.Mutex
+	nextID int64
+	// pending parks the reply channel of every in-flight request under its
+	// ID. A reply whose ID is not pending — a cancel's ack, or the late
+	// answer to an abandoned request — is dropped by the demultiplexer.
 	pending map[int64]chan *wire.Response
-	// fifo holds the IDs of in-flight requests in send order — the pairing
-	// key for serial mode, where replies carry no ID. An abandoned request
-	// stays in the fifo with a nil channel (a tombstone) so the reply that
-	// eventually arrives for it is swallowed instead of shifting every later
-	// pairing by one.
-	fifo []int64
-	// serialTurn serializes whole round trips while the mode is not yet
-	// known to be mux: serial servers answer in order, so requests must not
-	// interleave. Held as a channel so waiters can observe ctx.
-	serialTurn chan struct{}
-	err        error
-	closed     bool
+	err     error
+	closed  bool
 
 	stmtMu sync.Mutex
 	stmts  map[string]*MuxStmt
 
 	fetchSize int
-	noBatch   bool
 
 	// requests and cancels feed Metrics (see metrics.go).
 	requests metrics.Counter
@@ -81,20 +56,18 @@ func DialMux(addr string) (*MuxConn, error) {
 		return nil, &transportError{fmt.Errorf("godbc: dial %s: %w", addr, err)}
 	}
 	m := &MuxConn{
-		nc:         nc,
-		codec:      wire.NewCodec(nc),
-		pending:    make(map[int64]chan *wire.Response),
-		serialTurn: make(chan struct{}, 1),
-		fetchSize:  DefaultFetchSize,
+		nc:        nc,
+		codec:     wire.NewCodec(nc),
+		pending:   make(map[int64]chan *wire.Response),
+		fetchSize: DefaultFetchSize,
 	}
-	m.serialTurn <- struct{}{}
 	go m.readLoop()
 	return m, nil
 }
 
 // readLoop is the demultiplexer: it owns the read side of the codec for the
-// connection's whole life, routing each reply to its waiting request — by
-// echoed ID against a mux server, by send order against a serial one.
+// connection's whole life, routing each reply to its waiting request by the
+// echoed ID.
 func (m *MuxConn) readLoop() {
 	for {
 		resp, err := m.codec.ReadResponse()
@@ -103,29 +76,8 @@ func (m *MuxConn) readLoop() {
 			return
 		}
 		m.mu.Lock()
-		if m.mode == muxUnknown {
-			if resp.ID != 0 {
-				m.mode = muxYes
-			} else {
-				m.mode = muxNo
-			}
-		}
-		var ch chan *wire.Response
-		if m.mode == muxYes {
-			ch = m.pending[resp.ID]
-			delete(m.pending, resp.ID)
-			for i, id := range m.fifo {
-				if id == resp.ID {
-					m.fifo = append(m.fifo[:i], m.fifo[i+1:]...)
-					break
-				}
-			}
-		} else if len(m.fifo) > 0 {
-			id := m.fifo[0]
-			m.fifo = m.fifo[1:]
-			ch = m.pending[id] // nil for a tombstone: reply swallowed
-			delete(m.pending, id)
-		}
+		ch := m.pending[resp.ID]
+		delete(m.pending, resp.ID)
 		m.mu.Unlock()
 		if ch != nil {
 			ch <- resp
@@ -141,12 +93,9 @@ func (m *MuxConn) fail(err error) {
 	}
 	pending := m.pending
 	m.pending = make(map[int64]chan *wire.Response)
-	m.fifo = nil
 	m.mu.Unlock()
 	for _, ch := range pending {
-		if ch != nil {
-			close(ch)
-		}
+		close(ch)
 	}
 }
 
@@ -193,43 +142,28 @@ func (m *MuxConn) register() (int64, chan *wire.Response, error) {
 	id := m.nextID
 	ch := make(chan *wire.Response, 1)
 	m.pending[id] = ch
-	m.fifo = append(m.fifo, id)
 	m.requests.Inc()
 	return id, ch, nil
 }
 
-// abandon gives up on a registered request whose caller stopped waiting. In
-// mux mode the entry is removed and a best-effort ReqCancel tells the server
-// to stop the work (its ack, carrying a fresh unregistered ID, is swallowed
-// by the demultiplexer). In serial or undetermined mode the reply must still
-// be consumed to keep order-pairing aligned, so the entry becomes a
-// tombstone: the ID stays in the fifo, the channel goes nil, and the reply is
-// discarded when it arrives.
+// abandon gives up on a registered request whose caller stopped waiting: the
+// entry is removed and a best-effort ReqCancel tells the server to stop the
+// work. The cancel's ack carries a fresh unregistered ID, so the
+// demultiplexer drops it, as it drops the abandoned request's own reply.
 func (m *MuxConn) abandon(id int64) {
 	m.mu.Lock()
 	if _, ok := m.pending[id]; !ok {
 		m.mu.Unlock()
 		return // reply already routed (or connection failed)
 	}
+	delete(m.pending, id)
 	m.cancels.Inc()
-	if m.mode == muxYes {
-		delete(m.pending, id)
-		for i, fid := range m.fifo {
-			if fid == id {
-				m.fifo = append(m.fifo[:i], m.fifo[i+1:]...)
-				break
-			}
-		}
-		m.nextID++
-		cancelID := m.nextID // deliberately not registered: ack is dropped
-		m.mu.Unlock()
-		m.writeMu.Lock()
-		m.codec.WriteRequest(&wire.Request{Kind: wire.ReqCancel, ID: cancelID, CancelID: id})
-		m.writeMu.Unlock()
-		return
-	}
-	m.pending[id] = nil
+	m.nextID++
+	cancelID := m.nextID
 	m.mu.Unlock()
+	m.writeMu.Lock()
+	m.codec.WriteRequest(&wire.Request{Kind: wire.ReqCancel, ID: cancelID, CancelID: id})
+	m.writeMu.Unlock()
 }
 
 // roundTrip performs one tagged request/response exchange, observing ctx.
@@ -237,24 +171,6 @@ func (m *MuxConn) roundTrip(ctx context.Context, req *wire.Request) (*wire.Respo
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-
-	// Until the first reply proves the server multiplexes, round trips take
-	// strict turns — a serial server interleaving two requests would answer
-	// them in order, which is exactly what turn-taking preserves.
-	m.mu.Lock()
-	serial := m.mode != muxYes
-	m.mu.Unlock()
-	if serial {
-		select {
-		case <-m.serialTurn:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-		defer func() { m.serialTurn <- struct{}{} }()
-		// The mode may have been decided while we waited for the turn; mux
-		// turns are harmless (just slower), so no re-check is needed.
-	}
-
 	id, ch, err := m.register()
 	if err != nil {
 		return nil, err
@@ -284,16 +200,7 @@ func (m *MuxConn) roundTrip(ctx context.Context, req *wire.Request) (*wire.Respo
 }
 
 // Ping performs a protocol round trip.
-func (m *MuxConn) Ping() error {
-	resp, err := m.roundTrip(context.Background(), &wire.Request{Kind: wire.ReqPing})
-	if err != nil {
-		return err
-	}
-	if resp.Err != "" {
-		return fmt.Errorf("godbc: %s", resp.Err)
-	}
-	return nil
-}
+func (m *MuxConn) Ping() error { return ping(m) }
 
 // Exec runs a statement and returns the affected-row count.
 func (m *MuxConn) Exec(query string, params *sqldb.Params) (Result, error) {
@@ -302,16 +209,7 @@ func (m *MuxConn) Exec(query string, params *sqldb.Params) (Result, error) {
 
 // ExecContext is Exec observing a context.
 func (m *MuxConn) ExecContext(ctx context.Context, query string, params *sqldb.Params) (Result, error) {
-	req := &wire.Request{Kind: wire.ReqExec, SQL: query}
-	encodeParams(req, params)
-	resp, err := m.roundTrip(ctx, req)
-	if err != nil {
-		return Result{}, err
-	}
-	if resp.Err != "" {
-		return Result{}, fmt.Errorf("godbc: %s", resp.Err)
-	}
-	return Result{Affected: resp.Affected}, nil
+	return execAffected(ctx, m, textExec(query, params))
 }
 
 // ExecQuery runs a SELECT and returns the complete result set.
@@ -321,16 +219,7 @@ func (m *MuxConn) ExecQuery(query string, params *sqldb.Params) (*sqldb.ResultSe
 
 // ExecQueryContext is ExecQuery observing a context.
 func (m *MuxConn) ExecQueryContext(ctx context.Context, query string, params *sqldb.Params) (*sqldb.ResultSet, error) {
-	req := &wire.Request{Kind: wire.ReqExec, SQL: query}
-	encodeParams(req, params)
-	resp, err := m.roundTrip(ctx, req)
-	if err != nil {
-		return nil, err
-	}
-	if resp.Err != "" {
-		return nil, fmt.Errorf("godbc: %s", resp.Err)
-	}
-	return decodeSet(resp), nil
+	return execSet(ctx, m, textExec(query, params))
 }
 
 // MuxStmt is a prepared statement on a multiplexed connection. It is safe
@@ -352,14 +241,11 @@ func (m *MuxConn) PrepareQuery(query string) (sqlgen.PreparedQuery, error) {
 	if st, ok := m.stmts[query]; ok {
 		return st, nil
 	}
-	resp, err := m.roundTrip(context.Background(), &wire.Request{Kind: wire.ReqPrepare, SQL: query})
+	id, err := prepare(m, query)
 	if err != nil {
 		return nil, err
 	}
-	if resp.Err != "" {
-		return nil, fmt.Errorf("godbc: %s", resp.Err)
-	}
-	st := &MuxStmt{m: m, id: resp.StmtID, sql: query}
+	st := &MuxStmt{m: m, id: id, sql: query}
 	if m.stmts == nil {
 		m.stmts = make(map[string]*MuxStmt)
 	}
@@ -378,16 +264,7 @@ func (st *MuxStmt) ExecQuery(params *sqldb.Params) (*sqldb.ResultSet, error) {
 
 // ExecQueryContext executes the prepared statement observing a context.
 func (st *MuxStmt) ExecQueryContext(ctx context.Context, params *sqldb.Params) (*sqldb.ResultSet, error) {
-	req := &wire.Request{Kind: wire.ReqExecPrepared, StmtID: st.id}
-	encodeParams(req, params)
-	resp, err := st.m.roundTrip(ctx, req)
-	if err != nil {
-		return nil, err
-	}
-	if resp.Err != "" {
-		return nil, fmt.Errorf("godbc: %s", resp.Err)
-	}
-	return decodeSet(resp), nil
+	return execSet(ctx, st.m, preparedExec(st.id, params))
 }
 
 // ExecQueryBatch implements sqlgen.BatchPreparedQuery.
@@ -396,72 +273,9 @@ func (st *MuxStmt) ExecQueryBatch(bindings []*sqldb.Params) ([]sqlgen.BatchQuery
 }
 
 // ExecQueryBatchContext executes the statement once per binding, shipping
-// wire.MaxBatch bindings per tagged request. Against a server without the
-// batch extension it falls back to per-binding prepared executions.
+// wire.MaxBatch bindings per tagged request.
 func (st *MuxStmt) ExecQueryBatchContext(ctx context.Context, bindings []*sqldb.Params) ([]sqlgen.BatchQueryResult, error) {
-	out := make([]sqlgen.BatchQueryResult, 0, len(bindings))
-	for start := 0; start < len(bindings); start += wire.MaxBatch {
-		end := min(start+wire.MaxBatch, len(bindings))
-		chunk, err := st.execBatchChunk(ctx, bindings[start:end])
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, chunk...)
-	}
-	return out, nil
-}
-
-func (st *MuxStmt) execBatchChunk(ctx context.Context, bindings []*sqldb.Params) ([]sqlgen.BatchQueryResult, error) {
-	if len(bindings) == 0 {
-		return nil, nil
-	}
-	st.m.mu.Lock()
-	noBatch := st.m.noBatch
-	st.m.mu.Unlock()
-	if !noBatch {
-		req := &wire.Request{Kind: wire.ReqExecBatch, StmtID: st.id, Batch: make([]wire.BatchBinding, len(bindings))}
-		for i, p := range bindings {
-			req.Batch[i] = toBinding(p)
-		}
-		resp, err := st.m.roundTrip(ctx, req)
-		if err != nil {
-			return nil, err
-		}
-		switch {
-		case resp.Err == "":
-			if len(resp.Items) != len(bindings) {
-				return nil, fmt.Errorf("godbc: batch returned %d results for %d bindings", len(resp.Items), len(bindings))
-			}
-			out := make([]sqlgen.BatchQueryResult, len(resp.Items))
-			for i, item := range resp.Items {
-				if item.Err != "" {
-					out[i] = sqlgen.BatchQueryResult{Err: fmt.Errorf("godbc: %s", item.Err)}
-					continue
-				}
-				out[i] = sqlgen.BatchQueryResult{Set: decodeItem(item)}
-			}
-			return out, nil
-		case batchUnsupported(resp.Err):
-			st.m.mu.Lock()
-			st.m.noBatch = true
-			st.m.mu.Unlock()
-		default:
-			return nil, fmt.Errorf("godbc: %s", resp.Err)
-		}
-	}
-	out := make([]sqlgen.BatchQueryResult, len(bindings))
-	for i, p := range bindings {
-		set, err := st.ExecQueryContext(ctx, p)
-		if err != nil {
-			if ctx.Err() != nil || isTransportError(err) {
-				return nil, err
-			}
-			out[i] = sqlgen.BatchQueryResult{Err: err}
-			continue
-		}
-		out[i] = sqlgen.BatchQueryResult{Set: set}
-	}
-	return out, nil
+	return queryBatch(ctx, st.m, st.id, bindings)
 }
 
 var _ Executor = (*MuxConn)(nil)

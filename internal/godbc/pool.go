@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/asl/sqlgen"
 	"repro/internal/metrics"
 	"repro/internal/sqldb"
 )
@@ -83,8 +84,12 @@ func (p *Pool) SetFetchSize(n int) {
 // acquireSlot claims one capacity slot, observing ctx while blocked and
 // recording the wait into the checkout metrics. The common case — a free
 // slot — is recorded as zero wait without consulting the clock, so the fast
-// path stays two atomic adds.
+// path stays two atomic adds. A caller whose ctx is already canceled claims
+// nothing, free slot or not.
 func (p *Pool) acquireSlot(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
 	select {
 	case <-p.slots:
 		p.checkouts.Inc()
@@ -106,8 +111,14 @@ func (p *Pool) acquireSlot(ctx context.Context) error {
 // Get checks a connection out of the pool, dialing a new one if no idle
 // connection is available and the capacity is not exhausted; otherwise it
 // blocks until a connection is returned. Return the connection with Put.
-func (p *Pool) Get() (*Conn, error) {
-	p.acquireSlot(context.Background())
+func (p *Pool) Get() (*Conn, error) { return p.GetCtx(context.Background()) }
+
+// GetCtx is Get observing a context while waiting for a free slot: a caller
+// canceled in the checkout queue releases its claim instead of dialing.
+func (p *Pool) GetCtx(ctx context.Context) (*Conn, error) {
+	if err := p.acquireSlot(ctx); err != nil {
+		return nil, err
+	}
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
@@ -187,15 +198,22 @@ func (p *Pool) Exec(query string, params *sqldb.Params) (Result, error) {
 
 // ExecQuery runs a SELECT on a pooled connection.
 func (p *Pool) ExecQuery(query string, params *sqldb.Params) (*sqldb.ResultSet, error) {
-	c, err := p.Get()
+	return p.ExecQueryContext(context.Background(), query, params)
+}
+
+// ExecQueryContext is ExecQuery observing ctx at checkout and across the
+// round trip.
+func (p *Pool) ExecQueryContext(ctx context.Context, query string, params *sqldb.Params) (*sqldb.ResultSet, error) {
+	c, err := p.GetCtx(ctx)
 	if err != nil {
 		return nil, err
 	}
 	defer p.Put(c)
-	return c.ExecQuery(query, params)
+	return c.ExecQueryContext(ctx, query, params)
 }
 
 // ConcurrentQuery marks the pool as safe for concurrent querying.
 func (p *Pool) ConcurrentQuery() bool { return true }
 
 var _ Executor = (*Pool)(nil)
+var _ sqlgen.ContextQueryExecutor = (*Pool)(nil)

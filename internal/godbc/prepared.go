@@ -7,9 +7,9 @@ package godbc
 // with fresh parameters, paying only the execution cost per call.
 
 import (
+	"context"
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/asl/sqlgen"
 	"repro/internal/sqldb"
@@ -32,52 +32,39 @@ type Stmt struct {
 // Prepare parses and plans a statement on the server, returning a reusable
 // handle.
 func (c *Conn) Prepare(query string) (*Stmt, error) {
-	resp, err := c.roundTrip(&wire.Request{Kind: wire.ReqPrepare, SQL: query})
+	id, err := prepare(c, query)
 	if err != nil {
 		return nil, err
 	}
-	if resp.Err != "" {
-		return nil, fmt.Errorf("godbc: %s", resp.Err)
-	}
-	return &Stmt{conn: c, id: resp.StmtID, sql: query}, nil
+	return &Stmt{conn: c, id: id, sql: query}, nil
 }
 
 // SQL returns the statement text the handle was prepared from.
 func (st *Stmt) SQL() string { return st.sql }
 
+// errStmtClosed is returned by executions on a closed handle.
+var errStmtClosed = fmt.Errorf("godbc: prepared statement is closed")
+
 // Exec runs the prepared statement and returns the affected-row count.
 func (st *Stmt) Exec(params *sqldb.Params) (Result, error) {
-	resp, err := st.execRaw(params)
-	if err != nil {
-		return Result{}, err
+	if st.closed {
+		return Result{}, errStmtClosed
 	}
-	return Result{Affected: resp.Affected}, nil
+	return execAffected(context.Background(), st.conn, preparedExec(st.id, params))
 }
 
 // ExecQuery runs the prepared SELECT and returns the complete result set in
 // a single round trip.
 func (st *Stmt) ExecQuery(params *sqldb.Params) (*sqldb.ResultSet, error) {
-	resp, err := st.execRaw(params)
-	if err != nil {
-		return nil, err
-	}
-	return decodeSet(resp), nil
+	return st.ExecQueryContext(context.Background(), params)
 }
 
-func (st *Stmt) execRaw(params *sqldb.Params) (*wire.Response, error) {
+// ExecQueryContext is ExecQuery observing a context.
+func (st *Stmt) ExecQueryContext(ctx context.Context, params *sqldb.Params) (*sqldb.ResultSet, error) {
 	if st.closed {
-		return nil, fmt.Errorf("godbc: prepared statement is closed")
+		return nil, errStmtClosed
 	}
-	req := &wire.Request{Kind: wire.ReqExecPrepared, StmtID: st.id}
-	encodeParams(req, params)
-	resp, err := st.conn.roundTrip(req)
-	if err != nil {
-		return nil, err
-	}
-	if resp.Err != "" {
-		return nil, fmt.Errorf("godbc: %s", resp.Err)
-	}
-	return resp, nil
+	return execSet(ctx, st.conn, preparedExec(st.id, params))
 }
 
 // Close releases the server-side handle. Closing is idempotent.
@@ -89,14 +76,8 @@ func (st *Stmt) Close() error {
 	if st.conn.closed || st.conn.broken {
 		return nil // the server released the handle with the connection
 	}
-	resp, err := st.conn.roundTrip(&wire.Request{Kind: wire.ReqClosePrepared, StmtID: st.id})
-	if err != nil {
-		return err
-	}
-	if resp.Err != "" {
-		return fmt.Errorf("godbc: %s", resp.Err)
-	}
-	return nil
+	_, err := call(context.Background(), st.conn, &wire.Request{Kind: wire.ReqClosePrepared, StmtID: st.id})
+	return err
 }
 
 // PrepareQuery implements sqlgen.QueryPreparer.
@@ -148,34 +129,57 @@ func (p *Pool) PrepareQuery(query string) (sqlgen.PreparedQuery, error) {
 // ExecQuery checks a connection out of the pool, ensures the statement is
 // prepared on it, and executes.
 func (ps *PooledStmt) ExecQuery(params *sqldb.Params) (*sqldb.ResultSet, error) {
-	ps.mu.Lock()
-	closed, textOnly := ps.closed, ps.textOnly
-	ps.mu.Unlock()
-	if closed {
-		return nil, fmt.Errorf("godbc: prepared statement is closed")
-	}
-	c, err := ps.pool.Get()
+	return ps.ExecQueryContext(context.Background(), params)
+}
+
+// ExecQueryContext is ExecQuery observing ctx at checkout and across the
+// round trip.
+func (ps *PooledStmt) ExecQueryContext(ctx context.Context, params *sqldb.Params) (*sqldb.ResultSet, error) {
+	c, st, err := ps.checkout(ctx)
 	if err != nil {
 		return nil, err
 	}
 	defer ps.pool.Put(c)
-	if !textOnly {
-		st, err := c.prepared(ps.sql)
-		if err == nil {
-			return st.ExecQuery(params)
-		}
-		if c.broken {
-			return nil, err
-		}
-		// Server-side prepare rejected the statement (e.g. eager table
-		// validation refused what the lazy text path accepts): fall back to
-		// text execution so results match the other executors, and stop
-		// re-attempting the prepare on future calls.
-		ps.mu.Lock()
-		ps.textOnly = true
-		ps.mu.Unlock()
+	if st != nil {
+		return st.ExecQueryContext(ctx, params)
 	}
-	return c.ExecQuery(ps.sql, params)
+	return c.ExecQueryContext(ctx, ps.sql, params)
+}
+
+// checkout takes a connection from the pool and returns it with the
+// statement's handle on it, preparing on first use. A nil handle means the
+// statement executes through the text protocol on c. On error nothing is
+// checked out.
+func (ps *PooledStmt) checkout(ctx context.Context) (*Conn, *Stmt, error) {
+	ps.mu.Lock()
+	closed, textOnly := ps.closed, ps.textOnly
+	ps.mu.Unlock()
+	if closed {
+		return nil, nil, errStmtClosed
+	}
+	c, err := ps.pool.GetCtx(ctx)
+	if err != nil {
+		return nil, nil, err
+	}
+	if textOnly {
+		return c, nil, nil
+	}
+	st, err := c.prepared(ps.sql)
+	if err == nil {
+		return c, st, nil
+	}
+	if c.broken {
+		ps.pool.Put(c)
+		return nil, nil, err
+	}
+	// Server-side prepare rejected the statement (e.g. eager table
+	// validation refused what the lazy text path accepts): fall back to
+	// text execution so results match the other executors, and stop
+	// re-attempting the prepare on future calls.
+	ps.mu.Lock()
+	ps.textOnly = true
+	ps.mu.Unlock()
+	return c, nil, nil
 }
 
 // Close marks the pooled statement closed. The per-connection handles stay
@@ -205,14 +209,14 @@ func (e Embedded) PrepareQuery(query string) (sqlgen.PreparedQuery, error) {
 }
 
 func (s embeddedStmt) ExecQuery(params *sqldb.Params) (*sqldb.ResultSet, error) {
-	res, err := s.ps.Execute(params)
-	if err != nil {
+	return s.ExecQueryContext(context.Background(), params)
+}
+
+func (s embeddedStmt) ExecQueryContext(ctx context.Context, params *sqldb.Params) (*sqldb.ResultSet, error) {
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if res.Set == nil {
-		return nil, fmt.Errorf("godbc: statement produced no result set")
-	}
-	return res.Set, nil
+	return resultSet(s.ps.Execute(params))
 }
 
 func (s embeddedStmt) Close() error { return s.ps.Close() }
@@ -237,17 +241,15 @@ func (e ProfiledEmbedded) PrepareQuery(query string) (sqlgen.PreparedQuery, erro
 }
 
 func (s profiledStmt) ExecQuery(params *sqldb.Params) (*sqldb.ResultSet, error) {
-	res, err := s.ps.Execute(params)
-	if err != nil {
+	return s.ExecQueryContext(context.Background(), params)
+}
+
+func (s profiledStmt) ExecQueryContext(ctx context.Context, params *sqldb.Params) (*sqldb.ResultSet, error) {
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if res.Set == nil {
-		return nil, fmt.Errorf("godbc: statement produced no result set")
-	}
-	if !res.Cached {
-		wire.Delay(s.profile.PerStatement + time.Duration(len(res.Set.Rows))*s.profile.PerRowRead)
-	}
-	return res.Set, nil
+	res, err := s.ps.Execute(params)
+	return chargedSet(ctx, res, err, s.profile.PerStatement, s.profile.PerRowRead)
 }
 
 func (s profiledStmt) Close() error { return s.ps.Close() }
@@ -256,3 +258,7 @@ var _ sqlgen.QueryPreparer = (*Conn)(nil)
 var _ sqlgen.QueryPreparer = (*Pool)(nil)
 var _ sqlgen.QueryPreparer = Embedded{}
 var _ sqlgen.QueryPreparer = ProfiledEmbedded{}
+var _ sqlgen.ContextPreparedQuery = (*Stmt)(nil)
+var _ sqlgen.ContextPreparedQuery = (*PooledStmt)(nil)
+var _ sqlgen.ContextPreparedQuery = embeddedStmt{}
+var _ sqlgen.ContextPreparedQuery = profiledStmt{}

@@ -1,0 +1,187 @@
+package godbc
+
+// The driver's wire vocabulary. Every request kind is built, and every reply
+// kind decoded, by exactly one function in this file. Conn (one request at a
+// time, ID 0) and MuxConn (tagged, concurrent) differ only in how a request
+// travels, so both reduce to the one shape they share — roundTrip(ctx, req) —
+// and everything above it is written once.
+//
+// A reply whose Err is set is an ordinary error for the caller, whatever it
+// says: the exchange completed, so the connection stays usable. That includes
+// a peer refusing a request kind it does not know — there is no probing of
+// what a peer can do and no fallback to another request kind.
+
+import (
+	"context"
+	"fmt"
+
+	"repro/internal/asl/sqlgen"
+	"repro/internal/sqldb"
+	"repro/internal/sqldb/wire"
+)
+
+// roundTripper is one request/response exchange observing ctx: a canceled
+// exchange returns ctx's error, a failed transport a transportError.
+type roundTripper interface {
+	roundTrip(ctx context.Context, req *wire.Request) (*wire.Response, error)
+}
+
+// call performs one exchange and turns a server-reported failure into an
+// error.
+func call(ctx context.Context, rt roundTripper, req *wire.Request) (*wire.Response, error) {
+	resp, err := rt.roundTrip(ctx, req)
+	if err != nil {
+		return nil, err
+	}
+	if resp.Err != "" {
+		return nil, fmt.Errorf("godbc: %s", resp.Err)
+	}
+	return resp, nil
+}
+
+func encodeValues(params *sqldb.Params) (pos []wire.WireValue, named map[string]wire.WireValue) {
+	if params == nil {
+		return nil, nil
+	}
+	for _, v := range params.Positional {
+		pos = append(pos, wire.ToWire(v))
+	}
+	if len(params.Named) > 0 {
+		named = make(map[string]wire.WireValue, len(params.Named))
+		for k, v := range params.Named {
+			named[k] = wire.ToWire(v)
+		}
+	}
+	return pos, named
+}
+
+func decodeRows(columns []string, rows [][]wire.WireValue) *sqldb.ResultSet {
+	return &sqldb.ResultSet{Columns: columns, Rows: appendRows(nil, rows)}
+}
+
+func appendRows(dst []sqldb.Row, rows [][]wire.WireValue) []sqldb.Row {
+	for _, wr := range rows {
+		row := make(sqldb.Row, len(wr))
+		for i, wv := range wr {
+			row[i] = wv.FromWire()
+		}
+		dst = append(dst, row)
+	}
+	return dst
+}
+
+// textExec builds a text-protocol execution: the statement is compiled anew
+// by the server.
+func textExec(query string, params *sqldb.Params) *wire.Request {
+	req := &wire.Request{Kind: wire.ReqExec, SQL: query}
+	req.Pos, req.Named = encodeValues(params)
+	return req
+}
+
+// preparedExec builds one execution of a server-side prepared handle.
+func preparedExec(stmtID int64, params *sqldb.Params) *wire.Request {
+	req := &wire.Request{Kind: wire.ReqExecPrepared, StmtID: stmtID}
+	req.Pos, req.Named = encodeValues(params)
+	return req
+}
+
+// execAffected sends an execution and decodes its reply as a non-query
+// outcome.
+func execAffected(ctx context.Context, rt roundTripper, req *wire.Request) (Result, error) {
+	resp, err := call(ctx, rt, req)
+	if err != nil {
+		return Result{}, err
+	}
+	return Result{Affected: resp.Affected}, nil
+}
+
+// execSet sends an execution and decodes its reply as a complete result set.
+func execSet(ctx context.Context, rt roundTripper, req *wire.Request) (*sqldb.ResultSet, error) {
+	resp, err := call(ctx, rt, req)
+	if err != nil {
+		return nil, err
+	}
+	return decodeRows(resp.Columns, resp.Rows), nil
+}
+
+// The requests below have no ...Context form on any connection type, so
+// their one body runs under context.Background().
+
+// ping performs an empty protocol round trip.
+func ping(rt roundTripper) error {
+	_, err := call(context.Background(), rt, &wire.Request{Kind: wire.ReqPing})
+	return err
+}
+
+// prepare plans a statement on the server and returns its handle id.
+func prepare(rt roundTripper, query string) (int64, error) {
+	resp, err := call(context.Background(), rt, &wire.Request{Kind: wire.ReqPrepare, SQL: query})
+	if err != nil {
+		return 0, err
+	}
+	return resp.StmtID, nil
+}
+
+// execBatch executes a prepared handle once per binding, wire.MaxBatch
+// bindings per request; results are in binding order regardless of the
+// split. Per-binding failures are reported inline; a failed request (or a
+// ctx canceled between chunks) fails the whole call — a partial batch is
+// never reported as success.
+func execBatch(ctx context.Context, rt roundTripper, stmtID int64, bindings []*sqldb.Params) ([]BatchResult, error) {
+	out := make([]BatchResult, 0, len(bindings))
+	for start := 0; start < len(bindings); start += wire.MaxBatch {
+		chunk := bindings[start:min(start+wire.MaxBatch, len(bindings))]
+		req := &wire.Request{Kind: wire.ReqExecBatch, StmtID: stmtID, Batch: make([]wire.BatchBinding, len(chunk))}
+		for i, p := range chunk {
+			req.Batch[i].Pos, req.Batch[i].Named = encodeValues(p)
+		}
+		resp, err := call(ctx, rt, req)
+		if err != nil {
+			return nil, err
+		}
+		if len(resp.Items) != len(chunk) {
+			return nil, fmt.Errorf("godbc: batch returned %d results for %d bindings", len(resp.Items), len(chunk))
+		}
+		for _, item := range resp.Items {
+			if item.Err != "" {
+				out = append(out, BatchResult{Err: fmt.Errorf("godbc: %s", item.Err)})
+				continue
+			}
+			out = append(out, BatchResult{Affected: item.Affected, Set: decodeRows(item.Columns, item.Rows)})
+		}
+	}
+	return out, nil
+}
+
+// queryBatch is execBatch in the shape of sqlgen.BatchPreparedQuery.
+func queryBatch(ctx context.Context, rt roundTripper, stmtID int64, bindings []*sqldb.Params) ([]sqlgen.BatchQueryResult, error) {
+	results, err := execBatch(ctx, rt, stmtID, bindings)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]sqlgen.BatchQueryResult, len(results))
+	for i, r := range results {
+		out[i] = sqlgen.BatchQueryResult{Set: r.Set, Err: r.Err}
+	}
+	return out, nil
+}
+
+// cacheStats fetches the server's result-cache counters. ok reports whether
+// the reply carried them.
+func cacheStats(rt roundTripper) (stats CacheStats, ok bool, err error) {
+	resp, err := call(context.Background(), rt, &wire.Request{Kind: wire.ReqCacheStats})
+	if err != nil || resp.Cache == nil {
+		return CacheStats{}, false, err
+	}
+	return CacheStats(*resp.Cache), true, nil
+}
+
+// serverStats fetches the server's engine and cost counters. ok reports
+// whether the reply carried them.
+func serverStats(rt roundTripper) (stats ServerStats, ok bool, err error) {
+	resp, err := call(context.Background(), rt, &wire.Request{Kind: wire.ReqServerStats})
+	if err != nil || resp.Server == nil {
+		return ServerStats{}, false, err
+	}
+	return ServerStats(*resp.Server), true, nil
+}

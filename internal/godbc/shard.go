@@ -17,6 +17,7 @@ package godbc
 // deterministic for any shard count.
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -232,18 +233,24 @@ func (s *ShardedDB) Exec(query string, params *sqldb.Params) (Result, error) {
 // replicated tables; rows of partitioned tables held by other shards are
 // invisible to it.
 func (s *ShardedDB) ExecQuery(query string, params *sqldb.Params) (*sqldb.ResultSet, error) {
-	set, err := s.pools[0].ExecQuery(query, params)
-	return set, s.tag(0, err)
+	return s.ExecQueryContext(context.Background(), query, params)
+}
+
+// ExecQueryContext is ExecQuery observing a context.
+func (s *ShardedDB) ExecQueryContext(ctx context.Context, query string, params *sqldb.Params) (*sqldb.ResultSet, error) {
+	return s.ExecQueryRouted(ctx, query, "", params)
 }
 
 // ExecQueryRouted implements sqlgen.RoutedExecutor: a one-shot text-protocol
-// query sent to the shard owning the run bound under runParam.
-func (s *ShardedDB) ExecQueryRouted(query, runParam string, params *sqldb.Params) (*sqldb.ResultSet, error) {
+// query sent to the shard owning the run bound under runParam (the first
+// shard when runParam is empty), observing ctx at checkout and across the
+// round trip.
+func (s *ShardedDB) ExecQueryRouted(ctx context.Context, query, runParam string, params *sqldb.Params) (*sqldb.ResultSet, error) {
 	i, err := s.route(runParam, params)
 	if err != nil {
 		return nil, err
 	}
-	set, err := s.pools[i].ExecQuery(query, params)
+	set, err := s.pools[i].ExecQueryContext(ctx, query, params)
 	return set, s.tag(i, err)
 }
 
@@ -305,11 +312,16 @@ type ShardedStmt struct {
 
 // ExecQuery executes one parameter set on the shard owning its run.
 func (st *ShardedStmt) ExecQuery(params *sqldb.Params) (*sqldb.ResultSet, error) {
+	return st.ExecQueryContext(context.Background(), params)
+}
+
+// ExecQueryContext is ExecQuery observing a context.
+func (st *ShardedStmt) ExecQueryContext(ctx context.Context, params *sqldb.Params) (*sqldb.ResultSet, error) {
 	i, err := st.db.route(st.runParam, params)
 	if err != nil {
 		return nil, err
 	}
-	set, err := st.stmts[i].ExecQuery(params)
+	set, err := st.stmts[i].ExecQueryContext(ctx, params)
 	return set, st.db.tag(i, err)
 }
 
@@ -322,6 +334,12 @@ func (st *ShardedStmt) ExecQuery(params *sqldb.Params) (*sqldb.ResultSet, error)
 // with the shard's address; the lowest-indexed failing shard wins, so the
 // reported error does not depend on goroutine scheduling.
 func (st *ShardedStmt) ExecQueryBatch(bindings []*sqldb.Params) ([]sqlgen.BatchQueryResult, error) {
+	return st.ExecQueryBatchContext(context.Background(), bindings)
+}
+
+// ExecQueryBatchContext is ExecQueryBatch with ctx threaded to every
+// per-shard batch.
+func (st *ShardedStmt) ExecQueryBatchContext(ctx context.Context, bindings []*sqldb.Params) ([]sqlgen.BatchQueryResult, error) {
 	// Group binding indexes by shard, preserving order within each group.
 	groups := make(map[int][]int)
 	order := make([]int, 0, len(st.stmts))
@@ -340,7 +358,7 @@ func (st *ShardedStmt) ExecQueryBatch(bindings []*sqldb.Params) ([]sqlgen.BatchQ
 		// The common case: every binding of a property batch names the same
 		// run, so the whole batch is one shard's request — no fan-out cost.
 		i := order[0]
-		results, err := st.stmts[i].ExecQueryBatch(bindings)
+		results, err := st.stmts[i].ExecQueryBatchContext(ctx, bindings)
 		if err == nil && len(results) != len(bindings) {
 			err = fmt.Errorf("godbc: shard batch returned %d results for %d bindings", len(results), len(bindings))
 		}
@@ -360,7 +378,7 @@ func (st *ShardedStmt) ExecQueryBatch(bindings []*sqldb.Params) ([]sqlgen.BatchQ
 			for j, bi := range idxs {
 				sub[j] = bindings[bi]
 			}
-			results, err := st.stmts[i].ExecQueryBatch(sub)
+			results, err := st.stmts[i].ExecQueryBatchContext(ctx, sub)
 			if err == nil && len(results) != len(idxs) {
 				err = fmt.Errorf("godbc: shard batch returned %d results for %d bindings", len(results), len(idxs))
 			}
@@ -397,4 +415,7 @@ var _ Executor = (*ShardedDB)(nil)
 var _ sqlgen.QueryPreparer = (*ShardedDB)(nil)
 var _ sqlgen.RoutedPreparer = (*ShardedDB)(nil)
 var _ sqlgen.RoutedExecutor = (*ShardedDB)(nil)
+var _ sqlgen.ContextQueryExecutor = (*ShardedDB)(nil)
 var _ sqlgen.BatchPreparedQuery = (*ShardedStmt)(nil)
+var _ sqlgen.ContextPreparedQuery = (*ShardedStmt)(nil)
+var _ sqlgen.ContextBatchPreparedQuery = (*ShardedStmt)(nil)

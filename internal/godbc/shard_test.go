@@ -1,6 +1,7 @@
 package godbc_test
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"sync"
@@ -142,7 +143,7 @@ func TestRoutedQueryHitsOwningShard(t *testing.T) {
 	}
 	// The text-protocol path routes identically.
 	for run := int64(1); run <= 6; run++ {
-		set, err := sdb.ExecQueryRouted("SELECT v FROM t WHERE run = $t", "t", runParams(run)[0])
+		set, err := sdb.ExecQueryRouted(context.Background(), "SELECT v FROM t WHERE run = $t", "t", runParams(run)[0])
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,7 +2,6 @@ package service
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -154,7 +153,7 @@ func (c *Client) Ping(ctx context.Context) error {
 		return err
 	}
 	if resp.Err != "" {
-		return errors.New(resp.Err)
+		return responseErr(resp.Err)
 	}
 	return nil
 }
@@ -166,7 +165,7 @@ func (c *Client) Stats(ctx context.Context) (AdmissionStats, error) {
 		return AdmissionStats{}, err
 	}
 	if resp.Err != "" {
-		return AdmissionStats{}, errors.New(resp.Err)
+		return AdmissionStats{}, responseErr(resp.Err)
 	}
 	if resp.Stats == nil {
 		return AdmissionStats{}, fmt.Errorf("service: stats response without stats")
@@ -192,7 +191,7 @@ func (c *Client) Analyze(ctx context.Context, tenant string, nope int) (string, 
 		return "", err
 	}
 	if resp.Err != "" {
-		return "", errors.New(resp.Err)
+		return "", responseErr(resp.Err)
 	}
 	return resp.Report, nil
 }

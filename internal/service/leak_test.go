@@ -8,6 +8,8 @@ package service_test
 import (
 	"context"
 	"errors"
+	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -85,7 +87,7 @@ func TestCancelMidAnalysisNoLeak(t *testing.T) {
 		if err == nil {
 			t.Fatal("canceled analysis succeeded")
 		}
-		if !errors.Is(err, context.Canceled) && err.Error() != service.ErrCanceled {
+		if !errors.Is(err, context.Canceled) && !errors.Is(err, service.ErrCanceled) {
 			t.Fatalf("canceled analysis returned %v", err)
 		}
 	case <-time.After(5 * time.Second):
@@ -168,4 +170,50 @@ func waitFor(t testing.TB, cond func() bool) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
+}
+
+// shippedDeadline carries a deadline the client ships to the server but
+// never acts on itself: Done stays the parent's, so the client keeps waiting
+// and the reply it gets is the server's own verdict.
+type shippedDeadline struct {
+	context.Context
+	at time.Time
+}
+
+func (c shippedDeadline) Deadline() (time.Time, bool) { return c.at, true }
+
+// TestSentinelErrorsCrossTheWire: an analysis the server sheds at its
+// deadline and one the full admission queue rejects both reach the client,
+// whose own context is still live, as the errors.Is-matchable sentinels — not
+// as bare text to be substring-matched.
+func TestSentinelErrorsCrossTheWire(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	svc, addr := startService(t, wire.ProfileOracleRemote, service.Config{Capacity: 1, MaxQueue: 1})
+
+	late := shippedDeadline{context.Background(), time.Now().Add(5 * time.Millisecond)}
+	if _, err := dialClient(t, addr).Analyze(late, "late", 0); !errors.Is(err, service.ErrCanceled) {
+		t.Fatalf("analysis past its shipped deadline returned %v, want ErrCanceled", err)
+	}
+	waitFor(t, func() bool { return svc.Admission().Stats().InFlight == 0 })
+
+	// Fill the slot and the one queue place; the third request is rejected.
+	ctx, cancel := context.WithCancel(context.Background())
+	var wg sync.WaitGroup
+	for i, arrived := range []func() bool{
+		func() bool { return svc.Admission().Stats().InFlight == 1 },
+		func() bool { return svc.Admission().Stats().Waiting == 1 },
+	} {
+		c := dialClient(t, addr)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c.Analyze(ctx, fmt.Sprintf("holder-%d", i), 0) // outcome irrelevant: canceled below
+		}()
+		waitFor(t, arrived)
+	}
+	if _, err := dialClient(t, addr).Analyze(context.Background(), "third", 0); !errors.Is(err, service.ErrRejected) {
+		t.Errorf("analysis against a full queue returned %v, want ErrRejected", err)
+	}
+	cancel()
+	wg.Wait()
 }

@@ -11,6 +11,7 @@ package service
 
 import (
 	"encoding/gob"
+	"errors"
 	"io"
 )
 
@@ -61,9 +62,23 @@ type Response struct {
 	Stats *AdmissionStats
 }
 
-// ErrCanceled is the Response.Err of a request stopped by cancellation or
-// deadline.
-const ErrCanceled = "service: request canceled"
+// ErrCanceled is the error of a request stopped by cancellation or deadline
+// on the server. Like ErrRejected it crosses the service wire as its text in
+// Response.Err, and Client maps that text back to the sentinel, so errors.Is
+// classifies outcomes on either side of the connection.
+var ErrCanceled = errors.New("service: request canceled")
+
+// responseErr turns a Response.Err back into an error, restoring the
+// sentinels.
+func responseErr(text string) error {
+	switch text {
+	case ErrCanceled.Error():
+		return ErrCanceled
+	case ErrRejected.Error():
+		return ErrRejected
+	}
+	return errors.New(text)
+}
 
 // Codec frames gob messages on a stream.
 type Codec struct {

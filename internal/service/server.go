@@ -263,7 +263,7 @@ func (s *Server) serve(ctx context.Context, req *Request) *Response {
 		rep, err := s.svc.Analyze(ctx, req.Tenant, req.NoPe)
 		switch {
 		case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-			return &Response{Err: ErrCanceled}
+			return &Response{Err: ErrCanceled.Error()}
 		case err != nil:
 			return &Response{Err: err.Error()}
 		}

@@ -213,42 +213,6 @@ func TestBatchStaleSchemaMidFlight(t *testing.T) {
 	}
 }
 
-func TestBatchFallbackAgainstPreBatchServer(t *testing.T) {
-	db, srv := startBatchServer(t, wire.ProfileFast)
-	srv.DisableBatch()
-	db.MustExec("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)", nil)
-	db.MustExec("INSERT INTO t (id, v) VALUES (1, 10), (2, 20), (3, 30)", nil)
-	conn, err := godbc.Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	st, err := conn.Prepare("SELECT v FROM t WHERE id = $id")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	mk := func(id int64) *sqldb.Params {
-		return &sqldb.Params{Named: map[string]sqldb.Value{"id": sqldb.NewInt(id)}}
-	}
-	// Both rounds must succeed: the first discovers the missing extension and
-	// falls back, the second goes straight to the per-exec loop.
-	for round := 0; round < 2; round++ {
-		results, err := st.ExecBatch([]*sqldb.Params{mk(1), mk(2), mk(3)})
-		if err != nil {
-			t.Fatalf("round %d: %v", round, err)
-		}
-		for i, r := range results {
-			if r.Err != nil || r.Set.Rows[0][0].Int() != int64(10*(i+1)) {
-				t.Fatalf("round %d binding %d: %+v", round, i, r)
-			}
-		}
-	}
-	if st := db.Stats(); st.BatchExecs != 0 {
-		t.Fatalf("pre-batch server executed %d batches", st.BatchExecs)
-	}
-}
-
 func TestServerShutdownDrains(t *testing.T) {
 	db, srv := startBatchServer(t, wire.ProfileFast)
 	db.MustExec("CREATE TABLE t (id INTEGER)", nil)

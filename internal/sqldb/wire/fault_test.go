@@ -9,11 +9,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/gob"
+	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/asl/sqlgen"
 	"repro/internal/godbc"
 	"repro/internal/sqldb"
 	"repro/internal/sqldb/wire"
@@ -234,58 +237,139 @@ func TestSlowReaderBackpressure(t *testing.T) {
 	}
 }
 
-// TestMuxClientAgainstPreMuxServer: DisableMux makes the server behave like a
-// pre-extension peer (echoes no IDs, serves serially). A MuxConn must detect
-// that from the first reply and fall back to ordered pairing — including
-// concurrent callers and abandoned requests.
-func TestMuxClientAgainstPreMuxServer(t *testing.T) {
-	testutil.CheckGoroutines(t)
-	db, srv := startServer(t, wire.ProfileFast)
-	srv.DisableMux()
-	if _, err := db.Exec("CREATE TABLE t (id INTEGER PRIMARY KEY)", nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.Exec("INSERT INTO t (id) VALUES (?)", &sqldb.Params{Positional: []sqldb.Value{sqldb.NewInt(7)}}); err != nil {
-		t.Fatal(err)
-	}
+// refusingPeer is a raw listener speaking the wire codec that prepares and
+// pings like a server but answers ReqExecBatch, ReqCacheStats and
+// ReqServerStats as request kinds it does not know. It echoes IDs, so both
+// plain and multiplexed clients can talk to it, and counts what it was sent.
+type refusingPeer struct {
+	lis net.Listener
+	wg  sync.WaitGroup
 
-	m, err := godbc.DialMux(srv.Addr())
+	mu   sync.Mutex
+	seen map[wire.RequestKind]int
+}
+
+func startRefusingPeer(t *testing.T) *refusingPeer {
+	t.Helper()
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m.Close()
-
-	// Concurrent queries still work (serialized under the covers).
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			set, err := m.ExecQuery("SELECT id FROM t", nil)
+	p := &refusingPeer{lis: lis, seen: make(map[wire.RequestKind]int)}
+	p.wg.Add(1)
+	go func() {
+		defer p.wg.Done()
+		for {
+			conn, err := lis.Accept()
 			if err != nil {
-				t.Error(err)
 				return
 			}
-			if len(set.Rows) != 1 || set.Rows[0][0].Int() != 7 {
-				t.Errorf("rows: %v", set.Rows)
-			}
-		}()
-	}
-	wg.Wait()
+			p.wg.Add(1)
+			go p.serve(conn)
+		}
+	}()
+	t.Cleanup(func() { lis.Close(); p.wg.Wait() })
+	return p
+}
 
-	// An abandoned request must not desynchronize the ordered pairing: the
-	// tombstone swallows its late reply and the next call gets its own.
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := m.ExecQueryContext(ctx, "SELECT id FROM t", nil); err == nil {
-		t.Fatal("canceled query succeeded")
+func (p *refusingPeer) serve(conn net.Conn) {
+	defer p.wg.Done()
+	defer conn.Close()
+	codec := wire.NewCodec(conn)
+	for {
+		req, err := codec.ReadRequest()
+		if err != nil {
+			return
+		}
+		p.mu.Lock()
+		p.seen[req.Kind]++
+		p.mu.Unlock()
+		resp := &wire.Response{ID: req.ID}
+		switch req.Kind {
+		case wire.ReqPrepare:
+			resp.StmtID = 1
+		case wire.ReqExecBatch, wire.ReqCacheStats, wire.ReqServerStats:
+			resp.Err = fmt.Sprintf("wire: unknown request kind %d", req.Kind)
+		}
+		if codec.WriteResponse(resp) != nil {
+			return
+		}
 	}
-	set, err := m.ExecQuery("SELECT id FROM t", nil)
-	if err != nil {
-		t.Fatalf("query after an abandoned one on a serial peer: %v", err)
+}
+
+func (p *refusingPeer) count(kind wire.RequestKind) int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.seen[kind]
+}
+
+// TestRefusedRequestKindIsAnOrdinaryError: a peer that refuses a request kind
+// gets no special treatment. Batch execution and both stats calls, on a plain
+// and on a multiplexed connection, return the peer's error to the caller
+// after exactly one request — no retry through another kind, no remembered
+// verdict — and the connection stays usable.
+func TestRefusedRequestKindIsAnOrdinaryError(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	binding := []*sqldb.Params{{Named: map[string]sqldb.Value{"id": sqldb.NewInt(1)}}}
+	clients := map[string]func(t *testing.T, addr string) (batch, cache, server, ping func() error){
+		"Conn": func(t *testing.T, addr string) (batch, cache, server, ping func() error) {
+			conn, err := godbc.Dial(addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { conn.Close() })
+			st, err := conn.Prepare("SELECT v FROM t WHERE id = $id")
+			if err != nil {
+				t.Fatal(err)
+			}
+			return func() error { _, err := st.ExecBatch(binding); return err },
+				func() error { _, _, err := conn.CacheStats(); return err },
+				func() error { _, _, err := conn.ServerStats(); return err },
+				conn.Ping
+		},
+		"MuxConn": func(t *testing.T, addr string) (batch, cache, server, ping func() error) {
+			m, err := godbc.DialMux(addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { m.Close() })
+			pq, err := m.PrepareQuery("SELECT v FROM t WHERE id = $id")
+			if err != nil {
+				t.Fatal(err)
+			}
+			return func() error { _, err := pq.(sqlgen.BatchPreparedQuery).ExecQueryBatch(binding); return err },
+				func() error { _, _, err := m.CacheStats(); return err },
+				func() error { _, _, err := m.ServerStats(); return err },
+				m.Ping
+		},
 	}
-	if len(set.Rows) != 1 || set.Rows[0][0].Int() != 7 {
-		t.Fatalf("reply pairing desynchronized: %v", set.Rows)
+	for name, dial := range clients {
+		t.Run(name, func(t *testing.T) {
+			peer := startRefusingPeer(t)
+			batch, cache, server, ping := dial(t, peer.lis.Addr().String())
+			for _, c := range []struct {
+				kind wire.RequestKind
+				call func() error
+			}{
+				{wire.ReqExecBatch, batch},
+				{wire.ReqCacheStats, cache},
+				{wire.ReqServerStats, server},
+			} {
+				want := fmt.Sprintf("wire: unknown request kind %d", c.kind)
+				if err := c.call(); err == nil || !strings.Contains(err.Error(), want) {
+					t.Errorf("kind %d: err = %v, want %q", c.kind, err, want)
+				}
+				if n := peer.count(c.kind); n != 1 {
+					t.Errorf("kind %d: peer received %d requests, want 1", c.kind, n)
+				}
+				if err := ping(); err != nil {
+					t.Fatalf("kind %d: connection unusable after the refusal: %v", c.kind, err)
+				}
+			}
+			if n := peer.count(wire.ReqExecPrepared) + peer.count(wire.ReqExec); n != 0 {
+				t.Errorf("client fell back to %d single executions", n)
+			}
+		})
 	}
 }
 

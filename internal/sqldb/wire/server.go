@@ -29,20 +29,6 @@ type Server struct {
 	nextCursor int64
 	nextStmt   int64
 
-	// noBatch makes the server answer ReqExecBatch like a pre-batch server
-	// (an unknown-request-kind error), for exercising client fallback.
-	noBatch atomic.Bool
-	// noCacheStats does the same for ReqCacheStats, for exercising the
-	// pre-cache fallback of godbc's CacheStats.
-	noCacheStats atomic.Bool
-	// noMux makes the server behave like a pre-multiplex peer: every request
-	// is served serially in arrival order, responses carry no ID, and
-	// ReqCancel is an unknown request kind. Used to test client fallback.
-	noMux atomic.Bool
-	// noServerStats does the same for ReqServerStats, for exercising the
-	// fallback of godbc's ServerStats against an older server.
-	noServerStats atomic.Bool
-
 	// requests counts protocol requests served; vendorNanos accumulates the
 	// simulated vendor delay charged by sleep. Both feed ReqServerStats.
 	requests    atomic.Int64
@@ -167,8 +153,9 @@ type cursor struct {
 	off int
 }
 
-// connState is the per-connection server state. Pre-mux connections touch it
-// from the one handler goroutine only; multiplexed requests run concurrently,
+// connState is the per-connection server state. A plain connection (ID 0
+// requests) touches it from the one handler goroutine only; multiplexed
+// requests run concurrently,
 // so the cursor and statement tables are guarded by mu and response writes by
 // writeMu (a gob encoder is not safe for concurrent use — and serialized
 // writes are also the backpressure path: a client that stops reading blocks
@@ -240,8 +227,8 @@ func (s *Server) handle(conn net.Conn) {
 	}
 	// connCtx is the parent of every request context on this connection.
 	// When the client disconnects, the read loop returns and the deferred
-	// cancel stops all of the connection's in-flight server-side work —
-	// an abandoned analysis does not keep burning server capacity.
+	// cancel stops all of the connection's in-flight multiplexed work — an
+	// abandoned analysis does not keep burning server capacity.
 	connCtx, cancelConn := context.WithCancel(context.Background())
 	defer func() {
 		cancelConn()
@@ -263,16 +250,6 @@ func (s *Server) handle(conn net.Conn) {
 			}
 			return
 		}
-		if s.noMux.Load() {
-			// A pre-multiplex peer: gob would have dropped the unknown ID
-			// field on decode, requests are served strictly in order, and
-			// ReqCancel falls through serve's switch as an unknown kind.
-			req.ID, req.CancelID = 0, 0
-			if !st.write(s, codec, s.serve(connCtx, req, st)) {
-				return
-			}
-			continue
-		}
 		if req.Kind == ReqCancel {
 			st.cancel(req.CancelID)
 			if !st.write(s, codec, &Response{ID: req.ID}) {
@@ -281,7 +258,11 @@ func (s *Server) handle(conn net.Conn) {
 			continue
 		}
 		if req.ID == 0 {
-			// Pre-mux client: one request in flight at a time, in order.
+			// A plain godbc.Conn — every pooled connection: one request in
+			// flight at a time, served inline, in order. Nothing reads the
+			// socket meanwhile, so a client that snaps the connection to
+			// cancel is not noticed (and connCtx not canceled) until serve
+			// returns.
 			if !st.write(s, codec, s.serve(connCtx, req, st)) {
 				return
 			}
@@ -301,11 +282,6 @@ func (s *Server) handle(conn net.Conn) {
 		}(req)
 	}
 }
-
-// DisableMux makes the server behave like a peer that predates request
-// multiplexing: IDs are ignored, requests serve in order, and ReqCancel is
-// answered as an unknown request kind. Used to test the client-side fallback.
-func (s *Server) DisableMux() { s.noMux.Store(true) }
 
 // SetMaxConcurrent bounds the number of statements the server executes
 // simultaneously; n <= 0 removes the bound (the default). The vendor
@@ -373,14 +349,8 @@ func (s *Server) serve(ctx context.Context, req *Request, st *connState) *Respon
 		}
 		return &Response{}
 	case ReqExecBatch:
-		if s.noBatch.Load() {
-			break // answer as a server without the batch extension would
-		}
 		return s.serveExecBatch(ctx, req, st)
 	case ReqCacheStats:
-		if s.noCacheStats.Load() {
-			break // answer as a server without the cache extension would
-		}
 		st := s.db.Stats()
 		return &Response{Cache: &CacheStats{
 			Hits:          st.ResultCacheHits,
@@ -390,9 +360,6 @@ func (s *Server) serve(ctx context.Context, req *Request, st *connState) *Respon
 			Entries:       st.ResultCacheEntries,
 		}}
 	case ReqServerStats:
-		if s.noServerStats.Load() {
-			break // answer as a server without the stats extension would
-		}
 		st := s.db.Stats()
 		return &Response{Server: &ServerStats{
 			Engine:          st.Engine,
@@ -411,21 +378,6 @@ func (s *Server) serve(ctx context.Context, req *Request, st *connState) *Respon
 	}
 	return &Response{Err: fmt.Sprintf("wire: unknown request kind %d", req.Kind)}
 }
-
-// DisableBatch makes the server reject ReqExecBatch with the same error a
-// pre-batch server produces for an unknown request kind; clients then fall
-// back to per-execution round trips. Used to test that fallback.
-func (s *Server) DisableBatch() { s.noBatch.Store(true) }
-
-// DisableCacheStats makes the server reject ReqCacheStats like a server that
-// predates the result cache; godbc's CacheStats then reports the counters as
-// unavailable. Used to test that fallback.
-func (s *Server) DisableCacheStats() { s.noCacheStats.Store(true) }
-
-// DisableServerStats makes the server reject ReqServerStats like a server
-// that predates the observability extension; godbc's ServerStats then reports
-// the counters as unavailable. Used to test that fallback.
-func (s *Server) DisableServerStats() { s.noServerStats.Store(true) }
 
 func toParams(req *Request) *sqldb.Params {
 	return bindParams(req.Pos, req.Named)
