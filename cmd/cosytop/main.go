@@ -113,9 +113,6 @@ func render(out *os.File, addr string, snap *service.MetricsSnapshot) {
 			i, p.Addr, p.InUse, p.Capacity, p.Idle, p.Checkouts, p.Dialed, p.Discarded,
 			time.Duration(p.CheckoutWait.P99Nanos))
 	}
-	if m := snap.Mux; m != nil {
-		fmt.Fprintf(out, "mux  %d in flight  %d requests  %d cancels\n", m.InFlight, m.Requests, m.Cancels)
-	}
 	if b := snap.Backend; b != nil {
 		fmt.Fprintf(out, "backend  engine %s  vec %d (fallback %d)  plan cache %d/%d hit  %d requests  vendor cost %v\n",
 			b.Engine, b.VecSelects, b.VecFallbacks, b.PlanCacheHits, b.PlanCacheHits+b.PlanCacheMisses,

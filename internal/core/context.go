@@ -10,9 +10,10 @@ package core
 // support and falls back to the uncancellable call when it has none):
 //
 //	core      between chunks and instances (this package)
-//	godbc     pool checkout, the wire round trip, ReqCancel on MuxConn
-//	wire      server-side capacity queue, profiled vendor delays
-//	sqldb     between the bindings of a batched execution
+//	godbc     pool checkout; the wire round trip (the caller is freed and the
+//	          pooled connection sacrificed — the server finishes the request
+//	          it is serving); the embedded executors' profiled vendor delays
+//	sqldb     between the bindings of a batched execution (embedded executors)
 //
 // A canceled analysis always returns the context's error — never a partial
 // report, which would be indistinguishable from a complete one.

@@ -9,6 +9,8 @@ package core
 import (
 	"context"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -501,7 +503,7 @@ func (a *Analyzer) compileProp(prop string, preparer sqlgen.QueryPreparer) (*com
 		sql = r.SQL
 		paramOrder = r.ParamOrder
 	}
-	sql, err = a.overrideConsts(sql, prop)
+	sql, err = a.overrideConsts(sql)
 	if err != nil {
 		return nil, err
 	}
@@ -713,14 +715,22 @@ func (a *Analyzer) preparer(q QueryExec) sqlgen.QueryPreparer {
 	return p
 }
 
-// overrideConsts applies constant overrides to a property's rendered SQL.
+// overrideConsts applies the constant overrides to a property's rendered SQL.
 // The compiler inlines constants as their literal SQL spelling, so an
 // override is a textual substitution of that spelling; number spellings are
 // dialect-invariant, so the substitution works on any dialect's rendering.
 // Only literal-valued constants (the canonical spec's thresholds) can be
 // overridden on the SQL path.
-func (a *Analyzer) overrideConsts(sql, prop string) (string, error) {
-	for name, v := range a.consts {
+//
+// All overrides are applied in one pass over whole numeric tokens (see
+// replaceNumbers), so an override neither touches a longer literal that
+// merely contains the old spelling nor sees another override's new value.
+func (a *Analyzer) overrideConsts(sql string) (string, error) {
+	if len(a.consts) == 0 {
+		return sql, nil
+	}
+	subst := make(map[string]string, len(a.consts)) // old spelling -> new spelling
+	for _, name := range slices.Sorted(maps.Keys(a.consts)) {
 		decl, ok := a.world.ConstDecls[name]
 		if !ok {
 			return "", fmt.Errorf("core: unknown constant %s", name)
@@ -734,12 +744,52 @@ func (a *Analyzer) overrideConsts(sql, prop string) (string, error) {
 		default:
 			return "", fmt.Errorf("core: constant %s is not a literal; cannot override it in the SQL engine", name)
 		}
-		if strings.Contains(sql, old) {
-			sql = strings.ReplaceAll(sql, old, strconv.FormatFloat(v, 'g', -1, 64))
+		repl := strconv.FormatFloat(a.consts[name], 'g', -1, 64)
+		if prev, dup := subst[old]; dup && prev != repl {
+			return "", fmt.Errorf("core: constant %s is spelled %s like another overridden constant; the SQL engine cannot override them apart", name, old)
 		}
+		subst[old] = repl
 	}
-	_ = prop
-	return sql, nil
+	return replaceNumbers(sql, subst), nil
+}
+
+// replaceNumbers rewrites the numeric literals of sql that subst maps, in one
+// left-to-right pass. A literal is a whole token: a maximal run of digits,
+// letters, '_' and '.' (with an exponent's sign taken into a token that
+// starts like a number), so "0.25" is never found inside "10.25", "d25" or
+// "1e-25". Quoted strings and identifiers are copied through untouched, and
+// substituted text is never rescanned.
+func replaceNumbers(sql string, subst map[string]string) string {
+	word := func(c byte) bool {
+		return c == '_' || c == '.' || '0' <= c && c <= '9' || 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z'
+	}
+	var b strings.Builder
+	for i := 0; i < len(sql); {
+		j := i + 1
+		switch c := sql[i]; {
+		case c == '\'' || c == '"':
+			for j < len(sql) && sql[j] != c {
+				j++
+			}
+			j = min(j+1, len(sql))
+		case word(c):
+			number := c == '.' || '0' <= c && c <= '9'
+			for j < len(sql) && word(sql[j]) {
+				if number && (sql[j] == 'e' || sql[j] == 'E') && j+1 < len(sql) && (sql[j+1] == '+' || sql[j+1] == '-') {
+					j++
+				}
+				j++
+			}
+			if repl, ok := subst[sql[i:j]]; ok {
+				b.WriteString(repl)
+				i = j
+				continue
+			}
+		}
+		b.WriteString(sql[i:j])
+		i = j
+	}
+	return b.String()
 }
 
 // interpretRow folds the single result row of a compiled property query into

@@ -274,6 +274,66 @@ func TestConstOverride(t *testing.T) {
 	}
 }
 
+// TestConstOverrideRewritesWholeLiteralsOnce: the SQL path applies overrides
+// to whole numeric literals, all in one pass. A longer literal, an
+// identifier or a string that merely contains the old spelling is left
+// alone, and one override's new value is never taken for another constant's
+// old one.
+func TestConstOverrideRewritesWholeLiteralsOnce(t *testing.T) {
+	g := buildGraph(t, apprentice.Stencil())
+
+	one := New(g, WithConst("ImbalanceThreshold", 0.5))
+	got, err := one.overrideConsts(`SELECT (a.Dev > (0.25 * a.Mean)) AS c0, 10.25 AS x, 0.255 AS y, d0.25 AS z, 1e-0.25, 'at 0.25' AS s, "0.25" FROM t a WHERE a.v<0.25`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `SELECT (a.Dev > (0.5 * a.Mean)) AS c0, 10.25 AS x, 0.255 AS y, d0.25 AS z, 1e-0.25, 'at 0.25' AS s, "0.25" FROM t a WHERE a.v<0.5`
+	if got != want {
+		t.Errorf("one override:\n got %s\nwant %s", got, want)
+	}
+
+	// GranularityMeanTime's new value is GranularityCallRate's old spelling.
+	// Overrides are kept in a map, so repeat: a chained rewrite shows up for
+	// one iteration order only.
+	two := New(g, WithConst("GranularityMeanTime", 1000), WithConst("GranularityCallRate", 7))
+	for i := 0; i < 32; i++ {
+		got, err := two.overrideConsts(`(c.MeanCalls > 1000) AND (c.MeanTime / c.MeanCalls < 0.0001)`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := `(c.MeanCalls > 7) AND (c.MeanTime / c.MeanCalls < 1000)`; got != want {
+			t.Fatalf("two overrides:\n got %s\nwant %s", got, want)
+		}
+	}
+}
+
+// TestTwoConstOverridesEnginesAgree: with two overrides of which one's new
+// value equals the other's old spelling, the SQL engine must still evaluate
+// what the object engine evaluates. Every call of the workload has a call
+// rate above 0 and a mean time per call below 1000, so the property holds
+// everywhere it is evaluated — unless the SQL text was rewritten twice, into
+// "mean time per call < 0", which holds nowhere.
+func TestTwoConstOverridesEnginesAgree(t *testing.T) {
+	g := buildGraph(t, apprentice.FineGrained())
+	db := loadDB(t, g)
+	for i := 0; i < 16; i++ { // map order again: see above
+		a := New(g, WithProperties("FrequentFineGrainedCalls"),
+			WithConst("GranularityMeanTime", 1000), WithConst("GranularityCallRate", 0))
+		obj, err := a.AnalyzeObject(lastRun(g))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(obj.Instances) == 0 {
+			t.Fatal("the object engine finds no fine-grained call: the test shows nothing")
+		}
+		sql, err := a.AnalyzeSQL(lastRun(g), godbc.Embedded{DB: db})
+		if err != nil {
+			t.Fatal(err)
+		}
+		compareReports(t, obj, sql)
+	}
+}
+
 func TestCallFilterDefaultsToBarrier(t *testing.T) {
 	g := buildGraph(t, apprentice.Stencil())
 	a := New(g, WithProperties("LoadImbalance"))

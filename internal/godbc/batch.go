@@ -5,7 +5,7 @@ package godbc
 // one ReqExecBatch round trip (split transparently when they exceed the
 // protocol's MaxBatch), so N executions of the same statement cost one
 // client/server round trip instead of N. The request is built and its reply
-// decoded in request.go (execBatch), once for Stmt and MuxStmt.
+// decoded in request.go (execBatch).
 
 import (
 	"context"

@@ -43,12 +43,6 @@ func (p *Pool) CacheStats() (CacheStats, bool, error) {
 	return c.CacheStats()
 }
 
-// CacheStats fetches the server's result-cache counters over the multiplexed
-// connection.
-func (m *MuxConn) CacheStats() (CacheStats, bool, error) {
-	return cacheStats(m)
-}
-
 // CacheStats sums the result-cache counters over every shard — each shard
 // caches independently, so the merged snapshot is simply the total. ok is
 // false when any shard's reply lacked them; transport failures are tagged

@@ -82,15 +82,6 @@ func TestContextEquivalence(t *testing.T) {
 			t.Cleanup(func() { p.Close() })
 			return p, srv
 		}},
-		{"MuxConn", func(t *testing.T) (executor, *wire.Server) {
-			_, srv := startCachePair(t)
-			m, err := godbc.DialMux(srv.Addr())
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { m.Close() })
-			return m, srv
-		}},
 		{"ShardedDB", func(t *testing.T) (executor, *wire.Server) {
 			_, srv := startCachePair(t)
 			s, err := godbc.DialSharded([]string{srv.Addr()}, 2)

@@ -20,15 +20,13 @@
 //
 //   - pool checkout (Pool.GetCtx) — a request canceled while waiting for a
 //     connection leaves the queue instead of executing doomed work;
-//   - the wire round trip — a plain Conn has no way to interleave a cancel
-//     message into its strict request/response turn, so cancellation snaps
-//     the connection's deadline: the round trip fails, the connection is
-//     marked broken, and the pool discards it. That frees the caller, not the
-//     server: wire.Server serves a plain connection's requests inline in its
-//     read loop and cannot notice the close until the request it is serving
-//     returns, so the server-side work runs to completion. Only MuxConn
-//     (mux.go), whose ReqCancel the server reads while the work runs, stops
-//     it — and keeps the connection;
+//   - the wire round trip — the protocol is one request at a time per
+//     connection and has no cancel message, so cancellation snaps the
+//     connection's deadline: the round trip fails, the connection is marked
+//     broken, and the pool discards it. That frees the caller and sacrifices
+//     the connection; it does not stop the server, which serves a
+//     connection's requests inline in its read loop and cannot notice the
+//     close until the request it is serving returns;
 //   - the profiled vendor delays — wire.DelayCtx returns early on cancel.
 package godbc
 
@@ -113,11 +111,10 @@ func (c *Conn) Close() error {
 // Ping performs a protocol round trip.
 func (c *Conn) Ping() error { return ping(c) }
 
-// roundTrip performs one exchange observing ctx. A Conn cannot interleave a
-// cancel message into its one-at-a-time protocol, so cancellation mid round
-// trip snaps the socket's deadline: the exchange fails and the connection,
-// its protocol state now undefined, is sacrificed (broken, for a pool to
-// discard).
+// roundTrip performs one exchange observing ctx. The one-at-a-time protocol
+// has no cancel message, so cancellation mid round trip snaps the socket's
+// deadline: the exchange fails and the connection, its protocol state now
+// undefined, is sacrificed (broken, for a pool to discard).
 func (c *Conn) roundTrip(ctx context.Context, req *wire.Request) (*wire.Response, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

@@ -2,11 +2,10 @@ package godbc
 
 // Driver-level observability. The resident service's /metrics endpoint wants
 // to answer "where do requests spend their time below the analyzer?": waiting
-// for a pooled connection, multiplexed on one socket, or inside the simulated
-// vendor. This file surfaces those layers as snapshot structs — PoolStats and
-// MuxStats are client-side counters read from atomics, ServerStats is fetched
-// from the wire server through ReqServerStats (built and decoded in
-// request.go).
+// for a pooled connection, or inside the simulated vendor. This file surfaces
+// those layers as snapshot structs — PoolStats is client-side counters read
+// from atomics, ServerStats is fetched from the wire server through
+// ReqServerStats (built and decoded in request.go).
 
 import "repro/internal/metrics"
 
@@ -59,30 +58,8 @@ func (s *ShardedDB) PoolMetrics() []PoolStats {
 	return out
 }
 
-// MuxStats is a snapshot of a multiplexed connection's counters.
-type MuxStats struct {
-	// InFlight counts requests awaiting replies.
-	InFlight int `json:"in_flight"`
-	// Requests counts requests sent; Cancels counts callers that stopped
-	// waiting (each sent a ReqCancel).
-	Requests int64 `json:"requests"`
-	Cancels  int64 `json:"cancels"`
-}
-
-// Metrics returns a snapshot of the multiplexed connection's counters.
-func (m *MuxConn) Metrics() MuxStats {
-	m.mu.Lock()
-	inflight := len(m.pending)
-	m.mu.Unlock()
-	return MuxStats{
-		InFlight: inflight,
-		Requests: m.requests.Value(),
-		Cancels:  m.cancels.Value(),
-	}
-}
-
 // ServerStats is a snapshot of a wire server's engine and cost counters: the
-// backend half of the picture PoolStats and MuxStats draw on the client. For
+// backend half of the picture PoolStats draws on the client. For
 // a sharded database it is the sum over all shards.
 type ServerStats struct {
 	Engine       string `json:"engine"`
@@ -132,11 +109,6 @@ func (p *Pool) ServerStats() (ServerStats, bool, error) {
 	}
 	defer p.Put(c)
 	return c.ServerStats()
-}
-
-// ServerStats fetches the server's counters over the multiplexed connection.
-func (m *MuxConn) ServerStats() (ServerStats, bool, error) {
-	return serverStats(m)
 }
 
 // ServerStats sums the counters over every shard. ok is false when any

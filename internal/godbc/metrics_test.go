@@ -1,9 +1,7 @@
 package godbc_test
 
 import (
-	"context"
 	"testing"
-	"time"
 
 	"repro/internal/godbc"
 	"repro/internal/sqldb"
@@ -100,43 +98,5 @@ func TestPoolMetricsCheckoutAccounting(t *testing.T) {
 	// never waits for a slot.
 	if st.Dialed != 1 || st.Discarded != 0 {
 		t.Errorf("dialed %d discarded %d, want 1 and 0", st.Dialed, st.Discarded)
-	}
-}
-
-func TestMuxMetrics(t *testing.T) {
-	_, srv := startCachePair(t)
-	m, err := godbc.DialMux(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	if err := m.Ping(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.ExecQuery(`SELECT COUNT(*) FROM typed`, nil); err != nil {
-		t.Fatal(err)
-	}
-	st := m.Metrics()
-	if st.Requests != 2 || st.InFlight != 0 || st.Cancels != 0 {
-		t.Errorf("counters wrong: %+v", st)
-	}
-
-	// A canceled round trip counts as a cancel and leaves nothing in flight.
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := m.ExecQueryContext(ctx, `SELECT COUNT(*) FROM typed`, nil); err == nil {
-		t.Fatal("canceled query succeeded")
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for m.Metrics().InFlight != 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if st := m.Metrics(); st.InFlight != 0 {
-		t.Errorf("in flight after cancel = %d, want 0", st.InFlight)
-	}
-
-	// ServerStats works over the multiplexed connection too.
-	if _, ok, err := m.ServerStats(); err != nil || !ok {
-		t.Fatalf("mux ServerStats: ok=%v err=%v", ok, err)
 	}
 }

@@ -1,10 +1,8 @@
 package godbc
 
 // The driver's wire vocabulary. Every request kind is built, and every reply
-// kind decoded, by exactly one function in this file. Conn (one request at a
-// time, ID 0) and MuxConn (tagged, concurrent) differ only in how a request
-// travels, so both reduce to the one shape they share — roundTrip(ctx, req) —
-// and everything above it is written once.
+// kind decoded, by exactly one function in this file, over the one way a
+// request travels: Conn.roundTrip(ctx, req).
 //
 // A reply whose Err is set is an ordinary error for the caller, whatever it
 // says: the exchange completed, so the connection stays usable. That includes
@@ -20,16 +18,10 @@ import (
 	"repro/internal/sqldb/wire"
 )
 
-// roundTripper is one request/response exchange observing ctx: a canceled
-// exchange returns ctx's error, a failed transport a transportError.
-type roundTripper interface {
-	roundTrip(ctx context.Context, req *wire.Request) (*wire.Response, error)
-}
-
 // call performs one exchange and turns a server-reported failure into an
 // error.
-func call(ctx context.Context, rt roundTripper, req *wire.Request) (*wire.Response, error) {
-	resp, err := rt.roundTrip(ctx, req)
+func call(ctx context.Context, c *Conn, req *wire.Request) (*wire.Response, error) {
+	resp, err := c.roundTrip(ctx, req)
 	if err != nil {
 		return nil, err
 	}
@@ -87,8 +79,8 @@ func preparedExec(stmtID int64, params *sqldb.Params) *wire.Request {
 
 // execAffected sends an execution and decodes its reply as a non-query
 // outcome.
-func execAffected(ctx context.Context, rt roundTripper, req *wire.Request) (Result, error) {
-	resp, err := call(ctx, rt, req)
+func execAffected(ctx context.Context, c *Conn, req *wire.Request) (Result, error) {
+	resp, err := call(ctx, c, req)
 	if err != nil {
 		return Result{}, err
 	}
@@ -96,8 +88,8 @@ func execAffected(ctx context.Context, rt roundTripper, req *wire.Request) (Resu
 }
 
 // execSet sends an execution and decodes its reply as a complete result set.
-func execSet(ctx context.Context, rt roundTripper, req *wire.Request) (*sqldb.ResultSet, error) {
-	resp, err := call(ctx, rt, req)
+func execSet(ctx context.Context, c *Conn, req *wire.Request) (*sqldb.ResultSet, error) {
+	resp, err := call(ctx, c, req)
 	if err != nil {
 		return nil, err
 	}
@@ -108,14 +100,14 @@ func execSet(ctx context.Context, rt roundTripper, req *wire.Request) (*sqldb.Re
 // their one body runs under context.Background().
 
 // ping performs an empty protocol round trip.
-func ping(rt roundTripper) error {
-	_, err := call(context.Background(), rt, &wire.Request{Kind: wire.ReqPing})
+func ping(c *Conn) error {
+	_, err := call(context.Background(), c, &wire.Request{Kind: wire.ReqPing})
 	return err
 }
 
 // prepare plans a statement on the server and returns its handle id.
-func prepare(rt roundTripper, query string) (int64, error) {
-	resp, err := call(context.Background(), rt, &wire.Request{Kind: wire.ReqPrepare, SQL: query})
+func prepare(c *Conn, query string) (int64, error) {
+	resp, err := call(context.Background(), c, &wire.Request{Kind: wire.ReqPrepare, SQL: query})
 	if err != nil {
 		return 0, err
 	}
@@ -127,7 +119,7 @@ func prepare(rt roundTripper, query string) (int64, error) {
 // split. Per-binding failures are reported inline; a failed request (or a
 // ctx canceled between chunks) fails the whole call — a partial batch is
 // never reported as success.
-func execBatch(ctx context.Context, rt roundTripper, stmtID int64, bindings []*sqldb.Params) ([]BatchResult, error) {
+func execBatch(ctx context.Context, c *Conn, stmtID int64, bindings []*sqldb.Params) ([]BatchResult, error) {
 	out := make([]BatchResult, 0, len(bindings))
 	for start := 0; start < len(bindings); start += wire.MaxBatch {
 		chunk := bindings[start:min(start+wire.MaxBatch, len(bindings))]
@@ -135,7 +127,7 @@ func execBatch(ctx context.Context, rt roundTripper, stmtID int64, bindings []*s
 		for i, p := range chunk {
 			req.Batch[i].Pos, req.Batch[i].Named = encodeValues(p)
 		}
-		resp, err := call(ctx, rt, req)
+		resp, err := call(ctx, c, req)
 		if err != nil {
 			return nil, err
 		}
@@ -154,8 +146,8 @@ func execBatch(ctx context.Context, rt roundTripper, stmtID int64, bindings []*s
 }
 
 // queryBatch is execBatch in the shape of sqlgen.BatchPreparedQuery.
-func queryBatch(ctx context.Context, rt roundTripper, stmtID int64, bindings []*sqldb.Params) ([]sqlgen.BatchQueryResult, error) {
-	results, err := execBatch(ctx, rt, stmtID, bindings)
+func queryBatch(ctx context.Context, c *Conn, stmtID int64, bindings []*sqldb.Params) ([]sqlgen.BatchQueryResult, error) {
+	results, err := execBatch(ctx, c, stmtID, bindings)
 	if err != nil {
 		return nil, err
 	}
@@ -168,8 +160,8 @@ func queryBatch(ctx context.Context, rt roundTripper, stmtID int64, bindings []*
 
 // cacheStats fetches the server's result-cache counters. ok reports whether
 // the reply carried them.
-func cacheStats(rt roundTripper) (stats CacheStats, ok bool, err error) {
-	resp, err := call(context.Background(), rt, &wire.Request{Kind: wire.ReqCacheStats})
+func cacheStats(c *Conn) (stats CacheStats, ok bool, err error) {
+	resp, err := call(context.Background(), c, &wire.Request{Kind: wire.ReqCacheStats})
 	if err != nil || resp.Cache == nil {
 		return CacheStats{}, false, err
 	}
@@ -178,8 +170,8 @@ func cacheStats(rt roundTripper) (stats CacheStats, ok bool, err error) {
 
 // serverStats fetches the server's engine and cost counters. ok reports
 // whether the reply carried them.
-func serverStats(rt roundTripper) (stats ServerStats, ok bool, err error) {
-	resp, err := call(context.Background(), rt, &wire.Request{Kind: wire.ReqServerStats})
+func serverStats(c *Conn) (stats ServerStats, ok bool, err error) {
+	resp, err := call(context.Background(), c, &wire.Request{Kind: wire.ReqServerStats})
 	if err != nil || resp.Server == nil {
 		return ServerStats{}, false, err
 	}

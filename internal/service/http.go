@@ -41,7 +41,7 @@ func (s *Server) MetricsMux() *http.ServeMux {
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(s.MetricsSnapshot()); err != nil {
-			s.logf("service: metrics encode: %v", err)
+			s.Logf("service: metrics encode: %v", err)
 		}
 	})
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {

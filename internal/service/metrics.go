@@ -138,10 +138,8 @@ type MetricsSnapshot struct {
 	Tenants   map[string]TenantSnapshot `json:"tenants"`
 
 	// Pools reports connection-pool stats, one entry per backend shard (a
-	// single-backend service has one). Mux reports multiplexed-connection
-	// stats when the executor is a MuxConn.
+	// single-backend service has one).
 	Pools []godbc.PoolStats `json:"pools,omitempty"`
-	Mux   *godbc.MuxStats   `json:"mux,omitempty"`
 
 	// Backend carries the database engine's own counters (vectorized
 	// selects and fallbacks, plan cache, cumulative vendor cost) and Cache
@@ -152,9 +150,8 @@ type MetricsSnapshot struct {
 
 // MetricsSnapshot assembles the service-level sections of the snapshot:
 // uptime, admission counters, per-tenant metrics, and whatever the executor
-// can report about pools, multiplexing, the engine, and the result cache.
-// The server-level fields (Draining, Conns, Goroutines) are filled by
-// Server.MetricsSnapshot.
+// can report about pools, the engine, and the result cache. The server-level
+// fields (Draining, Conns, Goroutines) are filled by Server.MetricsSnapshot.
 func (s *Service) MetricsSnapshot() MetricsSnapshot {
 	snap := MetricsSnapshot{
 		UptimeSeconds: s.met.Uptime().Seconds(),
@@ -166,10 +163,6 @@ func (s *Service) MetricsSnapshot() MetricsSnapshot {
 		snap.Pools = []godbc.PoolStats{q.Metrics()}
 	case interface{ PoolMetrics() []godbc.PoolStats }:
 		snap.Pools = q.PoolMetrics()
-	}
-	if mx, ok := s.q.(interface{ Metrics() godbc.MuxStats }); ok {
-		ms := mx.Metrics()
-		snap.Mux = &ms
 	}
 	if bs, ok := s.q.(interface {
 		ServerStats() (godbc.ServerStats, bool, error)

@@ -1,18 +1,18 @@
 package service
 
-// The cosyd protocol: gob messages over TCP, multiplexed from the start.
-// Unlike the sqldb wire protocol (which grew multiplexing as a compatible
-// extension), both ends of this protocol are current, so every request
-// carries a nonzero ID and the server always executes requests concurrently
-// and echoes the ID on the response. Cancellation follows the wire layer's
-// shape: ReqCancel names an in-flight ID, the target's context is canceled,
-// and the target still answers exactly once so the reply stream stays
-// balanced.
+// The cosyd protocol: gob messages over TCP, multiplexed. This is the one
+// layer where many concurrent requests share a connection (the sqldb wire
+// protocol below it is one request at a time per pooled connection): every
+// request carries a nonzero ID, and the server executes requests concurrently
+// and echoes the ID on the response. Cancellation is cooperative: ReqCancel
+// names an in-flight ID, the target's context is canceled, and the target
+// still answers exactly once so the reply stream stays balanced.
 
 import (
-	"encoding/gob"
 	"errors"
 	"io"
+
+	"repro/internal/netsrv"
 )
 
 // ReqKind selects the operation of a service request.
@@ -81,36 +81,7 @@ func responseErr(text string) error {
 }
 
 // Codec frames gob messages on a stream.
-type Codec struct {
-	enc *gob.Encoder
-	dec *gob.Decoder
-}
+type Codec = netsrv.Codec[Request, Response]
 
 // NewCodec wraps a bidirectional stream.
-func NewCodec(rw io.ReadWriter) *Codec {
-	return &Codec{enc: gob.NewEncoder(rw), dec: gob.NewDecoder(rw)}
-}
-
-// WriteRequest sends a request.
-func (c *Codec) WriteRequest(r *Request) error { return c.enc.Encode(r) }
-
-// ReadRequest receives a request.
-func (c *Codec) ReadRequest() (*Request, error) {
-	var r Request
-	if err := c.dec.Decode(&r); err != nil {
-		return nil, err
-	}
-	return &r, nil
-}
-
-// WriteResponse sends a response.
-func (c *Codec) WriteResponse(r *Response) error { return c.enc.Encode(r) }
-
-// ReadResponse receives a response.
-func (c *Codec) ReadResponse() (*Response, error) {
-	var r Response
-	if err := c.dec.Decode(&r); err != nil {
-		return nil, err
-	}
-	return &r, nil
-}
+func NewCodec(rw io.ReadWriter) *Codec { return netsrv.NewCodec[Request, Response](rw) }

@@ -3,11 +3,12 @@ package service
 import (
 	"context"
 	"errors"
-	"io"
 	"log"
 	"net"
 	"sync"
 	"time"
+
+	"repro/internal/netsrv"
 )
 
 // Server exposes a Service over TCP — the network face of cosyd. Every
@@ -17,145 +18,28 @@ import (
 // trips, engine bindings). The context is canceled by a ReqCancel naming the
 // request, by the request's own DeadlineMillis, or by the client
 // disconnecting — whichever comes first.
+//
+// The listener, the connection set and the stop/drain life cycle are the
+// embedded skeleton's, and three of its promises carry cosyd's operations.
+// Shutdown returning is the drain barrier: a connection's handler returns
+// only after its request goroutines have — admission release and metrics
+// recording included — so a snapshot taken afterwards reconciles exactly
+// (nothing in flight, every admitted analysis classified); cmd/cosyd prints
+// its final stats only after it. Draining turns true the moment shutdown
+// begins and flips /healthz to 503, so load balancers stop sending work while
+// in-flight analyses finish. ConnCount is one of the two drift signals (with
+// the goroutine count) the CI soak gate watches across a drained load run.
 type Server struct {
-	svc    *Service
-	lis    net.Listener
-	logger *log.Logger
-
-	mu sync.Mutex
-	// draining is set the moment a graceful Shutdown (or Close) begins and
-	// never cleared: /healthz flips to 503 so load balancers stop sending
-	// work while in-flight analyses finish.
-	draining bool
-	closed   bool
-	conns    map[net.Conn]struct{}
-	wg       sync.WaitGroup
+	*netsrv.Server
+	svc *Service
 }
 
 // NewServer wraps a Service for network serving. If logger is nil, logging is
 // disabled.
 func NewServer(svc *Service, logger *log.Logger) *Server {
-	return &Server{svc: svc, logger: logger, conns: make(map[net.Conn]struct{})}
-}
-
-// Listen binds the server to addr ("127.0.0.1:0" picks a free port) and
-// starts accepting connections in the background.
-func (s *Server) Listen(addr string) error {
-	lis, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	s.lis = lis
-	s.wg.Add(1)
-	go s.acceptLoop()
-	return nil
-}
-
-// Addr returns the bound address; valid after Listen.
-func (s *Server) Addr() string {
-	if s.lis == nil {
-		return ""
-	}
-	return s.lis.Addr().String()
-}
-
-// Close stops the listener and all connections and waits for the handler and
-// request goroutines to finish.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	wasClosed := s.closed
-	s.closed = true
-	s.draining = true
-	for c := range s.conns {
-		c.Close()
-	}
-	s.mu.Unlock()
-	var err error
-	if s.lis != nil && !wasClosed {
-		err = s.lis.Close()
-	}
-	s.wg.Wait()
-	return err
-}
-
-// Shutdown closes the listener, then waits up to timeout for connected
-// clients to finish their in-flight requests and disconnect on their own;
-// lingering connections are then closed forcibly.
-//
-// Shutdown returning is the drain barrier: every request goroutine has
-// finished — including its admission release and metrics recording — so a
-// snapshot taken afterwards reconciles exactly (nothing in flight, every
-// admitted analysis classified). cmd/cosyd prints its final stats only after
-// this barrier.
-func (s *Server) Shutdown(timeout time.Duration) error {
-	s.mu.Lock()
-	s.draining = true
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	s.mu.Unlock()
-	var lerr error
-	if s.lis != nil {
-		lerr = s.lis.Close()
-	}
-	done := make(chan struct{})
-	go func() { s.wg.Wait(); close(done) }()
-	select {
-	case <-done:
-		return lerr
-	case <-time.After(timeout):
-	}
-	s.mu.Lock()
-	for c := range s.conns {
-		c.Close()
-	}
-	s.mu.Unlock()
-	<-done
-	return lerr
-}
-
-// Draining reports whether shutdown has begun. It never reverts to false.
-func (s *Server) Draining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining
-}
-
-// ConnCount is the number of currently connected clients — one of the two
-// drift signals (with the goroutine count) the CI soak gate watches across a
-// drained load run.
-func (s *Server) ConnCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.conns)
-}
-
-func (s *Server) logf(format string, args ...any) {
-	if s.logger != nil {
-		s.logger.Printf(format, args...)
-	}
-}
-
-func (s *Server) acceptLoop() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.lis.Accept()
-		if err != nil {
-			return
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return
-		}
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go s.handle(conn)
-	}
+	s := &Server{svc: svc}
+	s.Server = netsrv.New(logger, s.handle)
+	return s
 }
 
 // connState is the per-connection request bookkeeping: in-flight cancel
@@ -199,14 +83,13 @@ func (st *connState) write(s *Server, codec *Codec, resp *Response) bool {
 	err := codec.WriteResponse(resp)
 	st.writeMu.Unlock()
 	if err != nil {
-		s.logf("service: write: %v", err)
+		s.Logf("service: write: %v", err)
 		return false
 	}
 	return true
 }
 
 func (s *Server) handle(conn net.Conn) {
-	defer s.wg.Done()
 	st := &connState{inflight: make(map[int64]context.CancelFunc)}
 	connCtx, cancelConn := context.WithCancel(context.Background())
 	defer func() {
@@ -215,17 +98,13 @@ func (s *Server) handle(conn net.Conn) {
 		// release its admission slot before the connection is forgotten.
 		cancelConn()
 		st.wg.Wait()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-		conn.Close()
 	}()
 	codec := NewCodec(conn)
 	for {
 		req, err := codec.ReadRequest()
 		if err != nil {
-			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
-				s.logf("service: read: %v", err)
+			if !netsrv.Hangup(err) {
+				s.Logf("service: read: %v", err)
 			}
 			return
 		}

@@ -30,8 +30,8 @@ type Config struct {
 
 // Service is the resident analyzer: one loaded database and model graph,
 // shared by every request, behind admission control. It is safe for
-// concurrent use — the executor must be too (a godbc.Pool, godbc.MuxConn,
-// godbc.ShardedDB, or godbc.Embedded; a plain Conn serializes).
+// concurrent use — the executor must be too (a godbc.Pool, godbc.ShardedDB,
+// or godbc.Embedded; a plain Conn serializes).
 type Service struct {
 	graph *model.Graph
 	q     core.QueryExec

@@ -1,14 +1,11 @@
 package wire_test
 
-// Fault injection for the multiplexed wire layer: the protocol's failure
-// modes are torn byte streams, dying peers, and readers that stop reading.
-// None of them may take down the server, wedge unrelated connections, or
-// leak the in-flight requests' goroutines.
+// Fault injection for the wire layer: the protocol's failure modes are torn
+// byte streams, dying peers, and readers that stop reading. None of them may
+// take down the server, wedge unrelated connections, or leak goroutines.
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"fmt"
 	"net"
 	"strings"
@@ -24,7 +21,7 @@ import (
 )
 
 // startServer launches a wire server over a fresh database.
-func startServer(t *testing.T, profile wire.Profile) (*sqldb.DB, *wire.Server) {
+func startServer(t testing.TB, profile wire.Profile) (*sqldb.DB, *wire.Server) {
 	t.Helper()
 	db := sqldb.NewDB()
 	srv, err := wire.NewServer(db, profile, nil)
@@ -53,15 +50,12 @@ func TestTornFrameClientToServer(t *testing.T) {
 	defer healthy.Close()
 
 	// Encode a valid request, then send only half of it.
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&wire.Request{Kind: wire.ReqPing}); err != nil {
-		t.Fatal(err)
-	}
+	frame := encodeRequests(t, &wire.Request{Kind: wire.ReqPing})
 	raw, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := raw.Write(buf.Bytes()[:buf.Len()/2]); err != nil {
+	if _, err := raw.Write(frame[:len(frame)/2]); err != nil {
 		t.Fatal(err)
 	}
 	raw.Close()
@@ -91,9 +85,9 @@ func TestTornFrameClientToServer(t *testing.T) {
 	}
 }
 
-// TestTornFrameServerToClient: garbage on the reply stream must surface as a
-// transport error on every in-flight call and mark the connection broken —
-// never hang, never mis-deliver.
+// TestTornFrameServerToClient: garbage on the reply stream must surface as an
+// error on the call that was waiting and on every later one — never hang,
+// never mis-deliver.
 func TestTornFrameServerToClient(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	// A fake "server" that reads one request and answers with garbage.
@@ -113,17 +107,17 @@ func TestTornFrameServerToClient(t *testing.T) {
 		conn.Write([]byte("\x07garbage that is not a gob Response"))
 	}()
 
-	m, err := godbc.DialMux(lis.Addr().String())
+	c, err := godbc.Dial(lis.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m.Close()
-	if err := m.Ping(); err == nil {
+	defer c.Close()
+	if err := c.Ping(); err == nil {
 		t.Fatal("ping over a garbage reply stream succeeded")
 	}
 	// The connection is poisoned: later calls fail fast instead of hanging.
 	errc := make(chan error, 1)
-	go func() { errc <- m.Ping() }()
+	go func() { errc <- c.Ping() }()
 	select {
 	case err := <-errc:
 		if err == nil {
@@ -131,53 +125,6 @@ func TestTornFrameServerToClient(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("second ping on a poisoned connection hung")
-	}
-}
-
-// TestServerDeathMidMuxStream: the server dies with several multiplexed
-// requests in flight. Every pending call fails with a transport error; none
-// hang, nothing leaks.
-func TestServerDeathMidMuxStream(t *testing.T) {
-	testutil.CheckGoroutines(t)
-	db, srv := startServer(t, wire.ProfileOracleRemote) // slow: requests stay in flight
-	if _, err := db.Exec("CREATE TABLE t (id INTEGER PRIMARY KEY)", nil); err != nil {
-		t.Fatal(err)
-	}
-
-	m, err := godbc.DialMux(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	if err := m.Ping(); err != nil { // confirm mux mode before the kill
-		t.Fatal(err)
-	}
-
-	const inflight = 8
-	var wg sync.WaitGroup
-	errs := make([]error, inflight)
-	for i := 0; i < inflight; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, errs[i] = m.ExecQuery("SELECT id FROM t", nil)
-		}(i)
-	}
-	time.Sleep(5 * time.Millisecond) // let the requests reach the server
-	srv.Close()
-
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("in-flight requests did not fail after server death")
-	}
-	// Whether a given request completed before the shutdown or died with it
-	// is timing; what is guaranteed is that none hung and the connection now
-	// reports a transport error.
-	if err := m.Ping(); err == nil {
-		t.Fatal("ping succeeded after server death")
 	}
 }
 
@@ -199,7 +146,7 @@ func TestSlowReaderBackpressure(t *testing.T) {
 		}
 	}
 
-	// The slow reader: raw codec, writes mux-tagged requests, reads nothing.
+	// The slow reader: raw codec, writes requests, reads nothing.
 	raw, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -209,20 +156,20 @@ func TestSlowReaderBackpressure(t *testing.T) {
 	stop := make(chan struct{})
 	defer close(stop)
 	go func() {
-		for i := int64(1); ; i++ {
+		for {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			if err := codec.WriteRequest(&wire.Request{Kind: wire.ReqQueryCursor, SQL: "SELECT id, v FROM t", ID: i}); err != nil {
+			if err := codec.WriteRequest(&wire.Request{Kind: wire.ReqQueryCursor, SQL: "SELECT id, v FROM t"}); err != nil {
 				return // write blocked until teardown closed the socket
 			}
 		}
 	}()
 
 	// Meanwhile a well-behaved client must see ordinary latency.
-	c, err := godbc.DialMux(srv.Addr())
+	c, err := godbc.Dial(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,8 +186,8 @@ func TestSlowReaderBackpressure(t *testing.T) {
 
 // refusingPeer is a raw listener speaking the wire codec that prepares and
 // pings like a server but answers ReqExecBatch, ReqCacheStats and
-// ReqServerStats as request kinds it does not know. It echoes IDs, so both
-// plain and multiplexed clients can talk to it, and counts what it was sent.
+// ReqServerStats as request kinds it does not know, and counts what it was
+// sent.
 type refusingPeer struct {
 	lis net.Listener
 	wg  sync.WaitGroup
@@ -284,7 +231,7 @@ func (p *refusingPeer) serve(conn net.Conn) {
 		p.mu.Lock()
 		p.seen[req.Kind]++
 		p.mu.Unlock()
-		resp := &wire.Response{ID: req.ID}
+		resp := &wire.Response{}
 		switch req.Kind {
 		case wire.ReqPrepare:
 			resp.StmtID = 1
@@ -305,9 +252,9 @@ func (p *refusingPeer) count(kind wire.RequestKind) int {
 
 // TestRefusedRequestKindIsAnOrdinaryError: a peer that refuses a request kind
 // gets no special treatment. Batch execution and both stats calls, on a plain
-// and on a multiplexed connection, return the peer's error to the caller
-// after exactly one request — no retry through another kind, no remembered
-// verdict — and the connection stays usable.
+// connection and through a pool, return the peer's error to the caller after
+// exactly one request — no retry through another kind, no remembered verdict
+// — and the connection stays usable.
 func TestRefusedRequestKindIsAnOrdinaryError(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	binding := []*sqldb.Params{{Named: map[string]sqldb.Value{"id": sqldb.NewInt(1)}}}
@@ -327,20 +274,29 @@ func TestRefusedRequestKindIsAnOrdinaryError(t *testing.T) {
 				func() error { _, _, err := conn.ServerStats(); return err },
 				conn.Ping
 		},
-		"MuxConn": func(t *testing.T, addr string) (batch, cache, server, ping func() error) {
-			m, err := godbc.DialMux(addr)
+		"Pool": func(t *testing.T, addr string) (batch, cache, server, ping func() error) {
+			// One slot, so every call — the ping included — reuses the
+			// connection the refusal arrived on.
+			p, err := godbc.NewPool(addr, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			t.Cleanup(func() { m.Close() })
-			pq, err := m.PrepareQuery("SELECT v FROM t WHERE id = $id")
+			t.Cleanup(func() { p.Close() })
+			pq, err := p.PrepareQuery("SELECT v FROM t WHERE id = $id")
 			if err != nil {
 				t.Fatal(err)
 			}
 			return func() error { _, err := pq.(sqlgen.BatchPreparedQuery).ExecQueryBatch(binding); return err },
-				func() error { _, _, err := m.CacheStats(); return err },
-				func() error { _, _, err := m.ServerStats(); return err },
-				m.Ping
+				func() error { _, _, err := p.CacheStats(); return err },
+				func() error { _, _, err := p.ServerStats(); return err },
+				func() error {
+					c, err := p.Get()
+					if err != nil {
+						return err
+					}
+					defer p.Put(c)
+					return c.Ping()
+				}
 		},
 	}
 	for name, dial := range clients {
@@ -373,10 +329,10 @@ func TestRefusedRequestKindIsAnOrdinaryError(t *testing.T) {
 	}
 }
 
-// TestPreMuxClientAgainstMuxServer: a plain Conn (never sends IDs) against
-// the current server — the server must serve it serially and echo no IDs,
-// exactly as before the extension (gob tolerance both ways).
-func TestPreMuxClientAgainstMuxServer(t *testing.T) {
+// TestOneRequestAtATimeProtocol: the whole protocol from a plain Conn — ping,
+// a parameterized write, a read — each request answered in turn on the one
+// connection.
+func TestOneRequestAtATimeProtocol(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	db, srv := startServer(t, wire.ProfileFast)
 	if _, err := db.Exec("CREATE TABLE t (id INTEGER PRIMARY KEY)", nil); err != nil {

@@ -1,13 +1,19 @@
 package wire_test
 
-// Fuzzing the wire frame decoder: whatever bytes arrive on the socket, the
-// codec must fail cleanly — an error, never a panic. The seed corpus covers
-// every request kind, the multiplex tag, and a cancel frame, so mutations
-// explore the gob encoding's neighborhood rather than pure noise.
+// Fuzzing the wire frame decoder and the server's dispatch: whatever bytes
+// arrive on the socket, the codec must fail cleanly — an error, never a panic
+// — and whatever request they decode to, the server answers it exactly once.
+// The in-code seeds are well-formed frames of the request kinds the server
+// dispatches plus one kind it does not, so mutations explore the gob
+// encoding's neighborhood rather than pure noise; the checked-in corpus under
+// testdata/ is the fuzzer's own finds, nearly all of them inputs that must
+// (and do) end in a decode error.
 
 import (
 	"bytes"
 	"io"
+	"net"
+	"strings"
 	"testing"
 
 	"repro/internal/sqldb/wire"
@@ -41,7 +47,6 @@ func FuzzReadRequest(f *testing.F) {
 				"v": {Kind: 3, S: "hello"},
 			},
 			FetchN: 8,
-			ID:     7,
 		}),
 		encodeRequests(f, &wire.Request{
 			Kind:   wire.ReqExecBatch,
@@ -50,28 +55,43 @@ func FuzzReadRequest(f *testing.F) {
 				{Pos: []wire.WireValue{{Kind: 2, F: 1.5}}},
 				{Pos: []wire.WireValue{{Kind: 0}}},
 			},
-			ID: 9,
 		}),
-		encodeRequests(f, &wire.Request{Kind: wire.ReqCancel, ID: 11, CancelID: 9}),
-		// A pipelined stream: two frames back to back.
+		encodeRequests(f, &wire.Request{Kind: wire.ReqFetch, CursorID: 4, FetchN: 2}),
+		// A kind past the last one the server dispatches: an ordinary error
+		// reply, like any other request the server cannot serve.
+		encodeRequests(f, &wire.Request{Kind: wire.ReqServerStats + 1}),
+		// A pipelined stream: frames back to back.
 		encodeRequests(f,
-			&wire.Request{Kind: wire.ReqPrepare, SQL: "SELECT 1", ID: 1},
-			&wire.Request{Kind: wire.ReqExecPrepared, StmtID: 1, ID: 2},
+			&wire.Request{Kind: wire.ReqPrepare, SQL: "SELECT 1"},
+			&wire.Request{Kind: wire.ReqExecPrepared, StmtID: 1},
+			&wire.Request{Kind: wire.ReqClosePrepared, StmtID: 1},
+			&wire.Request{Kind: wire.ReqCacheStats},
 		),
 		[]byte{},
 		[]byte{0xff, 0xfe, 0x00, 0x01},
 	}
 	// Torn variants of the first real frame: every prefix of a valid
 	// encoding is a frame the server may see when a client dies mid-write.
-	whole := encodeRequests(f, &wire.Request{Kind: wire.ReqExec, SQL: "SELECT 1", ID: 5})
+	whole := encodeRequests(f, &wire.Request{Kind: wire.ReqExec, SQL: "SELECT 1"})
 	for i := 0; i < len(whole); i += 3 {
 		seeds = append(seeds, whole[:i])
+	}
+	// And a bare frame of every kind the server dispatches.
+	for kind := wire.ReqExec; kind <= wire.ReqServerStats; kind++ {
+		seeds = append(seeds, encodeRequests(f, &wire.Request{Kind: kind}))
 	}
 	for _, s := range seeds {
 		f.Add(s)
 	}
 
+	// The dispatch half runs against one live server. Only requests that
+	// carry no SQL are sent (the engine has fuzzers of its own), and those
+	// change nothing outside their own connection, so sharing the server
+	// keeps every input's outcome independent of the inputs before it.
+	_, srv := startServer(f, wire.ProfileFast)
+
 	f.Fuzz(func(t *testing.T, data []byte) {
+		var live *wire.Codec // dialed on the first request to dispatch
 		codec := wire.NewCodec(struct {
 			io.Reader
 			io.Writer
@@ -95,6 +115,28 @@ func FuzzReadRequest(f *testing.F) {
 				io.Writer
 			}{nil, io.Discard}).WriteRequest(req); err != nil {
 				t.Fatalf("decoded request does not re-encode: %v", err)
+			}
+			if req.Kind == wire.ReqExec || req.Kind == wire.ReqQueryCursor || req.Kind == wire.ReqPrepare {
+				continue
+			}
+			if live == nil {
+				conn, err := net.Dial("tcp", srv.Addr())
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer conn.Close()
+				live = wire.NewCodec(conn)
+			}
+			if err := live.WriteRequest(req); err != nil {
+				t.Fatalf("kind %d: send: %v", req.Kind, err)
+			}
+			resp, err := live.ReadResponse()
+			if err != nil {
+				t.Fatalf("kind %d: no reply: %v", req.Kind, err)
+			}
+			known := req.Kind >= wire.ReqExec && req.Kind <= wire.ReqServerStats
+			if !known && !strings.Contains(resp.Err, "unknown request kind") {
+				t.Fatalf("kind %d: reply %+v, want the unknown-request-kind error", req.Kind, resp)
 			}
 		}
 	})

@@ -6,11 +6,11 @@
 package wire
 
 import (
-	"encoding/gob"
 	"fmt"
 	"io"
 	"time"
 
+	"repro/internal/netsrv"
 	"repro/internal/sqldb"
 )
 
@@ -29,7 +29,6 @@ const (
 	ReqClosePrepared                    // discard a statement handle
 	ReqExecBatch                        // execute a prepared handle once per binding, inline results
 	ReqCacheStats                       // fetch the server's result-cache counters
-	ReqCancel                           // cancel the in-flight multiplexed request named by CancelID
 	ReqServerStats                      // fetch the server's engine and vendor-cost counters
 )
 
@@ -96,21 +95,6 @@ type Request struct {
 	// Batch carries the parameter bindings of a ReqExecBatch: one entry per
 	// execution of the prepared handle, at most MaxBatch of them.
 	Batch []BatchBinding
-	// ID tags a multiplexed request. A nonzero ID tells the server this
-	// connection may have several requests in flight: the server executes
-	// tagged requests concurrently and echoes the ID on the matching
-	// Response, so the client can demultiplex replies that arrive out of
-	// order. ID 0 is the one-at-a-time protocol of a plain godbc.Conn (and
-	// so of every pooled connection): requests are served inline, in
-	// order, and the reply carries no ID.
-	ID int64
-	// CancelID names the in-flight request a ReqCancel aborts. Cancellation
-	// is cooperative: the server cancels the target's context, the target's
-	// blocking points (capacity queue, profiled vendor delays, per-binding
-	// batch progress) observe it, and the target still produces exactly one
-	// Response (an error) so the reply stream stays balanced. Canceling an
-	// unknown or already-completed ID is a harmless no-op.
-	CancelID int64
 }
 
 // BatchBinding is one parameter set of a batched execution.
@@ -189,51 +173,13 @@ type Response struct {
 	Cache *CacheStats
 	// Server is the counter snapshot answering a ReqServerStats.
 	Server *ServerStats
-	// ID echoes the Request.ID of a multiplexed request so the client can
-	// route the reply; the reply to an ID 0 request carries none.
-	ID int64
 }
-
-// ErrCanceled is the Response.Err text of a request whose server-side work
-// was stopped by a ReqCancel or a client disconnect. Clients that canceled
-// deliberately have usually stopped waiting already; the text exists so a
-// late reply is self-describing.
-const ErrCanceled = "wire: request canceled"
 
 // Codec frames gob messages on a stream.
-type Codec struct {
-	enc *gob.Encoder
-	dec *gob.Decoder
-}
+type Codec = netsrv.Codec[Request, Response]
 
 // NewCodec wraps a bidirectional stream.
-func NewCodec(rw io.ReadWriter) *Codec {
-	return &Codec{enc: gob.NewEncoder(rw), dec: gob.NewDecoder(rw)}
-}
-
-// WriteRequest sends a request.
-func (c *Codec) WriteRequest(r *Request) error { return c.enc.Encode(r) }
-
-// ReadRequest receives a request.
-func (c *Codec) ReadRequest() (*Request, error) {
-	var r Request
-	if err := c.dec.Decode(&r); err != nil {
-		return nil, err
-	}
-	return &r, nil
-}
-
-// WriteResponse sends a response.
-func (c *Codec) WriteResponse(r *Response) error { return c.enc.Encode(r) }
-
-// ReadResponse receives a response.
-func (c *Codec) ReadResponse() (*Response, error) {
-	var r Response
-	if err := c.dec.Decode(&r); err != nil {
-		return nil, err
-	}
-	return &r, nil
-}
+func NewCodec(rw io.ReadWriter) *Codec { return netsrv.NewCodec[Request, Response](rw) }
 
 // Profile models the performance character of a database deployment. The
 // engine is identical in all configurations; what differed between the

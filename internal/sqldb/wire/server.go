@@ -2,29 +2,24 @@ package wire
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"io"
 	"log"
 	"net"
-	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/netsrv"
 	"repro/internal/sqldb"
 )
 
-// Server serves a sqldb.DB over TCP.
+// Server serves a sqldb.DB over TCP. The protocol is one request at a time per
+// connection, answered in order; concurrency is the client's connection pool,
+// one handler goroutine per pooled connection. Listen, Addr, Close, Shutdown
+// and the rest of the life cycle are the shared skeleton's.
 type Server struct {
+	*netsrv.Server
 	db      *sqldb.DB
 	profile Profile
-	lis     net.Listener
-	logger  *log.Logger
-
-	mu     sync.Mutex
-	closed bool
-	conns  map[net.Conn]struct{}
-	wg     sync.WaitGroup
 
 	nextCursor int64
 	nextStmt   int64
@@ -45,106 +40,9 @@ func NewServer(db *sqldb.DB, profile Profile, logger *log.Logger) (*Server, erro
 	if err := profile.Validate(); err != nil {
 		return nil, err
 	}
-	return &Server{db: db, profile: profile, logger: logger, conns: make(map[net.Conn]struct{})}, nil
-}
-
-// Listen binds the server to addr ("127.0.0.1:0" picks a free port) and
-// starts accepting connections in the background.
-func (s *Server) Listen(addr string) error {
-	lis, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	s.lis = lis
-	s.wg.Add(1)
-	go s.acceptLoop()
-	return nil
-}
-
-// Addr returns the bound address; valid after Listen.
-func (s *Server) Addr() string {
-	if s.lis == nil {
-		return ""
-	}
-	return s.lis.Addr().String()
-}
-
-// Close stops the listener and all connections and waits for the handler
-// goroutines to finish. Calling Close while a Shutdown drain is in progress
-// force-closes the lingering connections immediately.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	wasClosed := s.closed
-	s.closed = true
-	for c := range s.conns {
-		c.Close()
-	}
-	s.mu.Unlock()
-	var err error
-	if s.lis != nil && !wasClosed {
-		err = s.lis.Close()
-	}
-	s.wg.Wait()
-	return err
-}
-
-// Shutdown closes the listener, then waits up to timeout for the connected
-// clients to finish their in-flight requests and disconnect on their own.
-// Connections still open when the timeout expires are closed forcibly, as
-// Close does immediately. Shutdown is what a signal handler should call: a
-// draining server never cuts a response off mid-write.
-func (s *Server) Shutdown(timeout time.Duration) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	s.mu.Unlock()
-	var lerr error
-	if s.lis != nil {
-		lerr = s.lis.Close()
-	}
-	done := make(chan struct{})
-	go func() { s.wg.Wait(); close(done) }()
-	select {
-	case <-done:
-		return lerr
-	case <-time.After(timeout):
-	}
-	s.mu.Lock()
-	for c := range s.conns {
-		c.Close()
-	}
-	s.mu.Unlock()
-	<-done
-	return lerr
-}
-
-func (s *Server) logf(format string, args ...any) {
-	if s.logger != nil {
-		s.logger.Printf(format, args...)
-	}
-}
-
-func (s *Server) acceptLoop() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.lis.Accept()
-		if err != nil {
-			return
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return
-		}
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go s.handle(conn)
-	}
+	s := &Server{db: db, profile: profile}
+	s.Server = netsrv.New(logger, s.handle)
+	return s, nil
 }
 
 // cursor is a server-side materialized result with a read offset.
@@ -153,133 +51,43 @@ type cursor struct {
 	off int
 }
 
-// connState is the per-connection server state. A plain connection (ID 0
-// requests) touches it from the one handler goroutine only; multiplexed
-// requests run concurrently,
-// so the cursor and statement tables are guarded by mu and response writes by
-// writeMu (a gob encoder is not safe for concurrent use — and serialized
-// writes are also the backpressure path: a client that stops reading blocks
-// its own connection's writers without affecting any other connection).
+// connState is the per-connection server state, touched by the connection's
+// one handler goroutine only.
 type connState struct {
-	mu      sync.Mutex
 	cursors map[int64]*cursor
 	// stmts holds this connection's prepared statements; like JDBC
 	// PreparedStatements, handles are scoped to the connection and released
 	// when it closes.
 	stmts map[int64]*sqldb.PreparedStmt
-
-	writeMu sync.Mutex
-
-	// inflight maps the ID of each multiplexed request being served to the
-	// cancel function of its context; ReqCancel fires it.
-	inflMu   sync.Mutex
-	inflight map[int64]context.CancelFunc
-
-	// wg counts the goroutines serving multiplexed requests, so connection
-	// teardown (and server drain) waits for them.
-	wg sync.WaitGroup
 }
 
-// cancel aborts the in-flight request with the given ID, if any.
-func (st *connState) cancel(id int64) {
-	st.inflMu.Lock()
-	cancel := st.inflight[id]
-	st.inflMu.Unlock()
-	if cancel != nil {
-		cancel()
-	}
-}
-
-// register records a request's cancel function under its ID.
-func (st *connState) register(id int64, cancel context.CancelFunc) {
-	st.inflMu.Lock()
-	st.inflight[id] = cancel
-	st.inflMu.Unlock()
-}
-
-// unregister removes a completed request and releases its context.
-func (st *connState) unregister(id int64, cancel context.CancelFunc) {
-	st.inflMu.Lock()
-	delete(st.inflight, id)
-	st.inflMu.Unlock()
-	cancel()
-}
-
-// write sends one response on the shared codec, serialized across the
-// connection's request goroutines.
-func (st *connState) write(s *Server, codec *Codec, resp *Response) bool {
-	st.writeMu.Lock()
-	err := codec.WriteResponse(resp)
-	st.writeMu.Unlock()
-	if err != nil {
-		s.logf("wire: write: %v", err)
-		return false
-	}
-	return true
-}
-
+// handle serves one connection: read a request, serve it inline, write the
+// reply. Nothing reads the socket while a request is being served, so a
+// client that snaps the connection to cancel is not noticed until serve
+// returns — the request runs to completion and its reply fails to write.
 func (s *Server) handle(conn net.Conn) {
-	defer s.wg.Done()
 	st := &connState{
-		cursors:  make(map[int64]*cursor),
-		stmts:    make(map[int64]*sqldb.PreparedStmt),
-		inflight: make(map[int64]context.CancelFunc),
+		cursors: make(map[int64]*cursor),
+		stmts:   make(map[int64]*sqldb.PreparedStmt),
 	}
-	// connCtx is the parent of every request context on this connection.
-	// When the client disconnects, the read loop returns and the deferred
-	// cancel stops all of the connection's in-flight multiplexed work — an
-	// abandoned analysis does not keep burning server capacity.
-	connCtx, cancelConn := context.WithCancel(context.Background())
 	defer func() {
-		cancelConn()
-		st.wg.Wait()
 		for _, ps := range st.stmts {
 			ps.Close()
 		}
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-		conn.Close()
 	}()
 	codec := NewCodec(conn)
 	for {
 		req, err := codec.ReadRequest()
 		if err != nil {
-			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
-				s.logf("wire: read: %v", err)
+			if !netsrv.Hangup(err) {
+				s.Logf("wire: read: %v", err)
 			}
 			return
 		}
-		if req.Kind == ReqCancel {
-			st.cancel(req.CancelID)
-			if !st.write(s, codec, &Response{ID: req.ID}) {
-				return
-			}
-			continue
+		if err := codec.WriteResponse(s.serve(req, st)); err != nil {
+			s.Logf("wire: write: %v", err)
+			return
 		}
-		if req.ID == 0 {
-			// A plain godbc.Conn — every pooled connection: one request in
-			// flight at a time, served inline, in order. Nothing reads the
-			// socket meanwhile, so a client that snaps the connection to
-			// cancel is not noticed (and connCtx not canceled) until serve
-			// returns.
-			if !st.write(s, codec, s.serve(connCtx, req, st)) {
-				return
-			}
-			continue
-		}
-		// Multiplexed request: serve concurrently under its own cancelable
-		// context and tag the response with the request's ID.
-		reqCtx, cancel := context.WithCancel(connCtx)
-		st.register(req.ID, cancel)
-		st.wg.Add(1)
-		go func(req *Request) {
-			defer st.wg.Done()
-			resp := s.serve(reqCtx, req, st)
-			resp.ID = req.ID
-			st.unregister(req.ID, cancel)
-			st.write(s, codec, resp)
-		}(req)
 	}
 }
 
@@ -300,56 +108,38 @@ func (s *Server) SetMaxConcurrent(n int) {
 	s.sem = make(chan struct{}, n)
 }
 
-// canceled is the response of a request whose context fired mid-service.
-func canceled() *Response { return &Response{Err: ErrCanceled} }
-
-func (s *Server) serve(ctx context.Context, req *Request, st *connState) *Response {
+func (s *Server) serve(req *Request, st *connState) *Response {
 	s.requests.Add(1)
-	if s.sleep(ctx, s.profile.RoundTrip) != nil {
-		return canceled()
-	}
+	s.sleep(s.profile.RoundTrip)
 	if s.sem != nil {
-		// The capacity queue is a blocking point: a canceled request must
-		// leave the queue instead of executing work nobody will read.
-		select {
-		case s.sem <- struct{}{}:
-			defer func() { <-s.sem }()
-		case <-ctx.Done():
-			return canceled()
-		}
+		s.sem <- struct{}{}
+		defer func() { <-s.sem }()
 	}
 	switch req.Kind {
 	case ReqPing:
-		s.sleep(ctx, s.profile.PerStatement)
+		s.sleep(s.profile.PerStatement)
 		return &Response{}
 	case ReqExec:
-		return s.serveExec(ctx, req)
+		return s.serveExec(req)
 	case ReqQueryCursor:
-		return s.serveQueryCursor(ctx, req, st)
+		return s.serveQueryCursor(req, st)
 	case ReqFetch:
-		return s.serveFetch(ctx, req, st)
+		return s.serveFetch(req, st)
 	case ReqCloseCursor:
-		st.mu.Lock()
 		delete(st.cursors, req.CursorID)
-		st.mu.Unlock()
 		return &Response{}
 	case ReqPrepare:
-		return s.servePrepare(ctx, req, st)
+		return s.servePrepare(req, st)
 	case ReqExecPrepared:
-		return s.serveExecPrepared(ctx, req, st)
+		return s.serveExecPrepared(req, st)
 	case ReqClosePrepared:
-		st.mu.Lock()
-		ps, ok := st.stmts[req.StmtID]
-		if ok {
+		if ps, ok := st.stmts[req.StmtID]; ok {
 			delete(st.stmts, req.StmtID)
-		}
-		st.mu.Unlock()
-		if ok {
 			ps.Close()
 		}
 		return &Response{}
 	case ReqExecBatch:
-		return s.serveExecBatch(ctx, req, st)
+		return s.serveExecBatch(req, st)
 	case ReqCacheStats:
 		st := s.db.Stats()
 		return &Response{Cache: &CacheStats{
@@ -397,7 +187,7 @@ func bindParams(pos []WireValue, named map[string]WireValue) *sqldb.Params {
 	return p
 }
 
-func (s *Server) serveExec(ctx context.Context, req *Request) *Response {
+func (s *Server) serveExec(req *Request) *Response {
 	res, err := s.db.Exec(req.SQL, toParams(req))
 	if err != nil {
 		return &Response{Err: err.Error()}
@@ -413,45 +203,28 @@ func (s *Server) serveExec(ctx context.Context, req *Request) *Response {
 	}
 	// A text-protocol execution compiles the statement anew every time, so
 	// it is charged the prepare cost on top of the per-statement overhead.
-	if s.sleep(ctx, s.profile.PerPrepare+s.profile.PerStatement+time.Duration(res.Affected)*s.profile.PerRowWrite) != nil {
-		return canceled()
-	}
+	s.sleep(s.profile.PerPrepare + s.profile.PerStatement + time.Duration(res.Affected)*s.profile.PerRowWrite)
 	if res.Set != nil {
 		resp.Columns = res.Set.Columns
 		resp.Rows = encodeRows(res.Set.Rows)
-		if s.sleep(ctx, time.Duration(len(resp.Rows))*s.profile.PerRowRead) != nil {
-			return canceled()
-		}
+		s.sleep(time.Duration(len(resp.Rows)) * s.profile.PerRowRead)
 	}
 	return resp
 }
 
-func (s *Server) servePrepare(ctx context.Context, req *Request, st *connState) *Response {
+func (s *Server) servePrepare(req *Request, st *connState) *Response {
 	ps, err := s.db.Prepare(req.SQL)
 	if err != nil {
 		return &Response{Err: err.Error()}
 	}
-	if s.sleep(ctx, s.profile.PerPrepare+s.profile.PerStatement) != nil {
-		ps.Close()
-		return canceled()
-	}
+	s.sleep(s.profile.PerPrepare + s.profile.PerStatement)
 	id := atomic.AddInt64(&s.nextStmt, 1)
-	st.mu.Lock()
 	st.stmts[id] = ps
-	st.mu.Unlock()
 	return &Response{StmtID: id}
 }
 
-// stmt looks up a connection-scoped prepared statement.
-func (st *connState) stmt(id int64) (*sqldb.PreparedStmt, bool) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	ps, ok := st.stmts[id]
-	return ps, ok
-}
-
-func (s *Server) serveExecPrepared(ctx context.Context, req *Request, st *connState) *Response {
-	ps, ok := st.stmt(req.StmtID)
+func (s *Server) serveExecPrepared(req *Request, st *connState) *Response {
+	ps, ok := st.stmts[req.StmtID]
 	if !ok {
 		return &Response{Err: fmt.Sprintf("wire: no prepared statement %d", req.StmtID)}
 	}
@@ -470,15 +243,11 @@ func (s *Server) serveExecPrepared(ctx context.Context, req *Request, st *connSt
 	}
 	// Executing a prepared handle skips the compile cost; only the fixed
 	// per-statement overhead and the row costs apply.
-	if s.sleep(ctx, s.profile.PerStatement+time.Duration(res.Affected)*s.profile.PerRowWrite) != nil {
-		return canceled()
-	}
+	s.sleep(s.profile.PerStatement + time.Duration(res.Affected)*s.profile.PerRowWrite)
 	if res.Set != nil {
 		resp.Columns = res.Set.Columns
 		resp.Rows = encodeRows(res.Set.Rows)
-		if s.sleep(ctx, time.Duration(len(resp.Rows))*s.profile.PerRowRead) != nil {
-			return canceled()
-		}
+		s.sleep(time.Duration(len(resp.Rows)) * s.profile.PerRowRead)
 	}
 	return resp
 }
@@ -488,11 +257,11 @@ func (s *Server) serveExecPrepared(ctx context.Context, req *Request, st *connSt
 // once (in serve); what accumulates per binding is only the per-statement and
 // per-row work the vendor server would really do — the array-binding
 // economics that make batches worthwhile on high-latency links.
-func (s *Server) serveExecBatch(ctx context.Context, req *Request, st *connState) *Response {
+func (s *Server) serveExecBatch(req *Request, st *connState) *Response {
 	if len(req.Batch) > MaxBatch {
 		return &Response{Err: fmt.Sprintf("wire: batch of %d bindings exceeds the limit of %d", len(req.Batch), MaxBatch)}
 	}
-	ps, ok := st.stmt(req.StmtID)
+	ps, ok := st.stmts[req.StmtID]
 	if !ok {
 		return &Response{Err: fmt.Sprintf("wire: no prepared statement %d", req.StmtID)}
 	}
@@ -500,12 +269,7 @@ func (s *Server) serveExecBatch(ctx context.Context, req *Request, st *connState
 	for i, b := range req.Batch {
 		bindings[i] = bindParams(b.Pos, b.Named)
 	}
-	// The engine observes ctx between bindings, so canceling a multiplexed
-	// batch stops the scan work itself, not just the simulated delays.
-	results, err := ps.ExecuteBatchContext(ctx, bindings)
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return canceled()
-	}
+	results, err := ps.ExecuteBatch(bindings)
 	if err != nil {
 		return &Response{Err: err.Error()}
 	}
@@ -536,13 +300,11 @@ func (s *Server) serveExecBatch(ctx context.Context, req *Request, st *connState
 		}
 		resp.Items[i] = item
 	}
-	if s.sleep(ctx, delay) != nil {
-		return canceled()
-	}
+	s.sleep(delay)
 	return resp
 }
 
-func (s *Server) serveQueryCursor(ctx context.Context, req *Request, st *connState) *Response {
+func (s *Server) serveQueryCursor(req *Request, st *connState) *Response {
 	res, err := s.db.Exec(req.SQL, toParams(req))
 	if err != nil {
 		return &Response{Err: err.Error()}
@@ -551,14 +313,10 @@ func (s *Server) serveQueryCursor(ctx context.Context, req *Request, st *connSta
 		return &Response{Err: "wire: statement produced no result set"}
 	}
 	if !res.Cached {
-		if s.sleep(ctx, s.profile.PerPrepare+s.profile.PerStatement) != nil {
-			return canceled()
-		}
+		s.sleep(s.profile.PerPrepare + s.profile.PerStatement)
 	}
 	id := atomic.AddInt64(&s.nextCursor, 1)
-	st.mu.Lock()
 	st.cursors[id] = &cursor{set: res.Set}
-	st.mu.Unlock()
 	resp := &Response{CursorID: id, Columns: res.Set.Columns}
 	if res.Cached {
 		resp.CacheHits = 1
@@ -566,13 +324,9 @@ func (s *Server) serveQueryCursor(ctx context.Context, req *Request, st *connSta
 	return resp
 }
 
-func (s *Server) serveFetch(ctx context.Context, req *Request, st *connState) *Response {
-	// The cursor offset advances under the state lock: two multiplexed
-	// fetches on one cursor each get a distinct, disjoint slice.
-	st.mu.Lock()
+func (s *Server) serveFetch(req *Request, st *connState) *Response {
 	cur, ok := st.cursors[req.CursorID]
 	if !ok {
-		st.mu.Unlock()
 		return &Response{Err: fmt.Sprintf("wire: no cursor %d", req.CursorID)}
 	}
 	n := req.FetchN
@@ -589,10 +343,7 @@ func (s *Server) serveFetch(ctx context.Context, req *Request, st *connState) *R
 	if done {
 		delete(st.cursors, req.CursorID)
 	}
-	st.mu.Unlock()
-	if s.sleep(ctx, time.Duration(len(rows))*s.profile.PerRowRead) != nil {
-		return canceled()
-	}
+	s.sleep(time.Duration(len(rows)) * s.profile.PerRowRead)
 	return &Response{Rows: encodeRows(rows), Done: done}
 }
 
@@ -608,18 +359,15 @@ func encodeRows(rows []sqldb.Row) [][]WireValue {
 	return out
 }
 
-// sleep injects the profile's simulated processing delay, observing the
-// request's context. Sub-millisecond delays are spun rather than slept: the
-// OS timer granularity (≈1 ms) would otherwise flatten the differences
-// between vendor profiles that the insertion benchmarks measure.
-func (s *Server) sleep(ctx context.Context, d time.Duration) error {
+// sleep injects the profile's simulated processing delay and adds it to the
+// vendor cost the server reports. Sub-millisecond delays are spun rather than
+// slept: the OS timer granularity (≈1 ms) would otherwise flatten the
+// differences between vendor profiles that the insertion benchmarks measure.
+func (s *Server) sleep(d time.Duration) {
 	if d > 0 {
-		// Count the full charge even when a cancellation cuts the delay
-		// short: VendorNanos reports what the workload cost at the simulated
-		// vendor's prices, not how long this process happened to block.
 		s.vendorNanos.Add(int64(d))
+		Delay(d)
 	}
-	return DelayCtx(ctx, d)
 }
 
 // Delay blocks for d with microsecond precision.
