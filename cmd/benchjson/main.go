@@ -4,9 +4,10 @@
 // charted across pushes.
 //
 // With -compare it consumes two such documents instead and fails (exit 1)
-// when any benchmark present in both regressed its ns/op beyond -max-regress
-// — the check the bench-compare CI job runs on every pull request against
-// the latest main artifact.
+// when any benchmark present in both regressed its ns/op — or, where both
+// sides report it, its allocs/op — beyond -max-regress: the check the
+// bench-compare CI job runs on every pull request against the latest main
+// artifact.
 //
 // Usage:
 //
@@ -94,17 +95,23 @@ func Parse(r io.Reader) (*Document, error) {
 	return doc, nil
 }
 
-// Delta is the comparison of one benchmark across two documents. Ratio is
-// new/old of the best (minimum) ns/op on each side: -count repetitions make
-// both sides a distribution, and the minimum is the run least disturbed by
-// scheduler noise, so a real regression moves it while a noisy outlier does
-// not.
+// Delta is the comparison of one gated metric of one benchmark across two
+// documents. Ratio is new/old of the best (minimum) value on each side:
+// -count repetitions make both sides a distribution, and the minimum is the
+// run least disturbed by scheduler noise, so a real regression moves it while
+// a noisy outlier does not.
 type Delta struct {
 	Name       string
-	Old, New   float64 // best ns/op per side
+	Unit       string  // "ns/op" or "allocs/op"
+	Old, New   float64 // best value per side
 	Ratio      float64
 	Regression bool
 }
+
+// gatedUnits are the metrics -compare holds to the bound, wherever both
+// documents carry them: time always, allocations for benchmarks that call
+// b.ReportAllocs.
+var gatedUnits = []string{"ns/op", "allocs/op"}
 
 // normalizeName strips the trailing -GOMAXPROCS suffix go test appends to
 // benchmark names ("BenchmarkX/batch=32-4" → "BenchmarkX/batch=32"), so a
@@ -126,45 +133,45 @@ func normalizeName(name string) string {
 	return name
 }
 
-// bestNsOp folds a document's (possibly repeated) benchmark entries into the
-// minimum ns/op per normalized name, keeping only names matching the filter
-// expression (nil matches everything).
-func bestNsOp(doc *Document, filter *regexp.Regexp) map[string]float64 {
-	best := make(map[string]float64)
+// best folds a document's (possibly repeated) benchmark entries into the
+// minimum of one metric per normalized name, keeping only names matching the
+// filter expression (nil matches everything).
+func best(doc *Document, filter *regexp.Regexp, unit string) map[string]float64 {
+	out := make(map[string]float64)
 	for _, b := range doc.Benchmarks {
-		ns, ok := b.Metrics["ns/op"]
+		v, ok := b.Metrics[unit]
 		if !ok || (filter != nil && !filter.MatchString(b.Name)) {
 			continue
 		}
 		name := normalizeName(b.Name)
-		if cur, seen := best[name]; !seen || ns < cur {
-			best[name] = ns
+		if cur, seen := out[name]; !seen || v < cur {
+			out[name] = v
 		}
 	}
-	return best
+	return out
 }
 
 // Compare evaluates every benchmark present in both documents against the
-// allowed regression (0.20 = new may be at most 20% slower), in name order.
+// allowed regression (0.20 = new may be at most 20% worse), in name order, one
+// Delta per gated metric both sides report.
 func Compare(oldDoc, newDoc *Document, filter *regexp.Regexp, maxRegress float64) []Delta {
-	oldBest, newBest := bestNsOp(oldDoc, filter), bestNsOp(newDoc, filter)
-	names := make([]string, 0, len(oldBest))
-	for name := range oldBest {
-		if _, ok := newBest[name]; ok {
-			names = append(names, name)
+	var deltas []Delta
+	for _, unit := range gatedUnits {
+		oldBest, newBest := best(oldDoc, filter, unit), best(newDoc, filter, unit)
+		for name, o := range oldBest {
+			n, ok := newBest[name]
+			if !ok {
+				continue
+			}
+			d := Delta{Name: name, Unit: unit, Old: o, New: n}
+			if o > 0 {
+				d.Ratio = n / o
+				d.Regression = d.Ratio > 1+maxRegress
+			}
+			deltas = append(deltas, d)
 		}
 	}
-	sort.Strings(names)
-	deltas := make([]Delta, 0, len(names))
-	for _, name := range names {
-		o, n := oldBest[name], newBest[name]
-		d := Delta{Name: name, Old: o, New: n}
-		if o > 0 {
-			d.Ratio = n / o
-			d.Regression = d.Ratio > 1+maxRegress
-		}
-		deltas = append(deltas, d)
-	}
+	sort.SliceStable(deltas, func(i, j int) bool { return deltas[i].Name < deltas[j].Name })
 	return deltas
 }
 
@@ -203,7 +210,7 @@ func compareMain(oldPath, newPath string, filter *regexp.Regexp, maxRegress floa
 		return 0
 	}
 	regressed := 0
-	fmt.Printf("benchjson: comparing %d benchmarks against %s (max ns/op regression %.0f%%)\n",
+	fmt.Printf("benchjson: comparing %d benchmark metrics against %s (max regression %.0f%%)\n",
 		len(deltas), oldDoc.SHA, maxRegress*100)
 	for _, d := range deltas {
 		verdict := "ok"
@@ -211,11 +218,11 @@ func compareMain(oldPath, newPath string, filter *regexp.Regexp, maxRegress floa
 			verdict = "REGRESSION"
 			regressed++
 		}
-		fmt.Printf("  %-64s %14.0f -> %14.0f ns/op  %+6.1f%%  %s\n",
-			d.Name, d.Old, d.New, (d.Ratio-1)*100, verdict)
+		fmt.Printf("  %-64s %14.0f -> %14.0f %-9s  %+6.1f%%  %s\n",
+			d.Name, d.Old, d.New, d.Unit, (d.Ratio-1)*100, verdict)
 	}
 	if regressed > 0 {
-		fmt.Printf("benchjson: %d of %d benchmarks regressed beyond %.0f%%\n", regressed, len(deltas), maxRegress*100)
+		fmt.Printf("benchjson: %d of %d benchmark metrics regressed beyond %.0f%%\n", regressed, len(deltas), maxRegress*100)
 		return 1
 	}
 	return 0
@@ -224,7 +231,7 @@ func compareMain(oldPath, newPath string, filter *regexp.Regexp, maxRegress floa
 func main() {
 	sha := flag.String("sha", "", "commit SHA recorded in the document")
 	compare := flag.Bool("compare", false, "compare two benchmark documents (old.json new.json) instead of converting")
-	maxRegress := flag.Float64("max-regress", 0.20, "allowed ns/op regression in -compare mode (0.20 = 20% slower)")
+	maxRegress := flag.Float64("max-regress", 0.20, "allowed ns/op and allocs/op regression in -compare mode (0.20 = 20% worse)")
 	bench := flag.String("bench", "", "restrict -compare to benchmarks whose name matches this regular expression")
 	flag.Parse()
 

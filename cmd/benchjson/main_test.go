@@ -177,3 +177,29 @@ func TestCompareAcrossCoreCounts(t *testing.T) {
 		t.Fatalf("non-numeric suffix normalized away: %+v", got)
 	}
 }
+
+// TestCompareGatesAllocs: where both sides report allocs/op it is held to the
+// same bound as ns/op, as a metric of its own — a benchmark can regress its
+// allocations while its time holds — and a side that does not report it is
+// not comparable on it.
+func TestCompareGatesAllocs(t *testing.T) {
+	entry := func(ns, allocs float64) *Document {
+		return &Document{Benchmarks: []Benchmark{{
+			Name: "BenchmarkWireCodec/request-2", Iterations: 1,
+			Metrics: map[string]float64{"ns/op": ns, "allocs/op": allocs, "B/op": 1 << 20},
+		}}}
+	}
+	deltas := Compare(entry(100, 100), entry(100, 130), nil, 0.20)
+	if len(deltas) != 2 || deltas[0].Unit != "ns/op" || deltas[1].Unit != "allocs/op" {
+		t.Fatalf("deltas: %+v", deltas)
+	}
+	if deltas[0].Regression || !deltas[1].Regression {
+		t.Fatalf("30%% more allocations at equal time: %+v", deltas)
+	}
+	if r := regressions(Compare(entry(100, 100), entry(100, 120), nil, 0.20)); len(r) != 0 {
+		t.Fatalf("exactly 20%% more allocations flagged: %v", r)
+	}
+	if got := Compare(bdoc("BenchmarkWireCodec/request", 100.0), entry(100, 1e6), nil, 0.20); len(got) != 1 || got[0].Unit != "ns/op" {
+		t.Fatalf("baseline without allocs/op: %+v", got)
+	}
+}

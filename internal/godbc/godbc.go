@@ -196,9 +196,7 @@ type Rows struct {
 
 // Query opens a cursor for a SELECT.
 func (c *Conn) Query(query string, params *sqldb.Params) (*Rows, error) {
-	req := &wire.Request{Kind: wire.ReqQueryCursor, SQL: query}
-	req.Pos, req.Named = encodeValues(params)
-	resp, err := call(context.Background(), c, req)
+	resp, err := call(context.Background(), c, withParams(&wire.Request{Kind: wire.ReqQueryCursor, SQL: query}, params))
 	if err != nil {
 		return nil, err
 	}

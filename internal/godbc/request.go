@@ -31,50 +31,36 @@ func call(ctx context.Context, c *Conn, req *wire.Request) (*wire.Response, erro
 	return resp, nil
 }
 
-func encodeValues(params *sqldb.Params) (pos []wire.WireValue, named map[string]wire.WireValue) {
-	if params == nil {
-		return nil, nil
-	}
-	for _, v := range params.Positional {
-		pos = append(pos, wire.ToWire(v))
-	}
-	if len(params.Named) > 0 {
-		named = make(map[string]wire.WireValue, len(params.Named))
-		for k, v := range params.Named {
-			named[k] = wire.ToWire(v)
-		}
-	}
-	return pos, named
+// decodeRows adopts a reply's rows as a result set: the decoder made them for
+// this reply alone, so they are the caller's to keep.
+func decodeRows(columns []string, rows [][]sqldb.Value) *sqldb.ResultSet {
+	return &sqldb.ResultSet{Columns: columns, Rows: appendRows(make([]sqldb.Row, 0, len(rows)), rows)}
 }
 
-func decodeRows(columns []string, rows [][]wire.WireValue) *sqldb.ResultSet {
-	return &sqldb.ResultSet{Columns: columns, Rows: appendRows(nil, rows)}
-}
-
-func appendRows(dst []sqldb.Row, rows [][]wire.WireValue) []sqldb.Row {
-	for _, wr := range rows {
-		row := make(sqldb.Row, len(wr))
-		for i, wv := range wr {
-			row[i] = wv.FromWire()
-		}
-		dst = append(dst, row)
+func appendRows(dst []sqldb.Row, rows [][]sqldb.Value) []sqldb.Row {
+	for _, r := range rows {
+		dst = append(dst, r)
 	}
 	return dst
+}
+
+// withParams hands a request the caller's parameters, as they are.
+func withParams(req *wire.Request, params *sqldb.Params) *wire.Request {
+	if params != nil {
+		req.Pos, req.Named = params.Positional, params.Named
+	}
+	return req
 }
 
 // textExec builds a text-protocol execution: the statement is compiled anew
 // by the server.
 func textExec(query string, params *sqldb.Params) *wire.Request {
-	req := &wire.Request{Kind: wire.ReqExec, SQL: query}
-	req.Pos, req.Named = encodeValues(params)
-	return req
+	return withParams(&wire.Request{Kind: wire.ReqExec, SQL: query}, params)
 }
 
 // preparedExec builds one execution of a server-side prepared handle.
 func preparedExec(stmtID int64, params *sqldb.Params) *wire.Request {
-	req := &wire.Request{Kind: wire.ReqExecPrepared, StmtID: stmtID}
-	req.Pos, req.Named = encodeValues(params)
-	return req
+	return withParams(&wire.Request{Kind: wire.ReqExecPrepared, StmtID: stmtID}, params)
 }
 
 // execAffected sends an execution and decodes its reply as a non-query
@@ -125,7 +111,9 @@ func execBatch(ctx context.Context, c *Conn, stmtID int64, bindings []*sqldb.Par
 		chunk := bindings[start:min(start+wire.MaxBatch, len(bindings))]
 		req := &wire.Request{Kind: wire.ReqExecBatch, StmtID: stmtID, Batch: make([]wire.BatchBinding, len(chunk))}
 		for i, p := range chunk {
-			req.Batch[i].Pos, req.Batch[i].Named = encodeValues(p)
+			if p != nil {
+				req.Batch[i] = wire.BatchBinding{Pos: p.Positional, Named: p.Named}
+			}
 		}
 		resp, err := call(ctx, c, req)
 		if err != nil {

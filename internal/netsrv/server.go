@@ -3,7 +3,8 @@
 // service.Server (cosyd, multiplexed). It owns the listener, the set of live
 // connections, and the stop/drain life cycle; a server built on it supplies
 // only the function that serves one connection. The package also holds the
-// one gob stream codec both protocols frame their messages with (codec.go).
+// one codec both protocols frame their messages with: length-prefixed binary
+// frames, each protocol supplying the marshal of its own messages (codec.go).
 //
 // The life cycle is tested against both embedding servers at once, in
 // internal/sqldb/wire/lifecycle_test.go.

@@ -2,7 +2,7 @@ package service
 
 // The observability endpoint: a small HTTP server beside the analysis
 // protocol, so operators, load generators, and CI scrape state with curl and
-// jq instead of speaking gob. Two routes:
+// jq instead of speaking the service protocol. Two routes:
 //
 //	GET /metrics — the full MetricsSnapshot as pretty-printed JSON
 //	GET /healthz — 200 {"status":"ok"} while serving, 503

@@ -1,6 +1,7 @@
 package service
 
-// The cosyd protocol: gob messages over TCP, multiplexed. This is the one
+// The cosyd protocol: length-prefixed binary messages over TCP (the framing
+// the sqldb wire protocol uses, netsrv.Codec), multiplexed. This is the one
 // layer where many concurrent requests share a connection (the sqldb wire
 // protocol below it is one request at a time per pooled connection): every
 // request carries a nonzero ID, and the server executes requests concurrently
@@ -80,8 +81,65 @@ func responseErr(text string) error {
 	return errors.New(text)
 }
 
-// Codec frames gob messages on a stream.
+// Codec frames requests and responses on a stream.
 type Codec = netsrv.Codec[Request, Response]
 
 // NewCodec wraps a bidirectional stream.
-func NewCodec(rw io.ReadWriter) *Codec { return netsrv.NewCodec[Request, Response](rw) }
+func NewCodec(rw io.ReadWriter) *Codec {
+	return netsrv.NewCodec(rw,
+		netsrv.Format[Request]{Append: appendRequest, Decode: decodeRequest},
+		netsrv.Format[Response]{Append: appendResponse, Decode: decodeResponse})
+}
+
+// The messages' payloads: every field, in declaration order (DESIGN.md, "Wire
+// format").
+
+func appendRequest(b []byte, m *Request) []byte {
+	b = netsrv.AppendVarint(b, int64(m.Kind))
+	b = netsrv.AppendVarint(b, m.ID)
+	b = netsrv.AppendVarint(b, m.CancelID)
+	b = netsrv.AppendString(b, m.Tenant)
+	b = netsrv.AppendVarint(b, int64(m.NoPe))
+	return netsrv.AppendVarint(b, m.DeadlineMillis)
+}
+
+func decodeRequest(r *netsrv.Reader, m *Request) {
+	m.Kind = ReqKind(r.Int())
+	m.ID = r.Varint()
+	m.CancelID = r.Varint()
+	m.Tenant = r.String()
+	m.NoPe = r.Int()
+	m.DeadlineMillis = r.Varint()
+}
+
+func appendResponse(b []byte, m *Response) []byte {
+	b = netsrv.AppendVarint(b, m.ID)
+	b = netsrv.AppendString(b, m.Err)
+	b = netsrv.AppendString(b, m.Report)
+	b = netsrv.AppendBool(b, m.Stats != nil)
+	if s := m.Stats; s != nil {
+		b = netsrv.AppendVarint(b, s.Admitted)
+		b = netsrv.AppendVarint(b, s.Queued)
+		b = netsrv.AppendVarint(b, s.Shed)
+		b = netsrv.AppendVarint(b, s.Rejected)
+		b = netsrv.AppendVarint(b, int64(s.InFlight))
+		b = netsrv.AppendVarint(b, int64(s.Waiting))
+	}
+	return b
+}
+
+func decodeResponse(r *netsrv.Reader, m *Response) {
+	m.ID = r.Varint()
+	m.Err = r.String()
+	m.Report = r.String()
+	if r.Bool() {
+		m.Stats = &AdmissionStats{
+			Admitted: r.Varint(),
+			Queued:   r.Varint(),
+			Shed:     r.Varint(),
+			Rejected: r.Varint(),
+			InFlight: r.Int(),
+			Waiting:  r.Int(),
+		}
+	}
+}

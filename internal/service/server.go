@@ -43,10 +43,10 @@ func NewServer(svc *Service, logger *log.Logger) *Server {
 }
 
 // connState is the per-connection request bookkeeping: in-flight cancel
-// functions for ReqCancel, serialized writes on the shared gob encoder (also
-// the slow-reader backpressure path — a client that stops reading blocks its
-// own connection's request goroutines, nobody else's), and a WaitGroup so
-// teardown drains the request goroutines.
+// functions for ReqCancel, serialized writes on the codec's one writing
+// direction (also the slow-reader backpressure path — a client that stops
+// reading blocks its own connection's request goroutines, nobody else's), and
+// a WaitGroup so teardown drains the request goroutines.
 type connState struct {
 	writeMu sync.Mutex
 

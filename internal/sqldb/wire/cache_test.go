@@ -60,7 +60,7 @@ func TestExecRepliesReportCacheHits(t *testing.T) {
 	if second.Err != "" || second.CacheHits != 1 {
 		t.Fatalf("second exec: err=%q hits=%d", second.Err, second.CacheHits)
 	}
-	if len(second.Rows) != 1 || second.Rows[0][0].FromWire().Float() != 7.0 {
+	if len(second.Rows) != 1 || second.Rows[0][0].Float() != 7.0 {
 		t.Fatalf("cached rows: %v", second.Rows)
 	}
 }

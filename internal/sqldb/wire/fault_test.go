@@ -35,8 +35,8 @@ func startServer(t testing.TB, profile wire.Profile) (*sqldb.DB, *wire.Server) {
 	return db, srv
 }
 
-// TestTornFrameClientToServer: a client that dies mid-frame (partial gob
-// bytes, then EOF) must cost the server nothing but that one connection —
+// TestTornFrameClientToServer: a client that dies mid-frame (half a
+// request, then EOF) must cost the server nothing but that one connection —
 // concurrent and subsequent clients are unaffected.
 func TestTornFrameClientToServer(t *testing.T) {
 	testutil.CheckGoroutines(t)
@@ -65,7 +65,7 @@ func TestTornFrameClientToServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := raw2.Write([]byte("\xff\xfe\xfd this is not gob \x00\x01")); err != nil {
+	if _, err := raw2.Write([]byte("\xff\xfe\xfd this is not a frame \x00\x01")); err != nil {
 		t.Fatal(err)
 	}
 	raw2.Close()
@@ -104,7 +104,7 @@ func TestTornFrameServerToClient(t *testing.T) {
 		defer conn.Close()
 		buf := make([]byte, 1024)
 		conn.Read(buf)
-		conn.Write([]byte("\x07garbage that is not a gob Response"))
+		conn.Write([]byte("\x07garbage that is not a Response"))
 	}()
 
 	c, err := godbc.Dial(lis.Addr().String())

@@ -1,38 +1,66 @@
 package wire_test
 
-// Fuzzing the wire frame decoder and the server's dispatch: whatever bytes
+// Fuzzing the wire frame decoders and the server's dispatch: whatever bytes
 // arrive on the socket, the codec must fail cleanly — an error, never a panic
 // — and whatever request they decode to, the server answers it exactly once.
-// The in-code seeds are well-formed frames of the request kinds the server
-// dispatches plus one kind it does not, so mutations explore the gob
-// encoding's neighborhood rather than pure noise; the checked-in corpus under
-// testdata/ is the fuzzer's own finds, nearly all of them inputs that must
-// (and do) end in a decode error.
+// FuzzReadRequest is the server's side of that, FuzzReadResponse the client's,
+// facing a torn or hostile server. The in-code seeds are well-formed frames of
+// every message shape, every torn prefix of them, and frames that lie about a
+// length, so mutations explore the encoding's neighborhood rather than pure
+// noise; the checked-in corpus under testdata/ is the fuzzer's own finds.
 
 import (
 	"bytes"
-	"io"
 	"net"
+	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/netsrv"
+	"repro/internal/sqldb"
 	"repro/internal/sqldb/wire"
 )
 
-// encodeRequests gob-encodes a request stream to raw bytes.
+// encodeRequests encodes a request stream to raw bytes.
 func encodeRequests(t testing.TB, reqs ...*wire.Request) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	codec := wire.NewCodec(struct {
-		io.Reader
-		io.Writer
-	}{nil, &buf})
+	codec := wire.NewCodec(&buf)
 	for _, r := range reqs {
 		if err := codec.WriteRequest(r); err != nil {
 			t.Fatal(err)
 		}
 	}
 	return buf.Bytes()
+}
+
+// encodeResponses encodes a response stream to raw bytes.
+func encodeResponses(t testing.TB, resps ...*wire.Response) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	codec := wire.NewCodec(&buf)
+	for _, r := range resps {
+		if err := codec.WriteResponse(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return buf.Bytes()
+}
+
+// withTornAndHostile adds to a set of well-formed streams every prefix of
+// their concatenation — what a peer sees when the other side dies mid-write —
+// and frames whose lengths lie.
+func withTornAndHostile(seeds [][]byte) [][]byte {
+	stream := bytes.Join(seeds, nil)
+	for i := range stream {
+		seeds = append(seeds, stream[:i])
+	}
+	return append(seeds,
+		[]byte{0xff, 0xfe, 0x00, 0x01},
+		append(netsrv.AppendCount(nil, 1<<30), 1, 2, 3, 4),              // a prefix past the frame limit
+		append(netsrv.AppendCount(nil, netsrv.MaxFrame), 1, 2, 3, 4),    // a legal prefix with nothing behind it
+		frame(append(netsrv.AppendCount([]byte{0}, 1<<32), 1, 2, 3, 4)), // a count no frame could hold
+	)
 }
 
 func FuzzReadRequest(f *testing.F) {
@@ -42,9 +70,9 @@ func FuzzReadRequest(f *testing.F) {
 		encodeRequests(f, &wire.Request{
 			Kind: wire.ReqQueryCursor,
 			SQL:  "SELECT * FROM t WHERE id = ? AND v = :v",
-			Pos:  []wire.WireValue{{Kind: 1, I: 42}},
-			Named: map[string]wire.WireValue{
-				"v": {Kind: 3, S: "hello"},
+			Pos:  []sqldb.Value{sqldb.NewInt(42)},
+			Named: map[string]sqldb.Value{
+				"v": sqldb.NewText("hello"),
 			},
 			FetchN: 8,
 		}),
@@ -52,8 +80,9 @@ func FuzzReadRequest(f *testing.F) {
 			Kind:   wire.ReqExecBatch,
 			StmtID: 3,
 			Batch: []wire.BatchBinding{
-				{Pos: []wire.WireValue{{Kind: 2, F: 1.5}}},
-				{Pos: []wire.WireValue{{Kind: 0}}},
+				{Pos: []sqldb.Value{sqldb.NewFloat(1.5)}},
+				{Pos: []sqldb.Value{sqldb.Null}},
+				{Named: map[string]sqldb.Value{"on": sqldb.NewBool(true)}},
 			},
 		}),
 		encodeRequests(f, &wire.Request{Kind: wire.ReqFetch, CursorID: 4, FetchN: 2}),
@@ -68,18 +97,12 @@ func FuzzReadRequest(f *testing.F) {
 			&wire.Request{Kind: wire.ReqCacheStats},
 		),
 		[]byte{},
-		[]byte{0xff, 0xfe, 0x00, 0x01},
 	}
-	// Torn variants of the first real frame: every prefix of a valid
-	// encoding is a frame the server may see when a client dies mid-write.
-	whole := encodeRequests(f, &wire.Request{Kind: wire.ReqExec, SQL: "SELECT 1"})
-	for i := 0; i < len(whole); i += 3 {
-		seeds = append(seeds, whole[:i])
-	}
-	// And a bare frame of every kind the server dispatches.
+	// A bare frame of every kind the server dispatches.
 	for kind := wire.ReqExec; kind <= wire.ReqServerStats; kind++ {
 		seeds = append(seeds, encodeRequests(f, &wire.Request{Kind: kind}))
 	}
+	seeds = withTornAndHostile(seeds)
 	for _, s := range seeds {
 		f.Add(s)
 	}
@@ -92,13 +115,11 @@ func FuzzReadRequest(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var live *wire.Codec // dialed on the first request to dispatch
-		codec := wire.NewCodec(struct {
-			io.Reader
-			io.Writer
-		}{bytes.NewReader(data), io.Discard})
+		codec := wire.NewCodec(bytes.NewBuffer(data))
 		// Decode the stream as the server's read loop would: frame by frame
-		// until the first error. Must never panic; decoded frames must
-		// re-encode cleanly (nothing unrepresentable sneaks through).
+		// until the first error. Must never panic; a decoded frame must
+		// re-encode to a frame that decodes to the same request (nothing
+		// unrepresentable sneaks through).
 		for i := 0; i < 64; i++ {
 			req, err := codec.ReadRequest()
 			if err != nil {
@@ -110,11 +131,12 @@ func FuzzReadRequest(f *testing.F) {
 				// is pointless work for the fuzzer.
 				return
 			}
-			if err := wire.NewCodec(struct {
-				io.Reader
-				io.Writer
-			}{nil, io.Discard}).WriteRequest(req); err != nil {
+			again, err := wire.NewCodec(bytes.NewBuffer(encodeRequests(t, req))).ReadRequest()
+			if err != nil {
 				t.Fatalf("decoded request does not re-encode: %v", err)
+			}
+			if want, got := bitwiseRequest(req), bitwiseRequest(again); !reflect.DeepEqual(want, got) {
+				t.Fatalf("request changed on re-encoding:\nfirst  %+v\nsecond %+v", want, got)
 			}
 			if req.Kind == wire.ReqExec || req.Kind == wire.ReqQueryCursor || req.Kind == wire.ReqPrepare {
 				continue
@@ -137,6 +159,60 @@ func FuzzReadRequest(f *testing.F) {
 			known := req.Kind >= wire.ReqExec && req.Kind <= wire.ReqServerStats
 			if !known && !strings.Contains(resp.Err, "unknown request kind") {
 				t.Fatalf("kind %d: reply %+v, want the unknown-request-kind error", req.Kind, resp)
+			}
+		}
+	})
+}
+
+func FuzzReadResponse(f *testing.F) {
+	_, batchReply := warmWireBatch()
+	batchReply.Items[5] = wire.BatchItem{Err: "binding 5 failed"}
+	seeds := [][]byte{
+		encodeResponses(f, &wire.Response{}),
+		encodeResponses(f, &wire.Response{Err: "wire: no prepared statement 9"}),
+		encodeResponses(f, &wire.Response{Affected: 360, Done: true}),
+		encodeResponses(f, &wire.Response{
+			Columns: []string{"id", "v", "name", "ok"}, Done: true, CacheHits: 1,
+			Rows: [][]sqldb.Value{
+				{sqldb.NewInt(1), sqldb.NewFloat(-0.5), sqldb.NewText("a"), sqldb.NewBool(true)},
+				{sqldb.NewInt(-2), sqldb.Null, sqldb.NewText(""), sqldb.NewBool(false)},
+			},
+		}),
+		encodeResponses(f, &wire.Response{CursorID: 4, Columns: []string{"id"}}),
+		encodeResponses(f, &wire.Response{StmtID: 3}),
+		encodeResponses(f, &wire.Response{Cache: &wire.CacheStats{Hits: 9, Misses: 3, Invalidations: 1, Entries: 2}}),
+		encodeResponses(f, &wire.Response{Server: &wire.ServerStats{Engine: "vector", VecSelects: 64, Requests: 65, VendorNanos: 128e6}}),
+		// A cursor's life as the client reads it: frames back to back.
+		encodeResponses(f,
+			&wire.Response{CursorID: 1, Columns: []string{"id"}},
+			&wire.Response{Rows: [][]sqldb.Value{{sqldb.NewInt(1)}}},
+			&wire.Response{Rows: [][]sqldb.Value{{sqldb.NewInt(2)}}, Done: true},
+		),
+		[]byte{},
+	}
+	seeds = withTornAndHostile(seeds)
+	// The batch reply is long; its prefixes would crowd the others out.
+	seeds = append(seeds, encodeResponses(f, batchReply))
+	for _, s := range seeds {
+		f.Add(s)
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		codec := wire.NewCodec(bytes.NewBuffer(data))
+		// Decode the stream as a client would: reply by reply until the
+		// first error. Must never panic; a decoded reply must re-encode to a
+		// frame that decodes to the same reply.
+		for i := 0; i < 64; i++ {
+			resp, err := codec.ReadResponse()
+			if err != nil {
+				return
+			}
+			again, err := wire.NewCodec(bytes.NewBuffer(encodeResponses(t, resp))).ReadResponse()
+			if err != nil {
+				t.Fatalf("decoded response does not re-encode: %v", err)
+			}
+			if want, got := bitwiseResponse(resp), bitwiseResponse(again); !reflect.DeepEqual(want, got) {
+				t.Fatalf("response changed on re-encoding:\nfirst  %+v\nsecond %+v", want, got)
 			}
 		}
 	})

@@ -1,7 +1,7 @@
 // Package wire implements a client/server protocol for the sqldb engine:
-// length-prefixed gob messages over TCP, server-side cursors with
-// configurable fetch granularity, and per-vendor performance profiles that
-// model the database configurations of the paper's Section 5 (local MS
+// length-prefixed binary messages over TCP (marshal.go), server-side cursors
+// with configurable fetch granularity, and per-vendor performance profiles
+// that model the database configurations of the paper's Section 5 (local MS
 // Access versus networked Oracle 7, MS SQL Server, and Postgres).
 package wire
 
@@ -38,48 +38,13 @@ const (
 // clients split larger batches transparently (see godbc.Stmt.ExecuteBatch).
 const MaxBatch = 256
 
-// WireValue is the on-wire representation of a sqldb.Value.
-type WireValue struct {
-	Kind byte // 0 null, 1 int, 2 float, 3 text, 4 bool
-	I    int64
-	F    float64
-	S    string
-}
+// WireValue is a sqldb.Value: messages carry engine values as they are, and
+// the codec reads and writes them through Value's own accessors.
+type WireValue = sqldb.Value
 
-// ToWire converts an engine value.
-func ToWire(v sqldb.Value) WireValue {
-	switch {
-	case v.IsNull():
-		return WireValue{Kind: 0}
-	case v.IsInt():
-		return WireValue{Kind: 1, I: v.Int()}
-	case v.IsNumeric():
-		return WireValue{Kind: 2, F: v.Float()}
-	case v.IsText():
-		return WireValue{Kind: 3, S: v.Text()}
-	default:
-		b := int64(0)
-		if v.Bool() {
-			b = 1
-		}
-		return WireValue{Kind: 4, I: b}
-	}
-}
-
-// FromWire converts back to an engine value.
-func (w WireValue) FromWire() sqldb.Value {
-	switch w.Kind {
-	case 1:
-		return sqldb.NewInt(w.I)
-	case 2:
-		return sqldb.NewFloat(w.F)
-	case 3:
-		return sqldb.NewText(w.S)
-	case 4:
-		return sqldb.NewBool(w.I != 0)
-	}
-	return sqldb.Null
-}
+// ToWire is the identity; it names the point where an engine value enters a
+// message.
+func ToWire(v sqldb.Value) WireValue { return v }
 
 // Request is a client message.
 type Request struct {
@@ -175,17 +140,21 @@ type Response struct {
 	Server *ServerStats
 }
 
-// Codec frames gob messages on a stream.
+// Codec frames requests and responses on a stream.
 type Codec = netsrv.Codec[Request, Response]
 
 // NewCodec wraps a bidirectional stream.
-func NewCodec(rw io.ReadWriter) *Codec { return netsrv.NewCodec[Request, Response](rw) }
+func NewCodec(rw io.ReadWriter) *Codec {
+	return netsrv.NewCodec(rw,
+		netsrv.Format[Request]{Append: appendRequest, Decode: decodeRequest},
+		netsrv.Format[Response]{Append: appendResponse, Decode: decodeResponse})
+}
 
 // Profile models the performance character of a database deployment. The
 // engine is identical in all configurations; what differed between the
 // paper's four DBMS setups was deployment (local file database versus
 // networked server) and per-statement server cost. The delays below are
-// injected server side, on top of the real cost of TCP transport and gob
+// injected server side, on top of the real cost of TCP transport and message
 // marshalling.
 type Profile struct {
 	// Name identifies the vendor configuration in reports.

@@ -169,26 +169,17 @@ func (s *Server) serve(req *Request, st *connState) *Response {
 	return &Response{Err: fmt.Sprintf("wire: unknown request kind %d", req.Kind)}
 }
 
-func toParams(req *Request) *sqldb.Params {
-	return bindParams(req.Pos, req.Named)
-}
-
-func bindParams(pos []WireValue, named map[string]WireValue) *sqldb.Params {
+// params wraps a message's decoded parameter slices and map for the engine,
+// as they are; a binding without parameters is nil.
+func params(pos []sqldb.Value, named map[string]sqldb.Value) *sqldb.Params {
 	if len(pos) == 0 && len(named) == 0 {
 		return nil
 	}
-	p := &sqldb.Params{Named: make(map[string]sqldb.Value, len(named))}
-	for _, v := range pos {
-		p.Positional = append(p.Positional, v.FromWire())
-	}
-	for k, v := range named {
-		p.Named[k] = v.FromWire()
-	}
-	return p
+	return &sqldb.Params{Positional: pos, Named: named}
 }
 
 func (s *Server) serveExec(req *Request) *Response {
-	res, err := s.db.Exec(req.SQL, toParams(req))
+	res, err := s.db.Exec(req.SQL, params(req.Pos, req.Named))
 	if err != nil {
 		return &Response{Err: err.Error()}
 	}
@@ -198,7 +189,7 @@ func (s *Server) serveExec(req *Request) *Response {
 		// ran: only the round trip (already charged in serve) applies.
 		resp.CacheHits = 1
 		resp.Columns = res.Set.Columns
-		resp.Rows = encodeRows(res.Set.Rows)
+		resp.Rows = replyRows(res.Set.Rows)
 		return resp
 	}
 	// A text-protocol execution compiles the statement anew every time, so
@@ -206,7 +197,7 @@ func (s *Server) serveExec(req *Request) *Response {
 	s.sleep(s.profile.PerPrepare + s.profile.PerStatement + time.Duration(res.Affected)*s.profile.PerRowWrite)
 	if res.Set != nil {
 		resp.Columns = res.Set.Columns
-		resp.Rows = encodeRows(res.Set.Rows)
+		resp.Rows = replyRows(res.Set.Rows)
 		s.sleep(time.Duration(len(resp.Rows)) * s.profile.PerRowRead)
 	}
 	return resp
@@ -228,7 +219,7 @@ func (s *Server) serveExecPrepared(req *Request, st *connState) *Response {
 	if !ok {
 		return &Response{Err: fmt.Sprintf("wire: no prepared statement %d", req.StmtID)}
 	}
-	res, err := ps.Execute(toParams(req))
+	res, err := ps.Execute(params(req.Pos, req.Named))
 	if err != nil {
 		return &Response{Err: err.Error()}
 	}
@@ -238,7 +229,7 @@ func (s *Server) serveExecPrepared(req *Request, st *connState) *Response {
 		// the modeled vendor server, so no delay beyond the round trip.
 		resp.CacheHits = 1
 		resp.Columns = res.Set.Columns
-		resp.Rows = encodeRows(res.Set.Rows)
+		resp.Rows = replyRows(res.Set.Rows)
 		return resp
 	}
 	// Executing a prepared handle skips the compile cost; only the fixed
@@ -246,7 +237,7 @@ func (s *Server) serveExecPrepared(req *Request, st *connState) *Response {
 	s.sleep(s.profile.PerStatement + time.Duration(res.Affected)*s.profile.PerRowWrite)
 	if res.Set != nil {
 		resp.Columns = res.Set.Columns
-		resp.Rows = encodeRows(res.Set.Rows)
+		resp.Rows = replyRows(res.Set.Rows)
 		s.sleep(time.Duration(len(resp.Rows)) * s.profile.PerRowRead)
 	}
 	return resp
@@ -267,7 +258,7 @@ func (s *Server) serveExecBatch(req *Request, st *connState) *Response {
 	}
 	bindings := make([]*sqldb.Params, len(req.Batch))
 	for i, b := range req.Batch {
-		bindings[i] = bindParams(b.Pos, b.Named)
+		bindings[i] = params(b.Pos, b.Named)
 	}
 	results, err := ps.ExecuteBatch(bindings)
 	if err != nil {
@@ -287,7 +278,7 @@ func (s *Server) serveExecBatch(req *Request, st *connState) *Response {
 			// nothing beyond the (already charged, batch-wide) round trip.
 			item.Cached = true
 			item.Columns = r.Res.Set.Columns
-			item.Rows = encodeRows(r.Res.Set.Rows)
+			item.Rows = replyRows(r.Res.Set.Rows)
 			resp.Items[i] = item
 			resp.CacheHits++
 			continue
@@ -295,7 +286,7 @@ func (s *Server) serveExecBatch(req *Request, st *connState) *Response {
 		delay += s.profile.PerStatement + time.Duration(r.Res.Affected)*s.profile.PerRowWrite
 		if r.Res.Set != nil {
 			item.Columns = r.Res.Set.Columns
-			item.Rows = encodeRows(r.Res.Set.Rows)
+			item.Rows = replyRows(r.Res.Set.Rows)
 			delay += time.Duration(len(item.Rows)) * s.profile.PerRowRead
 		}
 		resp.Items[i] = item
@@ -305,7 +296,7 @@ func (s *Server) serveExecBatch(req *Request, st *connState) *Response {
 }
 
 func (s *Server) serveQueryCursor(req *Request, st *connState) *Response {
-	res, err := s.db.Exec(req.SQL, toParams(req))
+	res, err := s.db.Exec(req.SQL, params(req.Pos, req.Named))
 	if err != nil {
 		return &Response{Err: err.Error()}
 	}
@@ -344,17 +335,15 @@ func (s *Server) serveFetch(req *Request, st *connState) *Response {
 		delete(st.cursors, req.CursorID)
 	}
 	s.sleep(time.Duration(len(rows)) * s.profile.PerRowRead)
-	return &Response{Rows: encodeRows(rows), Done: done}
+	return &Response{Rows: replyRows(rows), Done: done}
 }
 
-func encodeRows(rows []sqldb.Row) [][]WireValue {
-	out := make([][]WireValue, len(rows))
+// replyRows points a reply at a result's rows. Nothing is copied but the row
+// headers: result rows are read-only, and the codec only reads them.
+func replyRows(rows []sqldb.Row) [][]sqldb.Value {
+	out := make([][]sqldb.Value, len(rows))
 	for i, r := range rows {
-		wr := make([]WireValue, len(r))
-		for j, v := range r {
-			wr[j] = ToWire(v)
-		}
-		out[i] = wr
+		out[i] = r
 	}
 	return out
 }
