@@ -171,7 +171,7 @@ func BenchmarkInsertionByBackend(b *testing.B) {
 			if err := sqlgen.CreateSchema(world, embeddedExecutor(db)); err != nil {
 				b.Fatal(err)
 			}
-			pe := godbc.ProfiledEmbedded{DB: db, Profile: wire.ProfileAccess}
+			pe := godbc.Embedded{DB: db, Profile: wire.ProfileAccess}
 			exec := sqlgen.ExecutorFunc(func(q string, p *sqldb.Params) (int, error) {
 				res, err := pe.Exec(q, p)
 				return res.Affected, err

@@ -27,17 +27,14 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 
-	"repro/internal/apprentice"
-	"repro/internal/asl/sqlgen"
 	"repro/internal/core"
+	"repro/internal/deploy"
 	"repro/internal/godbc"
 	"repro/internal/model"
 	"repro/internal/paradyn"
 	"repro/internal/sqlast/build"
-	"repro/internal/sqldb"
 )
 
 func main() {
@@ -55,7 +52,6 @@ func main() {
 	fetchSize := flag.Int("fetchsize", 0, "rows per cursor fetch on pooled connections (the JDBC row-at-a-time default is 1); omit to keep the default")
 	batchSize := flag.Int("batchsize", 0, "context instances per batched request on the sql engine; 1 disables batching, omit for the default (32)")
 	cache := flag.String("cache", "on", "result cache of the in-process database: on or off (kojakdb servers configure theirs with -cache-size)")
-	sqlEngineName := flag.String("sql-engine", sqldb.EngineVector, "SELECT execution engine of the in-process database: vector or row (kojakdb servers select theirs with -engine)")
 	sqlDialect := flag.String("sql-dialect", build.Kojakdb.Name, "SQL dialect property queries are rendered in: "+strings.Join(build.Names(), ", "))
 	flag.Parse()
 
@@ -65,12 +61,12 @@ func main() {
 		usageError("%v", err)
 	}
 
-	ds, err := loadDataset(*in, *workload)
+	ds, err := deploy.Dataset(*in, *workload)
 	if err != nil {
 		fatal(err)
 	}
 	version := ds.Versions[0]
-	run := pickRun(version, *nope)
+	run := ds.Run(*nope)
 	if run == nil {
 		fatal(fmt.Errorf("cosy: no test run with %d PEs", *nope))
 	}
@@ -115,80 +111,31 @@ func main() {
 	if *cache == "off" && len(shardAddrs) > 0 {
 		usageError("-cache=off only reaches the in-process database; configure the servers with kojakdb -cache-size 0")
 	}
-	if *sqlEngineName != sqldb.EngineVector && len(shardAddrs) > 0 {
-		usageError("-sql-engine only reaches the in-process database; select the servers' engine with kojakdb -engine")
-	}
 	// The dialect only changes how property queries are rendered, which only
 	// the sql engine does. It composes with -db (kojakdb servers parse every
-	// registered dialect) and with -sql-engine (both in-process SELECT engines
-	// execute the same parsed statements); schema DDL and the dataset load
-	// always ship in the canonical dialect.
+	// registered dialect); schema DDL and the dataset load always ship in the
+	// canonical dialect.
 	if *sqlDialect != build.Kojakdb.Name && *engine != "sql" {
 		usageError("-sql-dialect only affects -engine sql (the %s engine does not render property SQL)", *engine)
 	}
 
 	// The SQL engines need a loaded database: in process by default, a
 	// pooled kojakdb server, or a set of kojakdb shards loaded run-wise.
-	sqlEngine := *engine == "sql" || *engine == "client"
 	var q core.QueryExec
-	if sqlEngine {
-		size := *workers
-		if size <= 0 {
-			size = runtime.GOMAXPROCS(0)
+	if *engine == "sql" || *engine == "client" {
+		var closeDB func()
+		q, closeDB, err = deploy.Open(g, shardAddrs, deploy.Conns(1, *workers), *preloaded)
+		if err != nil {
+			fatal(err)
 		}
-		switch {
-		case len(shardAddrs) > 1:
-			sdb, err := godbc.DialSharded(shardAddrs, size)
-			if err != nil {
-				fatal(err)
-			}
-			defer sdb.Close()
-			if *fetchSize > 0 {
-				sdb.SetFetchSize(*fetchSize)
-			}
-			if !*preloaded {
-				if err := loadSharded(g, sdb); err != nil {
-					fatal(err)
-				}
-			}
-			q = sdb
-		case len(shardAddrs) == 1:
-			pool, err := godbc.NewPool(shardAddrs[0], size)
-			if err != nil {
-				fatal(err)
-			}
-			defer pool.Close()
-			if *fetchSize > 0 {
-				pool.SetFetchSize(*fetchSize)
-			}
-			if !*preloaded {
-				if err := loadSingle(g, sqlgen.ExecutorFunc(func(s string, p *sqldb.Params) (int, error) {
-					res, err := pool.Exec(s, p)
-					return res.Affected, err
-				})); err != nil {
-					fatal(err)
-				}
-			}
-			q = pool
-		default:
-			db := sqldb.NewDB()
-			if *cache == "off" {
-				db.SetResultCacheSize(0)
-			}
-			if err := db.SetEngine(*sqlEngineName); err != nil {
-				usageError("%v", err)
-			}
-			exec := sqlgen.ExecutorFunc(func(s string, p *sqldb.Params) (int, error) {
-				res, err := db.Exec(s, p)
-				if err != nil {
-					return 0, err
-				}
-				return res.Affected, nil
-			})
-			if err := loadSingle(g, exec); err != nil {
-				fatal(err)
-			}
-			q = godbc.Embedded{DB: db}
+		defer closeDB()
+		if fs, ok := q.(interface{ SetFetchSize(int) }); ok && *fetchSize > 0 {
+			fs.SetFetchSize(*fetchSize)
+		}
+		// Only the in-process engine is cosy's to configure; -cache=off with
+		// -db was refused above.
+		if e, ok := q.(godbc.Embedded); ok && *cache == "off" {
+			e.DB.SetResultCacheSize(0)
 		}
 	}
 
@@ -244,64 +191,11 @@ func validateFlags() {
 	check("fetchsize", atLeast1, "must be at least 1 (omit the flag for the default)")
 	check("db", func(s string) bool { return strings.TrimSpace(s) != "" }, "must name at least one kojakdb address")
 	check("cache", func(s string) bool { return s == "on" || s == "off" }, "must be on or off")
-	check("sql-engine", func(s string) bool { return s == sqldb.EngineVector || s == sqldb.EngineRow }, "must be vector or row")
 	check("sql-dialect", func(s string) bool { _, ok := build.Lookup(s); return ok }, "must be one of "+strings.Join(build.Names(), ", "))
 	check("nope", atLeast1, "must be at least 1 (omit the flag for the largest run)")
 	nonNegative := func(s string) bool { var f float64; _, err := fmt.Sscanf(s, "%g", &f); return err == nil && f >= 0 }
 	check("threshold", nonNegative, "must not be negative")
 	check("imbalance-threshold", func(s string) bool { var f float64; _, err := fmt.Sscanf(s, "%g", &f); return err == nil && f > 0 }, "must be positive (omit the flag to keep the spec value)")
-}
-
-// loadSingle creates the schema and loads the whole dataset on one executor.
-func loadSingle(g *model.Graph, exec sqlgen.Executor) error {
-	if err := sqlgen.CreateSchema(g.World, exec); err != nil {
-		return err
-	}
-	_, err := sqlgen.Load(g.Store, exec)
-	return err
-}
-
-// loadSharded creates the schema on every shard and loads the dataset
-// run-wise: structural data replicates, run-owned timing rows land on the
-// shard the analyzer will query for them.
-func loadSharded(g *model.Graph, sdb *godbc.ShardedDB) error {
-	if err := sqlgen.CreateSchema(g.World, sdb.BroadcastExecutor()); err != nil {
-		return err
-	}
-	_, err := sqlgen.LoadSharded(g.Store, model.RunPartitioned(), sdb.ShardFor, sdb.ShardExecutors()...)
-	return err
-}
-
-func loadDataset(in, workload string) (*model.Dataset, error) {
-	if in != "" {
-		f, err := os.Open(in)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return apprentice.ReadSummary(f)
-	}
-	w, ok := apprentice.Library()[workload]
-	if !ok {
-		return nil, fmt.Errorf("cosy: unknown workload %q", workload)
-	}
-	return apprentice.Simulate(w, apprentice.PartitionSweep(2, 4, 8, 16, 32), 42)
-}
-
-func pickRun(v *model.Version, nope int) *model.TestRun {
-	var best *model.TestRun
-	for _, r := range v.Runs {
-		if nope > 0 {
-			if r.NoPe == nope {
-				return r
-			}
-			continue
-		}
-		if best == nil || r.NoPe > best.NoPe {
-			best = r
-		}
-	}
-	return best
 }
 
 func usageError(format string, args ...any) {

@@ -28,13 +28,10 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/apprentice"
-	"repro/internal/asl/sqlgen"
-	"repro/internal/core"
+	"repro/internal/deploy"
 	"repro/internal/godbc"
 	"repro/internal/model"
 	"repro/internal/service"
-	"repro/internal/sqldb"
 )
 
 func main() {
@@ -84,7 +81,7 @@ func main() {
 		usageError("-preloaded requires -db (the in-process database starts empty)")
 	}
 
-	ds, err := loadDataset(*in, *workload)
+	ds, err := deploy.Dataset(*in, *workload)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -94,51 +91,11 @@ func main() {
 	}
 
 	// The executor must be safe for concurrent use: capacity admitted
-	// analyses each fan out over the evaluation workers.
-	conns := *capacity * max(*workers, 1)
-	var q core.QueryExec
-	var closeDB func()
-	switch {
-	case len(shardAddrs) > 1:
-		sdb, err := godbc.DialSharded(shardAddrs, conns)
-		if err != nil {
-			log.Fatal(err)
-		}
-		closeDB = func() { sdb.Close() }
-		if !*preloaded {
-			if err := loadSharded(g, sdb); err != nil {
-				log.Fatal(err)
-			}
-		}
-		q = sdb
-	case len(shardAddrs) == 1:
-		pool, err := godbc.NewPool(shardAddrs[0], conns)
-		if err != nil {
-			log.Fatal(err)
-		}
-		closeDB = func() { pool.Close() }
-		if !*preloaded {
-			if err := loadSingle(g, sqlgen.ExecutorFunc(func(s string, p *sqldb.Params) (int, error) {
-				res, err := pool.Exec(s, p)
-				return res.Affected, err
-			})); err != nil {
-				log.Fatal(err)
-			}
-		}
-		q = pool
-	default:
-		db := sqldb.NewDB()
-		if err := loadSingle(g, sqlgen.ExecutorFunc(func(s string, p *sqldb.Params) (int, error) {
-			res, err := db.Exec(s, p)
-			if err != nil {
-				return 0, err
-			}
-			return res.Affected, nil
-		})); err != nil {
-			log.Fatal(err)
-		}
-		closeDB = func() {}
-		q = godbc.Embedded{DB: db}
+	// analyses each fan out over the evaluation workers, and every one of
+	// those workers may hold a pooled connection.
+	q, closeDB, err := deploy.Open(g, shardAddrs, deploy.Conns(*capacity, *workers), *preloaded)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	svc := service.New(g, q, service.Config{
@@ -232,41 +189,6 @@ func parseTenants(list string) (map[string]service.TenantConfig, error) {
 		out[parts[0]] = service.TenantConfig{Weight: weight, MaxInFlight: maxInFlight}
 	}
 	return out, nil
-}
-
-// loadSingle creates the schema and loads the whole dataset on one executor.
-func loadSingle(g *model.Graph, exec sqlgen.Executor) error {
-	if err := sqlgen.CreateSchema(g.World, exec); err != nil {
-		return err
-	}
-	_, err := sqlgen.Load(g.Store, exec)
-	return err
-}
-
-// loadSharded creates the schema on every shard and loads the dataset
-// run-wise, exactly as cosy does.
-func loadSharded(g *model.Graph, sdb *godbc.ShardedDB) error {
-	if err := sqlgen.CreateSchema(g.World, sdb.BroadcastExecutor()); err != nil {
-		return err
-	}
-	_, err := sqlgen.LoadSharded(g.Store, model.RunPartitioned(), sdb.ShardFor, sdb.ShardExecutors()...)
-	return err
-}
-
-func loadDataset(in, workload string) (*model.Dataset, error) {
-	if in != "" {
-		f, err := os.Open(in)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return apprentice.ReadSummary(f)
-	}
-	w, ok := apprentice.Library()[workload]
-	if !ok {
-		return nil, fmt.Errorf("cosyd: unknown workload %q", workload)
-	}
-	return apprentice.Simulate(w, apprentice.PartitionSweep(2, 4, 8, 16, 32), 42)
 }
 
 func usageError(format string, args ...any) {

@@ -1,7 +1,7 @@
 // Command cosytop renders a cosyd server's /metrics snapshot as a compact
 // text view — the operator's glance at a resident service: per-tenant
-// admission outcomes and latency percentiles, pool and multiplexer pressure,
-// and the backend engine's counters.
+// admission outcomes and latency percentiles, pool pressure, and the backend
+// engine's counters.
 //
 // One-shot by default; -interval repeats the view (top-style) until
 // interrupted or -n iterations have printed.
@@ -17,6 +17,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"sort"
@@ -79,7 +80,7 @@ func fetch(client *http.Client, addr string) (*service.MetricsSnapshot, error) {
 	return &snap, nil
 }
 
-func render(out *os.File, addr string, snap *service.MetricsSnapshot) {
+func render(out io.Writer, addr string, snap *service.MetricsSnapshot) {
 	state := "serving"
 	if snap.Draining {
 		state = "draining"
@@ -114,17 +115,17 @@ func render(out *os.File, addr string, snap *service.MetricsSnapshot) {
 			time.Duration(p.CheckoutWait.P99Nanos))
 	}
 	if b := snap.Backend; b != nil {
-		fmt.Fprintf(out, "backend  engine %s  vec %d (fallback %d)  plan cache %d/%d hit  %d requests  vendor cost %v\n",
-			b.Engine, b.VecSelects, b.VecFallbacks, b.PlanCacheHits, b.PlanCacheHits+b.PlanCacheMisses,
+		fmt.Fprintf(out, "backend  vec %d (fallback %d)  plan cache %d/%d hit  %d requests  vendor cost %v\n",
+			b.VecSelects, b.VecFallbacks, b.PlanCacheHits, b.PlanCacheHits+b.PlanCacheMisses,
 			b.Requests, time.Duration(b.VendorNanos).Round(time.Millisecond))
-		if b.VecFallbacks > 0 {
+		if r := b.VecFallbackReasons; b.VecFallbacks > 0 {
 			fmt.Fprintf(out, "backend  fallback reasons  join-shape %d  star %d  order-by-expr %d  subquery %d  other %d\n",
-				b.FbJoinShape, b.FbStar, b.FbOrderExpr, b.FbSubquery, b.FbOther)
+				r.JoinShape, r.Star, r.OrderExpr, r.Subquery, r.Other)
 		}
-	}
-	if c := snap.Cache; c != nil {
+		fmt.Fprintf(out, "backend  prepared %d live (%d replans)  %d batches carrying %d bindings\n",
+			b.PreparedLive, b.Replans, b.BatchExecs, b.BatchBindings)
 		fmt.Fprintf(out, "cache  %d hits  %d misses  %d invalidations  %d evictions  %d entries\n",
-			c.Hits, c.Misses, c.Invalidations, c.Evictions, c.Entries)
+			b.ResultCacheHits, b.ResultCacheMisses, b.ResultCacheInvalidations, b.ResultCacheEvictions, b.ResultCacheEntries)
 	}
 }
 

@@ -41,7 +41,6 @@ func main() {
 	shards := flag.Int("shards", 1, "total shard count of the deployment this instance belongs to")
 	maxConcurrent := flag.Int("max-concurrent", 0, "statements executed simultaneously; 0 means unbounded")
 	cacheSize := flag.Int("cache-size", sqldb.DefaultResultCacheSize, "result-cache capacity in cached SELECT results; 0 disables the cache")
-	engine := flag.String("engine", sqldb.EngineVector, "SELECT execution engine: vector (columnar, batch-at-a-time) or row (tuple-at-a-time interpreter)")
 	flag.Parse()
 
 	switch {
@@ -68,9 +67,6 @@ func main() {
 
 	db := sqldb.NewDB()
 	db.SetResultCacheSize(*cacheSize)
-	if err := db.SetEngine(*engine); err != nil {
-		usageError("%v", err)
-	}
 	if *schema {
 		world := model.MustCompileSpec()
 		exec := sqlgen.ExecutorFunc(func(q string, p *sqldb.Params) (int, error) {
@@ -101,7 +97,7 @@ func main() {
 	if *shards > 1 {
 		identity = fmt.Sprintf(", shard %d/%d", *shardID, *shards)
 	}
-	fmt.Printf("kojakdb: serving on %s (profile %s, engine %s, schema=%v%s)\n", srv.Addr(), profile, *engine, *schema, identity)
+	fmt.Printf("kojakdb: serving on %s (profile %s, schema=%v%s)\n", srv.Addr(), profile, *schema, identity)
 
 	// Graceful shutdown on SIGINT and SIGTERM: stop accepting, give the
 	// connected clients up to -drain to finish their in-flight requests and
@@ -134,8 +130,8 @@ func main() {
 		st.BatchExecs, st.BatchBindings)
 	fmt.Printf("kojakdb: result cache: %d hits, %d misses, %d invalidations, %d evictions (%d cached results)\n",
 		st.ResultCacheHits, st.ResultCacheMisses, st.ResultCacheInvalidations, st.ResultCacheEvictions, st.ResultCacheEntries)
-	fmt.Printf("kojakdb: execution engine %s: %d vectorized selects, %d row-engine fallbacks\n",
-		st.Engine, st.VecSelects, st.VecFallbacks)
+	fmt.Printf("kojakdb: select execution: %d vectorized selects, %d row-interpreter fallbacks\n",
+		st.VecSelects, st.VecFallbacks)
 	if st.VecFallbacks > 0 {
 		r := st.VecFallbackReasons
 		fmt.Printf("kojakdb: fallback reasons: %d join-shape, %d star, %d order-by-expr, %d subquery, %d other\n",

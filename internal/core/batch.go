@@ -33,10 +33,6 @@ const DefaultBatchSize = 32
 // per-instance execution regardless.
 func WithBatchSize(n int) Option { return func(a *Analyzer) { a.batchSize = n } }
 
-// SetBatchSize changes the batch size after construction; the value is
-// interpreted as in WithBatchSize.
-func (a *Analyzer) SetBatchSize(n int) { a.batchSize = n }
-
 // BatchSize returns the effective batch size used for an analysis.
 func (a *Analyzer) BatchSize() int {
 	if a.batchSize <= 0 {

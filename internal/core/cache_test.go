@@ -48,8 +48,8 @@ func TestCachedAnalysisDeterminism(t *testing.T) {
 		if cold != wantBefore || warm != wantBefore {
 			t.Errorf("workers=%d: cached reports differ from the cache-off baseline", workers)
 		}
-		stats, _, _ := q.CacheStats()
-		if stats.Hits == 0 {
+		stats, _, _ := q.ServerStats()
+		if stats.ResultCacheHits == 0 {
 			t.Errorf("workers=%d: warm analysis recorded no cache hits", workers)
 		}
 		if _, err := onDB.Exec(halveTypedTiming, nil); err != nil {
@@ -96,11 +96,11 @@ func TestCachedShardedDeterminism(t *testing.T) {
 				t.Errorf("shards=%d workers=%d: cached reports differ from the baseline", shards, workers)
 			}
 		}
-		stats, ok, err := h.sdb.CacheStats()
+		stats, ok, err := h.sdb.ServerStats()
 		if err != nil || !ok {
-			t.Fatalf("shards=%d: CacheStats: ok=%v err=%v", shards, ok, err)
+			t.Fatalf("shards=%d: ServerStats: ok=%v err=%v", shards, ok, err)
 		}
-		if stats.Hits == 0 {
+		if stats.ResultCacheHits == 0 {
 			t.Errorf("shards=%d: warm analyses recorded no cache hits", shards)
 		}
 
@@ -160,16 +160,16 @@ func TestCacheSurvivesUnrelatedTableDML(t *testing.T) {
 	if _, err := a.AnalyzeSQL(run, q); err != nil {                   // ...so warm it again
 		t.Fatal(err)
 	}
-	before, _, _ := q.CacheStats()
+	before, _, _ := q.ServerStats()
 	db.MustExec(`INSERT INTO scratch (id) VALUES (1)`, nil)
 	if _, err := a.AnalyzeSQL(run, q); err != nil {
 		t.Fatal(err)
 	}
-	after, _, _ := q.CacheStats()
-	if after.Invalidations != before.Invalidations {
-		t.Errorf("unrelated DML invalidated %d entries", after.Invalidations-before.Invalidations)
+	after, _, _ := q.ServerStats()
+	if after.ResultCacheInvalidations != before.ResultCacheInvalidations {
+		t.Errorf("unrelated DML invalidated %d entries", after.ResultCacheInvalidations-before.ResultCacheInvalidations)
 	}
-	if after.Hits <= before.Hits {
-		t.Errorf("analysis after unrelated DML did not hit the cache (hits %d -> %d)", before.Hits, after.Hits)
+	if after.ResultCacheHits <= before.ResultCacheHits {
+		t.Errorf("analysis after unrelated DML did not hit the cache (hits %d -> %d)", before.ResultCacheHits, after.ResultCacheHits)
 	}
 }

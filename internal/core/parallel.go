@@ -25,18 +25,24 @@ func WithWorkers(n int) Option { return func(a *Analyzer) { a.workers = n } }
 func (a *Analyzer) SetWorkers(n int) { a.workers = n }
 
 // Workers returns the effective worker count used for an analysis.
-func (a *Analyzer) Workers() int {
-	if a.workers <= 0 {
+func (a *Analyzer) Workers() int { return Workers(a.workers) }
+
+// Workers resolves a worker count as WithWorkers takes it to the number of
+// workers an analysis really runs: n <= 0 is runtime.GOMAXPROCS(0). Whoever
+// sizes a connection pool for analyses sizes it by this, not by n.
+func Workers(n int) int {
+	if n <= 0 {
 		return runtime.GOMAXPROCS(0)
 	}
-	return a.workers
+	return n
 }
 
 // ConcurrentQuerier is implemented by query executors that are safe for
-// concurrent use — godbc.Pool, godbc.Embedded, and godbc.ProfiledEmbedded.
-// The SQL engines fall back to a single worker for executors that do not
-// advertise concurrency (a bare godbc.Conn is one socket with an ordered
-// protocol, like a JDBC Connection).
+// concurrent use — godbc.Pool, godbc.ShardedDB, and a godbc.Embedded that
+// charges no vendor profile. The SQL engines fall back to a single worker for
+// executors that do not advertise concurrency (a bare godbc.Conn is one socket
+// with an ordered protocol, like a JDBC Connection; a profiled Embedded is one
+// serial local driver).
 type ConcurrentQuerier interface {
 	ConcurrentQuery() bool
 }

@@ -105,32 +105,16 @@ func (ps *PooledStmt) ExecQueryBatchContext(ctx context.Context, bindings []*sql
 }
 
 // ExecQueryBatch implements sqlgen.BatchPreparedQuery on the in-process
-// engine: one statement-lock acquisition for the whole batch.
+// engine: one statement-lock acquisition for the whole batch, with the
+// vendor's per-binding costs applied. There is no round trip to amortize in
+// process; a profiled batch costs what the same executions cost one by one.
 func (s embeddedStmt) ExecQueryBatch(bindings []*sqldb.Params) ([]sqlgen.BatchQueryResult, error) {
 	return s.ExecQueryBatchContext(context.Background(), bindings)
 }
 
 // ExecQueryBatchContext hands ctx to the engine, which observes it between
-// bindings.
+// bindings, and to the vendor delay.
 func (s embeddedStmt) ExecQueryBatchContext(ctx context.Context, bindings []*sqldb.Params) ([]sqlgen.BatchQueryResult, error) {
-	results, err := s.ps.ExecuteBatchContext(ctx, bindings)
-	if err != nil {
-		return nil, err
-	}
-	return toQueryResults(results), nil
-}
-
-// ExecQueryBatch implements sqlgen.BatchPreparedQuery with the vendor's
-// per-binding costs applied. There is no round trip to amortize in process;
-// profiled batches exist so the batched analyzer runs against this executor
-// with the same cost model as per-execution calls.
-func (s profiledStmt) ExecQueryBatch(bindings []*sqldb.Params) ([]sqlgen.BatchQueryResult, error) {
-	return s.ExecQueryBatchContext(context.Background(), bindings)
-}
-
-// ExecQueryBatchContext is ExecQueryBatch observing ctx between bindings and
-// during the vendor delay.
-func (s profiledStmt) ExecQueryBatchContext(ctx context.Context, bindings []*sqldb.Params) ([]sqlgen.BatchQueryResult, error) {
 	results, err := s.ps.ExecuteBatchContext(ctx, bindings)
 	if err != nil {
 		return nil, err
@@ -169,8 +153,6 @@ func toQueryResults(results []sqldb.BatchResult) []sqlgen.BatchQueryResult {
 var _ sqlgen.BatchPreparedQuery = (*Stmt)(nil)
 var _ sqlgen.BatchPreparedQuery = (*PooledStmt)(nil)
 var _ sqlgen.BatchPreparedQuery = embeddedStmt{}
-var _ sqlgen.BatchPreparedQuery = profiledStmt{}
 var _ sqlgen.ContextBatchPreparedQuery = (*Stmt)(nil)
 var _ sqlgen.ContextBatchPreparedQuery = (*PooledStmt)(nil)
 var _ sqlgen.ContextBatchPreparedQuery = embeddedStmt{}
-var _ sqlgen.ContextBatchPreparedQuery = profiledStmt{}

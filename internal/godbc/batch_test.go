@@ -56,7 +56,7 @@ func TestEmbeddedStmtExecQueryBatch(t *testing.T) {
 
 func TestProfiledEmbeddedStmtExecQueryBatch(t *testing.T) {
 	db, _ := startServer(t)
-	pe := godbc.ProfiledEmbedded{DB: db, Profile: wire.ProfileAccess}
+	pe := godbc.Embedded{DB: db, Profile: wire.ProfileAccess}
 	pq, err := pe.PrepareQuery("SELECT v FROM t WHERE id = ?")
 	if err != nil {
 		t.Fatal(err)

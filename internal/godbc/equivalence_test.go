@@ -97,7 +97,7 @@ func TestContextEquivalence(t *testing.T) {
 		}},
 		{"ProfiledEmbedded", func(t *testing.T) (executor, *wire.Server) {
 			db, _ := startCachePair(t)
-			return godbc.ProfiledEmbedded{DB: db, Profile: wire.ProfileMSSQL}, nil
+			return godbc.Embedded{DB: db, Profile: wire.ProfileMSSQL}, nil
 		}},
 	}
 

@@ -262,62 +262,21 @@ type Executor interface {
 }
 
 // Embedded adapts an in-process sqldb.DB to the Executor interface — the
-// "MS Access" local configuration and the stand-in for C-based direct
-// access.
+// stand-in for C-based direct access, and, with a Profile, the "MS Access
+// through a local driver" configuration of the paper's comparison: the
+// vendor's statement, prepare and per-row costs are applied client side
+// (round-trip delays do not apply — there is no network). The zero Profile
+// charges nothing.
 type Embedded struct {
-	DB *sqldb.DB
-}
-
-// Exec implements Executor.
-func (e Embedded) Exec(query string, params *sqldb.Params) (Result, error) {
-	res, err := e.DB.Exec(query, params)
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{Affected: res.Affected}, nil
-}
-
-// ExecQuery implements Executor.
-func (e Embedded) ExecQuery(query string, params *sqldb.Params) (*sqldb.ResultSet, error) {
-	return e.ExecQueryContext(context.Background(), query, params)
-}
-
-// ExecQueryContext checks ctx before executing; the in-process scan itself
-// is uninterruptible but fast.
-func (e Embedded) ExecQueryContext(ctx context.Context, query string, params *sqldb.Params) (*sqldb.ResultSet, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return resultSet(e.DB.Exec(query, params))
-}
-
-// resultSet unwraps an engine result that must carry rows.
-func resultSet(res *sqldb.Result, err error) (*sqldb.ResultSet, error) {
-	if err != nil {
-		return nil, err
-	}
-	if res.Set == nil {
-		return nil, fmt.Errorf("godbc: statement produced no result set")
-	}
-	return res.Set, nil
-}
-
-// ConcurrentQuery marks the embedded engine as safe for concurrent querying
-// (sqldb serializes writers against readers internally).
-func (e Embedded) ConcurrentQuery() bool { return true }
-
-// ProfiledEmbedded is an in-process executor with a vendor profile applied
-// client side: the "MS Access through a local driver" configuration of the
-// paper's comparison. Round-trip delays do not apply (there is no network).
-type ProfiledEmbedded struct {
 	DB      *sqldb.DB
 	Profile wire.Profile
 }
 
 // Exec implements Executor. Text execution compiles the statement anew, so
 // the profile's prepare cost is charged on every call (use PrepareQuery to
-// pay it once).
-func (e ProfiledEmbedded) Exec(query string, params *sqldb.Params) (Result, error) {
+// pay it once). A result the engine's cache answered skips the vendor delays
+// — the modeled driver never compiled or executed anything.
+func (e Embedded) Exec(query string, params *sqldb.Params) (Result, error) {
 	res, err := e.DB.Exec(query, params)
 	if err != nil {
 		return Result{}, err
@@ -328,15 +287,16 @@ func (e ProfiledEmbedded) Exec(query string, params *sqldb.Params) (Result, erro
 	return Result{Affected: res.Affected}, nil
 }
 
-// ExecQuery implements Executor. A result the engine's cache answered skips
-// the vendor delays — the modeled driver never compiled or executed anything.
-func (e ProfiledEmbedded) ExecQuery(query string, params *sqldb.Params) (*sqldb.ResultSet, error) {
+// ExecQuery implements Executor.
+func (e Embedded) ExecQuery(query string, params *sqldb.Params) (*sqldb.ResultSet, error) {
 	return e.ExecQueryContext(context.Background(), query, params)
 }
 
-// ExecQueryContext applies the vendor delays through wire.DelayCtx, so a
-// canceled request stops paying simulated latency immediately.
-func (e ProfiledEmbedded) ExecQueryContext(ctx context.Context, query string, params *sqldb.Params) (*sqldb.ResultSet, error) {
+// ExecQueryContext checks ctx before executing (the in-process scan itself is
+// uninterruptible but fast) and applies the vendor delays through
+// wire.DelayCtx, so a canceled request stops paying simulated latency
+// immediately.
+func (e Embedded) ExecQueryContext(ctx context.Context, query string, params *sqldb.Params) (*sqldb.ResultSet, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -344,23 +304,34 @@ func (e ProfiledEmbedded) ExecQueryContext(ctx context.Context, query string, pa
 	return chargedSet(ctx, res, err, e.Profile.PerPrepare+e.Profile.PerStatement, e.Profile.PerRowRead)
 }
 
-// chargedSet unwraps an engine result like resultSet and charges the vendor's
-// fixed and per-row costs for it, unless the engine's cache answered.
+// chargedSet unwraps an engine result that must carry rows and charges the
+// vendor's fixed and per-row costs for it, unless the engine's cache answered.
 func chargedSet(ctx context.Context, res *sqldb.Result, err error, fixed, perRow time.Duration) (*sqldb.ResultSet, error) {
-	set, err := resultSet(res, err)
-	if err != nil || res.Cached {
-		return set, err
-	}
-	if err := wire.DelayCtx(ctx, fixed+time.Duration(len(set.Rows))*perRow); err != nil {
+	if err != nil {
 		return nil, err
 	}
-	return set, nil
+	if res.Set == nil {
+		return nil, fmt.Errorf("godbc: statement produced no result set")
+	}
+	if res.Cached {
+		return res.Set, nil
+	}
+	if err := wire.DelayCtx(ctx, fixed+time.Duration(len(res.Set.Rows))*perRow); err != nil {
+		return nil, err
+	}
+	return res.Set, nil
 }
 
-// ProfiledEmbedded deliberately does not implement ConcurrentQuery: it
+// ConcurrentQuery reports whether workers may share the executor. The engine
+// is safe for concurrent querying (sqldb serializes writers against readers
+// internally), so an uncharged Embedded is; one that charges vendor costs
 // emulates a single serial local driver, and letting workers overlap (and
 // concurrently spin) its simulated delays would divide the very cost the
 // profile exists to model.
+func (e Embedded) ConcurrentQuery() bool {
+	p := e.Profile
+	return p.PerPrepare+p.PerStatement+p.PerRowWrite+p.PerRowRead == 0
+}
 
 // CursorQuery adapts a connection so that every ExecQuery is served through
 // a row-at-a-time cursor — the JDBC default the paper's client-side
@@ -388,7 +359,5 @@ func (c CursorQuery) ExecQuery(query string, params *sqldb.Params) (*sqldb.Resul
 
 var _ Executor = (*Conn)(nil)
 var _ Executor = Embedded{}
-var _ Executor = ProfiledEmbedded{}
 var _ sqlgen.ContextQueryExecutor = (*Conn)(nil)
 var _ sqlgen.ContextQueryExecutor = Embedded{}
-var _ sqlgen.ContextQueryExecutor = ProfiledEmbedded{}

@@ -7,7 +7,10 @@ package godbc
 // from atomics, ServerStats is fetched from the wire server through
 // ReqServerStats (built and decoded in request.go).
 
-import "repro/internal/metrics"
+import (
+	"repro/internal/metrics"
+	"repro/internal/sqldb/wire"
+)
 
 // PoolStats is a snapshot of one connection pool's counters. Capacity, InUse,
 // and Idle are current occupancy; the rest are cumulative since the pool was
@@ -58,44 +61,14 @@ func (s *ShardedDB) PoolMetrics() []PoolStats {
 	return out
 }
 
-// ServerStats is a snapshot of a wire server's engine and cost counters: the
-// backend half of the picture PoolStats draws on the client. For
-// a sharded database it is the sum over all shards.
-type ServerStats struct {
-	Engine       string `json:"engine"`
-	VecSelects   int64  `json:"vec_selects"`
-	VecFallbacks int64  `json:"vec_fallbacks"`
-	// FbJoinShape..FbOther break VecFallbacks down by refused plan shape.
-	FbJoinShape     int64 `json:"fb_join_shape"`
-	FbStar          int64 `json:"fb_star"`
-	FbOrderExpr     int64 `json:"fb_order_expr"`
-	FbSubquery      int64 `json:"fb_subquery"`
-	FbOther         int64 `json:"fb_other"`
-	PlanCacheHits   int64 `json:"plan_cache_hits"`
-	PlanCacheMisses int64 `json:"plan_cache_misses"`
-	Requests        int64 `json:"requests"`
-	// VendorNanos is the cumulative simulated vendor delay the server has
-	// charged — what the workload cost at the profiled vendor's prices.
-	VendorNanos int64 `json:"vendor_ns"`
-}
+// ServerStats is the backend half of the picture PoolStats draws on the
+// client: the engine's counters as sqldb.Stats declares them (result cache,
+// plan cache, prepared handles, batches, vectorized selects and fallbacks)
+// plus the wire server's request count and cumulative vendor cost. It is the
+// wire's own type — nothing is copied field by field on the way here.
+type ServerStats = wire.ServerStats
 
-// add sums o into ss; Engine is taken from o (deployments are homogeneous).
-func (ss *ServerStats) add(o ServerStats) {
-	ss.Engine = o.Engine
-	ss.VecSelects += o.VecSelects
-	ss.VecFallbacks += o.VecFallbacks
-	ss.FbJoinShape += o.FbJoinShape
-	ss.FbStar += o.FbStar
-	ss.FbOrderExpr += o.FbOrderExpr
-	ss.FbSubquery += o.FbSubquery
-	ss.FbOther += o.FbOther
-	ss.PlanCacheHits += o.PlanCacheHits
-	ss.PlanCacheMisses += o.PlanCacheMisses
-	ss.Requests += o.Requests
-	ss.VendorNanos += o.VendorNanos
-}
-
-// ServerStats fetches the server's engine and cost counters. ok is false when
+// ServerStats fetches the server's counters in one request. ok is false when
 // the reply did not carry them; the zero stats are then returned.
 func (c *Conn) ServerStats() (ServerStats, bool, error) {
 	return serverStats(c)
@@ -111,9 +84,10 @@ func (p *Pool) ServerStats() (ServerStats, bool, error) {
 	return c.ServerStats()
 }
 
-// ServerStats sums the counters over every shard. ok is false when any
-// shard's reply lacked them; transport failures are tagged with the dead
-// shard's address.
+// ServerStats sums the counters over every shard — each shard is a server
+// and an engine of its own, so the deployment's snapshot is simply the total.
+// ok is false when any shard's reply lacked them; transport failures are
+// tagged with the dead shard's address.
 func (s *ShardedDB) ServerStats() (ServerStats, bool, error) {
 	var total ServerStats
 	ok := true
@@ -123,7 +97,7 @@ func (s *ShardedDB) ServerStats() (ServerStats, bool, error) {
 			return ServerStats{}, false, s.tag(i, err)
 		}
 		ok = ok && shardOK
-		total.add(st)
+		total.Add(st)
 	}
 	return total, ok, nil
 }
@@ -131,22 +105,5 @@ func (s *ShardedDB) ServerStats() (ServerStats, bool, error) {
 // ServerStats reads the in-process engine's counters directly. Requests and
 // VendorNanos are zero: no wire server serves this executor.
 func (e Embedded) ServerStats() (ServerStats, bool, error) {
-	st := e.DB.Stats()
-	return ServerStats{
-		Engine:          st.Engine,
-		VecSelects:      st.VecSelects,
-		VecFallbacks:    st.VecFallbacks,
-		FbJoinShape:     st.VecFallbackReasons.JoinShape,
-		FbStar:          st.VecFallbackReasons.Star,
-		FbOrderExpr:     st.VecFallbackReasons.OrderExpr,
-		FbSubquery:      st.VecFallbackReasons.Subquery,
-		FbOther:         st.VecFallbackReasons.Other,
-		PlanCacheHits:   st.PlanCacheHits,
-		PlanCacheMisses: st.PlanCacheMisses,
-	}, true, nil
-}
-
-// ServerStats reads the in-process engine's counters directly, as Embedded.
-func (e ProfiledEmbedded) ServerStats() (ServerStats, bool, error) {
-	return Embedded{DB: e.DB}.ServerStats()
+	return ServerStats{Stats: e.DB.Stats()}, true, nil
 }

@@ -192,20 +192,24 @@ func (ps *PooledStmt) Close() error {
 	return nil
 }
 
-// embeddedStmt adapts a sqldb prepared statement to sqlgen.PreparedQuery.
+// embeddedStmt adapts a sqldb prepared statement to sqlgen.PreparedQuery. The
+// vendor's compile cost was paid at prepare time, so executions are charged
+// only the profile's per-statement and per-row delays.
 type embeddedStmt struct {
-	ps *sqldb.PreparedStmt
+	ps      *sqldb.PreparedStmt
+	profile wire.Profile
 }
 
-// PrepareQuery implements sqlgen.QueryPreparer for the in-process engine;
-// the returned handle is safe for concurrent use (sqldb plans are
-// immutable).
+// PrepareQuery implements sqlgen.QueryPreparer for the in-process engine,
+// charging the profile's one-time statement-compilation delay up front; the
+// returned handle is safe for concurrent use (sqldb plans are immutable).
 func (e Embedded) PrepareQuery(query string) (sqlgen.PreparedQuery, error) {
 	ps, err := e.DB.Prepare(query)
 	if err != nil {
 		return nil, err
 	}
-	return embeddedStmt{ps: ps}, nil
+	wire.Delay(e.Profile.PerPrepare + e.Profile.PerStatement)
+	return embeddedStmt{ps: ps, profile: e.Profile}, nil
 }
 
 func (s embeddedStmt) ExecQuery(params *sqldb.Params) (*sqldb.ResultSet, error) {
@@ -216,49 +220,15 @@ func (s embeddedStmt) ExecQueryContext(ctx context.Context, params *sqldb.Params
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return resultSet(s.ps.Execute(params))
-}
-
-func (s embeddedStmt) Close() error { return s.ps.Close() }
-
-// profiledStmt is the prepared handle of ProfiledEmbedded: the vendor's
-// compile cost was paid at prepare time, so executions are charged only the
-// per-statement and per-row delays.
-type profiledStmt struct {
-	ps      *sqldb.PreparedStmt
-	profile wire.Profile
-}
-
-// PrepareQuery implements sqlgen.QueryPreparer, charging the one-time
-// statement-compilation delay up front.
-func (e ProfiledEmbedded) PrepareQuery(query string) (sqlgen.PreparedQuery, error) {
-	ps, err := e.DB.Prepare(query)
-	if err != nil {
-		return nil, err
-	}
-	wire.Delay(e.Profile.PerPrepare + e.Profile.PerStatement)
-	return profiledStmt{ps: ps, profile: e.Profile}, nil
-}
-
-func (s profiledStmt) ExecQuery(params *sqldb.Params) (*sqldb.ResultSet, error) {
-	return s.ExecQueryContext(context.Background(), params)
-}
-
-func (s profiledStmt) ExecQueryContext(ctx context.Context, params *sqldb.Params) (*sqldb.ResultSet, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
 	res, err := s.ps.Execute(params)
 	return chargedSet(ctx, res, err, s.profile.PerStatement, s.profile.PerRowRead)
 }
 
-func (s profiledStmt) Close() error { return s.ps.Close() }
+func (s embeddedStmt) Close() error { return s.ps.Close() }
 
 var _ sqlgen.QueryPreparer = (*Conn)(nil)
 var _ sqlgen.QueryPreparer = (*Pool)(nil)
 var _ sqlgen.QueryPreparer = Embedded{}
-var _ sqlgen.QueryPreparer = ProfiledEmbedded{}
 var _ sqlgen.ContextPreparedQuery = (*Stmt)(nil)
 var _ sqlgen.ContextPreparedQuery = (*PooledStmt)(nil)
 var _ sqlgen.ContextPreparedQuery = embeddedStmt{}
-var _ sqlgen.ContextPreparedQuery = profiledStmt{}

@@ -187,7 +187,7 @@ func TestEmbeddedPreparedQuery(t *testing.T) {
 	db.MustExec(`INSERT INTO t (id, v) VALUES (1, 2.5)`, nil)
 	for name, q := range map[string]sqlgen.QueryPreparer{
 		"embedded": godbc.Embedded{DB: db},
-		"profiled": godbc.ProfiledEmbedded{DB: db, Profile: wire.ProfileAccess},
+		"profiled": godbc.Embedded{DB: db, Profile: wire.ProfileAccess},
 	} {
 		pq, err := q.PrepareQuery(`SELECT v FROM t WHERE id = $id`)
 		if err != nil {

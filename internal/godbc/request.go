@@ -146,22 +146,12 @@ func queryBatch(ctx context.Context, c *Conn, stmtID int64, bindings []*sqldb.Pa
 	return out, nil
 }
 
-// cacheStats fetches the server's result-cache counters. ok reports whether
-// the reply carried them.
-func cacheStats(c *Conn) (stats CacheStats, ok bool, err error) {
-	resp, err := call(context.Background(), c, &wire.Request{Kind: wire.ReqCacheStats})
-	if err != nil || resp.Cache == nil {
-		return CacheStats{}, false, err
-	}
-	return CacheStats(*resp.Cache), true, nil
-}
-
-// serverStats fetches the server's engine and cost counters. ok reports
+// serverStats fetches the engine's and the server's counters. ok reports
 // whether the reply carried them.
 func serverStats(c *Conn) (stats ServerStats, ok bool, err error) {
 	resp, err := call(context.Background(), c, &wire.Request{Kind: wire.ReqServerStats})
 	if err != nil || resp.Server == nil {
 		return ServerStats{}, false, err
 	}
-	return ServerStats(*resp.Server), true, nil
+	return *resp.Server, true, nil
 }

@@ -126,9 +126,6 @@ func DialSharded(addrs []string, connsPerShard int, opts ...ShardedOption) (*Sha
 // Shards returns the shard count.
 func (s *ShardedDB) Shards() int { return len(s.pools) }
 
-// Addrs returns the shard addresses, in shard-index order.
-func (s *ShardedDB) Addrs() []string { return append([]string(nil), s.addrs...) }
-
 // ShardFor returns the index of the shard owning a run. Loaders pass this to
 // sqlgen.LoadSharded so data and queries route identically.
 func (s *ShardedDB) ShardFor(runID int64) int { return s.policy(runID, len(s.pools)) }
@@ -164,13 +161,14 @@ func SplitAddrs(list string) ([]string, error) {
 	return addrs, nil
 }
 
-// loaderExec adapts any godbc executor to the loader's (affected, error)
-// shape.
-type loaderExec struct{ e Executor }
-
-func (l loaderExec) Exec(query string, params *sqldb.Params) (int, error) {
-	res, err := l.e.Exec(query, params)
-	return res.Affected, err
+// Loader adapts any godbc executor — a Pool, an Embedded, a whole ShardedDB —
+// to the (affected, error) shape sqlgen.CreateSchema and sqlgen.Load write
+// through.
+func Loader(e Executor) sqlgen.Executor {
+	return sqlgen.ExecutorFunc(func(query string, params *sqldb.Params) (int, error) {
+		res, err := e.Exec(query, params)
+		return res.Affected, err
+	})
 }
 
 // ShardExecutors returns one loader-compatible executor per shard, in shard
@@ -178,7 +176,7 @@ func (l loaderExec) Exec(query string, params *sqldb.Params) (int, error) {
 func (s *ShardedDB) ShardExecutors() []sqlgen.Executor {
 	execs := make([]sqlgen.Executor, len(s.pools))
 	for i, p := range s.pools {
-		execs[i] = loaderExec{e: p}
+		execs[i] = Loader(p)
 	}
 	return execs
 }
@@ -186,7 +184,7 @@ func (s *ShardedDB) ShardExecutors() []sqlgen.Executor {
 // BroadcastExecutor returns a loader-compatible executor that runs every
 // statement on all shards — the executor to hand sqlgen.CreateSchema so the
 // schema exists everywhere.
-func (s *ShardedDB) BroadcastExecutor() sqlgen.Executor { return loaderExec{e: s} }
+func (s *ShardedDB) BroadcastExecutor() sqlgen.Executor { return Loader(s) }
 
 // Close closes every shard pool, returning the first error.
 func (s *ShardedDB) Close() error {

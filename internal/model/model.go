@@ -96,6 +96,28 @@ type Dataset struct {
 	Versions []*Version
 }
 
+// Run resolves a test run by processor count: the first run (in version, then
+// run order) with nope PEs, or, for nope 0, the run with the most PEs. It
+// returns nil when no run qualifies. This is the one place "-nope N, default
+// largest" is decided, for the cosy command line and the cosyd service alike.
+func (d *Dataset) Run(nope int) *TestRun {
+	var best *TestRun
+	for _, v := range d.Versions {
+		for _, r := range v.Runs {
+			if nope > 0 {
+				if r.NoPe == nope {
+					return r
+				}
+				continue
+			}
+			if best == nil || r.NoPe > best.NoPe {
+				best = r
+			}
+		}
+	}
+	return best
+}
+
 // Version mirrors ProgVersion.
 type Version struct {
 	Compilation time.Time

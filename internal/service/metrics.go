@@ -123,8 +123,8 @@ func (m *Metrics) Uptime() time.Duration { return time.Since(m.start) }
 
 // MetricsSnapshot is the complete observable state of a cosyd process — the
 // JSON document GET /metrics returns. Sections that do not apply to the
-// deployment (no pool when embedded, no backend stats when the kojakdb
-// server predates the extension) are omitted rather than zeroed.
+// deployment (no pool when embedded, no backend stats from an executor that
+// cannot report them) are omitted rather than zeroed.
 type MetricsSnapshot struct {
 	UptimeSeconds float64 `json:"uptime_seconds"`
 	// Draining is true once shutdown began; /healthz turns 503 with it.
@@ -141,17 +141,18 @@ type MetricsSnapshot struct {
 	// single-backend service has one).
 	Pools []godbc.PoolStats `json:"pools,omitempty"`
 
-	// Backend carries the database engine's own counters (vectorized
-	// selects and fallbacks, plan cache, cumulative vendor cost) and Cache
-	// the result-cache counters, when the executor can report them.
+	// Backend carries the database's own counters, when the executor can
+	// report them: the engine's whole snapshot (result cache, plan cache,
+	// prepared handles, batches, vectorized selects and fallbacks) as
+	// sqldb.Stats declares it, plus the wire servers' request count and
+	// cumulative vendor cost. Summed over the shards of a sharded database.
 	Backend *godbc.ServerStats `json:"backend,omitempty"`
-	Cache   *godbc.CacheStats  `json:"cache,omitempty"`
 }
 
 // MetricsSnapshot assembles the service-level sections of the snapshot:
 // uptime, admission counters, per-tenant metrics, and whatever the executor
-// can report about pools, the engine, and the result cache. The server-level
-// fields (Draining, Conns, Goroutines) are filled by Server.MetricsSnapshot.
+// can report about pools and the backend. The server-level fields (Draining,
+// Conns, Goroutines) are filled by Server.MetricsSnapshot.
 func (s *Service) MetricsSnapshot() MetricsSnapshot {
 	snap := MetricsSnapshot{
 		UptimeSeconds: s.met.Uptime().Seconds(),
@@ -169,13 +170,6 @@ func (s *Service) MetricsSnapshot() MetricsSnapshot {
 	}); ok {
 		if st, supported, err := bs.ServerStats(); err == nil && supported {
 			snap.Backend = &st
-		}
-	}
-	if cs, ok := s.q.(interface {
-		CacheStats() (godbc.CacheStats, bool, error)
-	}); ok {
-		if st, supported, err := cs.CacheStats(); err == nil && supported {
-			snap.Cache = &st
 		}
 	}
 	return snap

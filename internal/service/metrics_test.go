@@ -9,7 +9,9 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"net/http"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -148,11 +150,53 @@ func TestMetricsReconcileWithClientCounts(t *testing.T) {
 	if snap.Backend == nil {
 		t.Fatal("backend section missing from a wire-backed service")
 	}
-	if snap.Backend.Requests == 0 || snap.Backend.Engine == "" {
-		t.Errorf("backend section is empty: %+v", snap.Backend)
+	// The backend section is the engine's whole snapshot plus the server's
+	// own counters: the analyses ran as prepared batches, and the repeats
+	// were answered from the result cache.
+	if b := snap.Backend; b.Requests == 0 || b.BatchExecs == 0 || b.PreparedLive == 0 || b.ResultCacheHits == 0 {
+		t.Errorf("backend section is empty: %+v", b)
 	}
-	if snap.Cache == nil {
-		t.Error("cache section missing from a wire-backed service")
+}
+
+// TestMetricsBackendKeys pins the key set of the /metrics "backend" section:
+// it is the JSON of sqldb.Stats plus the wire server's two counters, so a
+// field renamed or retagged there changes what operators and scrapers read.
+// Such a change must show up here as a deliberate diff.
+func TestMetricsBackendKeys(t *testing.T) {
+	_, _, maddr := startMetricsService(t, wire.ProfileFast, service.Config{Capacity: 1})
+	resp, err := http.Get("http://" + maddr + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var doc struct {
+		Backend map[string]json.RawMessage `json:"backend"`
+		Cache   json.RawMessage            `json:"cache"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+		t.Fatal(err)
+	}
+	if doc.Cache != nil {
+		t.Error(`/metrics still has a "cache" section; the result-cache counters live in "backend"`)
+	}
+	keys := func(m map[string]json.RawMessage) []string { return slices.Sorted(maps.Keys(m)) }
+	want := []string{
+		"batch_bindings", "batch_execs",
+		"plan_cache_entries", "plan_cache_evictions", "plan_cache_hits", "plan_cache_misses",
+		"prepared_live", "replans", "requests",
+		"result_cache_entries", "result_cache_evictions", "result_cache_hits",
+		"result_cache_invalidations", "result_cache_misses",
+		"vec_fallback_reasons", "vec_fallbacks", "vec_selects", "vendor_ns",
+	}
+	if got := keys(doc.Backend); !slices.Equal(got, want) {
+		t.Errorf("backend keys:\n got %v\nwant %v", got, want)
+	}
+	var reasons map[string]json.RawMessage
+	if err := json.Unmarshal(doc.Backend["vec_fallback_reasons"], &reasons); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := keys(reasons), []string{"join_shape", "order_expr", "other", "star", "subquery"}; !slices.Equal(got, want) {
+		t.Errorf("vec_fallback_reasons keys:\n got %v\nwant %v", got, want)
 	}
 }
 

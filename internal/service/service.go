@@ -55,27 +55,13 @@ func (s *Service) Admission() *Admission { return s.adm }
 
 // Run resolves a test run by processor count; nope 0 selects the largest.
 func (s *Service) Run(nope int) (*model.TestRun, error) {
-	var best *model.TestRun
-	for _, v := range s.graph.Dataset.Versions {
-		for _, r := range v.Runs {
-			if nope > 0 {
-				if r.NoPe == nope {
-					return r, nil
-				}
-				continue
-			}
-			if best == nil || r.NoPe > best.NoPe {
-				best = r
-			}
-		}
+	if run := s.graph.Dataset.Run(nope); run != nil {
+		return run, nil
 	}
 	if nope > 0 {
 		return nil, fmt.Errorf("service: no test run with %d PEs", nope)
 	}
-	if best == nil {
-		return nil, fmt.Errorf("service: dataset has no test runs")
-	}
-	return best, nil
+	return nil, fmt.Errorf("service: dataset has no test runs")
 }
 
 // Analyze evaluates one run on behalf of a tenant: admission first (the

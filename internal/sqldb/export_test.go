@@ -1,0 +1,37 @@
+package sqldb
+
+// SetStats makes db.Stats() report s, for tests that follow a snapshot through
+// the layers above the engine. Counters are stored as they are; the two cache
+// populations, which Stats reads off the LRU lists, are made real with
+// placeholder entries. The database is good for nothing but Stats afterwards.
+func (db *DB) SetStats(s Stats) {
+	db.planHits.Store(s.PlanCacheHits)
+	db.planMisses.Store(s.PlanCacheMisses)
+	db.planEvicts.Store(s.PlanCacheEvictions)
+	db.planLRU.Init()
+	for range s.PlanCacheEntries {
+		db.planLRU.PushBack(&planCacheEntry{})
+	}
+	db.preparedLive.Store(s.PreparedLive)
+	db.replans.Store(s.Replans)
+	db.batchExecs.Store(s.BatchExecs)
+	db.batchBindings.Store(s.BatchBindings)
+
+	db.resHits.Store(s.ResultCacheHits)
+	db.resMisses.Store(s.ResultCacheMisses)
+	db.resInvalid.Store(s.ResultCacheInvalidations)
+	db.resEvicts.Store(s.ResultCacheEvictions)
+	db.resLRU.Init()
+	for range s.ResultCacheEntries {
+		db.resLRU.PushBack(&resultCacheEntry{})
+	}
+
+	db.vecSelects.Store(s.VecSelects)
+	db.vecFallbacks.Store(s.VecFallbacks)
+	r := s.VecFallbackReasons
+	db.vecFbJoin.Store(r.JoinShape)
+	db.vecFbStar.Store(r.Star)
+	db.vecFbOrder.Store(r.OrderExpr)
+	db.vecFbSub.Store(r.Subquery)
+	db.vecFbOther.Store(r.Other)
+}

@@ -520,56 +520,73 @@ func (db *DB) clearPlanCache() {
 	clear(db.planIdx)
 }
 
-// Stats is a snapshot of the prepared-statement machinery.
+// Stats is a snapshot of the engine's counters, and their only declaration:
+// the wire carries the struct whole (wire.ServerStats embeds it), the driver
+// sums it across shards through Counters, and its JSON is the "backend"
+// section of cosyd's /metrics. A counter added here and to Counters reaches
+// all of them; nothing else spells the fields out.
 type Stats struct {
 	// PlanCacheHits / Misses / Evictions count ad-hoc Exec traffic through
 	// the LRU plan cache; PlanCacheEntries is the current cache population.
-	PlanCacheHits      int64
-	PlanCacheMisses    int64
-	PlanCacheEvictions int64
-	PlanCacheEntries   int
+	PlanCacheHits      int64 `json:"plan_cache_hits"`
+	PlanCacheMisses    int64 `json:"plan_cache_misses"`
+	PlanCacheEvictions int64 `json:"plan_cache_evictions"`
+	PlanCacheEntries   int64 `json:"plan_cache_entries"`
 	// PreparedLive counts Prepare handles not yet closed.
-	PreparedLive int64
+	PreparedLive int64 `json:"prepared_live"`
 	// Replans counts plans rebuilt after DDL invalidated them.
-	Replans int64
+	Replans int64 `json:"replans"`
 	// BatchExecs counts ExecuteBatch calls; BatchBindings the parameter sets
 	// they carried (bindings/execs is the achieved amortization factor).
-	BatchExecs    int64
-	BatchBindings int64
+	BatchExecs    int64 `json:"batch_execs"`
+	BatchBindings int64 `json:"batch_bindings"`
 	// ResultCacheHits / Misses count SELECT executions answered from (or
 	// stored into) the result cache; ResultCacheInvalidations counts entries
 	// found stale at lookup because a referenced table's data version moved
 	// (every invalidation is also counted as a miss); ResultCacheEvictions
 	// counts LRU capacity evictions. ResultCacheEntries is the current cache
 	// population (see resultcache.go).
-	ResultCacheHits          int64
-	ResultCacheMisses        int64
-	ResultCacheInvalidations int64
-	ResultCacheEvictions     int64
-	ResultCacheEntries       int
-	// Engine is the selected SELECT execution engine ("vector" or "row").
+	ResultCacheHits          int64 `json:"result_cache_hits"`
+	ResultCacheMisses        int64 `json:"result_cache_misses"`
+	ResultCacheInvalidations int64 `json:"result_cache_invalidations"`
+	ResultCacheEvictions     int64 `json:"result_cache_evictions"`
+	ResultCacheEntries       int64 `json:"result_cache_entries"`
 	// VecSelects counts planned SELECT nodes executed on the vectorized
 	// operators; VecFallbacks counts planned SELECT nodes that ran on the row
-	// interpreter because their shape is not vectorized, while the vectorized
-	// engine was selected (see vec.go). VecFallbackReasons breaks the
-	// fallback count down by refused shape.
-	Engine             string
-	VecSelects         int64
-	VecFallbacks       int64
-	VecFallbackReasons FallbackReasons
+	// interpreter because their shape is not vectorized (see vec.go).
+	// VecFallbackReasons breaks the fallback count down by refused shape.
+	VecSelects         int64           `json:"vec_selects"`
+	VecFallbacks       int64           `json:"vec_fallbacks"`
+	VecFallbackReasons FallbackReasons `json:"vec_fallback_reasons"`
 }
 
 // FallbackReasons is the per-shape breakdown of Stats.VecFallbacks (the fb*
 // refusal reasons in vec.go).
 type FallbackReasons struct {
-	JoinShape int64 // equi-join outer key reads the joined table
-	Star      int64 // grouped SELECT *
-	OrderExpr int64 // ORDER BY expression key outside the compiled forms
-	Subquery  int64 // correlated subquery outside the mirrored scopes
-	Other     int64
+	JoinShape int64 `json:"join_shape"` // equi-join outer key reads the joined table
+	Star      int64 `json:"star"`       // grouped SELECT *
+	OrderExpr int64 `json:"order_expr"` // ORDER BY expression key outside the compiled forms
+	Subquery  int64 `json:"subquery"`   // correlated subquery outside the mirrored scopes
+	Other     int64 `json:"other"`
 }
 
-// Stats returns current prepared-statement and plan-cache counters.
+// Counters lists every counter of the snapshot, in declaration order. It is
+// the one field list: the order the wire encodes them in and the fields a
+// sum over shards adds up (populations and live handles sum to the
+// deployment's total, like the cumulative counts).
+func (s *Stats) Counters() []*int64 {
+	r := &s.VecFallbackReasons
+	return []*int64{
+		&s.PlanCacheHits, &s.PlanCacheMisses, &s.PlanCacheEvictions, &s.PlanCacheEntries,
+		&s.PreparedLive, &s.Replans, &s.BatchExecs, &s.BatchBindings,
+		&s.ResultCacheHits, &s.ResultCacheMisses, &s.ResultCacheInvalidations,
+		&s.ResultCacheEvictions, &s.ResultCacheEntries,
+		&s.VecSelects, &s.VecFallbacks,
+		&r.JoinShape, &r.Star, &r.OrderExpr, &r.Subquery, &r.Other,
+	}
+}
+
+// Stats returns the engine's current counters.
 func (db *DB) Stats() Stats {
 	db.planMu.Lock()
 	entries := 0
@@ -587,7 +604,7 @@ func (db *DB) Stats() Stats {
 		PlanCacheHits:      db.planHits.Load(),
 		PlanCacheMisses:    db.planMisses.Load(),
 		PlanCacheEvictions: db.planEvicts.Load(),
-		PlanCacheEntries:   entries,
+		PlanCacheEntries:   int64(entries),
 		PreparedLive:       db.preparedLive.Load(),
 		Replans:            db.replans.Load(),
 		BatchExecs:         db.batchExecs.Load(),
@@ -597,9 +614,8 @@ func (db *DB) Stats() Stats {
 		ResultCacheMisses:        db.resMisses.Load(),
 		ResultCacheInvalidations: db.resInvalid.Load(),
 		ResultCacheEvictions:     db.resEvicts.Load(),
-		ResultCacheEntries:       resEntries,
+		ResultCacheEntries:       int64(resEntries),
 
-		Engine:       db.Engine(),
 		VecSelects:   db.vecSelects.Load(),
 		VecFallbacks: db.vecFallbacks.Load(),
 		VecFallbackReasons: FallbackReasons{

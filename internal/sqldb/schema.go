@@ -2,7 +2,6 @@ package sqldb
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -265,10 +264,11 @@ type DB struct {
 	// the per-table data versions, the LRU of cached SELECT results, and its
 	// counters (see resultcache.go).
 	cacheFields
-	// vecOn selects the SELECT execution engine: true runs planned SELECTs
-	// through the vectorized operators (vecexec.go), false forces the row
-	// interpreter. vecSelects/vecFallbacks count executions of planned SELECT
-	// nodes on each path while the vectorized engine is selected.
+	// vecOn selects the SELECT execution engine: true (always, outside tests
+	// and benchmarks — see SetEngine) runs planned SELECTs through the
+	// vectorized operators (vecexec.go), false forces the row interpreter.
+	// vecSelects/vecFallbacks count executions of planned SELECT nodes on
+	// each path while the vectorized engine is selected.
 	vecOn        atomic.Bool
 	vecSelects   atomic.Int64
 	vecFallbacks atomic.Int64
@@ -312,18 +312,6 @@ func (db *DB) Table(name string) *Table {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	return db.tables[strings.ToLower(name)]
-}
-
-// TableNames returns the table names in sorted order.
-func (db *DB) TableNames() []string {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	names := make([]string, 0, len(db.tables))
-	for _, t := range db.tables {
-		names = append(names, t.Name)
-	}
-	sort.Strings(names)
-	return names
 }
 
 func (db *DB) createTable(name string, cols []Column) error {

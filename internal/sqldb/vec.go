@@ -61,12 +61,15 @@ const (
 	EngineRow    = "row"
 )
 
-// SetEngine selects the SELECT execution engine: EngineVector runs planned
-// SELECTs batch-at-a-time over the columnar storage, EngineRow forces the
-// tuple-at-a-time interpreter. The engines produce identical results; the
-// row engine remains as the verified fallback and A/B baseline. Safe for
-// concurrent use; statements already executing finish on the engine they
-// started with.
+// SetEngine selects the SELECT execution engine: EngineVector (the default)
+// runs planned SELECTs batch-at-a-time over the columnar storage, EngineRow
+// forces the tuple-at-a-time interpreter. The engines produce identical
+// results. This is a test switch, not a deployment setting — no binary has a
+// flag for it: the differential fuzzers and the determinism tests flip it to
+// hold the row interpreter up as the reference, and the E13/E16 benchmarks to
+// measure one engine against the other. In production the row interpreter
+// runs only the shapes the vectorized compiler refuses. Safe for concurrent
+// use; statements already executing finish on the engine they started with.
 func (db *DB) SetEngine(name string) error {
 	switch name {
 	case EngineVector:
@@ -77,14 +80,6 @@ func (db *DB) SetEngine(name string) error {
 		return fmt.Errorf("sqldb: unknown engine %q (want %q or %q)", name, EngineVector, EngineRow)
 	}
 	return nil
-}
-
-// Engine returns the selected SELECT execution engine.
-func (db *DB) Engine() string {
-	if db.vecOn.Load() {
-		return EngineVector
-	}
-	return EngineRow
 }
 
 // vecBatchSize is the number of seed rows processed per pipeline chunk.

@@ -100,17 +100,19 @@ func TestBatchRepliesMarkCachedItems(t *testing.T) {
 	}
 }
 
-// TestCacheStatsRequest: ReqCacheStats returns the engine's counters.
+// TestCacheStatsRequest: the one stats request, ReqServerStats, returns the
+// engine's result-cache counters (they had a request kind of their own once,
+// hence the name).
 func TestCacheStatsRequest(t *testing.T) {
 	_, _, codec := startCacheServer(t)
 	req := &wire.Request{Kind: wire.ReqExec, SQL: `SELECT COUNT(*) FROM typed`}
 	roundTrip(t, codec, req)
 	roundTrip(t, codec, req)
-	resp := roundTrip(t, codec, &wire.Request{Kind: wire.ReqCacheStats})
-	if resp.Err != "" || resp.Cache == nil {
-		t.Fatalf("cache stats: err=%q cache=%v", resp.Err, resp.Cache)
+	resp := roundTrip(t, codec, &wire.Request{Kind: wire.ReqServerStats})
+	if resp.Err != "" || resp.Server == nil {
+		t.Fatalf("server stats: err=%q server=%v", resp.Err, resp.Server)
 	}
-	if resp.Cache.Hits != 1 || resp.Cache.Misses != 1 || resp.Cache.Entries != 1 {
-		t.Fatalf("stats = %+v", resp.Cache)
+	if st := resp.Server; st.ResultCacheHits != 1 || st.ResultCacheMisses != 1 || st.ResultCacheEntries != 1 {
+		t.Fatalf("stats = %+v", st)
 	}
 }

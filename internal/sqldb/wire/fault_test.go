@@ -185,9 +185,8 @@ func TestSlowReaderBackpressure(t *testing.T) {
 }
 
 // refusingPeer is a raw listener speaking the wire codec that prepares and
-// pings like a server but answers ReqExecBatch, ReqCacheStats and
-// ReqServerStats as request kinds it does not know, and counts what it was
-// sent.
+// pings like a server but answers ReqExecBatch and ReqServerStats as request
+// kinds it does not know, and counts what it was sent.
 type refusingPeer struct {
 	lis net.Listener
 	wg  sync.WaitGroup
@@ -235,7 +234,7 @@ func (p *refusingPeer) serve(conn net.Conn) {
 		switch req.Kind {
 		case wire.ReqPrepare:
 			resp.StmtID = 1
-		case wire.ReqExecBatch, wire.ReqCacheStats, wire.ReqServerStats:
+		case wire.ReqExecBatch, wire.ReqServerStats:
 			resp.Err = fmt.Sprintf("wire: unknown request kind %d", req.Kind)
 		}
 		if codec.WriteResponse(resp) != nil {
@@ -251,15 +250,15 @@ func (p *refusingPeer) count(kind wire.RequestKind) int {
 }
 
 // TestRefusedRequestKindIsAnOrdinaryError: a peer that refuses a request kind
-// gets no special treatment. Batch execution and both stats calls, on a plain
+// gets no special treatment. Batch execution and the stats call, on a plain
 // connection and through a pool, return the peer's error to the caller after
 // exactly one request — no retry through another kind, no remembered verdict
 // — and the connection stays usable.
 func TestRefusedRequestKindIsAnOrdinaryError(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	binding := []*sqldb.Params{{Named: map[string]sqldb.Value{"id": sqldb.NewInt(1)}}}
-	clients := map[string]func(t *testing.T, addr string) (batch, cache, server, ping func() error){
-		"Conn": func(t *testing.T, addr string) (batch, cache, server, ping func() error) {
+	clients := map[string]func(t *testing.T, addr string) (batch, server, ping func() error){
+		"Conn": func(t *testing.T, addr string) (batch, server, ping func() error) {
 			conn, err := godbc.Dial(addr)
 			if err != nil {
 				t.Fatal(err)
@@ -270,11 +269,10 @@ func TestRefusedRequestKindIsAnOrdinaryError(t *testing.T) {
 				t.Fatal(err)
 			}
 			return func() error { _, err := st.ExecBatch(binding); return err },
-				func() error { _, _, err := conn.CacheStats(); return err },
 				func() error { _, _, err := conn.ServerStats(); return err },
 				conn.Ping
 		},
-		"Pool": func(t *testing.T, addr string) (batch, cache, server, ping func() error) {
+		"Pool": func(t *testing.T, addr string) (batch, server, ping func() error) {
 			// One slot, so every call — the ping included — reuses the
 			// connection the refusal arrived on.
 			p, err := godbc.NewPool(addr, 1)
@@ -287,7 +285,6 @@ func TestRefusedRequestKindIsAnOrdinaryError(t *testing.T) {
 				t.Fatal(err)
 			}
 			return func() error { _, err := pq.(sqlgen.BatchPreparedQuery).ExecQueryBatch(binding); return err },
-				func() error { _, _, err := p.CacheStats(); return err },
 				func() error { _, _, err := p.ServerStats(); return err },
 				func() error {
 					c, err := p.Get()
@@ -302,13 +299,12 @@ func TestRefusedRequestKindIsAnOrdinaryError(t *testing.T) {
 	for name, dial := range clients {
 		t.Run(name, func(t *testing.T) {
 			peer := startRefusingPeer(t)
-			batch, cache, server, ping := dial(t, peer.lis.Addr().String())
+			batch, server, ping := dial(t, peer.lis.Addr().String())
 			for _, c := range []struct {
 				kind wire.RequestKind
 				call func() error
 			}{
 				{wire.ReqExecBatch, batch},
-				{wire.ReqCacheStats, cache},
 				{wire.ReqServerStats, server},
 			} {
 				want := fmt.Sprintf("wire: unknown request kind %d", c.kind)

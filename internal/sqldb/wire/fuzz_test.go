@@ -93,8 +93,9 @@ func FuzzReadRequest(f *testing.F) {
 		encodeRequests(f,
 			&wire.Request{Kind: wire.ReqPrepare, SQL: "SELECT 1"},
 			&wire.Request{Kind: wire.ReqExecPrepared, StmtID: 1},
+			&wire.Request{Kind: wire.ReqExecBatch, StmtID: 1, Batch: []wire.BatchBinding{{}, {}}},
 			&wire.Request{Kind: wire.ReqClosePrepared, StmtID: 1},
-			&wire.Request{Kind: wire.ReqCacheStats},
+			&wire.Request{Kind: wire.ReqServerStats},
 		),
 		[]byte{},
 	}
@@ -180,8 +181,13 @@ func FuzzReadResponse(f *testing.F) {
 		}),
 		encodeResponses(f, &wire.Response{CursorID: 4, Columns: []string{"id"}}),
 		encodeResponses(f, &wire.Response{StmtID: 3}),
-		encodeResponses(f, &wire.Response{Cache: &wire.CacheStats{Hits: 9, Misses: 3, Invalidations: 1, Entries: 2}}),
-		encodeResponses(f, &wire.Response{Server: &wire.ServerStats{Engine: "vector", VecSelects: 64, Requests: 65, VendorNanos: 128e6}}),
+		// The one stats reply: a server that has served nothing yet, and a busy
+		// one with every section of the snapshot in use.
+		encodeResponses(f, &wire.Response{Server: &wire.ServerStats{Requests: 1}}),
+		encodeResponses(f, &wire.Response{Server: &wire.ServerStats{
+			Stats:    sqldb.Stats{ResultCacheHits: 9, ResultCacheMisses: 3, ResultCacheEntries: 2, VecSelects: 64, VecFallbackReasons: sqldb.FallbackReasons{Other: 1}},
+			Requests: 65, VendorNanos: 128e6,
+		}}),
 		// A cursor's life as the client reads it: frames back to back.
 		encodeResponses(f,
 			&wire.Response{CursorID: 1, Columns: []string{"id"}},

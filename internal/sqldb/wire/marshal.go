@@ -200,17 +200,8 @@ func appendResponse(b []byte, m *Response) []byte {
 		b = netsrv.AppendBool(b, item.Cached)
 	}
 	b = netsrv.AppendVarint(b, int64(m.CacheHits))
-	b = netsrv.AppendBool(b, m.Cache != nil)
-	if c := m.Cache; c != nil {
-		b = netsrv.AppendVarint(b, c.Hits)
-		b = netsrv.AppendVarint(b, c.Misses)
-		b = netsrv.AppendVarint(b, c.Invalidations)
-		b = netsrv.AppendVarint(b, c.Evictions)
-		b = netsrv.AppendVarint(b, int64(c.Entries))
-	}
 	b = netsrv.AppendBool(b, m.Server != nil)
 	if s := m.Server; s != nil {
-		b = netsrv.AppendString(b, s.Engine)
 		for _, counter := range s.counters() {
 			b = netsrv.AppendVarint(b, *counter)
 		}
@@ -246,28 +237,9 @@ func decodeResponse(r *netsrv.Reader, m *Response) {
 	}
 	m.CacheHits = r.Int()
 	if r.Bool() {
-		m.Cache = &CacheStats{
-			Hits:          r.Varint(),
-			Misses:        r.Varint(),
-			Invalidations: r.Varint(),
-			Evictions:     r.Varint(),
-			Entries:       r.Int(),
-		}
-	}
-	if r.Bool() {
-		m.Server = &ServerStats{Engine: r.String()}
+		m.Server = &ServerStats{}
 		for _, counter := range m.Server.counters() {
 			*counter = r.Varint()
 		}
-	}
-}
-
-// counters lists the snapshot's integer fields in wire order.
-func (s *ServerStats) counters() []*int64 {
-	return []*int64{
-		&s.VecSelects, &s.VecFallbacks,
-		&s.FbJoinShape, &s.FbStar, &s.FbOrderExpr, &s.FbSubquery, &s.FbOther,
-		&s.PlanCacheHits, &s.PlanCacheMisses,
-		&s.Requests, &s.VendorNanos,
 	}
 }

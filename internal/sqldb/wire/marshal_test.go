@@ -215,14 +215,8 @@ func (g generator) response() *wire.Response {
 		})
 	}
 	if g.Intn(2) == 0 {
-		m.Cache = &wire.CacheStats{Hits: g.i64(), Misses: g.i64(), Invalidations: g.i64(), Evictions: g.i64(), Entries: int(g.i64())}
-	}
-	if g.Intn(2) == 0 {
-		m.Server = &wire.ServerStats{
-			Engine: pick(g, edgeStrings), VecSelects: g.i64(), VecFallbacks: g.i64(),
-			FbJoinShape: g.i64(), FbStar: g.i64(), FbOrderExpr: g.i64(), FbSubquery: g.i64(), FbOther: g.i64(),
-			PlanCacheHits: g.i64(), PlanCacheMisses: g.i64(), Requests: g.i64(), VendorNanos: g.i64(),
-		}
+		m.Server = new(wire.ServerStats)
+		testutil.FillCounters(m.Server, g.i64)
 	}
 	return m
 }

@@ -28,8 +28,7 @@ const (
 	ReqExecPrepared                     // execute a prepared handle, inline result
 	ReqClosePrepared                    // discard a statement handle
 	ReqExecBatch                        // execute a prepared handle once per binding, inline results
-	ReqCacheStats                       // fetch the server's result-cache counters
-	ReqServerStats                      // fetch the server's engine and vendor-cost counters
+	ReqServerStats                      // fetch the engine's counters and the server's own
 )
 
 // MaxBatch is the largest number of parameter bindings one ReqExecBatch may
@@ -80,41 +79,32 @@ type BatchItem struct {
 	Cached bool
 }
 
-// CacheStats is the result-cache counter snapshot a ReqCacheStats returns.
-type CacheStats struct {
-	Hits          int64
-	Misses        int64
-	Invalidations int64
-	Evictions     int64
-	Entries       int
-}
-
-// ServerStats is the engine and cost counter snapshot a ReqServerStats
-// returns: the backend's SELECT engine counters plus the server's own
-// request count and the cumulative simulated vendor delay it has charged.
+// ServerStats is the snapshot a ReqServerStats returns: the engine's counters,
+// whole and as sqldb declares them, plus the two the server itself keeps. For
+// a sharded database it is the sum over all shards (godbc.ShardedDB). The
+// JSON form is the "backend" section of cosyd's /metrics.
 type ServerStats struct {
-	// Engine names the backend's SELECT execution engine ("vector" or "row").
-	Engine string
-	// VecSelects / VecFallbacks count planned SELECTs executed on the
-	// vectorized operators versus the row interpreter.
-	VecSelects   int64
-	VecFallbacks int64
-	// FbJoinShape..FbOther break VecFallbacks down by refused plan shape.
-	FbJoinShape int64
-	FbStar      int64
-	FbOrderExpr int64
-	FbSubquery  int64
-	FbOther     int64
-	// PlanCacheHits / Misses count ad-hoc statement traffic through the
-	// server's plan cache.
-	PlanCacheHits   int64
-	PlanCacheMisses int64
+	sqldb.Stats
 	// Requests counts protocol requests this server has served.
-	Requests int64
+	Requests int64 `json:"requests"`
 	// VendorNanos is the cumulative simulated vendor delay (round trips,
 	// statement and prepare costs, per-row charges) the server has injected,
 	// in nanoseconds — the profiled "money spent at the database vendor".
-	VendorNanos int64
+	VendorNanos int64 `json:"vendor_ns"`
+}
+
+// counters lists the snapshot's counters in wire order: the engine's own
+// field list, then the server's two.
+func (s *ServerStats) counters() []*int64 {
+	return append(s.Stats.Counters(), &s.Requests, &s.VendorNanos)
+}
+
+// Add sums o into s, counter by counter.
+func (s *ServerStats) Add(o ServerStats) {
+	from := o.counters()
+	for i, c := range s.counters() {
+		*c += *from[i]
+	}
 }
 
 // Response is a server message.
@@ -134,8 +124,6 @@ type Response struct {
 	// server's result cache (0 or 1 for single executions, up to the binding
 	// count for a batch).
 	CacheHits int
-	// Cache is the counter snapshot answering a ReqCacheStats.
-	Cache *CacheStats
 	// Server is the counter snapshot answering a ReqServerStats.
 	Server *ServerStats
 }
@@ -192,7 +180,7 @@ type Profile struct {
 var (
 	// ProfileAccess models the local MS Access configuration: in-process,
 	// no network, only driver dispatch overhead. Apply it with
-	// godbc.ProfiledEmbedded.
+	// godbc.Embedded's Profile field.
 	ProfileAccess = Profile{Name: "access", PerStatement: 12 * time.Microsecond, PerPrepare: 6 * time.Microsecond}
 	// ProfileOracle models the networked Oracle 7 server of the paper. Its
 	// statement compiler ("hard parse") is the most expensive of the four

@@ -140,30 +140,11 @@ func (s *Server) serve(req *Request, st *connState) *Response {
 		return &Response{}
 	case ReqExecBatch:
 		return s.serveExecBatch(req, st)
-	case ReqCacheStats:
-		st := s.db.Stats()
-		return &Response{Cache: &CacheStats{
-			Hits:          st.ResultCacheHits,
-			Misses:        st.ResultCacheMisses,
-			Invalidations: st.ResultCacheInvalidations,
-			Evictions:     st.ResultCacheEvictions,
-			Entries:       st.ResultCacheEntries,
-		}}
 	case ReqServerStats:
-		st := s.db.Stats()
 		return &Response{Server: &ServerStats{
-			Engine:          st.Engine,
-			VecSelects:      st.VecSelects,
-			VecFallbacks:    st.VecFallbacks,
-			FbJoinShape:     st.VecFallbackReasons.JoinShape,
-			FbStar:          st.VecFallbackReasons.Star,
-			FbOrderExpr:     st.VecFallbackReasons.OrderExpr,
-			FbSubquery:      st.VecFallbackReasons.Subquery,
-			FbOther:         st.VecFallbackReasons.Other,
-			PlanCacheHits:   st.PlanCacheHits,
-			PlanCacheMisses: st.PlanCacheMisses,
-			Requests:        s.requests.Load(),
-			VendorNanos:     s.vendorNanos.Load(),
+			Stats:       s.db.Stats(),
+			Requests:    s.requests.Load(),
+			VendorNanos: s.vendorNanos.Load(),
 		}}
 	}
 	return &Response{Err: fmt.Sprintf("wire: unknown request kind %d", req.Kind)}

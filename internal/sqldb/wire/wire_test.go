@@ -319,7 +319,7 @@ func TestDelayPrecision(t *testing.T) {
 func TestProfiledEmbedded(t *testing.T) {
 	db := sqldb.NewDB()
 	db.MustExec("CREATE TABLE t (id INTEGER)", nil)
-	pe := godbc.ProfiledEmbedded{DB: db, Profile: wire.ProfileAccess}
+	pe := godbc.Embedded{DB: db, Profile: wire.ProfileAccess}
 	res, err := pe.Exec("INSERT INTO t (id) VALUES (1), (2)", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -336,6 +336,18 @@ func TestProfiledEmbedded(t *testing.T) {
 	}
 	if _, err := pe.ExecQuery("INSERT INTO t (id) VALUES (3)", nil); err == nil {
 		t.Fatal("ExecQuery of a non-query must fail")
+	}
+	// The one thing a profile changes besides what is charged: a serial
+	// local driver must not have its spun delays overlapped by workers. An
+	// uncharged Embedded — no profile, or one without in-process costs — is
+	// the engine itself, and that is safe to share.
+	if pe.ConcurrentQuery() {
+		t.Error("a charging Embedded advertises concurrent querying")
+	}
+	for _, free := range []wire.Profile{{}, wire.ProfileFast, {Name: "remote only", RoundTrip: time.Millisecond}} {
+		if !(godbc.Embedded{DB: db, Profile: free}).ConcurrentQuery() {
+			t.Errorf("Embedded with the uncharged profile %q does not advertise concurrent querying", free.Name)
+		}
 	}
 }
 
