@@ -1171,6 +1171,8 @@ func BenchmarkTraceVsSummary(b *testing.B) {
 
 func BenchmarkCompileProperty(b *testing.B) {
 	world := model.MustCompileSpec()
+	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := sqlgen.CompileProperty(world, "SublinearSpeedup"); err != nil {
 			b.Fatal(err)

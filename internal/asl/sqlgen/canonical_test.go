@@ -1,10 +1,12 @@
 package sqlgen
 
 import (
+	"regexp"
 	"strings"
 	"testing"
 
 	"repro/internal/model"
+	"repro/internal/sqlast/build"
 	"repro/internal/sqldb"
 )
 
@@ -91,5 +93,93 @@ func TestGeneratedSQLShapes(t *testing.T) {
 	}
 	if !strings.Contains(imb.SQL, "0.25") {
 		t.Errorf("LoadImbalance SQL does not inline ImbalanceThreshold:\n%s", imb.SQL)
+	}
+}
+
+// subqueriesProjecting returns the text of every parenthesized subquery of
+// sql, nested ones included, whose one select item is the named column of
+// some alias — "(SELECT a1.MeanTime FROM ...)" for col "MeanTime" — in any
+// dialect's spelling.
+func subqueriesProjecting(sql, col string) []string {
+	var out []string
+	const open = "(SELECT "
+	for i := 0; i+len(open) <= len(sql); i++ {
+		if sql[i:i+len(open)] != open {
+			continue
+		}
+		depth, end := 0, -1
+		for j := i; j < len(sql) && end < 0; j++ {
+			switch sql[j] {
+			case '(':
+				depth++
+			case ')':
+				if depth--; depth == 0 {
+					end = j + 1
+				}
+			}
+		}
+		if end < 0 {
+			continue
+		}
+		item, _, _ := strings.Cut(sql[i+len(open):end], " FROM ")
+		if _, name, ok := strings.Cut(strings.ReplaceAll(item, `"`, ""), "."); ok && strings.EqualFold(name, col) {
+			out = append(out, sql[i:end])
+		}
+	}
+	return out
+}
+
+// TestUniqueAttributeFusion pins how an attribute of a UNIQUE value is read:
+// by the set query itself, which projects the column, and never by a
+// "FROM <Class> dN WHERE dN.id = (SELECT ...)" dereference around the set
+// query — that shape executes two SELECTs to read one cell of a row the inner
+// one already holds. Every use of one LET-bound value must render the same
+// bytes, in every dialect, because the engine's subquery caches are keyed by
+// text. The alias dereference (an attribute of a class-typed column of a
+// bound row) keeps the dN shape; the engine serves it with an index probe.
+func TestUniqueAttributeFusion(t *testing.T) {
+	w := model.MustCompileSpec()
+	wrapper := regexp.MustCompile(`(?i)FROM "?\w+"? "?d\d+"? WHERE "?d\d+"?\."?id"? = \(SELECT`)
+	for _, name := range model.AllProperties {
+		cp, err := CompileProperty(w, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, dialect := range build.Names() {
+			r, err := cp.Render(dialect)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", name, dialect, err)
+			}
+			if m := wrapper.FindString(r.SQL); m != "" {
+				t.Errorf("%s/%s: dereference wrapper %q around a set query:\n%s", name, dialect, m, r.SQL)
+			}
+		}
+	}
+
+	// FrequentFineGrainedCalls reads two attributes of one LET-bound UNIQUE
+	// value twice each.
+	cp, err := CompileProperty(w, "FrequentFineGrainedCalls")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, dialect := range build.Names() {
+		r, err := cp.Render(dialect)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, col := range []string{"MeanCalls", "MeanTime"} {
+			uses := subqueriesProjecting(r.SQL, col)
+			if len(uses) != 2 || uses[0] != uses[1] {
+				t.Errorf("%s: want two byte-identical reads of %s, got %q", dialect, col, uses)
+			}
+		}
+	}
+
+	sub, err := CompileProperty(w, "SublinearSpeedup")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "(SELECT d2.NoPe FROM TestRun d2 WHERE d2.id = a1.Run_id)"; !strings.Contains(sub.SQL, want) {
+		t.Errorf("alias dereference changed shape; want %s in:\n%s", want, sub.SQL)
 	}
 }

@@ -176,12 +176,16 @@ type compiler struct {
 //   - alias != ""  — a bound table row (set-comprehension or aggregate
 //     binder variable), whose columns are directly addressable;
 //   - set != nil   — a set-valued expression (only legal inside UNIQUE,
-//     aggregates, and comprehensions).
+//     aggregates, and comprehensions);
+//   - unique != nil — the one element UNIQUE selects from that set, read
+//     through the set query itself: as a scalar it is the element's id, and
+//     an attribute of it is that column of the same query (uniqueCol).
 type cval struct {
-	ex    build.Expr
-	alias string
-	class *sem.Class // non-nil for object-valued ex/alias values
-	set   *setDesc
+	ex     build.Expr
+	alias  string
+	class  *sem.Class // non-nil for object-valued ex/alias values
+	set    *setDesc
+	unique *setDesc
 	// isNull marks the ASL null literal.
 	isNull bool
 }
@@ -193,7 +197,11 @@ type setDesc struct {
 	junction  string
 	ownerEx   build.Expr   // expression for the owning object id
 	elemAlias string       // alias bound for the element rows
+	juncAlias string       // alias bound for the junction rows, set by setQuery
 	conds     []build.Expr // predicates over elemAlias
+	// cols memoizes, for the set of a UNIQUE value, the query reading each
+	// column of the selected element (uniqueCol).
+	cols map[string]build.Expr
 }
 
 func (c *compiler) errf(pos token.Pos, format string, args ...any) *CompileError {
@@ -293,28 +301,18 @@ func (c *compiler) compileScalar(e ast.Expr, env *cenv) (build.Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	switch {
-	case v.set != nil:
+	if v.set != nil {
 		return nil, c.errf(e.Pos(), "set-valued expression where a scalar is required")
-	case v.alias != "":
-		// A bare binder variable as a scalar means its id.
-		return &build.Col{Table: v.alias, Name: "id"}, nil
-	case v.isNull:
-		return &build.Null{}, nil
-	default:
-		return v.ex, nil
 	}
+	return c.scalarOf(v, e.Pos())
 }
 
 // idExpr returns an expression for the object id of a class-typed value.
 func (c *compiler) idExpr(v cval, pos token.Pos) (build.Expr, error) {
-	switch {
-	case v.alias != "":
-		return &build.Col{Table: v.alias, Name: "id"}, nil
-	case v.class != nil:
-		return v.ex, nil
+	if v.alias == "" && v.class == nil {
+		return nil, c.errf(pos, "expected an object value")
 	}
-	return nil, c.errf(pos, "expected an object value")
+	return c.scalarOf(v, pos)
 }
 
 func (c *compiler) compile(e ast.Expr, env *cenv) (cval, error) {
@@ -377,7 +375,11 @@ func (c *compiler) compile(e ast.Expr, env *cenv) (cval, error) {
 		if err != nil {
 			return cval{}, err
 		}
-		return cval{ex: c.setQuery(src, &build.Col{Table: src.elemAlias, Name: "id"}), class: src.elem}, nil
+		// The value keeps its own copy of the set: a later aggregate over the
+		// same LET-bound set appends conditions to the shared descriptor.
+		u := *src
+		u.conds = append([]build.Expr(nil), src.conds...)
+		return cval{unique: &u, class: u.elem}, nil
 	case *ast.Agg:
 		return c.compileAgg(x, env)
 	case *ast.NAry:
@@ -400,7 +402,10 @@ func (c *compiler) compileSet(e ast.Expr, env *cenv) (*setDesc, error) {
 
 // setQuery builds a setDesc into a scalar subquery computing value.
 func (c *compiler) setQuery(s *setDesc, value build.Expr) build.Expr {
-	j := c.newAlias("j")
+	if s.juncAlias == "" {
+		s.juncAlias = c.newAlias("j")
+	}
+	j := s.juncAlias
 	sel := &build.Select{
 		Items: []build.Item{{Expr: value}},
 		From:  &build.Table{Name: s.junction, Alias: j},
@@ -415,6 +420,24 @@ func (c *compiler) setQuery(s *setDesc, value build.Expr) build.Expr {
 			R: s.ownerEx}}, s.conds...),
 	}
 	return &build.Subquery{Sel: sel}
+}
+
+// uniqueCol returns the scalar subquery reading one column of the element a
+// UNIQUE selects from a set: the set query projecting that column. The set
+// query already holds the element's row, so an attribute is read from it
+// rather than by dereferencing the id it would yield — id is the element
+// table's primary key, so both read the same cell of the same row (no element
+// → NULL, several → the same cardinality error). The query is built once per
+// column: every use of a LET-bound value is the same node and so renders the
+// same text, which the engine's text-keyed subquery caches rely on.
+func (c *compiler) uniqueCol(u *setDesc, col string) build.Expr {
+	if u.cols[col] == nil {
+		if u.cols == nil {
+			u.cols = make(map[string]build.Expr)
+		}
+		u.cols[col] = c.setQuery(u, &build.Col{Table: u.elemAlias, Name: col})
+	}
+	return u.cols[col]
 }
 
 func (c *compiler) compileMember(x *ast.Member, env *cenv) (cval, error) {
@@ -457,6 +480,10 @@ func (c *compiler) compileMember(x *ast.Member, env *cenv) (cval, error) {
 	}
 	if base.alias != "" {
 		out.ex = &build.Col{Table: base.alias, Name: col}
+		return out, nil
+	}
+	if base.unique != nil {
+		out.ex = c.uniqueCol(base.unique, col)
 		return out, nil
 	}
 	// Dereference via a scalar subquery on the base class table.
@@ -548,6 +575,8 @@ func (c *compiler) scalarOf(v cval, pos token.Pos) (build.Expr, error) {
 		return nil, c.errf(pos, "set value used as a scalar")
 	case v.alias != "":
 		return &build.Col{Table: v.alias, Name: "id"}, nil
+	case v.unique != nil:
+		return c.uniqueCol(v.unique, "id"), nil
 	case v.isNull:
 		return &build.Null{}, nil
 	}

@@ -12,11 +12,10 @@ import (
 )
 
 // TestGoldenPropertySQL pins the canonical kojakdb rendering of every
-// shipped ASL property to the exact strings the pre-AST string-concatenating
-// compiler produced (captured in testdata/golden before the refactor).
-// Plan-cache and result-cache keys are built from this text, so a byte of
-// drift silently invalidates every cached plan and result across a version
-// upgrade.
+// shipped ASL property to testdata/golden, the current contract (docs/SQL.md
+// describes it; the files change only as a deliberate diff). Plan-cache and
+// result-cache keys are built from this text, so a byte of drift silently
+// invalidates every cached plan and result across a version upgrade.
 func TestGoldenPropertySQL(t *testing.T) {
 	w := model.MustCompileSpec()
 	for _, name := range model.AllProperties {
@@ -29,7 +28,7 @@ func TestGoldenPropertySQL(t *testing.T) {
 			t.Fatalf("golden file for %s: %v", name, err)
 		}
 		if cp.SQL != strings.TrimSuffix(string(want), "\n") {
-			t.Errorf("property %s: canonical SQL drifted from pre-refactor golden\n got: %s\nwant: %s",
+			t.Errorf("property %s: canonical SQL drifted from the golden contract\n got: %s\nwant: %s",
 				name, cp.SQL, strings.TrimSuffix(string(want), "\n"))
 		}
 		// The kojakdb rendering of the AST is the same text.
@@ -59,7 +58,7 @@ func TestGoldenSchemaDDL(t *testing.T) {
 	}
 	got := strings.Join(ddl, "\n") + "\n"
 	if got != string(want) {
-		t.Errorf("schema DDL drifted from pre-refactor golden\n got:\n%s\nwant:\n%s", got, want)
+		t.Errorf("schema DDL drifted from the golden contract\n got:\n%s\nwant:\n%s", got, want)
 	}
 }
 

@@ -36,6 +36,14 @@ property UsesUnique(Region r, Run t) {
   SEVERITY: x.T;
 }
 
+property UniqueAsScalar(Region r, Run t) {
+  LET Timing x = UNIQUE({c IN r.Ts WITH c.K == Alpha});
+  IN
+  CONDITION: x != null AND x.R == t;
+  CONFIDENCE: 1;
+  SEVERITY: x.T;
+}
+
 property UsesNAry(Region r, Run t) {
   CONDITION: MAX(Total(r, t), 1.0) > 2.0;
   CONFIDENCE: 1;
@@ -219,6 +227,57 @@ func TestCompileUniqueCardinality(t *testing.T) {
 	}})
 	if err == nil || !strings.Contains(err.Error(), "scalar subquery") {
 		t.Fatalf("want cardinality error, got %v", err)
+	}
+	// No timing matches an unknown run: UNIQUE over the empty set has no
+	// attribute to read, which SQL spells NULL.
+	res, err := db.Exec(cp.SQL, &sqldb.Params{Named: map[string]sqldb.Value{
+		"r": sqldb.NewInt(region.ID),
+		"t": sqldb.NewInt(run.ID + 1000),
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if row := res.Set.Rows[0]; !row[0].IsNull() || !row[2].IsNull() {
+		t.Errorf("empty UNIQUE: condition %v, severity %v, want NULL", row[0], row[2])
+	}
+}
+
+// TestCompileUniqueAsScalar: a UNIQUE value used as a scalar is the id its
+// set query selects; its attributes, object-valued ones included, are further
+// columns of that same query.
+func TestCompileUniqueAsScalar(t *testing.T) {
+	w := testWorld(t)
+	cp, err := CompileProperty(w, "UniqueAsScalar")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"(SELECT a1.id FROM Region_Ts j2 JOIN Timing a1 ON a1.id = j2.elem_id WHERE j2.owner_id = $r AND (a1.K = 'Alpha')) IS NOT NULL",
+		"(SELECT a1.R_id FROM Region_Ts j2 JOIN Timing a1 ON a1.id = j2.elem_id WHERE j2.owner_id = $r AND (a1.K = 'Alpha')) = $t",
+		"(SELECT a1.T FROM Region_Ts j2 JOIN Timing a1 ON a1.id = j2.elem_id WHERE j2.owner_id = $r AND (a1.K = 'Alpha')) AS s0",
+	} {
+		if !strings.Contains(cp.SQL, want) {
+			t.Errorf("SQL lacks %q:\n%s", want, cp.SQL)
+		}
+	}
+	store, region, run := buildStore(t, w)
+	db := sqldb.NewDB()
+	exec := dbExecutor(db)
+	if err := CreateSchema(w, exec); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(store, exec); err != nil {
+		t.Fatal(err)
+	}
+	res, err := db.Exec(cp.SQL, &sqldb.Params{Named: map[string]sqldb.Value{
+		"r": sqldb.NewInt(region.ID),
+		"t": sqldb.NewInt(run.ID),
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if row := res.Set.Rows[0]; !row[0].Bool() || row[2].Float() != 1.0 {
+		t.Errorf("condition %v, severity %v, want TRUE and 1", row[0], row[2])
 	}
 }
 

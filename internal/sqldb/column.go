@@ -133,6 +133,3 @@ func (c *colVec) compact(keep []bool) {
 	}
 	c.n = out
 }
-
-// key returns the grouping/index key of cell i (see Value.Key).
-func (c *colVec) key(i int) string { return c.value(i).Key() }

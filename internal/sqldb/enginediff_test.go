@@ -122,7 +122,8 @@ func isIdentByte(c byte) bool {
 	return c == '_' || ('a' <= c && c <= 'z') || ('A' <= c && c <= 'Z') || ('0' <= c && c <= '9')
 }
 
-// FuzzEngineDifferential cross-checks the engines on arbitrary SELECT text.
+// FuzzEngineDifferential cross-checks the engines on arbitrary SELECT text,
+// and a batched execution of it against its bindings executed one by one.
 // Non-SELECT statements are skipped (the database is shared across
 // executions), as is text the parser rejects — the parse happens before
 // engine dispatch, so rejection cannot diverge.
@@ -149,9 +150,17 @@ func FuzzEngineDifferential(f *testing.F) {
 		`SELECT COUNT(id) FROM fuzz_aux WHERE b AND s IN ('alpha', 'gamma')`,
 		`SELECT v, AVG(w) FROM fuzz_aux GROUP BY v HAVING COUNT(id) > 1`,
 		`SELECT MIN(v), MAX(w), COUNT(s) FROM fuzz_aux WHERE id <> $k`,
+		// The shape sqlgen emits for an attribute of a UNIQUE value: the set
+		// query (junction ⋈ element) projecting the column, in scalar position.
+		`SELECT ((SELECT e.w FROM fuzz_aux j JOIN fuzz_aux e ON e.id = j.v WHERE j.id = $o AND (e.b = TRUE)) > 1) AS c0, (SELECT e.s FROM fuzz_aux j JOIN fuzz_aux e ON e.id = j.v WHERE j.id = $o AND (e.b = TRUE)) AS s0`,
+		// Batched below with $r varying and $basis constant across bindings:
+		// one subquery per binding, one per batch.
+		`SELECT (SELECT x.w FROM fuzz_aux x WHERE x.id = $r AND x.v = $basis) / (SELECT MAX(y.w) FROM fuzz_aux y WHERE y.v = $basis)`,
+		`SELECT (SELECT x.s FROM fuzz_aux x WHERE x.id = ?), (SELECT COUNT(y.id) FROM fuzz_aux y WHERE y.v = ?), EXISTS (SELECT z.id FROM fuzz_aux z WHERE z.v = ?)`,
 	} {
 		f.Add(sql, int64(10), int64(2), int64(30))
 	}
+	f.Add(`SELECT (SELECT x.w FROM fuzz_aux x WHERE x.id = $r AND x.v = $basis) / (SELECT MAX(y.w) FROM fuzz_aux y WHERE y.v = $basis)`, int64(1), int64(10), int64(4))
 
 	f.Fuzz(func(t *testing.T, sql string, p1, p2, p3 int64) {
 		stmt, err := sqldb.ParseSQL(sql)
@@ -183,6 +192,35 @@ func FuzzEngineDifferential(f *testing.F) {
 		}
 		if !reflect.DeepEqual(vecSet, rowSet) {
 			t.Fatalf("engine divergence on %q:\nvector: %+v\nrow:    %+v", sql, vecSet, rowSet)
+		}
+
+		// The same statement as one batch whose bindings agree on the second
+		// parameter and differ in the others: a batch evaluates the
+		// subqueries that read only agreed parameters once, and each binding
+		// must still come out as it does executed alone, on either engine.
+		ps, err := db.Prepare(sql)
+		if err != nil {
+			return // Prepare resolves tables eagerly; Exec above did not have to
+		}
+		defer ps.Close()
+		bindings := []*sqldb.Params{params, bindParams(sql, p3, p2, p1), params}
+		for _, engine := range []string{sqldb.EngineVector, sqldb.EngineRow} {
+			if err := db.SetEngine(engine); err != nil {
+				t.Fatal(err)
+			}
+			batch, err := ps.ExecuteBatch(bindings)
+			if err != nil {
+				t.Fatalf("%s: batch of %q: %v", engine, sql, err)
+			}
+			for i, b := range bindings {
+				alone, aloneErr := ps.Execute(b)
+				if (aloneErr == nil) != (batch[i].Err == nil) {
+					t.Fatalf("%s: binding %d of %q: batched err=%v, alone err=%v", engine, i, sql, batch[i].Err, aloneErr)
+				}
+				if aloneErr == nil && !reflect.DeepEqual(batch[i].Res.Set, alone.Set) {
+					t.Fatalf("%s: binding %d of %q:\nbatched: %+v\nalone:   %+v", engine, i, sql, batch[i].Res.Set, alone.Set)
+				}
+			}
 		}
 	})
 }

@@ -14,6 +14,21 @@ type Params struct {
 	Named      map[string]Value
 }
 
+// lookup returns the value bound to a parameter marker, or false when the
+// set (which may be nil) does not bind it.
+func (p *Params) lookup(x *EParam) (Value, bool) {
+	switch {
+	case p == nil:
+		return Null, false
+	case x.Name != "":
+		v, ok := p.Named[x.Name]
+		return v, ok
+	case x.Ordinal < len(p.Positional):
+		return p.Positional[x.Ordinal], true
+	}
+	return Null, false
+}
+
 // ResultSet is the outcome of a SELECT.
 type ResultSet struct {
 	Columns []string
@@ -271,7 +286,7 @@ func (db *DB) execUpdateLocked(st *UpdateStmt, params *Params, plan *stmtPlan) (
 		}
 		t.rowView = nil
 		t.mu.Unlock()
-		t.rebuildIndexes()
+		t.rebuildIndexesOn(cols)
 		db.bumpData(t)
 	}
 	return &Result{Affected: len(patches)}, nil
@@ -403,6 +418,9 @@ type execCtx struct {
 	free     map[Expr]*freeInfo
 	subCache map[string]Value
 	keyCache map[Expr]string
+	// batch, when non-nil, is the subquery cache this execution shares with
+	// the other bindings of its ExecuteBatch (see batch.go).
+	batch *batchSubs
 	// aggPre, when non-nil, maps aggregate call nodes to precomputed values:
 	// the vectorized engine accumulates aggregates batch-at-a-time and then
 	// evaluates the grouped projection/HAVING scalar parts through the row
@@ -430,13 +448,52 @@ func (ec *execCtx) cacheKey(e Expr) string {
 	return k
 }
 
-// freeInfo summarizes which outer bindings an expression may reference.
+// cachedSub returns the memoized value of an invariant subquery: this
+// execution's, or the one an earlier binding of the same batch left for it
+// (which then becomes this execution's, so one binding counts one reuse).
+func (ec *execCtx) cachedSub(x Expr, key string) (Value, bool) {
+	if v, ok := ec.subCache[key]; ok {
+		return v, true
+	}
+	if bs := ec.batch; bs != nil && bs.shared[x] {
+		if v, ok := bs.vals[key]; ok {
+			bs.reuses++
+			ec.memoSub(key, v)
+			return v, true
+		}
+	}
+	return Null, false
+}
+
+// storeSub memoizes the value of an invariant subquery for this execution
+// and, when every binding of the batch computes the same one, for the batch.
+// Only values get here: a failed evaluation is not cached, so every binding
+// that reaches a failing shared subquery reports the error itself.
+func (ec *execCtx) storeSub(x Expr, key string, v Value) {
+	ec.memoSub(key, v)
+	if bs := ec.batch; bs != nil && bs.shared[x] {
+		bs.vals[key] = v
+	}
+}
+
+func (ec *execCtx) memoSub(key string, v Value) {
+	if ec.subCache == nil {
+		ec.subCache = make(map[string]Value)
+	}
+	ec.subCache[key] = v
+}
+
+// freeInfo summarizes what an expression may read from outside itself: outer
+// bindings and statement parameters.
 type freeInfo struct {
 	// unqual is set when the expression contains an unqualified column (or
 	// a star), which could resolve to any binding.
 	unqual bool
 	// quals holds the lower-cased table qualifiers referenced.
 	quals []string
+	// params holds every parameter marker the expression reads, nested
+	// subqueries included (a marker may appear more than once).
+	params []*EParam
 }
 
 // freeOf returns (computing and memoizing) the free-column analysis of e.
@@ -461,7 +518,9 @@ func (ec *execCtx) freeOf(e Expr) *freeInfo {
 
 func collectFree(e Expr, shadow map[string]bool, fi *freeInfo, seen map[string]bool) {
 	switch x := e.(type) {
-	case nil, *ELit, *EParam:
+	case nil, *ELit:
+	case *EParam:
+		fi.params = append(fi.params, x)
 	case *EColumn:
 		lq, _ := x.keys()
 		if lq == "" {
@@ -868,14 +927,15 @@ func setTuple(fr *frame, tp tuple) {
 // join indexes are picked up.
 func (ec *execCtx) seedRows(st *SelectStmt, sp *selectPlan, fr *frame, bt *boundTable) ([]Row, error) {
 	tryLookup := func(col int, val Expr) ([]Row, bool) {
-		if !bt.table.hasIndex(col) {
+		idx := bt.table.index(col)
+		if idx == nil {
 			return nil, false
 		}
 		v, err := ec.eval(val, fr)
 		if err != nil {
 			return nil, false // not evaluable up front; fall back to a scan
 		}
-		positions, _ := bt.table.lookup(col, v)
+		positions := idx.get(v)
 		all := bt.table.scan()
 		rows := make([]Row, len(positions))
 		for i, pos := range positions {
@@ -1044,6 +1104,7 @@ func (ec *execCtx) join(fr *frame, tuples []tuple, jbt *boundTable, on Expr, jp 
 	var out []tuple
 	if eqCol >= 0 {
 		jbt.table.createIndex(eqCol)
+		idx := jbt.table.index(eqCol)
 		jrows := jbt.table.scan()
 		for _, tp := range tuples {
 			setTuple(fr, tp)
@@ -1055,8 +1116,7 @@ func (ec *execCtx) join(fr *frame, tuples []tuple, jbt *boundTable, on Expr, jp 
 			if key.IsNull() {
 				continue
 			}
-			positions, _ := jbt.table.lookup(eqCol, key)
-			for _, pos := range positions {
+			for _, pos := range idx.get(key) {
 				r := jrows[pos]
 				ok, err := ec.checkConjuncts(rest, fr, tp, jbt, r)
 				if err != nil {
@@ -1265,20 +1325,16 @@ func (ec *execCtx) eval(e Expr, fr *frame) (Value, error) {
 	case *ELit:
 		return x.Value, nil
 	case *EParam:
-		if ec.params == nil {
-			return Null, fmt.Errorf("sqldb: statement has parameters but none were supplied")
-		}
-		if x.Name != "" {
-			v, ok := ec.params.Named[x.Name]
-			if !ok {
-				return Null, fmt.Errorf("sqldb: missing named parameter $%s", x.Name)
-			}
+		if v, ok := ec.params.lookup(x); ok {
 			return v, nil
 		}
-		if x.Ordinal >= len(ec.params.Positional) {
-			return Null, fmt.Errorf("sqldb: missing positional parameter %d", x.Ordinal+1)
+		switch {
+		case ec.params == nil:
+			return Null, fmt.Errorf("sqldb: statement has parameters but none were supplied")
+		case x.Name != "":
+			return Null, fmt.Errorf("sqldb: missing named parameter $%s", x.Name)
 		}
-		return ec.params.Positional[x.Ordinal], nil
+		return Null, fmt.Errorf("sqldb: missing positional parameter %d", x.Ordinal+1)
 	case *EColumn:
 		bt, col, err := fr.resolve(x)
 		if err != nil {
@@ -1309,7 +1365,7 @@ func (ec *execCtx) eval(e Expr, fr *frame) (Value, error) {
 		var key string
 		if cacheable {
 			key = ec.cacheKey(x)
-			if v, ok := ec.subCache[key]; ok {
+			if v, ok := ec.cachedSub(x, key); ok {
 				return v, nil
 			}
 		}
@@ -1342,10 +1398,7 @@ func (ec *execCtx) eval(e Expr, fr *frame) (Value, error) {
 			}
 		}
 		if cacheable {
-			if ec.subCache == nil {
-				ec.subCache = make(map[string]Value)
-			}
-			ec.subCache[key] = v
+			ec.storeSub(x, key, v)
 		}
 		return v, nil
 	case *EExists:
@@ -1353,7 +1406,7 @@ func (ec *execCtx) eval(e Expr, fr *frame) (Value, error) {
 		var key string
 		if cacheable {
 			key = ec.cacheKey(x)
-			if v, ok := ec.subCache[key]; ok {
+			if v, ok := ec.cachedSub(x, key); ok {
 				return v, nil
 			}
 		}
@@ -1373,10 +1426,7 @@ func (ec *execCtx) eval(e Expr, fr *frame) (Value, error) {
 			v = NewBool(len(set.Rows) > 0)
 		}
 		if cacheable {
-			if ec.subCache == nil {
-				ec.subCache = make(map[string]Value)
-			}
-			ec.subCache[key] = v
+			ec.storeSub(x, key, v)
 		}
 		return v, nil
 	case *EIn:

@@ -180,7 +180,7 @@ func TestPreparedPlanRebuiltAfterCreateIndex(t *testing.T) {
 		t.Fatal("rebuilt plan has no access path")
 	}
 	tbl := db.Table("times")
-	if !tbl.hasIndex(sp.access[0].col) {
+	if tbl.index(sp.access[0].col) == nil {
 		t.Fatal("access-path column is not indexed after CREATE INDEX")
 	}
 }

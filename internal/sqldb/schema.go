@@ -45,10 +45,10 @@ type Table struct {
 	// in place while it is live; updates and deletes drop it, and the next
 	// scan rebuilds it. nil means stale/never built.
 	rowView []Row
-	// indexes maps column position to a hash index from value key to row
-	// positions. Indexes are maintained incrementally on insert and rebuilt
-	// on update/delete.
-	indexes map[int]map[string][]int
+	// indexes maps column position to the hash index over that column (see
+	// index.go). Indexes are maintained incrementally on insert, rebuilt on
+	// delete, and on update only where an assigned column is indexed.
+	indexes map[int]*hashIndex
 	// primary is the position of the primary-key column, or -1.
 	primary int
 	// dataVer is the table's data version: every DML statement that changed
@@ -63,7 +63,7 @@ func newTable(name string, cols []Column) (*Table, error) {
 		Name:    name,
 		Columns: cols,
 		colIdx:  make(map[string]int, len(cols)),
-		indexes: make(map[int]map[string][]int),
+		indexes: make(map[int]*hashIndex),
 		primary: -1,
 	}
 	for _, c := range cols {
@@ -83,7 +83,7 @@ func newTable(name string, cols []Column) (*Table, error) {
 		}
 	}
 	if t.primary >= 0 {
-		t.indexes[t.primary] = make(map[string][]int)
+		t.indexes[t.primary] = newHashIndex(cols[t.primary].Type)
 	}
 	return t, nil
 }
@@ -170,8 +170,7 @@ func (t *Table) insert(r Row) error {
 		r[i] = v
 	}
 	if t.primary >= 0 {
-		key := r[t.primary].Key()
-		if len(t.indexes[t.primary][key]) > 0 {
+		if len(t.indexes[t.primary].get(r[t.primary])) > 0 {
 			return fmt.Errorf("sqldb: table %s: duplicate primary key %s", t.Name, r[t.primary])
 		}
 	}
@@ -184,8 +183,7 @@ func (t *Table) insert(r Row) error {
 		t.rowView = append(t.rowView, r)
 	}
 	for col, idx := range t.indexes {
-		key := r[col].Key()
-		idx[key] = append(idx[key], pos)
+		idx.add(r[col], pos)
 	}
 	return nil
 }
@@ -210,17 +208,17 @@ func (t *Table) createIndex(col int) {
 
 // buildIndex computes a hash index over one column from the column vector.
 // Caller holds t.mu exclusively (or the exclusive DB statement lock).
-func (t *Table) buildIndex(col int) map[string][]int {
-	idx := make(map[string][]int)
+func (t *Table) buildIndex(col int) *hashIndex {
+	idx := newHashIndex(t.Columns[col].Type)
 	cv := t.cols[col]
 	for pos := 0; pos < t.nrows; pos++ {
-		key := cv.key(pos)
-		idx[key] = append(idx[key], pos)
+		idx.add(cv.value(pos), pos)
 	}
 	return idx
 }
 
-// rebuildIndexes recomputes all indexes after bulk mutation.
+// rebuildIndexes recomputes every index after a DELETE, which shifts row
+// positions.
 func (t *Table) rebuildIndexes() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -229,27 +227,27 @@ func (t *Table) rebuildIndexes() {
 	}
 }
 
-// hasIndex reports whether the column is indexed.
-func (t *Table) hasIndex(col int) bool {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	_, ok := t.indexes[col]
-	return ok
+// rebuildIndexesOn recomputes the indexes over the columns an UPDATE
+// assigned. UPDATE keeps every row in place, so an index over a column it did
+// not assign still holds.
+func (t *Table) rebuildIndexesOn(assigned []int) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, col := range assigned {
+		if _, ok := t.indexes[col]; ok {
+			t.indexes[col] = t.buildIndex(col)
+		}
+	}
 }
 
-// lookup returns the positions of rows whose indexed column equals v, or
-// (nil, false) if the column is not indexed. The returned slice aliases the
-// index; it is safe to read because index mutations happen only under the
-// exclusive DB statement lock, which excludes all SELECT readers. Positions
-// index into the snapshot returned by scan.
-func (t *Table) lookup(col int, v Value) ([]int, bool) {
+// index returns the hash index over a column, or nil. The index may be read
+// without the table lock afterwards: indexes mutate only under the exclusive
+// DB statement lock, which excludes all SELECT readers. The positions it
+// yields index into the snapshot returned by scan.
+func (t *Table) index(col int) *hashIndex {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	idx, ok := t.indexes[col]
-	if !ok {
-		return nil, false
-	}
-	return idx[v.Key()], true
+	return t.indexes[col]
 }
 
 // DB is a database: a set of named tables. All public methods are safe for

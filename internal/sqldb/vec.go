@@ -186,15 +186,18 @@ type vecCtx struct {
 	groupSeq []*vecGroup
 	pre      map[*ECall]Value
 	argBuf   []*vcol
-	idxBuf   []map[string][]int
-	// probeBuf is the scratch key buffer of hash-index probes (AppendKey +
-	// zero-alloc string(buf) map access); idxPool is a free list of selection
-	// index slices for the AND/OR narrowing.
-	probeBuf []byte
-	idxPool  [][]int32
+	idxBuf   []*hashIndex
+	// idxPool is a free list of selection index slices for the AND/OR
+	// narrowing.
+	idxPool [][]int32
 	// fuseVals holds the per-execution comparand values of the fused filter
 	// kernels, one slot per kernel (see vecfuse.go).
 	fuseVals []Value
+	// callCols is the stack of argument columns of the scalar function calls
+	// in evaluation (calls nest); callArgs is the argument row handed to the
+	// function, which no nested evaluation can interleave with.
+	callCols []*vcol
+	callArgs []Value
 }
 
 var vecCtxPool = sync.Pool{New: func() any { return new(vecCtx) }}
@@ -257,6 +260,7 @@ func (vc *vecCtx) release() {
 		vc.fuseVals[i] = Value{}
 	}
 	vc.fuseVals = vc.fuseVals[:0]
+	clear(vc.callArgs[:cap(vc.callArgs)])
 	vc.b.n, vc.nb.n = 0, 0
 	vecCtxPool.Put(vc)
 }
@@ -1096,9 +1100,7 @@ func (cp *vecCompiler) corrLookup(x *ESubquery, ntab int) (vexpr, bool) {
 	return func(vc *vecCtx, b *vbatch, out *vcol) error {
 		// Grab the probe index once per batch: index mutations happen only
 		// under the exclusive DB statement lock, which excludes SELECTs.
-		t.mu.RLock()
-		idx := t.indexes[keyCol]
-		t.mu.RUnlock()
+		idx := t.index(keyCol)
 		if idx == nil {
 			return slow(vc, b, out)
 		}
@@ -1110,10 +1112,8 @@ func (cp *vecCompiler) corrLookup(x *ESubquery, ntab int) (vexpr, bool) {
 		vals := out.alloc(b.n)
 		for i := 0; i < b.n; i++ {
 			kv := kc.at(i)
-			vc.probeBuf = kv.AppendKey(vc.probeBuf[:0])
-			positions := idx[string(vc.probeBuf)]
 			nmatch, matched := 0, -1
-			for _, p := range positions {
+			for _, p := range idx.get(kv) {
 				sv := t.cols[keyCol].value(p)
 				var eqv Value
 				var err error
@@ -1589,23 +1589,25 @@ func vecAndOr(op BinOp, l, r vexpr) vexpr {
 
 func vecCall(name string, args []vexpr) vexpr {
 	return func(vc *vecCtx, b *vbatch, out *vcol) error {
-		cols := make([]*vcol, len(args))
-		for i, a := range args {
+		base := len(vc.callCols)
+		defer func() {
+			for _, c := range vc.callCols[base:] {
+				vc.putCol(c)
+			}
+			vc.callCols = vc.callCols[:base]
+		}()
+		for _, a := range args {
 			c := vc.getCol()
-			cols[i] = c
+			vc.callCols = append(vc.callCols, c)
 			if err := a(vc, b, c); err != nil {
-				for _, cc := range cols[:i+1] {
-					vc.putCol(cc)
-				}
 				return err
 			}
 		}
-		defer func() {
-			for _, c := range cols {
-				vc.putCol(c)
-			}
-		}()
-		argBuf := make([]Value, len(args))
+		cols := vc.callCols[base:]
+		if cap(vc.callArgs) < len(args) {
+			vc.callArgs = make([]Value, len(args))
+		}
+		argBuf := vc.callArgs[:len(args)]
 		vals := out.alloc(b.n)
 		for i := 0; i < b.n; i++ {
 			for j, c := range cols {

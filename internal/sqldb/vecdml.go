@@ -157,7 +157,8 @@ func (db *DB) vecExecUpdateLocked(params *Params, plan *stmtPlan, t *Table) (*Re
 	}
 
 	// Phase 2 (write): identical to the row path — patch the column vectors,
-	// drop the cached row view, rebuild indexes, bump the data version.
+	// drop the cached row view, rebuild the indexes over assigned columns,
+	// bump the data version.
 	if len(patches) > 0 {
 		t.mu.Lock()
 		for _, p := range patches {
@@ -167,7 +168,7 @@ func (db *DB) vecExecUpdateLocked(params *Params, plan *stmtPlan, t *Table) (*Re
 		}
 		t.rowView = nil
 		t.mu.Unlock()
-		t.rebuildIndexes()
+		t.rebuildIndexesOn(dp.cols)
 		db.bumpData(t)
 	}
 	return &Result{Affected: len(patches)}, nil
