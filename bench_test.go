@@ -766,6 +766,57 @@ func BenchmarkCachedAnalyze(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
+// E19 — what a warm analysis allocates: the repository benchmark's warm_wire
+// loop as a Go benchmark. One analyzer, one pooled connection to a fast-profile
+// server, the result cache on and filled by an untimed first analysis, so the
+// measured analyses execute nothing in the engine: what is left is core's
+// per-analysis work, the driver, the codec on both ends and the cache lookups
+// — and allocs/op is what the evaluation plan, the server's request scratch
+// and the plan-marker cache key exist to keep per request, not per binding.
+// ---------------------------------------------------------------------------
+
+func BenchmarkWarmAnalyze(b *testing.B) {
+	g := mustGraph(b, apprentice.ScaledStencil(15, 16), 2, 4, 8, 16, 32, 64)
+	runs := g.Dataset.Versions[0].Runs
+	run := runs[len(runs)-1]
+	db := sqldb.NewDB()
+	if err := sqlgen.CreateSchema(g.World, embeddedExecutor(db)); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := sqlgen.Load(g.Store, embeddedExecutor(db)); err != nil {
+		b.Fatal(err)
+	}
+	srv, err := wire.NewServer(db, wire.ProfileFast, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := srv.Listen("127.0.0.1:0"); err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	pool, err := godbc.NewPool(srv.Addr(), 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer pool.Close()
+	a := core.New(g, core.WithWorkers(1), core.WithBatchSize(32))
+	if _, err := a.AnalyzeSQL(run, pool); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rep, err := a.AnalyzeSQL(run, pool)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if rep.Bottleneck() == nil {
+			b.Fatal("no bottleneck")
+		}
+	}
+}
+
+// ---------------------------------------------------------------------------
 // E12 — the resident service: the full cosyd stack (service protocol over
 // TCP, admission control, multiplexed clients) under concurrent tenants on
 // the oracle-remote profile. tenants=1 is the single-client baseline — one

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/asl/sqlgen"
@@ -42,32 +43,32 @@ func (a *Analyzer) BatchSize() int {
 }
 
 // chunk is one worker-pool unit of a SQL analysis: a run of consecutive
-// enumerated items that share a property and execute as one batch (n > 1
+// enumerated instances of one property that execute as one batch (n > 1
 // requires the property's handle to support array binding).
 type chunk struct {
+	prop     int // index into the plan's (and the analysis's) properties
 	start, n int
 }
 
-// batchChunks slices the enumerated items into execution units. Items whose
-// property cannot batch (no prepared handle, the handle does not support
-// array binding, or batching disabled) become single-instance chunks running
-// the exact per-instance path.
-func (a *Analyzer) batchChunks(items []evalItem) []chunk {
-	size := a.BatchSize()
+// chunksFor returns the execution units of one analysis. The plan's layout —
+// up to BatchSize instances of one property per chunk — holds when every
+// property's handle supports array binding, which is every analysis of a
+// batch-capable executor. A property that cannot batch (no prepared handle,
+// or one without array binding) is split into single-instance chunks, so its
+// instances still spread over the worker pool on the exact per-instance path.
+func (pl *runPlan) chunksFor(props []preparedProp) []chunk {
+	if !slices.ContainsFunc(props, func(c preparedProp) bool { return c.bq == nil }) {
+		return pl.chunks
+	}
 	var chunks []chunk
-	for i := 0; i < len(items); {
-		it := items[i]
-		if it.sqlProp == nil || it.sqlProp.bq == nil || size <= 1 {
-			chunks = append(chunks, chunk{start: i, n: 1})
-			i++
+	for _, ch := range pl.chunks {
+		if props[ch.prop].bq != nil {
+			chunks = append(chunks, ch)
 			continue
 		}
-		n := 1
-		for i+n < len(items) && n < size && items[i+n].sqlProp == it.sqlProp {
-			n++
+		for i := range ch.n {
+			chunks = append(chunks, chunk{prop: ch.prop, start: ch.start + i, n: 1})
 		}
-		chunks = append(chunks, chunk{start: i, n: n})
-		i += n
 	}
 	return chunks
 }
@@ -120,38 +121,28 @@ func (f *analysisAbort) Err() error {
 	return f.err
 }
 
-// evalSQLCtxs evaluates the contexts of one compiled property, writing one
-// Instance per context into out (out[i] belongs to ctxs[i]). When the
-// prepared handle supports array binding and batching is enabled, every
-// context executes through batched requests; otherwise each context pays its
-// own execution, the per-instance prepared (or text) path. Shard losses are
-// recorded in fail as well as diagnosed; once one is recorded, remaining
-// contexts are diagnosed without executing — the analysis is already doomed
-// to abort, and issuing more requests at a dead shard would pay a timeout
-// apiece for a report that will be discarded.
-func (a *Analyzer) evalSQLCtxs(ctx context.Context, q QueryExec, c *compiledProp, prop string, ctxs []instCtx, out []Instance, fail *analysisAbort) {
+// evalSQLCtxs evaluates contexts of one compiled property, writing one
+// Instance per context into out (out[i] belongs to ctxs[i], bindings[i] is
+// its parameter set). When the prepared handle supports array binding and
+// batching is enabled, every context executes through batched requests;
+// otherwise each context pays its own execution, the per-instance prepared
+// (or text) path. Shard losses are recorded in fail as well as diagnosed;
+// once one is recorded, remaining contexts are diagnosed without executing —
+// the analysis is already doomed to abort, and issuing more requests at a
+// dead shard would pay a timeout apiece for a report that will be discarded.
+func (a *Analyzer) evalSQLCtxs(ctx context.Context, q QueryExec, c preparedProp, ctxs []instCtx, bindings []*sqldb.Params, out []Instance, fail *analysisAbort) {
 	if err := ctx.Err(); err != nil {
 		fail.record(err)
 	}
-	if aborted(prop, ctxs, out, fail) {
+	if aborted(ctxs, out, fail) {
 		return
 	}
-	// Validate every context's bindings against the compiled parameter list
-	// before anything executes, and fill the positional slice when the
-	// dialect renders positional markers. A mismatch is systematic — every
-	// context of a property binds the same parameter shape — so the first
-	// failure diagnoses the whole group without issuing a single query.
-	for _, ictx := range ctxs {
-		err := c.cp.CheckBinding(ictx.params)
-		if err == nil && c.paramOrder != nil {
-			err = sqlgen.FillPositional(ictx.params, c.paramOrder)
-		}
-		if err != nil {
-			for i, ic := range ctxs {
-				out[i] = Instance{Property: prop, Context: ic.label, Outcome: Outcome{Diagnostic: err.Error()}}
-			}
-			return
-		}
+	// The plan checked every context's bindings against the compiled
+	// parameter list (runPlan.bind); a mismatch diagnoses the whole group
+	// without issuing a single query.
+	if c.bindErr != nil {
+		diagnose(ctxs, out, c.bindErr)
+		return
 	}
 	size := a.BatchSize()
 	if c.bq == nil || size <= 1 {
@@ -159,11 +150,11 @@ func (a *Analyzer) evalSQLCtxs(ctx context.Context, q QueryExec, c *compiledProp
 			if err := ctx.Err(); err != nil {
 				fail.record(err)
 			}
-			if aborted(prop, ctxs[i:], out[i:], fail) {
+			if aborted(ctxs[i:], out[i:], fail) {
 				return
 			}
-			in := Instance{Property: prop, Context: ictx.label}
-			set, err := c.exec(ctx, q, ictx.params)
+			in := Instance{Property: ictx.prop, Context: ictx.label}
+			set, err := c.exec(ctx, q, bindings[i])
 			if err != nil {
 				fail.record(err)
 				in.Diagnostic = err.Error()
@@ -179,24 +170,29 @@ func (a *Analyzer) evalSQLCtxs(ctx context.Context, q QueryExec, c *compiledProp
 		if err := ctx.Err(); err != nil {
 			fail.record(err)
 		}
-		if aborted(prop, ctxs[start:], out[start:], fail) {
+		if aborted(ctxs[start:], out[start:], fail) {
 			return
 		}
-		a.evalSQLBatch(ctx, c, prop, ctxs[start:end], out[start:end], fail)
+		a.evalSQLBatch(ctx, c, ctxs[start:end], bindings[start:end], out[start:end], fail)
+	}
+}
+
+// diagnose fills every slot with one failure as its diagnostic.
+func diagnose(ctxs []instCtx, out []Instance, err error) {
+	for i, ictx := range ctxs {
+		out[i] = Instance{Property: ictx.prop, Context: ictx.label, Outcome: Outcome{Diagnostic: err.Error()}}
 	}
 }
 
 // aborted reports whether the analysis has already recorded a fatal failure;
 // if so it fills the remaining slots with that failure as their diagnostic,
 // keeping every slot populated for the (discarded) merge.
-func aborted(prop string, ctxs []instCtx, out []Instance, fail *analysisAbort) bool {
+func aborted(ctxs []instCtx, out []Instance, fail *analysisAbort) bool {
 	err := fail.Err()
 	if err == nil {
 		return false
 	}
-	for i, ctx := range ctxs {
-		out[i] = Instance{Property: prop, Context: ctx.label, Outcome: Outcome{Diagnostic: err.Error()}}
-	}
+	diagnose(ctxs, out, err)
 	return true
 }
 
@@ -205,11 +201,7 @@ func aborted(prop string, ctxs []instCtx, out []Instance, fail *analysisAbort) b
 // the chunk, mirroring what per-instance execution of the same failing
 // statement would report; per-binding failures diagnose only their own
 // context.
-func (a *Analyzer) evalSQLBatch(ctx context.Context, c *compiledProp, prop string, ctxs []instCtx, out []Instance, fail *analysisAbort) {
-	bindings := make([]*sqldb.Params, len(ctxs))
-	for i, ictx := range ctxs {
-		bindings[i] = ictx.params
-	}
+func (a *Analyzer) evalSQLBatch(ctx context.Context, c preparedProp, ctxs []instCtx, bindings []*sqldb.Params, out []Instance, fail *analysisAbort) {
 	var results []sqlgen.BatchQueryResult
 	var err error
 	if cb, ok := c.bq.(sqlgen.ContextBatchPreparedQuery); ok && ctx.Done() != nil {
@@ -222,7 +214,7 @@ func (a *Analyzer) evalSQLBatch(ctx context.Context, c *compiledProp, prop strin
 	}
 	fail.record(err)
 	for i, ictx := range ctxs {
-		in := Instance{Property: prop, Context: ictx.label}
+		in := Instance{Property: ictx.prop, Context: ictx.label}
 		switch {
 		case err != nil:
 			in.Diagnostic = err.Error()

@@ -31,11 +31,11 @@ import (
 // in process with no blocking points, so cancellation is checked between
 // property instances.
 func (a *Analyzer) AnalyzeObjectCtx(ctx context.Context, run *model.TestRun) (*Report, error) {
-	sc, err := a.scopeFromGraph(run)
+	pl, err := a.planFor(run)
 	if err != nil {
 		return nil, err
 	}
-	instances, err := a.evalScope(ctx, sc)
+	instances, err := a.evalObject(ctx, pl.ctxs)
 	if err != nil {
 		return nil, err
 	}
@@ -58,7 +58,11 @@ func (a *Analyzer) AnalyzeClientSideCtx(ctx context.Context, run *model.TestRun,
 	if err != nil {
 		return nil, err
 	}
-	instances, err := a.evalScope(ctx, sc)
+	items, err := a.enumerate(sc)
+	if err != nil {
+		return nil, err
+	}
+	instances, err := a.evalObject(ctx, items)
 	if err != nil {
 		return nil, err
 	}

@@ -11,9 +11,9 @@ import (
 	"fmt"
 	"maps"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
+	"sync"
 
 	"repro/internal/asl/ast"
 	"repro/internal/asl/eval"
@@ -21,7 +21,6 @@ import (
 	"repro/internal/asl/sem"
 	"repro/internal/asl/sqlgen"
 	"repro/internal/model"
-	"repro/internal/sqlast/build"
 	"repro/internal/sqldb"
 )
 
@@ -180,6 +179,14 @@ type Analyzer struct {
 	// dialect is the SQL dialect properties are rendered in; "" means the
 	// canonical kojakdb dialect.
 	dialect string
+
+	// plans holds the evaluation plan of every run analyzed so far (see
+	// plan.go); planMu guards the map, the plans themselves are read-only.
+	planMu sync.Mutex
+	plans  map[*model.TestRun]*runPlan
+	// compiled holds the properties' queries, made by the first SQL analysis.
+	compileOnce sync.Once
+	compiled    []compiledProp
 }
 
 // New returns an analyzer over the graph.
@@ -191,6 +198,7 @@ func New(g *model.Graph, opts ...Option) *Analyzer {
 		props:      append([]string(nil), model.AllProperties...),
 		callFilter: map[string]string{"LoadImbalance": model.BarrierFunction},
 		consts:     make(map[string]float64),
+		plans:      make(map[*model.TestRun]*runPlan),
 	}
 	for _, o := range opts {
 		o(a)
@@ -203,9 +211,10 @@ func (a *Analyzer) Threshold() float64 { return a.threshold }
 
 // instCtx is one property instance before evaluation.
 type instCtx struct {
+	prop  string
 	label string
 	args  []object.Value
-	// ids carries the argument object ids for the SQL engine, keyed by
+	// params carries the argument object ids for the SQL engine, keyed by
 	// parameter name.
 	params *sqldb.Params
 }
@@ -338,6 +347,7 @@ func (a *Analyzer) contexts(sc *scope, prop string) ([]instCtx, error) {
 
 	mk := func(label string, first *object.Object) instCtx {
 		return instCtx{
+			prop:  prop,
 			label: label,
 			args:  []object.Value{first, sc.run, sc.basis},
 			params: &sqldb.Params{Named: map[string]sqldb.Value{
@@ -404,17 +414,28 @@ func (a *Analyzer) finish(engine string, nope int, instances []Instance) *Report
 			rep.Skipped++
 		}
 	}
-	sort.SliceStable(rep.Instances, func(i, j int) bool {
-		a, b := rep.Instances[i], rep.Instances[j]
-		if a.Severity != b.Severity {
-			return a.Severity > b.Severity
-		}
-		if a.Property != b.Property {
-			return a.Property < b.Property
-		}
-		return a.Context < b.Context
-	})
+	slices.SortStableFunc(rep.Instances, bySeverity)
 	return rep
+}
+
+// bySeverity orders instances as reports list them: decreasing severity,
+// ties broken by property and context for determinism.
+func bySeverity(a, b Instance) int {
+	if a.Severity != b.Severity {
+		// A NaN severity is neither above nor below anything: it ties with
+		// every other, without falling through to the names.
+		switch {
+		case a.Severity > b.Severity:
+			return -1
+		case a.Severity < b.Severity:
+			return 1
+		}
+		return 0
+	}
+	if c := strings.Compare(a.Property, b.Property); c != 0 {
+		return c
+	}
+	return strings.Compare(a.Context, b.Context)
 }
 
 // AnalyzeObject evaluates all properties for the run using the ASL object
@@ -433,36 +454,18 @@ func (a *Analyzer) objectEvaluator() *eval.Evaluator {
 	return ev
 }
 
-// evalItem is one (property × context) unit of work; items carry everything
-// a worker needs so evaluation is free of shared mutable state.
-type evalItem struct {
-	prop string
-	ctx  instCtx
-	// sqlProp is set on the SQL engine paths only; it is shared by every
-	// context of the property.
-	sqlProp *compiledProp
-}
+// preparedProp is a compiled property as one analysis executes it: the
+// query and the plan's verdict on the run's bindings plus, when the executor
+// supports it, a prepared handle shared by every context of the property.
+type preparedProp struct {
+	*compiledProp
+	// bindErr is the plan's verdict on the run's bindings (runPlan.bind).
+	bindErr error
 
-// compiledProp is one property's compiled query: the SQL text (rendered in
-// the analyzer's dialect, with constant overrides applied), the compiler's
-// column layout, and — when the executor supports it — a prepared handle
-// shared by every context of the property.
-type compiledProp struct {
-	sql string
-	cp  *sqlgen.CompiledProperty
-	// paramOrder is the rendered marker order of a positional-marker dialect;
-	// nil for named-marker dialects (kojakdb, oracle7). When set, each
-	// context's positional parameters are filled from its named bindings
-	// before execution.
-	paramOrder []string
-	pq         sqlgen.PreparedQuery // nil on the text-protocol path
+	pq sqlgen.PreparedQuery // nil on the text-protocol path
 	// bq is the handle's array-binding interface, non-nil when the executor
 	// can run a whole batch of contexts in one request (see batch.go).
 	bq sqlgen.BatchPreparedQuery
-	// runParam names the property's TestRun-typed parameter, the routing key
-	// of sharded executors: every execution goes to the shard owning the run
-	// bound under this name.
-	runParam string
 }
 
 // runParam returns the name of a property's TestRun-typed parameter, or ""
@@ -480,47 +483,29 @@ func (a *Analyzer) runParam(prop string) string {
 	return ""
 }
 
-// compileProp compiles a property for the SQL engines and prepares its query
+// prepare readies a compiled property for one analysis, preparing its query
 // when a preparer is available. Sharded executors (sqlgen.RoutedPreparer)
 // are handed the property's run parameter so every execution routes to the
 // shard owning its context's run. A failed prepare falls back to per-call
 // text execution so instance-level diagnostics match the text path — errors
 // never abort a run.
-func (a *Analyzer) compileProp(prop string, preparer sqlgen.QueryPreparer) (*compiledProp, error) {
-	cp, err := sqlgen.CompileProperty(a.world, prop)
-	if err != nil {
-		return nil, fmt.Errorf("core: compiling %s: %w", prop, err)
+func (c *compiledProp) prepare(preparer sqlgen.QueryPreparer, bindErr error) preparedProp {
+	p := preparedProp{compiledProp: c, bindErr: bindErr}
+	if preparer == nil {
+		return p
 	}
-	// The canonical dialect's rendering is cp.SQL itself — reuse it so the
-	// default path pays no render and keeps the exact plan-cache text.
-	sql := cp.SQL
-	var paramOrder []string
-	if a.dialect != "" && a.dialect != build.Kojakdb.Name {
-		r, err := cp.Render(a.dialect)
-		if err != nil {
-			return nil, fmt.Errorf("core: rendering %s: %w", prop, err)
-		}
-		sql = r.SQL
-		paramOrder = r.ParamOrder
+	var pq sqlgen.PreparedQuery
+	var err error
+	if rp, ok := preparer.(sqlgen.RoutedPreparer); ok && c.runParam != "" {
+		pq, err = rp.PrepareRoutedQuery(c.sql, c.runParam)
+	} else {
+		pq, err = preparer.PrepareQuery(c.sql)
 	}
-	sql, err = a.overrideConsts(sql)
-	if err != nil {
-		return nil, err
+	if err == nil {
+		p.pq = pq
+		p.bq, _ = pq.(sqlgen.BatchPreparedQuery)
 	}
-	c := &compiledProp{sql: sql, cp: cp, runParam: a.runParam(prop), paramOrder: paramOrder}
-	if preparer != nil {
-		var pq sqlgen.PreparedQuery
-		if rp, ok := preparer.(sqlgen.RoutedPreparer); ok && c.runParam != "" {
-			pq, err = rp.PrepareRoutedQuery(sql, c.runParam)
-		} else {
-			pq, err = preparer.PrepareQuery(sql)
-		}
-		if err == nil {
-			c.pq = pq
-			c.bq, _ = pq.(sqlgen.BatchPreparedQuery)
-		}
-	}
-	return c, nil
+	return p
 }
 
 // exec runs the property query for one context's parameters, routing by run
@@ -528,7 +513,7 @@ func (a *Analyzer) compileProp(prop string, preparer sqlgen.QueryPreparer) (*com
 // canceled and the handle (or executor) offers a context-observing execution,
 // the call goes through it; otherwise cancellation takes effect between
 // executions instead (the caller checks).
-func (c *compiledProp) exec(ctx context.Context, q QueryExec, params *sqldb.Params) (*sqldb.ResultSet, error) {
+func (c preparedProp) exec(ctx context.Context, q QueryExec, params *sqldb.Params) (*sqldb.ResultSet, error) {
 	cancelable := ctx.Done() != nil
 	if c.pq != nil {
 		if cq, ok := c.pq.(sqlgen.ContextPreparedQuery); ok && cancelable {
@@ -546,53 +531,36 @@ func (c *compiledProp) exec(ctx context.Context, q QueryExec, params *sqldb.Para
 }
 
 // close releases the prepared handle, if any.
-func (c *compiledProp) close() {
+func (c preparedProp) close() {
 	if c.pq != nil {
 		c.pq.Close()
 	}
 }
 
 // enumerate lists every property instance of a scope in the canonical
-// (property order × context order) sequence. This sequence is the merge
-// order of the parallel pipeline: instance i of the work list is written to
-// slot i of the result, so the output is identical for any worker count —
-// every engine must build its work list here. perProp, when non-nil, runs
-// once per property to supply engine-specific item state (the compiled SQL);
-// its result seeds every item of that property.
-func (a *Analyzer) enumerate(sc *scope, perProp func(prop string) (evalItem, error)) ([]evalItem, error) {
-	var items []evalItem
+// sequence, afresh. Only scopes rebuilt from a fetched store come here: their
+// objects are new on every fetch, so a plan keyed on them would never be
+// found again and never released. Runs of the analyzer's own graph go
+// through planFor.
+func (a *Analyzer) enumerate(sc *scope) ([]instCtx, error) {
+	var all []instCtx
 	for _, prop := range a.props {
-		seed := evalItem{}
-		if perProp != nil {
-			var err error
-			if seed, err = perProp(prop); err != nil {
-				return nil, err
-			}
-		}
-		seed.prop = prop
 		ctxs, err := a.contexts(sc, prop)
 		if err != nil {
 			return nil, err
 		}
-		for _, ctx := range ctxs {
-			it := seed
-			it.ctx = ctx
-			items = append(items, it)
-		}
+		all = append(all, ctxs...)
 	}
-	return items, nil
+	return all, nil
 }
 
-// evalScope runs the object engine over a scope, fanning the instances out
-// across the worker pool. The ASL evaluator caches constants and tracks call
-// depth, so each worker interprets with its own Evaluator; the object graph
-// itself is read-only during evaluation. Cancellation is observed between
-// instances: a canceled scope returns ctx's error, never a partial result.
-func (a *Analyzer) evalScope(ctx context.Context, sc *scope) ([]Instance, error) {
-	items, err := a.enumerate(sc, nil)
-	if err != nil {
-		return nil, err
-	}
+// evalObject runs the object engine over enumerated instances, fanning them
+// out across the worker pool. The ASL evaluator caches constants and tracks
+// call depth, so each worker interprets with its own Evaluator; the object
+// graph itself is read-only during evaluation. Cancellation is observed
+// between instances: a canceled evaluation returns ctx's error, never a
+// partial result.
+func (a *Analyzer) evalObject(ctx context.Context, items []instCtx) ([]Instance, error) {
 	workers := a.Workers()
 	evs := make([]*eval.Evaluator, min(workers, max(len(items), 1)))
 	instances := make([]Instance, len(items))
@@ -606,8 +574,8 @@ func (a *Analyzer) evalScope(ctx context.Context, sc *scope) ([]Instance, error)
 			evs[worker] = ev
 		}
 		it := items[i]
-		in := Instance{Property: it.prop, Context: it.ctx.label}
-		res, err := ev.EvalProperty(it.prop, it.ctx.args...)
+		in := Instance{Property: it.prop, Context: it.label}
+		res, err := ev.EvalProperty(it.prop, it.args...)
 		if err != nil {
 			in.Diagnostic = err.Error()
 		} else {
@@ -658,39 +626,32 @@ func (a *Analyzer) AnalyzeSQL(run *model.TestRun, q QueryExec) (*Report, error) 
 // support still stop within one chunk of the cancel. A canceled analysis
 // returns the context's error, never a partial report.
 func (a *Analyzer) AnalyzeSQLCtx(ctx context.Context, run *model.TestRun, q QueryExec) (*Report, error) {
-	sc, err := a.scopeFromGraph(run)
+	pl, err := a.planFor(run)
 	if err != nil {
 		return nil, err
 	}
+	compiled := a.compiledProps()
+	bindErrs := pl.bind(compiled)
 	preparer := a.preparer(q)
-	var props []*compiledProp
+	props := make([]preparedProp, 0, len(compiled))
 	defer func() {
 		for _, c := range props {
 			c.close()
 		}
 	}()
-	items, err := a.enumerate(sc, func(prop string) (evalItem, error) {
-		c, err := a.compileProp(prop, preparer)
-		if err != nil {
-			return evalItem{}, err
+	for i := range compiled {
+		if err := compiled[i].err; err != nil {
+			return nil, err
 		}
-		props = append(props, c)
-		return evalItem{sqlProp: c}, nil
-	})
-	if err != nil {
-		return nil, err
+		props = append(props, compiled[i].prepare(preparer, bindErrs[i]))
 	}
-	instances := make([]Instance, len(items))
-	chunks := a.batchChunks(items)
+	instances := make([]Instance, len(pl.ctxs))
+	chunks := pl.chunksFor(props)
 	fail := &analysisAbort{}
 	runPool(a.queryWorkers(q), len(chunks), func(_, ci int) {
 		ch := chunks[ci]
-		ctxs := make([]instCtx, ch.n)
-		for j := 0; j < ch.n; j++ {
-			ctxs[j] = items[ch.start+j].ctx
-		}
-		it := items[ch.start]
-		a.evalSQLCtxs(ctx, q, it.sqlProp, it.prop, ctxs, instances[ch.start:ch.start+ch.n], fail)
+		end := ch.start + ch.n
+		a.evalSQLCtxs(ctx, q, props[ch.prop], pl.ctxs[ch.start:end], pl.bindings[ch.start:end], instances[ch.start:end], fail)
 	})
 	// A lost shard aborts the analysis: a report missing one shard's answers
 	// is not a smaller report, it is a wrong one. Cancellation aborts the

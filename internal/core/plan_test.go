@@ -1,0 +1,179 @@
+package core
+
+import (
+	"sync"
+	"testing"
+
+	"repro/internal/apprentice"
+	"repro/internal/godbc"
+	"repro/internal/model"
+)
+
+// The evaluation plan (plan.go) is built once per run and shared by every
+// later analysis of it, concurrent ones included. These tests hold it to
+// that: the reports of a long-lived analyzer are those of a fresh one, the
+// shared parameter sets are never written after the plan is published (the
+// race detector watches the positional fill in particular), a second analysis
+// allocates per request and not per instance, and scopes rebuilt from a
+// fetched store stay out of the memo.
+
+func TestPlanReusedAcrossAnalyses(t *testing.T) {
+	g := buildGraph(t, apprentice.Particles())
+	db := loadDB(t, g)
+	q := godbc.Embedded{DB: db}
+	runs := g.Dataset.Versions[0].Runs
+	two := []*model.TestRun{runs[0], runs[len(runs)-1]}
+
+	for _, dialect := range []string{"kojakdb", "oracle7", "ansi"} {
+		t.Run(dialect, func(t *testing.T) {
+			want := make(map[*model.TestRun]string)
+			for _, run := range two {
+				rep, err := New(g, WithSQLDialect(dialect)).AnalyzeSQL(run, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want[run] = rep.Render()
+			}
+
+			shared := New(g, WithSQLDialect(dialect), WithWorkers(4))
+			const rounds = 6
+			var wg sync.WaitGroup
+			for i := range rounds * len(two) {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					run := two[i%len(two)]
+					rep, err := shared.AnalyzeSQL(run, q)
+					if err != nil {
+						t.Errorf("analysis %d: %v", i, err)
+						return
+					}
+					if got := rep.Render(); got != want[run] {
+						t.Errorf("analysis %d of the %d-PE run differs from a fresh analyzer's:\n--- fresh ---\n%s--- shared ---\n%s",
+							i, run.NoPe, want[run], got)
+					}
+				}()
+			}
+			wg.Wait()
+			if n := len(shared.plans); n != len(two) {
+				t.Fatalf("%d plans kept for %d analyzed runs", n, len(two))
+			}
+
+			// The other engines read the same plan: the guided SQL search
+			// hands its subsets of the shared parameter sets to the executor,
+			// the object engine the shared argument lists.
+			for _, run := range two {
+				if _, _, err := shared.AnalyzeGuidedSQL(run, DefaultHierarchy(), q); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := shared.AnalyzeObject(run); err != nil {
+					t.Fatal(err)
+				}
+				rep, err := shared.AnalyzeSQL(run, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := rep.Render(); got != want[run] {
+					t.Errorf("report of the %d-PE run changed after the other engines used its plan", run.NoPe)
+				}
+			}
+			if n := len(shared.plans); n != len(two) {
+				t.Fatalf("%d plans kept for %d analyzed runs", n, len(two))
+			}
+		})
+	}
+}
+
+// TestObjectEngineCompilesNothing: the compiled queries belong to the
+// analyzer, not to a plan, and only the SQL engines make them. A plan the
+// object engine built is bound (and, for ansi, positionally filled) by the
+// run's first SQL analysis while object analyses keep reading it.
+func TestObjectEngineCompilesNothing(t *testing.T) {
+	g := buildGraph(t, apprentice.Particles())
+	db := loadDB(t, g)
+	q := godbc.Embedded{DB: db}
+	run := lastRun(g)
+	fresh, err := New(g, WithSQLDialect("ansi")).AnalyzeSQL(run, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	a := New(g, WithSQLDialect("ansi"))
+	if _, err := a.AnalyzeObject(run); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := a.AnalyzeGuided(run, DefaultHierarchy()); err != nil {
+		t.Fatal(err)
+	}
+	if a.compiled != nil {
+		t.Fatal("the object engine compiled the properties' SQL")
+	}
+	var wg sync.WaitGroup
+	for i := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if i%2 == 0 {
+				if _, err := a.AnalyzeObject(run); err != nil {
+					t.Error(err)
+				}
+				return
+			}
+			rep, err := a.AnalyzeSQL(run, q)
+			if err != nil {
+				t.Error(err)
+			} else if rep.Render() != fresh.Render() {
+				t.Errorf("analysis %d differs from a fresh analyzer's", i)
+			}
+		}()
+	}
+	wg.Wait()
+	if len(a.compiled) != len(a.props) || len(a.plans) != 1 {
+		t.Fatalf("%d compiled properties, %d plans; want %d and 1", len(a.compiled), len(a.plans), len(a.props))
+	}
+}
+
+// TestWarmAnalysisAllocatesPerRequest: with the plan built and the result
+// cache warm, what an analysis against the embedded engine still allocates is
+// its own: eight statements parsed and planned anew (godbc.Embedded prepares
+// per analysis; about 4 700 allocations), one Result per instance, a few
+// slices per batch, the []Instance and the report — 6 900 measured for 2 016
+// instances. The parent commit rebuilt a parameter set and a cache key per
+// instance on top of that: 29 900.
+func TestWarmAnalysisAllocatesPerRequest(t *testing.T) {
+	g := buildGraph(t, apprentice.ScaledStencil(15, 16), 2, 4)
+	db := loadDB(t, g)
+	q := godbc.Embedded{DB: db}
+	run := lastRun(g)
+	a := New(g, WithWorkers(1))
+	first, err := a.AnalyzeSQL(run, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	instances := len(first.Instances) + first.Skipped + len(first.Diagnostics)
+
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := a.AnalyzeSQL(run, q); err != nil {
+			t.Fatal(err)
+		}
+	})
+	ceiling := float64(2*instances + 6000)
+	if allocs > ceiling {
+		t.Fatalf("a warm analysis of %d instances allocates %.0f times, ceiling %.0f", instances, allocs, ceiling)
+	}
+	t.Logf("%d instances, %.0f allocations per warm analysis", instances, allocs)
+}
+
+func TestClientSideAnalysisKeepsNoPlan(t *testing.T) {
+	g := buildGraph(t, apprentice.Particles())
+	db := loadDB(t, g)
+	a := New(g)
+	for range 2 {
+		if _, err := a.AnalyzeClientSide(lastRun(g), godbc.Embedded{DB: db}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := len(a.plans); n != 0 {
+		t.Fatalf("a store-derived scope entered the plan memo: %d plans", n)
+	}
+}

@@ -3,11 +3,12 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/asl/object"
 	"repro/internal/asl/sem"
 	"repro/internal/model"
+	"repro/internal/sqldb"
 )
 
 // Hierarchy is a property refinement tree: child property -> parent
@@ -114,11 +115,11 @@ func (s SearchStats) Savings() float64 {
 // and call-scoped refinements at the call sites inside that subtree.
 func (a *Analyzer) AnalyzeGuided(run *model.TestRun, h Hierarchy) (*Report, *SearchStats, error) {
 	ev := a.objectEvaluator()
-	evalGroup := func(prop string, ctxs []instCtx) []Instance {
+	evalGroup := func(_ *runPlan, _ int, ctxs []instCtx) []Instance {
 		out := make([]Instance, len(ctxs))
 		for i, ctx := range ctxs {
-			in := Instance{Property: prop, Context: ctx.label}
-			res, err := ev.EvalProperty(prop, ctx.args...)
+			in := Instance{Property: ctx.prop, Context: ctx.label}
+			res, err := ev.EvalProperty(ctx.prop, ctx.args...)
 			if err != nil {
 				in.Diagnostic = err.Error()
 			} else {
@@ -141,40 +142,33 @@ func (a *Analyzer) AnalyzeGuided(run *model.TestRun, h Hierarchy) (*Report, *Sea
 // opens up are evaluated together, so on batch-capable executors each step
 // costs one round trip per BatchSize contexts rather than one per context.
 func (a *Analyzer) AnalyzeGuidedSQL(run *model.TestRun, h Hierarchy, q QueryExec) (*Report, *SearchStats, error) {
+	compiled := a.compiledProps()
 	preparer := a.preparer(q)
-	// The memo caches failures too, so a property that does not compile
-	// produces its diagnostic once per context without recompiling.
-	type compileResult struct {
-		c   *compiledProp
-		err error
-	}
-	compiled := make(map[string]compileResult)
+	prepared := make(map[int]preparedProp)
 	defer func() {
-		for _, r := range compiled {
-			if r.c != nil {
-				r.c.close()
-			}
+		for _, c := range prepared {
+			c.close()
 		}
 	}()
-	compile := func(prop string) (*compiledProp, error) {
-		if r, ok := compiled[prop]; ok {
-			return r.c, r.err
-		}
-		c, err := a.compileProp(prop, preparer)
-		compiled[prop] = compileResult{c: c, err: err}
-		return c, err
-	}
 	fail := &analysisAbort{}
-	evalGroup := func(prop string, ctxs []instCtx) []Instance {
+	evalGroup := func(pl *runPlan, prop int, ctxs []instCtx) []Instance {
 		out := make([]Instance, len(ctxs))
-		c, err := compile(prop)
-		if err != nil {
-			for i, ctx := range ctxs {
-				out[i] = Instance{Property: prop, Context: ctx.label, Outcome: Outcome{Diagnostic: err.Error()}}
-			}
+		// A property that does not compile produces its diagnostic once per
+		// context; the others search on.
+		if err := compiled[prop].err; err != nil {
+			diagnose(ctxs, out, err)
 			return out
 		}
-		a.evalSQLCtxs(context.Background(), q, c, prop, ctxs, out, fail)
+		c, ok := prepared[prop]
+		if !ok {
+			c = compiled[prop].prepare(preparer, pl.bind(compiled)[prop])
+			prepared[prop] = c
+		}
+		bindings := make([]*sqldb.Params, len(ctxs))
+		for i, ctx := range ctxs {
+			bindings[i] = ctx.params
+		}
+		a.evalSQLCtxs(context.Background(), q, c, ctxs, bindings, out, fail)
 		return out
 	}
 	rep, stats, err := a.analyzeGuided(run, h, "guided-sql", evalGroup)
@@ -188,25 +182,19 @@ func (a *Analyzer) AnalyzeGuidedSQL(run *model.TestRun, h Hierarchy, q QueryExec
 }
 
 // analyzeGuided is the engine-agnostic refinement search; evalGroup
-// evaluates the instances one search step opened up, one Instance per
-// context in context order (batched inside the SQL engine when supported).
-func (a *Analyzer) analyzeGuided(run *model.TestRun, h Hierarchy, engine string, evalGroup func(prop string, ctxs []instCtx) []Instance) (*Report, *SearchStats, error) {
+// evaluates the instances one search step opened up — contexts of the plan's
+// property prop — one Instance per context in context order (batched inside
+// the SQL engine when supported).
+func (a *Analyzer) analyzeGuided(run *model.TestRun, h Hierarchy, engine string, evalGroup func(pl *runPlan, prop int, ctxs []instCtx) []Instance) (*Report, *SearchStats, error) {
 	if err := h.Validate(a.world.Props); err != nil {
 		return nil, nil, err
 	}
-	sc, err := a.scopeFromGraph(run)
+	pl, err := a.planFor(run)
 	if err != nil {
 		return nil, nil, err
 	}
 
-	stats := &SearchStats{}
-	for _, prop := range a.props {
-		ctxs, err := a.contexts(sc, prop)
-		if err != nil {
-			return nil, nil, err
-		}
-		stats.Exhaustive += len(ctxs)
-	}
+	stats := &SearchStats{Exhaustive: len(pl.ctxs)}
 
 	var instances []Instance
 	evaluated := make(map[string]bool)
@@ -224,16 +212,14 @@ func (a *Analyzer) analyzeGuided(run *model.TestRun, h Hierarchy, engine string,
 	for len(queue) > 0 {
 		it := queue[0]
 		queue = queue[1:]
-		ctxs, err := a.contexts(sc, it.prop)
-		if err != nil {
-			return nil, nil, err
-		}
+		pi := slices.Index(a.props, it.prop)
+		p := pl.props[pi]
 		// Collect the contexts this step opens up, then evaluate them as one
 		// group: the refinement decisions below depend only on each
 		// instance's own outcome, so deferring them past the group changes
 		// neither the visit set nor the visit order.
 		var pending []instCtx
-		for _, ctx := range ctxs {
+		for _, ctx := range pl.ctxs[p.start : p.start+p.n] {
 			if it.root != nil && !ctxInSubtree(ctx, it.root) {
 				continue
 			}
@@ -248,7 +234,7 @@ func (a *Analyzer) analyzeGuided(run *model.TestRun, h Hierarchy, engine string,
 			continue
 		}
 		stats.Evaluated += len(pending)
-		for i, in := range evalGroup(it.prop, pending) {
+		for i, in := range evalGroup(pl, pi, pending) {
 			instances = append(instances, in)
 			if in.Holds && in.Severity > a.threshold {
 				region := contextRegion(pending[i])
@@ -299,14 +285,6 @@ func ctxInSubtree(ctx instCtx, root *object.Object) bool {
 // tests comparing guided and exhaustive results.
 func SortedBySeverity(in []Instance) []Instance {
 	out := append([]Instance(nil), in...)
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Severity != out[j].Severity {
-			return out[i].Severity > out[j].Severity
-		}
-		if out[i].Property != out[j].Property {
-			return out[i].Property < out[j].Property
-		}
-		return out[i].Context < out[j].Context
-	})
+	slices.SortStableFunc(out, bySeverity)
 	return out
 }

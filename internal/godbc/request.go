@@ -122,12 +122,23 @@ func execBatch(ctx context.Context, c *Conn, stmtID int64, bindings []*sqldb.Par
 		if len(resp.Items) != len(chunk) {
 			return nil, fmt.Errorf("godbc: batch returned %d results for %d bindings", len(resp.Items), len(chunk))
 		}
+		// The result sets of one reply, and their row headers, are cut from
+		// one allocation each: fresh for this reply, but not one per binding.
+		sets := make([]sqldb.ResultSet, len(resp.Items))
+		nrows := 0
 		for _, item := range resp.Items {
+			nrows += len(item.Rows)
+		}
+		rows := make([]sqldb.Row, 0, nrows)
+		for i, item := range resp.Items {
 			if item.Err != "" {
 				out = append(out, BatchResult{Err: fmt.Errorf("godbc: %s", item.Err)})
 				continue
 			}
-			out = append(out, BatchResult{Affected: item.Affected, Set: decodeRows(item.Columns, item.Rows)})
+			mine := len(rows)
+			rows = appendRows(rows, item.Rows)
+			sets[i] = sqldb.ResultSet{Columns: item.Columns, Rows: rows[mine:len(rows):len(rows)]}
+			out = append(out, BatchResult{Affected: item.Affected, Set: &sets[i]})
 		}
 	}
 	return out, nil

@@ -26,7 +26,10 @@ const prefixLen = binary.MaxVarintLen32
 // Decode reads them back in that order from a Reader holding exactly one
 // payload. Decode reports nothing itself: the Reader remembers the first
 // failure, and the codec checks it — and that the payload was consumed to its
-// last byte — when Decode returns.
+// last byte — when Decode returns. m is new for every frame; what Decode
+// points it at may be memory a Format reuses from frame to frame, in which
+// case the protocol that supplies the Format says how long a message is valid
+// (wire.NewCodec does, for its requests).
 type Format[T any] struct {
 	Append func(b []byte, m *T) []byte
 	Decode func(r *Reader, m *T)
@@ -237,6 +240,9 @@ func (r *Reader) Fail(err error) {
 	}
 }
 
+// Len is how many bytes of the payload are still unread.
+func (r *Reader) Len() int { return len(r.b) }
+
 // take consumes n bytes.
 func (r *Reader) take(n int) []byte {
 	if n > len(r.b) {
@@ -288,7 +294,13 @@ func (r *Reader) Count(elemSize int) int {
 }
 
 // String reads a length-prefixed string.
-func (r *Reader) String() string { return string(r.take(r.Count(1))) }
+func (r *Reader) String() string { return string(r.Bytes()) }
+
+// Bytes reads a length-prefixed string without copying it: the result is a
+// view of the payload, valid until the codec reads its next frame. It is for
+// a decoder that looks the bytes up — in a table of strings it already holds
+// — instead of keeping them.
+func (r *Reader) Bytes() []byte { return r.take(r.Count(1)) }
 
 // Byte reads one byte.
 func (r *Reader) Byte() byte {

@@ -35,15 +35,22 @@ type Config struct {
 type Service struct {
 	graph *model.Graph
 	q     core.QueryExec
-	adm   *Admission
-	cfg   Config
-	met   *Metrics
+	// analyzer is the one analyzer every request runs on: configured once
+	// from the Config, it keeps each run's evaluation plan across requests
+	// and tenants (core/plan.go).
+	analyzer *core.Analyzer
+	adm      *Admission
+	met      *Metrics
 }
 
 // New assembles a service over a loaded executor. The database behind q must
 // already hold the graph's dataset.
 func New(g *model.Graph, q core.QueryExec, cfg Config) *Service {
-	s := &Service{graph: g, q: q, adm: NewAdmission(cfg.Capacity, cfg.MaxQueue), cfg: cfg, met: NewMetrics()}
+	opts := []core.Option{core.WithWorkers(cfg.Workers), core.WithBatchSize(cfg.BatchSize)}
+	if cfg.Threshold > 0 {
+		opts = append(opts, core.WithThreshold(cfg.Threshold))
+	}
+	s := &Service{graph: g, q: q, analyzer: core.New(g, opts...), adm: NewAdmission(cfg.Capacity, cfg.MaxQueue), met: NewMetrics()}
 	for tenant, tc := range cfg.Tenants {
 		s.adm.SetTenant(tenant, tc)
 	}
@@ -65,10 +72,11 @@ func (s *Service) Run(nope int) (*model.TestRun, error) {
 }
 
 // Analyze evaluates one run on behalf of a tenant: admission first (the
-// request queues or is shed here under load), then a fresh analyzer over the
-// shared graph and executor, with ctx observed at every layer below. The
-// report is byte-identical to what a standalone cosy run over the same data
-// would print — the service changes where analyses run, never what they say.
+// request queues or is shed here under load), then the service's analyzer
+// over the shared graph and executor, with ctx observed at every layer below.
+// The report is byte-identical to what a standalone cosy run over the same
+// data would print — the service changes where analyses run, never what they
+// say.
 func (s *Service) Analyze(ctx context.Context, tenant string, nope int) (*core.Report, error) {
 	run, err := s.Run(nope)
 	if err != nil {
@@ -99,11 +107,7 @@ func (s *Service) Analyze(ctx context.Context, tenant string, nope int) (*core.R
 	tm.InFlight.Inc()
 	defer tm.InFlight.Dec()
 
-	opts := []core.Option{core.WithWorkers(s.cfg.Workers), core.WithBatchSize(s.cfg.BatchSize)}
-	if s.cfg.Threshold > 0 {
-		opts = append(opts, core.WithThreshold(s.cfg.Threshold))
-	}
-	rep, err := core.New(s.graph, opts...).AnalyzeSQLCtx(ctx, run, s.q)
+	rep, err := s.analyzer.AnalyzeSQLCtx(ctx, run, s.q)
 	switch {
 	case err == nil:
 		// End-to-end latency, queue wait included: what the tenant waited.

@@ -249,3 +249,74 @@ func TestServiceConcurrentTenants(t *testing.T) {
 		t.Errorf("occupancy after drain: %+v", st)
 	}
 }
+
+// recordingExec is an embedded executor that remembers every parameter set a
+// batched execution hands it, by identity.
+type recordingExec struct {
+	godbc.Embedded
+	mu   sync.Mutex
+	seen map[*sqldb.Params]bool
+}
+
+func (e *recordingExec) PrepareQuery(sql string) (sqlgen.PreparedQuery, error) {
+	pq, err := e.Embedded.PrepareQuery(sql)
+	if err != nil {
+		return nil, err
+	}
+	return &recordingStmt{BatchPreparedQuery: pq.(sqlgen.BatchPreparedQuery), exec: e}, nil
+}
+
+type recordingStmt struct {
+	sqlgen.BatchPreparedQuery
+	exec *recordingExec
+}
+
+func (s *recordingStmt) ExecQueryBatch(bindings []*sqldb.Params) ([]sqlgen.BatchQueryResult, error) {
+	s.exec.mu.Lock()
+	for _, p := range bindings {
+		s.exec.seen[p] = true
+	}
+	s.exec.mu.Unlock()
+	return s.BatchPreparedQuery.ExecQueryBatch(bindings)
+}
+
+// TestTenantsShareOnePlan: the service runs every request on one analyzer, so
+// concurrent requests of different tenants execute the very same parameter
+// sets — the run's evaluation plan, built once — and the analyzer is the one
+// the Config describes: its threshold is in every report.
+func TestTenantsShareOnePlan(t *testing.T) {
+	g := buildGraph(t)
+	q := &recordingExec{Embedded: godbc.Embedded{DB: loadEmbedded(t, g)}, seen: make(map[*sqldb.Params]bool)}
+	const threshold = 0.5
+	svc := service.New(g, q, service.Config{Capacity: 2, Workers: 2, Threshold: threshold})
+
+	runs := g.Dataset.Versions[0].Runs
+	want, err := core.New(g, core.WithThreshold(threshold)).AnalyzeSQL(runs[len(runs)-1], godbc.Embedded{DB: q.DB})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if def, _ := core.New(g).AnalyzeSQL(runs[len(runs)-1], godbc.Embedded{DB: q.DB}); def.Render() == want.Render() {
+		t.Fatal("the threshold under test does not change the report")
+	}
+
+	var wg sync.WaitGroup
+	for i := range 6 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rep, err := svc.Analyze(context.Background(), []string{"alice", "bob"}[i%2], 0)
+			if err != nil {
+				t.Errorf("request %d: %v", i, err)
+				return
+			}
+			if got := rep.Render(); got != want.Render() {
+				t.Errorf("request %d: report differs from a direct analysis at threshold %v:\n%s", i, threshold, got)
+			}
+		}()
+	}
+	wg.Wait()
+	instances := len(want.Instances) + want.Skipped + len(want.Diagnostics)
+	if len(q.seen) != instances {
+		t.Fatalf("six requests executed %d distinct parameter sets for %d instances: the plan was rebuilt", len(q.seen), instances)
+	}
+}

@@ -93,6 +93,8 @@ func (db *DB) execBatch(ctx context.Context, plan *stmtPlan, bindings []*Params,
 		// the first result-cache miss on: an all-hit batch allocates nothing
 		// for it.
 		var subs *batchSubs
+		var buf [keyBufSize]byte
+		key := buf[:0]
 		defer func() {
 			if subs != nil {
 				db.batchSubReuses.Add(subs.reuses)
@@ -102,7 +104,9 @@ func (db *DB) execBatch(ctx context.Context, plan *stmtPlan, bindings []*Params,
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			key, dataVer, cacheable := db.cacheKeyFor(plan, params)
+			var dataVer int64
+			var cacheable bool
+			key, dataVer, cacheable = db.cacheKeyFor(plan, params, key)
 			if cacheable {
 				if set, hit := db.lookupResult(key, plan.version, dataVer); hit {
 					out[i] = BatchResult{Res: &Result{Set: set, Cached: true}}

@@ -132,7 +132,8 @@ func (db *DB) execStmt(stmt Stmt, params *Params, plan *stmtPlan) (*Result, erro
 		// The result cache: the data-version stamps are read under the same
 		// shared lock the execution runs under, so a stored result is never
 		// stamped newer than the rows it was computed from.
-		key, dataVer, cacheable := db.cacheKeyFor(plan, params)
+		var buf [keyBufSize]byte
+		key, dataVer, cacheable := db.cacheKeyFor(plan, params, buf[:0])
 		if cacheable {
 			if set, hit := db.lookupResult(key, plan.version, dataVer); hit {
 				return &Result{Set: set, Cached: true}, nil

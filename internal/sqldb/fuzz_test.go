@@ -1,16 +1,21 @@
 package sqldb
 
 // Fuzzing the result-cache parameter fingerprint. The cache keys an entry by
-// plan + fingerprintParams(params); a collision between two semantically
-// different parameter sets would serve one request's cached rows to another —
-// cross-request data bleed. The fingerprint must therefore be deterministic
-// and injective over every parameter set the engine can see (named parameters
-// are SQL identifiers: the parser only produces [A-Za-z0-9_] names).
+// plan + fingerprintMarkers(plan's markers, params); a collision between two
+// bindings that give some marker different values would serve one request's
+// cached rows to another — cross-request data bleed. The fingerprint must
+// therefore be deterministic and injective over the values of the markers,
+// for every parameter set the engine can see (named parameters are SQL
+// identifiers: the parser only produces [A-Za-z0-9_] names).
 //
-// The fuzzer decodes two parameter sets from raw bytes and checks both
-// directions: equal sets fingerprint equally, different sets differently.
+// The fuzzer decodes two parameter sets from raw bytes, takes the first one's
+// parameters for the markers of a statement, and checks both directions: a
+// second set that binds every marker to the same value fingerprints equally
+// (whatever else it carries — the statement does not read it), any other
+// differently or not at all.
 
 import (
+	"bytes"
 	"math"
 	"sort"
 	"testing"
@@ -111,23 +116,33 @@ func sameValue(a, b Value) bool {
 	}
 }
 
-func sameParams(a, b *Params) bool {
-	aEmpty := a == nil || (len(a.Positional) == 0 && len(a.Named) == 0)
-	bEmpty := b == nil || (len(b.Positional) == 0 && len(b.Named) == 0)
-	if aEmpty || bEmpty {
-		return aEmpty == bEmpty
+// markersOf returns the markers of a statement that reads exactly p's
+// parameters: every positional one, then the named ones in name order.
+func markersOf(p *Params) []EParam {
+	if p == nil {
+		return nil
 	}
-	if len(a.Positional) != len(b.Positional) || len(a.Named) != len(b.Named) {
-		return false
+	var markers []EParam
+	for i := range p.Positional {
+		markers = append(markers, EParam{Ordinal: i})
 	}
-	for i := range a.Positional {
-		if !sameValue(a.Positional[i], b.Positional[i]) {
-			return false
-		}
+	names := make([]string, 0, len(p.Named))
+	for n := range p.Named {
+		names = append(names, n)
 	}
-	for name, av := range a.Named {
-		bv, ok := b.Named[name]
-		if !ok || !sameValue(av, bv) {
+	sort.Strings(names)
+	for _, n := range names {
+		markers = append(markers, EParam{Ordinal: -1, Name: n})
+	}
+	return markers
+}
+
+// bindAlike reports whether both sets bind every marker, to the same value.
+func bindAlike(markers []EParam, a, b *Params) bool {
+	for i := range markers {
+		av, aok := a.lookup(&markers[i])
+		bv, bok := b.lookup(&markers[i])
+		if !aok || !bok || !sameValue(av, bv) {
 			return false
 		}
 	}
@@ -164,17 +179,23 @@ func FuzzFingerprintParams(f *testing.F) {
 		pa := (&paramReader{data: rawA}).params()
 		pb := (&paramReader{data: rawB}).params()
 
-		fa, fb := fingerprintParams(pa), fingerprintParams(pb)
-		if again := fingerprintParams(pa); again != fa {
+		markers := markersOf(pa)
+		fa, ok := fingerprintMarkers(nil, markers, pa)
+		if !ok {
+			t.Fatalf("a=%s does not bind its own markers", describeParams(pa))
+		}
+		if again, _ := fingerprintMarkers(nil, markers, pa); !bytes.Equal(again, fa) {
 			t.Fatalf("fingerprint not deterministic: %q then %q", fa, again)
 		}
-		if sameParams(pa, pb) {
-			if fa != fb {
-				t.Fatalf("equal parameter sets fingerprint differently:\n a=%s → %q\n b=%s → %q",
-					describeParams(pa), fa, describeParams(pb), fb)
+		fb, ok := fingerprintMarkers(nil, markers, pb)
+		same := ok && bytes.Equal(fa, fb)
+		if bindAlike(markers, pa, pb) {
+			if !same {
+				t.Fatalf("bindings that agree on every marker fingerprint differently:\n a=%s → %q\n b=%s → %q (bound: %v)",
+					describeParams(pa), fa, describeParams(pb), fb, ok)
 			}
-		} else if fa == fb {
-			t.Fatalf("different parameter sets share fingerprint %q (cache would bleed results):\n a=%s\n b=%s",
+		} else if same {
+			t.Fatalf("bindings that differ on a marker share fingerprint %q (cache would bleed results):\n a=%s\n b=%s",
 				fa, describeParams(pa), describeParams(pb))
 		}
 	})

@@ -3,6 +3,7 @@ package sqldb
 import (
 	"container/list"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -47,6 +48,10 @@ type stmtPlan struct {
 	// cache does not serve (DML). Interning keeps keys compact — property
 	// queries run to kilobytes of SQL (see DB.canonicalID).
 	canonKey string
+	// markers lists the parameter markers a SELECT reads, subqueries included,
+	// each once, in the order the statement text first mentions them: what
+	// its result-cache key fingerprints (see cacheKeyFor).
+	markers []EParam
 	// dml is the compiled columnar UPDATE/DELETE pipeline, nil when the
 	// statement is not DML or its shape is not vectorized (see vecdml.go).
 	dml *vecDMLPlan
@@ -228,6 +233,7 @@ func (db *DB) buildPlan(stmt Stmt) (*stmtPlan, error) {
 			return nil, err
 		}
 		p.canonKey = strconv.FormatInt(db.canonicalID(FormatSelect(st)), 10) + "\x1f"
+		p.markers = selectMarkers(st)
 	case *InsertStmt:
 		if db.tables[strings.ToLower(st.Table)] == nil {
 			return nil, fmt.Errorf("sqldb: no table %s", st.Table)
@@ -275,6 +281,20 @@ func (db *DB) buildPlan(stmt Stmt) (*stmtPlan, error) {
 		p.dml = compileVecDelete(p, st, db.tables[strings.ToLower(st.Table)])
 	}
 	return p, nil
+}
+
+// selectMarkers returns the distinct parameter markers of a SELECT in order
+// of first appearance.
+func selectMarkers(st *SelectStmt) []EParam {
+	fi := &freeInfo{}
+	collectFreeSelect(st, nil, fi, make(map[string]bool))
+	var markers []EParam
+	for _, p := range fi.params {
+		if !slices.Contains(markers, *p) {
+			markers = append(markers, *p)
+		}
+	}
+	return markers
 }
 
 // planSelect builds the strategy of one SELECT node and recurses into its

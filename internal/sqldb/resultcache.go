@@ -2,9 +2,7 @@ package sqldb
 
 import (
 	"container/list"
-	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -25,8 +23,9 @@ import (
 // reference it; entries over other tables keep their stamps and keep hitting.
 //
 // Cache keys combine the canonical statement text (the parser's own
-// rendering, so spelling differences share an entry), a type-tagged parameter
-// fingerprint, and the schema version the plan was built against. Entries
+// rendering, so spelling differences share an entry), a type-tagged
+// fingerprint of the parameters the statement reads, and the schema version
+// the plan was built against. Entries
 // store the version stamps they were computed at; a lookup that finds an
 // entry with stale stamps removes it and counts an invalidation. Only SELECT
 // statements executed through a plan are cached — DML is never cached, and
@@ -154,30 +153,59 @@ func (db *DB) bumpData(t *Table) {
 	t.dataVer.Store(db.dml.Add(1))
 }
 
-// cacheKeyFor derives the result-cache key and the current data-version
-// stamp of a planned SELECT, or ok=false when the statement is not cacheable
-// (no plan, not a SELECT, or the cache is disabled). Must be called with
-// db.mu held at least shared, so the stamps read here are consistent with
-// the rows the execution will see.
-func (db *DB) cacheKeyFor(plan *stmtPlan, params *Params) (key string, dataVer int64, ok bool) {
+// keyBufSize is the room callers give a result-cache key on their stack: a
+// lookup that hits never turns its key into a string, so with a key that
+// fits (an interned identity and a few numbers do) it allocates nothing.
+const keyBufSize = 128
+
+// cacheKeyFor builds, in buf's storage (grown if the key outgrows it; the
+// returned key is the storage to pass next time), the result-cache key of a
+// planned SELECT under a binding, and reads the statement's current
+// data-version stamp. The key is the plan's canonical identity followed by the fingerprint
+// of the parameters the statement reads (fingerprintMarkers). ok is false
+// when the statement is not cacheable: no plan, not a SELECT, the cache
+// disabled, or a marker the binding leaves unbound — the execution then
+// reports that itself. Must be called with db.mu held at least shared, so the
+// stamps read here are consistent with the rows the execution will see.
+func (db *DB) cacheKeyFor(plan *stmtPlan, params *Params, buf []byte) (key []byte, dataVer int64, ok bool) {
 	if plan == nil || plan.canonKey == "" || !db.resOn.Load() {
-		return "", 0, false
+		return buf, 0, false
+	}
+	key, ok = fingerprintMarkers(append(buf[:0], plan.canonKey...), plan.markers, params)
+	if !ok {
+		return key, 0, false
 	}
 	for _, t := range plan.tables {
 		if v := t.dataVer.Load(); v > dataVer {
 			dataVer = v
 		}
 	}
-	return plan.canonKey + fingerprintParams(params), dataVer, true
+	return key, dataVer, true
+}
+
+// fingerprintMarkers appends the fingerprint of the values a binding gives the
+// markers, in marker order, or reports false when it leaves one unbound. The
+// markers of a statement are fixed by its text, so two fingerprints behind
+// the same canonical identity line up value by value: no names are needed, and
+// a parameter the statement never reads is not part of the key.
+func fingerprintMarkers(key []byte, markers []EParam, params *Params) ([]byte, bool) {
+	for i := range markers {
+		v, bound := params.lookup(&markers[i])
+		if !bound {
+			return key, false
+		}
+		key = appendFingerprint(key, v)
+	}
+	return key, true
 }
 
 // lookupResult returns the cached result for the key if its versions are
 // still current. A present-but-stale entry is removed and counted as an
 // invalidation (and a miss); an absent entry is just a miss.
-func (db *DB) lookupResult(key string, schemaVer, dataVer int64) (*ResultSet, bool) {
+func (db *DB) lookupResult(key []byte, schemaVer, dataVer int64) (*ResultSet, bool) {
 	db.resMu.Lock()
 	defer db.resMu.Unlock()
-	el, found := db.resIdx[key]
+	el, found := db.resIdx[string(key)]
 	if found {
 		entry := el.Value.(*resultCacheEntry)
 		if entry.schemaVer == schemaVer && entry.dataVer == dataVer {
@@ -186,7 +214,7 @@ func (db *DB) lookupResult(key string, schemaVer, dataVer int64) (*ResultSet, bo
 			return entry.set, true
 		}
 		db.resLRU.Remove(el)
-		delete(db.resIdx, key)
+		delete(db.resIdx, string(key))
 		db.resInvalid.Add(1)
 	}
 	db.resMisses.Add(1)
@@ -196,14 +224,15 @@ func (db *DB) lookupResult(key string, schemaVer, dataVer int64) (*ResultSet, bo
 // storeResult inserts a freshly computed result. The versions must be the
 // ones read by cacheKeyFor before the execution ran (under the same shared
 // statement lock), so a result never gets stamped newer than the data it was
-// computed from.
-func (db *DB) storeResult(key string, schemaVer, dataVer int64, set *ResultSet) {
+// computed from. Only here, for an entry that is new, does a key become a
+// string.
+func (db *DB) storeResult(key []byte, schemaVer, dataVer int64, set *ResultSet) {
 	db.resMu.Lock()
 	defer db.resMu.Unlock()
 	if db.resCap <= 0 {
 		return
 	}
-	if el, ok := db.resIdx[key]; ok {
+	if el, ok := db.resIdx[string(key)]; ok {
 		// A concurrent execution of the same (statement × binding) stored
 		// first; adopt its entry.
 		el.Value.(*resultCacheEntry).set = set
@@ -212,7 +241,8 @@ func (db *DB) storeResult(key string, schemaVer, dataVer int64, set *ResultSet) 
 		db.resLRU.MoveToFront(el)
 		return
 	}
-	db.resIdx[key] = db.resLRU.PushFront(&resultCacheEntry{key: key, schemaVer: schemaVer, dataVer: dataVer, set: set})
+	entry := &resultCacheEntry{key: string(key), schemaVer: schemaVer, dataVer: dataVer, set: set}
+	db.resIdx[entry.key] = db.resLRU.PushFront(entry)
 	for db.resLRU.Len() > db.resCap {
 		last := db.resLRU.Back()
 		entry := last.Value.(*resultCacheEntry)
@@ -222,59 +252,28 @@ func (db *DB) storeResult(key string, schemaVer, dataVer int64, set *ResultSet) 
 	}
 }
 
-// fingerprintParams renders a parameter set to a deterministic, type-tagged
-// key fragment. Unlike Value.Key (which folds 1 and 1.0 together to match
-// comparison semantics), the fingerprint keeps types distinct: an INTEGER and
-// an integral REAL binding can behave differently in type-sensitive
-// expressions (%, ||), so they must not share a cache slot.
-func fingerprintParams(p *Params) string {
-	if p == nil || (len(p.Positional) == 0 && len(p.Named) == 0) {
-		return ""
-	}
-	var b strings.Builder
-	for _, v := range p.Positional {
-		fingerprintValue(&b, v)
-	}
-	if len(p.Named) > 0 {
-		names := make([]string, 0, len(p.Named))
-		for name := range p.Named {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		b.WriteByte('$')
-		for _, name := range names {
-			b.WriteString(name)
-			b.WriteByte('=')
-			fingerprintValue(&b, p.Named[name])
-		}
-	}
-	return b.String()
-}
-
-func fingerprintValue(b *strings.Builder, v Value) {
+// appendFingerprint appends a value's type-tagged key fragment. Unlike
+// Value.Key (which folds 1 and 1.0 together to match comparison semantics),
+// the fingerprint keeps types distinct: an INTEGER and an integral REAL
+// binding can behave differently in type-sensitive expressions (%, ||), so
+// they must not share a cache slot.
+func appendFingerprint(b []byte, v Value) []byte {
 	switch {
 	case v.IsNull():
-		b.WriteByte('n')
+		b = append(b, 'n')
 	case v.IsInt():
-		b.WriteByte('i')
-		b.WriteString(strconv.FormatInt(v.Int(), 10))
+		b = strconv.AppendInt(append(b, 'i'), v.Int(), 10)
 	case v.IsNumeric():
-		b.WriteByte('f')
-		b.WriteString(strconv.FormatFloat(v.Float(), 'b', -1, 64))
+		b = strconv.AppendFloat(append(b, 'f'), v.Float(), 'b', -1, 64)
 	case v.IsText():
 		// Length-prefixed: text may contain any byte, including the value
 		// terminator, and must not be able to impersonate a value sequence.
-		b.WriteByte('t')
-		b.WriteString(strconv.Itoa(len(v.Text())))
-		b.WriteByte(':')
-		b.WriteString(v.Text())
+		b = strconv.AppendInt(append(b, 't'), int64(len(v.Text())), 10)
+		b = append(append(b, ':'), v.Text()...)
+	case v.Bool():
+		b = append(b, 'b', '1')
 	default:
-		b.WriteByte('b')
-		if v.Bool() {
-			b.WriteByte('1')
-		} else {
-			b.WriteByte('0')
-		}
+		b = append(b, 'b', '0')
 	}
-	b.WriteByte(0)
+	return append(b, 0)
 }

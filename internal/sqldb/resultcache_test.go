@@ -276,3 +276,113 @@ func TestResultCacheConcurrentReadersAndWriters(t *testing.T) {
 		t.Fatalf("final sum = %g, want %g", got, want)
 	}
 }
+
+// TestCacheKeyFromPlanMarkers: the key fingerprints exactly the parameter
+// markers the plan says the statement reads. Every pair of bindings below
+// hits or misses as the whole-set fingerprint made it, except the last: a
+// parameter the statement never reads no longer splits an entry.
+func TestCacheKeyFromPlanMarkers(t *testing.T) {
+	named := func(kv ...any) *Params {
+		p := &Params{Named: make(map[string]Value)}
+		for i := 0; i < len(kv); i += 2 {
+			p.Named[kv[i].(string)] = kv[i+1].(Value)
+		}
+		return p
+	}
+	pos := func(vals ...Value) *Params { return &Params{Positional: vals} }
+	// IS NULL takes a value of any kind, so every binding executes.
+	const byName = `SELECT COUNT(*), $r IS NULL, $s IS NULL FROM typed`
+	const byPos = `SELECT COUNT(*), ? IS NULL, ? IS NULL FROM typed`
+	cases := []struct {
+		name          string
+		sql           string
+		first, second *Params
+		hit           bool
+	}{
+		{"same binding", byName, named("r", NewInt(1), "s", NewText("x")), named("r", NewInt(1), "s", NewText("x")), true},
+		{"int vs integral float", byName, named("r", NewInt(1), "s", NewText("x")), named("r", NewFloat(1), "s", NewText("x")), false},
+		{"text holding the value terminator", byName, named("r", NewInt(1), "s", NewText("a\x00i1")), named("r", NewInt(1), "s", NewText("a")), false},
+		{"text impersonating two values", byPos, pos(NewText("1:a\x00t1:b"), NewText("c")), pos(NewText("1:a"), NewText("b\x00t1:c")), false},
+		{"NULL vs the text NULL", byName, named("r", NewInt(1), "s", Null), named("r", NewInt(1), "s", NewText("n")), false},
+		{"NULL twice", byName, named("r", Null, "s", NewInt(0)), named("r", Null, "s", NewInt(0)), true},
+		{"bool vs int", byName, named("r", NewInt(1), "s", NewBool(true)), named("r", NewInt(1), "s", NewInt(1)), false},
+		{"positional, same", byPos, pos(NewInt(1), NewInt(2)), pos(NewInt(1), NewInt(2)), true},
+		{"positional, swapped", byPos, pos(NewInt(1), NewInt(2)), pos(NewInt(2), NewInt(1)), false},
+		{"named values do not answer positional markers", byPos, pos(NewInt(1), NewInt(2)), &Params{Positional: []Value{NewInt(1), NewInt(3)}, Named: map[string]Value{"r": NewInt(2)}}, false},
+		{"an unread named parameter shares the entry", byName, named("r", NewInt(1), "s", NewText("x")), named("r", NewInt(1), "s", NewText("x"), "unread", NewInt(7)), true},
+		{"an unread positional parameter shares the entry", byPos, pos(NewInt(1), NewInt(2)), pos(NewInt(1), NewInt(2), NewText("unread")), true},
+		{"unread named beside positional", byPos, pos(NewInt(1), NewInt(2)), &Params{Positional: []Value{NewInt(1), NewInt(2)}, Named: map[string]Value{"r": NewInt(9)}}, true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			db := resultCacheDB(t)
+			if db.MustExec(c.sql, c.first).Cached {
+				t.Fatal("first execution reported as cached")
+			}
+			if got := db.MustExec(c.sql, c.second).Cached; got != c.hit {
+				t.Fatalf("second binding cached = %v, want %v", got, c.hit)
+			}
+			if !db.MustExec(c.sql, c.first).Cached {
+				t.Fatal("the first binding's own entry was lost")
+			}
+		})
+	}
+
+	// A marker the binding leaves unbound makes the execution uncacheable: it
+	// runs, reports the missing parameter itself, and touches no counter.
+	t.Run("unbound marker", func(t *testing.T) {
+		db := resultCacheDB(t)
+		for _, p := range []*Params{nil, named("r", NewInt(1)), pos(NewInt(1))} {
+			if _, err := db.Exec(byName, p); err == nil {
+				t.Fatalf("binding %v: executed with $s unbound", p)
+			}
+		}
+		// Unbound but never evaluated: the statement still runs, uncached.
+		const lazy = `SELECT (SELECT $r) FROM typed WHERE run_id = 99`
+		for range 2 {
+			if res := db.MustExec(lazy, nil); res.Cached {
+				t.Fatal("a binding that leaves a marker unbound was served from the cache")
+			}
+		}
+		if hits, misses, _ := resultCacheStats(db); hits != 0 || misses != 0 {
+			t.Fatalf("uncacheable executions counted as cache traffic: hits=%d misses=%d", hits, misses)
+		}
+	})
+}
+
+// TestExecuteBatchAllHitsAllocateNothingPerKey: an all-hit batch builds every
+// binding's key in one buffer (on its stack while keys fit, grown once when
+// they do not, as here) and probes the index with it as it is, so what the
+// batch allocates does not grow with keys: per binding only the Result it
+// returns, per batch the result slice and the grown buffer.
+func TestExecuteBatchAllHitsAllocateNothingPerKey(t *testing.T) {
+	db := resultCacheDB(t)
+	ps, err := db.Prepare(`SELECT COUNT(*) FROM typed WHERE run_id = $r AND $label IS NOT NULL`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ps.Close()
+	allocs := func(n int) float64 {
+		var bindings []*Params
+		for r := range n {
+			bindings = append(bindings, &Params{Named: map[string]Value{"r": NewInt(int64(r)), "label": NewText(fmt.Sprintf("a label long enough for the key to outgrow the stack buffer, which is a hundred and twenty-eight bytes: %d", r))}})
+		}
+		run := func() {
+			if _, err := ps.ExecuteBatch(bindings); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // fill the result cache
+		hits := db.Stats().ResultCacheHits
+		got := testing.AllocsPerRun(20, run)
+		if d := db.Stats().ResultCacheHits - hits; d != 21*int64(n) {
+			t.Fatalf("%d hits in 21 batches of %d, want all", d, n)
+		}
+		return got
+	}
+	for _, n := range []int{1, 32} {
+		if got, ceiling := allocs(n), float64(n+4); got > ceiling {
+			t.Fatalf("an all-hit batch of %d bindings allocates %.0f times, ceiling %.0f: one Result per binding, O(1) per batch", n, got, ceiling)
+		}
+	}
+}

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/godbc"
+	"repro/internal/model"
 	"repro/internal/service"
 	"repro/internal/sqldb"
 	"repro/internal/sqldb/wire"
@@ -58,8 +59,8 @@ var lifecycleServers = []struct {
 	{
 		name: "service",
 		new: func(t *testing.T) lifecycle {
-			// Pings never reach the analyzer, so the service needs no data.
-			return service.NewServer(service.New(nil, nil, service.Config{Capacity: 1}), nil)
+			// Pings never reach the analyzer, so its graph holds no data.
+			return service.NewServer(service.New(new(model.Graph), nil, service.Config{Capacity: 1}), nil)
 		},
 		dial: func(addr string) (peer, error) {
 			c, err := service.Dial(addr)

@@ -4,6 +4,10 @@ package wire
 // format"): every field, in declaration order, with netsrv's primitives.
 // Slices and maps are a count followed by their elements; a nil and an empty
 // one are the same on the wire and decode to nil.
+//
+// A response decodes into memory made for it: its rows escape to the driver's
+// callers. A request decodes into memory its codec keeps (requestDecoder) and
+// is valid until the codec reads the next one.
 
 import (
 	"fmt"
@@ -66,12 +70,14 @@ func appendValues(b []byte, vals []sqldb.Value) []byte {
 	return b
 }
 
-func decodeValues(r *netsrv.Reader) []sqldb.Value {
+// decodeValues reads a value list into buf's storage, growing it when the
+// list is longer; an empty list is nil.
+func decodeValues(r *netsrv.Reader, buf []sqldb.Value) []sqldb.Value {
 	n := r.Count(1)
 	if n == 0 {
 		return nil
 	}
-	vals := make([]sqldb.Value, n)
+	vals := slices.Grow(buf[:0], n)[:n]
 	for i := range vals {
 		vals[i] = decodeValue(r)
 	}
@@ -84,19 +90,6 @@ func appendNamed(b []byte, named map[string]sqldb.Value) []byte {
 		b = appendValue(netsrv.AppendString(b, name), v)
 	}
 	return b
-}
-
-func decodeNamed(r *netsrv.Reader) map[string]sqldb.Value {
-	n := r.Count(2)
-	if n == 0 {
-		return nil
-	}
-	named := make(map[string]sqldb.Value, n)
-	for range n {
-		name := r.String()
-		named[name] = decodeValue(r)
-	}
-	return named
 }
 
 func appendStrings(b []byte, ss []string) []byte {
@@ -127,16 +120,54 @@ func appendRows(b []byte, rows [][]sqldb.Value) []byte {
 	return b
 }
 
-func decodeRows(r *netsrv.Reader) [][]sqldb.Value {
+// rowSlabs is the memory the rows of one response are cut from: one slab of
+// values and one of row headers, made for that response alone, so what the
+// driver's caller keeps is still only its own — in two allocations instead
+// of two per result.
+type rowSlabs struct {
+	vals []sqldb.Value
+	rows [][]sqldb.Value
+}
+
+// decodeRows reads a row list. lists is how many lists like it the response
+// is expected to carry from here on, itself included (the items a batch reply
+// has left; 1 otherwise): a slab is sized for all of them when the first row
+// shows how wide they are. A later list that does not fit — items are not
+// bound to be alike — gets a slab of its own, sized the same way. No slab is
+// longer than the bytes left in the frame: a row takes at least one byte and
+// so does a value, which keeps a hostile count as cheap as Count makes it.
+func (s *rowSlabs) decodeRows(r *netsrv.Reader, lists int) [][]sqldb.Value {
 	n := r.Count(1)
 	if n == 0 {
 		return nil
 	}
-	rows := make([][]sqldb.Value, n)
+	if n > len(s.rows) {
+		s.rows = make([][]sqldb.Value, slabLen(1, n, lists, r.Len()))
+	}
+	rows := s.rows[:n:n]
+	s.rows = s.rows[n:]
 	for i := range rows {
-		rows[i] = decodeValues(r)
+		width := r.Count(1)
+		if width == 0 {
+			continue
+		}
+		if width > len(s.vals) {
+			s.vals = make([]sqldb.Value, slabLen(width, n-i, lists, r.Len()))
+		}
+		rows[i] = s.vals[:width:width]
+		s.vals = s.vals[width:]
+		for j := range rows[i] {
+			rows[i][j] = decodeValue(r)
+		}
 	}
 	return rows
+}
+
+// slabLen is min(width*rows*lists, limit) for counts each of which is only
+// known to be at most limit (the bytes left in a frame, up to 2^26). It clamps
+// factor by factor: the plain product of three such counts can overflow.
+func slabLen(width, rows, lists, limit int) int {
+	return min(min(width*rows, limit)*lists, limit)
 }
 
 func appendRequest(b []byte, m *Request) []byte {
@@ -154,20 +185,101 @@ func appendRequest(b []byte, m *Request) []byte {
 	return b
 }
 
-func decodeRequest(r *netsrv.Reader, m *Request) {
+// requestDecoder is the memory one codec decodes its requests into. The
+// kojakdb protocol serves one request at a time per connection, so by the time
+// the server reads a request it is done with the one before, and the decoder
+// hands every request the same storage: the Batch slice, each parameter set's
+// value slice and map (cleared and refilled), and the parameter names
+// (interned). A warm exchange therefore allocates per request, not per
+// binding. What a request points at is valid until the codec reads the next
+// one; whoever keeps part of a request longer copies it.
+type requestDecoder struct {
+	// top and scratch[i] are the storage behind a request's own parameter
+	// set and behind batch[i]; they are kept apart from what the request
+	// shows, in which an empty list or map is nil.
+	top     BatchBinding
+	batch   []BatchBinding
+	scratch []BatchBinding
+	// names interns parameter names: a connection sees the same few over and
+	// over, and looking one up by its raw bytes allocates nothing.
+	names map[string]string
+}
+
+// What a decoder holds on to is bounded, like the codec's frame buffers: a
+// request beyond these limits (more bindings than the server accepts, a
+// parameter set no statement of ours has) still decodes, into memory the
+// decoder then lets go of.
+const (
+	keepBindings = MaxBatch // bindings of one request
+	keepParams   = 64       // positional, or named, parameters of one set
+	keepNames    = 256      // distinct parameter names
+)
+
+func (d *requestDecoder) decode(r *netsrv.Reader, m *Request) {
 	m.Kind = RequestKind(r.Int())
 	m.SQL = r.String()
-	m.Pos = decodeValues(r)
-	m.Named = decodeNamed(r)
+	m.Pos, m.Named = d.params(r, &d.top)
 	m.CursorID = r.Varint()
 	m.FetchN = r.Int()
 	m.StmtID = r.Varint()
-	if n := r.Count(2); n > 0 {
-		m.Batch = make([]BatchBinding, n)
-		for i := range m.Batch {
-			m.Batch[i] = BatchBinding{Pos: decodeValues(r), Named: decodeNamed(r)}
-		}
+	n := r.Count(2)
+	if n == 0 {
+		return
 	}
+	if n > len(d.batch) {
+		d.batch = make([]BatchBinding, n)
+		d.scratch = append(d.scratch, make([]BatchBinding, n-len(d.scratch))...)
+	}
+	m.Batch = d.batch[:n]
+	for i := range m.Batch {
+		m.Batch[i].Pos, m.Batch[i].Named = d.params(r, &d.scratch[i])
+	}
+	if n > keepBindings {
+		d.batch, d.scratch = nil, nil
+	}
+}
+
+// params reads one parameter set into s's storage.
+func (d *requestDecoder) params(r *netsrv.Reader, s *BatchBinding) ([]sqldb.Value, map[string]sqldb.Value) {
+	pos := decodeValues(r, s.Pos)
+	if pos != nil && len(pos) <= keepParams {
+		s.Pos = pos
+	}
+	n := r.Count(2)
+	if n == 0 {
+		return pos, nil
+	}
+	named := s.Named
+	switch {
+	case n > keepParams:
+		named = make(map[string]sqldb.Value, n)
+	case named == nil:
+		named = make(map[string]sqldb.Value, n)
+		s.Named = named
+	default:
+		clear(named)
+	}
+	for range n {
+		name := d.name(r.Bytes())
+		named[name] = decodeValue(r)
+	}
+	return pos, named
+}
+
+// name returns a parameter name read off the wire as a string, interned while
+// the table has room.
+func (d *requestDecoder) name(raw []byte) string {
+	if s, ok := d.names[string(raw)]; ok {
+		return s
+	}
+	s := string(raw)
+	if len(d.names) < keepNames {
+		if d.names == nil {
+			d.names = make(map[string]string)
+		}
+		d.names[s] = s
+	}
+	return s
 }
 
 // A batch item's columns open with one of these bytes. The items of a batch
@@ -210,9 +322,10 @@ func appendResponse(b []byte, m *Response) []byte {
 }
 
 func decodeResponse(r *netsrv.Reader, m *Response) {
+	var slabs rowSlabs
 	m.Err = r.String()
 	m.Columns = decodeStrings(r)
-	m.Rows = decodeRows(r)
+	m.Rows = slabs.decodeRows(r, 1)
 	m.Affected = r.Int()
 	m.CursorID = r.Varint()
 	m.StmtID = r.Varint()
@@ -230,7 +343,7 @@ func decodeResponse(r *netsrv.Reader, m *Response) {
 			default:
 				r.Fail(fmt.Errorf("bad columns marker %d on batch item %d", marker, i))
 			}
-			item.Rows = decodeRows(r)
+			item.Rows = slabs.decodeRows(r, n-i)
 			item.Affected = r.Int()
 			item.Cached = r.Bool()
 		}

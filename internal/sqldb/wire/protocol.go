@@ -131,10 +131,14 @@ type Response struct {
 // Codec frames requests and responses on a stream.
 type Codec = netsrv.Codec[Request, Response]
 
-// NewCodec wraps a bidirectional stream.
+// NewCodec wraps a bidirectional stream. A request the codec reads is valid
+// until it reads the next one: its parameter sets live in memory the codec
+// reuses (requestDecoder), which is sound for the one reader there is — the
+// server, which serves one request at a time per connection. Responses are
+// decoded into memory of their own; they escape to the driver's callers.
 func NewCodec(rw io.ReadWriter) *Codec {
 	return netsrv.NewCodec(rw,
-		netsrv.Format[Request]{Append: appendRequest, Decode: decodeRequest},
+		netsrv.Format[Request]{Append: appendRequest, Decode: new(requestDecoder).decode},
 		netsrv.Format[Response]{Append: appendResponse, Decode: decodeResponse})
 }
 

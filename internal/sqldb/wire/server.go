@@ -59,12 +59,20 @@ type connState struct {
 	// PreparedStatements, handles are scoped to the connection and released
 	// when it closes.
 	stmts map[int64]*sqldb.PreparedStmt
+	// params and bindings are what serveExecBatch hands the engine, kept from
+	// batch to batch: bindings[i] is nil or points at params[i], which wraps
+	// the request's i-th parameter set. The engine keeps neither past the
+	// call.
+	params   []sqldb.Params
+	bindings []*sqldb.Params
 }
 
 // handle serves one connection: read a request, serve it inline, write the
 // reply. Nothing reads the socket while a request is being served, so a
 // client that snaps the connection to cancel is not noticed until serve
-// returns — the request runs to completion and its reply fails to write.
+// returns — the request runs to completion and its reply fails to write. It
+// is also what lets the codec decode every request into the same memory: a
+// request is done with before the next is read.
 func (s *Server) handle(conn net.Conn) {
 	st := &connState{
 		cursors: make(map[int64]*cursor),
@@ -150,17 +158,18 @@ func (s *Server) serve(req *Request, st *connState) *Response {
 	return &Response{Err: fmt.Sprintf("wire: unknown request kind %d", req.Kind)}
 }
 
-// params wraps a message's decoded parameter slices and map for the engine,
-// as they are; a binding without parameters is nil.
-func params(pos []sqldb.Value, named map[string]sqldb.Value) *sqldb.Params {
+// paramsInto wraps a message's decoded parameter slices and map for the
+// engine, as they are, in dst; a binding without parameters is nil.
+func paramsInto(dst *sqldb.Params, pos []sqldb.Value, named map[string]sqldb.Value) *sqldb.Params {
 	if len(pos) == 0 && len(named) == 0 {
 		return nil
 	}
-	return &sqldb.Params{Positional: pos, Named: named}
+	*dst = sqldb.Params{Positional: pos, Named: named}
+	return dst
 }
 
 func (s *Server) serveExec(req *Request) *Response {
-	res, err := s.db.Exec(req.SQL, params(req.Pos, req.Named))
+	res, err := s.db.Exec(req.SQL, paramsInto(new(sqldb.Params), req.Pos, req.Named))
 	if err != nil {
 		return &Response{Err: err.Error()}
 	}
@@ -200,7 +209,7 @@ func (s *Server) serveExecPrepared(req *Request, st *connState) *Response {
 	if !ok {
 		return &Response{Err: fmt.Sprintf("wire: no prepared statement %d", req.StmtID)}
 	}
-	res, err := ps.Execute(params(req.Pos, req.Named))
+	res, err := ps.Execute(paramsInto(new(sqldb.Params), req.Pos, req.Named))
 	if err != nil {
 		return &Response{Err: err.Error()}
 	}
@@ -237,9 +246,12 @@ func (s *Server) serveExecBatch(req *Request, st *connState) *Response {
 	if !ok {
 		return &Response{Err: fmt.Sprintf("wire: no prepared statement %d", req.StmtID)}
 	}
-	bindings := make([]*sqldb.Params, len(req.Batch))
+	if n := len(req.Batch); n > len(st.params) {
+		st.params, st.bindings = make([]sqldb.Params, n), make([]*sqldb.Params, n)
+	}
+	bindings := st.bindings[:len(req.Batch)]
 	for i, b := range req.Batch {
-		bindings[i] = params(b.Pos, b.Named)
+		bindings[i] = paramsInto(&st.params[i], b.Pos, b.Named)
 	}
 	results, err := ps.ExecuteBatch(bindings)
 	if err != nil {
@@ -277,7 +289,7 @@ func (s *Server) serveExecBatch(req *Request, st *connState) *Response {
 }
 
 func (s *Server) serveQueryCursor(req *Request, st *connState) *Response {
-	res, err := s.db.Exec(req.SQL, params(req.Pos, req.Named))
+	res, err := s.db.Exec(req.SQL, paramsInto(new(sqldb.Params), req.Pos, req.Named))
 	if err != nil {
 		return &Response{Err: err.Error()}
 	}
