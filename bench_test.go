@@ -553,20 +553,22 @@ func BenchmarkPreparedAnalyze(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// E9 — the batched execution pipeline: the prepared analysis of E8 executed
-// once per instance ("prepared", one ReqExecPrepared round trip per
-// property × context) versus as array-bound batches ("batch=N", one
-// ReqExecBatch round trip per N contexts of a property). On the remote
-// profile every round trip costs a real ≥2 ms sleep, so the batch size is
-// the amortization factor; reports are byte-identical in every mode (see
-// internal/core TestBatched*).
+// E9 — batching: the prepared analysis of E8 executed once per instance
+// ("per-instance", batch size 1: one ReqExecPrepared round trip per
+// property × context) versus by the set form ("set-form/batch=N", any batch
+// size above 1: one ReqExecBatch round trip of one binding per property, N
+// sizing only the per-context batches a fallback would ship — none here, so
+// the two set-form rows measure the same program). On the remote profile
+// every round trip costs a real ≥2 ms sleep, so the instance count per
+// property is the amortization factor; reports are byte-identical in every
+// mode (see internal/core TestBatched*, TestSetForm*).
 // ---------------------------------------------------------------------------
 
 func BenchmarkBatchedAnalyze(b *testing.B) {
 	// The scaled stencil gives each region property dozens of context
-	// instances, the regime array binding exists for; with a handful of
-	// contexts per property the per-property batch floor (one prepare plus
-	// one batch) caps the win.
+	// instances, the regime the set form exists for; with a handful of
+	// contexts per property the per-property floor (one prepare plus one
+	// execution) caps the win.
 	g := mustGraph(b, apprentice.ScaledStencil(4, 4), 2, 8, 32)
 	runs := g.Dataset.Versions[0].Runs
 	run := runs[len(runs)-1]
@@ -575,9 +577,9 @@ func BenchmarkBatchedAnalyze(b *testing.B) {
 		name  string
 		batch int
 	}{
-		{"prepared", 1}, // per-instance execution of the prepared handle
-		{"batch=8", 8},
-		{"batch=32", 32},
+		{"per-instance", 1}, // one execution of the prepared handle per context
+		{"set-form/batch=8", 8},
+		{"set-form/batch=32", 32},
 	}
 	for _, mode := range modes {
 		for _, workers := range []int{1, 4} {
@@ -813,6 +815,57 @@ func BenchmarkWarmAnalyze(b *testing.B) {
 		if rep.Bottleneck() == nil {
 			b.Fatal("no bottleneck")
 		}
+	}
+}
+
+// ---------------------------------------------------------------------------
+// E20 — what a cold analysis costs the engine: the repository benchmark's
+// cold_embedded loop as a Go benchmark. The embedded engine with the result
+// cache off, one worker, the default batch size, the last four runs in
+// rotation: every analysis plans and executes its eight set-form statements
+// from scratch, so ns/op is sqldb's vectorized execution plus core's row
+// folding, with no transport in the way. This is the per-PR gate on engine
+// parity of the set form; the per-property split is in EXPERIMENTS E20.
+// ---------------------------------------------------------------------------
+
+func BenchmarkColdAnalyze(b *testing.B) {
+	// The repository benchmark's dataset: 24 runs, so the minimum-PE subquery
+	// of SublinearSpeedup/UnmeasuredCost folds 24 summaries per region.
+	pes := make([]int, 0, 24)
+	for p := 2; p <= 25; p++ {
+		pes = append(pes, p)
+	}
+	g := mustGraph(b, apprentice.ScaledStencil(15, 16), pes...)
+	runs := g.Dataset.Versions[0].Runs
+	runs = runs[len(runs)-4:]
+	db := uncachedDB()
+	if err := sqlgen.CreateSchema(g.World, embeddedExecutor(db)); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := sqlgen.Load(g.Store, embeddedExecutor(db)); err != nil {
+		b.Fatal(err)
+	}
+	q := godbc.Embedded{DB: db}
+	a := core.New(g, core.WithWorkers(1), core.WithBatchSize(32))
+	for _, run := range runs {
+		if _, err := a.AnalyzeSQL(run, q); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rep, err := a.AnalyzeSQL(runs[i%len(runs)], q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if rep.Bottleneck() == nil {
+			b.Fatal("no bottleneck")
+		}
+	}
+	b.StopTimer()
+	if st := db.Stats(); st.VecFallbacks != 0 {
+		b.Fatalf("%d SELECTs fell back to the row interpreter: %+v", st.VecFallbacks, st.VecFallbackReasons)
 	}
 }
 

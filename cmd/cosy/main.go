@@ -9,9 +9,10 @@
 // comma-separated list is treated as the shards of a run-partitioned COSY
 // database — the dataset is loaded run-wise across the shards and every
 // property query routes to the shard owning the analyzed run. Property
-// queries are prepared once and, when the backend supports it, executed as
-// array-bound batches of -batchsize contexts — one round trip per batch
-// instead of one per property instance.
+// queries are prepared once and executed in their set form — one execution
+// answering for every context of the run, so one round trip per property;
+// where that does not apply (a set statement that failed, -guided) the
+// per-context queries run as array-bound batches of -batchsize contexts.
 //
 // Usage:
 //
@@ -50,7 +51,7 @@ func main() {
 	dbAddr := flag.String("db", "", "kojakdb address(es) for the sql/client engines, comma-separated for a sharded database; empty runs in process")
 	preloaded := flag.Bool("preloaded", false, "assume the -db servers already hold the dataset (e.g. ingested by apprentice with the same workload, sizes, and seed); skip schema creation and loading")
 	fetchSize := flag.Int("fetchsize", 0, "rows per cursor fetch on pooled connections (the JDBC row-at-a-time default is 1); omit to keep the default")
-	batchSize := flag.Int("batchsize", 0, "context instances per batched request on the sql engine; 1 disables batching, omit for the default (32)")
+	batchSize := flag.Int("batchsize", 0, "above 1: evaluate each property by one set-form statement, and ship per-context fallbacks in batches of this many; 1 disables batching; omit for the default (32)")
 	cache := flag.String("cache", "on", "result cache of the in-process database: on or off (kojakdb servers configure theirs with -cache-size)")
 	sqlDialect := flag.String("sql-dialect", build.Kojakdb.Name, "SQL dialect property queries are rendered in: "+strings.Join(build.Names(), ", "))
 	flag.Parse()

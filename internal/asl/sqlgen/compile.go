@@ -11,12 +11,20 @@ import (
 	"repro/internal/sqldb"
 )
 
-// CompiledProperty is an ASL property translated into a single SQL SELECT.
-// The query produces one row with one boolean column per condition
-// ("c0".."cN"), one numeric column per confidence entry ("f0"..) and one per
-// severity entry ("s0".."sM"). Property parameters become typed named SQL
-// parameters carrying object ids for class-typed parameters and plain values
-// otherwise.
+// CompiledProperty is an ASL property translated into a single SQL SELECT,
+// in one of two forms.
+//
+// The per-context form (CompileProperty) produces one row with one boolean
+// column per condition ("c0".."cN"), one numeric column per confidence entry
+// ("f0"..) and one per severity entry ("s0".."sM"). Property parameters become
+// typed named SQL parameters carrying object ids for class-typed parameters
+// and plain values otherwise.
+//
+// The set form (CompilePropertySet) evaluates the property over every context
+// of a test run at once: the first — context — parameter is not a marker but
+// the key column of a context relation the statement selects from, and each
+// row is one context's, its object id in a leading "ctx" column before the
+// same c/f/s columns.
 //
 // NULL columns arise where the object evaluator would raise an evaluation
 // error (UNIQUE over an empty set, MIN over an empty selection, and so on);
@@ -27,8 +35,13 @@ import (
 // keys are built from.
 type CompiledProperty struct {
 	Name string
-	// Params are the ASL property parameters in order.
+	// Params are the ASL property parameters the statement binds, in order:
+	// all of them in the per-context form, all but the first in the set form.
 	Params []sem.Attr
+	// Context names, in the set form, the parameter the context relation
+	// stands for; every row leads with that object's id. Empty in the
+	// per-context form.
+	Context string
 	// AST is the compiled query; Render spells it for a dialect.
 	AST *build.Select
 	// SQL is the complete SELECT statement in the canonical kojakdb dialect.
@@ -230,8 +243,123 @@ func (e *cenv) lookup(name string) (cval, bool) {
 	return cval{}, false
 }
 
-// CompileProperty translates the named property of the world into SQL.
+// CompileProperty translates the named property of the world into SQL, in the
+// per-context form: one execution evaluates one instance.
 func CompileProperty(w *sem.World, name string) (*CompiledProperty, error) {
+	return compileProperty(w, name, nil)
+}
+
+// ContextPath names the containment path an analysis walks from a test run to
+// the contexts of a property: the runs of a root object (the program version),
+// then the set attributes leading from that root down to the context class.
+// For the canonical model Region contexts are reached by ProgVersion.Runs and
+// ProgVersion.Functions → Function.Regions.
+type ContextPath struct {
+	// Root is the class owning both the run set and the first step.
+	Root string
+	// Runs is Root's set attribute holding the test runs.
+	Runs string
+	// Steps are the set attributes walked from Root to the context class.
+	Steps []string
+}
+
+// CompilePropertySet translates the property into its set form: one statement
+// whose contexts are a relation. The junction tables along the path join into
+//
+//	FROM Root_Runs x1 JOIN Root_Step1 x2 ON x2.owner_id = x1.owner_id
+//	                  JOIN ..._StepN xN ON xN.owner_id = x(N-1).elem_id
+//	WHERE x1.elem_id = $run
+//
+// — every object the path reaches from the root that owns the bound run — and
+// the property's first parameter compiles to xN.elem_id wherever the
+// per-context form has its marker, so each subquery of the property becomes
+// correlated with the context relation's row. The remaining parameters stay
+// markers; the statement is parameterized by the run (and whatever else the
+// property declares, the ranking basis) alone.
+func CompilePropertySet(w *sem.World, name string, path ContextPath) (*CompiledProperty, error) {
+	return compileProperty(w, name, &path)
+}
+
+// contextRelation builds the FROM/JOIN/WHERE of a set-form statement into sel
+// and returns the column holding the context object's id. The path must lead
+// from a set of the run parameter's class to the context parameter's class.
+func (c *compiler) contextRelation(sel *build.Select, path *ContextPath, params []sem.Attr) (*build.Col, error) {
+	fail := func(format string, args ...any) (*build.Col, error) {
+		return nil, fmt.Errorf("sqlgen: property %s: context path: %s", c.prop, fmt.Sprintf(format, args...))
+	}
+	setOf := func(cls *sem.Class, attr string) (*sem.Class, error) {
+		a, ok := cls.Lookup(attr)
+		if !ok {
+			return nil, fmt.Errorf("class %s has no attribute %s", cls.Name, attr)
+		}
+		set, _ := a.Type.(*sem.Set)
+		if set == nil {
+			return nil, fmt.Errorf("%s.%s is not a set", cls.Name, attr)
+		}
+		elem, _ := set.Elem.(*sem.Class)
+		if elem == nil {
+			return nil, fmt.Errorf("%s.%s is not a set of objects", cls.Name, attr)
+		}
+		return elem, nil
+	}
+	if len(params) == 0 {
+		return fail("the property has no parameter to stand for the context")
+	}
+	ctxClass, _ := params[0].Type.(*sem.Class)
+	if ctxClass == nil {
+		return fail("first parameter %s is not class typed", params[0].Name)
+	}
+	root, ok := c.w.Classes[path.Root]
+	if !ok {
+		return fail("unknown class %s", path.Root)
+	}
+	runClass, err := setOf(root, path.Runs)
+	if err != nil {
+		return fail("%v", err)
+	}
+	var run *sem.Attr
+	for i := range params[1:] {
+		if params[1+i].Type == sem.Type(runClass) {
+			run = &params[1+i]
+			break
+		}
+	}
+	if run == nil {
+		return fail("no %s parameter to select the run by", runClass.Name)
+	}
+	if len(path.Steps) == 0 {
+		return fail("no step from %s to %s", root.Name, ctxClass.Name)
+	}
+
+	runs := c.newAlias("x")
+	sel.From = &build.Table{Name: JunctionFor(root, path.Runs), Alias: runs}
+	sel.Where = []build.Expr{&build.Bin{Op: build.OpEq,
+		L: &build.Col{Table: runs, Name: "elem_id"},
+		R: &build.Param{Name: run.Name, Kind: build.KindInt}}}
+	owner, prev := root, &build.Col{Table: runs, Name: "owner_id"}
+	for _, step := range path.Steps {
+		elem, err := setOf(owner, step)
+		if err != nil {
+			return fail("%v", err)
+		}
+		alias := c.newAlias("x")
+		sel.Joins = append(sel.Joins, build.Join{
+			Table: build.Table{Name: JunctionFor(owner, step), Alias: alias},
+			On: &build.Bin{Op: build.OpEq,
+				L: &build.Col{Table: alias, Name: "owner_id"},
+				R: prev},
+		})
+		owner, prev = elem, &build.Col{Table: alias, Name: "elem_id"}
+	}
+	if owner != ctxClass {
+		return fail("leads to %s, the context parameter %s is a %s", owner.Name, params[0].Name, ctxClass.Name)
+	}
+	return prev, nil
+}
+
+// compileProperty is the one translation behind both forms; path selects the
+// set form.
+func compileProperty(w *sem.World, name string, path *ContextPath) (*CompiledProperty, error) {
 	decl, ok := w.PropDecls[name]
 	if !ok {
 		return nil, fmt.Errorf("sqlgen: unknown property %s", name)
@@ -239,6 +367,8 @@ func CompileProperty(w *sem.World, name string) (*CompiledProperty, error) {
 	sig := w.Props[name]
 	c := &compiler{w: w, prop: name}
 
+	out := &CompiledProperty{Name: name, Params: sig.Params}
+	sel := &build.Select{}
 	env := newCEnv(nil)
 	for _, p := range sig.Params {
 		v := cval{ex: &build.Param{Name: p.Name, Kind: paramKindFor(p.Type)}}
@@ -246,6 +376,16 @@ func CompileProperty(w *sem.World, name string) (*CompiledProperty, error) {
 			v.class = cls
 		}
 		env.vars[p.Name] = v
+	}
+	if path != nil {
+		ctx, err := c.contextRelation(sel, path, sig.Params)
+		if err != nil {
+			return nil, err
+		}
+		first := sig.Params[0]
+		env.vars[first.Name] = cval{ex: ctx, class: env.vars[first.Name].class}
+		sel.Items = append(sel.Items, build.Item{Expr: ctx, As: "ctx"})
+		out.Context, out.Params = first.Name, sig.Params[1:]
 	}
 	for _, l := range decl.Lets {
 		v, err := c.compile(l.Value, env)
@@ -255,8 +395,6 @@ func CompileProperty(w *sem.World, name string) (*CompiledProperty, error) {
 		env.vars[l.Name] = v
 	}
 
-	out := &CompiledProperty{Name: name, Params: sig.Params}
-	sel := &build.Select{}
 	for i, cond := range decl.Conditions {
 		ex, err := c.compileScalar(cond.Expr, env)
 		if err != nil {

@@ -10,8 +10,11 @@
 package sqlgen
 
 import (
+	"os"
+	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -125,6 +128,19 @@ func FuzzRenderRoundTrip(f *testing.F) {
 	sort.Strings(names)
 	for _, name := range names {
 		f.Add(compiled[name].SQL)
+	}
+	// The set forms, from their goldens: a context relation in FROM, and every
+	// subquery correlated with it through an outer reference.
+	sets, err := filepath.Glob(filepath.Join("testdata", "golden", "*.set.kojakdb.sql"))
+	if err != nil || len(sets) != len(names) {
+		f.Fatalf("set-form goldens: %d files for %d properties (%v)", len(sets), len(names), err)
+	}
+	for _, file := range sets {
+		b, err := os.ReadFile(file)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(strings.TrimSuffix(string(b), "\n"))
 	}
 
 	f.Fuzz(func(t *testing.T, sql string) {

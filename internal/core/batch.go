@@ -4,34 +4,53 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 
 	"repro/internal/asl/sqlgen"
 	"repro/internal/sqldb"
 )
 
-// The batched execution pipeline. PR 2 removed the per-execution parse and
-// plan cost; what remained was one client/server round trip per
-// (property × context) instance. Since every context of a property executes
-// the same prepared handle with only the parameters changing, the analyzer
-// groups the contexts per property and ships each group as one array-bound
-// batch (sqlgen.BatchPreparedQuery): one round trip per batch instead of one
-// per instance. Chunking by the batch size bounds request and response
-// sizes; chunks are independent work items for the worker pool, so batching
-// composes with parallel evaluation. Results are written into the same
-// pre-assigned enumeration-order slots as ever, so batched reports render
-// byte-identical to unbatched ones at any worker count.
+// Batched execution: how the contexts of a property reach the database.
+//
+// The set form is the default. A property compiles to one statement whose
+// contexts are a relation (sqlgen.CompilePropertySet); an analysis executes
+// it once — a batch of one binding, the run and the ranking basis — and maps
+// the rows it answers with to the plan's instances by their ctx column
+// (evalSQLSet): one round trip, one result-cache entry and one result set per
+// property instead of one per context.
+//
+// The per-context path is what the set form falls back to, and what runs
+// outright where the set form does not apply. Every context of a property
+// executes the same prepared handle with only the parameters changing, so the
+// analyzer ships them as array-bound batches of up to BatchSize parameter sets
+// (sqlgen.BatchPreparedQuery, evalSQLCtxs): one round trip per batch. It runs
+//
+//   - for a property whose set statement failed or did not answer with exactly
+//     one well-formed row per planned context — one region with two summaries
+//     for a run makes UNIQUE raise, which fails the whole statement; executed
+//     per context, that region gets its diagnostic and its neighbours their
+//     outcomes, which is what a report has always shown;
+//   - for guided search (AnalyzeGuidedSQL), whose steps evaluate subsets;
+//   - for every property under WithBatchSize(1), "per-instance execution",
+//     which makes it the differential oracle of the set form in every
+//     determinism test that varies the batch size.
+//
+// Work units — a set-form property, or a chunk of per-context instances — are
+// independent items for the worker pool, and results are written into the
+// same pre-assigned enumeration-order slots either way, so reports render
+// byte-identical on both paths at any worker count.
 
 // DefaultBatchSize is the number of parameter sets shipped per batched
 // request when no explicit size is configured.
 const DefaultBatchSize = 32
 
 // WithBatchSize sets the number of context instances executed per batched
-// request on the SQL engines: n > 1 batches in chunks of n, n = 1 forces the
-// per-instance execution of the prepared pipeline, and n <= 0 selects
-// DefaultBatchSize. Executors without batch support fall back to
-// per-instance execution regardless.
+// request on the SQL engines: n = 1 forces the per-instance execution of the
+// prepared pipeline, n > 1 evaluates each property by its set form — one
+// execution for all contexts — and sizes the array-bound batches of the
+// per-context path wherever that runs (set-form fallback, guided search), and
+// n <= 0 selects DefaultBatchSize. Executors without batch support execute
+// per-context work per instance regardless.
 func WithBatchSize(n int) Option { return func(a *Analyzer) { a.batchSize = n } }
 
 // BatchSize returns the effective batch size used for an analysis.
@@ -43,34 +62,30 @@ func (a *Analyzer) BatchSize() int {
 }
 
 // chunk is one worker-pool unit of a SQL analysis: a run of consecutive
-// enumerated instances of one property that execute as one batch (n > 1
-// requires the property's handle to support array binding).
+// enumerated instances of one property. A set unit covers all of a property's
+// instances with one execution of its set form; any other executes per
+// context, as one batch when n > 1 (which requires the property's handle to
+// support array binding).
 type chunk struct {
 	prop     int // index into the plan's (and the analysis's) properties
 	start, n int
+	set      bool
 }
 
-// chunksFor returns the execution units of one analysis. The plan's layout —
-// up to BatchSize instances of one property per chunk — holds when every
-// property's handle supports array binding, which is every analysis of a
-// batch-capable executor. A property that cannot batch (no prepared handle,
-// or one without array binding) is split into single-instance chunks, so its
-// instances still spread over the worker pool on the exact per-instance path.
-func (pl *runPlan) chunksFor(props []preparedProp) []chunk {
-	if !slices.ContainsFunc(props, func(c preparedProp) bool { return c.bq == nil }) {
-		return pl.chunks
+// appendChunks appends a property's per-context chunks to the units of an
+// analysis. A property that cannot batch (no prepared handle, or one without
+// array binding) is split into single-instance chunks, so its instances still
+// spread over the worker pool on the exact per-instance path.
+func appendChunks(units, chunks []chunk, batches bool) []chunk {
+	if batches {
+		return append(units, chunks...)
 	}
-	var chunks []chunk
-	for _, ch := range pl.chunks {
-		if props[ch.prop].bq != nil {
-			chunks = append(chunks, ch)
-			continue
-		}
+	for _, ch := range chunks {
 		for i := range ch.n {
-			chunks = append(chunks, chunk{prop: ch.prop, start: ch.start + i, n: 1})
+			units = append(units, chunk{prop: ch.prop, start: ch.start + i, n: 1})
 		}
 	}
-	return chunks
+	return units
 }
 
 // abortSentinel matches errors that must abort a whole analysis rather than
@@ -196,12 +211,9 @@ func aborted(ctxs []instCtx, out []Instance, fail *analysisAbort) bool {
 	return true
 }
 
-// evalSQLBatch ships one chunk of contexts as a single batched request. A
-// batch-level failure (transport, closed handle) diagnoses every context of
-// the chunk, mirroring what per-instance execution of the same failing
-// statement would report; per-binding failures diagnose only their own
-// context.
-func (a *Analyzer) evalSQLBatch(ctx context.Context, c preparedProp, ctxs []instCtx, bindings []*sqldb.Params, out []Instance, fail *analysisAbort) {
+// execBatch runs the handle once per binding in one request, observing ctx
+// where the handle can.
+func (c preparedProp) execBatch(ctx context.Context, bindings []*sqldb.Params) ([]sqlgen.BatchQueryResult, error) {
 	var results []sqlgen.BatchQueryResult
 	var err error
 	if cb, ok := c.bq.(sqlgen.ContextBatchPreparedQuery); ok && ctx.Done() != nil {
@@ -209,9 +221,19 @@ func (a *Analyzer) evalSQLBatch(ctx context.Context, c preparedProp, ctxs []inst
 	} else {
 		results, err = c.bq.ExecQueryBatch(bindings)
 	}
-	if err == nil && len(results) != len(ctxs) {
-		err = fmt.Errorf("core: batch returned %d results for %d bindings", len(results), len(ctxs))
+	if err == nil && len(results) != len(bindings) {
+		err = fmt.Errorf("core: batch returned %d results for %d bindings", len(results), len(bindings))
 	}
+	return results, err
+}
+
+// evalSQLBatch ships one chunk of contexts as a single batched request. A
+// batch-level failure (transport, closed handle) diagnoses every context of
+// the chunk, mirroring what per-instance execution of the same failing
+// statement would report; per-binding failures diagnose only their own
+// context.
+func (a *Analyzer) evalSQLBatch(ctx context.Context, c preparedProp, ctxs []instCtx, bindings []*sqldb.Params, out []Instance, fail *analysisAbort) {
+	results, err := c.execBatch(ctx, bindings)
 	fail.record(err)
 	for i, ictx := range ctxs {
 		in := Instance{Property: ictx.prop, Context: ictx.label}
@@ -226,4 +248,58 @@ func (a *Analyzer) evalSQLBatch(ctx context.Context, c preparedProp, ctxs []inst
 		}
 		out[i] = in
 	}
+}
+
+// evalSQLSet evaluates every context of a property with one execution of its
+// set form — a batch of one binding where the handle supports array binding,
+// a plain execution otherwise — and folds the row of each planned context
+// into its slot. It reports false, having settled nothing, when the per-
+// context path must answer instead: the statement failed for a reason that is
+// some context's own (fatal errors — a lost shard, cancellation — abort the
+// analysis as everywhere and are never retried), or its rows are not exactly
+// one well-formed row per planned context.
+func (a *Analyzer) evalSQLSet(ctx context.Context, q QueryExec, c preparedProp, p *planProp, ctxs []instCtx, out []Instance, fail *analysisAbort) bool {
+	if err := ctx.Err(); err != nil {
+		fail.record(err)
+	}
+	if aborted(ctxs, out, fail) {
+		return true
+	}
+	var set *sqldb.ResultSet
+	var err error
+	if c.bq != nil {
+		var results []sqlgen.BatchQueryResult
+		if results, err = c.execBatch(ctx, p.setBinding); err == nil {
+			set, err = results[0].Set, results[0].Err
+		}
+	} else {
+		set, err = c.exec(ctx, q, p.setBinding[0])
+	}
+	if err != nil {
+		if !fatalExecErr(err) {
+			return false
+		}
+		fail.record(err)
+		diagnose(ctxs, out, err)
+		return true
+	}
+	// Rows of contexts outside the plan — call sites a filter excludes — are
+	// not this analysis's; a planned context answered for twice, or not at
+	// all, is what the fallback exists for.
+	width, seen := 1+rowWidth(c.cp), 0
+	for _, row := range set.Rows {
+		if len(row) != width || !row[0].IsInt() {
+			return false
+		}
+		i, planned := p.index[row[0].Int()]
+		if !planned {
+			continue
+		}
+		if out[i].Property != "" {
+			return false
+		}
+		out[i] = Instance{Property: ctxs[i].prop, Context: ctxs[i].label, Outcome: foldRow(c.cp, row[1:])}
+		seen++
+	}
+	return seen == len(ctxs)
 }

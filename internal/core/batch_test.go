@@ -1,13 +1,10 @@
 package core
 
 import (
-	"sync"
 	"testing"
 
 	"repro/internal/apprentice"
-	"repro/internal/asl/sqlgen"
 	"repro/internal/godbc"
-	"repro/internal/sqldb"
 	"repro/internal/sqldb/wire"
 )
 
@@ -105,56 +102,16 @@ func TestGuidedSQLBatchedMatchesObject(t *testing.T) {
 	}
 }
 
-// countingBatchPreparer wraps the embedded engine and counts how contexts
-// reach the database: batched requests versus per-instance executions.
-type countingBatchPreparer struct {
-	godbc.Embedded
-
-	mu       sync.Mutex
-	batches  int // ExecQueryBatch calls
-	bindings int // parameter sets shipped in them
-	perExec  int // per-instance ExecQuery calls on prepared handles
-}
-
-func (c *countingBatchPreparer) PrepareQuery(sql string) (sqlgen.PreparedQuery, error) {
-	pq, err := c.Embedded.PrepareQuery(sql)
-	if err != nil {
-		return nil, err
-	}
-	return &countingBatchStmt{parent: c, bq: pq.(sqlgen.BatchPreparedQuery)}, nil
-}
-
-type countingBatchStmt struct {
-	parent *countingBatchPreparer
-	bq     sqlgen.BatchPreparedQuery
-}
-
-func (s *countingBatchStmt) ExecQuery(p *sqldb.Params) (*sqldb.ResultSet, error) {
-	s.parent.mu.Lock()
-	s.parent.perExec++
-	s.parent.mu.Unlock()
-	return s.bq.ExecQuery(p)
-}
-
-func (s *countingBatchStmt) ExecQueryBatch(b []*sqldb.Params) ([]sqlgen.BatchQueryResult, error) {
-	s.parent.mu.Lock()
-	s.parent.batches++
-	s.parent.bindings += len(b)
-	s.parent.mu.Unlock()
-	return s.bq.ExecQueryBatch(b)
-}
-
-func (s *countingBatchStmt) Close() error { return s.bq.Close() }
-
 // TestAnalyzeSQLBatchesEveryContext: with batching on, every context reaches
-// the database inside a batch — zero per-instance executions — and the batch
-// count reflects the chunking; with batchsize 1, batching is off entirely.
+// the database inside a batch — zero per-instance executions — and one batch
+// of one binding, the set form's, answers for all contexts of a property;
+// with batchsize 1, batching is off entirely.
 func TestAnalyzeSQLBatchesEveryContext(t *testing.T) {
 	g := buildGraph(t, apprentice.Particles())
 	db := loadDB(t, g)
 	run := lastRun(g)
 
-	q := &countingBatchPreparer{Embedded: godbc.Embedded{DB: db}}
+	q := &trafficExec{Embedded: godbc.Embedded{DB: db}}
 	a := New(g, WithBatchSize(4))
 	rep, err := a.AnalyzeSQL(run, q)
 	if err != nil {
@@ -164,14 +121,17 @@ func TestAnalyzeSQLBatchesEveryContext(t *testing.T) {
 	if q.perExec != 0 {
 		t.Errorf("%d per-instance executions on the batched path", q.perExec)
 	}
-	if q.bindings != total {
-		t.Errorf("batches carried %d bindings for %d instances", q.bindings, total)
+	if q.batches != len(a.props) || q.bindings != len(a.props) {
+		t.Errorf("%d batches carried %d bindings for %d properties, want one of one each", q.batches, q.bindings, len(a.props))
 	}
-	if q.batches == 0 || q.batches >= total {
+	if q.batches >= total {
 		t.Errorf("%d batches for %d instances: no amortization", q.batches, total)
 	}
+	if n, last := a.Fallbacks(); n != 0 {
+		t.Errorf("%d set-form fallbacks on clean data (last %s)", n, last)
+	}
 
-	q2 := &countingBatchPreparer{Embedded: godbc.Embedded{DB: db}}
+	q2 := &trafficExec{Embedded: godbc.Embedded{DB: db}}
 	a2 := New(g, WithBatchSize(1))
 	if _, err := a2.AnalyzeSQL(run, q2); err != nil {
 		t.Fatal(err)
@@ -189,7 +149,7 @@ func TestAnalyzeSQLBatchesEveryContext(t *testing.T) {
 func TestGuidedSQLBatchesGroups(t *testing.T) {
 	g := buildGraph(t, apprentice.Particles())
 	db := loadDB(t, g)
-	q := &countingBatchPreparer{Embedded: godbc.Embedded{DB: db}}
+	q := &trafficExec{Embedded: godbc.Embedded{DB: db}}
 	a := New(g, WithBatchSize(DefaultBatchSize))
 	_, stats, err := a.AnalyzeGuidedSQL(lastRun(g), DefaultHierarchy(), q)
 	if err != nil {

@@ -137,7 +137,8 @@ func TestAnalyzeSQLCtxUncanceledMatchesPlain(t *testing.T) {
 }
 
 // TestShardedTextProtocolCancelAtCheckout: with prepared statements disabled
-// a sharded analysis runs one-shot routed text queries. Mid-analysis on a
+// a sharded analysis runs one-shot routed text queries — one per instance at
+// batch size 1, enough of them to be caught in flight. Mid-analysis on a
 // slow wire the test takes every pooled connection away, so each worker's
 // next query waits at pool checkout; canceling must free them there — the
 // routed text path observes the context like every other path — rather than
@@ -151,7 +152,7 @@ func TestShardedTextProtocolCancelAtCheckout(t *testing.T) {
 	defer cancel()
 	errc := make(chan error, 1)
 	go func() {
-		a := New(g, WithPreparedStatements(false), WithWorkers(4))
+		a := New(g, WithPreparedStatements(false), WithWorkers(4), WithBatchSize(1))
 		_, err := a.AnalyzeSQLCtx(ctx, lastRun(g), h.sdb)
 		errc <- err
 	}()

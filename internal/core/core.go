@@ -14,6 +14,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/asl/ast"
 	"repro/internal/asl/eval"
@@ -187,6 +188,12 @@ type Analyzer struct {
 	// compiled holds the properties' queries, made by the first SQL analysis.
 	compileOnce sync.Once
 	compiled    []compiledProp
+
+	// setFallbacks counts the properties an analysis had to evaluate context
+	// by context because their set-form statement did not answer with one
+	// well-formed row per planned context; lastFallback names the latest.
+	setFallbacks atomic.Int64
+	lastFallback atomic.Pointer[string]
 }
 
 // New returns an analyzer over the graph.
@@ -208,6 +215,20 @@ func New(g *model.Graph, opts ...Option) *Analyzer {
 
 // Threshold returns the configured problem threshold.
 func (a *Analyzer) Threshold() float64 { return a.threshold }
+
+// Fallbacks reports how many times a property's set-form statement — one
+// execution for all its contexts — failed or came back malformed, so that the
+// analysis evaluated the property per context instead, and the name of the
+// last such property. Zero on healthy data; a count that keeps growing says
+// the data violates a UNIQUE somewhere (one region with two summaries for a
+// run fails the whole statement) and every analysis pays a request per batch
+// of contexts rather than one for that property.
+func (a *Analyzer) Fallbacks() (n int64, last string) {
+	if p := a.lastFallback.Load(); p != nil {
+		last = *p
+	}
+	return a.setFallbacks.Load(), last
+}
 
 // instCtx is one property instance before evaluation.
 type instCtx struct {
@@ -245,10 +266,61 @@ func (a *Analyzer) scopeFromGraph(run *model.TestRun) (*scope, error) {
 	return sc, nil
 }
 
+// versionRuns and contextPaths declare, once, how the canonical data model
+// contains an analysis's contexts: a program version owns its test runs and,
+// through its functions, the regions and the call sites. scopeFromStore walks
+// these attributes over fetched objects; the set form of a property query
+// joins the same path's junction tables into its context relation
+// (sqlgen.CompilePropertySet).
+const (
+	versionClass = "ProgVersion"
+	versionRuns  = "Runs"
+)
+
+var contextPaths = map[string]sqlgen.ContextPath{
+	"Region":       {Root: versionClass, Runs: versionRuns, Steps: []string{"Functions", "Regions"}},
+	"FunctionCall": {Root: versionClass, Runs: versionRuns, Steps: []string{"Functions", "Calls"}},
+}
+
+// ContextPath returns the containment path of a context class of the
+// canonical model, the one AnalyzeSQL compiles set-form statements with.
+func ContextPath(class string) (sqlgen.ContextPath, bool) {
+	p, ok := contextPaths[class]
+	return p, ok
+}
+
+// elems returns the objects of a set attribute, in set order.
+func elems(o *object.Object, attr string) []*object.Object {
+	set, _ := o.Get(attr).(*object.Set)
+	if set == nil {
+		return nil
+	}
+	var out []*object.Object
+	for _, e := range set.Elems {
+		if eo, ok := e.(*object.Object); ok {
+			out = append(out, eo)
+		}
+	}
+	return out
+}
+
+// reach returns the objects a path of set attributes leads to from root, in
+// depth-first set order.
+func reach(root *object.Object, steps []string) []*object.Object {
+	if len(steps) == 0 {
+		return []*object.Object{root}
+	}
+	var out []*object.Object
+	for _, o := range elems(root, steps[0]) {
+		out = append(out, reach(o, steps[1:])...)
+	}
+	return out
+}
+
 // scopeFromStore rebuilds the scope inside a store fetched back from the
 // database: it locates the analyzer's program by name, the version by
 // compilation timestamp, and the run by processor count, then walks the
-// containment sets in order.
+// containment paths in order.
 func (a *Analyzer) scopeFromStore(store *object.Store, version *model.Version, nope int) (*scope, error) {
 	var prog *object.Object
 	for _, p := range store.OfClass("Program") {
@@ -261,65 +333,27 @@ func (a *Analyzer) scopeFromStore(store *object.Store, version *model.Version, n
 		return nil, fmt.Errorf("core: program %s not in database", a.graph.Dataset.Program)
 	}
 	var verObj *object.Object
-	if versions, ok := prog.Get("Versions").(*object.Set); ok {
-		for _, v := range versions.Elems {
-			vo, ok := v.(*object.Object)
-			if !ok {
-				continue
-			}
-			if c, ok := vo.Get("Compilation").(object.DateTime); ok && int64(c) == version.Compilation.Unix() {
-				verObj = vo
-				break
-			}
+	for _, vo := range elems(prog, "Versions") {
+		if c, ok := vo.Get("Compilation").(object.DateTime); ok && int64(c) == version.Compilation.Unix() {
+			verObj = vo
+			break
 		}
 	}
 	if verObj == nil {
 		return nil, fmt.Errorf("core: program version not in database")
 	}
 	sc := &scope{}
-	if runs, ok := verObj.Get("Runs").(*object.Set); ok {
-		for _, r := range runs.Elems {
-			ro, ok := r.(*object.Object)
-			if !ok {
-				continue
-			}
-			if n, ok := ro.Get("NoPe").(object.Int); ok && int(n) == nope {
-				sc.run = ro
-				break
-			}
+	for _, ro := range elems(verObj, versionRuns) {
+		if n, ok := ro.Get("NoPe").(object.Int); ok && int(n) == nope {
+			sc.run = ro
+			break
 		}
 	}
 	if sc.run == nil {
 		return nil, fmt.Errorf("core: no test run with %d PEs", nope)
 	}
-	if funcs, ok := verObj.Get("Functions").(*object.Set); ok {
-		for _, f := range funcs.Elems {
-			fo, ok := f.(*object.Object)
-			if !ok {
-				continue
-			}
-			if regions, ok := fo.Get("Regions").(*object.Set); ok {
-				for _, r := range regions.Elems {
-					if ro, ok := r.(*object.Object); ok {
-						sc.regions = append(sc.regions, ro)
-					}
-				}
-			}
-		}
-		for _, f := range funcs.Elems {
-			fo, ok := f.(*object.Object)
-			if !ok {
-				continue
-			}
-			if calls, ok := fo.Get("Calls").(*object.Set); ok {
-				for _, c := range calls.Elems {
-					if co, ok := c.(*object.Object); ok {
-						sc.calls = append(sc.calls, co)
-					}
-				}
-			}
-		}
-	}
+	sc.regions = reach(verObj, contextPaths["Region"].Steps)
+	sc.calls = reach(verObj, contextPaths["FunctionCall"].Steps)
 	var err error
 	if sc.basis, err = findBasis(sc.regions); err != nil {
 		return nil, err
@@ -602,14 +636,19 @@ type QueryExec = sqlgen.QueryExecutor
 //
 // When the executor supports prepared statements (godbc connections, pools,
 // and the embedded engine), each property's query is prepared once and
-// executed once per context with only the parameters changing — the
-// PreparedStatement usage of the measured JDBC deployments. Otherwise (or
-// with WithPreparedStatements(false)) every instance ships the query text.
+// executed with only the parameters changing — the PreparedStatement usage of
+// the measured JDBC deployments. Otherwise (or with
+// WithPreparedStatements(false)) every execution ships the query text.
 //
-// When the prepared handle additionally supports array binding, the contexts
-// of each property are shipped as batched requests of up to BatchSize
-// parameter sets — one round trip per batch instead of one per instance (see
-// batch.go). Reports are byte-identical across all three execution modes.
+// With batching on (BatchSize > 1, the default) a property is evaluated by its
+// set form: one statement whose contexts are a relation, executed once per
+// analysis — as a batch of one binding where the handle supports array
+// binding — and answering with one row per context (see batch.go). A property
+// whose set statement fails, or does not answer for exactly its planned
+// contexts, is evaluated per context instead, as every property is with
+// WithBatchSize(1): one execution per (property, context), shipped in
+// array-bound batches of up to BatchSize when falling back. Reports are
+// byte-identical across all execution modes, diagnostics included.
 //
 // Queries are issued from the worker pool when q is safe for concurrent use
 // (godbc.Pool keeps one connection per in-flight query; godbc.Embedded
@@ -622,8 +661,8 @@ func (a *Analyzer) AnalyzeSQL(run *model.TestRun, q QueryExec) (*Report, error) 
 // AnalyzeSQLCtx is AnalyzeSQL observing a context. Cancellation propagates
 // into every layer the executor supports it in — pool checkout, the wire
 // round trip, per-binding batch progress, profiled vendor delays — and is
-// additionally checked between chunks here, so executors without context
-// support still stop within one chunk of the cancel. A canceled analysis
+// additionally checked between work units here, so executors without context
+// support still stop within one unit of the cancel. A canceled analysis
 // returns the context's error, never a partial report.
 func (a *Analyzer) AnalyzeSQLCtx(ctx context.Context, run *model.TestRun, q QueryExec) (*Report, error) {
 	pl, err := a.planFor(run)
@@ -631,7 +670,7 @@ func (a *Analyzer) AnalyzeSQLCtx(ctx context.Context, run *model.TestRun, q Quer
 		return nil, err
 	}
 	compiled := a.compiledProps()
-	bindErrs := pl.bind(compiled)
+	bindErrs, setErrs := pl.bind(compiled)
 	preparer := a.preparer(q)
 	props := make([]preparedProp, 0, len(compiled))
 	defer func() {
@@ -639,19 +678,41 @@ func (a *Analyzer) AnalyzeSQLCtx(ctx context.Context, run *model.TestRun, q Quer
 			c.close()
 		}
 	}()
+	// One work unit per set-form property, the per-context chunks of the rest.
+	units := make([]chunk, 0, len(compiled))
 	for i := range compiled {
-		if err := compiled[i].err; err != nil {
-			return nil, err
+		c, p := &compiled[i], &pl.props[i]
+		if c.err != nil {
+			return nil, c.err
 		}
-		props = append(props, compiled[i].prepare(preparer, bindErrs[i]))
+		if a.BatchSize() > 1 && p.n > 0 && c.set != nil && setErrs[i] == nil {
+			props = append(props, c.set.prepare(preparer, nil))
+			units = append(units, chunk{prop: i, start: p.start, n: p.n, set: true})
+			continue
+		}
+		props = append(props, c.prepare(preparer, bindErrs[i]))
+		units = appendChunks(units, p.chunks, props[i].bq != nil)
 	}
 	instances := make([]Instance, len(pl.ctxs))
-	chunks := pl.chunksFor(props)
 	fail := &analysisAbort{}
-	runPool(a.queryWorkers(q), len(chunks), func(_, ci int) {
-		ch := chunks[ci]
-		end := ch.start + ch.n
-		a.evalSQLCtxs(ctx, q, props[ch.prop], pl.ctxs[ch.start:end], pl.bindings[ch.start:end], instances[ch.start:end], fail)
+	runPool(a.queryWorkers(q), len(units), func(_, ui int) {
+		u := units[ui]
+		end := u.start + u.n
+		ctxs, bindings, out := pl.ctxs[u.start:end], pl.bindings[u.start:end], instances[u.start:end]
+		if !u.set {
+			a.evalSQLCtxs(ctx, q, props[u.prop], ctxs, bindings, out, fail)
+			return
+		}
+		if a.evalSQLSet(ctx, q, props[u.prop], &pl.props[u.prop], ctxs, out, fail) {
+			return
+		}
+		// The set statement failed or came back malformed: the per-context
+		// path says which contexts are to blame, in the same words as ever.
+		a.setFallbacks.Add(1)
+		a.lastFallback.Store(&pl.props[u.prop].name)
+		per := compiled[u.prop].prepare(preparer, bindErrs[u.prop])
+		defer per.close()
+		a.evalSQLCtxs(ctx, q, per, ctxs, bindings, out, fail)
 	})
 	// A lost shard aborts the analysis: a report missing one shard's answers
 	// is not a smaller report, it is a wrong one. Cancellation aborts the
@@ -753,24 +814,34 @@ func replaceNumbers(sql string, subst map[string]string) string {
 	return b.String()
 }
 
-// interpretRow folds the single result row of a compiled property query into
-// an Outcome, applying the condition/guard semantics of the ASL evaluator.
+// interpretRow folds the result of a per-context property query — a single
+// row — into an Outcome.
 func interpretRow(cp *sqlgen.CompiledProperty, set *sqldb.ResultSet) Outcome {
-	var out Outcome
 	if len(set.Rows) != 1 {
-		out.Diagnostic = fmt.Sprintf("compiled query returned %d rows", len(set.Rows))
-		return out
+		return Outcome{Diagnostic: fmt.Sprintf("compiled query returned %d rows", len(set.Rows))}
 	}
-	row := set.Rows[0]
+	return foldRow(cp, set.Rows[0])
+}
+
+// rowWidth is the number of condition, confidence and severity columns of a
+// property's result row.
+func rowWidth(cp *sqlgen.CompiledProperty) int {
+	return len(cp.CondLabels) + len(cp.ConfGuards) + len(cp.SevGuards)
+}
+
+// foldRow folds one context's condition, confidence and severity columns into
+// an Outcome, applying the condition/guard semantics of the ASL evaluator. It
+// is the one row-folding function of the per-context and the set path (which
+// hands it the row without its leading ctx column), and allocates nothing.
+func foldRow(cp *sqlgen.CompiledProperty, row sqldb.Row) Outcome {
+	var out Outcome
 	nc := len(cp.CondLabels)
 	nf := len(cp.ConfGuards)
-	if len(row) != nc+nf+len(cp.SevGuards) {
+	if len(row) != rowWidth(cp) {
 		out.Diagnostic = "compiled query returned wrong column count"
 		return out
 	}
-	condTrue := make(map[string]bool)
-	for i := 0; i < nc; i++ {
-		v := row[i]
+	for _, v := range row[:nc] {
 		if v.IsNull() {
 			out.Diagnostic = "condition not evaluable (NULL)"
 			return out
@@ -781,18 +852,25 @@ func interpretRow(cp *sqlgen.CompiledProperty, set *sqldb.ResultSet) Outcome {
 		}
 		if v.Bool() {
 			out.Holds = true
-			if cp.CondLabels[i] != "" {
-				condTrue[cp.CondLabels[i]] = true
-			}
 		}
 	}
 	if !out.Holds {
 		return out
 	}
+	// A guarded entry counts when a condition of that label is true; a
+	// property has a handful of conditions, so scanning beats a set of labels.
+	guardHolds := func(g string) bool {
+		for i, label := range cp.CondLabels {
+			if label == g && row[i].Bool() {
+				return true
+			}
+		}
+		return false
+	}
 	fold := func(guards []string, base int) (float64, string) {
 		best := 0.0
 		for i, g := range guards {
-			if g != "" && !condTrue[g] {
+			if g != "" && !guardHolds(g) {
 				continue
 			}
 			v := row[base+i]

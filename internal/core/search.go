@@ -140,7 +140,9 @@ func (a *Analyzer) AnalyzeGuided(run *model.TestRun, h Hierarchy) (*Report, *Sea
 // property's query is prepared once, on first use, and executed per context
 // when the executor supports prepared statements. The contexts a search step
 // opens up are evaluated together, so on batch-capable executors each step
-// costs one round trip per BatchSize contexts rather than one per context.
+// costs one round trip per BatchSize contexts rather than one per context. A
+// step evaluates a subset of a property's contexts, so the search stays on
+// the per-context statements: the set form answers for all contexts or none.
 func (a *Analyzer) AnalyzeGuidedSQL(run *model.TestRun, h Hierarchy, q QueryExec) (*Report, *SearchStats, error) {
 	compiled := a.compiledProps()
 	preparer := a.preparer(q)
@@ -161,7 +163,8 @@ func (a *Analyzer) AnalyzeGuidedSQL(run *model.TestRun, h Hierarchy, q QueryExec
 		}
 		c, ok := prepared[prop]
 		if !ok {
-			c = compiled[prop].prepare(preparer, pl.bind(compiled)[prop])
+			bindErrs, _ := pl.bind(compiled)
+			c = compiled[prop].prepare(preparer, bindErrs[prop])
 			prepared[prop] = c
 		}
 		bindings := make([]*sqldb.Params, len(ctxs))

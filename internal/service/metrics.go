@@ -147,6 +147,21 @@ type MetricsSnapshot struct {
 	// sqldb.Stats declares it, plus the wire servers' request count and
 	// cumulative vendor cost. Summed over the shards of a sharded database.
 	Backend *godbc.ServerStats `json:"backend,omitempty"`
+
+	// Analyzer reports on the analyzer's own execution paths.
+	Analyzer AnalyzerStats `json:"analyzer"`
+}
+
+// AnalyzerStats is the "analyzer" section of /metrics.
+type AnalyzerStats struct {
+	// SetFallbacks counts the properties analyses evaluated context by
+	// context because their set-form statement failed or came back malformed
+	// (core.Analyzer.Fallbacks); LastSetFallback names the latest. Non-zero
+	// means the data violates a UNIQUE somewhere — one region with two
+	// summaries for a run — and every analysis pays a request per batch of
+	// contexts instead of one for that property.
+	SetFallbacks    int64  `json:"set_fallbacks"`
+	LastSetFallback string `json:"last_set_fallback,omitempty"`
 }
 
 // MetricsSnapshot assembles the service-level sections of the snapshot:
@@ -172,6 +187,7 @@ func (s *Service) MetricsSnapshot() MetricsSnapshot {
 			snap.Backend = &st
 		}
 	}
+	snap.Analyzer.SetFallbacks, snap.Analyzer.LastSetFallback = s.analyzer.Fallbacks()
 	return snap
 }
 

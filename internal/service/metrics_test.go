@@ -16,7 +16,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/godbc"
 	"repro/internal/service"
+	"repro/internal/sqldb"
 	"repro/internal/sqldb/wire"
 	"repro/internal/testutil"
 )
@@ -197,6 +199,72 @@ func TestMetricsBackendKeys(t *testing.T) {
 	}
 	if got, want := keys(reasons), []string{"join_shape", "order_expr", "other", "star", "subquery"}; !slices.Equal(got, want) {
 		t.Errorf("vec_fallback_reasons keys:\n got %v\nwant %v", got, want)
+	}
+}
+
+// TestMetricsAnalyzerSetFallbacks: the "analyzer" section counts the
+// properties whose set-form statement had to be redone per context, and names
+// the last. On clean data it reads zero; once a region has two summaries for
+// the analyzed run, every analysis adds the three properties that read
+// Summary(r, t).
+func TestMetricsAnalyzerSetFallbacks(t *testing.T) {
+	g := buildGraph(t)
+	db := loadEmbedded(t, g)
+	svc := service.New(g, godbc.Embedded{DB: db}, service.Config{Capacity: 1, Workers: 1})
+	srv := service.NewServer(svc, nil)
+	hs, maddr, err := srv.ServeMetrics("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { hs.Close() })
+
+	if _, err := svc.Analyze(context.Background(), "alice", 0); err != nil {
+		t.Fatal(err)
+	}
+	if a := scrapeJSON(t, maddr).Analyzer; a.SetFallbacks != 0 || a.LastSetFallback != "" {
+		t.Fatalf("clean data: analyzer section %+v, want zero", a)
+	}
+
+	// A second TotalTiming row of the largest run for a non-basis region.
+	run := g.Runs[g.Dataset.Run(0)]
+	region := g.OrderedRegions[len(g.OrderedRegions)-1]
+	const id = 1 << 40
+	for sql, vals := range map[string][]sqldb.Value{
+		`INSERT INTO TotalTiming (id, Run_id, Excl, Incl, Ovhd) VALUES (?, ?, 1.0, 2.0, 0.5)`: {sqldb.NewInt(id), sqldb.NewInt(run.ID)},
+		`INSERT INTO Region_TotTimes (owner_id, elem_id) VALUES (?, ?)`:                       {sqldb.NewInt(region.ID), sqldb.NewInt(id)},
+	} {
+		if _, err := db.Exec(sql, &sqldb.Params{Positional: vals}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 1; i <= 2; i++ {
+		rep, err := svc.Analyze(context.Background(), "alice", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.Diagnostics) != 3 {
+			t.Fatalf("analysis %d over the duplicated summary: %d diagnostics\n%s", i, len(rep.Diagnostics), rep.Render())
+		}
+		a := scrapeJSON(t, maddr).Analyzer
+		if a.SetFallbacks != int64(3*i) || a.LastSetFallback != "UnmeasuredCost" {
+			t.Errorf("after %d analyses: analyzer section %+v, want %d fallbacks, last UnmeasuredCost", i, a, 3*i)
+		}
+	}
+
+	// The key names are what operators and scrapers read.
+	resp, err := http.Get("http://" + maddr + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var doc struct {
+		Analyzer map[string]json.RawMessage `json:"analyzer"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := slices.Sorted(maps.Keys(doc.Analyzer)), []string{"last_set_fallback", "set_fallbacks"}; !slices.Equal(got, want) {
+		t.Errorf("analyzer keys: got %v, want %v", got, want)
 	}
 }
 

@@ -315,8 +315,8 @@ func TestTenantsShareOnePlan(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	instances := len(want.Instances) + want.Skipped + len(want.Diagnostics)
-	if len(q.seen) != instances {
-		t.Fatalf("six requests executed %d distinct parameter sets for %d instances: the plan was rebuilt", len(q.seen), instances)
+	// One set-form binding per property and run, whoever asks.
+	if len(q.seen) != len(model.AllProperties) {
+		t.Fatalf("six requests executed %d distinct parameter sets for %d properties: the plan was rebuilt", len(q.seen), len(model.AllProperties))
 	}
 }

@@ -13,7 +13,9 @@ import (
 	"testing"
 
 	"repro/internal/apprentice"
+	"repro/internal/asl/sem"
 	"repro/internal/asl/sqlgen"
+	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/sqldb"
 )
@@ -122,6 +124,75 @@ func isIdentByte(c byte) bool {
 	return c == '_' || ('a' <= c && c <= 'z') || ('A' <= c && c <= 'Z') || ('0' <= c && c <= '9')
 }
 
+// compileSet compiles a canonical property's set form as core does.
+func compileSet(tb testing.TB, w *sem.World, name string) *sqlgen.CompiledProperty {
+	tb.Helper()
+	path, ok := core.ContextPath(w.Props[name].Params[0].Type.(*sem.Class).Name)
+	if !ok {
+		tb.Fatalf("%s: no containment path", name)
+	}
+	cp, err := sqlgen.CompilePropertySet(w, name, path)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return cp
+}
+
+// setFormIDs returns the ids a set-form statement binds in diffDB: the run
+// with the most processors and the whole-program region.
+func setFormIDs(tb testing.TB) (run, basis int64) {
+	tb.Helper()
+	db := diffDB(tb)
+	one := func(sql string) int64 {
+		res, err := db.Exec(sql, nil)
+		if err != nil || len(res.Set.Rows) != 1 {
+			tb.Fatalf("%s: %v (%+v)", sql, err, res)
+		}
+		return res.Set.Rows[0][0].Int()
+	}
+	return one(`SELECT id FROM TestRun ORDER BY NoPe DESC LIMIT 1`), one(`SELECT id FROM Region WHERE Kind = 'program'`)
+}
+
+// TestSetFormEnginesAgree: every canonical set form answers with one row per
+// context, the same on both engines, and nothing in it falls back to the row
+// interpreter — each of its subqueries holds an outer reference to the
+// context relation, which the vectorized compiler must take as a constant.
+func TestSetFormEnginesAgree(t *testing.T) {
+	w := model.MustCompileSpec()
+	db := diffDB(t)
+	run, basis := setFormIDs(t)
+	for _, name := range model.AllProperties {
+		cp := compileSet(t, w, name)
+		params := &sqldb.Params{Named: map[string]sqldb.Value{
+			cp.Params[0].Name: sqldb.NewInt(run), cp.Params[1].Name: sqldb.NewInt(basis),
+		}}
+		if err := db.SetEngine(sqldb.EngineVector); err != nil {
+			t.Fatal(err)
+		}
+		before := db.Stats()
+		vec, err := db.Exec(cp.SQL, params)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if after := db.Stats(); after.VecFallbacks != before.VecFallbacks {
+			t.Errorf("%s: %d SELECTs fell back: %+v", name, after.VecFallbacks-before.VecFallbacks, after.VecFallbackReasons)
+		}
+		if err := db.SetEngine(sqldb.EngineRow); err != nil {
+			t.Fatal(err)
+		}
+		row, err := db.Exec(cp.SQL, params)
+		if err := db.SetEngine(sqldb.EngineVector); err != nil {
+			t.Fatal(err)
+		}
+		if err != nil {
+			t.Fatalf("%s on the row engine: %v", name, err)
+		}
+		if len(vec.Set.Rows) == 0 || !reflect.DeepEqual(vec.Set, row.Set) {
+			t.Errorf("%s: engines disagree (%d vs %d rows):\nvector: %+v\nrow:    %+v", name, len(vec.Set.Rows), len(row.Set.Rows), vec.Set, row.Set)
+		}
+	}
+}
+
 // FuzzEngineDifferential cross-checks the engines on arbitrary SELECT text,
 // and a batched execution of it against its bindings executed one by one.
 // Non-SELECT statements are skipped (the database is shared across
@@ -157,8 +228,29 @@ func FuzzEngineDifferential(f *testing.F) {
 		// one subquery per binding, one per batch.
 		`SELECT (SELECT x.w FROM fuzz_aux x WHERE x.id = $r AND x.v = $basis) / (SELECT MAX(y.w) FROM fuzz_aux y WHERE y.v = $basis)`,
 		`SELECT (SELECT x.s FROM fuzz_aux x WHERE x.id = ?), (SELECT COUNT(y.id) FROM fuzz_aux y WHERE y.v = ?), EXISTS (SELECT z.id FROM fuzz_aux z WHERE z.v = ?)`,
+		// Outer references, one and two SELECTs deep: as equality comparand
+		// of a fused filter, inside an OR chain, as access-path key (id is the
+		// primary key), NULL (rows 2 and 5 have no v), resolving nowhere
+		// (reached and never reached), and ambiguous in the enclosing scope
+		// (both TestRun bindings have NoPe, fuzz_aux has not).
+		`SELECT o.id, (SELECT COUNT(i.id) FROM fuzz_aux i WHERE i.v = o.v AND i.w > $k) FROM fuzz_aux o ORDER BY o.id`,
+		`SELECT o.id, (SELECT COUNT(i.id) FROM fuzz_aux i WHERE i.v = o.v OR i.w > o.w OR i.s = o.s) FROM fuzz_aux o ORDER BY o.id`,
+		`SELECT o.id, (SELECT i.s FROM fuzz_aux i WHERE i.id = o.v / 10) FROM fuzz_aux o ORDER BY o.id`,
+		`SELECT o.id, (SELECT MAX(m.w) FROM fuzz_aux m WHERE m.v = (SELECT MIN(n.v) FROM fuzz_aux n WHERE n.s = o.s OR n.id = $k)) FROM fuzz_aux o ORDER BY o.id`,
+		`SELECT o.id, (SELECT COUNT(m.id) FROM fuzz_aux m WHERE m.id IN (SELECT n.id FROM fuzz_aux n WHERE n.id = o.id OR n.v = o.v)) FROM fuzz_aux o ORDER BY o.id`,
+		`SELECT o.id, (SELECT COUNT(i.id) FROM fuzz_aux i WHERE i.v = z.v) FROM fuzz_aux o`,
+		`SELECT o.id, (SELECT COUNT(i.id) FROM fuzz_aux i WHERE i.id < 0 AND i.v = z.v) FROM fuzz_aux o ORDER BY o.id`,
+		`SELECT a.id, (SELECT COUNT(i.id) FROM fuzz_aux i WHERE i.v = NoPe) FROM TestRun a JOIN TestRun b ON a.id = b.id`,
+		// The set form's shape: a context relation, subqueries correlated
+		// with its key one and two levels down, the same one under two items.
+		`SELECT x.id AS ctx, ((SELECT e.w FROM fuzz_aux j JOIN fuzz_aux e ON e.v = j.v WHERE j.id = x.id AND (e.b = TRUE)) > 1) AS c0, ((SELECT e.w FROM fuzz_aux j JOIN fuzz_aux e ON e.v = j.v WHERE j.id = x.id AND (e.b = TRUE)) / (SELECT MAX(y.w) FROM fuzz_aux y WHERE y.v = $basis)) AS s0 FROM fuzz_aux r JOIN fuzz_aux x ON x.v = r.v WHERE r.id = $k`,
 	} {
 		f.Add(sql, int64(10), int64(2), int64(30))
+	}
+	// The canonical set forms, bound to a run and a basis that exist.
+	run, basis := setFormIDs(f)
+	for _, name := range names {
+		f.Add(compileSet(f, w, name).SQL, run, basis, int64(3))
 	}
 	f.Add(`SELECT (SELECT x.w FROM fuzz_aux x WHERE x.id = $r AND x.v = $basis) / (SELECT MAX(y.w) FROM fuzz_aux y WHERE y.v = $basis)`, int64(1), int64(10), int64(4))
 

@@ -43,6 +43,10 @@ type stmtPlan struct {
 	// selects holds the per-SELECT plans, keyed by AST node (the statement
 	// tree may nest SELECTs in subqueries and IN clauses).
 	selects map[*SelectStmt]*selectPlan
+	// corrIDs interns the canonical text of the correlated subexpressions the
+	// vectorized compiler memoizes per outer row (corrID); written while the
+	// plan is built, read-only after.
+	corrIDs map[string]int32
 	// canonKey is the interned identity of the statement's canonical text,
 	// rendered as a result-cache key prefix; empty for statements the result
 	// cache does not serve (DML). Interning keeps keys compact — property
@@ -69,6 +73,24 @@ func (p *stmtPlan) addTable(t *Table) {
 		}
 	}
 	p.tables = append(p.tables, t)
+}
+
+// corrID returns the identity of a correlated subexpression's canonical text
+// within the plan: textually equal expressions get the same id.
+func (p *stmtPlan) corrID(e Expr) int32 {
+	text, ok := p.keys[e]
+	if !ok {
+		text = FormatExpr(e) // a correlated IN: analyzeSub keeps subqueries only
+	}
+	id, ok := p.corrIDs[text]
+	if !ok {
+		if p.corrIDs == nil {
+			p.corrIDs = make(map[string]int32)
+		}
+		id = int32(len(p.corrIDs))
+		p.corrIDs[text] = id
+	}
+	return id
 }
 
 // accessPath is a candidate index lookup for the first table of a SELECT:

@@ -169,11 +169,10 @@ type vecCtx struct {
 	// colPool is a free list of scratch vcols; selBuf is the reusable
 	// selection vector of the filter operators; seed and keyBuf are the
 	// reusable seed-position and group-key buffers.
-	colPool  []*vcol
-	selBuf   []int32
-	seed     []int32
-	chunkBuf []int32
-	keyBuf   []byte
+	colPool []*vcol
+	selBuf  []int32
+	seed    []int32
+	keyBuf  []byte
 	// b and nb are the double-buffered position batches; batchPool is a free
 	// list of sub-batches for narrowed AND/OR right-hand sides.
 	b, nb     vbatch
@@ -266,11 +265,15 @@ func (vc *vecCtx) release() {
 }
 
 // corrKey identifies one memoized evaluation of a correlated subexpression:
-// the expression node plus the packed storage positions of the local tables
-// it reads. Positions are a perfect proxy for row contents — DML never runs
-// concurrently with a SELECT (exclusive statement lock).
+// its canonical text, interned per plan (stmtPlan.corrID), plus the packed
+// storage positions of the local tables it reads. Keying by text rather than
+// by node makes the several spellings of one value — a LET-bound subquery the
+// property compiler renders once per use — one evaluation per outer row:
+// within one SELECT's execution equal text resolves against the same scopes,
+// so it has the same value. Positions are a perfect proxy for row contents —
+// DML never runs concurrently with a SELECT (exclusive statement lock).
 type corrKey struct {
-	e   Expr
+	id  int32
 	pos uint64
 }
 
@@ -316,8 +319,9 @@ func (vc *vecCtx) getIdx() []int32 {
 
 func (vc *vecCtx) putIdx(s []int32) { vc.idxPool = append(vc.idxPool, s) }
 
-// lazyEval evaluates a closed subexpression once per execution through the
-// row engine (sharing its invariant-subquery cache) and memoizes the value.
+// lazyEval evaluates a subexpression whose value is fixed for this execution
+// — closed, or reading enclosing scopes only — once, through the row engine
+// (a closed one shares its invariant-subquery cache), and memoizes the value.
 func (vc *vecCtx) lazyEval(e Expr) (Value, error) {
 	if v, ok := vc.subVals[e]; ok {
 		return v, nil
@@ -759,9 +763,28 @@ func (cp *vecCompiler) resolveCol(x *EColumn, ntab int) (int, int, bool) {
 		tab, col = t, c
 	}
 	if tab < 0 {
-		return 0, 0, false // outer reference or unknown: row engine decides
+		return 0, 0, false // outer reference, unknown, or not yet bound
 	}
 	return tab, col, true
+}
+
+// outerRef reports whether a column reference can be satisfied by no table of
+// the compiling SELECT, bound yet or not. At run time such a reference walks
+// past the SELECT's own scope into the enclosing frames, which do not move
+// while the SELECT executes: it is a per-execution constant (vecFrameEval),
+// or, when no enclosing scope knows the name either, the row engine's
+// resolution error — raised, like there, only if a row reaches it.
+func (cp *vecCompiler) outerRef(x *EColumn) bool {
+	lqual, lname := x.keys()
+	for t := range cp.tabs {
+		if lqual != "" && cp.binds[t] != lqual {
+			continue
+		}
+		if _, ok := cp.tabs[t].colIdx[lname]; ok {
+			return false
+		}
+	}
+	return true
 }
 
 // closed reports whether an expression cannot reference any table binding,
@@ -974,12 +997,20 @@ func (cp *vecCompiler) corrLocals(e Expr, ntab int) ([]int, bool) {
 // into a vexpr that binds the local rows it depends on and delegates to the
 // row evaluator — so semantics, including every error, are the row engine's
 // by construction — memoized per distinct combination of local row
-// positions. The dependency set comes from corrLocals, a compile-time mirror
-// of the frame chain's scope walk, so unqualified references resolve exactly
-// as they would at runtime. Free references beyond the local tables resolve
-// in *outer* frames, which are fixed for the whole execution, so they do not
-// enter the memo key; a reference reaching a local table beyond ntab (not
-// yet bound at this pipeline stage) refuses.
+// positions under the expression's canonical text (corrKey). The dependency
+// set comes from corrLocals, a compile-time mirror of the frame chain's scope
+// walk, so unqualified references resolve exactly as they would at runtime.
+// Free references beyond the local tables resolve in *outer* frames, which
+// are fixed for the whole execution, so they do not enter the memo key; a
+// reference reaching a local table beyond ntab (not yet bound at this
+// pipeline stage) refuses.
+//
+// An expression that depends on no local table at all — correlated only with
+// enclosing SELECTs, as every subquery nested below the context relation of a
+// set-form property query is — has one value per execution, like a closed
+// one: it is evaluated on the first batch that reaches it and handed out as a
+// constant (vecLazy), not probed per row. The attribute-dereference shape
+// takes corrLookup's index probe.
 //
 // The row engine re-evaluates the subexpression per tuple; it is
 // deterministic and side-effect free, so per-distinct-row evaluation returns
@@ -993,14 +1024,18 @@ func (cp *vecCompiler) corrSub(e Expr, ntab int) (vexpr, bool) {
 	if len(locals) > 2 {
 		return nil, cp.fail(fbSubquery) // memo key packs at most two positions
 	}
-	return func(vc *vecCtx, b *vbatch, out *vcol) error {
+	if len(locals) == 0 {
+		return vecLazy(e), true
+	}
+	id := cp.p.corrID(e)
+	memoized := func(vc *vecCtx, b *vbatch, out *vcol) error {
 		vals := out.alloc(b.n)
 		var views [2][]Row
 		for k, t := range locals {
 			views[k] = vc.tabs[t].scan()
 		}
 		for i := 0; i < b.n; i++ {
-			key := corrKey{e: e}
+			key := corrKey{id: id}
 			for _, t := range locals {
 				key.pos = key.pos<<32 | uint64(uint32(b.pos[t][i]))
 			}
@@ -1025,7 +1060,13 @@ func (cp *vecCompiler) corrSub(e Expr, ntab int) (vexpr, bool) {
 			vals[i] = v
 		}
 		return nil
-	}, true
+	}
+	if x, isSub := e.(*ESubquery); isSub {
+		if ve, ok := cp.corrLookup(x, ntab, memoized); ok {
+			return ve, true
+		}
+	}
+	return memoized, true
 }
 
 // corrLookup vectorizes the correlated point-lookup shape the ASL property
@@ -1043,12 +1084,12 @@ func (cp *vecCompiler) corrSub(e Expr, ntab int) (vexpr, bool) {
 // keys, duplicate matches, and comparison errors behave identically:
 // 0 matches → NULL, n>1 matches → the row engine's cardinality error.
 //
-// Two nuances route to the generic delegation path (corrSub) at runtime
-// rather than diverge: a missing index on the pinned column (the row engine
+// Two nuances route to the generic delegation path (slow, corrSub's memoized
+// form) at runtime rather than diverge: a missing index on the pinned column (the row engine
 // would scan), and a key evaluation error (the row engine surfaces it only
 // through the per-row recheck, which it never reaches when the inner table
 // is empty).
-func (cp *vecCompiler) corrLookup(x *ESubquery, ntab int) (vexpr, bool) {
+func (cp *vecCompiler) corrLookup(x *ESubquery, ntab int, slow vexpr) (vexpr, bool) {
 	st := x.Select
 	if st.From == nil || len(st.Joins) != 0 || st.Where == nil ||
 		len(st.GroupBy) != 0 || st.Having != nil || len(st.OrderBy) != 0 ||
@@ -1090,10 +1131,6 @@ func (cp *vecCompiler) corrLookup(x *ESubquery, ntab int) (vexpr, bool) {
 		}
 	}
 	kx, ok := cp.compile(keyExpr, ntab)
-	if !ok {
-		return nil, false
-	}
-	slow, ok := cp.corrSub(x, ntab)
 	if !ok {
 		return nil, false
 	}
@@ -1206,20 +1243,15 @@ func (cp *vecCompiler) compile(e Expr, ntab int) (vexpr, bool) {
 			return nil
 		}, true
 	case *EParam:
-		return func(vc *vecCtx, b *vbatch, out *vcol) error {
-			v, err := vc.ec.eval(x, &vc.fr)
-			if err != nil {
-				return err
-			}
-			out.setConst(v)
-			return nil
-		}, true
+		return vecFrameEval(x), true
 	case *EColumn:
-		tab, col, ok := cp.resolveCol(x, ntab)
-		if !ok {
-			return nil, false
+		if tab, col, ok := cp.resolveCol(x, ntab); ok {
+			return vecColumn(tab, col), true
 		}
-		return vecColumn(tab, col), true
+		if cp.outerRef(x) {
+			return vecFrameEval(x), true
+		}
+		return nil, false
 	case *EUnary:
 		child, ok := cp.compile(x.X, ntab)
 		if !ok {
@@ -1280,9 +1312,6 @@ func (cp *vecCompiler) compile(e Expr, ntab int) (vexpr, bool) {
 		if cp.closed(x) {
 			return vecLazy(x), true
 		}
-		if ve, ok := cp.corrLookup(x, ntab); ok {
-			return ve, true
-		}
 		return cp.corrSub(x, ntab)
 	case *EExists:
 		if cp.closed(x) {
@@ -1318,6 +1347,21 @@ func (cp *vecCompiler) compile(e Expr, ntab int) (vexpr, bool) {
 // ---------------------------------------------------------------------------
 // Compiled operators
 // ---------------------------------------------------------------------------
+
+// vecFrameEval evaluates an expression whose value is fixed for one execution
+// of the SELECT — a parameter marker, a reference into an enclosing scope —
+// through the row evaluator against the frame chain, on every batch that
+// reaches it: bindings, resolution and errors are the row engine's.
+func vecFrameEval(e Expr) vexpr {
+	return func(vc *vecCtx, b *vbatch, out *vcol) error {
+		v, err := vc.ec.eval(e, &vc.fr)
+		if err != nil {
+			return err
+		}
+		out.setConst(v)
+		return nil
+	}
+}
 
 // vecColumn loads a column of bound table tab for every batch row, straight
 // from the typed storage vectors.
@@ -1623,9 +1667,11 @@ func vecCall(name string, args []vexpr) vexpr {
 	}
 }
 
-// vecLazy evaluates a closed subexpression (scalar subquery, EXISTS) lazily:
-// once per execution, on the first batch that reaches it, through the row
-// engine — sharing the statement-wide invariant-subquery cache.
+// vecLazy evaluates a subexpression that reads no table of the compiling
+// SELECT (a closed scalar subquery or EXISTS, or one correlated with enclosing
+// SELECTs only) lazily: once per execution, on the first batch that reaches
+// it, through the row engine — which serves a closed one from the
+// statement-wide invariant-subquery cache.
 func vecLazy(e Expr) vexpr {
 	return func(vc *vecCtx, b *vbatch, out *vcol) error {
 		v, err := vc.lazyEval(e)

@@ -109,14 +109,10 @@ func (db *DB) vecExecUpdateLocked(params *Params, plan *stmtPlan, t *Table) (*Re
 			end = nrows
 		}
 		b.n = end - start
-		if cap(vc.chunkBuf) < b.n {
-			vc.chunkBuf = make([]int32, vecBatchSize)
+		b.pos[0] = b.pos[0][:0]
+		for p := start; p < end; p++ {
+			b.pos[0] = append(b.pos[0], int32(p))
 		}
-		vc.chunkBuf = vc.chunkBuf[:b.n]
-		for i := range vc.chunkBuf {
-			vc.chunkBuf[i] = int32(start + i)
-		}
-		b.pos[0] = vc.chunkBuf
 
 		cur := b
 		if dp.where != nil {
@@ -208,14 +204,10 @@ func (db *DB) vecExecDeleteLocked(params *Params, plan *stmtPlan, t *Table) (*Re
 				end = nrows
 			}
 			b.n = end - start
-			if cap(vc.chunkBuf) < b.n {
-				vc.chunkBuf = make([]int32, vecBatchSize)
+			b.pos[0] = b.pos[0][:0]
+			for p := start; p < end; p++ {
+				b.pos[0] = append(b.pos[0], int32(p))
 			}
-			vc.chunkBuf = vc.chunkBuf[:b.n]
-			for i := range vc.chunkBuf {
-				vc.chunkBuf[i] = int32(start + i)
-			}
-			b.pos[0] = vc.chunkBuf
 
 			cur := b
 			if fused != nil {

@@ -95,6 +95,18 @@ var parityQueries = []struct {
 	{"correlated-unqual", `SELECT g.id, (SELECT COUNT(*) FROM item i WHERE i.grp = boss) FROM grp g`, nil},
 	{"grouped-order-expr", `SELECT grp, COUNT(*) FROM item GROUP BY grp ORDER BY grp + 0`, nil},
 	{"grouped-order-agg", `SELECT grp, COUNT(*) FROM item GROUP BY grp ORDER BY COUNT(*) DESC, grp + 1`, nil},
+	// Outer references: a column no table of the compiling SELECT satisfies is
+	// a per-execution constant — as fused comparand, inside an OR chain, as
+	// access-path key (item.id is the primary key), NULL (grp 2 has no boss),
+	// and two SELECTs deep, where the innermost depends on no table of the
+	// middle one at all.
+	{"outer-ref-cmp", `SELECT g.id, (SELECT COUNT(*) FROM item i WHERE i.grp = g.id AND i.val > 2) FROM grp g`, nil},
+	{"outer-ref-or", `SELECT g.id, (SELECT COUNT(*) FROM item i WHERE i.id < 50 AND (i.grp = g.id OR i.grp = g.boss OR i.val > g.boss)) FROM grp g`, nil},
+	{"outer-ref-seek", `SELECT g.id, (SELECT i.tag FROM item i WHERE i.id = g.boss) FROM grp g`, nil},
+	{"outer-ref-join-key", `SELECT g.id, (SELECT COUNT(*) FROM grp b JOIN item i ON i.grp = g.boss WHERE b.id = g.id) FROM grp g`, nil},
+	{"outer-ref-depth2", `SELECT g.id, (SELECT MAX(i.val) FROM item i WHERE i.grp = (SELECT MIN(b.boss) FROM grp b WHERE b.id >= g.id)) FROM grp g`, nil},
+	{"outer-ref-depth2-or", `SELECT g.id, (SELECT COUNT(*) FROM item i WHERE i.id < 40 AND i.grp IN (SELECT b.id FROM grp b WHERE b.boss = g.boss OR b.id = g.id)) FROM grp g`, nil},
+	{"outer-ref-nowhere-unreached", `SELECT g.id, (SELECT COUNT(*) FROM item i WHERE i.id < 0 AND i.grp = nosuch.id) FROM grp g`, nil},
 	{"join-nonequi", `SELECT i.id, g.id FROM item i JOIN grp g ON i.val > g.id AND g.boss IS NOT NULL WHERE i.id < 80`, nil},
 	{"join-nonequi-chain", `SELECT i.id, b.name FROM item i JOIN grp g ON i.grp = g.id JOIN grp b ON b.id > g.boss WHERE i.id < 40`, nil},
 }
@@ -131,6 +143,33 @@ func TestVecEngineParity(t *testing.T) {
 	}
 }
 
+// TestVecPooledBatchesShareNoPositions: a pooled context's two position
+// batches trade places as the pipeline narrows, so an execution may find them
+// in either order; they must never hold the same array, or a cross join —
+// which writes several rows of the one per row it reads of the other —
+// scrambles its own input. The nested-loop join is executed after each of a
+// few other queries has had the pooled context.
+func TestVecPooledBatchesShareNoPositions(t *testing.T) {
+	db := parityDB(t)
+	const cross = `SELECT i.id, g.id FROM item i JOIN grp g ON i.val > g.id AND g.boss IS NOT NULL WHERE i.id < 80`
+	want, err := runEngine(t, db, EngineRow, cross, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range parityQueries[:6] {
+		if _, err := runEngine(t, db, EngineVector, q.sql, q.params); err != nil {
+			t.Fatal(err)
+		}
+		got, err := runEngine(t, db, EngineVector, cross, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("after %s: %d rows, want %d", q.name, len(got.Rows), len(want.Rows))
+		}
+	}
+}
+
 // TestVecEngineParityErrors pins down queries that must fail identically on
 // both engines (same error presence; the row engine's message).
 func TestVecEngineParityErrors(t *testing.T) {
@@ -144,6 +183,12 @@ func TestVecEngineParityErrors(t *testing.T) {
 		`SELECT id FROM item LIMIT 'x'`,                               // non-numeric LIMIT
 		`SELECT (SELECT id FROM grp) FROM item`,                       // scalar subquery, many rows
 		`SELECT id FROM item WHERE grp IN (SELECT id, name FROM grp)`, // IN arity
+		// An outer reference that resolves nowhere, or ambiguously in the
+		// enclosing scope (both grp bindings have boss, item has not), raises
+		// the row engine's resolution error once a row demands it.
+		`SELECT g.id, (SELECT COUNT(*) FROM item i WHERE i.grp = nosuch.id) FROM grp g`,
+		`SELECT g.id, (SELECT COUNT(*) FROM item i WHERE i.id = 7 AND i.grp = nosuch) FROM grp g`,
+		`SELECT a.id, (SELECT COUNT(*) FROM item i WHERE i.grp = boss) FROM grp a JOIN grp b ON a.id = b.id`,
 	}
 	for _, sql := range cases {
 		_, vecErr := runEngine(t, db, EngineVector, sql, nil)
@@ -244,6 +289,82 @@ func TestVecPropertyShapeVectorizes(t *testing.T) {
 	}
 	if !reflect.DeepEqual(vecSet.Set, rowSet.Set) {
 		t.Fatalf("property shape diverged:\nvector: %+v\nrow:    %+v", vecSet.Set, rowSet.Set)
+	}
+}
+
+// TestCorrelatedDuplicatesExecuteOnce: the memo of correlated subqueries is
+// keyed by canonical text, so the two spellings of one value — a LET-bound
+// subquery the property compiler renders once per use, in c0 and again in s0
+// — cost one execution per outer row, not two.
+func TestCorrelatedDuplicatesExecuteOnce(t *testing.T) {
+	db := parityDB(t)
+	if err := db.SetEngine(EngineVector); err != nil {
+		t.Fatal(err)
+	}
+	const sub = `(SELECT SUM(i.val) FROM item i WHERE i.grp = g.id AND i.id < 500)`
+	selects := func(sql string) int64 {
+		before := db.Stats()
+		if _, err := db.Exec(sql, nil); err != nil {
+			t.Fatal(err)
+		}
+		after := db.Stats()
+		if after.VecFallbacks != before.VecFallbacks {
+			t.Fatalf("%s fell back: %+v", sql, after.VecFallbackReasons)
+		}
+		return after.VecSelects - before.VecSelects
+	}
+	once := selects(`SELECT g.id, ` + sub + ` > 100 AS c0 FROM grp g`)
+	twice := selects(`SELECT g.id, ` + sub + ` > 100 AS c0, ` + sub + ` / 2 AS s0 FROM grp g`)
+	const outerRows = 4
+	if once != 1+outerRows || twice != once {
+		t.Fatalf("one use of the subquery: %d SELECTs, two uses: %d; want %d both (one per outer row)", once, twice, 1+outerRows)
+	}
+}
+
+// TestOuterReferenceKeepsFusedFilter: the WHERE clause of a set-form property
+// subquery — a junction column pinned to the context relation's key, the
+// element's run to a parameter — stays on the fused kernels with the outer
+// reference as a comparand, and nothing falls back.
+func TestOuterReferenceKeepsFusedFilter(t *testing.T) {
+	db := parityDB(t)
+	if err := db.SetEngine(EngineVector); err != nil {
+		t.Fatal(err)
+	}
+	ps, err := db.Prepare(`SELECT o.id, (SELECT COUNT(*) FROM grp j JOIN item a ON a.grp = j.id WHERE j.boss = o.id AND a.val > $t) FROM grp o`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ps.Close()
+	plan := ps.plan.Load()
+	var inner *selectPlan
+	for st, sp := range plan.selects {
+		if st != plan.stmt {
+			inner = sp
+		}
+	}
+	if inner == nil || inner.vec == nil {
+		t.Fatalf("correlated subquery did not compile: %+v", inner)
+	}
+	if len(inner.vec.fused) != 2 {
+		t.Fatalf("WHERE j.boss = o.id AND a.val > $t fused %d of 2 conjuncts", len(inner.vec.fused))
+	}
+	before := db.Stats()
+	res, err := ps.Execute(&Params{Named: map[string]Value{"t": NewFloat(1)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after := db.Stats(); after.VecFallbacks != before.VecFallbacks {
+		t.Fatalf("%d fallbacks: %+v", after.VecFallbacks-before.VecFallbacks, after.VecFallbackReasons)
+	}
+	if err := db.SetEngine(EngineRow); err != nil {
+		t.Fatal(err)
+	}
+	want, err := ps.Execute(&Params{Named: map[string]Value{"t": NewFloat(1)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res.Set, want.Set) {
+		t.Fatalf("fused outer comparand diverges:\nvector: %+v\nrow:    %+v", res.Set, want.Set)
 	}
 }
 

@@ -178,15 +178,12 @@ func (ec *execCtx) vecExecRows(st *SelectStmt, sp *selectPlan, parent *frame) ([
 				end = len(seed)
 			}
 			b.n = end - start
-			// Copy the chunk out of the seed buffer: the position batches are
-			// pooled, and a gather reusing one of them in place must never
-			// write into unconsumed seed positions.
-			if cap(vc.chunkBuf) < b.n {
-				vc.chunkBuf = make([]int32, vecBatchSize)
-			}
-			vc.chunkBuf = vc.chunkBuf[:b.n]
-			copy(vc.chunkBuf, seed[start:end])
-			b.pos[0] = vc.chunkBuf
+			// Copy the chunk out of the seed buffer into the batch's own
+			// position array: a gather reusing a batch in place must never
+			// write into unconsumed seed positions, and b and nb (which trade
+			// places as the stages narrow) must never share an array — a join
+			// expansion writes the one while it reads the other.
+			b.pos[0] = append(b.pos[0][:0], seed[start:end]...)
 			for t := 1; t < vp.nTab; t++ {
 				b.pos[t] = nil
 			}

@@ -5,7 +5,7 @@ import "strings"
 // Fused compare-and-select kernels for the vectorized filter stage.
 //
 // A WHERE clause whose every conjunct is a plain typed comparison — column vs
-// literal/parameter, or column vs column — skips the compiled vexpr closure
+// literal/parameter/outer reference, or column vs column — skips the compiled vexpr closure
 // tree entirely: each conjunct becomes a vpred that reads the typed column
 // payloads directly (no Value boxing, no per-row closure dispatch) and writes
 // a packed selection vector with a branch-free accept mask. The kernels
@@ -123,6 +123,11 @@ func (cp *vecCompiler) fuseCmp(e Expr, ntab int) (vpred, bool) {
 	}
 	lc, lok := bin.L.(*EColumn)
 	rc, rok := bin.R.(*EColumn)
+	// A reference into an enclosing scope is a comparand, not a column: its
+	// value is fixed for the execution (vecCompiler.outerRef), like a
+	// parameter's.
+	lok = lok && !cp.outerRef(lc)
+	rok = rok && !cp.outerRef(rc)
 	if lok && rok {
 		lt, lcol, ok1 := cp.resolveCol(lc, ntab)
 		rt, rcol, ok2 := cp.resolveCol(rc, ntab)
@@ -143,7 +148,7 @@ func (cp *vecCompiler) fuseCmp(e Expr, ntab int) (vpred, bool) {
 		return vpred{}, false
 	}
 	switch cmp.(type) {
-	case *ELit, *EParam:
+	case *ELit, *EParam, *EColumn: // an EColumn here is an outer reference
 	default:
 		return vpred{}, false
 	}
@@ -158,7 +163,7 @@ func (cp *vecCompiler) fuseCmp(e Expr, ntab int) (vpred, bool) {
 	ready := func(vc *vecCtx, slot int) bool {
 		v, err := vc.ec.eval(cmp, &vc.fr)
 		if err != nil {
-			return false // parameter errors surface through the filter tree
+			return false // binding and resolution errors surface through the filter tree
 		}
 		if !v.IsNull() && !classOK(ct, v) {
 			return false
