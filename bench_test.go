@@ -492,70 +492,9 @@ func BenchmarkParallelAnalyze(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// E8 — the prepared-statement pipeline: the same analysis executed with
-// per-call text statements (every property-instance query is re-lexed,
-// re-parsed, re-planned, and charged the vendor's statement-compilation
-// cost) versus prepared statements (each property's query is prepared once
-// per analysis and executed per context). The "text" legs disable the
-// server's plan cache, reproducing the seed behaviour and the plain JDBC
-// Statement path; reports are byte-identical either way (see
-// internal/core TestPreparedMatchesText*).
-// ---------------------------------------------------------------------------
-
-func BenchmarkPreparedAnalyze(b *testing.B) {
-	g := mustGraph(b, apprentice.Amdahl(), 2, 4, 8, 16, 32, 64, 128)
-	runs := g.Dataset.Versions[0].Runs
-	run := runs[len(runs)-1]
-
-	for _, profile := range []wire.Profile{wire.ProfileOracle, wire.ProfileOracleRemote} {
-		for _, mode := range []string{"text", "prepared"} {
-			for _, workers := range []int{1, 4} {
-				b.Run(fmt.Sprintf("%s/%s/workers=%d", profile.Name, mode, workers), func(b *testing.B) {
-					db := uncachedDB()
-					if mode == "text" {
-						db.SetPlanCacheSize(0)
-					}
-					if err := sqlgen.CreateSchema(g.World, embeddedExecutor(db)); err != nil {
-						b.Fatal(err)
-					}
-					if _, err := sqlgen.Load(g.Store, embeddedExecutor(db)); err != nil {
-						b.Fatal(err)
-					}
-					srv, err := wire.NewServer(db, profile, nil)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if err := srv.Listen("127.0.0.1:0"); err != nil {
-						b.Fatal(err)
-					}
-					defer srv.Close()
-					pool, err := godbc.NewPool(srv.Addr(), workers)
-					if err != nil {
-						b.Fatal(err)
-					}
-					defer pool.Close()
-					a := core.New(g, core.WithWorkers(workers),
-						core.WithPreparedStatements(mode == "prepared"))
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						rep, err := a.AnalyzeSQL(run, pool)
-						if err != nil {
-							b.Fatal(err)
-						}
-						if rep.Bottleneck() == nil {
-							b.Fatal("no bottleneck")
-						}
-					}
-				})
-			}
-		}
-	}
-}
-
-// ---------------------------------------------------------------------------
-// E9 — batching: the prepared analysis of E8 executed once per instance
-// ("per-instance", batch size 1: one ReqExecPrepared round trip per
-// property × context) versus by the set form ("set-form/batch=N", any batch
+// E9 — batching: the prepared analysis executed once per instance
+// ("per-instance", batch size 1: one ReqExecBatch round trip of one binding
+// per property × context) versus by the set form ("set-form/batch=N", any batch
 // size above 1: one ReqExecBatch round trip of one binding per property, N
 // sizing only the per-context batches a fallback would ship — none here, so
 // the two set-form rows measure the same program). On the remote profile

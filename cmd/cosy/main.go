@@ -9,10 +9,12 @@
 // comma-separated list is treated as the shards of a run-partitioned COSY
 // database — the dataset is loaded run-wise across the shards and every
 // property query routes to the shard owning the analyzed run. Property
-// queries are prepared once and executed in their set form — one execution
-// answering for every context of the run, so one round trip per property;
-// where that does not apply (a set statement that failed, -guided) the
-// per-context queries run as array-bound batches of -batchsize contexts.
+// queries are prepared once and every execution is one batch call: by
+// default a property runs in its set form — one execution answering for
+// every context of the run, so one round trip per property; where that does
+// not apply (a set statement that failed, -guided) the per-context queries
+// run as array-bound batches of -batchsize contexts, and -batchsize 1
+// executes per instance, one batch of one binding per context.
 //
 // Usage:
 //
@@ -51,7 +53,7 @@ func main() {
 	dbAddr := flag.String("db", "", "kojakdb address(es) for the sql/client engines, comma-separated for a sharded database; empty runs in process")
 	preloaded := flag.Bool("preloaded", false, "assume the -db servers already hold the dataset (e.g. ingested by apprentice with the same workload, sizes, and seed); skip schema creation and loading")
 	fetchSize := flag.Int("fetchsize", 0, "rows per cursor fetch on pooled connections (the JDBC row-at-a-time default is 1); omit to keep the default")
-	batchSize := flag.Int("batchsize", 0, "above 1: evaluate each property by one set-form statement, and ship per-context fallbacks in batches of this many; 1 disables batching; omit for the default (32)")
+	batchSize := flag.Int("batchsize", 0, "above 1: evaluate each property by one set-form statement, and ship per-context fallbacks in batches of this many; 1 executes per instance; omit for the default (32)")
 	cache := flag.String("cache", "on", "result cache of the in-process database: on or off (kojakdb servers configure theirs with -cache-size)")
 	sqlDialect := flag.String("sql-dialect", build.Kojakdb.Name, "SQL dialect property queries are rendered in: "+strings.Join(build.Names(), ", "))
 	flag.Parse()
@@ -188,7 +190,7 @@ func validateFlags() {
 	}
 	atLeast1 := func(s string) bool { var n int; _, err := fmt.Sscanf(s, "%d", &n); return err == nil && n >= 1 }
 	check("workers", atLeast1, "must be at least 1 (omit the flag for GOMAXPROCS)")
-	check("batchsize", atLeast1, "must be at least 1 (1 disables batching; omit the flag for the default)")
+	check("batchsize", atLeast1, "must be at least 1 (1 executes per instance; omit the flag for the default)")
 	check("fetchsize", atLeast1, "must be at least 1 (omit the flag for the default)")
 	check("db", func(s string) bool { return strings.TrimSpace(s) != "" }, "must name at least one kojakdb address")
 	check("cache", func(s string) bool { return s == "on" || s == "off" }, "must be on or off")

@@ -44,7 +44,7 @@ func main() {
 	maxQueue := flag.Int("max-queue", 0, "queued requests beyond which new ones are rejected; 0 means unbounded")
 	tenants := flag.String("tenants", "", "per-tenant admission policies as name:weight:maxinflight[,...]; weight scales the tenant's fair share, maxinflight 0 means uncapped")
 	workers := flag.Int("workers", 0, "evaluation workers per analysis; omit for GOMAXPROCS")
-	batchSize := flag.Int("batchsize", 0, "above 1: evaluate each property by one set-form statement, and ship per-context fallbacks in batches of this many; 1 disables batching; omit for the default")
+	batchSize := flag.Int("batchsize", 0, "above 1: evaluate each property by one set-form statement, and ship per-context fallbacks in batches of this many; 1 executes per instance; omit for the default")
 	threshold := flag.Float64("threshold", 0, "performance-problem severity threshold; omit for the default")
 	verbose := flag.Bool("v", false, "log connection errors")
 	drain := flag.Duration("drain", 5*time.Second, "how long a SIGINT/SIGTERM shutdown waits for clients to drain before force-closing them")

@@ -27,8 +27,8 @@ type PreparedQuery interface {
 }
 
 // QueryPreparer is implemented by executors that support prepared queries
-// (godbc connections, pools, and the embedded engine). Analysis code probes
-// for it and falls back to per-call text execution when absent.
+// (godbc connections, pools, shards, and the embedded engine). The analyzer's
+// SQL engines require it: they execute nothing but prepared handles.
 type QueryPreparer interface {
 	PrepareQuery(query string) (PreparedQuery, error)
 }
@@ -43,8 +43,7 @@ type BatchQueryResult struct {
 // BatchPreparedQuery is implemented by prepared queries that support array
 // binding: one call executes the handle once per parameter set, over the
 // wire in a single request. Results are ordered as the bindings; per-binding
-// failures are reported inline and do not abort the batch. Analysis code
-// probes for it and falls back to per-binding ExecQuery calls when absent.
+// failures are reported inline and do not abort the batch.
 type BatchPreparedQuery interface {
 	PreparedQuery
 	ExecQueryBatch(bindings []*sqldb.Params) ([]BatchQueryResult, error)
@@ -66,8 +65,9 @@ type ContextPreparedQuery interface {
 }
 
 // ContextBatchPreparedQuery is the context-observing array-binding execution
-// of a prepared handle; a canceled batch fails as a whole (no partial result
-// slice), mirroring the transport-failure contract of ExecQueryBatch.
+// of a prepared handle, and the one execution call the analyzer makes; a
+// canceled batch fails as a whole (no partial result slice), mirroring the
+// transport-failure contract of ExecQueryBatch.
 type ContextBatchPreparedQuery interface {
 	ExecQueryBatchContext(ctx context.Context, bindings []*sqldb.Params) ([]BatchQueryResult, error)
 }

@@ -11,7 +11,6 @@ package sqlgen
 // id of the owning TestRun, so they can never disagree.
 
 import (
-	"context"
 	"fmt"
 	"sync"
 
@@ -28,13 +27,6 @@ import (
 // absent.
 type RoutedPreparer interface {
 	PrepareRoutedQuery(query, runParam string) (PreparedQuery, error)
-}
-
-// RoutedExecutor is the text-protocol analogue of RoutedPreparer: one-shot
-// query execution routed by the run id bound under runParam. It takes the
-// context outright — there is no uncancellable twin to probe past.
-type RoutedExecutor interface {
-	ExecQueryRouted(ctx context.Context, query, runParam string, params *sqldb.Params) (*sqldb.ResultSet, error)
 }
 
 // RoutedStatement is one statement of a sharded load plan: the statement

@@ -12,6 +12,12 @@ import (
 
 // Batched execution: how the contexts of a property reach the database.
 //
+// Every execution is one call of a prepared handle's ExecQueryBatchContext —
+// the one contract the SQL engines ask of an executor (sqlgen.QueryPreparer,
+// or sqlgen.RoutedPreparer where it routes) and of its handles
+// (sqlgen.ContextBatchPreparedQuery). What varies is the bindings a call
+// carries.
+//
 // The set form is the default. A property compiles to one statement whose
 // contexts are a relation (sqlgen.CompilePropertySet); an analysis executes
 // it once — a batch of one binding, the run and the ranking basis — and maps
@@ -23,17 +29,18 @@ import (
 // outright where the set form does not apply. Every context of a property
 // executes the same prepared handle with only the parameters changing, so the
 // analyzer ships them as array-bound batches of up to BatchSize parameter sets
-// (sqlgen.BatchPreparedQuery, evalSQLCtxs): one round trip per batch. It runs
+// (evalSQLCtxs): one round trip per batch. It runs
 //
-//   - for a property whose set statement failed or did not answer with exactly
-//     one well-formed row per planned context — one region with two summaries
-//     for a run makes UNIQUE raise, which fails the whole statement; executed
-//     per context, that region gets its diagnostic and its neighbours their
-//     outcomes, which is what a report has always shown;
+//   - for a property whose set statement failed to prepare or to execute, or
+//     did not answer with exactly one well-formed row per planned context —
+//     one region with two summaries for a run makes UNIQUE raise, which fails
+//     the whole statement; executed per context, that region gets its
+//     diagnostic and its neighbours their outcomes, which is what a report has
+//     always shown;
 //   - for guided search (AnalyzeGuidedSQL), whose steps evaluate subsets;
-//   - for every property under WithBatchSize(1), "per-instance execution",
-//     which makes it the differential oracle of the set form in every
-//     determinism test that varies the batch size.
+//   - for every property under WithBatchSize(1), "per-instance execution": a
+//     batch of one binding per context, which makes it the differential oracle
+//     of the set form in every determinism test that varies the batch size.
 //
 // Work units — a set-form property, or a chunk of per-context instances — are
 // independent items for the worker pool, and results are written into the
@@ -45,12 +52,11 @@ import (
 const DefaultBatchSize = 32
 
 // WithBatchSize sets the number of context instances executed per batched
-// request on the SQL engines: n = 1 forces the per-instance execution of the
-// prepared pipeline, n > 1 evaluates each property by its set form — one
+// request on the SQL engines: n = 1 executes per instance, one batch of one
+// binding per context; n > 1 evaluates each property by its set form — one
 // execution for all contexts — and sizes the array-bound batches of the
-// per-context path wherever that runs (set-form fallback, guided search), and
-// n <= 0 selects DefaultBatchSize. Executors without batch support execute
-// per-context work per instance regardless.
+// per-context path wherever that runs (set-form fallback, guided search); and
+// n <= 0 selects DefaultBatchSize.
 func WithBatchSize(n int) Option { return func(a *Analyzer) { a.batchSize = n } }
 
 // BatchSize returns the effective batch size used for an analysis.
@@ -63,29 +69,12 @@ func (a *Analyzer) BatchSize() int {
 
 // chunk is one worker-pool unit of a SQL analysis: a run of consecutive
 // enumerated instances of one property. A set unit covers all of a property's
-// instances with one execution of its set form; any other executes per
-// context, as one batch when n > 1 (which requires the property's handle to
-// support array binding).
+// instances with one execution of its set form; any other executes them per
+// context, in one batch.
 type chunk struct {
 	prop     int // index into the plan's (and the analysis's) properties
 	start, n int
 	set      bool
-}
-
-// appendChunks appends a property's per-context chunks to the units of an
-// analysis. A property that cannot batch (no prepared handle, or one without
-// array binding) is split into single-instance chunks, so its instances still
-// spread over the worker pool on the exact per-instance path.
-func appendChunks(units, chunks []chunk, batches bool) []chunk {
-	if batches {
-		return append(units, chunks...)
-	}
-	for _, ch := range chunks {
-		for i := range ch.n {
-			units = append(units, chunk{prop: ch.prop, start: ch.start + i, n: 1})
-		}
-	}
-	return units
 }
 
 // abortSentinel matches errors that must abort a whole analysis rather than
@@ -138,48 +127,19 @@ func (f *analysisAbort) Err() error {
 
 // evalSQLCtxs evaluates contexts of one compiled property, writing one
 // Instance per context into out (out[i] belongs to ctxs[i], bindings[i] is
-// its parameter set). When the prepared handle supports array binding and
-// batching is enabled, every context executes through batched requests;
-// otherwise each context pays its own execution, the per-instance prepared
-// (or text) path. Shard losses are recorded in fail as well as diagnosed;
-// once one is recorded, remaining contexts are diagnosed without executing —
-// the analysis is already doomed to abort, and issuing more requests at a
-// dead shard would pay a timeout apiece for a report that will be discarded.
-func (a *Analyzer) evalSQLCtxs(ctx context.Context, q QueryExec, c preparedProp, ctxs []instCtx, bindings []*sqldb.Params, out []Instance, fail *analysisAbort) {
-	if err := ctx.Err(); err != nil {
-		fail.record(err)
-	}
-	if aborted(ctxs, out, fail) {
-		return
-	}
-	// The plan checked every context's bindings against the compiled
-	// parameter list (runPlan.bind); a mismatch diagnoses the whole group
-	// without issuing a single query.
-	if c.bindErr != nil {
-		diagnose(ctxs, out, c.bindErr)
+// its parameter set), in batches of up to BatchSize bindings. Shard losses
+// are recorded in fail as well as diagnosed; once one is recorded, remaining
+// contexts are diagnosed without executing — the analysis is already doomed
+// to abort, and issuing more requests at a dead shard would pay a timeout
+// apiece for a report that will be discarded.
+func (a *Analyzer) evalSQLCtxs(ctx context.Context, c preparedProp, ctxs []instCtx, bindings []*sqldb.Params, out []Instance, fail *analysisAbort) {
+	// A binding mismatch (runPlan.bind) or a statement without a handle
+	// diagnoses the whole group without issuing a single query.
+	if c.err != nil {
+		diagnose(ctxs, out, c.err)
 		return
 	}
 	size := a.BatchSize()
-	if c.bq == nil || size <= 1 {
-		for i, ictx := range ctxs {
-			if err := ctx.Err(); err != nil {
-				fail.record(err)
-			}
-			if aborted(ctxs[i:], out[i:], fail) {
-				return
-			}
-			in := Instance{Property: ictx.prop, Context: ictx.label}
-			set, err := c.exec(ctx, q, bindings[i])
-			if err != nil {
-				fail.record(err)
-				in.Diagnostic = err.Error()
-			} else {
-				in.Outcome = interpretRow(c.cp, set)
-			}
-			out[i] = in
-		}
-		return
-	}
 	for start := 0; start < len(ctxs); start += size {
 		end := min(start+size, len(ctxs))
 		if err := ctx.Err(); err != nil {
@@ -211,16 +171,9 @@ func aborted(ctxs []instCtx, out []Instance, fail *analysisAbort) bool {
 	return true
 }
 
-// execBatch runs the handle once per binding in one request, observing ctx
-// where the handle can.
+// execBatch runs the handle once per binding in one call.
 func (c preparedProp) execBatch(ctx context.Context, bindings []*sqldb.Params) ([]sqlgen.BatchQueryResult, error) {
-	var results []sqlgen.BatchQueryResult
-	var err error
-	if cb, ok := c.bq.(sqlgen.ContextBatchPreparedQuery); ok && ctx.Done() != nil {
-		results, err = cb.ExecQueryBatchContext(ctx, bindings)
-	} else {
-		results, err = c.bq.ExecQueryBatch(bindings)
-	}
+	results, err := c.batch.ExecQueryBatchContext(ctx, bindings)
 	if err == nil && len(results) != len(bindings) {
 		err = fmt.Errorf("core: batch returned %d results for %d bindings", len(results), len(bindings))
 	}
@@ -228,10 +181,9 @@ func (c preparedProp) execBatch(ctx context.Context, bindings []*sqldb.Params) (
 }
 
 // evalSQLBatch ships one chunk of contexts as a single batched request. A
-// batch-level failure (transport, closed handle) diagnoses every context of
-// the chunk, mirroring what per-instance execution of the same failing
-// statement would report; per-binding failures diagnose only their own
-// context.
+// batch-level failure (transport, closed handle, a statement the server will
+// not prepare) diagnoses every context of the chunk; per-binding failures
+// diagnose only their own context.
 func (a *Analyzer) evalSQLBatch(ctx context.Context, c preparedProp, ctxs []instCtx, bindings []*sqldb.Params, out []Instance, fail *analysisAbort) {
 	results, err := c.execBatch(ctx, bindings)
 	fail.record(err)
@@ -251,29 +203,26 @@ func (a *Analyzer) evalSQLBatch(ctx context.Context, c preparedProp, ctxs []inst
 }
 
 // evalSQLSet evaluates every context of a property with one execution of its
-// set form — a batch of one binding where the handle supports array binding,
-// a plain execution otherwise — and folds the row of each planned context
+// set form, a batch of one binding, and folds the row of each planned context
 // into its slot. It reports false, having settled nothing, when the per-
-// context path must answer instead: the statement failed for a reason that is
-// some context's own (fatal errors — a lost shard, cancellation — abort the
-// analysis as everywhere and are never retried), or its rows are not exactly
-// one well-formed row per planned context.
-func (a *Analyzer) evalSQLSet(ctx context.Context, q QueryExec, c preparedProp, p *planProp, ctxs []instCtx, out []Instance, fail *analysisAbort) bool {
+// context path must answer instead: the statement did not prepare, or failed
+// for a reason that is some context's own (fatal errors — a lost shard,
+// cancellation — abort the analysis as everywhere and are never retried), or
+// its rows are not exactly one well-formed row per planned context.
+func (a *Analyzer) evalSQLSet(ctx context.Context, c preparedProp, p *planProp, ctxs []instCtx, out []Instance, fail *analysisAbort) bool {
 	if err := ctx.Err(); err != nil {
 		fail.record(err)
 	}
 	if aborted(ctxs, out, fail) {
 		return true
 	}
+	if c.err != nil {
+		return false
+	}
+	results, err := c.execBatch(ctx, p.setBinding)
 	var set *sqldb.ResultSet
-	var err error
-	if c.bq != nil {
-		var results []sqlgen.BatchQueryResult
-		if results, err = c.execBatch(ctx, p.setBinding); err == nil {
-			set, err = results[0].Set, results[0].Err
-		}
-	} else {
-		set, err = c.exec(ctx, q, p.setBinding[0])
+	if err == nil {
+		set, err = results[0].Set, results[0].Err
 	}
 	if err != nil {
 		if !fatalExecErr(err) {

@@ -9,13 +9,13 @@ import (
 )
 
 // The batched pipeline must be invisible in the output: for every executor,
-// batch size, and worker count, the report produced with batched execution
-// is byte-identical to the per-instance prepared one and to the per-call
-// text-protocol one. Run with -race to exercise concurrent batches.
+// batch size, and worker count, the report produced by the set form and the
+// per-context batches is byte-identical to the per-instance one (batch size
+// 1, one binding per batch). Run with -race to exercise concurrent batches.
 
-// TestBatchedMatchesUnbatchedEmbedded compares text, per-instance prepared,
-// and batched execution on the embedded engine for every library workload at
-// workers 1 and 8.
+// TestBatchedMatchesUnbatchedEmbedded compares per-instance and batched
+// execution on the embedded engine for every library workload at workers 1
+// and 8.
 func TestBatchedMatchedUnbatchedEmbedded(t *testing.T) {
 	for name, w := range apprentice.Library() {
 		t.Run(name, func(t *testing.T) {
@@ -24,14 +24,14 @@ func TestBatchedMatchedUnbatchedEmbedded(t *testing.T) {
 			run := lastRun(g)
 			q := godbc.Embedded{DB: db}
 
-			text := New(g, WithPreparedStatements(false))
-			want := renderWith(t, text, 1, func() (*Report, error) { return text.AnalyzeSQL(run, q) })
-			for _, batch := range []int{2, 5, DefaultBatchSize} {
+			per := New(g, WithBatchSize(1))
+			want := renderWith(t, per, 1, func() (*Report, error) { return per.AnalyzeSQL(run, q) })
+			for _, batch := range []int{1, 2, 5, DefaultBatchSize} {
 				for _, workers := range []int{1, 8} {
 					batched := New(g, WithBatchSize(batch))
 					got := renderWith(t, batched, workers, func() (*Report, error) { return batched.AnalyzeSQL(run, q) })
 					if got != want {
-						t.Errorf("batchsize=%d workers=%d report differs from text:\n--- text ---\n%s--- batched ---\n%s",
+						t.Errorf("batchsize=%d workers=%d report differs from per-instance:\n--- per-instance ---\n%s--- batched ---\n%s",
 							batch, workers, want, got)
 					}
 				}
@@ -42,8 +42,9 @@ func TestBatchedMatchedUnbatchedEmbedded(t *testing.T) {
 
 // TestBatchedMatchesUnbatchedOverPool drives the full networked stack: the
 // pool's batched requests must reproduce the serial per-instance report byte
-// for byte at workers 1 and 8, and the server must actually have served
-// batches.
+// for byte at workers 1 and 8, the server must actually have served batches,
+// and the properties must have been prepared lazily on at most pool-size
+// connections.
 func TestBatchedMatchesUnbatchedOverPool(t *testing.T) {
 	g := buildGraph(t, apprentice.Particles())
 	db := loadDB(t, g)
@@ -64,16 +65,21 @@ func TestBatchedMatchesUnbatchedOverPool(t *testing.T) {
 	run := lastRun(g)
 	unbatched := New(g, WithBatchSize(1))
 	want := renderWith(t, unbatched, 1, func() (*Report, error) { return unbatched.AnalyzeSQL(run, pool) })
-	for _, workers := range []int{1, 8} {
-		batched := New(g, WithBatchSize(4))
-		got := renderWith(t, batched, workers, func() (*Report, error) { return batched.AnalyzeSQL(run, pool) })
-		if got != want {
-			t.Errorf("workers=%d batched report differs from serial unbatched:\n--- unbatched ---\n%s--- batched ---\n%s",
-				workers, want, got)
+	for _, batch := range []int{4, DefaultBatchSize} {
+		for _, workers := range []int{1, 8} {
+			batched := New(g, WithBatchSize(batch))
+			got := renderWith(t, batched, workers, func() (*Report, error) { return batched.AnalyzeSQL(run, pool) })
+			if got != want {
+				t.Errorf("batchsize=%d workers=%d batched report differs from serial unbatched:\n--- unbatched ---\n%s--- batched ---\n%s",
+					batch, workers, want, got)
+			}
 		}
 	}
 	if st := db.Stats(); st.BatchExecs == 0 {
 		t.Error("server served no batches on the batched path")
+	}
+	if live := db.Stats().PreparedLive; live > int64(8*pool.Size()) {
+		t.Errorf("server holds %d prepared handles", live)
 	}
 }
 
@@ -102,10 +108,10 @@ func TestGuidedSQLBatchedMatchesObject(t *testing.T) {
 	}
 }
 
-// TestAnalyzeSQLBatchesEveryContext: with batching on, every context reaches
-// the database inside a batch — zero per-instance executions — and one batch
-// of one binding, the set form's, answers for all contexts of a property;
-// with batchsize 1, batching is off entirely.
+// TestAnalyzeSQLBatchesEveryContext: every context reaches the database
+// inside a batch — zero single executions. With batching on, one batch of one
+// binding, the set form's, answers for all contexts of a property; with
+// batchsize 1, every instance is a batch of its own.
 func TestAnalyzeSQLBatchesEveryContext(t *testing.T) {
 	g := buildGraph(t, apprentice.Particles())
 	db := loadDB(t, g)
@@ -136,11 +142,11 @@ func TestAnalyzeSQLBatchesEveryContext(t *testing.T) {
 	if _, err := a2.AnalyzeSQL(run, q2); err != nil {
 		t.Fatal(err)
 	}
-	if q2.batches != 0 {
-		t.Errorf("%d batches with batching disabled", q2.batches)
+	if q2.perExec != 0 || q2.text != 0 {
+		t.Errorf("batching disabled left the batch call: %s", q2.counts())
 	}
-	if q2.perExec != total {
-		t.Errorf("%d per-instance executions for %d instances with batching disabled", q2.perExec, total)
+	if q2.batches != total || q2.bindings != total {
+		t.Errorf("%d batches carried %d bindings for %d instances with batching disabled, want one of one each", q2.batches, q2.bindings, total)
 	}
 }
 

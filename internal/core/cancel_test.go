@@ -136,14 +136,13 @@ func TestAnalyzeSQLCtxUncanceledMatchesPlain(t *testing.T) {
 	}
 }
 
-// TestShardedTextProtocolCancelAtCheckout: with prepared statements disabled
-// a sharded analysis runs one-shot routed text queries — one per instance at
-// batch size 1, enough of them to be caught in flight. Mid-analysis on a
-// slow wire the test takes every pooled connection away, so each worker's
-// next query waits at pool checkout; canceling must free them there — the
-// routed text path observes the context like every other path — rather than
-// leave the analysis waiting for connections that never come back.
-func TestShardedTextProtocolCancelAtCheckout(t *testing.T) {
+// TestShardedCancelAtCheckout: at batch size 1 a sharded analysis runs routed
+// batches of one binding — one per instance, enough of them to be caught in
+// flight. Mid-analysis on a slow wire the test takes every pooled connection
+// away, so each worker's next batch waits at pool checkout; canceling must
+// free them there rather than leave the analysis waiting for connections
+// that never come back.
+func TestShardedCancelAtCheckout(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	g := buildGraph(t, apprentice.Particles())
 	h := startProfiledShardHarness(t, g, 2, wire.ProfileOracleRemote)
@@ -152,7 +151,7 @@ func TestShardedTextProtocolCancelAtCheckout(t *testing.T) {
 	defer cancel()
 	errc := make(chan error, 1)
 	go func() {
-		a := New(g, WithPreparedStatements(false), WithWorkers(4), WithBatchSize(1))
+		a := New(g, WithWorkers(4), WithBatchSize(1))
 		_, err := a.AnalyzeSQLCtx(ctx, lastRun(g), h.sdb)
 		errc <- err
 	}()

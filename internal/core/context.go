@@ -6,10 +6,11 @@ package core
 // it is — queued, mid-batch, or idle in a profiled vendor delay — instead of
 // letting abandoned work occupy the capacity other tenants are waiting for.
 //
-// Cancellation propagates layer by layer (each layer is probed for context
-// support and falls back to the uncancellable call when it has none):
+// Cancellation propagates layer by layer. The SQL engines' one execution call,
+// a prepared handle's ExecQueryBatchContext, takes the context outright; the
+// client-side engine's table fetch probes for ContextQueryExecutor:
 //
-//	core      between chunks and instances (this package)
+//	core      between work units (this package)
 //	godbc     pool checkout; the wire round trip (the caller is freed and the
 //	          pooled connection sacrificed — the server finishes the request
 //	          it is serving); the embedded executors' profiled vendor delays
@@ -46,6 +47,9 @@ func (a *Analyzer) AnalyzeObjectCtx(ctx context.Context, run *model.TestRun) (*R
 // store-fetching queries observe it when the executor supports contexts, and
 // the interpretation phase checks it between instances.
 func (a *Analyzer) AnalyzeClientSideCtx(ctx context.Context, run *model.TestRun, q QueryExec) (*Report, error) {
+	if a.constErr != nil {
+		return nil, a.constErr
+	}
 	store, err := sqlgen.ReadStore(a.world, ctxQueryExec(ctx, q))
 	if err != nil {
 		return nil, err

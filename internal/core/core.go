@@ -149,16 +149,6 @@ func WithSQLDialect(name string) Option {
 	return func(a *Analyzer) { a.dialect = name }
 }
 
-// WithPreparedStatements controls whether the SQL engines use prepared
-// statements when the executor supports them (on by default). Each
-// property's compiled query is then parsed and planned once per analysis and
-// executed once per context with fresh parameters; disabling it forces the
-// per-call text protocol, the configuration the prepared benchmarks compare
-// against.
-func WithPreparedStatements(on bool) Option {
-	return func(a *Analyzer) { a.noPrepare = !on }
-}
-
 // Analyzer evaluates the canonical property set over a materialized graph.
 // Property instances are evaluated on a bounded worker pool (see WithWorkers
 // and parallel.go); results are merged deterministically, so reports do not
@@ -170,10 +160,11 @@ type Analyzer struct {
 	props      []string
 	callFilter map[string]string
 	consts     map[string]float64
+	// constErr, set by New, names a constant override the specification does
+	// not declare; every engine refuses to analyze with it.
+	constErr error
 	// workers is the evaluation worker count; <= 0 means GOMAXPROCS.
 	workers int
-	// noPrepare forces per-call text execution on the SQL engines.
-	noPrepare bool
 	// batchSize is the number of context instances per batched request on
 	// the SQL engines; <= 0 means DefaultBatchSize, 1 disables batching.
 	batchSize int
@@ -209,6 +200,12 @@ func New(g *model.Graph, opts ...Option) *Analyzer {
 	}
 	for _, o := range opts {
 		o(a)
+	}
+	for _, name := range slices.Sorted(maps.Keys(a.consts)) {
+		if _, ok := a.world.ConstDecls[name]; !ok {
+			a.constErr = fmt.Errorf("core: unknown constant %s", name)
+			break
+		}
 	}
 	return a
 }
@@ -488,18 +485,20 @@ func (a *Analyzer) objectEvaluator() *eval.Evaluator {
 	return ev
 }
 
-// preparedProp is a compiled property as one analysis executes it: the
-// query and the plan's verdict on the run's bindings plus, when the executor
-// supports it, a prepared handle shared by every context of the property.
+// preparedProp is a compiled property as one analysis executes it: the query
+// and its prepared handle, shared by every context of the property, or why it
+// has none.
 type preparedProp struct {
 	*compiledProp
-	// bindErr is the plan's verdict on the run's bindings (runPlan.bind).
-	bindErr error
-
-	pq sqlgen.PreparedQuery // nil on the text-protocol path
-	// bq is the handle's array-binding interface, non-nil when the executor
-	// can run a whole batch of contexts in one request (see batch.go).
-	bq sqlgen.BatchPreparedQuery
+	// err, when set, diagnoses every context of the property without a query
+	// being issued: the plan's verdict on the run's bindings (runPlan.bind), a
+	// prepare the executor refused, or a handle that cannot execute batches.
+	err error
+	// handle is the prepared statement, closed after the analysis; batch is
+	// its context-observing batch execution, the one call every work unit
+	// makes (see batch.go). Both are nil when err is set.
+	handle sqlgen.PreparedQuery
+	batch  sqlgen.ContextBatchPreparedQuery
 }
 
 // runParam returns the name of a property's TestRun-typed parameter, or ""
@@ -517,57 +516,40 @@ func (a *Analyzer) runParam(prop string) string {
 	return ""
 }
 
-// prepare readies a compiled property for one analysis, preparing its query
-// when a preparer is available. Sharded executors (sqlgen.RoutedPreparer)
-// are handed the property's run parameter so every execution routes to the
-// shard owning its context's run. A failed prepare falls back to per-call
-// text execution so instance-level diagnostics match the text path — errors
-// never abort a run.
+// prepare readies a compiled property for one analysis by preparing its
+// query. Sharded executors (sqlgen.RoutedPreparer) are handed the property's
+// run parameter so every execution routes to the shard owning its context's
+// run. A refused prepare, or a handle without sqlgen.ContextBatchPreparedQuery,
+// becomes the property's diagnostic like a binding mismatch: errors never
+// abort a run.
 func (c *compiledProp) prepare(preparer sqlgen.QueryPreparer, bindErr error) preparedProp {
-	p := preparedProp{compiledProp: c, bindErr: bindErr}
-	if preparer == nil {
+	p := preparedProp{compiledProp: c, err: bindErr}
+	if bindErr != nil {
 		return p
 	}
 	var pq sqlgen.PreparedQuery
-	var err error
 	if rp, ok := preparer.(sqlgen.RoutedPreparer); ok && c.runParam != "" {
-		pq, err = rp.PrepareRoutedQuery(c.sql, c.runParam)
+		pq, p.err = rp.PrepareRoutedQuery(c.sql, c.runParam)
 	} else {
-		pq, err = preparer.PrepareQuery(c.sql)
+		pq, p.err = preparer.PrepareQuery(c.sql)
 	}
-	if err == nil {
-		p.pq = pq
-		p.bq, _ = pq.(sqlgen.BatchPreparedQuery)
+	if p.err != nil {
+		return p
 	}
+	batch, ok := pq.(sqlgen.ContextBatchPreparedQuery)
+	if !ok {
+		pq.Close()
+		p.err = fmt.Errorf("core: prepared handle %T cannot execute batches", pq)
+		return p
+	}
+	p.handle, p.batch = pq, batch
 	return p
-}
-
-// exec runs the property query for one context's parameters, routing by run
-// on sharded executors when no prepared handle exists. When ctx can be
-// canceled and the handle (or executor) offers a context-observing execution,
-// the call goes through it; otherwise cancellation takes effect between
-// executions instead (the caller checks).
-func (c preparedProp) exec(ctx context.Context, q QueryExec, params *sqldb.Params) (*sqldb.ResultSet, error) {
-	cancelable := ctx.Done() != nil
-	if c.pq != nil {
-		if cq, ok := c.pq.(sqlgen.ContextPreparedQuery); ok && cancelable {
-			return cq.ExecQueryContext(ctx, params)
-		}
-		return c.pq.ExecQuery(params)
-	}
-	if re, ok := q.(sqlgen.RoutedExecutor); ok && c.runParam != "" {
-		return re.ExecQueryRouted(ctx, c.sql, c.runParam, params)
-	}
-	if ce, ok := q.(sqlgen.ContextQueryExecutor); ok && cancelable {
-		return ce.ExecQueryContext(ctx, c.sql, params)
-	}
-	return q.ExecQuery(c.sql, params)
 }
 
 // close releases the prepared handle, if any.
 func (c preparedProp) close() {
-	if c.pq != nil {
-		c.pq.Close()
+	if c.handle != nil {
+		c.handle.Close()
 	}
 }
 
@@ -634,21 +616,21 @@ type QueryExec = sqlgen.QueryExecutor
 // This is the paper's preferred configuration: conditions and severity
 // expressions run entirely inside the database.
 //
-// When the executor supports prepared statements (godbc connections, pools,
-// and the embedded engine), each property's query is prepared once and
-// executed with only the parameters changing — the PreparedStatement usage of
-// the measured JDBC deployments. Otherwise (or with
-// WithPreparedStatements(false)) every execution ships the query text.
+// The executor must prepare statements (sqlgen.QueryPreparer; every godbc
+// executor does): each property's query is prepared once and executed with
+// only the parameters changing — the PreparedStatement usage of the measured
+// JDBC deployments — and every execution is one call of the handle's
+// ExecQueryBatchContext. An executor that cannot prepare is refused before any
+// work is done.
 //
 // With batching on (BatchSize > 1, the default) a property is evaluated by its
 // set form: one statement whose contexts are a relation, executed once per
-// analysis — as a batch of one binding where the handle supports array
-// binding — and answering with one row per context (see batch.go). A property
-// whose set statement fails, or does not answer for exactly its planned
-// contexts, is evaluated per context instead, as every property is with
-// WithBatchSize(1): one execution per (property, context), shipped in
-// array-bound batches of up to BatchSize when falling back. Reports are
-// byte-identical across all execution modes, diagnostics included.
+// analysis as a batch of one binding, and answering with one row per context
+// (see batch.go). A property whose set statement fails, or does not answer for
+// exactly its planned contexts, is evaluated per context instead, in batches
+// of up to BatchSize bindings; WithBatchSize(1) evaluates every property so,
+// one binding per batch. Reports are byte-identical across all execution
+// modes, diagnostics included.
 //
 // Queries are issued from the worker pool when q is safe for concurrent use
 // (godbc.Pool keeps one connection per in-flight query; godbc.Embedded
@@ -659,19 +641,21 @@ func (a *Analyzer) AnalyzeSQL(run *model.TestRun, q QueryExec) (*Report, error) 
 }
 
 // AnalyzeSQLCtx is AnalyzeSQL observing a context. Cancellation propagates
-// into every layer the executor supports it in — pool checkout, the wire
-// round trip, per-binding batch progress, profiled vendor delays — and is
-// additionally checked between work units here, so executors without context
-// support still stop within one unit of the cancel. A canceled analysis
-// returns the context's error, never a partial report.
+// into every layer of the batch call — pool checkout, the wire round trip,
+// per-binding batch progress, profiled vendor delays — and is additionally
+// checked between work units here. A canceled analysis returns the context's
+// error, never a partial report.
 func (a *Analyzer) AnalyzeSQLCtx(ctx context.Context, run *model.TestRun, q QueryExec) (*Report, error) {
+	preparer, err := queryPreparer(q)
+	if err != nil {
+		return nil, err
+	}
 	pl, err := a.planFor(run)
 	if err != nil {
 		return nil, err
 	}
 	compiled := a.compiledProps()
 	bindErrs, setErrs := pl.bind(compiled)
-	preparer := a.preparer(q)
 	props := make([]preparedProp, 0, len(compiled))
 	defer func() {
 		for _, c := range props {
@@ -691,7 +675,7 @@ func (a *Analyzer) AnalyzeSQLCtx(ctx context.Context, run *model.TestRun, q Quer
 			continue
 		}
 		props = append(props, c.prepare(preparer, bindErrs[i]))
-		units = appendChunks(units, p.chunks, props[i].bq != nil)
+		units = append(units, p.chunks...)
 	}
 	instances := make([]Instance, len(pl.ctxs))
 	fail := &analysisAbort{}
@@ -700,19 +684,19 @@ func (a *Analyzer) AnalyzeSQLCtx(ctx context.Context, run *model.TestRun, q Quer
 		end := u.start + u.n
 		ctxs, bindings, out := pl.ctxs[u.start:end], pl.bindings[u.start:end], instances[u.start:end]
 		if !u.set {
-			a.evalSQLCtxs(ctx, q, props[u.prop], ctxs, bindings, out, fail)
+			a.evalSQLCtxs(ctx, props[u.prop], ctxs, bindings, out, fail)
 			return
 		}
-		if a.evalSQLSet(ctx, q, props[u.prop], &pl.props[u.prop], ctxs, out, fail) {
+		if a.evalSQLSet(ctx, props[u.prop], &pl.props[u.prop], ctxs, out, fail) {
 			return
 		}
-		// The set statement failed or came back malformed: the per-context
-		// path says which contexts are to blame, in the same words as ever.
+		// The set statement did not prepare, failed or came back malformed:
+		// the per-context path says which contexts are to blame.
 		a.setFallbacks.Add(1)
 		a.lastFallback.Store(&pl.props[u.prop].name)
 		per := compiled[u.prop].prepare(preparer, bindErrs[u.prop])
 		defer per.close()
-		a.evalSQLCtxs(ctx, q, per, ctxs, bindings, out, fail)
+		a.evalSQLCtxs(ctx, per, ctxs, bindings, out, fail)
 	})
 	// A lost shard aborts the analysis: a report missing one shard's answers
 	// is not a smaller report, it is a wrong one. Cancellation aborts the
@@ -727,14 +711,14 @@ func (a *Analyzer) AnalyzeSQLCtx(ctx context.Context, run *model.TestRun, q Quer
 	return a.finish("sql", run.NoPe, instances), nil
 }
 
-// preparer returns the executor's prepared-statement interface, or nil when
-// unsupported or disabled.
-func (a *Analyzer) preparer(q QueryExec) sqlgen.QueryPreparer {
-	if a.noPrepare {
-		return nil
+// queryPreparer returns the one capability the SQL engines ask of an
+// executor: preparing statements.
+func queryPreparer(q QueryExec) (sqlgen.QueryPreparer, error) {
+	p, ok := q.(sqlgen.QueryPreparer)
+	if !ok {
+		return nil, fmt.Errorf("core: executor %T cannot prepare statements", q)
 	}
-	p, _ := q.(sqlgen.QueryPreparer)
-	return p
+	return p, nil
 }
 
 // overrideConsts applies the constant overrides to a property's rendered SQL.
@@ -753,10 +737,7 @@ func (a *Analyzer) overrideConsts(sql string) (string, error) {
 	}
 	subst := make(map[string]string, len(a.consts)) // old spelling -> new spelling
 	for _, name := range slices.Sorted(maps.Keys(a.consts)) {
-		decl, ok := a.world.ConstDecls[name]
-		if !ok {
-			return "", fmt.Errorf("core: unknown constant %s", name)
-		}
+		decl := a.world.ConstDecls[name] // New vetted the names (constErr)
 		var old string
 		switch lit := decl.Value.(type) {
 		case *ast.FloatLit:

@@ -11,8 +11,8 @@ import (
 
 // The dialect is a rendering concern only: for every registered dialect the
 // engine can execute, an analysis over the same dataset must produce a report
-// byte-identical to the canonical kojakdb one — prepared, text-protocol, and
-// batched alike. Only the SQL text on the wire may differ.
+// byte-identical to the canonical kojakdb one — per instance and by the set
+// form alike. Only the SQL text on the wire may differ.
 
 func TestDialectDeterminism(t *testing.T) {
 	g := buildGraph(t, apprentice.Particles())
@@ -25,12 +25,12 @@ func TestDialectDeterminism(t *testing.T) {
 
 	for _, name := range build.Names() {
 		t.Run(name, func(t *testing.T) {
-			for _, prepared := range []bool{true, false} {
-				a := New(g, WithSQLDialect(name), WithPreparedStatements(prepared))
+			for _, batch := range []int{1, DefaultBatchSize} {
+				a := New(g, WithSQLDialect(name), WithBatchSize(batch))
 				got := renderWith(t, a, 4, func() (*Report, error) { return a.AnalyzeSQL(run, q) })
 				if got != want {
-					t.Errorf("prepared=%v report differs from kojakdb:\n--- kojakdb ---\n%s--- %s ---\n%s",
-						prepared, want, name, got)
+					t.Errorf("batch=%d report differs from kojakdb:\n--- kojakdb ---\n%s--- %s ---\n%s",
+						batch, want, name, got)
 				}
 			}
 		})

@@ -70,8 +70,12 @@ type planProp struct {
 
 // planFor returns the run's plan, building it on first use. Failures — a run
 // outside the dataset, a property the enumeration cannot place — are not
-// kept.
+// kept. Every engine but the client-side one starts here, so this is also
+// where an unknown constant override refuses the analysis.
 func (a *Analyzer) planFor(run *model.TestRun) (*runPlan, error) {
+	if a.constErr != nil {
+		return nil, a.constErr
+	}
 	a.planMu.Lock()
 	defer a.planMu.Unlock()
 	if pl, ok := a.plans[run]; ok {

@@ -7,73 +7,7 @@ import (
 	"repro/internal/asl/sqlgen"
 	"repro/internal/godbc"
 	"repro/internal/sqldb"
-	"repro/internal/sqldb/wire"
 )
-
-// The prepared-statement pipeline must be invisible in the output: for every
-// executor and worker count, the report produced with prepared statements is
-// byte-identical to the per-call text-protocol one. Run with -race to
-// exercise concurrent executions of the shared prepared handles.
-
-// TestPreparedMatchesTextEmbedded compares prepared and text execution on
-// the embedded engine for every library workload.
-func TestPreparedMatchesTextEmbedded(t *testing.T) {
-	for name, w := range apprentice.Library() {
-		t.Run(name, func(t *testing.T) {
-			g := buildGraph(t, w)
-			db := loadDB(t, g)
-			run := lastRun(g)
-			q := godbc.Embedded{DB: db}
-
-			text := New(g, WithPreparedStatements(false))
-			prepared := New(g)
-			want := renderWith(t, text, 1, func() (*Report, error) { return text.AnalyzeSQL(run, q) })
-			for _, workers := range []int{1, 8} {
-				got := renderWith(t, prepared, workers, func() (*Report, error) { return prepared.AnalyzeSQL(run, q) })
-				if got != want {
-					t.Errorf("workers=%d prepared report differs from text:\n--- text ---\n%s--- prepared ---\n%s", workers, want, got)
-				}
-			}
-		})
-	}
-}
-
-// TestPreparedMatchesTextOverPool drives the full networked stack: the
-// pool's prepared statements at workers=8 must reproduce the serial
-// text-protocol report byte for byte.
-func TestPreparedMatchesTextOverPool(t *testing.T) {
-	g := buildGraph(t, apprentice.Particles())
-	db := loadDB(t, g)
-	srv, err := wire.NewServer(db, wire.ProfileFast, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	pool, err := godbc.NewPool(srv.Addr(), 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pool.Close()
-
-	run := lastRun(g)
-	text := New(g, WithPreparedStatements(false))
-	want := renderWith(t, text, 1, func() (*Report, error) { return text.AnalyzeSQL(run, pool) })
-	prepared := New(g)
-	for _, workers := range []int{1, 8} {
-		got := renderWith(t, prepared, workers, func() (*Report, error) { return prepared.AnalyzeSQL(run, pool) })
-		if got != want {
-			t.Errorf("workers=%d pooled prepared report differs from serial text:\n--- text ---\n%s--- prepared ---\n%s", workers, want, got)
-		}
-	}
-	// The 8 properties were prepared lazily on at most pool-size
-	// connections; the database must not have accumulated more handles.
-	if live := db.Stats().PreparedLive; live > int64(8*pool.Size()) {
-		t.Errorf("server holds %d prepared handles", live)
-	}
-}
 
 // TestPreparedHandlesReleasedEmbedded: an analysis must close every handle
 // it prepared.

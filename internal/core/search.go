@@ -137,15 +137,17 @@ func (a *Analyzer) AnalyzeGuided(run *model.TestRun, h Hierarchy) (*Report, *Sea
 // AnalyzeGuidedSQL runs the same refinement-driven search with the compiled
 // SQL queries executed inside the database. The search revisits each
 // property across many contexts as it descends the region tree, so each
-// property's query is prepared once, on first use, and executed per context
-// when the executor supports prepared statements. The contexts a search step
-// opens up are evaluated together, so on batch-capable executors each step
+// property's query is prepared once, on first use, and executed per context.
+// The contexts a search step opens up are evaluated together, so each step
 // costs one round trip per BatchSize contexts rather than one per context. A
 // step evaluates a subset of a property's contexts, so the search stays on
 // the per-context statements: the set form answers for all contexts or none.
+// Like AnalyzeSQL, it refuses an executor that cannot prepare statements.
 func (a *Analyzer) AnalyzeGuidedSQL(run *model.TestRun, h Hierarchy, q QueryExec) (*Report, *SearchStats, error) {
-	compiled := a.compiledProps()
-	preparer := a.preparer(q)
+	preparer, err := queryPreparer(q)
+	if err != nil {
+		return nil, nil, err
+	}
 	prepared := make(map[int]preparedProp)
 	defer func() {
 		for _, c := range prepared {
@@ -154,6 +156,8 @@ func (a *Analyzer) AnalyzeGuidedSQL(run *model.TestRun, h Hierarchy, q QueryExec
 	}()
 	fail := &analysisAbort{}
 	evalGroup := func(pl *runPlan, prop int, ctxs []instCtx) []Instance {
+		// Compiled after the plan: planFor refuses unknown constants first.
+		compiled := a.compiledProps()
 		out := make([]Instance, len(ctxs))
 		// A property that does not compile produces its diagnostic once per
 		// context; the others search on.
@@ -171,7 +175,7 @@ func (a *Analyzer) AnalyzeGuidedSQL(run *model.TestRun, h Hierarchy, q QueryExec
 		for i, ctx := range ctxs {
 			bindings[i] = ctx.params
 		}
-		a.evalSQLCtxs(context.Background(), q, c, ctxs, bindings, out, fail)
+		a.evalSQLCtxs(context.Background(), c, ctxs, bindings, out, fail)
 		return out
 	}
 	rep, stats, err := a.analyzeGuided(run, h, "guided-sql", evalGroup)

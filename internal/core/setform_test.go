@@ -101,8 +101,8 @@ func (e *trafficExec) counts() string {
 
 // TestSetFormOneExecutionPerProperty: at the default batch size an analysis
 // is one batch of one binding per property and nothing else; at batch size 1
-// it is one single execution per instance and nothing else; the reports are
-// the same bytes — in every dialect, the positional one included.
+// it is one batch of one binding per instance and nothing else; the reports
+// are the same bytes — in every dialect, the positional one included.
 func TestSetFormOneExecutionPerProperty(t *testing.T) {
 	g := buildGraph(t, apprentice.ScaledStencil(3, 3))
 	db := loadDB(t, g)
@@ -121,7 +121,7 @@ func TestSetFormOneExecutionPerProperty(t *testing.T) {
 				t.Fatalf("diagnostics on clean data: %+v", rep.Diagnostics)
 			}
 			instances := len(rep.Instances) + rep.Skipped
-			if got, exp := per.counts(), fmt.Sprintf("0 batches of 0 bindings, %d single, 0 text", instances); got != exp {
+			if got, exp := per.counts(), fmt.Sprintf("%d batches of %d bindings, 0 single, 0 text", instances, instances); got != exp {
 				t.Errorf("batch size 1: %s, want %s", got, exp)
 			}
 			if want == "" {
@@ -156,21 +156,6 @@ func TestSetFormOneExecutionPerProperty(t *testing.T) {
 				t.Fatalf("%d instances for %d properties: the workload does not tell the paths apart", instances, n)
 			}
 		})
-	}
-
-	// Without prepared statements the set statement travels as text: still
-	// one execution per property.
-	text := &trafficExec{Embedded: godbc.Embedded{DB: db}}
-	a := New(g, WithPreparedStatements(false), WithWorkers(1))
-	rep, err := a.AnalyzeSQL(run, text)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, exp := text.counts(), fmt.Sprintf("0 batches of 0 bindings, 0 single, %d text", len(a.props)); got != exp {
-		t.Errorf("text protocol: %s, want %s", got, exp)
-	}
-	if rep.Render() != want {
-		t.Errorf("text-protocol set-form report differs:\n%s\nvs\n%s", rep.Render(), want)
 	}
 }
 

@@ -149,22 +149,6 @@ func TestShardedGuidedMatchesObject(t *testing.T) {
 	compareReports(t, obj, sql)
 }
 
-// TestShardedTextProtocolMatches: with prepared statements disabled the
-// analyzer routes one-shot text queries; the report must still match.
-func TestShardedTextProtocolMatches(t *testing.T) {
-	g := buildGraph(t, apprentice.Particles())
-	db := loadDB(t, g)
-	run := lastRun(g)
-	ref := New(g)
-	want := renderWith(t, ref, 1, func() (*Report, error) { return ref.AnalyzeSQL(run, godbc.Embedded{DB: db}) })
-	h := startShardHarness(t, g, 2)
-	a := New(g, WithPreparedStatements(false))
-	got := renderWith(t, a, 4, func() (*Report, error) { return a.AnalyzeSQL(run, h.sdb) })
-	if got != want {
-		t.Errorf("text-protocol sharded report differs:\n--- single ---\n%s--- sharded ---\n%s", want, got)
-	}
-}
-
 // TestShardDownAbortsAnalysis: with the owning shard unreachable, both the
 // exhaustive and the guided analysis must fail outright — naming the shard's
 // address — rather than deliver a report full of diagnostics.

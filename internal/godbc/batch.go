@@ -72,8 +72,7 @@ func (st *Stmt) ExecQueryBatchContext(ctx context.Context, bindings []*sqldb.Par
 
 // ExecQueryBatch implements sqlgen.BatchPreparedQuery over the pool: the
 // whole batch executes on one checked-out connection, so it costs one
-// round trip per wire.MaxBatch chunk. A statement the server refused to
-// prepare falls back to per-binding text execution, like ExecQuery.
+// round trip per wire.MaxBatch chunk.
 func (ps *PooledStmt) ExecQueryBatch(bindings []*sqldb.Params) ([]sqlgen.BatchQueryResult, error) {
 	return ps.ExecQueryBatchContext(context.Background(), bindings)
 }
@@ -86,22 +85,7 @@ func (ps *PooledStmt) ExecQueryBatchContext(ctx context.Context, bindings []*sql
 		return nil, err
 	}
 	defer ps.pool.Put(c)
-	if st != nil {
-		return st.ExecQueryBatchContext(ctx, bindings)
-	}
-	out := make([]sqlgen.BatchQueryResult, len(bindings))
-	for i, p := range bindings {
-		set, err := c.ExecQueryContext(ctx, ps.sql, p)
-		if err != nil {
-			if c.broken || ctx.Err() != nil {
-				return nil, err
-			}
-			out[i] = sqlgen.BatchQueryResult{Err: err}
-			continue
-		}
-		out[i] = sqlgen.BatchQueryResult{Set: set}
-	}
-	return out, nil
+	return st.ExecQueryBatchContext(ctx, bindings)
 }
 
 // ExecQueryBatch implements sqlgen.BatchPreparedQuery on the in-process

@@ -106,10 +106,11 @@ func TestPooledStmtExecQueryBatchConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-func TestPooledStmtBatchTextFallback(t *testing.T) {
-	// The server's eager prepare validation rejects statements over missing
-	// tables; the pooled batch must fall back to per-binding text execution
-	// and surface the per-binding errors, exactly like ExecQuery does.
+// TestPooledStmtRejectedPrepareSendsNoText: the server's eager prepare
+// validation rejects statements over missing tables. A pooled statement
+// fails its batch and its single execution with the server's error, and never
+// retries the statement as query text.
+func TestPooledStmtRejectedPrepareSendsNoText(t *testing.T) {
 	_, srv := startServer(t)
 	pool, err := godbc.NewPool(srv.Addr(), 2)
 	if err != nil {
@@ -121,14 +122,30 @@ func TestPooledStmtBatchTextFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pq.Close()
-	bq := pq.(sqlgen.BatchPreparedQuery)
-	results, err := bq.ExecQueryBatch(idParams(1, 2))
+	before, _, err := pool.ServerStats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, r := range results {
-		if r.Err == nil || !strings.Contains(r.Err.Error(), "ghost") {
-			t.Fatalf("binding %d: %+v", i, r)
+	if _, err := pq.(sqlgen.BatchPreparedQuery).ExecQueryBatch(idParams(1, 2)); err == nil || !strings.Contains(err.Error(), "ghost") {
+		t.Fatalf("batch: err %v, want the server's prepare error naming ghost", err)
+	}
+	if _, err := pq.ExecQuery(idParams(1)[0]); err == nil || !strings.Contains(err.Error(), "ghost") {
+		t.Fatalf("single execution: err %v, want the server's prepare error naming ghost", err)
+	}
+	after, _, err := pool.ServerStats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two refused prepares, one per execution, and one of the two stats reads.
+	if n := after.Requests - before.Requests; n != 3 {
+		t.Errorf("the server served %d requests, want 3: the statement was retried as text", n)
+	}
+	// Both connections are back in the pool.
+	for range 2 {
+		c, err := pool.Get()
+		if err != nil {
+			t.Fatal(err)
 		}
+		defer pool.Put(c)
 	}
 }

@@ -9,7 +9,7 @@ package godbc
 import (
 	"context"
 	"fmt"
-	"sync"
+	"sync/atomic"
 
 	"repro/internal/asl/sqlgen"
 	"repro/internal/sqldb"
@@ -108,15 +108,9 @@ func (c *Conn) prepared(query string) (*Stmt, error) {
 // concurrent use, it lazily prepares the query once per underlying
 // connection and executes on whichever connection the pool hands out.
 type PooledStmt struct {
-	pool *Pool
-	sql  string
-
-	mu     sync.Mutex
-	closed bool
-	// textOnly is set after a server-side prepare rejects the statement
-	// (not a transport failure): later executions go straight to the text
-	// protocol instead of paying a doomed prepare round trip per call.
-	textOnly bool
+	pool   *Pool
+	sql    string
+	closed atomic.Bool
 }
 
 // PrepareQuery implements sqlgen.QueryPreparer. Preparation is lazy: the
@@ -140,55 +134,34 @@ func (ps *PooledStmt) ExecQueryContext(ctx context.Context, params *sqldb.Params
 		return nil, err
 	}
 	defer ps.pool.Put(c)
-	if st != nil {
-		return st.ExecQueryContext(ctx, params)
-	}
-	return c.ExecQueryContext(ctx, ps.sql, params)
+	return st.ExecQueryContext(ctx, params)
 }
 
 // checkout takes a connection from the pool and returns it with the
-// statement's handle on it, preparing on first use. A nil handle means the
-// statement executes through the text protocol on c. On error nothing is
-// checked out.
+// statement's handle on it, preparing on first use. On error nothing is
+// checked out: a statement the server refuses to prepare (eager table
+// validation, say) fails every execution with the server's error.
 func (ps *PooledStmt) checkout(ctx context.Context) (*Conn, *Stmt, error) {
-	ps.mu.Lock()
-	closed, textOnly := ps.closed, ps.textOnly
-	ps.mu.Unlock()
-	if closed {
+	if ps.closed.Load() {
 		return nil, nil, errStmtClosed
 	}
 	c, err := ps.pool.GetCtx(ctx)
 	if err != nil {
 		return nil, nil, err
 	}
-	if textOnly {
-		return c, nil, nil
-	}
 	st, err := c.prepared(ps.sql)
-	if err == nil {
-		return c, st, nil
-	}
-	if c.broken {
+	if err != nil {
 		ps.pool.Put(c)
 		return nil, nil, err
 	}
-	// Server-side prepare rejected the statement (e.g. eager table
-	// validation refused what the lazy text path accepts): fall back to
-	// text execution so results match the other executors, and stop
-	// re-attempting the prepare on future calls.
-	ps.mu.Lock()
-	ps.textOnly = true
-	ps.mu.Unlock()
-	return c, nil, nil
+	return c, st, nil
 }
 
 // Close marks the pooled statement closed. The per-connection handles stay
 // cached on their connections (other pooled statements for the same SQL
 // share them) and are released by the server when the connections close.
 func (ps *PooledStmt) Close() error {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	ps.closed = true
+	ps.closed.Store(true)
 	return nil
 }
 

@@ -72,8 +72,8 @@ func (e *ShardError) ShardAddr() string { return e.Addr }
 
 // ShardedDB is a set of connection pools, one per shard of a run-partitioned
 // COSY database. It is safe for concurrent use. It implements the Executor,
-// sqlgen.QueryPreparer, sqlgen.RoutedPreparer, and sqlgen.RoutedExecutor
-// interfaces, so it drops into every place a Pool does:
+// sqlgen.QueryPreparer and sqlgen.RoutedPreparer interfaces, so it drops into
+// every place a Pool does:
 //
 //   - routed executions (the analyzer's property queries) go to the shard
 //     owning the bound run;
@@ -236,20 +236,8 @@ func (s *ShardedDB) ExecQuery(query string, params *sqldb.Params) (*sqldb.Result
 
 // ExecQueryContext is ExecQuery observing a context.
 func (s *ShardedDB) ExecQueryContext(ctx context.Context, query string, params *sqldb.Params) (*sqldb.ResultSet, error) {
-	return s.ExecQueryRouted(ctx, query, "", params)
-}
-
-// ExecQueryRouted implements sqlgen.RoutedExecutor: a one-shot text-protocol
-// query sent to the shard owning the run bound under runParam (the first
-// shard when runParam is empty), observing ctx at checkout and across the
-// round trip.
-func (s *ShardedDB) ExecQueryRouted(ctx context.Context, query, runParam string, params *sqldb.Params) (*sqldb.ResultSet, error) {
-	i, err := s.route(runParam, params)
-	if err != nil {
-		return nil, err
-	}
-	set, err := s.pools[i].ExecQueryContext(ctx, query, params)
-	return set, s.tag(i, err)
+	set, err := s.pools[0].ExecQueryContext(ctx, query, params)
+	return set, s.tag(0, err)
 }
 
 // route extracts the owning run id from a parameter set and returns its
@@ -412,7 +400,6 @@ func (st *ShardedStmt) Close() error {
 var _ Executor = (*ShardedDB)(nil)
 var _ sqlgen.QueryPreparer = (*ShardedDB)(nil)
 var _ sqlgen.RoutedPreparer = (*ShardedDB)(nil)
-var _ sqlgen.RoutedExecutor = (*ShardedDB)(nil)
 var _ sqlgen.ContextQueryExecutor = (*ShardedDB)(nil)
 var _ sqlgen.BatchPreparedQuery = (*ShardedStmt)(nil)
 var _ sqlgen.ContextPreparedQuery = (*ShardedStmt)(nil)

@@ -263,21 +263,22 @@ func (e *recordingExec) PrepareQuery(sql string) (sqlgen.PreparedQuery, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &recordingStmt{BatchPreparedQuery: pq.(sqlgen.BatchPreparedQuery), exec: e}, nil
+	return &recordingStmt{PreparedQuery: pq, batch: pq.(sqlgen.ContextBatchPreparedQuery), exec: e}, nil
 }
 
 type recordingStmt struct {
-	sqlgen.BatchPreparedQuery
-	exec *recordingExec
+	sqlgen.PreparedQuery
+	batch sqlgen.ContextBatchPreparedQuery
+	exec  *recordingExec
 }
 
-func (s *recordingStmt) ExecQueryBatch(bindings []*sqldb.Params) ([]sqlgen.BatchQueryResult, error) {
+func (s *recordingStmt) ExecQueryBatchContext(ctx context.Context, bindings []*sqldb.Params) ([]sqlgen.BatchQueryResult, error) {
 	s.exec.mu.Lock()
 	for _, p := range bindings {
 		s.exec.seen[p] = true
 	}
 	s.exec.mu.Unlock()
-	return s.BatchPreparedQuery.ExecQueryBatch(bindings)
+	return s.batch.ExecQueryBatchContext(ctx, bindings)
 }
 
 // TestTenantsShareOnePlan: the service runs every request on one analyzer, so
