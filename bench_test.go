@@ -764,33 +764,67 @@ func BenchmarkWarmAnalyze(b *testing.B) {
 // rotation: every analysis plans and executes its eight set-form statements
 // from scratch, so ns/op is sqldb's vectorized execution plus core's row
 // folding, with no transport in the way. This is the per-PR gate on engine
-// parity of the set form; the per-property split is in EXPERIMENTS E20.
+// parity of the set form. BenchmarkColdAnalyzeProperty splits it by
+// property (EXPERIMENTS E20/E21's per-property table), each reporting the
+// SELECT executions one analysis of that property costs the engine.
 // ---------------------------------------------------------------------------
 
-func BenchmarkColdAnalyze(b *testing.B) {
-	// The repository benchmark's dataset: 24 runs, so the minimum-PE subquery
-	// of SublinearSpeedup/UnmeasuredCost folds 24 summaries per region.
-	pes := make([]int, 0, 24)
-	for p := 2; p <= 25; p++ {
-		pes = append(pes, p)
+// coldState is the loaded database the cold-analysis benchmarks share: the
+// repository benchmark's dataset, 24 runs, so the minimum-PE subquery of
+// SublinearSpeedup/UnmeasuredCost folds 24 summaries per region.
+var coldState struct {
+	sync.Once
+	g   *model.Graph
+	db  *sqldb.DB
+	err error
+}
+
+func coldDB(b *testing.B) (*model.Graph, *sqldb.DB) {
+	b.Helper()
+	s := &coldState
+	s.Do(func() {
+		pes := make([]int, 0, 24)
+		for p := 2; p <= 25; p++ {
+			pes = append(pes, p)
+		}
+		ds, err := apprentice.Simulate(apprentice.ScaledStencil(15, 16), apprentice.PartitionSweep(pes...), 42)
+		if err != nil {
+			s.err = err
+			return
+		}
+		if s.g, err = model.Build(ds); err != nil {
+			s.err = err
+			return
+		}
+		s.db = uncachedDB()
+		if err := sqlgen.CreateSchema(s.g.World, embeddedExecutor(s.db)); err != nil {
+			s.err = err
+			return
+		}
+		_, s.err = sqlgen.Load(s.g.Store, embeddedExecutor(s.db))
+	})
+	if s.err != nil {
+		b.Fatal(s.err)
 	}
-	g := mustGraph(b, apprentice.ScaledStencil(15, 16), pes...)
+	return s.g, s.db
+}
+
+// coldAnalyze times cache-off analyses of the last four runs in rotation
+// (after one untimed pass over them) and reports the SELECT executions per
+// analysis as selects/op. With wantBottleneck every report must name one,
+// which an analysis of all properties does; one property alone may find none.
+func coldAnalyze(b *testing.B, wantBottleneck bool, opts ...core.Option) {
+	g, db := coldDB(b)
 	runs := g.Dataset.Versions[0].Runs
 	runs = runs[len(runs)-4:]
-	db := uncachedDB()
-	if err := sqlgen.CreateSchema(g.World, embeddedExecutor(db)); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := sqlgen.Load(g.Store, embeddedExecutor(db)); err != nil {
-		b.Fatal(err)
-	}
 	q := godbc.Embedded{DB: db}
-	a := core.New(g, core.WithWorkers(1), core.WithBatchSize(32))
+	a := core.New(g, append([]core.Option{core.WithWorkers(1), core.WithBatchSize(32)}, opts...)...)
 	for _, run := range runs {
 		if _, err := a.AnalyzeSQL(run, q); err != nil {
 			b.Fatal(err)
 		}
 	}
+	before := db.Stats()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -798,13 +832,23 @@ func BenchmarkColdAnalyze(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if rep.Bottleneck() == nil {
+		if wantBottleneck && rep.Bottleneck() == nil {
 			b.Fatal("no bottleneck")
 		}
 	}
 	b.StopTimer()
-	if st := db.Stats(); st.VecFallbacks != 0 {
-		b.Fatalf("%d SELECTs fell back to the row interpreter: %+v", st.VecFallbacks, st.VecFallbackReasons)
+	after := db.Stats()
+	if n := after.VecFallbacks - before.VecFallbacks; n != 0 {
+		b.Fatalf("%d SELECTs fell back to the row interpreter: %+v", n, after.VecFallbackReasons)
+	}
+	b.ReportMetric(float64(after.VecSelects-before.VecSelects)/float64(b.N), "selects/op")
+}
+
+func BenchmarkColdAnalyze(b *testing.B) { coldAnalyze(b, true) }
+
+func BenchmarkColdAnalyzeProperty(b *testing.B) {
+	for _, name := range model.AllProperties {
+		b.Run(name, func(b *testing.B) { coldAnalyze(b, false, core.WithProperties(name)) })
 	}
 }
 

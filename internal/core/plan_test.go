@@ -136,10 +136,11 @@ func TestObjectEngineCompilesNothing(t *testing.T) {
 // TestWarmAnalysisAllocatesPerRequest: with the plan built and the result
 // cache warm, what an analysis against the embedded engine still allocates is
 // per property, not per instance: eight set-form statements parsed and planned
-// anew (godbc.Embedded prepares per analysis; some 680 allocations apiece, all
-// but a few dozen of the total), one batch of one Result each, the []Instance
-// and the report — 5 470 measured for 2 016 instances, where the per-context
-// batches of the parent commit cost 6 900 and a Result per instance.
+// anew (godbc.Embedded prepares per analysis; some 760 allocations apiece,
+// their correlated subqueries' build sides included — all but a few dozen of
+// the total), one batch of one Result each, the []Instance and the report —
+// 6 120 measured for 2 016 instances, where per-context batches cost 6 900
+// and a Result per instance.
 func TestWarmAnalysisAllocatesPerRequest(t *testing.T) {
 	g := buildGraph(t, apprentice.ScaledStencil(15, 16), 2, 4)
 	db := loadDB(t, g)

@@ -159,6 +159,42 @@ func TestSetFormOneExecutionPerProperty(t *testing.T) {
 	}
 }
 
+// TestSetFormSelectsIndependentOfContexts: a property's set-form statement
+// costs the engine as many SELECT executions over twice the contexts — its
+// correlated subqueries are hash builds, one per execution, each probed once
+// per context — and none of them falls back to the row interpreter. A build
+// that quietly gave way to per-row execution would grow with the regions.
+func TestSetFormSelectsIndependentOfContexts(t *testing.T) {
+	selects := func(funcs int) (map[string]int64, int) {
+		g := buildGraph(t, apprentice.ScaledStencil(funcs, 3))
+		db := loadDB(t, g)
+		db.SetResultCacheSize(0)
+		out := make(map[string]int64)
+		for _, p := range model.AllProperties {
+			before := db.Stats()
+			if _, err := New(g, WithProperties(p)).AnalyzeSQL(lastRun(g), godbc.Embedded{DB: db}); err != nil {
+				t.Fatal(err)
+			}
+			after := db.Stats()
+			if n := after.VecFallbacks - before.VecFallbacks; n != 0 {
+				t.Errorf("%s over %d functions: %d SELECTs fell back: %+v", p, funcs, n, after.VecFallbackReasons)
+			}
+			out[p] = after.VecSelects - before.VecSelects
+		}
+		return out, db.Table("Region").NumRows()
+	}
+	small, n := selects(4)
+	large, n2 := selects(8)
+	if n2 < 2*n-1 {
+		t.Fatalf("%d regions against %d: the datasets do not double", n2, n)
+	}
+	for _, p := range model.AllProperties {
+		if small[p] != large[p] {
+			t.Errorf("%s: %d SELECTs over %d regions, %d over %d", p, small[p], n, large[p], n2)
+		}
+	}
+}
+
 // duplicateSummary gives one region a second TotalTiming row for the run: the
 // data fault that makes UNIQUE — Summary(r, t) — raise for that region.
 func duplicateSummary(t *testing.T, db *sqldb.DB, region, run *object.Object) {

@@ -244,6 +244,22 @@ func FuzzEngineDifferential(f *testing.F) {
 		// The set form's shape: a context relation, subqueries correlated
 		// with its key one and two levels down, the same one under two items.
 		`SELECT x.id AS ctx, ((SELECT e.w FROM fuzz_aux j JOIN fuzz_aux e ON e.v = j.v WHERE j.id = x.id AND (e.b = TRUE)) > 1) AS c0, ((SELECT e.w FROM fuzz_aux j JOIN fuzz_aux e ON e.v = j.v WHERE j.id = x.id AND (e.b = TRUE)) / (SELECT MAX(y.w) FROM fuzz_aux y WHERE y.v = $basis)) AS s0 FROM fuzz_aux r JOIN fuzz_aux x ON x.v = r.v WHERE r.id = $k`,
+		// Decorrelated subqueries — a hash build per execution, a probe per
+		// row: a duplicate build key (v = 10 twice) probed, left unprobed,
+		// and guarded out by AND; keys no row carries under a scalar, SUM and
+		// COUNT; NULL keys on both sides (v is NULL in rows 2 and 5); a REAL
+		// against an INTEGER key (the memo serves it); a residual dividing by
+		// zero on a row (v = 30) no outer row probes; an empty outer
+		// relation; and two keys whose second outer side is itself a probe.
+		`SELECT o.id, (SELECT i.w FROM fuzz_aux i WHERE i.v = o.v AND i.id > 0) FROM fuzz_aux o ORDER BY o.id`,
+		`SELECT o.id, (SELECT i.w FROM fuzz_aux i WHERE i.v = o.v AND i.id > 0) FROM fuzz_aux o WHERE o.v <> 10 ORDER BY o.id`,
+		`SELECT o.id, o.v <> 10 AND (SELECT i.w FROM fuzz_aux i WHERE i.v = o.v AND i.id > 0) > 1 FROM fuzz_aux o ORDER BY o.id`,
+		`SELECT o.id, (SELECT i.s FROM fuzz_aux i WHERE i.v = o.id AND i.w > 0), (SELECT SUM(i.w) FROM fuzz_aux i WHERE i.v = o.id), (SELECT COUNT(*) FROM fuzz_aux i WHERE o.id = i.v) FROM fuzz_aux o ORDER BY o.id`,
+		`SELECT o.id, (SELECT COUNT(i.id) FROM fuzz_aux i WHERE i.v = o.v), (SELECT MIN(i.w) FROM fuzz_aux i WHERE o.v = i.v) FROM fuzz_aux o ORDER BY o.id`,
+		`SELECT o.id, (SELECT COUNT(i.id) FROM fuzz_aux i WHERE i.w = o.v) FROM fuzz_aux o ORDER BY o.id`,
+		`SELECT o.id, (SELECT COUNT(i.id) FROM fuzz_aux i WHERE i.id = o.id AND 10 / (i.v - 30) > 0) FROM fuzz_aux o WHERE o.id <> 3 ORDER BY o.id`,
+		`SELECT o.id, (SELECT i.w FROM fuzz_aux i WHERE i.v = o.v AND i.id > 0) FROM fuzz_aux o WHERE o.id < 0`,
+		`SELECT o.id, (SELECT i.w FROM fuzz_aux i WHERE i.v = o.v AND i.id = (SELECT MIN(m.id) FROM fuzz_aux m WHERE m.v = o.v)) FROM fuzz_aux o ORDER BY o.id`,
 	} {
 		f.Add(sql, int64(10), int64(2), int64(30))
 	}

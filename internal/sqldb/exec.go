@@ -971,11 +971,13 @@ func (ec *execCtx) seedRows(st *SelectStmt, sp *selectPlan, fr *frame, bt *bound
 }
 
 // conjuncts flattens a top-level AND tree.
-func conjuncts(e Expr) []Expr {
+func conjuncts(e Expr) []Expr { return appendConjuncts(nil, e) }
+
+func appendConjuncts(dst []Expr, e Expr) []Expr {
 	if bin, ok := e.(*EBinary); ok && bin.Op == OpAnd {
-		return append(conjuncts(bin.L), conjuncts(bin.R)...)
+		return appendConjuncts(appendConjuncts(dst, bin.L), bin.R)
 	}
-	return []Expr{e}
+	return append(dst, e)
 }
 
 // matchColConst matches "bt.col = expr" (either orientation) where expr does

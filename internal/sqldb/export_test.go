@@ -1,5 +1,14 @@
 package sqldb
 
+// SetDecorrelation turns the vectorized compiler's build sides for
+// correlated subqueries on or off for statements planned afterwards, and
+// empties the plan cache so ad-hoc statements replan. Off, every correlated
+// subquery runs through the per-row memo.
+func (db *DB) SetDecorrelation(on bool) {
+	db.memoOnly.Store(!on)
+	db.clearPlanCache()
+}
+
 // SetStats makes db.Stats() report s, for tests that follow a snapshot through
 // the layers above the engine. Counters are stored as they are; the two cache
 // populations, which Stats reads off the LRU lists, are made real with

@@ -44,8 +44,8 @@ type stmtPlan struct {
 	// tree may nest SELECTs in subqueries and IN clauses).
 	selects map[*SelectStmt]*selectPlan
 	// corrIDs interns the canonical text of the correlated subexpressions the
-	// vectorized compiler memoizes per outer row (corrID); written while the
-	// plan is built, read-only after.
+	// vectorized compiler compiles, builds and memoizes by (corrID); written
+	// while the plan is built, read-only after.
 	corrIDs map[string]int32
 	// canonKey is the interned identity of the statement's canonical text,
 	// rendered as a result-cache key prefix; empty for statements the result
@@ -63,6 +63,9 @@ type stmtPlan struct {
 	// the statement and all its subqueries, deduplicated); the result cache
 	// derives an entry's freshness from their data versions.
 	tables []*Table
+	// memoOnly compiles every correlated subquery without a build side (see
+	// decorrelate in vec.go); set from DB.memoOnly, which only tests raise.
+	memoOnly bool
 }
 
 // addTable records a referenced table, deduplicating by identity.
@@ -243,11 +246,12 @@ func (db *DB) buildPlan(stmt Stmt) (*stmtPlan, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	p := &stmtPlan{
-		stmt:    stmt,
-		version: db.ddl.Load(),
-		free:    make(map[Expr]*freeInfo),
-		keys:    make(map[Expr]string),
-		selects: make(map[*SelectStmt]*selectPlan),
+		stmt:     stmt,
+		version:  db.ddl.Load(),
+		free:     make(map[Expr]*freeInfo),
+		keys:     make(map[Expr]string),
+		selects:  make(map[*SelectStmt]*selectPlan),
+		memoOnly: db.memoOnly.Load(),
 	}
 	switch st := stmt.(type) {
 	case *SelectStmt:

@@ -276,6 +276,10 @@ type DB struct {
 	vecFbOrder atomic.Int64
 	vecFbSub   atomic.Int64
 	vecFbOther atomic.Int64
+	// memoOnly, raised only by tests, plans correlated subqueries without
+	// build sides: the per-row memo is the reference the decorrelated form
+	// is checked against.
+	memoOnly atomic.Bool
 }
 
 // countFallback records one row-interpreter fallback under its refusal

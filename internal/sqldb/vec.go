@@ -18,8 +18,14 @@ package sqldb
 // expressions (evaluated per surviving group through the hybrid row
 // evaluator, aggregates pre-folded), and correlated subqueries — including
 // unqualified free references, resolved through a compile-time mirror of the
-// frame chain's scope walk (corrLocals). What remains refused, with the
-// fallback reason it is counted under (Stats.VecFallbackReasons):
+// frame chain's scope walk (corrRefs). A correlated scalar subquery takes the
+// first of three forms that fits (corrSub): corrLookup's index probe for the
+// attribute-dereference shape; a hash build per execution over every key,
+// probed once per outer row, when the subquery is linked to the compiling
+// SELECT by equality conjuncts only (decorrelate); and the per-row memo, which
+// serves every other shape and takes over at runtime whenever a probe or a
+// build cannot reproduce the row engine exactly. What remains refused, with
+// the fallback reason it is counted under (Stats.VecFallbackReasons):
 //
 //   - equi-join outer keys that read the joined table itself (the row engine
 //     evaluates them with that row unset, which the compiled form cannot
@@ -50,6 +56,7 @@ package sqldb
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -97,7 +104,8 @@ const (
 
 // vbatch is one batch of joined row positions: pos[t][i] is the storage
 // position, in bound table t, of batch row i. Only the tables bound by the
-// pipeline stage being run have position arrays.
+// pipeline stage being run have positions; the others' arrays are empty,
+// kept for their capacity.
 type vbatch struct {
 	n   int
 	pos [][]int32
@@ -197,6 +205,10 @@ type vecCtx struct {
 	// function, which no nested evaluation can interleave with.
 	callCols []*vcol
 	callArgs []Value
+	// builds holds the build sides of the execution's decorrelated
+	// subqueries, by the slot the compiler gave each (corrBuildPlan.slot);
+	// their hash maps survive release, emptied, for the next execution.
+	builds []corrBuild
 }
 
 var vecCtxPool = sync.Pool{New: func() any { return new(vecCtx) }}
@@ -260,6 +272,14 @@ func (vc *vecCtx) release() {
 	}
 	vc.fuseVals = vc.fuseVals[:0]
 	clear(vc.callArgs[:cap(vc.callArgs)])
+	for i := range vc.builds {
+		bd := &vc.builds[i]
+		bd.state = buildPending
+		clear(bd.index)
+		clear(bd.hits)
+		clear(bd.accs)
+		bd.hits, bd.accs = bd.hits[:0], bd.accs[:0]
+	}
 	vc.b.n, vc.nb.n = 0, 0
 	vecCtxPool.Put(vc)
 }
@@ -433,6 +453,11 @@ type vecCompiler struct {
 	// compiling this node (the fb* labels above); consulted when compilation
 	// fails, "other" when no site recorded anything sharper.
 	reason string
+	// subs holds the compiled correlated subexpressions (corrSub); builds
+	// the build sides of the decorrelated ones by canonical text (corrID),
+	// nil for a text whose build does not vectorize.
+	subs   map[corrSite]vexpr
+	builds map[int32]*corrBuildPlan
 }
 
 // fail records a refusal reason (first one wins) and returns false for use
@@ -816,7 +841,7 @@ func (cp *vecCompiler) freeOf(e Expr) *freeInfo {
 	return fi
 }
 
-// corrScope is one inner SELECT's scope during corrLocals's walk: its planned
+// corrScope is one inner SELECT's scope during corrRefs's walk: its planned
 // tables, visible up to limit — the number of tables the row engine has bound
 // at the clause being walked (join-On clauses and access-path seeds run with
 // partial frames).
@@ -833,172 +858,197 @@ func (sc *corrScope) at(t int) (string, *Table) {
 	return jp.binding, jp.table
 }
 
-// matches counts the visible tables of the scope a reference resolves into,
-// mirroring frame.resolve within one scope: qualifier filter plus column
-// membership.
-func (sc *corrScope) matches(lqual, lname string) int {
-	n := 0
+// lookup counts the visible tables of the scope a reference resolves into,
+// mirroring frame.resolve within one scope — qualifier filter plus column
+// membership — and returns the declared type of the column it found last.
+func (sc *corrScope) lookup(lqual, lname string) (n int, typ ColType) {
 	for t := 0; t < sc.limit; t++ {
 		bind, tab := sc.at(t)
 		if lqual != "" && bind != lqual {
 			continue
 		}
-		if _, has := tab.colIdx[lname]; has {
-			n++
+		if c, has := tab.colIdx[lname]; has {
+			n, typ = n+1, tab.Columns[c].Type
 		}
 	}
-	return n
+	return n, typ
 }
 
-// corrLocals computes which local tables (ordinals into cp.tabs) a correlated
-// subexpression depends on, by mirroring at compile time the scope walk
-// frame.resolve performs at runtime: a reference is tried against each inner
-// SELECT scope it is nested under, innermost first — at the partial frame
-// width of the clause it appears in — then against the compiling SELECT's own
-// tables, and a reference resolving past all of those reaches outer frames,
-// which are fixed for a whole execution and carry no dependency. A reference
-// that resolves (even ambiguously — delegation raises the row engine's error)
-// in an inner scope is not a local dependency. Refuses (ok=false) when a
-// local resolution reaches a table not yet bound at pipeline stage ntab, or
-// when a nested SELECT has no plan to mirror.
-func (cp *vecCompiler) corrLocals(e Expr, ntab int) ([]int, bool) {
-	var locals []int
-	ok := true
-	var scopes []*corrScope
+// corrDeps is where the free references of a subexpression resolve
+// (corrRefs): the compiling SELECT's local tables (ordinals into cp.tabs,
+// ascending), the base scope the walk started under, and frames beyond the
+// compiling SELECT (outer).
+type corrDeps struct {
+	locals      []int
+	base, outer bool
+}
 
-	addLocal := func(t int) {
-		for _, have := range locals {
-			if have == t {
-				return
-			}
-		}
-		locals = append(locals, t)
+// corrRefs computes which local tables a correlated subexpression depends
+// on, by mirroring at compile time the scope walk frame.resolve performs at
+// runtime: a reference is tried against each inner SELECT scope it is nested
+// under, innermost first — at the partial frame width of the clause it
+// appears in — then against base (when not nil: the scope of a subquery
+// whose clause e is), then against the compiling SELECT's own tables, and a
+// reference resolving past all of those reaches outer frames, which are
+// fixed for a whole execution and carry no dependency. A reference that
+// resolves (even ambiguously — delegation raises the row engine's error) in
+// an inner scope is not a local dependency. Refuses (ok=false) when a local
+// resolution reaches a table not yet bound at pipeline stage ntab, or when a
+// nested SELECT has no plan to mirror.
+func (cp *vecCompiler) corrRefs(e Expr, ntab int, base *corrScope) (corrDeps, bool) {
+	var buf [4]corrScope
+	w := corrWalk{cp: cp, ntab: ntab, scopes: buf[:0], ok: true}
+	if base != nil {
+		w.scopes, w.nbase = append(w.scopes, *base), 1
 	}
-
-	resolve := func(x *EColumn) {
-		lqual, lname := x.keys()
-		for i := len(scopes) - 1; i >= 0; i-- {
-			if scopes[i].matches(lqual, lname) > 0 {
-				return // resolved within an inner scope
-			}
-		}
-		for t := range cp.tabs {
-			if lqual != "" && cp.binds[t] != lqual {
-				continue
-			}
-			if _, has := cp.tabs[t].colIdx[lname]; !has {
-				continue
-			}
-			if t >= ntab {
-				ok = false // local table not yet bound at this stage
-				return
-			}
-			addLocal(t)
-		}
-		// No local match either: the reference reaches an outer frame (or is
-		// unknown — the delegated evaluation raises the row engine's error).
+	w.walk(e)
+	if !w.ok {
+		return corrDeps{}, false
 	}
+	sort.Ints(w.d.locals)
+	return w.d, true
+}
 
-	var walk func(e Expr)
-	var walkSel func(st *SelectStmt)
-	walk = func(e Expr) {
-		if !ok || e == nil {
+// corrWalk is the state of one corrRefs walk: the SELECT scopes entered,
+// innermost last, the first nbase of them the base.
+type corrWalk struct {
+	cp     *vecCompiler
+	ntab   int
+	scopes []corrScope
+	nbase  int
+	d      corrDeps
+	ok     bool
+}
+
+func (w *corrWalk) resolve(x *EColumn) {
+	lqual, lname := x.keys()
+	for i := len(w.scopes) - 1; i >= 0; i-- {
+		if n, _ := w.scopes[i].lookup(lqual, lname); n > 0 {
+			w.d.base = w.d.base || i < w.nbase
+			return // resolved within an inner scope
+		}
+	}
+	local := false
+	for t := range w.cp.tabs {
+		if lqual != "" && w.cp.binds[t] != lqual {
+			continue
+		}
+		if _, has := w.cp.tabs[t].colIdx[lname]; !has {
+			continue
+		}
+		if t >= w.ntab {
+			w.ok = false // local table not yet bound at this stage
 			return
 		}
-		switch x := e.(type) {
-		case *ELit, *EParam:
-		case *EColumn:
-			resolve(x)
-		case *EBinary:
-			walk(x.L)
-			walk(x.R)
-		case *EUnary:
-			walk(x.X)
-		case *EIsNull:
-			walk(x.X)
-		case *ECall:
-			for _, a := range x.Args {
-				walk(a)
-			}
-		case *ESubquery:
-			walkSel(x.Select)
-		case *EExists:
-			walkSel(x.Select)
-		case *EIn:
-			walk(x.X)
-			for _, a := range x.List {
-				walk(a)
-			}
-			if x.Sub != nil {
-				walkSel(x.Sub)
-			}
-		default:
-			ok = false
+		local = true
+		if !slices.Contains(w.d.locals, t) {
+			w.d.locals = append(w.d.locals, t)
 		}
 	}
-	walkSel = func(st *SelectStmt) {
-		sp := cp.p.selects[st]
-		if sp == nil || (st.From != nil && sp.from == nil) {
-			ok = false // no plan to mirror resolution against
-			return
-		}
-		full := 0
-		if sp.from != nil {
-			full = 1 + len(sp.joins)
-		}
-		sc := &corrScope{sp: sp}
-		scopes = append(scopes, sc)
-		if sp.from != nil {
-			// Access-path seed keys are evaluated with only the first table
-			// bound (seedRows); resolve them at that frame width too.
-			sc.limit = 1
-			for _, ap := range sp.access {
-				walk(ap.val)
-			}
-		}
-		for k := range st.Joins {
-			sc.limit = k + 2
-			walk(st.Joins[k].On)
-		}
-		sc.limit = full
-		for _, item := range st.Items {
-			if !item.Star {
-				walk(item.Expr)
-			}
-		}
-		walk(st.Where)
-		for _, g := range st.GroupBy {
-			walk(g)
-		}
-		walk(st.Having)
-		for _, o := range st.OrderBy {
-			// A bare name matching a select alias resolves to the output
-			// column, not through the frame chain (orderKeys).
-			if col, isCol := o.Expr.(*EColumn); isCol && col.Qual == "" {
-				if _, alias := sp.aliases[strings.ToLower(col.Name)]; alias {
-					continue
-				}
-			}
-			walk(o.Expr)
-		}
-		walk(st.Limit)
-		scopes = scopes[:len(scopes)-1]
-	}
+	// No local match either: the reference reaches an outer frame (or is
+	// unknown — the delegated evaluation raises the row engine's error).
+	w.d.outer = w.d.outer || !local
+}
 
-	walk(e)
-	if !ok {
-		return nil, false
+func (w *corrWalk) walk(e Expr) {
+	if !w.ok || e == nil {
+		return
 	}
-	sort.Ints(locals)
-	return locals, true
+	switch x := e.(type) {
+	case *ELit, *EParam:
+	case *EColumn:
+		w.resolve(x)
+	case *EBinary:
+		w.walk(x.L)
+		w.walk(x.R)
+	case *EUnary:
+		w.walk(x.X)
+	case *EIsNull:
+		w.walk(x.X)
+	case *ECall:
+		for _, a := range x.Args {
+			w.walk(a)
+		}
+	case *ESubquery:
+		w.walkSel(x.Select)
+	case *EExists:
+		w.walkSel(x.Select)
+	case *EIn:
+		w.walk(x.X)
+		for _, a := range x.List {
+			w.walk(a)
+		}
+		if x.Sub != nil {
+			w.walkSel(x.Sub)
+		}
+	default:
+		w.ok = false
+	}
+}
+
+func (w *corrWalk) walkSel(st *SelectStmt) {
+	sp := w.cp.p.selects[st]
+	if sp == nil || (st.From != nil && sp.from == nil) {
+		w.ok = false // no plan to mirror resolution against
+		return
+	}
+	full := 0
+	if sp.from != nil {
+		full = 1 + len(sp.joins)
+	}
+	sc := len(w.scopes)
+	w.scopes = append(w.scopes, corrScope{sp: sp})
+	if sp.from != nil {
+		// Access-path seed keys are evaluated with only the first table
+		// bound (seedRows); resolve them at that frame width too.
+		w.scopes[sc].limit = 1
+		for _, ap := range sp.access {
+			w.walk(ap.val)
+		}
+	}
+	for k := range st.Joins {
+		w.scopes[sc].limit = k + 2
+		w.walk(st.Joins[k].On)
+	}
+	w.scopes[sc].limit = full
+	for _, item := range st.Items {
+		if !item.Star {
+			w.walk(item.Expr)
+		}
+	}
+	w.walk(st.Where)
+	for _, g := range st.GroupBy {
+		w.walk(g)
+	}
+	w.walk(st.Having)
+	for _, o := range st.OrderBy {
+		// A bare name matching a select alias resolves to the output
+		// column, not through the frame chain (orderKeys).
+		if col, isCol := o.Expr.(*EColumn); isCol && col.Qual == "" {
+			if _, alias := sp.aliases[strings.ToLower(col.Name)]; alias {
+				continue
+			}
+		}
+		w.walk(o.Expr)
+	}
+	w.walk(st.Limit)
+	w.scopes = w.scopes[:sc]
 }
 
 // corrSub compiles a correlated subexpression (a subquery, EXISTS, or IN)
-// into a vexpr that binds the local rows it depends on and delegates to the
-// row evaluator — so semantics, including every error, are the row engine's
-// by construction — memoized per distinct combination of local row
+// into a vexpr. A scalar subquery takes the first of three forms that fits:
+//
+//  1. corrLookup — the attribute-dereference shape, one index probe per row;
+//  2. decorrelate — equality-correlated subqueries, one hash build per
+//     execution over every key and one probe per row;
+//  3. the memo — every other shape, and the runtime fallback of the two
+//     above.
+//
+// The memo binds the local rows the expression depends on and delegates to
+// the row evaluator — so semantics, including every error, are the row
+// engine's by construction — memoized per distinct combination of local row
 // positions under the expression's canonical text (corrKey). The dependency
-// set comes from corrLocals, a compile-time mirror of the frame chain's scope
+// set comes from corrRefs, a compile-time mirror of the frame chain's scope
 // walk, so unqualified references resolve exactly as they would at runtime.
 // Free references beyond the local tables resolve in *outer* frames, which
 // are fixed for the whole execution, so they do not enter the memo key; a
@@ -1009,25 +1059,53 @@ func (cp *vecCompiler) corrLocals(e Expr, ntab int) ([]int, bool) {
 // enclosing SELECTs, as every subquery nested below the context relation of a
 // set-form property query is — has one value per execution, like a closed
 // one: it is evaluated on the first batch that reaches it and handed out as a
-// constant (vecLazy), not probed per row. The attribute-dereference shape
-// takes corrLookup's index probe.
+// constant (vecLazy), not probed per row.
 //
 // The row engine re-evaluates the subexpression per tuple; it is
 // deterministic and side-effect free, so per-distinct-row evaluation returns
 // the same values and raises an error for the same batches of rows. When
-// duplicates exist the evaluation *count* differs, never the outcome.
+// duplicates exist the evaluation *count* differs, never the outcome. For the
+// same reason every spelling of one canonical text at one pipeline stage
+// shares one compiled form (corrSite): a LET value the property compiler
+// renders in c0 and again in s0 is analyzed and compiled once.
 func (cp *vecCompiler) corrSub(e Expr, ntab int) (vexpr, bool) {
-	locals, ok := cp.corrLocals(e, ntab)
+	site := corrSite{id: cp.p.corrID(e), ntab: ntab}
+	if ve, ok := cp.subs[site]; ok {
+		return ve, true
+	}
+	ve, ok := cp.compileCorr(e, ntab, site.id)
+	if !ok {
+		return nil, false
+	}
+	if cp.subs == nil {
+		cp.subs = make(map[corrSite]vexpr)
+	}
+	cp.subs[site] = ve
+	return ve, true
+}
+
+// corrSite identifies a correlated subexpression's compiled form within one
+// SELECT node: its canonical text (corrID) and the pipeline stage it runs at
+// (column resolution depends on the tables bound).
+type corrSite struct {
+	id   int32
+	ntab int
+}
+
+// compileCorr builds corrSub's vexpr for the subexpression whose canonical
+// text is id.
+func (cp *vecCompiler) compileCorr(e Expr, ntab int, id int32) (vexpr, bool) {
+	deps, ok := cp.corrRefs(e, ntab, nil)
 	if !ok {
 		return nil, cp.fail(fbSubquery)
 	}
+	locals := deps.locals
 	if len(locals) > 2 {
 		return nil, cp.fail(fbSubquery) // memo key packs at most two positions
 	}
 	if len(locals) == 0 {
 		return vecLazy(e), true
 	}
-	id := cp.p.corrID(e)
 	memoized := func(vc *vecCtx, b *vbatch, out *vcol) error {
 		vals := out.alloc(b.n)
 		var views [2][]Row
@@ -1063,6 +1141,9 @@ func (cp *vecCompiler) corrSub(e Expr, ntab int) (vexpr, bool) {
 	}
 	if x, isSub := e.(*ESubquery); isSub {
 		if ve, ok := cp.corrLookup(x, ntab, memoized); ok {
+			return ve, true
+		}
+		if ve, ok := cp.decorrelate(x, ntab, memoized); ok {
 			return ve, true
 		}
 	}
@@ -1194,6 +1275,307 @@ func subTableCol(e Expr, binding string, t *Table) (int, bool) {
 	}
 	c, ok := t.colIdx[lname]
 	return c, ok
+}
+
+// corrBuildPlan is the build side of a decorrelated subquery (decorrelate):
+// a SELECT synthesized over the subquery's own tables that projects the
+// inner key expressions followed by the value — the item, or the argument
+// of an aggregate item, which the build folds per key — planned and compiled
+// once, and shared by every spelling of the subquery's canonical text in the
+// compiling SELECT.
+type corrBuildPlan struct {
+	sp   *selectPlan
+	slot int // the execution's build state is vecCtx.builds[slot]
+	nkey int
+	// agg is the upper-cased aggregate of an aggregate item, "" for a plain
+	// one; star marks COUNT(*), which projects no value.
+	agg  string
+	star bool
+	// empty is the value of a key no row carries: NULL, or 0 under COUNT.
+	empty Value
+}
+
+// decorrelate compiles a scalar subquery whose only links to the compiling
+// SELECT's tables are one or two top-level WHERE conjuncts inner = outer —
+// inner reading the subquery's own tables and parameters only, outer nothing
+// of the subquery's scope — into a probe of a build side (corrBuildPlan).
+// The rest of the subquery runs once per execution over every key, when the
+// first batch reaches the probe; each row then looks its outer key up in a
+// hash map. A key no row carries gives NULL (0 under COUNT); a key several
+// rows carry raises the row engine's cardinality error, for the rows that
+// probe it only; a NULL component never matches.
+//
+// The build may evaluate the subquery's expressions on rows the correlated
+// executions never visit, never the other way round: it scans the FROM table
+// (a correlated access path other than a key's own would seed it by Key
+// equality, which parts from Compare's — refused), filters by every non-key
+// conjunct, and evaluates the inner keys on every row that passes — so an
+// inner key that could raise (anything but a column or a literal) is allowed
+// only without such a filter. A build that succeeds has therefore seen every
+// error the correlated form could raise. One that fails, and a probe key that
+// fails to evaluate (the correlated form evaluates it only against rows of
+// the subquery, which may have none), hand the batch to slow, the memo, which
+// reproduces the row engine exactly. Per key, rows arrive in FROM-table
+// storage order, then join-match order — the order the correlated execution
+// visits them — so aggregates fold bit-identically.
+//
+// Both sides of a key share one static type, INTEGER or BOOLEAN (keyType):
+// hash equality is Compare's equality there — across types, or for REALs,
+// where NaN compares equal to every number, it is not — and for INTEGERs
+// only within ±2^53, beyond which Compare's float64 conversion merges
+// neighbours; such keys hand the batch to slow at runtime (corrHash). TEXT
+// keys would hash exactly too; no property needs them, so they stay on the
+// memo and the hash key stays two machine words.
+func (cp *vecCompiler) decorrelate(x *ESubquery, ntab int, slow vexpr) (vexpr, bool) {
+	st := x.Select
+	sp := cp.p.selects[st]
+	if cp.p.memoOnly || sp == nil || sp.from == nil || st.Where == nil ||
+		len(st.GroupBy) != 0 || st.Having != nil || len(st.OrderBy) != 0 ||
+		st.Limit != nil || len(st.Items) != 1 || st.Items[0].Star {
+		return nil, false
+	}
+	item := st.Items[0].Expr
+	call, _ := item.(*ECall)
+	if call == nil || !call.IsAggregate() {
+		call = nil
+		if hasAggregate(item) {
+			return nil, false
+		}
+	}
+	scope := &corrScope{sp: sp, limit: 1 + len(sp.joins)}
+	uncorrelated := func(e Expr, sc *corrScope) bool {
+		d, ok := cp.corrRefs(e, ntab, sc)
+		return ok && len(d.locals) == 0
+	}
+	if !uncorrelated(item, scope) {
+		return nil, false
+	}
+	for k := range st.Joins {
+		if !uncorrelated(st.Joins[k].On, &corrScope{sp: sp, limit: k + 2}) {
+			return nil, false
+		}
+	}
+	var ibuf, obuf [2]Expr
+	var cbuf, rbuf [8]Expr
+	inner, outer, resid := ibuf[:0], obuf[:0], rbuf[:0]
+	for _, c := range appendConjuncts(cbuf[:0], st.Where) {
+		if uncorrelated(c, scope) {
+			resid = append(resid, c)
+			continue
+		}
+		in, out, ok := cp.keySides(c, ntab, scope)
+		if !ok || len(inner) == 2 {
+			return nil, false
+		}
+		inner, outer = append(inner, in), append(outer, out)
+	}
+	if len(inner) == 0 {
+		return nil, false
+	}
+	for _, ap := range sp.access {
+		if !slices.Contains(outer, ap.val) {
+			return nil, false
+		}
+	}
+	if len(resid) > 0 {
+		for _, in := range inner {
+			switch in.(type) {
+			case *EColumn, *ELit:
+			default:
+				return nil, false
+			}
+		}
+	}
+	bp := cp.corrBuild(cp.p.corrID(x), st, sp, inner, resid, call)
+	if bp == nil {
+		return nil, false
+	}
+	keys := make([]vexpr, len(outer))
+	for j, o := range outer {
+		ke, ok := cp.compile(o, ntab)
+		if !ok {
+			return nil, false
+		}
+		keys[j] = ke
+	}
+	return corrProbe(bp, keys, slow), true
+}
+
+// keySides splits a correlated WHERE conjunct of a subquery into the inner
+// and outer side of a decorrelation key: an equality whose inner side reads
+// only the subquery's scope and parameters, whose outer side reads nothing
+// of the subquery's scope, and whose sides share a hashable static type.
+func (cp *vecCompiler) keySides(c Expr, ntab int, scope *corrScope) (inner, outer Expr, ok bool) {
+	eq, isBin := c.(*EBinary)
+	if !isBin || eq.Op != OpEq {
+		return nil, nil, false
+	}
+	fits := func(in, out Expr) bool {
+		di, ok := cp.corrRefs(in, ntab, scope)
+		if !ok || len(di.locals) > 0 || di.outer {
+			return false
+		}
+		do, ok := cp.corrRefs(out, ntab, scope)
+		if !ok || do.base {
+			return false
+		}
+		ti, ok := cp.keyType(in, []*corrScope{scope})
+		if !ok {
+			return false
+		}
+		to, ok := cp.keyType(out, nil)
+		return ok && ti == to
+	}
+	switch {
+	case fits(eq.L, eq.R):
+		return eq.L, eq.R, true
+	case fits(eq.R, eq.L):
+		return eq.R, eq.L, true
+	}
+	return nil, nil, false
+}
+
+// keyType is the static type of a decorrelation key — a literal, or the
+// declared type of the column it reads, through scalar subqueries and
+// MIN/MAX — when the build side hashes it: INTEGER or BOOLEAN. scopes are the
+// SELECT scopes the key is evaluated under, innermost last, ahead of the
+// compiling SELECT's own tables.
+func (cp *vecCompiler) keyType(e Expr, scopes []*corrScope) (ColType, bool) {
+	hashable := func(t ColType) (ColType, bool) { return t, t == TInt || t == TBool }
+	switch x := e.(type) {
+	case *ELit:
+		switch x.Value.kind {
+		case kindInt:
+			return TInt, true
+		case kindBool:
+			return TBool, true
+		}
+	case *EColumn:
+		lqual, lname := x.keys()
+		for i := len(scopes) - 1; i >= 0; i-- {
+			switch n, typ := scopes[i].lookup(lqual, lname); n {
+			case 0:
+				continue
+			case 1:
+				return hashable(typ)
+			}
+			return 0, false // ambiguous
+		}
+		if t, c, ok := cp.resolveCol(x, len(cp.tabs)); ok {
+			return hashable(cp.tabs[t].Columns[c].Type)
+		}
+	case *ESubquery:
+		st := x.Select
+		if sp := cp.p.selects[st]; sp != nil && sp.from != nil && len(st.Items) == 1 && !st.Items[0].Star {
+			inner := append(scopes[:len(scopes):len(scopes)], &corrScope{sp: sp, limit: 1 + len(sp.joins)})
+			return cp.keyType(st.Items[0].Expr, inner)
+		}
+	case *ECall:
+		if name := strings.ToUpper(x.Name); (name == "MIN" || name == "MAX") && !x.Star && len(x.Args) == 1 {
+			return cp.keyType(x.Args[0], scopes)
+		}
+	}
+	return 0, false
+}
+
+// corrBuild returns the build side of the decorrelated subquery whose
+// canonical text is id, synthesizing and compiling it on first use: the
+// subquery's FROM and joins, its non-key conjuncts as WHERE, its inner keys
+// then its value as projection. nil when the aggregate is malformed (the
+// row engine raises its error) or the synthesized SELECT does not vectorize.
+func (cp *vecCompiler) corrBuild(id int32, st *SelectStmt, sp *selectPlan, inner, resid []Expr, call *ECall) *corrBuildPlan {
+	if bp, done := cp.builds[id]; done {
+		return bp
+	}
+	syn := &SelectStmt{From: st.From, Joins: st.Joins}
+	for _, c := range resid {
+		if syn.Where == nil {
+			syn.Where = c
+		} else {
+			syn.Where = &EBinary{Op: OpAnd, L: syn.Where, R: c}
+		}
+	}
+	for _, k := range inner {
+		syn.Items = append(syn.Items, SelectItem{Expr: k})
+	}
+	bp := &corrBuildPlan{slot: len(cp.builds), nkey: len(inner)}
+	switch {
+	case call == nil:
+		syn.Items = append(syn.Items, st.Items[0])
+	case call.Star && strings.EqualFold(call.Name, "COUNT"):
+		bp.agg, bp.star, bp.empty = "COUNT", true, NewInt(0)
+	case !call.Star && len(call.Args) == 1:
+		syn.Items = append(syn.Items, SelectItem{Expr: call.Args[0]})
+		if bp.agg = strings.ToUpper(call.Name); bp.agg == "COUNT" {
+			bp.empty = NewInt(0)
+		}
+	default:
+		bp = nil
+	}
+	if bp != nil {
+		// The subquery's tables and join strategies, and no access path: the
+		// build scans its FROM table in storage order.
+		bp.sp = &selectPlan{from: sp.from, fromBinding: sp.fromBinding, joins: sp.joins}
+		if bp.sp.vec, _ = compileVecSelect(cp.p, syn, bp.sp); bp.sp.vec == nil {
+			bp = nil
+		}
+	}
+	if cp.builds == nil {
+		cp.builds = make(map[int32]*corrBuildPlan)
+	}
+	cp.builds[id] = bp
+	return bp
+}
+
+// corrProbe is the per-row side of a decorrelated subquery: evaluate the
+// outer keys over the batch, build on first use (vecCtx.buildSide), and look
+// every row up.
+func corrProbe(bp *corrBuildPlan, keys []vexpr, slow vexpr) vexpr {
+	return func(vc *vecCtx, b *vbatch, out *vcol) error {
+		var cols [2]*vcol
+		defer func() {
+			for _, c := range cols {
+				if c != nil {
+					vc.putCol(c)
+				}
+			}
+		}()
+		for j, ke := range keys {
+			cols[j] = vc.getCol()
+			if err := ke(vc, b, cols[j]); err != nil {
+				return slow(vc, b, out)
+			}
+		}
+		bd := vc.buildSide(bp)
+		if bd == nil {
+			return slow(vc, b, out)
+		}
+		vals := out.alloc(b.n)
+		var kv [2]Value
+		for i := 0; i < b.n; i++ {
+			for j := range keys {
+				kv[j] = cols[j].at(i)
+			}
+			k, null, ok := corrHash(kv[:len(keys)])
+			switch {
+			case !ok:
+				return slow(vc, b, out)
+			case null:
+				vals[i] = bp.empty
+				continue
+			}
+			e, found := bd.index[k]
+			switch {
+			case !found:
+				vals[i] = bp.empty
+			case bp.agg == "" && bd.hits[e].rows > 1:
+				return fmt.Errorf("sqldb: scalar subquery returned %d rows", bd.hits[e].rows)
+			default:
+				vals[i] = bd.hits[e].v
+			}
+		}
+		return nil
+	}
 }
 
 // refsTable reports whether the expression references the bound table with
@@ -1757,13 +2139,10 @@ func vecInList(xe vexpr, list []vexpr, not bool) vexpr {
 func gatherBatch(dst *vbatch, src *vbatch, idx []int32) {
 	dst.n = len(idx)
 	for t := range src.pos {
-		if src.pos[t] == nil {
-			dst.pos[t] = nil
-			continue
-		}
 		col := dst.pos[t][:0]
-		if cap(col) < len(idx) {
-			col = make([]int32, 0, len(idx))
+		if len(src.pos[t]) == 0 {
+			dst.pos[t] = col // a table not bound yet
+			continue
 		}
 		for _, i := range idx {
 			col = append(col, src.pos[t][i])

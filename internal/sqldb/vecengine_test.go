@@ -1,6 +1,8 @@
 package sqldb
 
 import (
+	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -292,15 +294,18 @@ func TestVecPropertyShapeVectorizes(t *testing.T) {
 	}
 }
 
-// TestCorrelatedDuplicatesExecuteOnce: the memo of correlated subqueries is
-// keyed by canonical text, so the two spellings of one value — a LET-bound
-// subquery the property compiler renders once per use, in c0 and again in s0
-// — cost one execution per outer row, not two.
+// TestCorrelatedDuplicatesExecuteOnce: build sides, like the memo behind
+// them, are keyed by canonical text, so the two spellings of one value — a
+// LET-bound subquery the property compiler renders once per use, in c0 and
+// again in s0 — cost one build, not two: the outer execution plus one build,
+// however many outer rows probe it. The memo alone pays one execution per
+// outer row, again once for both spellings.
 func TestCorrelatedDuplicatesExecuteOnce(t *testing.T) {
 	db := parityDB(t)
 	if err := db.SetEngine(EngineVector); err != nil {
 		t.Fatal(err)
 	}
+	defer db.SetDecorrelation(true)
 	const sub = `(SELECT SUM(i.val) FROM item i WHERE i.grp = g.id AND i.id < 500)`
 	selects := func(sql string) int64 {
 		before := db.Stats()
@@ -313,11 +318,126 @@ func TestCorrelatedDuplicatesExecuteOnce(t *testing.T) {
 		}
 		return after.VecSelects - before.VecSelects
 	}
-	once := selects(`SELECT g.id, ` + sub + ` > 100 AS c0 FROM grp g`)
-	twice := selects(`SELECT g.id, ` + sub + ` > 100 AS c0, ` + sub + ` / 2 AS s0 FROM grp g`)
 	const outerRows = 4
-	if once != 1+outerRows || twice != once {
-		t.Fatalf("one use of the subquery: %d SELECTs, two uses: %d; want %d both (one per outer row)", once, twice, 1+outerRows)
+	for _, tc := range []struct {
+		decorrelate bool
+		want        int64
+	}{{true, 1 + 1}, {false, 1 + outerRows}} {
+		db.SetDecorrelation(tc.decorrelate)
+		once := selects(`SELECT g.id, ` + sub + ` > 100 AS c0 FROM grp g`)
+		twice := selects(`SELECT g.id, ` + sub + ` > 100 AS c0, ` + sub + ` / 2 AS s0 FROM grp g`)
+		if once != tc.want || twice != once {
+			t.Errorf("decorrelation %v: one use of the subquery: %d SELECTs, two uses: %d; want %d both",
+				tc.decorrelate, once, twice, tc.want)
+		}
+	}
+}
+
+// decorrDB builds the two tables the decorrelation cases join: an outer
+// relation o and a subquery table s whose key k has one row (1, 2), two rows
+// (3, one per run), no row (4) and a NULL, with a zero divisor w on a key (9)
+// no outer row carries. kf is k as a REAL.
+func decorrDB(t testing.TB) *DB {
+	t.Helper()
+	db := NewDB()
+	db.SetResultCacheSize(0)
+	for _, s := range []string{
+		`CREATE TABLE o (id INTEGER PRIMARY KEY, k INTEGER)`,
+		`CREATE TABLE s (id INTEGER PRIMARY KEY, k INTEGER, kf REAL, run INTEGER, v REAL, w INTEGER)`,
+		`INSERT INTO o (id, k) VALUES (1, 1), (2, 2), (3, 3), (4, 4), (5, NULL), (6, 1)`,
+		`INSERT INTO s (id, k, kf, run, v, w) VALUES
+			(10, 1, 1.0, 1, 0.5, 1), (11, 2, 2.0, 1, 1.5, 2), (12, 3, 3.0, 1, 2.5, 3),
+			(13, 3, 3.0, 2, 3.5, 4), (14, NULL, NULL, 1, 4.5, 5), (15, 9, 9.0, 1, 5.5, 0)`,
+	} {
+		if _, err := db.Exec(s, nil); err != nil {
+			t.Fatalf("setup %q: %v", s, err)
+		}
+	}
+	return db
+}
+
+// TestDecorrelatedSubqueriesAgree: a correlated subquery answered from a
+// build side gives what the row engine gives, and what the per-row memo
+// gives, errors included, for the shapes where hashing could part from
+// per-row execution. selects is the VecSelects delta of the decorrelated
+// execution: the outer SELECT plus one per build — plus, where the memo
+// serves the subquery, one per outer row it evaluates.
+func TestDecorrelatedSubqueriesAgree(t *testing.T) {
+	db := decorrDB(t)
+	defer db.SetDecorrelation(true)
+	cases := []struct {
+		name    string
+		sql     string
+		selects int64
+		wantErr bool
+	}{
+		// Key 3 has two rows: an error for the row that probes it. (A WHERE
+		// of the key alone would take corrLookup's index probe instead; run
+		// > 0 holds everywhere.)
+		{"duplicate-probed", `SELECT o.id, (SELECT s.v FROM s WHERE s.k = o.k AND s.run > 0) FROM o ORDER BY o.id`, 2, true},
+		{"duplicate-unprobed", `SELECT o.id, (SELECT s.v FROM s WHERE s.k = o.k AND s.run > 0) FROM o WHERE o.k <> 3 ORDER BY o.id`, 2, false},
+		// The grammar has no CASE; AND's short circuit is the guard. Row 3
+		// never evaluates the probe, so nothing raises.
+		{"duplicate-guarded", `SELECT o.id, o.id <> 3 AND (SELECT s.v FROM s WHERE s.k = o.k AND s.run > 0) > 1 FROM o ORDER BY o.id`, 2, false},
+		{"missing-keys", `SELECT o.id, (SELECT s.v FROM s WHERE s.k = o.k AND s.run < 2), (SELECT SUM(s.v) FROM s WHERE s.k = o.k),
+			(SELECT COUNT(*) FROM s WHERE s.k = o.k), (SELECT COUNT(s.w) FROM s WHERE o.k = s.k) FROM o ORDER BY o.id`, 5, false},
+		{"null-keys", `SELECT o.id, (SELECT COUNT(*) FROM s WHERE s.k = o.k), (SELECT MAX(s.v) FROM s WHERE o.k = s.k) FROM o ORDER BY o.id`, 3, false},
+		// REAL against INTEGER does not hash like it compares: the memo
+		// serves the subquery, one execution per outer row.
+		{"int-float-key", `SELECT o.id, (SELECT COUNT(*) FROM s WHERE s.kf = o.k) FROM o ORDER BY o.id`, 1 + 6, false},
+		// The build divides by zero on key 9, which no outer row probes: the
+		// failed build counts, then the memo answers per outer row.
+		{"residual-error-unprobed", `SELECT o.id, (SELECT s.v FROM s WHERE s.k = o.k AND s.run < 2 AND 10 / s.w > 1) FROM o WHERE o.k IS NOT NULL ORDER BY o.id`, 1 + 1 + 5, false},
+		// A residual pinning the FROM table's column could seed the
+		// correlated execution through an index, by Key equality: the memo.
+		{"residual-access-path", `SELECT o.id, (SELECT s.v FROM s WHERE s.k = o.k AND s.run = 1) FROM o ORDER BY o.id`, 1 + 6, false},
+		{"empty-outer", `SELECT o.id, (SELECT s.v FROM s WHERE s.k = o.k AND s.run > 0) FROM o WHERE o.id < 0`, 1, false},
+		// Two key conjuncts whose second outer side is itself a probe: the
+		// set form's a12 shape, and its a4 shape with a subquery inner side.
+		{"two-key-probe", `SELECT o.id, (SELECT s.v FROM s WHERE s.k = o.k AND s.run = (SELECT MIN(m.run) FROM s m WHERE m.k = o.k)) FROM o ORDER BY o.id`, 3, false},
+		{"two-key-subquery-inner", `SELECT o.id, (SELECT s.run FROM s WHERE s.k = o.k AND (SELECT r.w FROM s r WHERE r.id = s.id) = (SELECT MAX(m.w) FROM s m WHERE m.k = o.k)) FROM o ORDER BY o.id`, 3, false},
+	}
+	run := func(t *testing.T, sql, engine string, decorrelate bool) (*ResultSet, error, int64) {
+		t.Helper()
+		if err := db.SetEngine(engine); err != nil {
+			t.Fatal(err)
+		}
+		db.SetDecorrelation(decorrelate)
+		before := db.Stats()
+		res, err := db.Exec(sql, nil)
+		after := db.Stats()
+		if after.VecFallbacks != before.VecFallbacks {
+			t.Fatalf("%s fell back: %+v", engine, after.VecFallbackReasons)
+		}
+		if err != nil {
+			return nil, err, after.VecSelects - before.VecSelects
+		}
+		return res.Set, nil, after.VecSelects - before.VecSelects
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			vec, vecErr, selects := run(t, c.sql, EngineVector, true)
+			memo, memoErr, _ := run(t, c.sql, EngineVector, false)
+			row, rowErr, _ := run(t, c.sql, EngineRow, true)
+			if selects != c.selects {
+				t.Errorf("decorrelated execution ran %d SELECTs, want %d", selects, c.selects)
+			}
+			if (vecErr != nil) != c.wantErr {
+				t.Fatalf("error = %v, want error: %v", vecErr, c.wantErr)
+			}
+			for _, other := range []struct {
+				name string
+				set  *ResultSet
+				err  error
+			}{{"row engine", row, rowErr}, {"memo", memo, memoErr}} {
+				if fmt.Sprint(vecErr) != fmt.Sprint(other.err) {
+					t.Errorf("error diverges from the %s: decorrelated %v, %s %v", other.name, vecErr, other.name, other.err)
+				}
+				if !reflect.DeepEqual(vec, other.set) {
+					t.Errorf("result diverges from the %s:\ndecorrelated: %+v\n%s: %+v", other.name, vec, other.name, other.set)
+				}
+			}
+		})
 	}
 }
 
@@ -562,5 +682,56 @@ func TestVecSumOrderStable(t *testing.T) {
 	}
 	if !strings.Contains(vecSet.Columns[0], "col") && vecSet.Columns[0] != rowSet.Columns[0] {
 		t.Fatalf("column names diverge: %v vs %v", vecSet.Columns, rowSet.Columns)
+	}
+}
+
+// TestDecorrelatedSumOrderStable: a build side folds each key's rows in the
+// order the correlated execution visits them — storage order — so a float
+// SUM whose value depends on that order (key 1 holds 1e16, 1, -1e16, 1:
+// 1 left to right, 2 or 0 in other orders; key 2's rows interleave) has the
+// row engine's bits and the memo's.
+func TestDecorrelatedSumOrderStable(t *testing.T) {
+	db := NewDB()
+	db.SetResultCacheSize(0)
+	defer db.SetDecorrelation(true)
+	db.MustExec(`CREATE TABLE g (id INTEGER PRIMARY KEY)`, nil)
+	db.MustExec(`CREATE TABLE f (id INTEGER PRIMARY KEY, k INTEGER, v REAL)`, nil)
+	db.MustExec(`INSERT INTO g (id) VALUES (1), (2)`, nil)
+	for i, r := range []struct {
+		k int64
+		v float64
+	}{{1, 1e16}, {2, 3}, {1, 1}, {2, 1e16}, {1, -1e16}, {2, -1e16}, {1, 1}} {
+		db.MustExec(`INSERT INTO f (id, k, v) VALUES (?, ?, ?)`, &Params{Positional: []Value{NewInt(int64(i)), NewInt(r.k), NewFloat(r.v)}})
+	}
+	const q = `SELECT g.id, (SELECT SUM(f.v) FROM f WHERE f.k = g.id), (SELECT AVG(f.v) FROM f WHERE f.k = g.id) FROM g ORDER BY g.id`
+	run := func(engine string, decorrelate bool) *ResultSet {
+		t.Helper()
+		if err := db.SetEngine(engine); err != nil {
+			t.Fatal(err)
+		}
+		db.SetDecorrelation(decorrelate)
+		before := db.Stats()
+		set := mustQuery(t, db, q, nil)
+		if selects := db.Stats().VecSelects - before.VecSelects; engine == EngineVector && decorrelate && selects != 3 {
+			t.Fatalf("%d SELECTs, want 3: the outer one and two builds", selects)
+		}
+		return set
+	}
+	got := run(EngineVector, true)
+	if sum := got.Rows[0][1]; sum.Float() != 1 {
+		t.Errorf("SUM over key 1 = %s, want 1 (storage order)", sum)
+	}
+	for _, ref := range []struct {
+		name string
+		set  *ResultSet
+	}{{"row engine", run(EngineRow, true)}, {"memo", run(EngineVector, false)}} {
+		for i, r := range got.Rows {
+			for j, v := range r {
+				w := ref.set.Rows[i][j]
+				if v.String() != w.String() || math.Float64bits(v.Float()) != math.Float64bits(w.Float()) {
+					t.Errorf("row %d col %d: decorrelated %s (%b), %s %s (%b)", i, j, v, v.Float(), ref.name, w, w.Float())
+				}
+			}
+		}
 	}
 }

@@ -9,6 +9,10 @@ package sqldb
 //	  → projection, or streaming grouped aggregation
 //	  → shared ORDER BY / LIMIT tail (exec.go)
 //
+// The stages up to WHERE (scan) also feed the build side of a decorrelated
+// subquery (vec.go's decorrelate), which folds its batches straight into a
+// hash table keyed by the subquery's correlation keys (build, fold).
+//
 // The pipeline mirrors the row interpreter's observable behavior exactly:
 // same seed strategy (including falling back to a scan when an access path's
 // key errors), same join expansion order (index position order), same
@@ -77,60 +81,8 @@ func (ec *execCtx) vecExecExists(st *SelectStmt, sp *selectPlan, parent *frame) 
 // nothing aliases the pooled context, which is released on return.
 func (ec *execCtx) vecExecRows(st *SelectStmt, sp *selectPlan, parent *frame) ([]sortableRow, error) {
 	vp := sp.vec
-
-	// Bind the tables. Rows stay nil — positions replace them — except
-	// during grouped finalization, which materializes representative rows.
-	// A table-less SELECT binds nothing and runs one batch of one empty
-	// tuple, mirroring the row engine's single seed tuple.
 	vc := acquireVecCtx(ec, vp.nTab)
 	defer vc.release()
-	vc.fr = frame{parent: parent}
-	bts, tabs := vc.bts, vc.tabs
-	fr := &vc.fr
-	var seed []int32
-	var err error
-	if vp.nTab > 0 {
-		vc.btStore[0] = boundTable{binding: sp.fromBinding, table: sp.from}
-		vc.tabs[0] = sp.from
-		for i := range sp.joins {
-			vc.btStore[i+1] = boundTable{binding: sp.joins[i].binding, table: sp.joins[i].table}
-			vc.tabs[i+1] = sp.joins[i].table
-		}
-		fr.tables = bts[:1]
-
-		// Seed positions while the frame holds only the first table —
-		// access-path keys resolve exactly as they would in the row engine's
-		// seed phase.
-		seed, err = ec.vecSeed(sp, fr, bts[0], vc.seed[:0])
-		if err != nil {
-			return nil, err
-		}
-		vc.seed = seed
-		fr.tables = bts
-	}
-
-	// Grab each equi-join's probe index once: indexes mutate only under the
-	// exclusive DB statement lock, so probes need no further locking.
-	// Nested-loop joins (eqCol < 0) have no index.
-	idxs := vc.idxBuf[:0]
-	for k := range vp.joins {
-		if vp.joins[k].eqCol < 0 {
-			idxs = append(idxs, nil)
-			continue
-		}
-		t := tabs[k+1]
-		t.createIndex(vp.joins[k].eqCol)
-		idxs = append(idxs, t.index(vp.joins[k].eqCol))
-	}
-	vc.idxBuf = idxs
-
-	// Decide the filter strategy for the whole execution: fused kernels when
-	// every comparand binds and class-checks, the compiled filter tree
-	// otherwise (which also reproduces comparand errors).
-	fused := vp.fused
-	if fused != nil && !vc.fuseReady(fused) {
-		fused = nil
-	}
 
 	var rows []sortableRow
 
@@ -159,9 +111,125 @@ func (ec *execCtx) vecExecRows(st *SelectStmt, sp *selectPlan, parent *frame) ([
 		}
 	}
 
-	b, nb := &vc.b, &vc.nb
 	keyBuf := vc.keyBuf
+	err := vc.scan(sp, parent, func(b *vbatch) error {
+		if !vp.grouped {
+			out, err := vc.project(b, vp)
+			rows = append(rows, out...)
+			return err
+		}
+		if single != nil {
+			return vc.accumulateSingle(b, vp, single)
+		}
+		var err error
+		keyBuf, err = vc.accumulate(b, vp, groups, &groupOrder, newGroup, keyBuf)
+		return err
+	})
+	vc.keyBuf = keyBuf
+	if err != nil {
+		return nil, err
+	}
 
+	if vp.grouped {
+		seq := vc.groupSeq[:0]
+		if single != nil {
+			seq = append(seq, single)
+		} else {
+			for _, k := range groupOrder {
+				seq = append(seq, groups[k])
+			}
+		}
+		vc.groupSeq = seq
+		rows, err = vc.finalizeGroups(st, vp, seq)
+		if err != nil {
+			return nil, err
+		}
+	}
+
+	if err := sortRows(rows, st.OrderBy); err != nil {
+		return nil, err
+	}
+
+	if st.Limit != nil {
+		lv, err := ec.eval(st.Limit, &vc.fr)
+		if err != nil {
+			return nil, err
+		}
+		if !lv.IsNumeric() {
+			return nil, fmt.Errorf("sqldb: LIMIT is not numeric")
+		}
+		n := int(lv.Float())
+		if n < 0 {
+			n = 0
+		}
+		if n < len(rows) {
+			rows = rows[:n]
+		}
+	}
+
+	return rows, nil
+}
+
+// scan runs the pipeline of a planned SELECT up to its WHERE clause — seed,
+// joins, filter — with parent as the enclosing frame, and hands every batch
+// with surviving rows to sink: the projection or grouping of vecExecRows, or
+// a build side's fold (vecCtx.build).
+func (vc *vecCtx) scan(sp *selectPlan, parent *frame, sink func(b *vbatch) error) error {
+	vp := sp.vec
+
+	// Bind the tables. Rows stay nil — positions replace them — except
+	// during grouped finalization, which materializes representative rows.
+	// A table-less SELECT binds nothing and runs one batch of one empty
+	// tuple, mirroring the row engine's single seed tuple.
+	vc.fr = frame{parent: parent}
+	bts, tabs := vc.bts, vc.tabs
+	fr := &vc.fr
+	var seed []int32
+	if vp.nTab > 0 {
+		vc.btStore[0] = boundTable{binding: sp.fromBinding, table: sp.from}
+		vc.tabs[0] = sp.from
+		for i := range sp.joins {
+			vc.btStore[i+1] = boundTable{binding: sp.joins[i].binding, table: sp.joins[i].table}
+			vc.tabs[i+1] = sp.joins[i].table
+		}
+		fr.tables = bts[:1]
+
+		// Seed positions while the frame holds only the first table —
+		// access-path keys resolve exactly as they would in the row engine's
+		// seed phase.
+		var err error
+		seed, err = vc.ec.vecSeed(sp, fr, bts[0], vc.seed[:0])
+		if err != nil {
+			return err
+		}
+		vc.seed = seed
+		fr.tables = bts
+	}
+
+	// Grab each equi-join's probe index once: indexes mutate only under the
+	// exclusive DB statement lock, so probes need no further locking.
+	// Nested-loop joins (eqCol < 0) have no index.
+	idxs := vc.idxBuf[:0]
+	for k := range vp.joins {
+		if vp.joins[k].eqCol < 0 {
+			idxs = append(idxs, nil)
+			continue
+		}
+		t := tabs[k+1]
+		t.createIndex(vp.joins[k].eqCol)
+		idxs = append(idxs, t.index(vp.joins[k].eqCol))
+	}
+	vc.idxBuf = idxs
+
+	// Decide the filter strategy for the whole execution: fused kernels when
+	// every comparand binds and class-checks, the compiled filter tree
+	// otherwise (which also reproduces comparand errors).
+	fused := vp.fused
+	if fused != nil && !vc.fuseReady(fused) {
+		fused = nil
+	}
+
+	b, nb := &vc.b, &vc.nb
 	for start := 0; ; start += vecBatchSize {
 		if vp.nTab == 0 {
 			// One batch of one empty tuple, like the row engine's seed.
@@ -185,7 +253,7 @@ func (ec *execCtx) vecExecRows(st *SelectStmt, sp *selectPlan, parent *frame) ([
 			// expansion writes the one while it reads the other.
 			b.pos[0] = append(b.pos[0][:0], seed[start:end]...)
 			for t := 1; t < vp.nTab; t++ {
-				b.pos[t] = nil
+				b.pos[t] = b.pos[t][:0]
 			}
 		}
 
@@ -197,7 +265,7 @@ func (ec *execCtx) vecExecRows(st *SelectStmt, sp *selectPlan, parent *frame) ([
 			if vp.joins[k].eqCol < 0 {
 				vc.crossJoin(b, nb, k)
 			} else if err := vc.probeJoin(b, nb, &vp.joins[k], k, idxs[k]); err != nil {
-				return nil, err
+				return err
 			}
 			b, nb = nb, b
 			for _, rest := range vp.joins[k].rest {
@@ -206,7 +274,7 @@ func (ec *execCtx) vecExecRows(st *SelectStmt, sp *selectPlan, parent *frame) ([
 				}
 				out, err := vc.narrow(b, nb, rest)
 				if err != nil {
-					return nil, err
+					return err
 				}
 				if out != b {
 					b, nb = nb, b
@@ -227,7 +295,7 @@ func (ec *execCtx) vecExecRows(st *SelectStmt, sp *selectPlan, parent *frame) ([
 			} else {
 				out, err := vc.narrow(b, nb, vp.filter)
 				if err != nil {
-					return nil, err
+					return err
 				}
 				if out != b {
 					b, nb = nb, b
@@ -238,67 +306,173 @@ func (ec *execCtx) vecExecRows(st *SelectStmt, sp *selectPlan, parent *frame) ([
 			}
 		}
 
-		if vp.grouped {
-			if single != nil {
-				if err := vc.accumulateSingle(b, vp, single); err != nil {
-					return nil, err
-				}
+		if err := sink(b); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// corrBuild is one execution's build side of a decorrelated subquery
+// (corrBuildPlan), filled by the first probe that needs it: index maps each
+// key to its entry in hits and, for an aggregate item, in accs.
+type corrBuild struct {
+	state uint8 // buildPending, buildDone or buildFailed
+	index map[corrHashKey]int32
+	hits  []corrHit
+	accs  []aggAcc
+}
+
+const (
+	buildPending uint8 = iota
+	buildDone
+	buildFailed
+)
+
+// corrHashKey is a build-side hash key: the INTEGER or BOOLEAN payloads of
+// its one or two components.
+type corrHashKey [2]int64
+
+// corrHit is what a build side holds per key: the number of rows carrying it
+// and the subquery's value — the first row's item, or the aggregate over the
+// rows, finalized from accs once the build is complete.
+type corrHit struct {
+	rows int64
+	v    Value
+}
+
+// exactInt bounds the INTEGER keys a build side hashes: within ±2^53 float64
+// represents every integer, so Compare's equality — through float64 — is
+// integer equality.
+const exactInt = 1 << 53
+
+// errBuildKey aborts a build over a key corrHash refuses.
+var errBuildKey = fmt.Errorf("sqldb: build key outside exact hashing")
+
+// corrHash packs a key tuple. null reports a NULL component, which never
+// matches; ok=false a component hashing cannot compare as Compare does — an
+// INTEGER beyond ±2^53, or a kind keyType never lets through.
+func corrHash(vals []Value) (k corrHashKey, null, ok bool) {
+	for j, v := range vals {
+		switch v.kind {
+		case kindNull:
+			return k, true, true
+		case kindBool:
+			k[j] = v.i
+		case kindInt:
+			if v.i > exactInt || v.i < -exactInt {
+				return k, false, false
+			}
+			k[j] = v.i
+		default:
+			return k, false, false
+		}
+	}
+	return k, false, true
+}
+
+// buildSide returns this execution's build side of bp, running the build on
+// first use; nil when building failed and the memo serves the execution
+// instead.
+func (vc *vecCtx) buildSide(bp *corrBuildPlan) *corrBuild {
+	for len(vc.builds) <= bp.slot {
+		vc.builds = append(vc.builds, corrBuild{})
+	}
+	bd := &vc.builds[bp.slot]
+	if bd.state == buildPending {
+		bd.state = vc.build(bp, bd)
+	}
+	if bd.state == buildFailed {
+		return nil
+	}
+	return bd
+}
+
+// build runs bp's synthesized SELECT — one planned execution, counted in
+// VecSelects, with the compiling SELECT's frame as parent, as the correlated
+// subquery has — folding its batches straight into the hash table. Any
+// error, and any key corrHash refuses, fails the build.
+func (vc *vecCtx) build(bp *corrBuildPlan, bd *corrBuild) uint8 {
+	vc.ec.db.vecSelects.Add(1)
+	bvc := acquireVecCtx(vc.ec, bp.sp.vec.nTab)
+	defer bvc.release()
+	if bd.index == nil {
+		bd.index = make(map[corrHashKey]int32)
+	}
+	if err := bvc.scan(bp.sp, &vc.fr, func(b *vbatch) error { return bvc.fold(bp, bd, b) }); err != nil {
+		return buildFailed
+	}
+	if bp.agg != "" {
+		for i := range bd.hits {
+			h := &bd.hits[i]
+			if bp.star {
+				h.v = NewInt(h.rows)
 				continue
 			}
-			keyBuf, err = vc.accumulate(b, vp, groups, &groupOrder, newGroup, keyBuf)
+			v, err := bd.accs[i].final(bp.agg, bp.agg)
 			if err != nil {
-				return nil, err
+				return buildFailed
 			}
+			h.v = v
+		}
+	}
+	return buildDone
+}
+
+// fold hashes one batch of a build's rows: it evaluates the keys and the
+// value — the item, or the aggregate's argument — over the batch, then routes
+// every row with a non-NULL key to its entry, in batch order.
+func (vc *vecCtx) fold(bp *corrBuildPlan, bd *corrBuild, b *vbatch) error {
+	items := bp.sp.vec.items
+	var cols [3]*vcol
+	defer func() {
+		for _, c := range cols[:len(items)] {
+			if c != nil {
+				vc.putCol(c)
+			}
+		}
+	}()
+	for j, item := range items {
+		cols[j] = vc.getCol()
+		if err := item(vc, b, cols[j]); err != nil {
+			return err
+		}
+	}
+	var kv [2]Value
+	for i := 0; i < b.n; i++ {
+		for j := range bp.nkey {
+			kv[j] = cols[j].at(i)
+		}
+		k, null, ok := corrHash(kv[:bp.nkey])
+		switch {
+		case !ok:
+			return errBuildKey
+		case null:
 			continue
 		}
-
-		out, err := vc.project(b, vp)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, out...)
-	}
-
-	vc.keyBuf = keyBuf
-
-	if vp.grouped {
-		seq := vc.groupSeq[:0]
-		if single != nil {
-			seq = append(seq, single)
-		} else {
-			for _, k := range groupOrder {
-				seq = append(seq, groups[k])
+		e, found := bd.index[k]
+		if !found {
+			e = int32(len(bd.hits))
+			bd.index[k] = e
+			bd.hits = append(bd.hits, corrHit{})
+			if bp.agg != "" {
+				bd.accs = append(bd.accs, newAggAcc())
 			}
 		}
-		vc.groupSeq = seq
-		rows, err = vc.finalizeGroups(st, vp, seq)
-		if err != nil {
-			return nil, err
+		h := &bd.hits[e]
+		h.rows++
+		switch {
+		case bp.agg == "":
+			if h.rows == 1 {
+				h.v = cols[bp.nkey].at(i)
+			}
+		case !bp.star:
+			if err := bd.accs[e].add(bp.agg, cols[bp.nkey].at(i)); err != nil {
+				return err
+			}
 		}
 	}
-
-	if err := sortRows(rows, st.OrderBy); err != nil {
-		return nil, err
-	}
-
-	if st.Limit != nil {
-		lv, err := ec.eval(st.Limit, fr)
-		if err != nil {
-			return nil, err
-		}
-		if !lv.IsNumeric() {
-			return nil, fmt.Errorf("sqldb: LIMIT is not numeric")
-		}
-		n := int(lv.Float())
-		if n < 0 {
-			n = 0
-		}
-		if n < len(rows) {
-			rows = rows[:n]
-		}
-	}
-
-	return rows, nil
+	return nil
 }
 
 // vecSeed returns the seed row positions of the first table: an index point
@@ -355,7 +529,7 @@ func (vc *vecCtx) probeJoin(b, nb *vbatch, vj *vecJoin, k int, idx *hashIndex) e
 	}
 	nb.n = len(nb.pos[k+1])
 	for t := k + 2; t < len(nb.pos); t++ {
-		nb.pos[t] = nil
+		nb.pos[t] = nb.pos[t][:0]
 	}
 	return nil
 }
@@ -381,7 +555,7 @@ func (vc *vecCtx) crossJoin(b, nb *vbatch, k int) {
 	}
 	nb.n = len(nb.pos[k+1])
 	for t := k + 2; t < len(nb.pos); t++ {
-		nb.pos[t] = nil
+		nb.pos[t] = nb.pos[t][:0]
 	}
 }
 
