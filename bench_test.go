@@ -852,6 +852,30 @@ func BenchmarkColdAnalyzeProperty(b *testing.B) {
 	}
 }
 
+// BenchmarkColdAnalyzeGuided is guided search (AnalyzeGuidedSQL) over the
+// same cache-off runs: its refinement steps evaluate subsets of the properties
+// context by context, as per-context batches.
+func BenchmarkColdAnalyzeGuided(b *testing.B) {
+	g, db := coldDB(b)
+	runs := g.Dataset.Versions[0].Runs
+	runs = runs[len(runs)-4:]
+	q := godbc.Embedded{DB: db}
+	a := core.New(g, core.WithWorkers(1), core.WithBatchSize(32))
+	guided := func(i int) {
+		if _, _, err := a.AnalyzeGuidedSQL(runs[i%len(runs)], core.DefaultHierarchy(), q); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := range runs {
+		guided(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		guided(i)
+	}
+}
+
 // ---------------------------------------------------------------------------
 // E12 — the resident service: the full cosyd stack (service protocol over
 // TCP, admission control, multiplexed clients) under concurrent tenants on

@@ -122,8 +122,8 @@ func render(out io.Writer, addr string, snap *service.MetricsSnapshot) {
 			fmt.Fprintf(out, "backend  fallback reasons  join-shape %d  star %d  order-by-expr %d  subquery %d  other %d\n",
 				r.JoinShape, r.Star, r.OrderExpr, r.Subquery, r.Other)
 		}
-		fmt.Fprintf(out, "backend  prepared %d live (%d replans)  %d batches carrying %d bindings (%d subqueries reused)\n",
-			b.PreparedLive, b.Replans, b.BatchExecs, b.BatchBindings, b.BatchSubReuses)
+		fmt.Fprintf(out, "backend  prepared %d live (%d replans)  %d batches carrying %d bindings\n",
+			b.PreparedLive, b.Replans, b.BatchExecs, b.BatchBindings)
 		fmt.Fprintf(out, "cache  %d hits  %d misses  %d invalidations  %d evictions  %d entries\n",
 			b.ResultCacheHits, b.ResultCacheMisses, b.ResultCacheInvalidations, b.ResultCacheEvictions, b.ResultCacheEntries)
 	}

@@ -16,7 +16,7 @@ import (
 func TestRender(t *testing.T) {
 	engine := sqldb.Stats{
 		PlanCacheHits: 3, PlanCacheMisses: 1,
-		PreparedLive: 8, Replans: 2, BatchExecs: 64, BatchBindings: 2016, BatchSubReuses: 1952,
+		PreparedLive: 8, Replans: 2, BatchExecs: 64, BatchBindings: 2016,
 		ResultCacheHits: 40, ResultCacheMisses: 24, ResultCacheInvalidations: 5, ResultCacheEvictions: 6, ResultCacheEntries: 19,
 		VecSelects: 12864,
 	}
@@ -27,7 +27,7 @@ func TestRender(t *testing.T) {
 	const (
 		engineLine   = "backend  vec 12864 (fallback 0)  plan cache 3/4 hit  65 requests  vendor cost 128ms\n"
 		fallbackLine = "backend  fallback reasons  join-shape 1  star 2  order-by-expr 3  subquery 0  other 1\n"
-		batchLine    = "backend  prepared 8 live (2 replans)  64 batches carrying 2016 bindings (1952 subqueries reused)\n"
+		batchLine    = "backend  prepared 8 live (2 replans)  64 batches carrying 2016 bindings\n"
 		cacheLine    = "cache  40 hits  24 misses  5 invalidations  6 evictions  19 entries\n"
 	)
 	for _, tc := range []struct {

@@ -126,8 +126,8 @@ func main() {
 		st.PlanCacheHits, st.PlanCacheMisses, st.PlanCacheEvictions, st.PlanCacheEntries)
 	fmt.Printf("kojakdb: prepared statements: %d live handles, %d replans after DDL\n",
 		st.PreparedLive, st.Replans)
-	fmt.Printf("kojakdb: batched execution: %d batches carrying %d bindings, %d subquery evaluations reused across bindings\n",
-		st.BatchExecs, st.BatchBindings, st.BatchSubReuses)
+	fmt.Printf("kojakdb: batched execution: %d batches carrying %d bindings\n",
+		st.BatchExecs, st.BatchBindings)
 	fmt.Printf("kojakdb: result cache: %d hits, %d misses, %d invalidations, %d evictions (%d cached results)\n",
 		st.ResultCacheHits, st.ResultCacheMisses, st.ResultCacheInvalidations, st.ResultCacheEvictions, st.ResultCacheEntries)
 	fmt.Printf("kojakdb: select execution: %d vectorized selects, %d row-interpreter fallbacks\n",

@@ -1,7 +1,7 @@
 package godbc
 
 // Batched statement execution: the JDBC addBatch/executeBatch analogue.
-// Bindings accumulated on a prepared statement are shipped to the server in
+// The bindings of a prepared statement are shipped to the server in
 // one ReqExecBatch round trip (split transparently when they exceed the
 // protocol's MaxBatch), so N executions of the same statement cost one
 // client/server round trip instead of N. The request is built and its reply
@@ -25,24 +25,10 @@ type BatchResult struct {
 	Err      error
 }
 
-// AddBatch queues one parameter set on the statement, like JDBC's addBatch.
-// The queue is shipped, in order, by ExecuteBatch.
-func (st *Stmt) AddBatch(params *sqldb.Params) {
-	st.batch = append(st.batch, params)
-}
-
-// ExecuteBatch executes the queued parameter sets and clears the queue. The
-// returned results are ordered as the bindings were added; per-binding
-// failures are reported in the results and do not stop later bindings.
-func (st *Stmt) ExecuteBatch() ([]BatchResult, error) {
-	bindings := st.batch
-	st.batch = nil
-	return st.ExecBatch(bindings)
-}
-
 // ExecBatch executes the statement once per binding. Batches larger than
 // wire.MaxBatch are split into multiple requests; results are returned in
-// binding order regardless of the split.
+// binding order regardless of the split, and per-binding failures are
+// reported in the results without stopping later bindings.
 func (st *Stmt) ExecBatch(bindings []*sqldb.Params) ([]BatchResult, error) {
 	if st.closed {
 		return nil, errStmtClosed

@@ -24,9 +24,6 @@ type Stmt struct {
 	id     int64
 	sql    string
 	closed bool
-	// batch holds parameter sets queued by AddBatch until ExecuteBatch ships
-	// them (see batch.go).
-	batch []*sqldb.Params
 }
 
 // Prepare parses and plans a statement on the server, returning a reusable

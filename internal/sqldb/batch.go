@@ -3,7 +3,6 @@ package sqldb
 import (
 	"context"
 	"fmt"
-	"math"
 )
 
 // Batched execution: the array-binding analogue of classic database drivers.
@@ -88,18 +87,8 @@ func (db *DB) execBatch(ctx context.Context, plan *stmtPlan, bindings []*Params,
 		// bindings share one data-version snapshot — the shared statement
 		// lock is held for the whole batch, so no DML can move the versions
 		// between the first lookup and the last store.
-		// The bindings that do execute share the invariant subqueries that
-		// read only parameters the whole batch agrees on (batchSubs), from
-		// the first result-cache miss on: an all-hit batch allocates nothing
-		// for it.
-		var subs *batchSubs
 		var buf [keyBufSize]byte
 		key := buf[:0]
-		defer func() {
-			if subs != nil {
-				db.batchSubReuses.Add(subs.reuses)
-			}
-		}()
 		for i, params := range bindings {
 			if err := ctx.Err(); err != nil {
 				return err
@@ -113,10 +102,7 @@ func (db *DB) execBatch(ctx context.Context, plan *stmtPlan, bindings []*Params,
 					continue
 				}
 			}
-			if subs == nil && len(bindings) > 1 && len(plan.free) > 0 {
-				subs = newBatchSubs(plan, bindings)
-			}
-			ec := &execCtx{db: db, params: params, plan: plan, batch: subs}
+			ec := &execCtx{db: db, params: params, plan: plan}
 			set, err := ec.execSelect(st, nil)
 			if err != nil {
 				out[i] = BatchResult{Err: err}
@@ -156,68 +142,4 @@ func (db *DB) execBatch(ctx context.Context, plan *stmtPlan, bindings []*Params,
 		return nil
 	}
 	return fmt.Errorf("sqldb: batch execution supports DML statements only, not %T", plan.stmt)
-}
-
-// batchSubs is the invariant-subquery cache of one SELECT batch. Within one
-// execution a subquery that can observe no row of the enclosing query is
-// evaluated once (execCtx.subCache); when, besides, every parameter it reads
-// holds one value across the batch's bindings — the run and the ranking basis
-// of a property query, while the region or call under test varies — its value
-// is the same in every binding, and the batch evaluates it once. The batch
-// holds the shared statement lock from its first binding to its last, so no
-// DML can move the data the value was read from and nothing ever needs
-// invalidating; the cache dies with the batch. Failed evaluations are not
-// cached (see storeSub). A batch runs on one goroutine, so the maps need no
-// lock.
-type batchSubs struct {
-	// shared marks the subquery nodes of the plan whose parameters are all
-	// constant across the batch.
-	shared map[Expr]bool
-	// vals holds their values, keyed like execCtx.subCache by the plan's
-	// canonical subquery text.
-	vals map[string]Value
-	// reuses counts the bindings that took a value another binding computed.
-	reuses int64
-}
-
-func newBatchSubs(plan *stmtPlan, bindings []*Params) *batchSubs {
-	bs := &batchSubs{shared: make(map[Expr]bool, len(plan.free)), vals: make(map[string]Value)}
-	constant := make(map[EParam]bool)
-	for e, fi := range plan.free {
-		shared := true
-		for _, p := range fi.params {
-			c, known := constant[*p]
-			if !known {
-				c = constantParam(bindings, p)
-				constant[*p] = c
-			}
-			if !c {
-				shared = false
-				break
-			}
-		}
-		if shared {
-			bs.shared[e] = true
-		}
-	}
-	return bs
-}
-
-// constantParam reports whether the parameter is bound to one and the same
-// value in every binding. Same means indistinguishable to any expression —
-// kind and payload, so 1 and 1.0 differ, as do 0.0 and -0.0 — and a NaN is
-// not the same as anything, itself included.
-func constantParam(bindings []*Params, p *EParam) bool {
-	first, ok := bindings[0].lookup(p)
-	if !ok || first.f != first.f {
-		return false
-	}
-	for _, b := range bindings[1:] {
-		v, ok := b.lookup(p)
-		if !ok || v.kind != first.kind || v.i != first.i || v.s != first.s ||
-			math.Float64bits(v.f) != math.Float64bits(first.f) {
-			return false
-		}
-	}
-	return true
 }

@@ -258,11 +258,11 @@ func outcome(res *Result, err error) string {
 	return fmt.Sprint(res.Set.Rows)
 }
 
-// TestExecuteBatchSharesInvariantSubqueries: a subquery that reads only
-// parameters every binding of a batch agrees on runs once per batch, and
-// every binding still comes out exactly as it does executed alone. One reuse
-// is one SELECT execution saved, so the batch's VecSelects delta is the
-// singles' minus the reuse count.
+// TestExecuteBatchSharesInvariantSubqueries: a batch comes out exactly as its
+// bindings executed alone, one Execute each, when subqueries read parameters
+// every binding agrees on — and when they look alike but differ: NaN, the same
+// value of another kind, a missing parameter, a correlated subquery — with
+// failures in a binding's own subquery or in the one they all share.
 func TestExecuteBatchSharesInvariantSubqueries(t *testing.T) {
 	named := func(kv ...any) *Params {
 		p := &Params{Named: map[string]Value{}}
@@ -285,29 +285,28 @@ func TestExecuteBatchSharesInvariantSubqueries(t *testing.T) {
 	}
 	const ratio = "SELECT (SELECT x.v FROM t x WHERE x.id = $r) / (SELECT y.v FROM t y WHERE y.id = $basis)"
 	for _, tc := range []struct {
-		name       string
-		sql        string
-		bindings   []*Params
-		wantReuses int64
-		wantErrs   int // bindings that must fail
+		name     string
+		sql      string
+		bindings []*Params
+		wantErrs int // bindings that must fail
 	}{
-		{"shared basis", ratio, varyR, 7, 0},
+		{"shared basis", ratio, varyR, 0},
 		{"two uses of the shared subquery in one binding count once",
-			"SELECT (SELECT x.v FROM t x WHERE x.id = $r) / (SELECT y.v FROM t y WHERE y.id = $basis), (SELECT y.v FROM t y WHERE y.id = $basis)", varyR, 7, 0},
+			"SELECT (SELECT x.v FROM t x WHERE x.id = $r) / (SELECT y.v FROM t y WHERE y.id = $basis), (SELECT y.v FROM t y WHERE y.id = $basis)", varyR, 0},
 		{"no parameter at all is shared too",
-			"SELECT (SELECT x.v FROM t x WHERE x.id = $r) / (SELECT MAX(y.v) FROM t y)", varyR, 7, 0},
-		{"positional markers", "SELECT (SELECT x.v FROM t x WHERE x.id = ?) / (SELECT y.v FROM t y WHERE y.id = ?)", positional, 7, 0},
+			"SELECT (SELECT x.v FROM t x WHERE x.id = $r) / (SELECT MAX(y.v) FROM t y)", varyR, 0},
+		{"positional markers", "SELECT (SELECT x.v FROM t x WHERE x.id = ?) / (SELECT y.v FROM t y WHERE y.id = ?)", positional, 0},
 		{"one binding's own subquery fails before it reaches the shared one",
-			"SELECT (SELECT 6 / (x.id - $r) FROM t x WHERE x.id = 3) + (SELECT y.v FROM t y WHERE y.id = $basis)", varyR, 6, 1},
+			"SELECT (SELECT 6 / (x.id - $r) FROM t x WHERE x.id = 3) + (SELECT y.v FROM t y WHERE y.id = $basis)", varyR, 1},
 		{"the shared subquery fails: every binding reports it",
-			"SELECT (SELECT x.v FROM t x WHERE x.id = $r) + (SELECT y.v FROM t y WHERE y.tag = $g)", varyR, 0, 8},
+			"SELECT (SELECT x.v FROM t x WHERE x.id = $r) + (SELECT y.v FROM t y WHERE y.tag = $g)", varyR, 8},
 		{"a NaN is never constant",
-			"SELECT (SELECT x.v FROM t x WHERE x.id = $r), (SELECT COUNT(*) FROM t y WHERE y.v < $x)", nanX, 0, 0},
-		{"same value of another kind is not constant", ratio, mixedKinds, 0, 0},
+			"SELECT (SELECT x.v FROM t x WHERE x.id = $r), (SELECT COUNT(*) FROM t y WHERE y.v < $x)", nanX, 0},
+		{"same value of another kind is not constant", ratio, mixedKinds, 0},
 		{"a missing parameter is not constant", ratio,
-			append([]*Params{named("r", NewInt(1))}, varyR...), 0, 1},
+			append([]*Params{named("r", NewInt(1))}, varyR...), 1},
 		{"a correlated subquery is not shared",
-			"SELECT id, (SELECT MAX(y.v) FROM t y WHERE y.tag = x.tag AND y.id <> $basis) FROM t x WHERE x.id = $r", varyR, 0, 0},
+			"SELECT id, (SELECT MAX(y.v) FROM t y WHERE y.tag = x.tag AND y.id <> $basis) FROM t x WHERE x.id = $r", varyR, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			db := batchDB(t)
@@ -318,7 +317,6 @@ func TestExecuteBatchSharesInvariantSubqueries(t *testing.T) {
 			}
 			defer ps.Close()
 
-			before := db.Stats()
 			var want []string
 			errs := 0
 			for _, p := range tc.bindings {
@@ -331,36 +329,22 @@ func TestExecuteBatchSharesInvariantSubqueries(t *testing.T) {
 			if errs != tc.wantErrs {
 				t.Fatalf("%d bindings fail alone, test expects %d: %q", errs, tc.wantErrs, want)
 			}
-			single := db.Stats()
 			results, err := ps.ExecuteBatch(tc.bindings)
 			if err != nil {
 				t.Fatal(err)
 			}
-			batch := db.Stats()
-
 			for i, r := range results {
 				if got := outcome(r.Res, r.Err); got != want[i] {
 					t.Errorf("binding %d: batched %s, alone %s", i, got, want[i])
 				}
 			}
-			if n := single.BatchSubReuses - before.BatchSubReuses; n != 0 {
-				t.Errorf("single executions counted %d batch reuses", n)
-			}
-			reuses := batch.BatchSubReuses - single.BatchSubReuses
-			if reuses != tc.wantReuses {
-				t.Errorf("batch reused %d subquery values, want %d", reuses, tc.wantReuses)
-			}
-			alone, batched := single.VecSelects-before.VecSelects, batch.VecSelects-single.VecSelects
-			if batched != alone-reuses {
-				t.Errorf("batch ran %d SELECTs, singles %d, reuses %d: want singles - reuses", batched, alone, reuses)
-			}
 		})
 	}
 }
 
-// TestExecuteBatchSubqueryCacheDiesWithBatch: the shared values live for one
-// batch — one hold of the statement lock — so DML between two batches on the
-// same handle is seen by the second, with the result cache on.
+// TestExecuteBatchSubqueryCacheDiesWithBatch: DML between two batches on the
+// same handle is seen by the second, with the result cache on — subquery
+// values live for one execution, cached results for one data version.
 func TestExecuteBatchSubqueryCacheDiesWithBatch(t *testing.T) {
 	db := batchDB(t)
 	ps, err := db.Prepare("SELECT (SELECT x.v FROM t x WHERE x.id = $r) / (SELECT y.v FROM t y WHERE y.id = $basis)")
@@ -393,48 +377,5 @@ func TestExecuteBatchSubqueryCacheDiesWithBatch(t *testing.T) {
 	db.MustExec("UPDATE t SET v = 6 WHERE id = 2", nil)
 	if got, want := fmt.Sprint(ratios()), "[0.25 1 0.75 1]"; got != want {
 		t.Fatalf("batch after UPDATE: %s, want %s", got, want)
-	}
-}
-
-// TestExecuteBatchAllHitsAllocateNoSubqueryCache: the batch's subquery cache
-// is created on the first result-cache miss, so a batch answered entirely
-// from the result cache costs what it does for a statement with nothing to
-// share.
-func TestExecuteBatchAllHitsAllocateNoSubqueryCache(t *testing.T) {
-	db := batchDB(t)
-	var bindings []*Params
-	for r := int64(1); r <= 8; r++ {
-		bindings = append(bindings, &Params{Named: map[string]Value{"r": NewInt(r), "basis": NewInt(2)}})
-	}
-	allocs := func(sql string) float64 {
-		t.Helper()
-		ps, err := db.Prepare(sql)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer ps.Close()
-		run := func() {
-			results, err := ps.ExecuteBatch(bindings)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, r := range results {
-				if r.Err != nil {
-					t.Fatalf("binding %d: %v", i, r.Err)
-				}
-			}
-		}
-		run() // fill the result cache
-		hits := db.Stats().ResultCacheHits
-		n := testing.AllocsPerRun(20, run)
-		if got := db.Stats().ResultCacheHits - hits; got != 21*int64(len(bindings)) {
-			t.Fatalf("%s: %d result-cache hits in 21 batches, want all %d", sql, got, 21*len(bindings))
-		}
-		return n
-	}
-	plain := allocs("SELECT x.v FROM t x WHERE x.id = $r AND $basis = $basis")
-	shared := allocs("SELECT (SELECT x.v FROM t x WHERE x.id = $r) / (SELECT y.v FROM t y WHERE y.id = $basis)")
-	if shared != plain {
-		t.Errorf("all-hit batch allocates %v with a shareable subquery, %v without", shared, plain)
 	}
 }

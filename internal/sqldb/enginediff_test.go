@@ -224,8 +224,7 @@ func FuzzEngineDifferential(f *testing.F) {
 		// The shape sqlgen emits for an attribute of a UNIQUE value: the set
 		// query (junction ⋈ element) projecting the column, in scalar position.
 		`SELECT ((SELECT e.w FROM fuzz_aux j JOIN fuzz_aux e ON e.id = j.v WHERE j.id = $o AND (e.b = TRUE)) > 1) AS c0, (SELECT e.s FROM fuzz_aux j JOIN fuzz_aux e ON e.id = j.v WHERE j.id = $o AND (e.b = TRUE)) AS s0`,
-		// Batched below with $r varying and $basis constant across bindings:
-		// one subquery per binding, one per batch.
+		// Batched below with $r varying and $basis constant across bindings.
 		`SELECT (SELECT x.w FROM fuzz_aux x WHERE x.id = $r AND x.v = $basis) / (SELECT MAX(y.w) FROM fuzz_aux y WHERE y.v = $basis)`,
 		`SELECT (SELECT x.s FROM fuzz_aux x WHERE x.id = ?), (SELECT COUNT(y.id) FROM fuzz_aux y WHERE y.v = ?), EXISTS (SELECT z.id FROM fuzz_aux z WHERE z.v = ?)`,
 		// Outer references, one and two SELECTs deep: as equality comparand
@@ -303,9 +302,8 @@ func FuzzEngineDifferential(f *testing.F) {
 		}
 
 		// The same statement as one batch whose bindings agree on the second
-		// parameter and differ in the others: a batch evaluates the
-		// subqueries that read only agreed parameters once, and each binding
-		// must still come out as it does executed alone, on either engine.
+		// parameter and differ in the others: each binding must come out as
+		// it does executed alone, on either engine.
 		ps, err := db.Prepare(sql)
 		if err != nil {
 			return // Prepare resolves tables eagerly; Exec above did not have to

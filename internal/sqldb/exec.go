@@ -419,14 +419,15 @@ type execCtx struct {
 	free     map[Expr]*freeInfo
 	subCache map[string]Value
 	keyCache map[Expr]string
-	// batch, when non-nil, is the subquery cache this execution shares with
-	// the other bindings of its ExecuteBatch (see batch.go).
-	batch *batchSubs
 	// aggPre, when non-nil, maps aggregate call nodes to precomputed values:
 	// the vectorized engine accumulates aggregates batch-at-a-time and then
 	// evaluates the grouped projection/HAVING scalar parts through the row
 	// evaluator with the aggregates already folded (see vecexec.go).
 	aggPre map[*ECall]Value
+	// aggLast is the last row of the group aggPre belongs to (empty for an
+	// empty group): reading a prefolded aggregate binds it, as evaluating
+	// the aggregate over the group's rows does (evalAggregate).
+	aggLast tuple
 }
 
 // cacheKey returns (memoized) the canonical text of an invariant subquery,
@@ -449,34 +450,8 @@ func (ec *execCtx) cacheKey(e Expr) string {
 	return k
 }
 
-// cachedSub returns the memoized value of an invariant subquery: this
-// execution's, or the one an earlier binding of the same batch left for it
-// (which then becomes this execution's, so one binding counts one reuse).
-func (ec *execCtx) cachedSub(x Expr, key string) (Value, bool) {
-	if v, ok := ec.subCache[key]; ok {
-		return v, true
-	}
-	if bs := ec.batch; bs != nil && bs.shared[x] {
-		if v, ok := bs.vals[key]; ok {
-			bs.reuses++
-			ec.memoSub(key, v)
-			return v, true
-		}
-	}
-	return Null, false
-}
-
-// storeSub memoizes the value of an invariant subquery for this execution
-// and, when every binding of the batch computes the same one, for the batch.
-// Only values get here: a failed evaluation is not cached, so every binding
-// that reaches a failing shared subquery reports the error itself.
-func (ec *execCtx) storeSub(x Expr, key string, v Value) {
-	ec.memoSub(key, v)
-	if bs := ec.batch; bs != nil && bs.shared[x] {
-		bs.vals[key] = v
-	}
-}
-
+// memoSub memoizes the value of an invariant subquery for this execution.
+// Only values get here: a failed evaluation is not cached.
 func (ec *execCtx) memoSub(key string, v Value) {
 	if ec.subCache == nil {
 		ec.subCache = make(map[string]Value)
@@ -1368,7 +1343,7 @@ func (ec *execCtx) eval(e Expr, fr *frame) (Value, error) {
 		var key string
 		if cacheable {
 			key = ec.cacheKey(x)
-			if v, ok := ec.cachedSub(x, key); ok {
+			if v, ok := ec.subCache[key]; ok {
 				return v, nil
 			}
 		}
@@ -1401,7 +1376,7 @@ func (ec *execCtx) eval(e Expr, fr *frame) (Value, error) {
 			}
 		}
 		if cacheable {
-			ec.storeSub(x, key, v)
+			ec.memoSub(key, v)
 		}
 		return v, nil
 	case *EExists:
@@ -1409,7 +1384,7 @@ func (ec *execCtx) eval(e Expr, fr *frame) (Value, error) {
 		var key string
 		if cacheable {
 			key = ec.cacheKey(x)
-			if v, ok := ec.cachedSub(x, key); ok {
+			if v, ok := ec.subCache[key]; ok {
 				return v, nil
 			}
 		}
@@ -1429,7 +1404,7 @@ func (ec *execCtx) eval(e Expr, fr *frame) (Value, error) {
 			v = NewBool(len(set.Rows) > 0)
 		}
 		if cacheable {
-			ec.storeSub(x, key, v)
+			ec.memoSub(key, v)
 		}
 		return v, nil
 	case *EIn:
@@ -1676,6 +1651,9 @@ func (ec *execCtx) evalCall(x *ECall, fr *frame) (Value, error) {
 	if x.IsAggregate() {
 		if ec.aggPre != nil {
 			if v, ok := ec.aggPre[x]; ok {
+				if !x.Star {
+					setTuple(fr, ec.aggLast)
+				}
 				return v, nil
 			}
 		}

@@ -25,7 +25,6 @@ func (db *DB) SetStats(s Stats) {
 	db.replans.Store(s.Replans)
 	db.batchExecs.Store(s.BatchExecs)
 	db.batchBindings.Store(s.BatchBindings)
-	db.batchSubReuses.Store(s.BatchSubReuses)
 
 	db.resHits.Store(s.ResultCacheHits)
 	db.resMisses.Store(s.ResultCacheMisses)

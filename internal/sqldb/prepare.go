@@ -586,10 +586,6 @@ type Stats struct {
 	// they carried (bindings/execs is the achieved amortization factor).
 	BatchExecs    int64 `json:"batch_execs"`
 	BatchBindings int64 `json:"batch_bindings"`
-	// BatchSubReuses counts the subquery evaluations batches saved: bindings
-	// that took the value of a binding-invariant subquery from an earlier
-	// binding of their batch instead of executing it (see batchSubs).
-	BatchSubReuses int64 `json:"batch_sub_reuses"`
 	// ResultCacheHits / Misses count SELECT executions answered from (or
 	// stored into) the result cache; ResultCacheInvalidations counts entries
 	// found stale at lookup because a referenced table's data version moved
@@ -628,7 +624,7 @@ func (s *Stats) Counters() []*int64 {
 	r := &s.VecFallbackReasons
 	return []*int64{
 		&s.PlanCacheHits, &s.PlanCacheMisses, &s.PlanCacheEvictions, &s.PlanCacheEntries,
-		&s.PreparedLive, &s.Replans, &s.BatchExecs, &s.BatchBindings, &s.BatchSubReuses,
+		&s.PreparedLive, &s.Replans, &s.BatchExecs, &s.BatchBindings,
 		&s.ResultCacheHits, &s.ResultCacheMisses, &s.ResultCacheInvalidations,
 		&s.ResultCacheEvictions, &s.ResultCacheEntries,
 		&s.VecSelects, &s.VecFallbacks,
@@ -659,7 +655,6 @@ func (db *DB) Stats() Stats {
 		Replans:            db.replans.Load(),
 		BatchExecs:         db.batchExecs.Load(),
 		BatchBindings:      db.batchBindings.Load(),
-		BatchSubReuses:     db.batchSubReuses.Load(),
 
 		ResultCacheHits:          db.resHits.Load(),
 		ResultCacheMisses:        db.resMisses.Load(),
@@ -705,7 +700,4 @@ type planFields struct {
 	replans       atomic.Int64
 	batchExecs    atomic.Int64
 	batchBindings atomic.Int64
-	// batchSubReuses counts subquery values reused across the bindings of a
-	// batch (Stats.BatchSubReuses).
-	batchSubReuses atomic.Int64
 }

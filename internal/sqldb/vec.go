@@ -194,6 +194,9 @@ type vecCtx struct {
 	pre      map[*ECall]Value
 	argBuf   []*vcol
 	idxBuf   []*hashIndex
+	// repRow and lastRow hold the first and last row of the group being
+	// finalized.
+	repRow, lastRow tuple
 	// idxPool is a free list of selection index slices for the AND/OR
 	// narrowing.
 	idxPool [][]int32
@@ -255,6 +258,8 @@ func (vc *vecCtx) release() {
 		vc.sg.accs[i] = aggAcc{}
 	}
 	vc.sg.hasRep, vc.sg.n = false, 0
+	clear(vc.repRow)
+	clear(vc.lastRow)
 	for i := range vc.groupSeq {
 		vc.groupSeq[i] = nil
 	}

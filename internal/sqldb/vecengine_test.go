@@ -92,11 +92,22 @@ var parityQueries = []struct {
 	{"star-order-ordinal", `SELECT * FROM grp ORDER BY 3, 1`, nil},
 	{"star-grouped", `SELECT * FROM grp GROUP BY id`, nil}, // row-path shape: grouped star
 	{"tableless", `SELECT 1 + 2, 'x'`, nil},
+	{"tableless-star", `SELECT *`, nil},
 	{"tableless-sub", `SELECT (SELECT COUNT(*) FROM grp), 'x'`, nil},
 	{"correlated", `SELECT g.id, (SELECT COUNT(*) FROM item i WHERE i.grp = g.id) FROM grp g`, nil},
 	{"correlated-unqual", `SELECT g.id, (SELECT COUNT(*) FROM item i WHERE i.grp = boss) FROM grp g`, nil},
 	{"grouped-order-expr", `SELECT grp, COUNT(*) FROM item GROUP BY grp ORDER BY grp + 0`, nil},
 	{"grouped-order-agg", `SELECT grp, COUNT(*) FROM item GROUP BY grp ORDER BY COUNT(*) DESC, grp + 1`, nil},
+	// A bare column beside an aggregate reads the group's first row until an
+	// aggregate over its rows is evaluated, and the last row after it; HAVING,
+	// the projection and the ORDER BY keys each start again from the first.
+	{"bare-col-before-agg", `SELECT id, MIN(0) FROM item`, nil},
+	{"bare-col-after-agg", `SELECT MIN(0), id, COUNT(*) FROM item`, nil},
+	{"bare-col-after-count-star", `SELECT COUNT(*), id FROM item`, nil},
+	{"bare-col-agg-guarded", `SELECT id > 0 OR MAX(val) > 0, id FROM item`, nil},
+	{"bare-col-empty", `SELECT MAX(val), id FROM item WHERE id < 0`, nil},
+	{"bare-col-having", `SELECT id, COUNT(*) FROM item HAVING SUM(val) > id + 5000`, nil},
+	{"bare-col-grouped", `SELECT grp, id, SUM(val), id, tag FROM item GROUP BY grp ORDER BY id + 0, MAX(id) - id`, nil},
 	// Outer references: a column no table of the compiling SELECT satisfies is
 	// a per-execution constant — as fused comparand, inside an OR chain, as
 	// access-path key (item.id is the primary key), NULL (grp 2 has no boss),

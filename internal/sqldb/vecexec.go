@@ -21,15 +21,18 @@ package sqldb
 // code. Grouped finalization is hybrid: aggregates are accumulated here,
 // batch-at-a-time, then the scalar parts of the projection and HAVING run
 // through the row evaluator with the aggregate call sites pre-folded
-// (execCtx.aggPre), against the group's representative row.
+// (execCtx.aggPre), against the group's representative row — and, once an
+// aggregate is read, its last row (execCtx.aggLast).
 
 import "fmt"
 
-// vecGroup is the streaming state of one group: the representative row
-// positions (the group's first row, mirroring the row engine's rep tuple),
-// one accumulator per aggregate call site, and the tuple count.
+// vecGroup is the streaming state of one group: the row positions of the
+// group's first row (mirroring the row engine's rep tuple) and of its last
+// (the row its aggregate loop leaves bound), one accumulator per aggregate
+// call site, and the tuple count.
 type vecGroup struct {
 	rep    []int32
+	last   []int32
 	hasRep bool
 	accs   []aggAcc
 	n      int64
@@ -594,7 +597,12 @@ func (vc *vecCtx) narrow(b, nb *vbatch, pred vexpr) (*vbatch, error) {
 // one output row per batch row with a single backing allocation per batch.
 func (vc *vecCtx) project(b *vbatch, vp *vecSelectPlan) ([]sortableRow, error) {
 	ncol := len(vp.items)
-	cells := make(Row, b.n*ncol)
+	// A projection with no columns (table-less SELECT *) leaves every row
+	// nil, as the row engine's does.
+	var cells Row
+	if ncol > 0 {
+		cells = make(Row, b.n*ncol)
+	}
 	rows := make([]sortableRow, b.n)
 	for i := range rows {
 		rows[i].row = cells[i*ncol : (i+1)*ncol : (i+1)*ncol]
@@ -699,13 +707,9 @@ func (vc *vecCtx) accumulate(b *vbatch, vp *vecSelectPlan, groups map[string]*ve
 		}
 		if !g.hasRep {
 			g.hasRep = true
-			if cap(g.rep) < len(b.pos) {
-				g.rep = make([]int32, len(b.pos))
-			}
-			g.rep = g.rep[:len(b.pos)]
-			for t := range b.pos {
-				g.rep[t] = b.pos[t][i]
-			}
+			g.rep, g.last = positions(g.rep, b, i), positions(g.last, b, i)
+		} else {
+			g.last = positions(g.last, b, i)
 		}
 		g.n++
 		for j := range vp.aggs {
@@ -727,7 +731,7 @@ func (vc *vecCtx) singleGroup(vp *vecSelectPlan) *vecGroup {
 	g := &vc.sg
 	g.hasRep = false
 	g.n = 0
-	g.rep = g.rep[:0]
+	g.rep, g.last = g.rep[:0], g.last[:0]
 	if cap(g.accs) < len(vp.aggs) {
 		g.accs = make([]aggAcc, len(vp.aggs))
 	}
@@ -765,15 +769,12 @@ func (vc *vecCtx) accumulateSingle(b *vbatch, vp *vecSelectPlan, g *vecGroup) er
 	}
 	vc.argBuf = args
 
-	if !g.hasRep && b.n > 0 {
-		g.hasRep = true
-		if cap(g.rep) < len(b.pos) {
-			g.rep = make([]int32, len(b.pos))
+	if b.n > 0 {
+		if !g.hasRep {
+			g.hasRep = true
+			g.rep = positions(g.rep, b, 0)
 		}
-		g.rep = g.rep[:len(b.pos)]
-		for t := range b.pos {
-			g.rep[t] = b.pos[t][0]
-		}
+		g.last = positions(g.last, b, b.n-1)
 	}
 	for i := 0; i < b.n; i++ {
 		g.n++
@@ -789,11 +790,37 @@ func (vc *vecCtx) accumulateSingle(b *vbatch, vp *vecSelectPlan, g *vecGroup) er
 	return nil
 }
 
+// positions stores row i of the batch's position lists into dst, one entry
+// per bound table.
+func positions(dst []int32, b *vbatch, i int) []int32 {
+	dst = dst[:0]
+	for t := range b.pos {
+		dst = append(dst, b.pos[t][i])
+	}
+	return dst
+}
+
+// groupRow returns the tuple at the given row positions, built in buf: empty
+// for an empty group.
+func (vc *vecCtx) groupRow(buf tuple, g *vecGroup, pos []int32) tuple {
+	buf = buf[:0]
+	if g.hasRep {
+		for t, tab := range vc.tabs {
+			buf = append(buf, tab.scan()[pos[t]])
+		}
+	}
+	return buf
+}
+
 // finalizeGroups emits one output row per surviving group, in first-seen
 // order: fold the accumulated aggregates into execCtx.aggPre, bind the
 // group's representative row, and run HAVING and the projection through the
 // row evaluator — the hybrid path that keeps scalar semantics (subqueries,
 // aliases, functions) byte-identical to the row engine's grouped output.
+// The row engine binds the representative row anew for HAVING, for the
+// projection and for the ORDER BY keys, and evaluating an aggregate leaves
+// the group's last row bound; a bare column beside an aggregate reads
+// whichever was bound last, and so it does here.
 func (vc *vecCtx) finalizeGroups(st *SelectStmt, vp *vecSelectPlan, seq []*vecGroup) ([]sortableRow, error) {
 	ec := vc.ec
 	pre := vc.pre
@@ -802,20 +829,16 @@ func (vc *vecCtx) finalizeGroups(st *SelectStmt, vp *vecSelectPlan, seq []*vecGr
 		vc.pre = pre
 	}
 	clear(pre)
-	saved := ec.aggPre
-	defer func() { ec.aggPre = saved }()
+	saved, savedLast := ec.aggPre, ec.aggLast
+	defer func() { ec.aggPre, ec.aggLast = saved, savedLast }()
 
 	var rows []sortableRow
 	for _, g := range seq {
-		if g.hasRep {
-			for t, bt := range vc.bts {
-				bt.row = vc.tabs[t].scan()[g.rep[t]]
-			}
-		} else {
-			for _, bt := range vc.bts {
-				bt.row = nil
-			}
-		}
+		vc.repRow = vc.groupRow(vc.repRow, g, g.rep)
+		vc.lastRow = vc.groupRow(vc.lastRow, g, g.last)
+		rep := vc.repRow
+		ec.aggLast = vc.lastRow
+		setTuple(&vc.fr, rep)
 		for j := range vp.aggs {
 			ag := &vp.aggs[j]
 			if ag.star {
@@ -838,6 +861,7 @@ func (vc *vecCtx) finalizeGroups(st *SelectStmt, vp *vecSelectPlan, seq []*vecGr
 			if !ok {
 				continue
 			}
+			setTuple(&vc.fr, rep)
 		}
 		out := make(Row, 0, len(st.Items))
 		for _, item := range st.Items {
@@ -849,6 +873,7 @@ func (vc *vecCtx) finalizeGroups(st *SelectStmt, vp *vecSelectPlan, seq []*vecGr
 		}
 		var keys []Value
 		if len(vp.order) > 0 {
+			setTuple(&vc.fr, rep)
 			keys = make([]Value, len(vp.order))
 			for j := range vp.order {
 				switch {

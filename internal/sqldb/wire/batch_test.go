@@ -139,10 +139,11 @@ func TestBatchPartialFailureOrderingOverWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	st.AddBatch(&sqldb.Params{Named: map[string]sqldb.Value{"id": sqldb.NewInt(1)}})
-	st.AddBatch(&sqldb.Params{Named: map[string]sqldb.Value{"wrong": sqldb.NewInt(2)}})
-	st.AddBatch(&sqldb.Params{Named: map[string]sqldb.Value{"id": sqldb.NewInt(3)}})
-	results, err := st.ExecuteBatch()
+	results, err := st.ExecBatch([]*sqldb.Params{
+		{Named: map[string]sqldb.Value{"id": sqldb.NewInt(1)}},
+		{Named: map[string]sqldb.Value{"wrong": sqldb.NewInt(2)}},
+		{Named: map[string]sqldb.Value{"id": sqldb.NewInt(3)}},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,9 +159,9 @@ func TestBatchPartialFailureOrderingOverWire(t *testing.T) {
 	if results[2].Err != nil || results[2].Set.Rows[0][0].Int() != 30 {
 		t.Fatalf("binding 2: %+v", results[2])
 	}
-	// ExecuteBatch must have cleared the queue.
-	if again, err := st.ExecuteBatch(); err != nil || len(again) != 0 {
-		t.Fatalf("queue not cleared: %v %v", again, err)
+	// An empty batch sends no request and reports no results.
+	if again, err := st.ExecBatch(nil); err != nil || len(again) != 0 {
+		t.Fatalf("empty batch: %v %v", again, err)
 	}
 }
 

@@ -34,7 +34,7 @@ const (
 // MaxBatch is the largest number of parameter bindings one ReqExecBatch may
 // carry. The limit bounds the server-side memory of a single request (every
 // binding's result set is materialized before the response is written);
-// clients split larger batches transparently (see godbc.Stmt.ExecuteBatch).
+// clients split larger batches transparently (see godbc.Stmt.ExecBatch).
 const MaxBatch = 256
 
 // WireValue is a sqldb.Value: messages carry engine values as they are, and
