@@ -16,7 +16,8 @@ import (
 // Partial failure does not abort a batch: each binding gets its own result or
 // error, in binding order, so callers can map outcomes back to their inputs.
 // Only statement-level failures (a closed handle, a plan that cannot be
-// rebuilt after DDL, a non-DML statement) fail the batch as a whole.
+// rebuilt after DDL, a non-DML statement) fail the batch as a whole. A single
+// Execute is a batch of one, so the two cannot drift apart.
 
 // BatchResult is the outcome of one binding of a batched execution: exactly
 // one of Res and Err is non-nil.
@@ -41,52 +42,52 @@ func (ps *PreparedStmt) ExecuteBatch(bindings []*Params) ([]BatchResult, error) 
 // reported as success, so callers cannot mistake them for complete ones.
 func (ps *PreparedStmt) ExecuteBatchContext(ctx context.Context, bindings []*Params) ([]BatchResult, error) {
 	if ps.closed.Load() {
-		return nil, fmt.Errorf("sqldb: prepared statement is closed")
+		return nil, errClosed
 	}
 	out := make([]BatchResult, len(bindings))
 	if len(bindings) == 0 {
 		return out, nil
 	}
-	for attempt := 0; attempt < 8; attempt++ {
-		plan := ps.plan.Load()
-		if plan.version != ps.db.ddl.Load() {
-			var err error
-			if plan, err = ps.replan(); err != nil {
-				return nil, err
-			}
-		}
-		err := ps.db.execBatch(ctx, plan, bindings, out)
-		if err == errPlanStale {
-			continue
-		}
-		if err != nil {
-			return nil, err
-		}
-		ps.db.batchExecs.Add(1)
-		ps.db.batchBindings.Add(int64(len(bindings)))
-		return out, nil
+	if err := ps.execBatch(ctx, bindings, out); err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("sqldb: statement kept replanning during concurrent DDL")
+	ps.db.batchExecs.Add(1)
+	ps.db.batchBindings.Add(int64(len(bindings)))
+	return out, nil
 }
 
-// execBatch runs every binding against the plan under one lock acquisition.
-// The plan version is re-validated under the lock, exactly as execStmt does
-// per execution, so DDL racing the batch forces a replan rather than running
-// against stale table storage; once the batch holds the lock no DDL can move
-// the schema mid-batch.
-func (db *DB) execBatch(ctx context.Context, plan *stmtPlan, bindings []*Params, out []BatchResult) error {
-	switch st := plan.stmt.(type) {
+// execBatch runs every binding against the plan under one acquisition of the
+// statement lock, and is the one body every SELECT, INSERT, UPDATE and DELETE
+// runs through. A plan the schema moved past is rebuilt under that lock, where
+// no DDL can move the schema again, so no binding runs against stale table
+// storage.
+func (ps *PreparedStmt) execBatch(ctx context.Context, bindings []*Params, out []BatchResult) error {
+	db := ps.db
+	plan := ps.plan.Load()
+	switch plan.stmt.(type) {
 	case *SelectStmt:
 		db.mu.RLock()
 		defer db.mu.RUnlock()
-		if err := db.planFresh(plan); err != nil {
+	case *InsertStmt, *UpdateStmt, *DeleteStmt:
+		db.mu.Lock()
+		defer db.mu.Unlock()
+	default:
+		return fmt.Errorf("sqldb: batch execution supports DML statements only, not %T", plan.stmt)
+	}
+	if plan.version != db.ddl.Load() {
+		var err error
+		if plan, err = ps.replan(); err != nil {
 			return err
 		}
+	}
+	switch st := plan.stmt.(type) {
+	case *SelectStmt:
 		// The batch is the natural cache unit: each binding is looked up in
 		// the result cache individually, and only the misses execute. All
 		// bindings share one data-version snapshot — the shared statement
 		// lock is held for the whole batch, so no DML can move the versions
-		// between the first lookup and the last store.
+		// between the first lookup and the last store, and a stored result is
+		// never stamped newer than the rows it was computed from.
 		var buf [keyBufSize]byte
 		key := buf[:0]
 		for i, params := range bindings {
@@ -113,13 +114,7 @@ func (db *DB) execBatch(ctx context.Context, plan *stmtPlan, bindings []*Params,
 			}
 			out[i] = BatchResult{Res: &Result{Set: set}}
 		}
-		return nil
-	case *InsertStmt, *UpdateStmt, *DeleteStmt:
-		db.mu.Lock()
-		defer db.mu.Unlock()
-		if err := db.planFresh(plan); err != nil {
-			return err
-		}
+	default:
 		for i, params := range bindings {
 			if err := ctx.Err(); err != nil {
 				return err
@@ -139,7 +134,6 @@ func (db *DB) execBatch(ctx context.Context, plan *stmtPlan, bindings []*Params,
 				out[i].Res = nil
 			}
 		}
-		return nil
 	}
-	return fmt.Errorf("sqldb: batch execution supports DML statements only, not %T", plan.stmt)
+	return nil
 }

@@ -306,7 +306,7 @@ func FuzzEngineDifferential(f *testing.F) {
 		// it does executed alone, on either engine.
 		ps, err := db.Prepare(sql)
 		if err != nil {
-			return // Prepare resolves tables eagerly; Exec above did not have to
+			t.Fatalf("Prepare of %q, which Exec planned: %v", sql, err)
 		}
 		defer ps.Close()
 		bindings := []*sqldb.Params{params, bindParams(sql, p3, p2, p1), params}

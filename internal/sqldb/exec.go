@@ -49,26 +49,14 @@ type Result struct {
 
 // Exec executes one SQL statement. Statement plans are cached by query text
 // (see prepare.go), so repeated ad-hoc executions of the same SQL skip the
-// parse and plan phases; with the cache disabled every call parses from
-// scratch. A statement that cannot be planned (planning validates every
-// referenced table eagerly, which explicit Prepare is meant to surface) is
-// executed on the dynamic path instead, preserving lazy-evaluation
-// semantics for ad-hoc SQL — a subquery over a missing table only errors if
-// it is actually evaluated.
+// parse and plan phases. Planning validates every referenced table, so Exec
+// refuses what Prepare refuses, with the same error.
 func (db *DB) Exec(query string, params *Params) (*Result, error) {
-	ps, stmt, err := db.cachedStmt(query)
+	ps, err := db.cachedStmt(query)
 	if err != nil {
 		return nil, err
 	}
-	if ps != nil {
-		return ps.Execute(params)
-	}
-	if stmt == nil { // caching disabled
-		if stmt, err = ParseSQL(query); err != nil {
-			return nil, err
-		}
-	}
-	return db.ExecStmt(stmt, params)
+	return ps.Execute(params)
 }
 
 // MustExec executes a statement and panics on error; intended for schema
@@ -81,83 +69,22 @@ func (db *DB) MustExec(query string, params *Params) *Result {
 	return res
 }
 
-// ExecStmt executes a parsed statement without a precomputed plan.
-func (db *DB) ExecStmt(stmt Stmt, params *Params) (*Result, error) {
-	return db.execStmt(stmt, params, nil)
-}
-
-// execStmt executes a statement, consulting the plan (when non-nil) for
-// precomputed table resolutions and strategies.
-func (db *DB) execStmt(stmt Stmt, params *Params, plan *stmtPlan) (*Result, error) {
+// execDDL runs a schema statement. DDL reads no plan: each statement takes
+// the exclusive statement lock itself and looks its table up under it.
+func (db *DB) execDDL(stmt Stmt) (*Result, error) {
+	var err error
 	switch st := stmt.(type) {
 	case *CreateTableStmt:
-		if err := db.createTable(st.Name, st.Cols); err != nil {
-			return nil, err
-		}
-		return &Result{}, nil
+		err = db.createTable(st.Name, st.Cols)
 	case *DropTableStmt:
-		if err := db.dropTable(st.Name); err != nil {
-			return nil, err
-		}
-		return &Result{}, nil
+		err = db.dropTable(st.Name)
 	case *CreateIndexStmt:
-		t := db.Table(st.Table)
-		if t == nil {
-			return nil, fmt.Errorf("sqldb: no table %s", st.Table)
-		}
-		col := t.ColumnIndex(st.Column)
-		if col < 0 {
-			return nil, fmt.Errorf("sqldb: table %s has no column %s", st.Table, st.Column)
-		}
-		db.mu.Lock()
-		t.createIndex(col)
-		db.ddl.Add(1)
-		db.mu.Unlock()
-		db.clearPlanCache()
-		db.clearResultCache()
-		return &Result{}, nil
-	case *InsertStmt:
-		return db.execInsert(st, params, plan)
-	case *UpdateStmt:
-		return db.execUpdate(st, params, plan)
-	case *DeleteStmt:
-		return db.execDelete(st, params, plan)
-	case *SelectStmt:
-		ec := &execCtx{db: db, params: params, plan: plan}
-		db.mu.RLock()
-		defer db.mu.RUnlock()
-		if err := db.planFresh(plan); err != nil {
-			return nil, err
-		}
-		// The result cache: the data-version stamps are read under the same
-		// shared lock the execution runs under, so a stored result is never
-		// stamped newer than the rows it was computed from.
-		var buf [keyBufSize]byte
-		key, dataVer, cacheable := db.cacheKeyFor(plan, params, buf[:0])
-		if cacheable {
-			if set, hit := db.lookupResult(key, plan.version, dataVer); hit {
-				return &Result{Set: set, Cached: true}, nil
-			}
-		}
-		set, err := ec.execSelect(st, nil)
-		if err != nil {
-			return nil, err
-		}
-		if cacheable {
-			db.storeResult(key, plan.version, dataVer, set)
-		}
-		return &Result{Set: set}, nil
+		err = db.createIndex(st.Table, st.Column)
 	}
-	return nil, fmt.Errorf("sqldb: unhandled statement %T", stmt)
-}
-
-func (db *DB) execInsert(st *InsertStmt, params *Params, plan *stmtPlan) (*Result, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if err := db.planFresh(plan); err != nil {
+	if err != nil {
 		return nil, err
 	}
-	return db.execInsertLocked(st, params, plan)
+	return &Result{}, nil
 }
 
 // execInsertLocked is the INSERT core; db.mu must be held exclusively.
@@ -212,15 +139,6 @@ func (db *DB) execInsertLocked(st *InsertStmt, params *Params, plan *stmtPlan) (
 	return &Result{Affected: n}, nil
 }
 
-func (db *DB) execUpdate(st *UpdateStmt, params *Params, plan *stmtPlan) (*Result, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if err := db.planFresh(plan); err != nil {
-		return nil, err
-	}
-	return db.execUpdateLocked(st, params, plan)
-}
-
 // execUpdateLocked is the UPDATE core; db.mu must be held exclusively.
 func (db *DB) execUpdateLocked(st *UpdateStmt, params *Params, plan *stmtPlan) (*Result, error) {
 	t := db.tables[strings.ToLower(st.Table)]
@@ -229,7 +147,7 @@ func (db *DB) execUpdateLocked(st *UpdateStmt, params *Params, plan *stmtPlan) (
 	}
 	// Columnar path: a compiled DML plan evaluates WHERE/SET batch-at-a-time
 	// over the column vectors, skipping the rowView rebuild (vecdml.go).
-	if plan != nil && plan.dml != nil && plan.dml.table == t && db.vecOn.Load() {
+	if plan.dml != nil && db.vecOn.Load() {
 		return db.vecExecUpdateLocked(params, plan, t)
 	}
 	ec := &execCtx{db: db, params: params, plan: plan}
@@ -293,15 +211,6 @@ func (db *DB) execUpdateLocked(st *UpdateStmt, params *Params, plan *stmtPlan) (
 	return &Result{Affected: len(patches)}, nil
 }
 
-func (db *DB) execDelete(st *DeleteStmt, params *Params, plan *stmtPlan) (*Result, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if err := db.planFresh(plan); err != nil {
-		return nil, err
-	}
-	return db.execDeleteLocked(st, params, plan)
-}
-
 // execDeleteLocked is the DELETE core; db.mu must be held exclusively.
 func (db *DB) execDeleteLocked(st *DeleteStmt, params *Params, plan *stmtPlan) (*Result, error) {
 	t := db.tables[strings.ToLower(st.Table)]
@@ -309,7 +218,7 @@ func (db *DB) execDeleteLocked(st *DeleteStmt, params *Params, plan *stmtPlan) (
 		return nil, fmt.Errorf("sqldb: no table %s", st.Table)
 	}
 	// Columnar path: see vecdml.go.
-	if plan != nil && plan.dml != nil && plan.dml.table == t && db.vecOn.Load() {
+	if plan.dml != nil && db.vecOn.Load() {
 		return db.vecExecDeleteLocked(params, plan, t)
 	}
 	ec := &execCtx{db: db, params: params, plan: plan}
@@ -404,21 +313,20 @@ type tuple []Row
 type execCtx struct {
 	db     *DB
 	params *Params
-	// plan, when non-nil, is the immutable prepared plan of the statement:
-	// resolved tables, access paths, join strategies, and the memoized
-	// subquery analyses. Shared across concurrent executions, never written.
+	// plan is the immutable prepared plan of the statement: resolved tables,
+	// access paths, join strategies, and the subquery analyses. Shared across
+	// concurrent executions, never written.
 	plan *stmtPlan
 	// group is non-nil while evaluating expressions of a grouped query; it
 	// holds the tuples of the current group.
 	group *groupCtx
-	// free memoizes the free-column analysis of subqueries and subCache
-	// holds the results of subqueries that are invariant for the whole
-	// statement (no free columns; parameters only). The ASL property
-	// compiler emits the same parameter-correlated subquery many times, so
-	// this cache is the difference between linear and multiplicative cost.
-	free     map[Expr]*freeInfo
+	// subCache holds the results of subqueries that are invariant for the
+	// whole statement (no free columns; parameters only), keyed by the plan's
+	// canonical text of the subquery, so textually identical subqueries share
+	// one slot. The ASL property compiler emits the same
+	// parameter-correlated subquery many times, so this cache is the
+	// difference between linear and multiplicative cost.
 	subCache map[string]Value
-	keyCache map[Expr]string
 	// aggPre, when non-nil, maps aggregate call nodes to precomputed values:
 	// the vectorized engine accumulates aggregates batch-at-a-time and then
 	// evaluates the grouped projection/HAVING scalar parts through the row
@@ -428,26 +336,6 @@ type execCtx struct {
 	// empty group): reading a prefolded aggregate binds it, as evaluating
 	// the aggregate over the group's rows does (evalAggregate).
 	aggLast tuple
-}
-
-// cacheKey returns (memoized) the canonical text of an invariant subquery,
-// so textually identical subqueries share one cache slot even when they are
-// distinct AST nodes.
-func (ec *execCtx) cacheKey(e Expr) string {
-	if ec.plan != nil {
-		if k, ok := ec.plan.keys[e]; ok {
-			return k
-		}
-	}
-	if k, ok := ec.keyCache[e]; ok {
-		return k
-	}
-	k := FormatExpr(e)
-	if ec.keyCache == nil {
-		ec.keyCache = make(map[Expr]string)
-	}
-	ec.keyCache[e] = k
-	return k
 }
 
 // memoSub memoizes the value of an invariant subquery for this execution.
@@ -470,26 +358,6 @@ type freeInfo struct {
 	// params holds every parameter marker the expression reads, nested
 	// subqueries included (a marker may appear more than once).
 	params []*EParam
-}
-
-// freeOf returns (computing and memoizing) the free-column analysis of e.
-func (ec *execCtx) freeOf(e Expr) *freeInfo {
-	if ec.plan != nil {
-		if fi, ok := ec.plan.free[e]; ok {
-			return fi
-		}
-	}
-	if fi, ok := ec.free[e]; ok {
-		return fi
-	}
-	fi := &freeInfo{}
-	seen := make(map[string]bool)
-	collectFree(e, nil, fi, seen)
-	if ec.free == nil {
-		ec.free = make(map[Expr]*freeInfo)
-	}
-	ec.free[e] = fi
-	return fi
 }
 
 func collectFree(e Expr, shadow map[string]bool, fi *freeInfo, seen map[string]bool) {
@@ -569,7 +437,7 @@ func collectFreeSelect(st *SelectStmt, shadow map[string]bool, fi *freeInfo, see
 // invariant reports whether e cannot observe any binding of the frame
 // chain, making its value constant for the whole statement execution.
 func (ec *execCtx) invariant(e Expr, fr *frame) bool {
-	fi := ec.freeOf(e)
+	fi := ec.plan.free[e]
 	if fi.unqual && fr != nil {
 		for scope := fr; scope != nil; scope = scope.parent {
 			if len(scope.tables) > 0 {
@@ -595,31 +463,25 @@ type groupCtx struct {
 }
 
 // vecPlanFor returns the select's plan when the vectorized engine will run
-// it: planned, compiled, and the engine selected. Callers on scalar-position
-// paths use it to skip ResultSet materialization (vecExecScalar et al.).
+// it: compiled, and the engine selected. Callers on scalar-position paths use
+// it to skip ResultSet materialization (vecExecScalar et al.).
 func (ec *execCtx) vecPlanFor(st *SelectStmt) *selectPlan {
-	if ec.plan == nil || !ec.db.vecOn.Load() {
+	if !ec.db.vecOn.Load() {
 		return nil
 	}
-	sp := ec.plan.selects[st]
-	if sp == nil || sp.vec == nil {
-		return nil
+	if sp := ec.plan.selects[st]; sp.vec != nil {
+		return sp
 	}
-	return sp
+	return nil
 }
 
 func (ec *execCtx) execSelect(st *SelectStmt, parent *frame) (*ResultSet, error) {
-	// sp is the precomputed strategy of this SELECT node, nil on the
-	// unprepared path.
-	var sp *selectPlan
-	if ec.plan != nil {
-		sp = ec.plan.selects[st]
-	}
-	// Engine dispatch: a planned SELECT with a compiled vectorized form runs
-	// batch-at-a-time when the vectorized engine is selected; everything else
-	// (unplanned statements, shapes the compiler refused) stays on the row
-	// interpreter below.
-	if sp != nil && ec.db.vecOn.Load() {
+	// sp is the precomputed strategy of this SELECT node.
+	sp := ec.plan.selects[st]
+	// Engine dispatch: a SELECT with a compiled vectorized form runs
+	// batch-at-a-time when the vectorized engine is selected; shapes the
+	// compiler refused stay on the row interpreter below.
+	if ec.db.vecOn.Load() {
 		if sp.vec != nil {
 			ec.db.vecSelects.Add(1)
 			return ec.vecExecSelect(st, sp, parent)
@@ -632,19 +494,11 @@ func (ec *execCtx) execSelect(st *SelectStmt, parent *frame) (*ResultSet, error)
 	if st.From == nil {
 		tuples = []tuple{{}}
 	} else {
-		var bt *boundTable
-		if sp != nil {
-			bt = &boundTable{binding: sp.fromBinding, table: sp.from}
-		} else {
-			var err error
-			if bt, err = ec.bind(*st.From); err != nil {
-				return nil, err
-			}
-		}
+		bt := &boundTable{binding: sp.fromBinding, table: sp.from}
 		fr.tables = append(fr.tables, bt)
 		// Seed tuples from the first table, using an index if the WHERE
 		// clause pins an indexed column of this table to a constant.
-		rows, err := ec.seedRows(st, sp, fr, bt)
+		rows, err := ec.seedRows(sp, fr, bt)
 		if err != nil {
 			return nil, err
 		}
@@ -652,18 +506,11 @@ func (ec *execCtx) execSelect(st *SelectStmt, parent *frame) (*ResultSet, error)
 		for _, r := range rows {
 			tuples = append(tuples, tuple{r})
 		}
-		for ji, j := range st.Joins {
-			var jbt *boundTable
-			var jp *joinPlan
-			if sp != nil {
-				jp = &sp.joins[ji]
-				jbt = &boundTable{binding: jp.binding, table: jp.table}
-			} else if jbt, err = ec.bind(j.Table); err != nil {
-				return nil, err
-			}
+		for i := range sp.joins {
+			jp := &sp.joins[i]
+			jbt := &boundTable{binding: jp.binding, table: jp.table}
 			fr.tables = append(fr.tables, jbt)
-			tuples, err = ec.join(fr, tuples, jbt, j.On, jp)
-			if err != nil {
+			if tuples, err = ec.join(fr, tuples, jbt, jp); err != nil {
 				return nil, err
 			}
 		}
@@ -685,18 +532,9 @@ func (ec *execCtx) execSelect(st *SelectStmt, parent *frame) (*ResultSet, error)
 		tuples = kept
 	}
 
-	var grouped bool
-	var aliases map[string]int // select alias -> output column
-	if sp != nil {
-		grouped = sp.grouped
-		aliases = sp.aliases // read-only: shared across concurrent executions
-	} else {
-		tables := make([]*Table, len(fr.tables))
-		for i, bt := range fr.tables {
-			tables[i] = bt.table
-		}
-		grouped, aliases = selectShape(st, tables)
-	}
+	// aliases maps select alias -> output column; read-only, shared across
+	// concurrent executions.
+	grouped, aliases := sp.grouped, sp.aliases
 
 	set := &ResultSet{}
 	{
@@ -874,14 +712,6 @@ func (ec *execCtx) groupTuples(st *SelectStmt, fr *frame, tuples []tuple) (map[s
 	return groups, order, nil
 }
 
-func (ec *execCtx) bind(ref TableRef) (*boundTable, error) {
-	t := ec.db.tables[strings.ToLower(ref.Table)]
-	if t == nil {
-		return nil, fmt.Errorf("sqldb: no table %s", ref.Table)
-	}
-	return &boundTable{binding: strings.ToLower(ref.Binding()), table: t}, nil
-}
-
 func setTuple(fr *frame, tp tuple) {
 	for i, bt := range fr.tables {
 		if i < len(tp) {
@@ -898,10 +728,10 @@ func setTuple(fr *frame, tp tuple) {
 // scanned table (literals, parameters, outer-scope correlations, and
 // uncorrelated subqueries all qualify). This turns the nested dereference
 // subqueries emitted by the ASL property compiler from full scans into O(1)
-// point lookups. With a plan the candidate conjuncts were matched at prepare
-// time; whether a column is indexed is still checked here so lazily built
-// join indexes are picked up.
-func (ec *execCtx) seedRows(st *SelectStmt, sp *selectPlan, fr *frame, bt *boundTable) ([]Row, error) {
+// point lookups. The candidate conjuncts were matched at prepare time;
+// whether a column is indexed is still checked here so lazily built join
+// indexes are picked up.
+func (ec *execCtx) seedRows(sp *selectPlan, fr *frame, bt *boundTable) ([]Row, error) {
 	tryLookup := func(col int, val Expr) ([]Row, bool) {
 		idx := bt.table.index(col)
 		if idx == nil {
@@ -919,27 +749,9 @@ func (ec *execCtx) seedRows(st *SelectStmt, sp *selectPlan, fr *frame, bt *bound
 		}
 		return rows, true
 	}
-	if sp != nil {
-		for _, ap := range sp.access {
-			if rows, ok := tryLookup(ap.col, ap.val); ok {
-				return rows, nil
-			}
-		}
-		return bt.table.scan(), nil
-	}
-	if st.Where != nil {
-		for _, conj := range conjuncts(st.Where) {
-			bin, ok := conj.(*EBinary)
-			if !ok || bin.Op != OpEq {
-				continue
-			}
-			col, val := matchColConst(bin, bt)
-			if col < 0 {
-				continue
-			}
-			if rows, ok := tryLookup(col, val); ok {
-				return rows, nil
-			}
+	for _, ap := range sp.access {
+		if rows, ok := tryLookup(ap.col, ap.val); ok {
+			return rows, nil
 		}
 	}
 	return bt.table.scan(), nil
@@ -1065,19 +877,10 @@ func selectRefsBinding(st *SelectStmt, binding string) bool {
 }
 
 // join extends each tuple with matching rows of the newly bound table,
-// using a hash join for equi-join conditions and a nested loop otherwise.
-// With a plan the strategy (equi-join column, residual conjuncts) was chosen
-// at prepare time.
-func (ec *execCtx) join(fr *frame, tuples []tuple, jbt *boundTable, on Expr, jp *joinPlan) ([]tuple, error) {
-	// Detect "jbt.col = outerExpr" among the ON conjuncts.
-	var eqCol = -1
-	var outerExpr Expr
-	var rest []Expr
-	if jp != nil {
-		eqCol, outerExpr, rest = jp.eqCol, jp.outer, jp.rest
-	} else {
-		eqCol, outerExpr, rest = joinStrategy(on, jbt)
-	}
+// using a hash join for equi-join conditions and a nested loop otherwise. The
+// strategy (equi-join column, residual conjuncts) was chosen at prepare time.
+func (ec *execCtx) join(fr *frame, tuples []tuple, jbt *boundTable, jp *joinPlan) ([]tuple, error) {
+	eqCol, outerExpr, rest := jp.eqCol, jp.outer, jp.rest
 
 	var out []tuple
 	if eqCol >= 0 {
@@ -1108,8 +911,7 @@ func (ec *execCtx) join(fr *frame, tuples []tuple, jbt *boundTable, on Expr, jp 
 		return out, nil
 	}
 
-	// Nested-loop fallback: eqCol < 0 here, so rest holds every conjunct on
-	// both the planned and the dynamic path.
+	// Nested-loop fallback: eqCol < 0 here, so rest holds every conjunct.
 	for _, tp := range tuples {
 		for _, r := range jbt.table.scan() {
 			ok, err := ec.checkConjuncts(rest, fr, tp, jbt, r)
@@ -1142,8 +944,7 @@ func (ec *execCtx) checkConjuncts(conds []Expr, fr *frame, tp tuple, jbt *boundT
 // joinStrategy chooses how to execute one JOIN: it scans the ON conjuncts
 // for a "jbt.col = outerExpr" condition usable as a hash join. eqCol is -1
 // when none exists; rest holds the conjuncts still checked per candidate row
-// (all of them in the nested-loop case). Shared by the planner and the
-// dynamic execution path, so both choose identically.
+// (all of them in the nested-loop case). Called by the planner.
 func joinStrategy(on Expr, jbt *boundTable) (eqCol int, outer Expr, rest []Expr) {
 	eqCol = -1
 	for _, conj := range conjuncts(on) {
@@ -1162,7 +963,7 @@ func joinStrategy(on Expr, jbt *boundTable) (eqCol int, outer Expr, rest []Expr)
 
 // selectShape derives the projection shape of a SELECT over its bound
 // tables: whether the query is grouped, and the alias → output-column map
-// used by ORDER BY. Shared by the planner and the dynamic execution path.
+// used by ORDER BY. Called by the planner.
 func selectShape(st *SelectStmt, tables []*Table) (grouped bool, aliases map[string]int) {
 	grouped = len(st.GroupBy) > 0 || st.Having != nil
 	aliases = map[string]int{}
@@ -1342,7 +1143,7 @@ func (ec *execCtx) eval(e Expr, fr *frame) (Value, error) {
 		cacheable := ec.invariant(x, fr)
 		var key string
 		if cacheable {
-			key = ec.cacheKey(x)
+			key = ec.plan.keys[x]
 			if v, ok := ec.subCache[key]; ok {
 				return v, nil
 			}
@@ -1383,7 +1184,7 @@ func (ec *execCtx) eval(e Expr, fr *frame) (Value, error) {
 		cacheable := ec.invariant(x, fr)
 		var key string
 		if cacheable {
-			key = ec.cacheKey(x)
+			key = ec.plan.keys[x]
 			if v, ok := ec.subCache[key]; ok {
 				return v, nil
 			}

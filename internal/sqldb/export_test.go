@@ -9,6 +9,15 @@ func (db *DB) SetDecorrelation(on bool) {
 	db.clearPlanCache()
 }
 
+// ShrinkPlanCache lowers the plan cache's capacity, for tests that need
+// evictions without filling DefaultPlanCacheSize slots; entries beyond it go
+// at the next miss.
+func (db *DB) ShrinkPlanCache(n int) {
+	db.planMu.Lock()
+	defer db.planMu.Unlock()
+	db.planCap = n
+}
+
 // SetStats makes db.Stats() report s, for tests that follow a snapshot through
 // the layers above the engine. Counters are stored as they are; the two cache
 // populations, which Stats reads off the LRU lists, are made real with

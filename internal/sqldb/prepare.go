@@ -2,6 +2,7 @@ package sqldb
 
 import (
 	"container/list"
+	"context"
 	"fmt"
 	"slices"
 	"strconv"
@@ -13,7 +14,9 @@ import (
 // The prepared-statement pipeline: parsing and planning are split from
 // execution so that a statement which runs many times with only its
 // parameters changing (the ASL property queries run once per property ×
-// context instance) pays its front-end cost once.
+// context instance) pays its front-end cost once. Every statement runs
+// planned: Prepare plans it, ad-hoc Exec plans it through the plan cache, and
+// there is no unplanned execution.
 //
 // A plan captures everything about a statement that does not depend on
 // parameter values or row data: the parsed AST, the resolved tables, the
@@ -21,12 +24,14 @@ import (
 // subquery, and the canonical cache keys of invariant subqueries. Plans are
 // immutable after construction, so one PreparedStmt may be executed from many
 // goroutines concurrently; per-execution state (current rows, the invariant
-// subquery result cache) lives in the execCtx created per Execute.
+// subquery result cache) lives in the execCtx created per execution.
 //
 // Plans are invalidated by DDL: every CREATE TABLE, DROP TABLE, and CREATE
-// INDEX bumps the database's schema version, and a PreparedStmt whose plan
-// was built against an older version transparently replans on its next
-// Execute. A handle whose table was dropped fails cleanly at that point.
+// INDEX bumps the database's schema version under the exclusive statement
+// lock. An execution takes the statement lock first, then finds its plan
+// stale and rebuilds it under that lock, where no DDL can move the schema
+// again (see execBatch). A handle whose table was dropped fails cleanly at
+// that point.
 
 // DefaultPlanCacheSize is the capacity of the per-DB plan cache that backs
 // ad-hoc Exec calls.
@@ -143,26 +148,40 @@ type PreparedStmt struct {
 	db  *DB
 	sql string
 
-	mu      sync.Mutex // serializes replanning
+	// mu serializes replanning. Lock order: DB.mu, then mu.
+	mu      sync.Mutex
 	plan    atomic.Pointer[stmtPlan]
 	closed  atomic.Bool
 	counted bool // whether this handle is counted in DB.Stats
 }
 
-// Prepare parses and plans a statement for repeated execution. Unlike
-// ad-hoc Exec, preparing validates every referenced table eagerly.
+// Prepare parses and plans a statement for repeated execution, validating
+// every referenced table.
 func (db *DB) Prepare(sql string) (*PreparedStmt, error) {
+	ps, err := db.prepare(sql)
+	if err != nil {
+		return nil, err
+	}
+	ps.counted = true
+	db.preparedLive.Add(1)
+	return ps, nil
+}
+
+// prepare parses and plans a statement into an uncounted handle, holding the
+// statement lock shared while it plans.
+func (db *DB) prepare(sql string) (*PreparedStmt, error) {
 	stmt, err := ParseSQL(sql)
 	if err != nil {
 		return nil, err
 	}
+	db.mu.RLock()
 	plan, err := db.buildPlan(stmt)
+	db.mu.RUnlock()
 	if err != nil {
 		return nil, err
 	}
-	ps := &PreparedStmt{db: db, sql: sql, counted: true}
+	ps := &PreparedStmt{db: db, sql: sql}
 	ps.plan.Store(plan)
-	db.preparedLive.Add(1)
 	return ps, nil
 }
 
@@ -181,55 +200,37 @@ func (ps *PreparedStmt) Close() error {
 	return nil
 }
 
-// Execute runs the prepared statement with fresh parameters. If the schema
-// changed since the plan was built, the statement is replanned first; a
-// statement whose table no longer exists fails cleanly. The version is
-// re-validated under the statement lock (see execStmt), so a DDL statement
-// racing between the check and the lock acquisition forces a replan rather
-// than silently executing against stale table storage.
+// errClosed is what executing a closed handle returns.
+var errClosed = fmt.Errorf("sqldb: prepared statement is closed")
+
+// Execute runs the prepared statement with fresh parameters: a batch of one
+// binding (see execBatch), which counts in neither BatchExecs nor
+// BatchBindings. DDL, which reads no plan, runs through execDDL.
 func (ps *PreparedStmt) Execute(params *Params) (*Result, error) {
 	if ps.closed.Load() {
-		return nil, fmt.Errorf("sqldb: prepared statement is closed")
+		return nil, errClosed
 	}
-	for attempt := 0; attempt < 8; attempt++ {
-		plan := ps.plan.Load()
-		if plan.version != ps.db.ddl.Load() {
-			var err error
-			if plan, err = ps.replan(); err != nil {
-				return nil, err
-			}
-		}
-		res, err := ps.db.execStmt(plan.stmt, params, plan)
-		if err == errPlanStale {
-			continue
-		}
-		return res, err
+	switch stmt := ps.plan.Load().stmt.(type) {
+	case *CreateTableStmt, *DropTableStmt, *CreateIndexStmt:
+		return ps.db.execDDL(stmt)
 	}
-	return nil, fmt.Errorf("sqldb: statement kept replanning during concurrent DDL")
-}
-
-// errPlanStale signals that the schema changed between planning and lock
-// acquisition; Execute replans and retries.
-var errPlanStale = fmt.Errorf("sqldb: plan is stale")
-
-// planFresh verifies, with the statement lock held (DDL holds it
-// exclusively, so the version cannot move under us), that the plan still
-// matches the schema.
-func (db *DB) planFresh(plan *stmtPlan) error {
-	if plan != nil && plan.version != db.ddl.Load() {
-		return errPlanStale
+	bindings := [1]*Params{params}
+	var out [1]BatchResult
+	if err := ps.execBatch(context.Background(), bindings[:], out[:]); err != nil {
+		return nil, err
 	}
-	return nil
+	return out[0].Res, out[0].Err
 }
 
 // replan rebuilds the plan after a schema change. The parsed AST is reused;
-// only table resolution and the derived strategies are redone.
+// only table resolution and the derived strategies are redone. The caller
+// holds the statement lock, so the schema cannot move while the plan is built.
 func (ps *PreparedStmt) replan() (*stmtPlan, error) {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
 	plan := ps.plan.Load()
 	if plan.version == ps.db.ddl.Load() {
-		return plan, nil // another goroutine replanned first
+		return plan, nil // another execution replanned first
 	}
 	fresh, err := ps.db.buildPlan(plan.stmt)
 	if err != nil {
@@ -241,10 +242,8 @@ func (ps *PreparedStmt) replan() (*stmtPlan, error) {
 }
 
 // buildPlan computes the immutable plan of a parsed statement against the
-// current schema.
+// current schema. The caller holds the statement lock, at least shared.
 func (db *DB) buildPlan(stmt Stmt) (*stmtPlan, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
 	p := &stmtPlan{
 		stmt:     stmt,
 		version:  db.ddl.Load(),
@@ -291,7 +290,7 @@ func (db *DB) buildPlan(stmt Stmt) (*stmtPlan, error) {
 			return nil, err
 		}
 	case *CreateTableStmt, *DropTableStmt, *CreateIndexStmt:
-		// DDL has nothing to precompute; Execute runs the dynamic path.
+		// DDL has nothing to precompute; Execute runs it through execDDL.
 	}
 	// Second pass: compile the physical operator pipeline of every SELECT
 	// node the vectorized engine covers, and the columnar DML pipeline of
@@ -469,59 +468,38 @@ type planCacheEntry struct {
 }
 
 // cachedStmt returns a shared prepared statement for the SQL text, preparing
-// and caching it on a miss. Returns (nil, stmt, nil) when the statement
-// parsed but cannot be planned (a table referenced only by a never-evaluated
-// subquery may not exist; the caller runs the returned AST on the dynamic
-// path, preserving lazy semantics — such statements are not counted as
-// cache misses). Returns (nil, nil, nil) when caching is disabled — checked
-// on an atomic flag first, so the disabled path (the text-protocol baseline
-// configuration) does not serialize concurrent Execs on planMu.
-func (db *DB) cachedStmt(sql string) (*PreparedStmt, Stmt, error) {
-	if !db.planOn.Load() {
-		return nil, nil, nil
-	}
+// and caching it on a miss. A statement that fails to parse or plan returns
+// the error Prepare would, and is not counted as a miss.
+func (db *DB) cachedStmt(sql string) (*PreparedStmt, error) {
 	db.planMu.Lock()
-	if db.planCap <= 0 {
-		db.planMu.Unlock()
-		return nil, nil, nil
-	}
 	if el, ok := db.planIdx[sql]; ok {
 		db.planLRU.MoveToFront(el)
 		ps := el.Value.(*planCacheEntry).ps
 		db.planHits.Add(1)
 		db.planMu.Unlock()
-		return ps, nil, nil
+		return ps, nil
 	}
 	db.planMu.Unlock()
 
 	// Parse and plan outside the cache lock; concurrent misses on the same
 	// text may both prepare, and the first insert wins the slot (later ones
 	// adopt it and discard their own work).
-	stmt, err := ParseSQL(sql)
+	ps, err := db.prepare(sql)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	plan, err := db.buildPlan(stmt)
-	if err != nil {
-		return nil, stmt, nil
-	}
-	ps := &PreparedStmt{db: db, sql: sql}
-	ps.plan.Store(plan)
 	db.planMisses.Add(1)
 	db.planMu.Lock()
 	defer db.planMu.Unlock()
-	if db.planCap <= 0 {
-		return ps, nil, nil
-	}
 	if el, ok := db.planIdx[sql]; ok {
-		return el.Value.(*planCacheEntry).ps, nil, nil
+		return el.Value.(*planCacheEntry).ps, nil
 	}
-	if plan.version != db.ddl.Load() {
+	if ps.plan.Load().version != db.ddl.Load() {
 		// DDL (and clearPlanCache) ran while we were planning: don't insert
 		// the stale plan, or its resolved tables could pin dropped storage
 		// in the cache indefinitely. The statement itself still executes
-		// (Execute replans).
-		return ps, nil, nil
+		// (its execution replans).
+		return ps, nil
 	}
 	db.planIdx[sql] = db.planLRU.PushFront(&planCacheEntry{sql: sql, ps: ps})
 	for db.planLRU.Len() > db.planCap {
@@ -535,24 +513,7 @@ func (db *DB) cachedStmt(sql string) (*PreparedStmt, Stmt, error) {
 		// reference is the whole cleanup.
 		db.planEvicts.Add(1)
 	}
-	return ps, nil, nil
-}
-
-// SetPlanCacheSize bounds the ad-hoc plan cache; n <= 0 disables caching and
-// clears it (every Exec then parses and plans from scratch, the behaviour
-// the text-protocol benchmarks compare against).
-func (db *DB) SetPlanCacheSize(n int) {
-	db.planMu.Lock()
-	defer db.planMu.Unlock()
-	db.planCap = n
-	db.planOn.Store(n > 0)
-	for db.planLRU.Len() > max(db.planCap, 0) {
-		last := db.planLRU.Back()
-		entry := last.Value.(*planCacheEntry)
-		db.planLRU.Remove(last)
-		delete(db.planIdx, entry.sql)
-		db.planEvicts.Add(1)
-	}
+	return ps, nil
 }
 
 // clearPlanCache drops every cached plan. Called on DDL: stale plans would
@@ -677,7 +638,6 @@ func (db *DB) Stats() Stats {
 // initPlanCache sets up the cache containers; called from NewDB.
 func (db *DB) initPlanCache() {
 	db.planCap = DefaultPlanCacheSize
-	db.planOn.Store(true)
 	db.planLRU = list.New()
 	db.planIdx = make(map[string]*list.Element)
 }
@@ -690,8 +650,6 @@ type planFields struct {
 	planCap int
 	planLRU *list.List
 	planIdx map[string]*list.Element
-	// planOn mirrors planCap > 0 for a lock-free disabled-path check.
-	planOn atomic.Bool
 
 	planHits      atomic.Int64
 	planMisses    atomic.Int64

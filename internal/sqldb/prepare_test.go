@@ -233,7 +233,7 @@ func TestExecPlanCacheInvalidation(t *testing.T) {
 
 func TestPlanCacheHitsAndEvictions(t *testing.T) {
 	db := prepDB(t)
-	db.SetPlanCacheSize(2)
+	db.ShrinkPlanCache(2)
 	base := db.Stats()
 	db.MustExec(`SELECT 1`, nil)
 	db.MustExec(`SELECT 1`, nil)
@@ -257,36 +257,20 @@ func TestPlanCacheHitsAndEvictions(t *testing.T) {
 	}
 }
 
-// TestExecKeepsLazySubquerySemantics: ad-hoc Exec must behave identically
-// with and without the plan cache. Planning validates every referenced table
-// eagerly, but a subquery over a missing table that is never evaluated (the
-// outer table is empty) succeeded before the cache existed — Exec falls back
-// to the dynamic path when planning fails. Explicit Prepare stays strict.
-func TestExecKeepsLazySubquerySemantics(t *testing.T) {
+// TestExecRefusesWhatPrepareRefuses: ad-hoc Exec plans every statement, so
+// a subquery over a missing table fails it even where no row would evaluate
+// the subquery (t is empty), with the error Prepare gives.
+func TestExecRefusesWhatPrepareRefuses(t *testing.T) {
 	db := NewDB()
 	db.MustExec(`CREATE TABLE t (a INTEGER)`, nil)
 	q := `SELECT a FROM t WHERE a = (SELECT a FROM missing)`
-	if _, err := db.Exec(q, nil); err != nil {
-		t.Fatalf("cached path: %v", err)
+	_, execErr := db.Exec(q, nil)
+	_, prepErr := db.Prepare(q)
+	if execErr == nil || prepErr == nil {
+		t.Fatalf("want both to fail: Exec %v, Prepare %v", execErr, prepErr)
 	}
-	db.SetPlanCacheSize(0)
-	if _, err := db.Exec(q, nil); err != nil {
-		t.Fatalf("dynamic path: %v", err)
-	}
-	if _, err := db.Prepare(q); err == nil {
-		t.Fatal("Prepare must validate referenced tables eagerly")
-	}
-}
-
-func TestPlanCacheDisabled(t *testing.T) {
-	db := prepDB(t)
-	db.SetPlanCacheSize(0)
-	base := db.Stats()
-	db.MustExec(`SELECT 1`, nil)
-	db.MustExec(`SELECT 1`, nil)
-	st := db.Stats()
-	if st.PlanCacheHits != base.PlanCacheHits || st.PlanCacheEntries != 0 {
-		t.Fatalf("disabled cache recorded traffic: %+v", st)
+	if execErr.Error() != prepErr.Error() {
+		t.Fatalf("Exec error %q, Prepare error %q", execErr, prepErr)
 	}
 }
 
@@ -314,7 +298,7 @@ func TestPreparedLiveCount(t *testing.T) {
 // closed). Run with -race.
 func TestPlanCacheEvictionDoesNotBreakInFlightExec(t *testing.T) {
 	db := prepDB(t)
-	db.SetPlanCacheSize(1)
+	db.ShrinkPlanCache(1)
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
 	for w := 0; w < 4; w++ {
@@ -414,5 +398,44 @@ func TestPreparedConcurrentWithDDL(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+}
+
+// TestSingleExecutionAllocations: a single execution is a batch of one whose
+// binding and result arrays live on the stack, so running it through the
+// batch body allocates nothing per call. The ceilings are what a separate
+// single-execution body allocated: five for a prepared one-row INSERT (the
+// path of every row a tuning cycle inserts over the wire), and two for an
+// ad-hoc SELECT the result cache answers, which takes one, the Result.
+func TestSingleExecutionAllocations(t *testing.T) {
+	db := prepDB(t)
+	ins, err := db.Prepare(`INSERT INTO times (id, run_id, v) VALUES ($id, 1, 0.5)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ins.Close()
+	id := int64(100)
+	row := &Params{Named: map[string]Value{"id": NewInt(id)}}
+	insert := testing.AllocsPerRun(200, func() {
+		id++
+		row.Named["id"] = NewInt(id)
+		if _, err := ins.Execute(row); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if insert > 5 {
+		t.Errorf("a prepared one-row INSERT allocates %.0f times, ceiling 5", insert)
+	}
+
+	const q = `SELECT v FROM times WHERE run_id = $r`
+	run := &Params{Named: map[string]Value{"r": NewInt(2)}}
+	db.MustExec(q, run) // fill the result cache
+	hit := testing.AllocsPerRun(200, func() {
+		if res, err := db.Exec(q, run); err != nil || !res.Cached {
+			t.Fatalf("want a cache hit: %+v, %v", res, err)
+		}
+	})
+	if hit > 2 {
+		t.Errorf("an ad-hoc SELECT the result cache answers allocates %.0f times, ceiling 2", hit)
 	}
 }

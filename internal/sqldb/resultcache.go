@@ -28,8 +28,7 @@ import (
 // the plan was built against. Entries
 // store the version stamps they were computed at; a lookup that finds an
 // entry with stale stamps removes it and counts an invalidation. Only SELECT
-// statements executed through a plan are cached — DML is never cached, and
-// the dynamic (unplannable) path bypasses the cache entirely.
+// statements are cached — DML never is.
 //
 // Cached ResultSets are shared between the cache and every caller that hits
 // it; like the row snapshots returned by scan, they must be treated as
@@ -163,12 +162,12 @@ const keyBufSize = 128
 // planned SELECT under a binding, and reads the statement's current
 // data-version stamp. The key is the plan's canonical identity followed by the fingerprint
 // of the parameters the statement reads (fingerprintMarkers). ok is false
-// when the statement is not cacheable: no plan, not a SELECT, the cache
-// disabled, or a marker the binding leaves unbound — the execution then
+// when the statement is not cacheable: not a SELECT, the cache disabled, or
+// a marker the binding leaves unbound — the execution then
 // reports that itself. Must be called with db.mu held at least shared, so the
 // stamps read here are consistent with the rows the execution will see.
 func (db *DB) cacheKeyFor(plan *stmtPlan, params *Params, buf []byte) (key []byte, dataVer int64, ok bool) {
-	if plan == nil || plan.canonKey == "" || !db.resOn.Load() {
+	if plan.canonKey == "" || !db.resOn.Load() {
 		return buf, 0, false
 	}
 	key, ok = fingerprintMarkers(append(buf[:0], plan.canonKey...), plan.markers, params)

@@ -347,3 +347,21 @@ func (db *DB) dropTable(name string) error {
 	db.clearResultCache()
 	return nil
 }
+
+func (db *DB) createIndex(table, column string) error {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	t := db.tables[strings.ToLower(table)]
+	if t == nil {
+		return fmt.Errorf("sqldb: no table %s", table)
+	}
+	col := t.ColumnIndex(column)
+	if col < 0 {
+		return fmt.Errorf("sqldb: table %s has no column %s", table, column)
+	}
+	t.createIndex(col)
+	db.ddl.Add(1)
+	db.clearPlanCache()
+	db.clearResultCache()
+	return nil
+}

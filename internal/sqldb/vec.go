@@ -46,7 +46,9 @@ package sqldb
 //     AND/OR right side, or in the projection of a query with HAVING (the
 //     row engine skips items of rejected groups) — unless the argument is
 //     trivially error-free (the row engine raises the matching errors in
-//     every case) — "other".
+//     every case); subqueries in a grouped projection, HAVING or ORDER BY
+//     that hold an aggregate no SELECT inside them owns, which the row
+//     engine folds over the enclosing group (outerAggregate) — "other".
 //
 // Within a compiled node, AND/OR evaluate their right operand through
 // selection narrowing that mirrors the row engine's short-circuit exactly:
@@ -639,14 +641,19 @@ func (cp *vecCompiler) compileGrouped(st *SelectStmt, vp *vecSelectPlan) bool {
 
 // collectAggs walks an expression, compiling every aggregate call site into
 // vp.aggs. Subqueries are not entered: their aggregates belong to the inner
-// SELECT (mirroring hasAggregate). eager tracks whether the row engine
-// evaluates this position unconditionally (see compileGrouped). Returns
-// false on any shape the grouped pipeline cannot run with
+// SELECT (mirroring hasAggregate), and a subquery holding one that no SELECT
+// inside it owns is refused (outerAggregate). eager tracks whether the row
+// engine evaluates this position unconditionally (see compileGrouped).
+// Returns false on any shape the grouped pipeline cannot run with
 // row-engine-identical behavior.
 func (cp *vecCompiler) collectAggs(e Expr, vp *vecSelectPlan, eager bool) bool {
 	switch x := e.(type) {
-	case nil, *ELit, *EParam, *EColumn, *ESubquery, *EExists:
+	case nil, *ELit, *EParam, *EColumn:
 		return true
+	case *ESubquery:
+		return !cp.outerAggregate(x.Select)
+	case *EExists:
+		return !cp.outerAggregate(x.Select)
 	case *EBinary:
 		if x.Op == OpAnd || x.Op == OpOr {
 			// The left side is always evaluated; the right only when the
@@ -660,7 +667,7 @@ func (cp *vecCompiler) collectAggs(e Expr, vp *vecSelectPlan, eager bool) bool {
 		return cp.collectAggs(x.X, vp, eager)
 	case *EIn:
 		// evalIn evaluates the needle and every list element eagerly.
-		if !cp.collectAggs(x.X, vp, eager) {
+		if !cp.collectAggs(x.X, vp, eager) || (x.Sub != nil && cp.outerAggregate(x.Sub)) {
 			return false
 		}
 		for _, a := range x.List {
@@ -705,6 +712,59 @@ func (cp *vecCompiler) collectAggs(e Expr, vp *vecSelectPlan, eager bool) bool {
 		ag.arg = arg
 		vp.aggs = append(vp.aggs, ag)
 		return true
+	}
+	return false
+}
+
+// outerAggregate reports whether a subquery holds an aggregate that no SELECT
+// inside it owns: one in a WHERE, ON, GROUP BY or LIMIT clause, or in the
+// ORDER BY of an ungrouped SELECT, at any depth. The row engine folds such an
+// aggregate over the group of the query evaluating the subquery, which the
+// grouped pipeline's prefolded aggregates do not cover.
+func (cp *vecCompiler) outerAggregate(st *SelectStmt) bool {
+	unowned := func(e Expr) bool { return hasAggregate(e) || cp.subAggregate(e) }
+	if unowned(st.Where) || unowned(st.Limit) || cp.subAggregate(st.Having) ||
+		slices.ContainsFunc(st.GroupBy, unowned) {
+		return true
+	}
+	for _, item := range st.Items {
+		if !item.Star && cp.subAggregate(item.Expr) {
+			return true
+		}
+	}
+	for _, j := range st.Joins {
+		if unowned(j.On) {
+			return true
+		}
+	}
+	grouped := cp.p.selects[st].grouped
+	for _, o := range st.OrderBy {
+		if cp.subAggregate(o.Expr) || (!grouped && hasAggregate(o.Expr)) {
+			return true
+		}
+	}
+	return false
+}
+
+// subAggregate reports whether a subquery within e holds an aggregate no
+// SELECT inside it owns (outerAggregate).
+func (cp *vecCompiler) subAggregate(e Expr) bool {
+	switch x := e.(type) {
+	case *EBinary:
+		return cp.subAggregate(x.L) || cp.subAggregate(x.R)
+	case *EUnary:
+		return cp.subAggregate(x.X)
+	case *EIsNull:
+		return cp.subAggregate(x.X)
+	case *ECall:
+		return slices.ContainsFunc(x.Args, cp.subAggregate)
+	case *ESubquery:
+		return cp.outerAggregate(x.Select)
+	case *EExists:
+		return cp.outerAggregate(x.Select)
+	case *EIn:
+		return cp.subAggregate(x.X) || slices.ContainsFunc(x.List, cp.subAggregate) ||
+			(x.Sub != nil && cp.outerAggregate(x.Sub))
 	}
 	return false
 }

@@ -122,6 +122,9 @@ var parityQueries = []struct {
 	{"outer-ref-nowhere-unreached", `SELECT g.id, (SELECT COUNT(*) FROM item i WHERE i.id < 0 AND i.grp = nosuch.id) FROM grp g`, nil},
 	{"join-nonequi", `SELECT i.id, g.id FROM item i JOIN grp g ON i.val > g.id AND g.boss IS NOT NULL WHERE i.id < 80`, nil},
 	{"join-nonequi-chain", `SELECT i.id, b.name FROM item i JOIN grp g ON i.grp = g.id JOIN grp b ON b.id > g.boss WHERE i.id < 40`, nil},
+	// An aggregate in a subquery's WHERE belongs to the enclosing group: the
+	// row engine folds MAX(item.id) over the outer group's rows.
+	{"outer-agg-in-sub", `SELECT grp, (SELECT COUNT(*) FROM grp g WHERE g.id < MAX(item.id) - 2990) FROM item GROUP BY grp`, nil},
 }
 
 // runEngine executes one query on the given engine against db.

@@ -170,27 +170,9 @@ func paramsInto(dst *sqldb.Params, pos []sqldb.Value, named map[string]sqldb.Val
 
 func (s *Server) serveExec(req *Request) *Response {
 	res, err := s.db.Exec(req.SQL, paramsInto(new(sqldb.Params), req.Pos, req.Named))
-	if err != nil {
-		return &Response{Err: err.Error()}
-	}
-	resp := &Response{Affected: res.Affected, Done: true}
-	if res.Cached {
-		// The result cache answered before the vendor's compiler or executor
-		// ran: only the round trip (already charged in serve) applies.
-		resp.CacheHits = 1
-		resp.Columns = res.Set.Columns
-		resp.Rows = replyRows(res.Set.Rows)
-		return resp
-	}
 	// A text-protocol execution compiles the statement anew every time, so
 	// it is charged the prepare cost on top of the per-statement overhead.
-	s.sleep(s.profile.PerPrepare + s.profile.PerStatement + time.Duration(res.Affected)*s.profile.PerRowWrite)
-	if res.Set != nil {
-		resp.Columns = res.Set.Columns
-		resp.Rows = replyRows(res.Set.Rows)
-		s.sleep(time.Duration(len(resp.Rows)) * s.profile.PerRowRead)
-	}
-	return resp
+	return s.execReply(res, err, s.profile.PerPrepare)
 }
 
 func (s *Server) servePrepare(req *Request, st *connState) *Response {
@@ -209,27 +191,30 @@ func (s *Server) serveExecPrepared(req *Request, st *connState) *Response {
 	if !ok {
 		return &Response{Err: fmt.Sprintf("wire: no prepared statement %d", req.StmtID)}
 	}
+	// Executing a prepared handle skips the compile cost.
 	res, err := ps.Execute(paramsInto(new(sqldb.Params), req.Pos, req.Named))
+	return s.execReply(res, err, 0)
+}
+
+// execReply answers one execution of a statement. A result the cache served
+// costs the vendor server nothing beyond the round trip (already charged in
+// serve): no compiler or executor ran. Any other pays compile, the fixed
+// per-statement overhead and the row costs.
+func (s *Server) execReply(res *sqldb.Result, err error, compile time.Duration) *Response {
 	if err != nil {
 		return &Response{Err: err.Error()}
 	}
 	resp := &Response{Affected: res.Affected, Done: true}
-	if res.Cached {
-		// Served from the result cache: no statement or row work happened in
-		// the modeled vendor server, so no delay beyond the round trip.
-		resp.CacheHits = 1
-		resp.Columns = res.Set.Columns
-		resp.Rows = replyRows(res.Set.Rows)
-		return resp
-	}
-	// Executing a prepared handle skips the compile cost; only the fixed
-	// per-statement overhead and the row costs apply.
-	s.sleep(s.profile.PerStatement + time.Duration(res.Affected)*s.profile.PerRowWrite)
 	if res.Set != nil {
 		resp.Columns = res.Set.Columns
 		resp.Rows = replyRows(res.Set.Rows)
-		s.sleep(time.Duration(len(resp.Rows)) * s.profile.PerRowRead)
 	}
+	if res.Cached {
+		resp.CacheHits = 1
+		return resp
+	}
+	s.sleep(compile + s.profile.PerStatement + time.Duration(res.Affected)*s.profile.PerRowWrite)
+	s.sleep(time.Duration(len(resp.Rows)) * s.profile.PerRowRead)
 	return resp
 }
 
