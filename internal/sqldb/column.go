@@ -2,10 +2,11 @@ package sqldb
 
 // Columnar table storage. A table holds one typed vector per column — int64,
 // float64, or string payloads plus a null bitmap — instead of a []Row of
-// boxed Values. The layout serves both execution engines from one format:
-// the vectorized operators (vecexec.go) read the typed slices directly,
-// batch-at-a-time, while the row interpreter and the DML read paths see rows
-// through a lazily materialized, cached row view (Table.scan).
+// boxed Values, and it is the table's only copy of its data. Both execution
+// engines read it in place: the vectorized operators (vecexec.go) read the
+// typed slices batch-at-a-time, and the row interpreter binds a row as a
+// position and reads one cell at a time (boundTable.value). Rows are written
+// by Table.insert, Table.updateRows and Table.deleteRows.
 //
 // Storage is homogeneous by construction: Table.insert coerces every value to
 // the declared column type before it is appended, so a colVec cell is either

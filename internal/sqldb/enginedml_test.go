@@ -109,7 +109,7 @@ func FuzzEngineDMLDifferential(f *testing.F) {
 			}
 		}
 		// snapshot compares the full table contents through each database's
-		// own SELECT engine (so a stale result cache or rowView would show).
+		// own SELECT engine (so a stale result cache or index would show).
 		const snapSQL = `SELECT id, v, w, s, b FROM fuzz_dml ORDER BY id`
 		snapshot := func(when string) {
 			t.Helper()

@@ -146,7 +146,7 @@ func (db *DB) execUpdateLocked(st *UpdateStmt, params *Params, plan *stmtPlan) (
 		return nil, fmt.Errorf("sqldb: no table %s", st.Table)
 	}
 	// Columnar path: a compiled DML plan evaluates WHERE/SET batch-at-a-time
-	// over the column vectors, skipping the rowView rebuild (vecdml.go).
+	// over the column vectors (vecdml.go).
 	if plan.dml != nil && db.vecOn.Load() {
 		return db.vecExecUpdateLocked(params, plan, t)
 	}
@@ -154,12 +154,8 @@ func (db *DB) execUpdateLocked(st *UpdateStmt, params *Params, plan *stmtPlan) (
 	// Phase 1 (read): evaluate WHERE and the SET expressions against the
 	// pre-update state, without holding the table write lock, so that
 	// subqueries over the updated table itself can take read locks freely.
-	fr := &frame{tables: []*boundTable{{binding: strings.ToLower(st.Table), table: t}}}
-	rows := t.scan()
-	type patch struct {
-		pos    int
-		values Row // one value per SET, in declaration order
-	}
+	bt := &boundTable{binding: strings.ToLower(st.Table), table: t}
+	fr := &frame{tables: []*boundTable{bt}}
 	cols := make([]int, len(st.Sets))
 	for i, set := range st.Sets {
 		cols[i] = t.ColumnIndex(set.Column)
@@ -167,9 +163,12 @@ func (db *DB) execUpdateLocked(st *UpdateStmt, params *Params, plan *stmtPlan) (
 			return nil, fmt.Errorf("sqldb: table %s has no column %s", st.Table, set.Column)
 		}
 	}
-	var patches []patch
-	for i := range rows {
-		fr.tables[0].row = rows[i]
+	// pos lists the matched rows; vals holds their new values, one per SET
+	// in declaration order, row after row.
+	var pos []int
+	var vals []Value
+	for p := 0; p < t.nrows; p++ {
+		bt.bind(p)
 		if st.Where != nil {
 			ok, err := ec.evalBool(st.Where, fr)
 			if err != nil {
@@ -179,7 +178,6 @@ func (db *DB) execUpdateLocked(st *UpdateStmt, params *Params, plan *stmtPlan) (
 				continue
 			}
 		}
-		p := patch{pos: i, values: make(Row, len(st.Sets))}
 		for j, set := range st.Sets {
 			v, err := ec.eval(set.Value, fr)
 			if err != nil {
@@ -189,26 +187,13 @@ func (db *DB) execUpdateLocked(st *UpdateStmt, params *Params, plan *stmtPlan) (
 			if err != nil {
 				return nil, err
 			}
-			p.values[j] = cv
+			vals = append(vals, cv)
 		}
-		patches = append(patches, p)
+		pos = append(pos, p)
 	}
-	// Phase 2 (write): apply the patches to the column vectors under the
-	// table write lock, dropping the cached row view (it holds pre-update
-	// values; the next scan rebuilds it).
-	if len(patches) > 0 {
-		t.mu.Lock()
-		for _, p := range patches {
-			for j, cv := range p.values {
-				t.cols[cols[j]].setVal(p.pos, cv)
-			}
-		}
-		t.rowView = nil
-		t.mu.Unlock()
-		t.rebuildIndexesOn(cols)
-		db.bumpData(t)
-	}
-	return &Result{Affected: len(patches)}, nil
+	// Phase 2 (write): shared with the columnar path.
+	t.updateRows(db, cols, pos, vals)
+	return &Result{Affected: len(pos)}, nil
 }
 
 // execDeleteLocked is the DELETE core; db.mu must be held exclusively.
@@ -223,12 +208,12 @@ func (db *DB) execDeleteLocked(st *DeleteStmt, params *Params, plan *stmtPlan) (
 	}
 	ec := &execCtx{db: db, params: params, plan: plan}
 	// Phase 1 (read): decide which rows survive without the write lock held.
-	fr := &frame{tables: []*boundTable{{binding: strings.ToLower(st.Table), table: t}}}
-	rows := t.scan()
-	keep := make([]bool, len(rows))
+	bt := &boundTable{binding: strings.ToLower(st.Table), table: t}
+	fr := &frame{tables: []*boundTable{bt}}
+	keep := make([]bool, t.nrows)
 	n := 0
-	for i := range rows {
-		fr.tables[0].row = rows[i]
+	for p := range keep {
+		bt.bind(p)
 		del := true
 		if st.Where != nil {
 			ok, err := ec.evalBool(st.Where, fr)
@@ -240,22 +225,11 @@ func (db *DB) execDeleteLocked(st *DeleteStmt, params *Params, plan *stmtPlan) (
 		if del {
 			n++
 		} else {
-			keep[i] = true
+			keep[p] = true
 		}
 	}
-	// Phase 2 (write): compact the column vectors under the table write
-	// lock, dropping the cached row view.
-	if n > 0 {
-		t.mu.Lock()
-		for _, c := range t.cols {
-			c.compact(keep)
-		}
-		t.nrows -= n
-		t.rowView = nil
-		t.mu.Unlock()
-		t.rebuildIndexes()
-		db.bumpData(t)
-	}
+	// Phase 2 (write): shared with the columnar path.
+	t.deleteRows(db, keep, n)
 	return &Result{Affected: n}, nil
 }
 
@@ -267,7 +241,20 @@ func (db *DB) execDeleteLocked(st *DeleteStmt, params *Params, plan *stmtPlan) (
 type boundTable struct {
 	binding string // lower-cased alias or table name
 	table   *Table
-	row     Row // current row while iterating
+	// at is the position of the current row plus one, so that the zero
+	// value binds no row: its columns read as NULL.
+	at int
+}
+
+// bind makes the row at position pos the current row.
+func (bt *boundTable) bind(pos int) { bt.at = pos + 1 }
+
+// value reads a column of the current row, NULL when no row is bound.
+func (bt *boundTable) value(col int) Value {
+	if bt.at == 0 {
+		return Null
+	}
+	return bt.table.cols[col].value(bt.at - 1)
 }
 
 // frame is a lexical scope of bound tables; parent scopes make correlated
@@ -306,8 +293,9 @@ func (fr *frame) resolve(ref *EColumn) (*boundTable, int, error) {
 	return nil, 0, fmt.Errorf("sqldb: unknown column %s", ref.Name)
 }
 
-// tuple is one joined row: one Row per bound table.
-type tuple []Row
+// tuple is one joined row: the boundTable.at of each bound table, in binding
+// order (0 binds no row).
+type tuple []int
 
 // execCtx carries the execution state of one statement.
 type execCtx struct {
@@ -498,21 +486,22 @@ func (ec *execCtx) execSelect(st *SelectStmt, parent *frame) (*ResultSet, error)
 		fr.tables = append(fr.tables, bt)
 		// Seed tuples from the first table, using an index if the WHERE
 		// clause pins an indexed column of this table to a constant.
-		rows, err := ec.seedRows(sp, fr, bt)
-		if err != nil {
-			return nil, err
-		}
-		tuples = make([]tuple, 0, len(rows))
-		for _, r := range rows {
-			tuples = append(tuples, tuple{r})
+		seeds := ec.seedRows(sp, fr, bt)
+		at := make([]int, len(seeds)) // one backing array for all seed tuples
+		tuples = make([]tuple, len(seeds))
+		for i, pos := range seeds {
+			at[i] = pos + 1
+			tuples[i] = at[i : i+1 : i+1]
 		}
 		for i := range sp.joins {
 			jp := &sp.joins[i]
 			jbt := &boundTable{binding: jp.binding, table: jp.table}
 			fr.tables = append(fr.tables, jbt)
-			if tuples, err = ec.join(fr, tuples, jbt, jp); err != nil {
+			joined, err := ec.join(fr, tuples, jbt, jp)
+			if err != nil {
 				return nil, err
 			}
+			tuples = joined
 		}
 	}
 
@@ -551,10 +540,8 @@ func (ec *execCtx) execSelect(st *SelectStmt, parent *frame) (*ResultSet, error)
 		for _, item := range st.Items {
 			if item.Star {
 				for _, bt := range fr.tables {
-					if bt.row == nil {
-						out = append(out, make(Row, len(bt.table.Columns))...)
-					} else {
-						out = append(out, bt.row...)
+					for col := range bt.table.cols {
+						out = append(out, bt.value(col))
 					}
 				}
 				continue
@@ -715,46 +702,40 @@ func (ec *execCtx) groupTuples(st *SelectStmt, fr *frame, tuples []tuple) (map[s
 func setTuple(fr *frame, tp tuple) {
 	for i, bt := range fr.tables {
 		if i < len(tp) {
-			bt.row = tp[i]
+			bt.at = tp[i]
 		} else {
-			bt.row = nil
+			bt.at = 0
 		}
 	}
 }
 
-// seedRows returns the candidate rows of the first table, using a hash index
-// when the WHERE clause contains a top-level "col = expr" conjunct on an
-// indexed column of this table whose right-hand side is independent of the
-// scanned table (literals, parameters, outer-scope correlations, and
-// uncorrelated subqueries all qualify). This turns the nested dereference
+// seedRows returns the positions of the candidate rows of the first table:
+// 0..nrows-1 for a full scan, or a hash index's positions when the WHERE
+// clause contains a top-level "col = expr" conjunct on an indexed column of
+// this table whose right-hand side is independent of the scanned table
+// (literals, parameters, outer-scope correlations, and uncorrelated
+// subqueries all qualify). This turns the nested dereference
 // subqueries emitted by the ASL property compiler from full scans into O(1)
 // point lookups. The candidate conjuncts were matched at prepare time;
 // whether a column is indexed is still checked here so lazily built join
 // indexes are picked up.
-func (ec *execCtx) seedRows(sp *selectPlan, fr *frame, bt *boundTable) ([]Row, error) {
-	tryLookup := func(col int, val Expr) ([]Row, bool) {
-		idx := bt.table.index(col)
-		if idx == nil {
-			return nil, false
-		}
-		v, err := ec.eval(val, fr)
-		if err != nil {
-			return nil, false // not evaluable up front; fall back to a scan
-		}
-		positions := idx.get(v)
-		all := bt.table.scan()
-		rows := make([]Row, len(positions))
-		for i, pos := range positions {
-			rows[i] = all[pos]
-		}
-		return rows, true
-	}
+func (ec *execCtx) seedRows(sp *selectPlan, fr *frame, bt *boundTable) []int {
 	for _, ap := range sp.access {
-		if rows, ok := tryLookup(ap.col, ap.val); ok {
-			return rows, nil
+		idx := bt.table.index(ap.col)
+		if idx == nil {
+			continue
 		}
+		v, err := ec.eval(ap.val, fr)
+		if err != nil {
+			continue // not evaluable up front; fall back to a scan
+		}
+		return idx.get(v)
 	}
-	return bt.table.scan(), nil
+	all := make([]int, bt.table.nrows)
+	for i := range all {
+		all[i] = i
+	}
+	return all
 }
 
 // conjuncts flattens a top-level AND tree.
@@ -886,10 +867,9 @@ func (ec *execCtx) join(fr *frame, tuples []tuple, jbt *boundTable, jp *joinPlan
 	if eqCol >= 0 {
 		jbt.table.createIndex(eqCol)
 		idx := jbt.table.index(eqCol)
-		jrows := jbt.table.scan()
 		for _, tp := range tuples {
 			setTuple(fr, tp)
-			jbt.row = nil
+			jbt.at = 0
 			key, err := ec.eval(outerExpr, fr)
 			if err != nil {
 				return nil, err
@@ -898,13 +878,12 @@ func (ec *execCtx) join(fr *frame, tuples []tuple, jbt *boundTable, jp *joinPlan
 				continue
 			}
 			for _, pos := range idx.get(key) {
-				r := jrows[pos]
-				ok, err := ec.checkConjuncts(rest, fr, tp, jbt, r)
+				ok, err := ec.checkConjuncts(rest, fr, tp, jbt, pos)
 				if err != nil {
 					return nil, err
 				}
 				if ok {
-					out = append(out, append(append(tuple{}, tp...), r))
+					out = append(out, append(append(tuple{}, tp...), pos+1))
 				}
 			}
 		}
@@ -913,22 +892,22 @@ func (ec *execCtx) join(fr *frame, tuples []tuple, jbt *boundTable, jp *joinPlan
 
 	// Nested-loop fallback: eqCol < 0 here, so rest holds every conjunct.
 	for _, tp := range tuples {
-		for _, r := range jbt.table.scan() {
-			ok, err := ec.checkConjuncts(rest, fr, tp, jbt, r)
+		for pos := 0; pos < jbt.table.nrows; pos++ {
+			ok, err := ec.checkConjuncts(rest, fr, tp, jbt, pos)
 			if err != nil {
 				return nil, err
 			}
 			if ok {
-				out = append(out, append(append(tuple{}, tp...), r))
+				out = append(out, append(append(tuple{}, tp...), pos+1))
 			}
 		}
 	}
 	return out, nil
 }
 
-func (ec *execCtx) checkConjuncts(conds []Expr, fr *frame, tp tuple, jbt *boundTable, r Row) (bool, error) {
+func (ec *execCtx) checkConjuncts(conds []Expr, fr *frame, tp tuple, jbt *boundTable, pos int) (bool, error) {
 	setTuple(fr, tp)
-	jbt.row = r
+	jbt.bind(pos)
 	for _, c := range conds {
 		ok, err := ec.evalBool(c, fr)
 		if err != nil {
@@ -1119,10 +1098,7 @@ func (ec *execCtx) eval(e Expr, fr *frame) (Value, error) {
 		if err != nil {
 			return Null, err
 		}
-		if bt.row == nil {
-			return Null, nil
-		}
-		return bt.row[col], nil
+		return bt.value(col), nil
 	case *EUnary:
 		v, err := ec.eval(x.X, fr)
 		if err != nil {

@@ -301,9 +301,9 @@ func (db *DB) buildPlan(stmt Stmt) (*stmtPlan, error) {
 	}
 	switch st := stmt.(type) {
 	case *UpdateStmt:
-		p.dml = compileVecUpdate(p, st, db.tables[strings.ToLower(st.Table)])
+		p.dml = compileVecDML(p, db.tables[strings.ToLower(st.Table)], st.Table, st.Where, st.Sets)
 	case *DeleteStmt:
-		p.dml = compileVecDelete(p, st, db.tables[strings.ToLower(st.Table)])
+		p.dml = compileVecDML(p, db.tables[strings.ToLower(st.Table)], st.Table, st.Where, nil)
 	}
 	return p, nil
 }

@@ -19,9 +19,9 @@ type Column struct {
 type Row []Value
 
 // Table is the storage for one relation. Data is stored column-major: one
-// typed vector per column (see column.go). The vectorized operators read the
-// vectors directly; the row interpreter and the DML read paths go through
-// scan, which materializes (and caches) a row view of the same data.
+// typed vector per column (see column.go), and nothing else. Both engines
+// read the vectors directly, a bound row being a position into them, and
+// write them through insert, updateRows and deleteRows.
 //
 // Every table carries its own RWMutex so that readers of different tables
 // never contend and concurrent readers of the same table only serialize
@@ -32,19 +32,14 @@ type Table struct {
 	Name    string
 	Columns []Column
 	colIdx  map[string]int // lower-cased column name -> position
-	// mu guards the derived read structures (indexes and the cached row
-	// view). The column vectors themselves mutate only under the exclusive
-	// DB statement lock, which excludes all SELECT readers, so batch reads
-	// off cols need no table lock; mu makes the lazily built join indexes
-	// and the lazily built row view safe under concurrent SELECTs.
+	// mu guards the indexes, and the row count for NumRows. The column
+	// vectors mutate only under the exclusive DB statement lock, which
+	// excludes all SELECT readers, so reads off cols need no table lock; mu
+	// makes the lazily built join indexes safe under concurrent SELECTs.
 	mu sync.RWMutex
 	// cols holds one typed vector per column; nrows is the row count.
 	cols  []*colVec
 	nrows int
-	// rowView is the cached row-major view served by scan. Inserts extend it
-	// in place while it is live; updates and deletes drop it, and the next
-	// scan rebuilds it. nil means stale/never built.
-	rowView []Row
 	// indexes maps column position to the hash index over that column (see
 	// index.go). Indexes are maintained incrementally on insert, rebuilt on
 	// delete, and on update only where an assigned column is indexed.
@@ -103,56 +98,6 @@ func (t *Table) NumRows() int {
 	return t.nrows
 }
 
-// scan returns a row-major view of the table for the row interpreter. The
-// view is materialized from the column vectors once and cached: repeat scans
-// return the cached slice with no per-row allocation, inserts extend the live
-// view in place, and updates/deletes invalidate it. The returned slice header
-// is a snapshot — the rows visible through it never change under a reader's
-// feet, because all storage mutation happens under the exclusive DB statement
-// lock, which excludes every SELECT reader.
-func (t *Table) scan() []Row {
-	t.mu.RLock()
-	view := t.rowView
-	t.mu.RUnlock()
-	if view != nil || t.nrows == 0 {
-		return view
-	}
-	// Build under the write lock; concurrent SELECTs racing here serialize
-	// and the losers return the winner's view (same double-checked pattern
-	// as createIndex).
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.rowView == nil {
-		t.rowView = t.materializeRows()
-	}
-	return t.rowView
-}
-
-// materializeRows builds the row-major view of the column vectors. Caller
-// holds t.mu exclusively (or the exclusive DB statement lock).
-func (t *Table) materializeRows() []Row {
-	rows := make([]Row, t.nrows)
-	cells := make(Row, t.nrows*len(t.cols)) // one backing array for all rows
-	for i := range rows {
-		row := cells[i*len(t.cols) : (i+1)*len(t.cols) : (i+1)*len(t.cols)]
-		for j, c := range t.cols {
-			row[j] = c.value(i)
-		}
-		rows[i] = row
-	}
-	return rows
-}
-
-// row materializes one stored row. Intended for read paths that hold the DB
-// statement lock.
-func (t *Table) row(pos int) Row {
-	out := make(Row, len(t.cols))
-	for j, c := range t.cols {
-		out[j] = c.value(pos)
-	}
-	return out
-}
-
 func (t *Table) insert(r Row) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -179,9 +124,6 @@ func (t *Table) insert(r Row) error {
 		c.appendVal(r[i])
 	}
 	t.nrows++
-	if t.rowView != nil {
-		t.rowView = append(t.rowView, r)
-	}
 	for col, idx := range t.indexes {
 		idx.add(r[col], pos)
 	}
@@ -217,6 +159,44 @@ func (t *Table) buildIndex(col int) *hashIndex {
 	return idx
 }
 
+// updateRows is the write phase of an UPDATE, shared by both engines: row
+// pos[i] takes vals[i*len(cols)+j] in column cols[j], each value already
+// coerced to its column type. The indexes over the assigned columns are
+// rebuilt, and db stamps the table with a fresh data version. Caller holds
+// db.mu exclusively.
+func (t *Table) updateRows(db *DB, cols, pos []int, vals []Value) {
+	if len(pos) == 0 {
+		return
+	}
+	t.mu.Lock()
+	for i, p := range pos {
+		for j, c := range cols {
+			t.cols[c].setVal(p, vals[i*len(cols)+j])
+		}
+	}
+	t.mu.Unlock()
+	t.rebuildIndexesOn(cols)
+	db.bumpData(t)
+}
+
+// deleteRows is the write phase of a DELETE, shared by both engines: it drops
+// the n rows whose keep bit is false, preserving the order of the rest. Every
+// index is rebuilt, and db stamps the table with a fresh data version.
+// Caller holds db.mu exclusively.
+func (t *Table) deleteRows(db *DB, keep []bool, n int) {
+	if n == 0 {
+		return
+	}
+	t.mu.Lock()
+	for _, c := range t.cols {
+		c.compact(keep)
+	}
+	t.nrows -= n
+	t.mu.Unlock()
+	t.rebuildIndexes()
+	db.bumpData(t)
+}
+
 // rebuildIndexes recomputes every index after a DELETE, which shifts row
 // positions.
 func (t *Table) rebuildIndexes() {
@@ -243,7 +223,7 @@ func (t *Table) rebuildIndexesOn(assigned []int) {
 // index returns the hash index over a column, or nil. The index may be read
 // without the table lock afterwards: indexes mutate only under the exclusive
 // DB statement lock, which excludes all SELECT readers. The positions it
-// yields index into the snapshot returned by scan.
+// yields index the column vectors.
 func (t *Table) index(col int) *hashIndex {
 	t.mu.RLock()
 	defer t.mu.RUnlock()

@@ -260,8 +260,6 @@ func (vc *vecCtx) release() {
 		vc.sg.accs[i] = aggAcc{}
 	}
 	vc.sg.hasRep, vc.sg.n = false, 0
-	clear(vc.repRow)
-	clear(vc.lastRow)
 	for i := range vc.groupSeq {
 		vc.groupSeq[i] = nil
 	}
@@ -557,7 +555,7 @@ func compileVecSelect(p *stmtPlan, st *SelectStmt, sp *selectPlan) (*vecSelectPl
 			if item.Star {
 				// Projection-order column gather: one typed load per column
 				// of every bound table, in binding order — exactly the row
-				// engine's bt.row expansion.
+				// engine's star expansion.
 				for t := range cp.tabs {
 					for c := range cp.tabs[t].Columns {
 						vp.items = append(vp.items, vecColumn(t, c))
@@ -1173,10 +1171,6 @@ func (cp *vecCompiler) compileCorr(e Expr, ntab int, id int32) (vexpr, bool) {
 	}
 	memoized := func(vc *vecCtx, b *vbatch, out *vcol) error {
 		vals := out.alloc(b.n)
-		var views [2][]Row
-		for k, t := range locals {
-			views[k] = vc.tabs[t].scan()
-		}
 		for i := 0; i < b.n; i++ {
 			key := corrKey{id: id}
 			for _, t := range locals {
@@ -1186,12 +1180,12 @@ func (cp *vecCompiler) compileCorr(e Expr, ntab int, id int32) (vexpr, bool) {
 				vals[i] = v
 				continue
 			}
-			for k, t := range locals {
-				vc.bts[t].row = views[k][b.pos[t][i]]
+			for _, t := range locals {
+				vc.bts[t].bind(int(b.pos[t][i]))
 			}
 			v, err := vc.ec.eval(e, &vc.fr)
 			for _, t := range locals {
-				vc.bts[t].row = nil
+				vc.bts[t].at = 0
 			}
 			if err != nil {
 				return err

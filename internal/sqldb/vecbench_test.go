@@ -54,7 +54,7 @@ func benchEngines(b *testing.B, rows int, sql string) {
 			if err := db.SetEngine(engine); err != nil {
 				b.Fatal(err)
 			}
-			// Warm lazy structures (row view, join indexes) outside the timer.
+			// Warm lazy structures (join indexes) outside the timer.
 			if _, err := ps.Execute(nil); err != nil {
 				b.Fatal(err)
 			}

@@ -1,19 +1,19 @@
 package sqldb
 
-import "strings"
+import (
+	"slices"
+	"strings"
+)
 
 // Columnar DML. UPDATE and DELETE evaluate their WHERE clause as a vectorized
 // predicate over the column vectors — fused kernels when the clause is all
-// plain comparisons, the compiled vexpr tree otherwise — and mutate or
-// compact the columns in place under the exclusive statement lock. The row
-// engine's path materializes the row-major view (Table.scan) just to iterate
-// it; this path never touches the view, only drops it, so a DML statement on
-// a cold table costs no rowView rebuild.
+// plain comparisons, the compiled vexpr tree otherwise — one chunk at a time,
+// and hand the matched rows to the table's write phase (Table.updateRows,
+// Table.deleteRows), the same one the row engine's path calls.
 //
 // Semantics mirror execUpdateLocked/execDeleteLocked: the WHERE and SET
-// expressions read the pre-mutation state (phase 1), mutation happens only
-// after every expression evaluated without error (phase 2), the cached
-// rowView is dropped, indexes rebuild, and the table's data version bumps.
+// expressions read the pre-mutation state (phase 1), and the write phase
+// runs only after every expression evaluated without error (phase 2).
 // Error presence matches the row engine; which of several simultaneous errors
 // surfaces may differ (the documented engines-agree caveat), because the
 // columnar path evaluates chunk-at-a-time and column-major where the row
@@ -21,7 +21,6 @@ import "strings"
 
 // vecDMLPlan is the compiled columnar pipeline of one UPDATE or DELETE.
 type vecDMLPlan struct {
-	table   *Table
 	binding string
 	where   vexpr   // nil when the statement has no WHERE
 	fused   []vpred // fused WHERE kernels, nil unless every conjunct fused
@@ -29,24 +28,25 @@ type vecDMLPlan struct {
 	cols    []int   // UPDATE: target column of each SET
 }
 
-// compileVecUpdate compiles an UPDATE's WHERE and SET expressions against its
-// table. Any refusal returns nil: the row path runs (and raises resolution
-// errors like a missing SET column itself).
-func compileVecUpdate(p *stmtPlan, st *UpdateStmt, t *Table) *vecDMLPlan {
+// compileVecDML compiles the WHERE clause of an UPDATE or DELETE on table,
+// and an UPDATE's SET expressions, against t. Any refusal returns nil: the
+// row path runs (and raises resolution errors like a missing SET column
+// itself).
+func compileVecDML(p *stmtPlan, t *Table, table string, where Expr, sets []SetClause) *vecDMLPlan {
 	if t == nil {
 		return nil
 	}
-	dp := &vecDMLPlan{table: t, binding: strings.ToLower(st.Table)}
+	dp := &vecDMLPlan{binding: strings.ToLower(table)}
 	cp := &vecCompiler{p: p, tabs: []*Table{t}, binds: []string{dp.binding}}
-	if st.Where != nil {
-		f, ok := cp.compile(st.Where, 1)
+	if where != nil {
+		f, ok := cp.compile(where, 1)
 		if !ok {
 			return nil
 		}
 		dp.where = f
-		dp.fused = cp.fuseFilter(st.Where, 1)
+		dp.fused = cp.fuseFilter(where, 1)
 	}
-	for _, set := range st.Sets {
+	for _, set := range sets {
 		c := t.ColumnIndex(set.Column)
 		if c < 0 {
 			return nil
@@ -61,27 +61,11 @@ func compileVecUpdate(p *stmtPlan, st *UpdateStmt, t *Table) *vecDMLPlan {
 	return dp
 }
 
-// compileVecDelete compiles a DELETE's WHERE against its table.
-func compileVecDelete(p *stmtPlan, st *DeleteStmt, t *Table) *vecDMLPlan {
-	if t == nil {
-		return nil
-	}
-	dp := &vecDMLPlan{table: t, binding: strings.ToLower(st.Table)}
-	cp := &vecCompiler{p: p, tabs: []*Table{t}, binds: []string{dp.binding}}
-	if st.Where != nil {
-		f, ok := cp.compile(st.Where, 1)
-		if !ok {
-			return nil
-		}
-		dp.where = f
-		dp.fused = cp.fuseFilter(st.Where, 1)
-	}
-	return dp
-}
-
-// vecExecUpdateLocked is the columnar UPDATE core; db.mu must be held
-// exclusively and plan.dml must be compiled against t.
-func (db *DB) vecExecUpdateLocked(params *Params, plan *stmtPlan, t *Table) (*Result, error) {
+// vecDMLMatch narrows t, one chunk at a time in storage order, to the rows
+// the WHERE clause of plan.dml keeps (every row when it has none) and hands
+// each non-empty narrowed chunk to fn. db.mu must be held exclusively and
+// plan.dml must be compiled against t.
+func (db *DB) vecDMLMatch(params *Params, plan *stmtPlan, t *Table, fn func(vc *vecCtx, cur *vbatch) error) error {
 	dp := plan.dml
 	ec := &execCtx{db: db, params: params, plan: plan}
 	vc := acquireVecCtx(ec, 1)
@@ -94,20 +78,10 @@ func (db *DB) vecExecUpdateLocked(params *Params, plan *stmtPlan, t *Table) (*Re
 		fused = nil
 	}
 
-	type patch struct {
-		pos    int32
-		values Row
-	}
-	var patches []patch
 	b, nb := &vc.b, &vc.nb
-	setCol := vc.getCol()
-	defer vc.putCol(setCol)
 	nrows := t.nrows // stable: we hold the exclusive statement lock
 	for start := 0; start < nrows; start += vecBatchSize {
-		end := start + vecBatchSize
-		if end > nrows {
-			end = nrows
-		}
+		end := min(start+vecBatchSize, nrows)
 		b.n = end - start
 		b.pos[0] = b.pos[0][:0]
 		for p := start; p < end; p++ {
@@ -115,129 +89,88 @@ func (db *DB) vecExecUpdateLocked(params *Params, plan *stmtPlan, t *Table) (*Re
 		}
 
 		cur := b
-		if dp.where != nil {
-			if fused != nil {
-				cur = vc.narrowFused(b, nb, fused)
-			} else {
-				out, err := vc.narrow(b, nb, dp.where)
-				if err != nil {
-					return nil, err
-				}
-				cur = out
+		switch {
+		case dp.where == nil:
+		case fused != nil:
+			cur = vc.narrowFused(b, nb, fused)
+		default:
+			out, err := vc.narrow(b, nb, dp.where)
+			if err != nil {
+				return err
 			}
-			if cur.n == 0 {
-				continue
-			}
+			cur = out
 		}
+		if cur.n == 0 {
+			continue
+		}
+		if err := fn(vc, cur); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
-		// Evaluate the SET expressions column-major over the survivors,
+// vecExecUpdateLocked is the columnar UPDATE core; db.mu must be held
+// exclusively and plan.dml must be compiled against t.
+func (db *DB) vecExecUpdateLocked(params *Params, plan *stmtPlan, t *Table) (*Result, error) {
+	dp := plan.dml
+	// pos lists the matched rows; vals holds their new values, one per SET
+	// in declaration order, row after row.
+	var pos []int
+	var vals []Value
+	err := db.vecDMLMatch(params, plan, t, func(vc *vecCtx, cur *vbatch) error {
+		// Evaluate the SET expressions column-major over the matched rows,
 		// coercing to the target column types; errors surface before any
 		// mutation.
-		base := len(patches)
-		for i := 0; i < cur.n; i++ {
-			patches = append(patches, patch{pos: cur.pos[0][i], values: make(Row, len(dp.sets))})
-		}
+		base, ns := len(vals), len(dp.sets)
+		vals = slices.Grow(vals, cur.n*ns)[:base+cur.n*ns]
+		setCol := vc.getCol()
+		defer vc.putCol(setCol)
 		for j, sx := range dp.sets {
 			if err := sx(vc, cur, setCol); err != nil {
-				return nil, err
+				return err
 			}
 			ct := t.Columns[dp.cols[j]].Type
 			for i := 0; i < cur.n; i++ {
 				cv, err := coerce(setCol.at(i), ct)
 				if err != nil {
-					return nil, err
+					return err
 				}
-				patches[base+i].values[j] = cv
+				vals[base+i*ns+j] = cv
 			}
 		}
-	}
-
-	// Phase 2 (write): identical to the row path — patch the column vectors,
-	// drop the cached row view, rebuild the indexes over assigned columns,
-	// bump the data version.
-	if len(patches) > 0 {
-		t.mu.Lock()
-		for _, p := range patches {
-			for j, cv := range p.values {
-				t.cols[dp.cols[j]].setVal(int(p.pos), cv)
-			}
+		for _, p := range cur.pos[0][:cur.n] {
+			pos = append(pos, int(p))
 		}
-		t.rowView = nil
-		t.mu.Unlock()
-		t.rebuildIndexesOn(dp.cols)
-		db.bumpData(t)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return &Result{Affected: len(patches)}, nil
+	// Phase 2 (write): shared with the row path.
+	t.updateRows(db, dp.cols, pos, vals)
+	return &Result{Affected: len(pos)}, nil
 }
 
 // vecExecDeleteLocked is the columnar DELETE core; db.mu must be held
 // exclusively and plan.dml must be compiled against t.
 func (db *DB) vecExecDeleteLocked(params *Params, plan *stmtPlan, t *Table) (*Result, error) {
-	dp := plan.dml
-	ec := &execCtx{db: db, params: params, plan: plan}
-	vc := acquireVecCtx(ec, 1)
-	defer vc.release()
-	vc.btStore[0] = boundTable{binding: dp.binding, table: t}
-	vc.tabs[0] = t
-	vc.fr = frame{tables: vc.bts[:1]}
-	fused := dp.fused
-	if fused != nil && !vc.fuseReady(fused) {
-		fused = nil
+	keep := make([]bool, t.nrows)
+	for i := range keep {
+		keep[i] = true
 	}
-
-	nrows := t.nrows
-	var keep []bool
 	n := 0
-	if dp.where == nil {
-		// No WHERE: every row goes; the selection bitmap stays all-false.
-		keep = make([]bool, nrows)
-		n = nrows
-	} else {
-		keep = make([]bool, nrows)
-		for i := range keep {
-			keep[i] = true
+	err := db.vecDMLMatch(params, plan, t, func(_ *vecCtx, cur *vbatch) error {
+		for _, p := range cur.pos[0][:cur.n] {
+			keep[p] = false
 		}
-		b, nb := &vc.b, &vc.nb
-		for start := 0; start < nrows; start += vecBatchSize {
-			end := start + vecBatchSize
-			if end > nrows {
-				end = nrows
-			}
-			b.n = end - start
-			b.pos[0] = b.pos[0][:0]
-			for p := start; p < end; p++ {
-				b.pos[0] = append(b.pos[0], int32(p))
-			}
-
-			cur := b
-			if fused != nil {
-				cur = vc.narrowFused(b, nb, fused)
-			} else {
-				out, err := vc.narrow(b, nb, dp.where)
-				if err != nil {
-					return nil, err
-				}
-				cur = out
-			}
-			for i := 0; i < cur.n; i++ {
-				keep[cur.pos[0][i]] = false
-				n++
-			}
-		}
+		n += cur.n
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-
-	// Phase 2 (write): identical to the row path — compact every column,
-	// drop the cached row view, rebuild indexes, bump the data version.
-	if n > 0 {
-		t.mu.Lock()
-		for _, c := range t.cols {
-			c.compact(keep)
-		}
-		t.nrows -= n
-		t.rowView = nil
-		t.mu.Unlock()
-		t.rebuildIndexes()
-		db.bumpData(t)
-	}
+	// Phase 2 (write): shared with the row path.
+	t.deleteRows(db, keep, n)
 	return &Result{Affected: n}, nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -502,23 +503,61 @@ func TestOuterReferenceKeepsFusedFilter(t *testing.T) {
 	}
 }
 
-// TestScanNoPerRowAlloc pins the cached row view: after the first
-// materialization, repeat scans must not allocate per row.
-func TestScanNoPerRowAlloc(t *testing.T) {
-	db := parityDB(t)
-	tbl := db.Table("item")
-	if tbl == nil {
-		t.Fatal("no item table")
-	}
-	tbl.scan() // materialize
-	allocs := testing.AllocsPerRun(100, func() {
-		rows := tbl.scan()
-		if len(rows) != 3000 {
-			t.Fatalf("scan rows = %d", len(rows))
+// TestRowEnginePointDMLBytesFlat pins that the row interpreter reads rows in
+// place: one UPDATE of a single row by id followed by a point SELECT by id
+// must allocate about as much over 30 000 rows as over 3 000. A row-major
+// copy of the table, rebuilt after every UPDATE, allocates ten times as much.
+func TestRowEnginePointDMLBytesFlat(t *testing.T) {
+	bytesPerCycle := func(nrows int) float64 {
+		db := NewDB()
+		db.SetResultCacheSize(0)
+		if err := db.SetEngine(EngineRow); err != nil {
+			t.Fatal(err)
 		}
-	})
-	if allocs > 0 {
-		t.Fatalf("repeat scan allocates %.1f per run, want 0", allocs)
+		db.MustExec(`CREATE TABLE pt (id INTEGER PRIMARY KEY, v INTEGER, s TEXT)`, nil)
+		ins, err := db.Prepare(`INSERT INTO pt (id, v, s) VALUES (?, ?, ?)`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ins.Close()
+		for i := 0; i < nrows; i++ {
+			if _, err := ins.Execute(&Params{Positional: []Value{NewInt(int64(i)), NewInt(int64(i % 7)), NewText("row")}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		upd, err := db.Prepare(`UPDATE pt SET v = v + 1 WHERE id = ?`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer upd.Close()
+		sel, err := db.Prepare(`SELECT v, s FROM pt WHERE id = ?`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sel.Close()
+		id := &Params{Positional: []Value{NewInt(int64(nrows / 2))}}
+		cycle := func() {
+			if res, err := upd.Execute(id); err != nil || res.Affected != 1 {
+				t.Fatalf("update: %v, %+v", err, res)
+			}
+			if res, err := sel.Execute(id); err != nil || len(res.Set.Rows) != 1 {
+				t.Fatalf("select: %v, %+v", err, res)
+			}
+		}
+		cycle() // warm
+		const runs = 10
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			cycle()
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / runs
+	}
+	small, large := bytesPerCycle(3000), bytesPerCycle(30000)
+	t.Logf("bytes per UPDATE+SELECT: %.0f at 3 000 rows, %.0f at 30 000", small, large)
+	if large > 2*small {
+		t.Fatalf("bytes per point UPDATE+SELECT grow with the table: %.0f at 3 000 rows, %.0f at 30 000 (limit %.0f)", small, large, 2*small)
 	}
 }
 

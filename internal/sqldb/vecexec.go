@@ -180,8 +180,9 @@ func (ec *execCtx) vecExecRows(st *SelectStmt, sp *selectPlan, parent *frame) ([
 func (vc *vecCtx) scan(sp *selectPlan, parent *frame, sink func(b *vbatch) error) error {
 	vp := sp.vec
 
-	// Bind the tables. Rows stay nil — positions replace them — except
-	// during grouped finalization, which materializes representative rows.
+	// Bind the tables. No row is bound — batch positions replace the
+	// binding — except while grouped finalization or the correlated memo
+	// evaluates one row through the row evaluator.
 	// A table-less SELECT binds nothing and runs one batch of one empty
 	// tuple, mirroring the row engine's single seed tuple.
 	vc.fr = frame{parent: parent}
@@ -805,8 +806,8 @@ func positions(dst []int32, b *vbatch, i int) []int32 {
 func (vc *vecCtx) groupRow(buf tuple, g *vecGroup, pos []int32) tuple {
 	buf = buf[:0]
 	if g.hasRep {
-		for t, tab := range vc.tabs {
-			buf = append(buf, tab.scan()[pos[t]])
+		for t := range vc.tabs {
+			buf = append(buf, int(pos[t])+1)
 		}
 	}
 	return buf
@@ -898,7 +899,7 @@ func (vc *vecCtx) finalizeGroups(st *SelectStmt, vp *vecSelectPlan, seq []*vecGr
 	// Leave the frame rows clear: later lazy evaluations (LIMIT) must not
 	// see a stale representative row.
 	for _, bt := range vc.bts {
-		bt.row = nil
+		bt.at = 0
 	}
 	return rows, nil
 }
