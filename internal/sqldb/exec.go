@@ -3,6 +3,7 @@ package sqldb
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -484,13 +485,13 @@ func (ec *execCtx) execSelect(st *SelectStmt, parent *frame) (*ResultSet, error)
 	} else {
 		bt := &boundTable{binding: sp.fromBinding, table: sp.from}
 		fr.tables = append(fr.tables, bt)
-		// Seed tuples from the first table, using an index if the WHERE
-		// clause pins an indexed column of this table to a constant.
-		seeds := ec.seedRows(sp, fr, bt)
+		// Seed tuples from the first table, through an index where the WHERE
+		// clause pins one (ec.seed).
+		seeds := ec.seed(sp, fr, nil)
 		at := make([]int, len(seeds)) // one backing array for all seed tuples
 		tuples = make([]tuple, len(seeds))
 		for i, pos := range seeds {
-			at[i] = pos + 1
+			at[i] = int(pos) + 1
 			tuples[i] = at[i : i+1 : i+1]
 		}
 		for i := range sp.joins {
@@ -709,19 +710,21 @@ func setTuple(fr *frame, tp tuple) {
 	}
 }
 
-// seedRows returns the positions of the candidate rows of the first table:
-// 0..nrows-1 for a full scan, or a hash index's positions when the WHERE
+// seed appends the positions of the candidate rows of the first table to
+// buf, ascending, and returns it. Both engines seed through it, so they visit
+// the same rows. The candidates are a hash index's positions when the WHERE
 // clause contains a top-level "col = expr" conjunct on an indexed column of
 // this table whose right-hand side is independent of the scanned table
 // (literals, parameters, outer-scope correlations, and uncorrelated
-// subqueries all qualify). This turns the nested dereference
-// subqueries emitted by the ASL property compiler from full scans into O(1)
-// point lookups. The candidate conjuncts were matched at prepare time;
-// whether a column is indexed is still checked here so lazily built join
-// indexes are picked up.
-func (ec *execCtx) seedRows(sp *selectPlan, fr *frame, bt *boundTable) []int {
+// subqueries all qualify); else the rows the join access reaches (joinSeed);
+// else every row. This turns the nested dereference subqueries emitted by the
+// ASL property compiler from full scans into O(1) point lookups, and a build
+// side pinned to one run into a read of that run's rows. The candidate
+// conjuncts were matched at prepare time; whether a column is indexed is
+// still checked here so lazily built join indexes are picked up.
+func (ec *execCtx) seed(sp *selectPlan, fr *frame, buf []int32) []int32 {
 	for _, ap := range sp.access {
-		idx := bt.table.index(ap.col)
+		idx := sp.from.index(ap.col)
 		if idx == nil {
 			continue
 		}
@@ -729,13 +732,58 @@ func (ec *execCtx) seedRows(sp *selectPlan, fr *frame, bt *boundTable) []int {
 		if err != nil {
 			continue // not evaluable up front; fall back to a scan
 		}
-		return idx.get(v)
+		for _, p := range idx.get(v) {
+			buf = append(buf, int32(p))
+		}
+		return buf
 	}
-	all := make([]int, bt.table.nrows)
-	for i := range all {
-		all[i] = i
+	if seeded, ok := ec.joinSeed(sp, fr, buf); ok {
+		return seeded
 	}
-	return all
+	n := sp.from.nrows // stable: DML runs under the exclusive statement lock
+	for i := 0; i < n; i++ {
+		buf = append(buf, int32(i))
+	}
+	return buf
+}
+
+// joinSeed appends the join access's candidates to buf: the first table's
+// rows whose joined column holds the key of a row of J the pin selects, each
+// once and in storage order, so rows — and float sums over them — arrive as
+// the scan delivers them. It reports false, for the scan to serve, when the
+// plan has no join access, either index is missing, or the pin value is not
+// exact for the pinned column (pinExact); a NULL value seeds nothing, as the
+// pin holds on no row.
+func (ec *execCtx) joinSeed(sp *selectPlan, fr *frame, buf []int32) ([]int32, bool) {
+	ja := &sp.pin
+	if ja.val == nil {
+		return buf, false
+	}
+	jt := sp.joins[ja.join].table
+	pinIdx, keyIdx := jt.index(ja.col), sp.from.index(ja.fromCol)
+	if pinIdx == nil || keyIdx == nil {
+		return buf, false
+	}
+	v, err := ec.eval(ja.val, fr)
+	switch {
+	case err != nil:
+		return buf, false
+	case v.IsNull():
+		return buf, true
+	case !pinExact(v, jt.Columns[ja.col].Type):
+		return buf, false
+	}
+	n := len(buf)
+	keys := jt.cols[sp.joins[ja.join].eqCol]
+	for _, p := range pinIdx.get(v) {
+		if k := keys.value(p); !k.IsNull() {
+			for _, q := range keyIdx.get(k) {
+				buf = append(buf, int32(q))
+			}
+		}
+	}
+	slices.Sort(buf[n:])
+	return buf[:n+len(slices.Compact(buf[n:]))], true
 }
 
 // conjuncts flattens a top-level AND tree.

@@ -53,3 +53,14 @@ func (db *DB) SetStats(s Stats) {
 	db.vecFbSub.Store(r.Subquery)
 	db.vecFbOther.Store(r.Other)
 }
+
+// OnSeed makes every vectorized scan report the name of the FROM table it
+// seeds and how many of its rows it seeded, for tests that check how far a
+// seed reaches; nil stops the reports.
+func (db *DB) OnSeed(f func(table string, rows int)) {
+	if f == nil {
+		db.seedHook = nil
+		return
+	}
+	db.seedHook = func(from *Table, rows int) { f(from.Name, rows) }
+}

@@ -1,0 +1,280 @@
+package sqldb
+
+import (
+	"fmt"
+	"math"
+	"reflect"
+	"testing"
+)
+
+// pinDB builds the tables the join-pinned seed cases read: contexts o, a
+// junction j (owner → elem) and its elements a over two runs. Element 101
+// (run 2) and element 103 (run NULL) divide by zero (w = 0); elements 104,
+// 108 and 109 share k = 104, so a join on a.k reaches junction row (3, 104)
+// from three elements, two of them pinned together; 106 has a NULL k and
+// junction row (3, NULL) a NULL elem; big holds 2^53 and 2^53+1, which
+// Compare cannot tell apart. unindexed names the index of the join access to
+// leave out — "j.elem", or "a" for the pinned columns a.run and a.big — so
+// that execution scans.
+func pinDB(t testing.TB, unindexed string) *DB {
+	t.Helper()
+	db := NewDB()
+	db.SetResultCacheSize(0)
+	stmts := []string{
+		`CREATE TABLE o (id INTEGER PRIMARY KEY)`,
+		`CREATE TABLE j (owner INTEGER, elem INTEGER)`,
+		`CREATE TABLE a (id INTEGER PRIMARY KEY, k INTEGER, run INTEGER, big INTEGER, v REAL, w INTEGER)`,
+		`INSERT INTO o (id) VALUES (1), (2), (3), (4)`,
+		`INSERT INTO j (owner, elem) VALUES (1, 100), (1, 101), (2, 102), (2, 103), (3, 104), (1, 105),
+			(4, 106), (3, 107), (2, 108), (4, 109), (NULL, 110), (3, NULL), (1, 108)`,
+		fmt.Sprintf(`INSERT INTO a (id, k, run, big, v, w) VALUES
+			(100, 100, 1, %d, 0.5, 1), (101, 101, 2, 0, 1.5, 0), (102, 102, 1, %d, 2.5, 2),
+			(103, 103, NULL, 0, 3.5, 0), (104, 104, 1, 1, 4.5, 3), (105, 105, 2, 1, 5.5, 4),
+			(106, NULL, 1, 2, 6.5, 5), (107, 107, 2, 2, 7.5, 6), (108, 104, 1, 3, 8.5, 7),
+			(109, 104, 1, 3, 9.5, 8), (110, 110, 1, 4, 10.5, 9)`, int64(1)<<53, int64(1)<<53+1),
+	}
+	if unindexed != "j.elem" {
+		stmts = append(stmts, `CREATE INDEX j_elem ON j (elem)`)
+	}
+	if unindexed != "a" {
+		stmts = append(stmts, `CREATE INDEX a_run ON a (run)`, `CREATE INDEX a_big ON a (big)`)
+	}
+	for _, s := range stmts {
+		if _, err := db.Exec(s, nil); err != nil {
+			t.Fatalf("setup %q: %v", s, err)
+		}
+	}
+	return db
+}
+
+// TestJoinPinnedSeedAgrees: a SELECT whose FROM table is seeded through the
+// joined table its WHERE pins — a decorrelated build side, or a plain join —
+// gives what the full scan gives, errors included: on the row engine, on the
+// vectorized engine, through the per-row memo, and with either index of the
+// join access missing, where every engine scans. seeded says whether the
+// join access may serve the decorrelated execution on the fully indexed
+// database; where it may not, the scan must.
+func TestJoinPinnedSeedAgrees(t *testing.T) {
+	const (
+		sum    = `SELECT o.id, (SELECT SUM(a.v) FROM j JOIN a ON a.id = j.elem WHERE j.owner = o.id AND a.run = $t) FROM o ORDER BY o.id`
+		sumBig = `SELECT o.id, (SELECT SUM(a.v) FROM j JOIN a ON a.id = j.elem WHERE j.owner = o.id AND a.big = $t) FROM o ORDER BY o.id`
+	)
+	cases := []struct {
+		name    string
+		sql     string
+		pin     Value
+		seeded  bool
+		wantErr bool
+	}{
+		{"sum", sum, NewInt(1), true, false},
+		{"sum-run-2", sum, NewInt(2), true, false},
+		// Junction row (3, 104) is reached from elements 104, 108 and 109:
+		// seeded once, joined three times. Element 106's NULL k and the NULL
+		// elem of (3, NULL) match nothing.
+		{"non-unique-key", `SELECT o.id, (SELECT COUNT(*) FROM j JOIN a ON a.k = j.elem WHERE j.owner = o.id AND a.run = $t),
+			(SELECT SUM(a.v) FROM j JOIN a ON a.k = j.elem WHERE a.run = $t AND j.owner = o.id) FROM o ORDER BY o.id`, NewInt(1), true, false},
+		{"null-pin", sum, Null, true, false},
+		// TEXT against INTEGER raises "cannot compare", on the scan.
+		{"text-pin", sum, NewText("x"), false, true},
+		// 2^53+1 compares equal to 2^53 and to itself, and 2^53 to both; an
+		// index Key lookup finds one of the two.
+		{"int-past-2^53", sumBig, NewInt(1<<53 + 1), false, false},
+		{"int-at-2^53", sumBig, NewInt(1 << 53), false, false},
+		{"int-below-2^53", sumBig, NewInt(1<<53 - 1), true, false},
+		// Element 101 divides by zero ahead of the pin that rejects it.
+		{"raise-before-pin", `SELECT o.id, (SELECT SUM(a.v) FROM j JOIN a ON a.id = j.elem WHERE j.owner = o.id AND 10 / a.w > 0 AND a.run = $t) FROM o ORDER BY o.id`, NewInt(1), false, true},
+		// Element 103's run is NULL: the pin is NULL there, AND runs on, and
+		// the division after it raises.
+		{"raise-after-null-pin", `SELECT o.id, (SELECT SUM(a.v) FROM j JOIN a ON a.id = j.elem WHERE j.owner = o.id AND a.run = $t AND 10 / a.w > 0) FROM o ORDER BY o.id`, NewInt(1), false, true},
+		{"raising-join-residue", `SELECT o.id, (SELECT SUM(a.v) FROM j JOIN a ON a.id = j.elem AND 10 / a.w > 0 WHERE j.owner = o.id AND a.run = $t) FROM o ORDER BY o.id`, NewInt(1), false, true},
+		{"quiet-residue", `SELECT o.id, (SELECT COUNT(*) FROM j JOIN a ON a.id = j.elem AND a.w >= 0 WHERE j.owner = o.id AND a.run = $t AND (a.v > 1 OR a.big IS NULL)) FROM o ORDER BY o.id`, NewInt(1), true, false},
+		// Plain joins, seeded on both engines; no ORDER BY, so storage order
+		// shows.
+		{"plain-join", `SELECT j.owner, a.id, a.v FROM j JOIN a ON a.k = j.elem WHERE a.run = $t`, NewInt(1), true, false},
+		{"plain-grouped", `SELECT j.owner, COUNT(*), SUM(a.v) FROM j JOIN a ON a.id = j.elem WHERE a.run = $t GROUP BY j.owner`, NewInt(1), true, false},
+		{"plain-raise-after-null-pin", `SELECT j.owner, a.id FROM j JOIN a ON a.id = j.elem WHERE a.run = $t AND 10 / a.w > 0`, NewInt(1), false, true},
+	}
+	type outcome struct {
+		set    *ResultSet
+		err    string
+		seeded bool // some scan of j seeded fewer than all of j's rows
+	}
+	run := func(t *testing.T, db *DB, sql string, pin Value, engine string, decorrelate bool) outcome {
+		t.Helper()
+		if err := db.SetEngine(engine); err != nil {
+			t.Fatal(err)
+		}
+		db.SetDecorrelation(decorrelate)
+		defer db.SetDecorrelation(true)
+		var o outcome
+		all := db.Table("j").NumRows()
+		db.OnSeed(func(table string, rows int) {
+			if table == "j" && rows < all {
+				o.seeded = true
+			}
+		})
+		defer db.OnSeed(nil)
+		before := db.Stats()
+		res, err := db.Exec(sql, &Params{Named: map[string]Value{"t": pin}})
+		if after := db.Stats(); after.VecFallbacks != before.VecFallbacks {
+			t.Fatalf("%s fell back: %+v", engine, after.VecFallbackReasons)
+		}
+		if err != nil {
+			o.err = err.Error()
+		} else {
+			o.set = res.Set
+		}
+		return o
+	}
+	dbs := map[string]*DB{"": pinDB(t, ""), "j.elem": pinDB(t, "j.elem"), "a": pinDB(t, "a")}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			want := run(t, dbs[""], c.sql, c.pin, EngineVector, true)
+			if (want.err != "") != c.wantErr {
+				t.Fatalf("error = %q, want error: %v", want.err, c.wantErr)
+			}
+			if want.seeded != c.seeded {
+				t.Errorf("seeded through the join access: %v, want %v", want.seeded, c.seeded)
+			}
+			for _, unindexed := range []string{"", "j.elem", "a"} {
+				for _, ref := range []struct {
+					engine      string
+					decorrelate bool
+				}{{EngineVector, true}, {EngineVector, false}, {EngineRow, true}} {
+					got := run(t, dbs[unindexed], c.sql, c.pin, ref.engine, ref.decorrelate)
+					name := fmt.Sprintf("%s (decorrelation %v) without index %q", ref.engine, ref.decorrelate, unindexed)
+					if unindexed != "" && got.seeded {
+						t.Errorf("%s seeded through a missing index", name)
+					}
+					if got.err != want.err {
+						t.Errorf("error diverges on the %s: %q, seeded %q", name, got.err, want.err)
+					}
+					if !reflect.DeepEqual(got.set, want.set) {
+						t.Errorf("result diverges on the %s:\n%+v\nseeded: %+v", name, got.set, want.set)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestJoinPinnedBuildSeedsOneRun: a decorrelated build pinned to one of R
+// runs seeds 1/R of its junction — the rows of that run — where a scan
+// seeds every row.
+func TestJoinPinnedBuildSeedsOneRun(t *testing.T) {
+	const runs, regions, perRun = 8, 16, 3
+	db := NewDB()
+	db.SetResultCacheSize(0)
+	for _, s := range []string{
+		`CREATE TABLE region (id INTEGER PRIMARY KEY)`,
+		`CREATE TABLE region_times (owner_id INTEGER NOT NULL, elem_id INTEGER NOT NULL)`,
+		`CREATE TABLE timing (id INTEGER PRIMARY KEY, run_id INTEGER, incl REAL)`,
+		`CREATE INDEX region_times_elem ON region_times (elem_id)`,
+		`CREATE INDEX timing_run ON timing (run_id)`,
+	} {
+		db.MustExec(s, nil)
+	}
+	id := int64(0)
+	for r := int64(0); r < regions; r++ {
+		db.MustExec(`INSERT INTO region (id) VALUES (?)`, &Params{Positional: []Value{NewInt(r)}})
+		for run := int64(0); run < runs; run++ {
+			for range perRun {
+				db.MustExec(`INSERT INTO timing (id, run_id, incl) VALUES (?, ?, ?)`,
+					&Params{Positional: []Value{NewInt(id), NewInt(run), NewFloat(float64(id) / 4)}})
+				db.MustExec(`INSERT INTO region_times (owner_id, elem_id) VALUES (?, ?)`,
+					&Params{Positional: []Value{NewInt(r), NewInt(id)}})
+				id++
+			}
+		}
+	}
+	junction := db.Table("region_times").NumRows()
+	var seeds []int
+	db.OnSeed(func(table string, rows int) {
+		if table == "region_times" {
+			seeds = append(seeds, rows)
+		}
+	})
+	defer db.OnSeed(nil)
+	set := mustQuery(t, db, `SELECT x.id, (SELECT SUM(a.incl) FROM region_times j JOIN timing a ON a.id = j.elem_id
+		WHERE j.owner_id = x.id AND a.run_id = $t) FROM region x`, &Params{Named: map[string]Value{"t": NewInt(5)}})
+	if len(set.Rows) != regions {
+		t.Fatalf("%d rows, want %d", len(set.Rows), regions)
+	}
+	if want := []int{junction / runs}; !reflect.DeepEqual(seeds, want) {
+		t.Fatalf("the build seeded %v of %d junction rows, want %v", seeds, junction, want)
+	}
+}
+
+// TestJoinPinnedSumOrderStable is TestDecorrelatedSumOrderStable with the
+// build seeded through the pinned element table, whose rows are stored in
+// reverse: the seed restores junction storage order, so float SUMs and AVGs
+// (key 1 holds 1e16, 1, -1e16, 1: 1 left to right, 0 right to left) have the
+// bits of the row engine and the memo.
+func TestJoinPinnedSumOrderStable(t *testing.T) {
+	db := NewDB()
+	db.SetResultCacheSize(0)
+	defer db.SetDecorrelation(true)
+	for _, s := range []string{
+		`CREATE TABLE g (id INTEGER PRIMARY KEY)`,
+		`CREATE TABLE f (owner INTEGER, elem INTEGER)`,
+		`CREATE TABLE e (id INTEGER PRIMARY KEY, run INTEGER, v REAL)`,
+		`CREATE INDEX f_elem ON f (elem)`,
+		`CREATE INDEX e_run ON e (run)`,
+		`INSERT INTO g (id) VALUES (1), (2)`,
+	} {
+		db.MustExec(s, nil)
+	}
+	vals := []struct {
+		owner int64
+		v     float64
+	}{{1, 1e16}, {2, 3}, {1, 1}, {2, 1e16}, {1, -1e16}, {2, -1e16}, {1, 1}}
+	for i, r := range vals {
+		// Run 1's elements, then run 2's, each owned like run 1's.
+		for run := int64(1); run <= 2; run++ {
+			db.MustExec(`INSERT INTO f (owner, elem) VALUES (?, ?)`, &Params{Positional: []Value{NewInt(r.owner), NewInt(run*100 + int64(i))}})
+		}
+	}
+	for i := len(vals) - 1; i >= 0; i-- {
+		for run := int64(2); run >= 1; run-- {
+			db.MustExec(`INSERT INTO e (id, run, v) VALUES (?, ?, ?)`, &Params{Positional: []Value{NewInt(run*100 + int64(i)), NewInt(run), NewFloat(vals[i].v * float64(run))}})
+		}
+	}
+	const q = `SELECT g.id, (SELECT SUM(e.v) FROM f JOIN e ON e.id = f.elem WHERE f.owner = g.id AND e.run = 1),
+		(SELECT AVG(e.v) FROM f JOIN e ON e.id = f.elem WHERE f.owner = g.id AND e.run = 1) FROM g ORDER BY g.id`
+	run := func(engine string, decorrelate bool) *ResultSet {
+		t.Helper()
+		if err := db.SetEngine(engine); err != nil {
+			t.Fatal(err)
+		}
+		db.SetDecorrelation(decorrelate)
+		seeded := 0
+		db.OnSeed(func(table string, rows int) {
+			if table == "f" && rows < db.Table("f").NumRows() {
+				seeded++
+			}
+		})
+		defer db.OnSeed(nil)
+		set := mustQuery(t, db, q, nil)
+		if engine == EngineVector && decorrelate && seeded != 2 {
+			t.Fatalf("%d builds seeded through the pinned table, want 2", seeded)
+		}
+		return set
+	}
+	got := run(EngineVector, true)
+	if sum := got.Rows[0][1]; sum.Float() != 1 {
+		t.Errorf("SUM over key 1 = %s, want 1 (junction storage order)", sum)
+	}
+	for _, ref := range []struct {
+		name string
+		set  *ResultSet
+	}{{"row engine", run(EngineRow, true)}, {"memo", run(EngineVector, false)}} {
+		for i, r := range got.Rows {
+			for j, v := range r {
+				w := ref.set.Rows[i][j]
+				if v.String() != w.String() || math.Float64bits(v.Float()) != math.Float64bits(w.Float()) {
+					t.Errorf("row %d col %d: seeded %s (%b), %s %s (%b)", i, j, v, v.Float(), ref.name, w, w.Float())
+				}
+			}
+		}
+	}
+}

@@ -103,10 +103,24 @@ func (p *stmtPlan) corrID(e Expr) int32 {
 
 // accessPath is a candidate index lookup for the first table of a SELECT:
 // a top-level "col = expr" conjunct whose right-hand side is independent of
-// the scanned table.
+// the scanned table. Where none applies, the join access may seed the table
+// (joinAccess); else it is scanned (ec.seed).
 type accessPath struct {
 	col int
 	val Expr
+}
+
+// joinAccess seeds the first table F of a SELECT through a joined table J the
+// WHERE pins — a semi-join reduction: a top-level "J.col = val" conjunct, val
+// a literal or parameter, where J's join is the hash join "J.key = F.fromCol".
+// The F rows whose fromCol holds a key one of J's pinned rows carries are a
+// superset of the rows that survive the join and the pin (ec.seed). val is
+// nil when the SELECT has no join access (planJoinAccess).
+type joinAccess struct {
+	join    int // J's ordinal in selectPlan.joins
+	col     int // J's pinned column
+	val     Expr
+	fromCol int
 }
 
 // joinPlan is the precomputed strategy for one JOIN clause.
@@ -132,6 +146,7 @@ type selectPlan struct {
 	fromBinding string
 	access      []accessPath
 	joins       []joinPlan
+	pin         joinAccess // consulted when no access path applies
 	grouped     bool
 	aliases     map[string]int // select alias -> output column (read-only)
 	// vec is the compiled vectorized form, nil when the node falls back to
@@ -337,12 +352,15 @@ func (p *stmtPlan) planSelect(db *DB, st *SelectStmt) error {
 		sp.from = t
 		sp.fromBinding = strings.ToLower(st.From.Binding())
 		p.addTable(t)
-		// Access paths: index-lookup candidates among the WHERE conjuncts.
-		// Whether the column is actually indexed is checked at execution,
-		// so plans stay valid when the join planner builds indexes lazily.
+		// Access paths: index-lookup candidates among the WHERE conjuncts,
+		// then the join access. Whether the columns are actually indexed is
+		// checked at execution, so plans stay valid when the join planner
+		// builds indexes lazily.
 		bt := &boundTable{binding: sp.fromBinding, table: t}
+		var conds []Expr
 		if st.Where != nil {
-			for _, conj := range conjuncts(st.Where) {
+			conds = conjuncts(st.Where)
+			for _, conj := range conds {
 				if bin, ok := conj.(*EBinary); ok && bin.Op == OpEq {
 					if col, val := matchColConst(bin, bt); col >= 0 {
 						sp.access = append(sp.access, accessPath{col: col, val: val})
@@ -361,6 +379,7 @@ func (p *stmtPlan) planSelect(db *DB, st *SelectStmt) error {
 			jp.eqCol, jp.outer, jp.rest = joinStrategy(j.On, jbt)
 			sp.joins = append(sp.joins, jp)
 		}
+		sp.pin = planJoinAccess(sp, conds)
 	}
 	var tables []*Table
 	if sp.from != nil {
@@ -400,6 +419,210 @@ func (p *stmtPlan) planSelect(db *DB, st *SelectStmt) error {
 		}
 	}
 	return nil
+}
+
+// planJoinAccess finds the join access of a planned SELECT among conds, the
+// top-level conjuncts of its WHERE — for a build side, of the synthesized
+// WHERE, which holds no key conjunct. The seed skips F rows the scan would
+// have joined and filtered, so the access is taken only where no skipped row
+// could raise: every join key is a column and every join residue and every
+// conjunct but the pin is quiet; the pin value itself is checked per
+// execution (pinExact). Quiet everywhere, not only ahead of the pin: a pin
+// that evaluates to NULL — on a NULL cell — does not cut AND short, so the
+// conjuncts after it still run on that row.
+func planJoinAccess(sp *selectPlan, conds []Expr) joinAccess {
+	if len(sp.joins) == 0 {
+		return joinAccess{}
+	}
+	for k := range sp.joins {
+		jp := &sp.joins[k]
+		if jp.eqCol >= 0 {
+			key, ok := jp.outer.(*EColumn)
+			if !ok {
+				return joinAccess{}
+			}
+			lqual, lname := key.keys()
+			if _, _, n := sp.resolve(lqual, lname, k+2); n != 1 {
+				return joinAccess{}
+			}
+		}
+		for _, c := range jp.rest {
+			if !sp.quiet(c, k+2) {
+				return joinAccess{}
+			}
+		}
+	}
+	var pin joinAccess
+	for _, c := range conds {
+		if pin.val == nil {
+			if pin = sp.matchPin(c); pin.val != nil {
+				continue
+			}
+		}
+		if !sp.quiet(c, 1+len(sp.joins)) {
+			return joinAccess{}
+		}
+	}
+	return pin
+}
+
+// matchPin matches a conjunct "J.col = val" (either orientation) on a joined
+// table J whose join is the hash join "J.key = F.fromCol", with val a literal
+// or parameter and col of a type pinExact can admit a value for.
+func (sp *selectPlan) matchPin(c Expr) joinAccess {
+	eq, ok := c.(*EBinary)
+	if !ok || eq.Op != OpEq {
+		return joinAccess{}
+	}
+	col, isCol := eq.L.(*EColumn)
+	val := eq.R
+	if !isCol {
+		col, isCol = eq.R.(*EColumn)
+		val = eq.L
+	}
+	switch val.(type) {
+	case *ELit, *EParam:
+	default:
+		return joinAccess{}
+	}
+	if !isCol {
+		return joinAccess{}
+	}
+	lqual, lname := col.keys()
+	t, pc, n := sp.resolve(lqual, lname, 1+len(sp.joins))
+	if n != 1 || t == 0 {
+		return joinAccess{}
+	}
+	jp := &sp.joins[t-1]
+	switch jp.table.Columns[pc].Type {
+	case TInt, TBool, TText:
+	default:
+		return joinAccess{}
+	}
+	key, _ := jp.outer.(*EColumn)
+	if jp.eqCol < 0 || key == nil {
+		return joinAccess{}
+	}
+	lqual, lname = key.keys()
+	if ft, fc, n := sp.resolve(lqual, lname, t+1); n == 1 && ft == 0 {
+		return joinAccess{join: t - 1, col: pc, val: val, fromCol: fc}
+	}
+	return joinAccess{}
+}
+
+// pinExact reports whether a non-NULL pin value v compares with every
+// non-NULL cell of a column of type typ without raising, and equals exactly
+// the cells whose index Key is v's: v has the column's own kind, and an
+// INTEGER lies strictly within ±2^53 — Compare goes through float64, which
+// merges neighbours beyond, and a cell past 2^53 can round onto 2^53 itself.
+func pinExact(v Value, typ ColType) bool {
+	switch typ {
+	case TInt:
+		return v.kind == kindInt && v.i > -exactInt && v.i < exactInt
+	case TBool:
+		return v.kind == kindBool
+	case TText:
+		return v.kind == kindText
+	}
+	return false
+}
+
+// quiet reports whether the predicate e, evaluated over the first n tables of
+// the SELECT, yields TRUE, FALSE or NULL on every row without raising:
+// comparisons of columns and literals that Compare orders against each other,
+// combined by AND, OR and NOT, and IS [NOT] NULL tests of them.
+func (sp *selectPlan) quiet(e Expr, n int) bool {
+	switch x := e.(type) {
+	case *EBinary:
+		switch x.Op {
+		case OpAnd, OpOr:
+			return sp.quiet(x.L, n) && sp.quiet(x.R, n)
+		case OpEq, OpNeq, OpLt, OpLeq, OpGt, OpGeq:
+			l, r := sp.class(x.L, n), sp.class(x.R, n)
+			return l != classNone && r != classNone && (l == r || l == classNull || r == classNull)
+		}
+	case *EUnary:
+		return !x.Neg && sp.quiet(x.X, n)
+	case *EIsNull:
+		return sp.class(x.X, n) != classNone
+	case *ELit, *EColumn:
+		c := sp.class(e, n)
+		return c == classBool || c == classNull
+	}
+	return false
+}
+
+// Comparison classes of a column or literal operand (selectPlan.class):
+// Compare orders two non-NULL values without raising when their classes are
+// equal.
+const (
+	classNone = iota // not a column of the scope or a literal
+	classNull
+	classNum
+	classText
+	classBool
+)
+
+// class is the comparison class of a literal, or of a column resolving among
+// the first n tables of the SELECT by its declared type — storage coerces
+// every cell to it.
+func (sp *selectPlan) class(e Expr, n int) int {
+	switch x := e.(type) {
+	case *ELit:
+		switch x.Value.kind {
+		case kindNull:
+			return classNull
+		case kindInt, kindFloat:
+			return classNum
+		case kindText:
+			return classText
+		case kindBool:
+			return classBool
+		}
+	case *EColumn:
+		lqual, lname := x.keys()
+		t, c, matches := sp.resolve(lqual, lname, n)
+		if matches != 1 {
+			return classNone
+		}
+		_, tab := sp.table(t)
+		switch tab.Columns[c].Type {
+		case TInt, TFloat:
+			return classNum
+		case TText:
+			return classText
+		case TBool:
+			return classBool
+		}
+	}
+	return classNone
+}
+
+// table returns the binding and table of the SELECT's t-th bound table: the
+// FROM table at 0, joins[t-1] after it.
+func (sp *selectPlan) table(t int) (string, *Table) {
+	if t == 0 {
+		return sp.fromBinding, sp.from
+	}
+	jp := &sp.joins[t-1]
+	return jp.binding, jp.table
+}
+
+// resolve finds a column reference among the first n bound tables of the
+// SELECT as frame.resolve does within one scope — qualifier filter plus
+// column membership: matches counts the tables holding it, t and col locate
+// the last one.
+func (sp *selectPlan) resolve(lqual, lname string, n int) (t, col, matches int) {
+	for i := 0; i < n; i++ {
+		bind, tab := sp.table(i)
+		if lqual != "" && bind != lqual {
+			continue
+		}
+		if c, has := tab.colIdx[lname]; has {
+			t, col, matches = i, c, matches+1
+		}
+	}
+	return t, col, matches
 }
 
 // planExpr walks an expression, planning nested SELECTs and precomputing the

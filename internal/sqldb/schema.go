@@ -260,6 +260,9 @@ type DB struct {
 	// build sides: the per-row memo is the reference the decorrelated form
 	// is checked against.
 	memoOnly atomic.Bool
+	// seedHook, set only by tests (export_test.go), observes the seed of
+	// every vectorized scan: the FROM table and how many rows it seeded.
+	seedHook func(from *Table, rows int)
 }
 
 // countFallback records one row-interpreter fallback under its refusal

@@ -913,26 +913,14 @@ type corrScope struct {
 	limit int
 }
 
-func (sc *corrScope) at(t int) (string, *Table) {
-	if t == 0 {
-		return sc.sp.fromBinding, sc.sp.from
-	}
-	jp := &sc.sp.joins[t-1]
-	return jp.binding, jp.table
-}
-
-// lookup counts the visible tables of the scope a reference resolves into,
-// mirroring frame.resolve within one scope — qualifier filter plus column
-// membership — and returns the declared type of the column it found last.
+// lookup counts the visible tables of the scope a reference resolves into
+// (selectPlan.resolve) and returns the declared type of the column it found
+// last.
 func (sc *corrScope) lookup(lqual, lname string) (n int, typ ColType) {
-	for t := 0; t < sc.limit; t++ {
-		bind, tab := sc.at(t)
-		if lqual != "" && bind != lqual {
-			continue
-		}
-		if c, has := tab.colIdx[lname]; has {
-			n, typ = n+1, tab.Columns[c].Type
-		}
+	t, c, n := sc.sp.resolve(lqual, lname, sc.limit)
+	if n > 0 {
+		_, tab := sc.sp.table(t)
+		typ = tab.Columns[c].Type
 	}
 	return n, typ
 }
@@ -1063,7 +1051,7 @@ func (w *corrWalk) walkSel(st *SelectStmt) {
 	w.scopes = append(w.scopes, corrScope{sp: sp})
 	if sp.from != nil {
 		// Access-path seed keys are evaluated with only the first table
-		// bound (seedRows); resolve them at that frame width too.
+		// bound (ec.seed); resolve them at that frame width too.
 		w.scopes[sc].limit = 1
 		for _, ap := range sp.access {
 			w.walk(ap.val)
@@ -1367,10 +1355,12 @@ type corrBuildPlan struct {
 // The build may evaluate the subquery's expressions on rows the correlated
 // executions never visit, never the other way round: it scans the FROM table
 // (a correlated access path other than a key's own would seed it by Key
-// equality, which parts from Compare's — refused), filters by every non-key
-// conjunct, and evaluates the inner keys on every row that passes — so an
-// inner key that could raise (anything but a column or a literal) is allowed
-// only without such a filter. A build that succeeds has therefore seen every
+// equality, which parts from Compare's — refused), or seeds it through the
+// joined table its residue pins where no row it skips could raise
+// (planJoinAccess); it filters by every non-key conjunct and evaluates the
+// inner keys on every row that passes — so an inner key that could raise
+// (anything but a column or a literal) is allowed only without such a
+// filter. A build that succeeds has therefore seen every
 // error the correlated form could raise. One that fails, and a probe key that
 // fails to evaluate (the correlated form evaluates it only against rows of
 // the subquery, which may have none), hand the batch to slow, the memo, which
@@ -1572,9 +1562,12 @@ func (cp *vecCompiler) corrBuild(id int32, st *SelectStmt, sp *selectPlan, inner
 		bp = nil
 	}
 	if bp != nil {
-		// The subquery's tables and join strategies, and no access path: the
-		// build scans its FROM table in storage order.
+		// The subquery's tables and join strategies, and no access path on
+		// the FROM table — the build reads every key — but the join access
+		// its residue pins: the build visits the FROM table's candidate rows
+		// in storage order.
 		bp.sp = &selectPlan{from: sp.from, fromBinding: sp.fromBinding, joins: sp.joins}
+		bp.sp.pin = planJoinAccess(bp.sp, resid)
 		if bp.sp.vec, _ = compileVecSelect(cp.p, syn, bp.sp); bp.sp.vec == nil {
 			bp = nil
 		}

@@ -40,10 +40,15 @@ func benchDB(b *testing.B, rows int) *DB {
 	return db
 }
 
-// benchEngines runs one prepared SELECT on both engines at b.N iterations
-// each, as sub-benchmarks.
+// benchEngines runs one prepared SELECT over a rows-row fixture on both
+// engines (benchPrepared).
 func benchEngines(b *testing.B, rows int, sql string) {
-	db := benchDB(b, rows)
+	benchPrepared(b, benchDB(b, rows), sql)
+}
+
+// benchPrepared runs one prepared SELECT on both engines at b.N iterations
+// each, as sub-benchmarks.
+func benchPrepared(b *testing.B, db *DB, sql string) {
 	ps, err := db.Prepare(sql)
 	if err != nil {
 		b.Fatal(err)
@@ -95,28 +100,44 @@ func BenchmarkEngineJoin(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	ps, err := db.Prepare(`SELECT COUNT(*) FROM m JOIN g ON m.grp = g.id WHERE m.val > 60`)
+	benchPrepared(b, db, `SELECT COUNT(*) FROM m JOIN g ON m.grp = g.id WHERE m.val > 60`)
+}
+
+// BenchmarkEngineJoinPinned measures the join access: a junction of 250 000
+// rows joined to the 1e6-row fact table, which the WHERE pins by an indexed
+// column, so the junction is seeded with the 15 625 rows whose fact rows the
+// pin selects instead of being scanned whole (the shape of a property's
+// build side pinned to one run).
+func BenchmarkEngineJoinPinned(b *testing.B) {
+	db := benchDB(b, 1_000_000)
+	for _, s := range []string{
+		`CREATE TABLE jx (owner INTEGER, elem INTEGER)`,
+		`CREATE INDEX jx_elem ON jx (elem)`,
+		`CREATE INDEX m_grp ON m (grp)`,
+	} {
+		if _, err := db.Exec(s, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	ins, err := db.Prepare(`INSERT INTO jx (owner, elem) VALUES (?, ?)`)
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer ps.Close()
-	for _, engine := range []string{EngineVector, EngineRow} {
-		b.Run(engine, func(b *testing.B) {
-			if err := db.SetEngine(engine); err != nil {
+	defer ins.Close()
+	const rows, chunk = 250_000, 4096
+	bindings := make([]*Params, 0, chunk)
+	for i := 0; i < rows; i++ {
+		// elem = 4i+3 reaches one fact row in four; grp = elem % 64 holds 7
+		// for one junction row in sixteen.
+		bindings = append(bindings, &Params{Positional: []Value{NewInt(int64(i % 256)), NewInt(int64(4*i + 3))}})
+		if len(bindings) == chunk || i == rows-1 {
+			if _, err := ins.ExecuteBatch(bindings); err != nil {
 				b.Fatal(err)
 			}
-			if _, err := ps.Execute(nil); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := ps.Execute(nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+			bindings = bindings[:0]
+		}
 	}
+	benchPrepared(b, db, `SELECT COUNT(*), SUM(m.val) FROM jx JOIN m ON m.id = jx.elem WHERE m.grp = 7`)
 }
 
 // BenchmarkEngineSeek measures the indexed point-lookup shape the ASL

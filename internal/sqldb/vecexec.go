@@ -201,12 +201,11 @@ func (vc *vecCtx) scan(sp *selectPlan, parent *frame, sink func(b *vbatch) error
 		// Seed positions while the frame holds only the first table —
 		// access-path keys resolve exactly as they would in the row engine's
 		// seed phase.
-		var err error
-		seed, err = vc.ec.vecSeed(sp, fr, bts[0], vc.seed[:0])
-		if err != nil {
-			return err
+		vc.seed = vc.ec.seed(sp, fr, vc.seed[:0])
+		seed = vc.seed
+		if h := vc.ec.db.seedHook; h != nil {
+			h(sp.from, len(seed))
 		}
-		vc.seed = seed
 		fr.tables = bts
 	}
 
@@ -477,33 +476,6 @@ func (vc *vecCtx) fold(bp *corrBuildPlan, bd *corrBuild, b *vbatch) error {
 		}
 	}
 	return nil
-}
-
-// vecSeed returns the seed row positions of the first table: an index point
-// lookup when one of the planned access paths applies (the positions are
-// copied — downstream narrowing must not alias the index), a full scan
-// otherwise. Mirrors seedRows, including swallowing key-evaluation errors to
-// fall back to the scan.
-func (ec *execCtx) vecSeed(sp *selectPlan, fr *frame, bt *boundTable, buf []int32) ([]int32, error) {
-	for _, ap := range sp.access {
-		idx := bt.table.index(ap.col)
-		if idx == nil {
-			continue
-		}
-		v, err := ec.eval(ap.val, fr)
-		if err != nil {
-			continue // not evaluable up front; fall back to a scan
-		}
-		for _, p := range idx.get(v) {
-			buf = append(buf, int32(p))
-		}
-		return buf, nil
-	}
-	n := bt.table.nrows // stable: DML runs under the exclusive statement lock
-	for i := 0; i < n; i++ {
-		buf = append(buf, int32(i))
-	}
-	return buf, nil
 }
 
 // probeJoin expands the batch through one equi-join: evaluate the outer key,
