@@ -52,7 +52,6 @@ func main() {
 	workers := flag.Int("workers", 0, "property-evaluation workers; 1 is fully serial, omit for GOMAXPROCS")
 	dbAddr := flag.String("db", "", "kojakdb address(es) for the sql/client engines, comma-separated for a sharded database; empty runs in process")
 	preloaded := flag.Bool("preloaded", false, "assume the -db servers already hold the dataset (e.g. ingested by apprentice with the same workload, sizes, and seed); skip schema creation and loading")
-	fetchSize := flag.Int("fetchsize", 0, "rows per cursor fetch on pooled connections (the JDBC row-at-a-time default is 1); omit to keep the default")
 	batchSize := flag.Int("batchsize", 0, "above 1: evaluate each property by one set-form statement, and ship per-context fallbacks in batches of this many; 1 executes per instance; omit for the default (32)")
 	cache := flag.String("cache", "on", "result cache of the in-process database: on or off (kojakdb servers configure theirs with -cache-size)")
 	sqlDialect := flag.String("sql-dialect", build.Kojakdb.Name, "SQL dialect property queries are rendered in: "+strings.Join(build.Names(), ", "))
@@ -132,9 +131,6 @@ func main() {
 			fatal(err)
 		}
 		defer closeDB()
-		if fs, ok := q.(interface{ SetFetchSize(int) }); ok && *fetchSize > 0 {
-			fs.SetFetchSize(*fetchSize)
-		}
 		// Only the in-process engine is cosy's to configure; -cache=off with
 		// -db was refused above.
 		if e, ok := q.(godbc.Embedded); ok && *cache == "off" {
@@ -191,7 +187,6 @@ func validateFlags() {
 	atLeast1 := func(s string) bool { var n int; _, err := fmt.Sscanf(s, "%d", &n); return err == nil && n >= 1 }
 	check("workers", atLeast1, "must be at least 1 (omit the flag for GOMAXPROCS)")
 	check("batchsize", atLeast1, "must be at least 1 (1 executes per instance; omit the flag for the default)")
-	check("fetchsize", atLeast1, "must be at least 1 (omit the flag for the default)")
 	check("db", func(s string) bool { return strings.TrimSpace(s) != "" }, "must name at least one kojakdb address")
 	check("cache", func(s string) bool { return s == "on" || s == "off" }, "must be on or off")
 	check("sql-dialect", func(s string) bool { _, ok := build.Lookup(s); return ok }, "must be one of "+strings.Join(build.Names(), ", "))

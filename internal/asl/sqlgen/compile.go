@@ -30,9 +30,9 @@ import (
 // error (UNIQUE over an empty set, MIN over an empty selection, and so on);
 // the analyzer treats both as "instance not evaluable".
 //
-// The query is compiled to a typed AST and rendered per dialect; SQL holds
-// the canonical kojakdb rendering, which is what plan-cache and result-cache
-// keys are built from.
+// The query is compiled to the engine's own SQL AST and rendered per
+// dialect; SQL holds the canonical kojakdb rendering, which is what
+// plan-cache and result-cache keys are built from.
 type CompiledProperty struct {
 	Name string
 	// Params are the ASL property parameters the statement binds, in order:
@@ -43,7 +43,7 @@ type CompiledProperty struct {
 	// per-context form.
 	Context string
 	// AST is the compiled query; Render spells it for a dialect.
-	AST *build.Select
+	AST *sqldb.SelectStmt
 	// SQL is the complete SELECT statement in the canonical kojakdb dialect.
 	SQL string
 	// CondLabels holds the condition label (or "") per condition column.
@@ -53,9 +53,9 @@ type CompiledProperty struct {
 	ConfGuards []string
 	SevGuards  []string
 
-	// refs are the named parameters the query references, with their
-	// declared kinds, in first-occurrence order.
-	refs []build.Param
+	// refs are the declared parameters the query references, in
+	// first-occurrence order.
+	refs []sem.Attr
 }
 
 // Render spells the property query for the named dialect. The kojakdb
@@ -70,8 +70,9 @@ func (cp *CompiledProperty) Render(dialect string) (build.Rendered, error) {
 
 // CheckBinding validates a parameter binding against the property's declared
 // parameters: every parameter the query references must be bound under
-// Params.Named with a value of the declared kind (NULL is always accepted),
-// and every bound name must be a declared parameter.
+// Params.Named with a value of the column type of its declared ASL type
+// (NULL is always accepted), and every bound name must be a declared
+// parameter.
 func (cp *CompiledProperty) CheckBinding(p *sqldb.Params) error {
 	var named map[string]sqldb.Value
 	if p != nil {
@@ -82,8 +83,8 @@ func (cp *CompiledProperty) CheckBinding(p *sqldb.Params) error {
 		if !ok {
 			return fmt.Errorf("sqlgen: property %s: no value bound for parameter $%s", cp.Name, ref.Name)
 		}
-		if !kindAccepts(ref.Kind, v) {
-			return fmt.Errorf("sqlgen: property %s: parameter $%s wants %s, bound %s", cp.Name, ref.Name, ref.Kind, v)
+		if t, err := colTypeFor(ref.Type); err == nil && !typeAccepts(t, v) {
+			return fmt.Errorf("sqlgen: property %s: parameter $%s wants %s, bound %s", cp.Name, ref.Name, typeNames[t], v)
 		}
 	}
 	if len(named) > len(cp.Params) {
@@ -100,23 +101,23 @@ func (cp *CompiledProperty) CheckBinding(p *sqldb.Params) error {
 	return nil
 }
 
-// kindAccepts reports whether a bound value satisfies a declared parameter
-// kind. NULL is a legitimate binding for every kind.
-func kindAccepts(k build.ParamKind, v sqldb.Value) bool {
-	if v.IsNull() {
+// typeNames spells column types in binding errors.
+var typeNames = [...]string{sqldb.TInt: "int", sqldb.TFloat: "float", sqldb.TText: "text", sqldb.TBool: "bool"}
+
+// typeAccepts reports whether a bound value fits a parameter's column type.
+// NULL is a legitimate binding for every type.
+func typeAccepts(t sqldb.ColType, v sqldb.Value) bool {
+	switch {
+	case v.IsNull():
 		return true
-	}
-	switch k {
-	case build.KindInt:
+	case t == sqldb.TInt:
 		return v.IsInt()
-	case build.KindFloat:
+	case t == sqldb.TFloat:
 		return v.IsNumeric()
-	case build.KindText:
+	case t == sqldb.TText:
 		return v.IsText()
-	case build.KindBool:
-		return v.IsBool()
 	}
-	return true
+	return v.IsBool()
 }
 
 // FillPositional populates p.Positional with the named values in marker
@@ -133,29 +134,6 @@ func FillPositional(p *sqldb.Params, order []string) error {
 	}
 	p.Positional = vals
 	return nil
-}
-
-// paramKindFor maps an ASL parameter type to the SQL parameter kind its
-// bindings are checked against. Class-typed parameters carry object ids.
-func paramKindFor(t sem.Type) build.ParamKind {
-	switch x := t.(type) {
-	case *sem.Class:
-		return build.KindInt
-	case *sem.Enum:
-		return build.KindText
-	case *sem.Basic:
-		switch x.Kind {
-		case sem.Int, sem.DateTime:
-			return build.KindInt
-		case sem.Float:
-			return build.KindFloat
-		case sem.String:
-			return build.KindText
-		case sem.Bool:
-			return build.KindBool
-		}
-	}
-	return build.KindAny
 }
 
 // maxInlineDepth bounds ASL function inlining.
@@ -194,7 +172,7 @@ type compiler struct {
 //     through the set query itself: as a scalar it is the element's id, and
 //     an attribute of it is that column of the same query (uniqueCol).
 type cval struct {
-	ex     build.Expr
+	ex     sqldb.Expr
 	alias  string
 	class  *sem.Class // non-nil for object-valued ex/alias values
 	set    *setDesc
@@ -208,13 +186,32 @@ type cval struct {
 type setDesc struct {
 	elem      *sem.Class
 	junction  string
-	ownerEx   build.Expr   // expression for the owning object id
+	ownerEx   sqldb.Expr   // expression for the owning object id
 	elemAlias string       // alias bound for the element rows
 	juncAlias string       // alias bound for the junction rows, set by setQuery
-	conds     []build.Expr // predicates over elemAlias
+	conds     []sqldb.Expr // predicates over elemAlias
 	// cols memoizes, for the set of a UNIQUE value, the query reading each
 	// column of the selected element (uniqueCol).
-	cols map[string]build.Expr
+	cols map[string]sqldb.Expr
+}
+
+// Node constructors for the shapes the compiler emits.
+
+func col(qual, name string) *sqldb.EColumn { return sqldb.NewEColumn(qual, name) }
+
+func param(name string) *sqldb.EParam { return &sqldb.EParam{Ordinal: -1, Name: name} }
+
+func lit(v sqldb.Value) *sqldb.ELit { return &sqldb.ELit{Value: v} }
+
+func eq(l, r sqldb.Expr) *sqldb.EBinary { return &sqldb.EBinary{Op: sqldb.OpEq, L: l, R: r} }
+
+// and joins predicates with AND, left-deep and ungrouped: the tree the
+// engine parses "p AND q AND r" into.
+func and(first sqldb.Expr, rest ...sqldb.Expr) sqldb.Expr {
+	for _, p := range rest {
+		first = &sqldb.EBinary{Op: sqldb.OpAnd, L: first, R: p}
+	}
+	return first
 }
 
 func (c *compiler) errf(pos token.Pos, format string, args ...any) *CompileError {
@@ -283,8 +280,8 @@ func CompilePropertySet(w *sem.World, name string, path ContextPath) (*CompiledP
 // contextRelation builds the FROM/JOIN/WHERE of a set-form statement into sel
 // and returns the column holding the context object's id. The path must lead
 // from a set of the run parameter's class to the context parameter's class.
-func (c *compiler) contextRelation(sel *build.Select, path *ContextPath, params []sem.Attr) (*build.Col, error) {
-	fail := func(format string, args ...any) (*build.Col, error) {
+func (c *compiler) contextRelation(sel *sqldb.SelectStmt, path *ContextPath, params []sem.Attr) (*sqldb.EColumn, error) {
+	fail := func(format string, args ...any) (*sqldb.EColumn, error) {
 		return nil, fmt.Errorf("sqlgen: property %s: context path: %s", c.prop, fmt.Sprintf(format, args...))
 	}
 	setOf := func(cls *sem.Class, attr string) (*sem.Class, error) {
@@ -332,24 +329,20 @@ func (c *compiler) contextRelation(sel *build.Select, path *ContextPath, params 
 	}
 
 	runs := c.newAlias("x")
-	sel.From = &build.Table{Name: JunctionFor(root, path.Runs), Alias: runs}
-	sel.Where = []build.Expr{&build.Bin{Op: build.OpEq,
-		L: &build.Col{Table: runs, Name: "elem_id"},
-		R: &build.Param{Name: run.Name, Kind: build.KindInt}}}
-	owner, prev := root, &build.Col{Table: runs, Name: "owner_id"}
+	sel.From = &sqldb.TableRef{Table: JunctionFor(root, path.Runs), Alias: runs}
+	sel.Where = eq(col(runs, "elem_id"), param(run.Name))
+	owner, prev := root, col(runs, "owner_id")
 	for _, step := range path.Steps {
 		elem, err := setOf(owner, step)
 		if err != nil {
 			return fail("%v", err)
 		}
 		alias := c.newAlias("x")
-		sel.Joins = append(sel.Joins, build.Join{
-			Table: build.Table{Name: JunctionFor(owner, step), Alias: alias},
-			On: &build.Bin{Op: build.OpEq,
-				L: &build.Col{Table: alias, Name: "owner_id"},
-				R: prev},
+		sel.Joins = append(sel.Joins, sqldb.Join{
+			Table: sqldb.TableRef{Table: JunctionFor(owner, step), Alias: alias},
+			On:    eq(col(alias, "owner_id"), prev),
 		})
-		owner, prev = elem, &build.Col{Table: alias, Name: "elem_id"}
+		owner, prev = elem, col(alias, "elem_id")
 	}
 	if owner != ctxClass {
 		return fail("leads to %s, the context parameter %s is a %s", owner.Name, params[0].Name, ctxClass.Name)
@@ -368,10 +361,10 @@ func compileProperty(w *sem.World, name string, path *ContextPath) (*CompiledPro
 	c := &compiler{w: w, prop: name}
 
 	out := &CompiledProperty{Name: name, Params: sig.Params}
-	sel := &build.Select{}
+	sel := &sqldb.SelectStmt{}
 	env := newCEnv(nil)
 	for _, p := range sig.Params {
-		v := cval{ex: &build.Param{Name: p.Name, Kind: paramKindFor(p.Type)}}
+		v := cval{ex: param(p.Name)}
 		if cls, isClass := p.Type.(*sem.Class); isClass {
 			v.class = cls
 		}
@@ -384,7 +377,7 @@ func compileProperty(w *sem.World, name string, path *ContextPath) (*CompiledPro
 		}
 		first := sig.Params[0]
 		env.vars[first.Name] = cval{ex: ctx, class: env.vars[first.Name].class}
-		sel.Items = append(sel.Items, build.Item{Expr: ctx, As: "ctx"})
+		sel.Items = append(sel.Items, sqldb.SelectItem{Expr: ctx, Alias: "ctx"})
 		out.Context, out.Params = first.Name, sig.Params[1:]
 	}
 	for _, l := range decl.Lets {
@@ -400,7 +393,7 @@ func compileProperty(w *sem.World, name string, path *ContextPath) (*CompiledPro
 		if err != nil {
 			return nil, err
 		}
-		sel.Items = append(sel.Items, build.Item{Expr: ex, As: fmt.Sprintf("c%d", i)})
+		sel.Items = append(sel.Items, sqldb.SelectItem{Expr: ex, Alias: fmt.Sprintf("c%d", i)})
 		out.CondLabels = append(out.CondLabels, cond.Label)
 	}
 	for i, g := range decl.Confidence {
@@ -408,7 +401,7 @@ func compileProperty(w *sem.World, name string, path *ContextPath) (*CompiledPro
 		if err != nil {
 			return nil, err
 		}
-		sel.Items = append(sel.Items, build.Item{Expr: ex, As: fmt.Sprintf("f%d", i)})
+		sel.Items = append(sel.Items, sqldb.SelectItem{Expr: ex, Alias: fmt.Sprintf("f%d", i)})
 		out.ConfGuards = append(out.ConfGuards, g.Guard)
 	}
 	for i, g := range decl.Severity {
@@ -416,15 +409,17 @@ func compileProperty(w *sem.World, name string, path *ContextPath) (*CompiledPro
 		if err != nil {
 			return nil, err
 		}
-		sel.Items = append(sel.Items, build.Item{Expr: ex, As: fmt.Sprintf("s%d", i)})
+		sel.Items = append(sel.Items, sqldb.SelectItem{Expr: ex, Alias: fmt.Sprintf("s%d", i)})
 		out.SevGuards = append(out.SevGuards, g.Guard)
 	}
 	out.AST = sel
-	refs, err := build.NamedParams(sel)
-	if err != nil {
-		return nil, fmt.Errorf("sqlgen: property %s: %w", name, err)
+	for _, m := range sqldb.SelectMarkers(sel) {
+		for _, p := range sig.Params {
+			if p.Name == m.Name {
+				out.refs = append(out.refs, p)
+			}
+		}
 	}
-	out.refs = refs
 	r, err := build.Kojakdb.Render(sel)
 	if err != nil {
 		return nil, fmt.Errorf("sqlgen: property %s: %w", name, err)
@@ -434,7 +429,7 @@ func compileProperty(w *sem.World, name string, path *ContextPath) (*CompiledPro
 }
 
 // compileScalar compiles an expression that must yield a SQL scalar.
-func (c *compiler) compileScalar(e ast.Expr, env *cenv) (build.Expr, error) {
+func (c *compiler) compileScalar(e ast.Expr, env *cenv) (sqldb.Expr, error) {
 	v, err := c.compile(e, env)
 	if err != nil {
 		return nil, err
@@ -446,7 +441,7 @@ func (c *compiler) compileScalar(e ast.Expr, env *cenv) (build.Expr, error) {
 }
 
 // idExpr returns an expression for the object id of a class-typed value.
-func (c *compiler) idExpr(v cval, pos token.Pos) (build.Expr, error) {
+func (c *compiler) idExpr(v cval, pos token.Pos) (sqldb.Expr, error) {
 	if v.alias == "" && v.class == nil {
 		return nil, c.errf(pos, "expected an object value")
 	}
@@ -456,17 +451,17 @@ func (c *compiler) idExpr(v cval, pos token.Pos) (build.Expr, error) {
 func (c *compiler) compile(e ast.Expr, env *cenv) (cval, error) {
 	switch x := e.(type) {
 	case *ast.IntLit:
-		return cval{ex: &build.Int{V: x.Value}}, nil
+		return cval{ex: lit(sqldb.NewInt(x.Value))}, nil
 	case *ast.FloatLit:
-		return cval{ex: &build.Float{V: x.Value}}, nil
+		return cval{ex: lit(sqldb.NewFloat(x.Value))}, nil
 	case *ast.StringLit:
-		return cval{ex: &build.Str{V: x.Value}}, nil
+		return cval{ex: lit(sqldb.NewText(x.Value))}, nil
 	case *ast.BoolLit:
-		return cval{ex: &build.Bool{V: x.Value}}, nil
+		return cval{ex: lit(sqldb.NewBool(x.Value))}, nil
 	case *ast.NullLit:
 		return cval{isNull: true}, nil
 	case *ast.DateTimeLit:
-		return cval{ex: &build.Int{V: x.Value}}, nil
+		return cval{ex: lit(sqldb.NewInt(x.Value))}, nil
 	case *ast.Ident:
 		if v, ok := env.lookup(x.Name); ok {
 			return v, nil
@@ -475,7 +470,7 @@ func (c *compiler) compile(e ast.Expr, env *cenv) (cval, error) {
 			return c.compile(decl.Value, newCEnv(nil))
 		}
 		if _, ok := c.w.EnumMembers[x.Name]; ok {
-			return cval{ex: &build.Str{V: x.Name}}, nil
+			return cval{ex: lit(sqldb.NewText(x.Name))}, nil
 		}
 		return cval{}, c.errf(x.Pos(), "undefined identifier %s", x.Name)
 	case *ast.Member:
@@ -485,10 +480,7 @@ func (c *compiler) compile(e ast.Expr, env *cenv) (cval, error) {
 		if err != nil {
 			return cval{}, err
 		}
-		if x.Op == token.MINUS {
-			return cval{ex: &build.Paren{X: &build.Un{Op: build.OpNeg, X: sub}}}, nil
-		}
-		return cval{ex: &build.Paren{X: &build.Un{Op: build.OpNot, X: sub}}}, nil
+		return cval{ex: &sqldb.EUnary{Neg: x.Op == token.MINUS, X: sub, Paren: true}}, nil
 	case *ast.Binary:
 		return c.compileBinary(x, env)
 	case *ast.Call:
@@ -516,7 +508,7 @@ func (c *compiler) compile(e ast.Expr, env *cenv) (cval, error) {
 		// The value keeps its own copy of the set: a later aggregate over the
 		// same LET-bound set appends conditions to the shared descriptor.
 		u := *src
-		u.conds = append([]build.Expr(nil), src.conds...)
+		u.conds = append([]sqldb.Expr(nil), src.conds...)
 		return cval{unique: &u, class: u.elem}, nil
 	case *ast.Agg:
 		return c.compileAgg(x, env)
@@ -539,25 +531,20 @@ func (c *compiler) compileSet(e ast.Expr, env *cenv) (*setDesc, error) {
 }
 
 // setQuery builds a setDesc into a scalar subquery computing value.
-func (c *compiler) setQuery(s *setDesc, value build.Expr) build.Expr {
+func (c *compiler) setQuery(s *setDesc, value sqldb.Expr) sqldb.Expr {
 	if s.juncAlias == "" {
 		s.juncAlias = c.newAlias("j")
 	}
 	j := s.juncAlias
-	sel := &build.Select{
-		Items: []build.Item{{Expr: value}},
-		From:  &build.Table{Name: s.junction, Alias: j},
-		Joins: []build.Join{{
-			Table: build.Table{Name: s.elem.Name, Alias: s.elemAlias},
-			On: &build.Bin{Op: build.OpEq,
-				L: &build.Col{Table: s.elemAlias, Name: "id"},
-				R: &build.Col{Table: j, Name: "elem_id"}},
+	return &sqldb.ESubquery{Select: &sqldb.SelectStmt{
+		Items: []sqldb.SelectItem{{Expr: value}},
+		From:  &sqldb.TableRef{Table: s.junction, Alias: j},
+		Joins: []sqldb.Join{{
+			Table: sqldb.TableRef{Table: s.elem.Name, Alias: s.elemAlias},
+			On:    eq(col(s.elemAlias, "id"), col(j, "elem_id")),
 		}},
-		Where: append([]build.Expr{&build.Bin{Op: build.OpEq,
-			L: &build.Col{Table: j, Name: "owner_id"},
-			R: s.ownerEx}}, s.conds...),
-	}
-	return &build.Subquery{Sel: sel}
+		Where: and(eq(col(j, "owner_id"), s.ownerEx), s.conds...),
+	}}
 }
 
 // uniqueCol returns the scalar subquery reading one column of the element a
@@ -568,14 +555,14 @@ func (c *compiler) setQuery(s *setDesc, value build.Expr) build.Expr {
 // → NULL, several → the same cardinality error). The query is built once per
 // column: every use of a LET-bound value is the same node and so renders the
 // same text, which the engine's text-keyed subquery caches rely on.
-func (c *compiler) uniqueCol(u *setDesc, col string) build.Expr {
-	if u.cols[col] == nil {
+func (c *compiler) uniqueCol(u *setDesc, name string) sqldb.Expr {
+	if u.cols[name] == nil {
 		if u.cols == nil {
-			u.cols = make(map[string]build.Expr)
+			u.cols = make(map[string]sqldb.Expr)
 		}
-		u.cols[col] = c.setQuery(u, &build.Col{Table: u.elemAlias, Name: col})
+		u.cols[name] = c.setQuery(u, col(u.elemAlias, name))
 	}
-	return u.cols[col]
+	return u.cols[name]
 }
 
 func (c *compiler) compileMember(x *ast.Member, env *cenv) (cval, error) {
@@ -611,27 +598,25 @@ func (c *compiler) compileMember(x *ast.Member, env *cenv) (cval, error) {
 		}}, nil
 	}
 
-	col := ColumnFor(attr)
+	name := ColumnFor(attr)
 	var out cval
 	if cls, isClass := attr.Type.(*sem.Class); isClass {
 		out.class = cls
 	}
 	if base.alias != "" {
-		out.ex = &build.Col{Table: base.alias, Name: col}
+		out.ex = col(base.alias, name)
 		return out, nil
 	}
 	if base.unique != nil {
-		out.ex = c.uniqueCol(base.unique, col)
+		out.ex = c.uniqueCol(base.unique, name)
 		return out, nil
 	}
 	// Dereference via a scalar subquery on the base class table.
 	a := c.newAlias("d")
-	out.ex = &build.Subquery{Sel: &build.Select{
-		Items: []build.Item{{Expr: &build.Col{Table: a, Name: col}}},
-		From:  &build.Table{Name: base.class.Name, Alias: a},
-		Where: []build.Expr{&build.Bin{Op: build.OpEq,
-			L: &build.Col{Table: a, Name: "id"},
-			R: base.ex}},
+	out.ex = &sqldb.ESubquery{Select: &sqldb.SelectStmt{
+		Items: []sqldb.SelectItem{{Expr: col(a, name)}},
+		From:  &sqldb.TableRef{Table: base.class.Name, Alias: a},
+		Where: eq(col(a, "id"), base.ex),
 	}}
 	return out, nil
 }
@@ -655,13 +640,10 @@ func (c *compiler) compileBinary(x *ast.Binary, env *cenv) (cval, error) {
 		if err != nil {
 			return cval{}, err
 		}
-		switch x.Op {
-		case token.EQ:
-			return cval{ex: &build.Paren{X: &build.IsNull{X: ex}}}, nil
-		case token.NEQ:
-			return cval{ex: &build.Paren{X: &build.IsNull{X: ex, Not: true}}}, nil
+		if x.Op != token.EQ && x.Op != token.NEQ {
+			return cval{}, c.errf(x.Pos(), "null may only be compared with == or !=")
 		}
-		return cval{}, c.errf(x.Pos(), "null may only be compared with == or !=")
+		return cval{ex: &sqldb.EIsNull{X: ex, Not: x.Op == token.NEQ, Paren: true}}, nil
 	}
 	lt, err := c.scalarOf(l, x.L.Pos())
 	if err != nil {
@@ -671,52 +653,52 @@ func (c *compiler) compileBinary(x *ast.Binary, env *cenv) (cval, error) {
 	if err != nil {
 		return cval{}, err
 	}
-	var op build.BinOp
+	var op sqldb.BinOp
 	switch x.Op {
 	case token.PLUS:
-		op = build.OpAdd
+		op = sqldb.OpAdd
 	case token.MINUS:
-		op = build.OpSub
+		op = sqldb.OpSub
 	case token.STAR:
-		op = build.OpMul
+		op = sqldb.OpMul
 	case token.SLASH:
-		op = build.OpDiv
+		op = sqldb.OpDiv
 	case token.PERCENT:
-		op = build.OpMod
+		op = sqldb.OpMod
 	case token.EQ:
-		op = build.OpEq
+		op = sqldb.OpEq
 	case token.NEQ:
-		op = build.OpNeq
+		op = sqldb.OpNeq
 	case token.LT:
-		op = build.OpLt
+		op = sqldb.OpLt
 	case token.LEQ:
-		op = build.OpLeq
+		op = sqldb.OpLeq
 	case token.GT:
-		op = build.OpGt
+		op = sqldb.OpGt
 	case token.GEQ:
-		op = build.OpGeq
+		op = sqldb.OpGeq
 	case token.AND:
-		op = build.OpAnd
+		op = sqldb.OpAnd
 	case token.OR:
-		op = build.OpOr
+		op = sqldb.OpOr
 	default:
 		return cval{}, c.errf(x.Pos(), "operator %s is not supported in SQL translation", x.Op)
 	}
-	return cval{ex: &build.Paren{X: &build.Bin{Op: op, L: lt, R: rt}}}, nil
+	return cval{ex: &sqldb.EBinary{Op: op, L: lt, R: rt, Paren: true}}, nil
 }
 
 // scalarOf renders a compiled value as a SQL scalar (object values render as
 // their id).
-func (c *compiler) scalarOf(v cval, pos token.Pos) (build.Expr, error) {
+func (c *compiler) scalarOf(v cval, pos token.Pos) (sqldb.Expr, error) {
 	switch {
 	case v.set != nil:
 		return nil, c.errf(pos, "set value used as a scalar")
 	case v.alias != "":
-		return &build.Col{Table: v.alias, Name: "id"}, nil
+		return col(v.alias, "id"), nil
 	case v.unique != nil:
 		return c.uniqueCol(v.unique, "id"), nil
 	case v.isNull:
-		return &build.Null{}, nil
+		return lit(sqldb.Null), nil
 	}
 	return v.ex, nil
 }
@@ -772,20 +754,20 @@ func (c *compiler) compileAgg(x *ast.Agg, env *cenv) (cval, error) {
 		if x.Kind != ast.AggCount {
 			return cval{}, c.errf(x.Pos(), "%s over a bare set is only supported for COUNT", x.Kind)
 		}
-		return cval{ex: c.setQuery(src, &build.Call{Name: "COUNT", Star: true})}, nil
+		return cval{ex: c.setQuery(src, &sqldb.ECall{Name: "COUNT", Star: true})}, nil
 	}
 
 	if x.Kind == ast.AggCount {
-		return cval{ex: c.setQuery(src, &build.Call{Name: "COUNT", Star: true})}, nil
+		return cval{ex: c.setQuery(src, &sqldb.ECall{Name: "COUNT", Star: true})}, nil
 	}
 	valEx, err := c.compileScalar(x.Value, inner)
 	if err != nil {
 		return cval{}, err
 	}
-	agg := c.setQuery(src, &build.Call{Name: fmt.Sprint(x.Kind), Args: []build.Expr{valEx}})
+	agg := c.setQuery(src, &sqldb.ECall{Name: fmt.Sprint(x.Kind), Args: []sqldb.Expr{valEx}})
 	if x.Kind == ast.AggSum {
 		// ASL defines SUM over an empty selection as zero; SQL yields NULL.
-		agg = &build.Call{Name: "COALESCE", Args: []build.Expr{agg, &build.Int{V: 0}}}
+		agg = &sqldb.ECall{Name: "COALESCE", Args: []sqldb.Expr{agg, lit(sqldb.NewInt(0))}}
 	}
 	return cval{ex: agg}, nil
 }

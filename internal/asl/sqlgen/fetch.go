@@ -89,10 +89,10 @@ func ReadStore(w *sem.World, q QueryExecutor) (*object.Store, error) {
 	// Pass 1: create all objects so references can be linked in pass 2.
 	rowsByClass := make(map[string]*sqldb.ResultSet)
 	for _, name := range classNames {
-		r, err := build.Kojakdb.Render(&build.Select{
-			Items:   []build.Item{{Star: true}},
-			From:    &build.Table{Name: name},
-			OrderBy: []build.OrderKey{{Expr: &build.Col{Name: "id"}}},
+		r, err := build.Kojakdb.Render(&sqldb.SelectStmt{
+			Items:   []sqldb.SelectItem{{Star: true}},
+			From:    &sqldb.TableRef{Table: name},
+			OrderBy: []sqldb.OrderItem{{Expr: col("", "id")}},
 		})
 		if err != nil {
 			return nil, fmt.Errorf("sqlgen: reading %s: %w", name, err)
@@ -148,12 +148,12 @@ func ReadStore(w *sem.World, q QueryExecutor) (*object.Store, error) {
 				continue
 			}
 			j := JunctionFor(cls, attr.Name)
-			r, err := build.Kojakdb.Render(&build.Select{
-				Items: []build.Item{
-					{Expr: &build.Col{Name: "owner_id"}},
-					{Expr: &build.Col{Name: "elem_id"}},
+			r, err := build.Kojakdb.Render(&sqldb.SelectStmt{
+				Items: []sqldb.SelectItem{
+					{Expr: col("", "owner_id")},
+					{Expr: col("", "elem_id")},
 				},
-				From: &build.Table{Name: j},
+				From: &sqldb.TableRef{Table: j},
 			})
 			if err != nil {
 				return nil, fmt.Errorf("sqlgen: reading %s: %w", j, err)

@@ -1,12 +1,14 @@
-// Render→reparse round-trip fuzzing of the typed query builder: any SELECT
-// the engine parser accepts is lifted into a build AST, rendered in the
-// canonical kojakdb dialect, and fed back through the parser. The rendered
-// text must stay inside the engine's subset, re-render to the identical bytes
-// (the canonical rendering is a fixed point), and evaluate to the same rows
-// as the original text. The ansi rendering is additionally reparsed and
-// executed (quoted identifiers, ? markers, FETCH FIRST are all engine
-// syntax); the oracle7 rendering is reparsed only, since its 1/0 boolean
-// literals legitimately change result values.
+// Render→reparse round-trip fuzzing of the dialect renderer: any SELECT the
+// engine parser accepts is rendered straight from its parsed tree in every
+// dialect and fed back through the parser. Grouping survives because the
+// parser records the parentheses the source wrote (the Paren field of
+// sqldb's operator nodes) and the renderer prints exactly those. Each
+// rendering must stay inside the engine's subset and re-render to the
+// identical bytes (it is a fixed point); the kojakdb and ansi renderings
+// (quoted identifiers, ? markers, FETCH FIRST are all engine syntax) must
+// evaluate to the same rows as the original text. The oracle7 rendering is
+// not executed for comparison, since its 1/0 boolean literals legitimately
+// change result values.
 package sqlgen
 
 import (
@@ -87,19 +89,18 @@ func roundtripDB(tb testing.TB) *sqldb.DB {
 // roundtripParams binds one integer value under every named marker the
 // statement references and three positional slots, so parameterized mutants
 // execute instead of erroring on an unbound name.
-func roundtripParams(sel *build.Select) *sqldb.Params {
+func roundtripParams(sel *sqldb.SelectStmt) *sqldb.Params {
 	p := &sqldb.Params{Positional: []sqldb.Value{
 		sqldb.NewInt(1), sqldb.NewInt(1), sqldb.NewInt(1),
 	}}
-	refs, err := build.NamedParams(sel)
-	if err != nil {
-		return p
-	}
-	for _, r := range refs {
+	for _, m := range sqldb.SelectMarkers(sel) {
+		if m.Name == "" {
+			continue
+		}
 		if p.Named == nil {
 			p.Named = make(map[string]sqldb.Value)
 		}
-		p.Named[r.Name] = sqldb.NewInt(1)
+		p.Named[m.Name] = sqldb.NewInt(1)
 	}
 	return p
 }
@@ -143,82 +144,97 @@ func FuzzRenderRoundTrip(f *testing.F) {
 		f.Add(strings.TrimSuffix(string(b), "\n"))
 	}
 
-	f.Fuzz(func(t *testing.T, sql string) {
-		stmt, err := sqldb.ParseSQL(sql)
-		if err != nil {
-			return
-		}
-		parsed, ok := stmt.(*sqldb.SelectStmt)
-		if !ok {
-			return
-		}
-		ast, err := build.FromParsedSelect(parsed)
-		if err != nil {
-			return // construct outside the builder's subset
-		}
-		r1, err := build.Kojakdb.Render(ast)
-		if err != nil {
-			return // identifiers outside the builder's subset (quoted input)
-		}
+	f.Fuzz(func(t *testing.T, sql string) { checkRoundTrip(t, sql) })
+}
 
-		// The canonical rendering must stay inside the engine's subset and be
-		// a fixed point: reparse and re-render reproduce the identical bytes.
+// checkRoundTrip parses sql and, for a SELECT every dialect can spell,
+// checks the round trip in each: the rendering reparses, rendering the
+// reparsed tree again reproduces the identical bytes, and the kojakdb and
+// ansi renderings evaluate to the rows of the original text. It returns the
+// kojakdb rendering, or "" when sql is no SELECT or holds identifiers the
+// renderer rejects (quoted input).
+func checkRoundTrip(t *testing.T, sql string) string {
+	t.Helper()
+	stmt, err := sqldb.ParseSQL(sql)
+	if err != nil {
+		return ""
+	}
+	parsed, ok := stmt.(*sqldb.SelectStmt)
+	if !ok {
+		return ""
+	}
+	kojak, err := build.Kojakdb.Render(parsed)
+	if err != nil {
+		return "" // identifiers outside the renderer's subset (quoted input)
+	}
+	db := roundtripDB(t)
+	origRows, origErr := execRows(db, sql, roundtripParams(parsed))
+	for _, name := range build.Names() {
+		d, _ := build.Lookup(name)
+		r1, err := d.Render(parsed)
+		if err != nil {
+			continue // oracle7 has no LIMIT spelling
+		}
+		// Every rendering stays inside the engine's subset and is a fixed
+		// point: reparse and re-render reproduce the identical bytes.
 		stmt2, err := sqldb.ParseSQL(r1.SQL)
 		if err != nil {
-			t.Fatalf("rendered SQL does not reparse: %v\ninput:    %s\nrendered: %s", err, sql, r1.SQL)
+			t.Fatalf("%s rendering does not reparse: %v\ninput:    %s\nrendered: %s", name, err, sql, r1.SQL)
 		}
-		ast2, err := build.FromParsedSelect(stmt2.(*sqldb.SelectStmt))
+		r2, err := d.Render(stmt2)
 		if err != nil {
-			t.Fatalf("rendered SQL does not re-lift: %v\nrendered: %s", err, r1.SQL)
-		}
-		r2, err := build.Kojakdb.Render(ast2)
-		if err != nil {
-			t.Fatalf("re-lifted AST does not re-render: %v\nrendered: %s", err, r1.SQL)
+			t.Fatalf("%s rendering does not re-render: %v\nrendered: %s", name, err, r1.SQL)
 		}
 		if r2.SQL != r1.SQL {
-			t.Fatalf("rendering is not a fixed point:\ninput:  %s\nfirst:  %s\nsecond: %s", sql, r1.SQL, r2.SQL)
+			t.Fatalf("%s rendering is not a fixed point:\ninput:  %s\nfirst:  %s\nsecond: %s", name, sql, r1.SQL, r2.SQL)
 		}
 
-		// The rendered text must evaluate exactly like the original.
-		db := roundtripDB(t)
-		params := roundtripParams(ast)
-		origRows, origErr := execRows(db, sql, params)
-		renRows, renErr := execRows(db, r1.SQL, params)
-		if (origErr == nil) != (renErr == nil) {
-			t.Fatalf("execution divergence:\ninput:    %s (err=%v)\nrendered: %s (err=%v)", sql, origErr, r1.SQL, renErr)
+		// The kojakdb and ansi renderings evaluate exactly like the
+		// original, the ansi one with its positional slots filled in
+		// rendered marker order. The oracle7 rendering's 1/0 boolean
+		// spelling legitimately changes result values, so its rows are not
+		// compared.
+		if d == build.Oracle7 {
+			continue
 		}
-		if origErr == nil && !reflect.DeepEqual(origRows, renRows) {
-			t.Fatalf("row divergence:\ninput:    %s\nrendered: %s\norig: %+v\nrend: %+v", sql, r1.SQL, origRows, renRows)
+		params := roundtripParams(parsed)
+		if len(r1.ParamOrder) > 0 && FillPositional(params, r1.ParamOrder) != nil {
+			continue
 		}
+		rows, err := execRows(db, r1.SQL, params)
+		if (origErr == nil) != (err == nil) {
+			t.Fatalf("%s execution divergence:\ninput:    %s (err=%v)\nrendered: %s (err=%v)", name, sql, origErr, r1.SQL, err)
+		}
+		if origErr == nil && !reflect.DeepEqual(origRows, rows) {
+			t.Fatalf("%s row divergence:\ninput:    %s\nrendered: %s\norig: %+v\nrend: %+v", name, sql, r1.SQL, origRows, rows)
+		}
+	}
+	return kojak.SQL
+}
 
-		// The ansi rendering is executable engine syntax too: reparse it and
-		// compare rows, filling the positional slots in rendered marker order.
-		if ra, err := build.ANSI.Render(ast); err == nil {
-			if _, err := sqldb.ParseSQL(ra.SQL); err != nil {
-				t.Fatalf("ansi rendering does not reparse: %v\nrendered: %s", err, ra.SQL)
-			}
-			ansiParams := roundtripParams(ast)
-			fillErr := error(nil)
-			if len(ra.ParamOrder) > 0 {
-				fillErr = FillPositional(ansiParams, ra.ParamOrder)
-			}
-			if fillErr == nil {
-				ansiRows, ansiErr := execRows(db, ra.SQL, ansiParams)
-				if (origErr == nil) != (ansiErr == nil) {
-					t.Fatalf("ansi execution divergence:\ninput: %s (err=%v)\nansi:  %s (err=%v)", sql, origErr, ra.SQL, ansiErr)
-				}
-				if origErr == nil && !reflect.DeepEqual(origRows, ansiRows) {
-					t.Fatalf("ansi row divergence:\ninput: %s\nansi:  %s\norig: %+v\nansi: %+v", sql, ra.SQL, origRows, ansiRows)
-				}
-			}
+// TestRenderKeepsGrouping: parentheses the source writes survive the round
+// trip in every dialect, and the renderings evaluate like the source. Each
+// case's grouping changes its value or its parse when dropped, except where
+// precedence already agrees (NOT binds looser than =) or the grouped node
+// carries its own parentheses (a scalar subquery).
+func TestRenderKeepsGrouping(t *testing.T) {
+	for _, tc := range []struct{ src, want string }{
+		{"SELECT id FROM fuzz_aux WHERE (v = 10 OR b) AND id > 1", ""},
+		{"SELECT id, v - (id - 3) FROM fuzz_aux", ""},
+		{"SELECT id FROM fuzz_aux WHERE NOT (v = 10)", ""},
+		{"SELECT id, -(v + id) FROM fuzz_aux", ""},
+		{"SELECT id FROM fuzz_aux WHERE (id IN (1, 2)) = TRUE", ""},
+		{"SELECT id FROM fuzz_aux WHERE (v IS NULL) OR b", ""},
+		{"SELECT id FROM fuzz_aux WHERE (NOT b) = (id > 2)", ""},
+		{"SELECT ((SELECT COUNT(*) FROM fuzz_aux)) + id FROM fuzz_aux",
+			"SELECT (SELECT COUNT(*) FROM fuzz_aux) + id FROM fuzz_aux"},
+	} {
+		want := tc.want
+		if want == "" {
+			want = tc.src
 		}
-
-		// The oracle7 rendering must at least stay parseable; its 1/0 boolean
-		// spelling legitimately changes result values, so rows are not compared.
-		if ro, err := build.Oracle7.Render(ast); err == nil {
-			if _, err := sqldb.ParseSQL(ro.SQL); err != nil {
-				t.Fatalf("oracle7 rendering does not reparse: %v\nrendered: %s", err, ro.SQL)
-			}
+		if got := checkRoundTrip(t, tc.src); got != want {
+			t.Errorf("kojakdb rendering of %s:\n got: %s\nwant: %s", tc.src, got, want)
 		}
-	})
+	}
 }

@@ -38,70 +38,71 @@ func JunctionFor(class *sem.Class, attrName string) string {
 	return class.Name + "_" + attrName
 }
 
-// colTypeFor maps an ASL scalar type to an abstract column type; dialects
-// spell it (kojakdb: INTEGER/REAL/TEXT/BOOLEAN).
-func colTypeFor(t sem.Type) (build.ColType, error) {
+// colTypeFor maps an ASL scalar type to a column type; dialects spell it
+// (kojakdb: INTEGER/REAL/TEXT/BOOLEAN). Property parameter bindings are
+// checked against the same type.
+func colTypeFor(t sem.Type) (sqldb.ColType, error) {
 	switch x := t.(type) {
 	case *sem.Basic:
 		switch x.Kind {
 		case sem.Int, sem.DateTime:
-			return build.TInt, nil
+			return sqldb.TInt, nil
 		case sem.Float:
-			return build.TFloat, nil
+			return sqldb.TFloat, nil
 		case sem.String:
-			return build.TText, nil
+			return sqldb.TText, nil
 		case sem.Bool:
-			return build.TBool, nil
+			return sqldb.TBool, nil
 		}
 	case *sem.Enum:
-		return build.TText, nil
+		return sqldb.TText, nil
 	case *sem.Class:
-		return build.TInt, nil // foreign key
+		return sqldb.TInt, nil // object id
 	}
 	return 0, fmt.Errorf("sqlgen: no SQL type for %s", t)
 }
 
 // SchemaStmts generates the DDL statements (CREATE TABLE and CREATE INDEX)
-// for every class of the world as builder nodes, in deterministic order.
-func SchemaStmts(w *sem.World) ([]build.Stmt, error) {
+// for every class of the world as statement nodes, in deterministic order.
+func SchemaStmts(w *sem.World) ([]sqldb.Stmt, error) {
 	names := make([]string, 0, len(w.Classes))
 	for n := range w.Classes {
 		names = append(names, n)
 	}
 	sort.Strings(names)
 
-	var ddl []build.Stmt
+	var ddl []sqldb.Stmt
 	for _, n := range names {
 		cls := w.Classes[n]
-		cols := []build.ColDef{{Name: "id", Type: build.TInt, PrimaryKey: true}}
-		var indexes []build.Stmt
+		cols := []sqldb.Column{{Name: "id", Type: sqldb.TInt, Primary: true}}
+		var indexes []sqldb.Stmt
 		for _, attr := range cls.AllAttrs() {
 			if set, ok := attr.Type.(*sem.Set); ok {
 				if _, ok := set.Elem.(*sem.Class); !ok {
 					return nil, fmt.Errorf("sqlgen: class %s: setof %s is not a class set", n, set.Elem)
 				}
 				j := JunctionFor(cls, attr.Name)
-				ddl = append(ddl, &build.CreateTable{Name: j, Cols: []build.ColDef{
-					{Name: "owner_id", Type: build.TInt, NotNull: true},
-					{Name: "elem_id", Type: build.TInt, NotNull: true},
+				ddl = append(ddl, &sqldb.CreateTableStmt{Name: j, Cols: []sqldb.Column{
+					{Name: "owner_id", Type: sqldb.TInt, NotNull: true},
+					{Name: "elem_id", Type: sqldb.TInt, NotNull: true},
 				}})
 				indexes = append(indexes,
-					&build.CreateIndex{Name: "idx_" + j + "_owner", Table: j, Cols: []string{"owner_id"}},
-					&build.CreateIndex{Name: "idx_" + j + "_elem", Table: j, Cols: []string{"elem_id"}})
+					&sqldb.CreateIndexStmt{Name: "idx_" + j + "_owner", Table: j, Column: "owner_id"},
+					&sqldb.CreateIndexStmt{Name: "idx_" + j + "_elem", Table: j, Column: "elem_id"})
 				continue
 			}
 			ct, err := colTypeFor(attr.Type)
 			if err != nil {
 				return nil, fmt.Errorf("sqlgen: class %s attribute %s: %w", n, attr.Name, err)
 			}
-			cols = append(cols, build.ColDef{Name: ColumnFor(attr), Type: ct})
+			name := ColumnFor(attr)
+			cols = append(cols, sqldb.Column{Name: name, Type: ct})
 			if _, isClass := attr.Type.(*sem.Class); isClass {
-				col := ColumnFor(attr)
 				indexes = append(indexes,
-					&build.CreateIndex{Name: "idx_" + n + "_" + col, Table: n, Cols: []string{col}})
+					&sqldb.CreateIndexStmt{Name: "idx_" + n + "_" + name, Table: n, Column: name})
 			}
 		}
-		ddl = append(ddl, &build.CreateTable{Name: n, Cols: cols})
+		ddl = append(ddl, &sqldb.CreateTableStmt{Name: n, Cols: cols})
 		ddl = append(ddl, indexes...)
 	}
 	return ddl, nil

@@ -122,11 +122,11 @@ func RoutedLoadPlan(store *object.Store, partitioned map[string]bool) ([]RoutedS
 // insertSQL builds a positional-parameter INSERT for the table and columns
 // in the canonical dialect, validating every identifier on the way.
 func insertSQL(table string, cols []string) (string, error) {
-	values := make([]build.Expr, len(cols))
+	values := make([]sqldb.Expr, len(cols))
 	for i := range cols {
-		values[i] = &build.Ordinal{N: i}
+		values[i] = &sqldb.EParam{Ordinal: i}
 	}
-	r, err := build.Kojakdb.Render(&build.Insert{Table: table, Cols: cols, Values: values})
+	r, err := build.Kojakdb.Render(&sqldb.InsertStmt{Table: table, Cols: cols, Rows: [][]sqldb.Expr{values}})
 	if err != nil {
 		return "", fmt.Errorf("sqlgen: %w", err)
 	}

@@ -24,12 +24,12 @@ func TestBatchedMatchedUnbatchedEmbedded(t *testing.T) {
 			run := lastRun(g)
 			q := godbc.Embedded{DB: db}
 
-			per := New(g, WithBatchSize(1))
-			want := renderWith(t, per, 1, func() (*Report, error) { return per.AnalyzeSQL(run, q) })
+			per := New(g, WithWorkers(1), WithBatchSize(1))
+			want := renderWith(t, func() (*Report, error) { return per.AnalyzeSQL(run, q) })
 			for _, batch := range []int{1, 2, 5, DefaultBatchSize} {
 				for _, workers := range []int{1, 8} {
-					batched := New(g, WithBatchSize(batch))
-					got := renderWith(t, batched, workers, func() (*Report, error) { return batched.AnalyzeSQL(run, q) })
+					batched := New(g, WithWorkers(workers), WithBatchSize(batch))
+					got := renderWith(t, func() (*Report, error) { return batched.AnalyzeSQL(run, q) })
 					if got != want {
 						t.Errorf("batchsize=%d workers=%d report differs from per-instance:\n--- per-instance ---\n%s--- batched ---\n%s",
 							batch, workers, want, got)
@@ -63,12 +63,12 @@ func TestBatchedMatchesUnbatchedOverPool(t *testing.T) {
 	defer pool.Close()
 
 	run := lastRun(g)
-	unbatched := New(g, WithBatchSize(1))
-	want := renderWith(t, unbatched, 1, func() (*Report, error) { return unbatched.AnalyzeSQL(run, pool) })
+	unbatched := New(g, WithWorkers(1), WithBatchSize(1))
+	want := renderWith(t, func() (*Report, error) { return unbatched.AnalyzeSQL(run, pool) })
 	for _, batch := range []int{4, DefaultBatchSize} {
 		for _, workers := range []int{1, 8} {
-			batched := New(g, WithBatchSize(batch))
-			got := renderWith(t, batched, workers, func() (*Report, error) { return batched.AnalyzeSQL(run, pool) })
+			batched := New(g, WithWorkers(workers), WithBatchSize(batch))
+			got := renderWith(t, func() (*Report, error) { return batched.AnalyzeSQL(run, pool) })
 			if got != want {
 				t.Errorf("batchsize=%d workers=%d batched report differs from serial unbatched:\n--- unbatched ---\n%s--- batched ---\n%s",
 					batch, workers, want, got)

@@ -27,24 +27,24 @@ func TestCachedAnalysisDeterminism(t *testing.T) {
 
 	offDB := loadDB(t, g)
 	offDB.SetResultCacheSize(0)
-	ref := New(g)
+	ref := New(g, WithWorkers(1))
 	analyzeOff := func() (*Report, error) { return ref.AnalyzeSQL(run, godbc.Embedded{DB: offDB}) }
-	wantBefore := renderWith(t, ref, 1, analyzeOff)
+	wantBefore := renderWith(t, analyzeOff)
 	if _, err := offDB.Exec(halveTypedTiming, nil); err != nil {
 		t.Fatal(err)
 	}
-	wantAfter := renderWith(t, ref, 1, analyzeOff)
+	wantAfter := renderWith(t, analyzeOff)
 	if wantBefore == wantAfter {
 		t.Fatal("the invalidating DML did not change the report; the test is vacuous")
 	}
 
 	for _, workers := range []int{1, 8} {
 		onDB := loadDB(t, g)
-		a := New(g)
+		a := New(g, WithWorkers(workers))
 		q := godbc.Embedded{DB: onDB}
 		analyzeOn := func() (*Report, error) { return a.AnalyzeSQL(run, q) }
-		cold := renderWith(t, a, workers, analyzeOn)
-		warm := renderWith(t, a, workers, analyzeOn)
+		cold := renderWith(t, analyzeOn)
+		warm := renderWith(t, analyzeOn)
 		if cold != wantBefore || warm != wantBefore {
 			t.Errorf("workers=%d: cached reports differ from the cache-off baseline", workers)
 		}
@@ -55,7 +55,7 @@ func TestCachedAnalysisDeterminism(t *testing.T) {
 		if _, err := onDB.Exec(halveTypedTiming, nil); err != nil {
 			t.Fatal(err)
 		}
-		after := renderWith(t, a, workers, analyzeOn)
+		after := renderWith(t, analyzeOn)
 		if after != wantAfter {
 			t.Errorf("workers=%d: post-DML cached report differs from the cache-off baseline:\n--- want ---\n%s--- got ---\n%s",
 				workers, wantAfter, after)
@@ -74,13 +74,13 @@ func TestCachedShardedDeterminism(t *testing.T) {
 
 	offDB := loadDB(t, g)
 	offDB.SetResultCacheSize(0)
-	ref := New(g)
+	ref := New(g, WithWorkers(1))
 	analyzeOff := func() (*Report, error) { return ref.AnalyzeSQL(run, godbc.Embedded{DB: offDB}) }
-	wantBefore := renderWith(t, ref, 1, analyzeOff)
+	wantBefore := renderWith(t, analyzeOff)
 	if _, err := offDB.Exec(halveTypedTiming, nil); err != nil {
 		t.Fatal(err)
 	}
-	wantAfter := renderWith(t, ref, 1, analyzeOff)
+	wantAfter := renderWith(t, analyzeOff)
 	if wantBefore == wantAfter {
 		t.Fatal("the invalidating DML did not change the report; the test is vacuous")
 	}
@@ -88,10 +88,10 @@ func TestCachedShardedDeterminism(t *testing.T) {
 	for _, shards := range []int{1, 2, 4} {
 		h := startShardHarness(t, g, shards)
 		for _, workers := range []int{1, 8} {
-			a := New(g)
+			a := New(g, WithWorkers(workers))
 			analyze := func() (*Report, error) { return a.AnalyzeSQL(run, h.sdb) }
-			cold := renderWith(t, a, workers, analyze)
-			warm := renderWith(t, a, workers, analyze)
+			cold := renderWith(t, analyze)
+			warm := renderWith(t, analyze)
 			if cold != wantBefore || warm != wantBefore {
 				t.Errorf("shards=%d workers=%d: cached reports differ from the baseline", shards, workers)
 			}
@@ -110,8 +110,8 @@ func TestCachedShardedDeterminism(t *testing.T) {
 		if _, err := h.sdb.Exec(halveTypedTiming, nil); err != nil {
 			t.Fatal(err)
 		}
-		a := New(g)
-		after := renderWith(t, a, 8, func() (*Report, error) { return a.AnalyzeSQL(run, h.sdb) })
+		a := New(g, WithWorkers(8))
+		after := renderWith(t, func() (*Report, error) { return a.AnalyzeSQL(run, h.sdb) })
 		if after != wantAfter {
 			t.Errorf("shards=%d: post-DML report differs from the cache-off baseline:\n--- want ---\n%s--- got ---\n%s",
 				shards, wantAfter, after)
@@ -127,15 +127,15 @@ func TestCachedBatchSizesDeterminism(t *testing.T) {
 	run := lastRun(g)
 	db := loadDB(t, g)
 	db.SetResultCacheSize(0)
-	ref := New(g)
-	want := renderWith(t, ref, 1, func() (*Report, error) { return ref.AnalyzeSQL(run, godbc.Embedded{DB: db}) })
+	ref := New(g, WithWorkers(1))
+	want := renderWith(t, func() (*Report, error) { return ref.AnalyzeSQL(run, godbc.Embedded{DB: db}) })
 
 	for _, batch := range []int{1, 4, DefaultBatchSize} {
 		onDB := loadDB(t, g)
-		a := New(g, WithBatchSize(batch))
+		a := New(g, WithWorkers(8), WithBatchSize(batch))
 		q := godbc.Embedded{DB: onDB}
 		for pass := 0; pass < 2; pass++ {
-			got := renderWith(t, a, 8, func() (*Report, error) { return a.AnalyzeSQL(run, q) })
+			got := renderWith(t, func() (*Report, error) { return a.AnalyzeSQL(run, q) })
 			if got != want {
 				t.Errorf("batch=%d pass=%d: cached report differs from baseline", batch, pass)
 			}

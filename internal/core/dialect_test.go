@@ -20,14 +20,14 @@ func TestDialectDeterminism(t *testing.T) {
 	run := lastRun(g)
 	q := godbc.Embedded{DB: db}
 
-	canonical := New(g)
-	want := renderWith(t, canonical, 1, func() (*Report, error) { return canonical.AnalyzeSQL(run, q) })
+	canonical := New(g, WithWorkers(1))
+	want := renderWith(t, func() (*Report, error) { return canonical.AnalyzeSQL(run, q) })
 
 	for _, name := range build.Names() {
 		t.Run(name, func(t *testing.T) {
 			for _, batch := range []int{1, DefaultBatchSize} {
-				a := New(g, WithSQLDialect(name), WithBatchSize(batch))
-				got := renderWith(t, a, 4, func() (*Report, error) { return a.AnalyzeSQL(run, q) })
+				a := New(g, WithWorkers(4), WithSQLDialect(name), WithBatchSize(batch))
+				got := renderWith(t, func() (*Report, error) { return a.AnalyzeSQL(run, q) })
 				if got != want {
 					t.Errorf("batch=%d report differs from kojakdb:\n--- kojakdb ---\n%s--- %s ---\n%s",
 						batch, want, name, got)
@@ -47,12 +47,12 @@ func TestDialectConstOverride(t *testing.T) {
 	q := godbc.Embedded{DB: db}
 
 	for _, name := range build.Names() {
-		base := New(g, WithSQLDialect(name))
-		want := renderWith(t, base, 1, func() (*Report, error) { return base.AnalyzeSQL(run, q) })
+		base := New(g, WithWorkers(1), WithSQLDialect(name))
+		want := renderWith(t, func() (*Report, error) { return base.AnalyzeSQL(run, q) })
 		// An absurd threshold suppresses the imbalance finding; the report
 		// must actually change, proving the override reached the rendered SQL.
-		a := New(g, WithSQLDialect(name), WithConst("ImbalanceThreshold", 1e9))
-		got := renderWith(t, a, 1, func() (*Report, error) { return a.AnalyzeSQL(run, q) })
+		a := New(g, WithWorkers(1), WithSQLDialect(name), WithConst("ImbalanceThreshold", 1e9))
+		got := renderWith(t, func() (*Report, error) { return a.AnalyzeSQL(run, q) })
 		if got == want {
 			t.Errorf("dialect %s: constant override had no effect on the report", name)
 		}

@@ -20,10 +20,6 @@ import (
 // runtime.GOMAXPROCS(0), the default.
 func WithWorkers(n int) Option { return func(a *Analyzer) { a.workers = n } }
 
-// SetWorkers changes the evaluation worker count after construction; the
-// value is interpreted as in WithWorkers.
-func (a *Analyzer) SetWorkers(n int) { a.workers = n }
-
 // Workers returns the effective worker count used for an analysis.
 func (a *Analyzer) Workers() int { return Workers(a.workers) }
 

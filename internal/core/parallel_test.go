@@ -10,14 +10,13 @@ import (
 	"repro/internal/sqldb/wire"
 )
 
-// renderWith analyzes the last run with the given worker count and engine
-// and returns the rendered report.
-func renderWith(t *testing.T, a *Analyzer, workers int, analyze func() (*Report, error)) string {
+// renderWith runs one analysis and returns the rendered report. The worker
+// count is the analyzer's own, fixed at construction with WithWorkers.
+func renderWith(t *testing.T, analyze func() (*Report, error)) string {
 	t.Helper()
-	a.SetWorkers(workers)
 	rep, err := analyze()
 	if err != nil {
-		t.Fatalf("workers=%d: %v", workers, err)
+		t.Fatal(err)
 	}
 	return rep.Render()
 }
@@ -28,11 +27,10 @@ func renderWith(t *testing.T, a *Analyzer, workers int, analyze func() (*Report,
 func TestParallelObjectDeterminism(t *testing.T) {
 	for name, w := range apprentice.Library() {
 		g := buildGraph(t, w)
-		a := New(g)
 		run := lastRun(g)
-		serial := renderWith(t, a, 1, func() (*Report, error) { return a.AnalyzeObject(run) })
+		serial := renderWith(t, func() (*Report, error) { return New(g, WithWorkers(1)).AnalyzeObject(run) })
 		for _, workers := range []int{2, 4, 8} {
-			got := renderWith(t, a, workers, func() (*Report, error) { return a.AnalyzeObject(run) })
+			got := renderWith(t, func() (*Report, error) { return New(g, WithWorkers(workers)).AnalyzeObject(run) })
 			if got != serial {
 				t.Errorf("workload %s: workers=%d report differs from serial:\n--- serial ---\n%s--- parallel ---\n%s", name, workers, serial, got)
 			}
@@ -43,12 +41,11 @@ func TestParallelObjectDeterminism(t *testing.T) {
 func TestParallelSQLDeterminism(t *testing.T) {
 	g := buildGraph(t, apprentice.Particles())
 	db := loadDB(t, g)
-	a := New(g)
 	run := lastRun(g)
 	q := godbc.Embedded{DB: db}
-	serial := renderWith(t, a, 1, func() (*Report, error) { return a.AnalyzeSQL(run, q) })
+	serial := renderWith(t, func() (*Report, error) { return New(g, WithWorkers(1)).AnalyzeSQL(run, q) })
 	for _, workers := range []int{2, 8} {
-		got := renderWith(t, a, workers, func() (*Report, error) { return a.AnalyzeSQL(run, q) })
+		got := renderWith(t, func() (*Report, error) { return New(g, WithWorkers(workers)).AnalyzeSQL(run, q) })
 		if got != serial {
 			t.Errorf("workers=%d SQL report differs from serial:\n--- serial ---\n%s--- parallel ---\n%s", workers, serial, got)
 		}
@@ -58,11 +55,10 @@ func TestParallelSQLDeterminism(t *testing.T) {
 func TestParallelClientSideDeterminism(t *testing.T) {
 	g := buildGraph(t, apprentice.Stencil())
 	db := loadDB(t, g)
-	a := New(g)
 	run := lastRun(g)
 	q := godbc.Embedded{DB: db}
-	serial := renderWith(t, a, 1, func() (*Report, error) { return a.AnalyzeClientSide(run, q) })
-	got := renderWith(t, a, 8, func() (*Report, error) { return a.AnalyzeClientSide(run, q) })
+	serial := renderWith(t, func() (*Report, error) { return New(g, WithWorkers(1)).AnalyzeClientSide(run, q) })
+	got := renderWith(t, func() (*Report, error) { return New(g, WithWorkers(8)).AnalyzeClientSide(run, q) })
 	if got != serial {
 		t.Errorf("workers=8 client-side report differs from serial:\n--- serial ---\n%s--- parallel ---\n%s", serial, got)
 	}
@@ -87,10 +83,9 @@ func TestParallelSQLOverPool(t *testing.T) {
 	}
 	defer pool.Close()
 
-	a := New(g)
 	run := lastRun(g)
-	serial := renderWith(t, a, 1, func() (*Report, error) { return a.AnalyzeSQL(run, godbc.Embedded{DB: db}) })
-	got := renderWith(t, a, 8, func() (*Report, error) { return a.AnalyzeSQL(run, pool) })
+	serial := renderWith(t, func() (*Report, error) { return New(g, WithWorkers(1)).AnalyzeSQL(run, godbc.Embedded{DB: db}) })
+	got := renderWith(t, func() (*Report, error) { return New(g, WithWorkers(8)).AnalyzeSQL(run, pool) })
 	if got != serial {
 		t.Errorf("pooled SQL report differs from embedded serial:\n--- serial ---\n%s--- pooled ---\n%s", serial, got)
 	}
@@ -142,12 +137,7 @@ func TestWorkersOption(t *testing.T) {
 	if w := New(g, WithWorkers(3)).Workers(); w != 3 {
 		t.Errorf("WithWorkers(3): Workers() = %d", w)
 	}
-	a := New(g)
-	if w := a.Workers(); w < 1 {
+	if w := New(g).Workers(); w < 1 {
 		t.Errorf("default Workers() = %d, want >= 1", w)
-	}
-	a.SetWorkers(2)
-	if w := a.Workers(); w != 2 {
-		t.Errorf("SetWorkers(2): Workers() = %d", w)
 	}
 }

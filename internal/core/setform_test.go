@@ -372,19 +372,19 @@ func TestSetFormCancelMidStatement(t *testing.T) {
 func TestSetFormTwoShards(t *testing.T) {
 	g := buildGraph(t, apprentice.Particles())
 	run := lastRun(g)
-	ref := New(g, WithBatchSize(1))
-	want := renderWith(t, ref, 1, func() (*Report, error) { return ref.AnalyzeSQL(run, godbc.Embedded{DB: loadDB(t, g)}) })
+	ref := New(g, WithWorkers(1), WithBatchSize(1))
+	want := renderWith(t, func() (*Report, error) { return ref.AnalyzeSQL(run, godbc.Embedded{DB: loadDB(t, g)}) })
 
 	h := startShardHarness(t, g, 2)
-	a := New(g)
 	for _, workers := range []int{1, 8} {
-		got := renderWith(t, a, workers, func() (*Report, error) { return a.AnalyzeSQL(run, h.sdb) })
+		a := New(g, WithWorkers(workers))
+		got := renderWith(t, func() (*Report, error) { return a.AnalyzeSQL(run, h.sdb) })
 		if got != want {
 			t.Errorf("workers=%d: two-shard set-form report differs from the single server's:\n--- single ---\n%s--- sharded ---\n%s", workers, want, got)
 		}
-	}
-	if fb, last := a.Fallbacks(); fb != 0 {
-		t.Errorf("%d fallbacks over two shards (last %s)", fb, last)
+		if fb, last := a.Fallbacks(); fb != 0 {
+			t.Errorf("workers=%d: %d fallbacks over two shards (last %s)", workers, fb, last)
+		}
 	}
 	owner := h.sdb.ShardFor(g.Runs[run].ID)
 	for i, db := range h.dbs {

@@ -87,15 +87,15 @@ func TestShardedMatchesSingleNode(t *testing.T) {
 	db := loadDB(t, g)
 	run := lastRun(g)
 
-	ref := New(g)
-	want := renderWith(t, ref, 1, func() (*Report, error) { return ref.AnalyzeSQL(run, godbc.Embedded{DB: db}) })
+	ref := New(g, WithWorkers(1))
+	want := renderWith(t, func() (*Report, error) { return ref.AnalyzeSQL(run, godbc.Embedded{DB: db}) })
 
 	for _, shards := range []int{1, 2, 4} {
 		h := startShardHarness(t, g, shards)
 		for _, workers := range []int{1, 8} {
 			for _, batch := range []int{1, 4, DefaultBatchSize} {
-				a := New(g, WithBatchSize(batch))
-				got := renderWith(t, a, workers, func() (*Report, error) { return a.AnalyzeSQL(run, h.sdb) })
+				a := New(g, WithWorkers(workers), WithBatchSize(batch))
+				got := renderWith(t, func() (*Report, error) { return a.AnalyzeSQL(run, h.sdb) })
 				if got != want {
 					t.Errorf("shards=%d workers=%d batch=%d report differs from single node:\n--- single ---\n%s--- sharded ---\n%s",
 						shards, workers, batch, want, got)

@@ -25,13 +25,13 @@ func rowBaseline(t *testing.T, g *model.Graph, run *model.TestRun) (before, afte
 	if err := db.SetEngine(sqldb.EngineRow); err != nil {
 		t.Fatal(err)
 	}
-	ref := New(g)
+	ref := New(g, WithWorkers(1))
 	analyze := func() (*Report, error) { return ref.AnalyzeSQL(run, godbc.Embedded{DB: db}) }
-	before = renderWith(t, ref, 1, analyze)
+	before = renderWith(t, analyze)
 	if _, err := db.Exec(halveTypedTiming, nil); err != nil {
 		t.Fatal(err)
 	}
-	after = renderWith(t, ref, 1, analyze)
+	after = renderWith(t, analyze)
 	if before == after {
 		t.Fatal("the invalidating DML did not change the report; the test is vacuous")
 	}
@@ -56,11 +56,11 @@ func TestVectorAnalysisDeterminism(t *testing.T) {
 				if err := db.SetEngine(sqldb.EngineVector); err != nil {
 					t.Fatal(err)
 				}
-				a := New(g, WithBatchSize(batch))
+				a := New(g, WithWorkers(workers), WithBatchSize(batch))
 				q := godbc.Embedded{DB: db}
 				analyze := func() (*Report, error) { return a.AnalyzeSQL(run, q) }
-				cold := renderWith(t, a, workers, analyze)
-				warm := renderWith(t, a, workers, analyze)
+				cold := renderWith(t, analyze)
+				warm := renderWith(t, analyze)
 				if cold != wantBefore || warm != wantBefore {
 					t.Errorf("workers=%d batch=%d cache=%s: vectorized report differs from the row baseline",
 						workers, batch, cache)
@@ -68,7 +68,7 @@ func TestVectorAnalysisDeterminism(t *testing.T) {
 				if _, err := db.Exec(halveTypedTiming, nil); err != nil {
 					t.Fatal(err)
 				}
-				after := renderWith(t, a, workers, analyze)
+				after := renderWith(t, analyze)
 				if after != wantAfter {
 					t.Errorf("workers=%d batch=%d cache=%s: post-DML vectorized report differs from the row baseline:\n--- want ---\n%s--- got ---\n%s",
 						workers, batch, cache, wantAfter, after)
@@ -108,9 +108,9 @@ func TestVectorInterleavedDMLDeterminism(t *testing.T) {
 	if err := refDB.SetEngine(sqldb.EngineRow); err != nil {
 		t.Fatal(err)
 	}
-	ref := New(g)
+	ref := New(g, WithWorkers(1))
 	refs := make([]string, 0, len(interleavedDML)+1)
-	refs = append(refs, renderWith(t, ref, 1, func() (*Report, error) {
+	refs = append(refs, renderWith(t, func() (*Report, error) {
 		return ref.AnalyzeSQL(run, godbc.Embedded{DB: refDB})
 	}))
 	for i, dml := range interleavedDML {
@@ -121,7 +121,7 @@ func TestVectorInterleavedDMLDeterminism(t *testing.T) {
 		if res.Affected == 0 {
 			t.Fatalf("step %d (%s) affected no rows; the test is vacuous", i, dml)
 		}
-		rep := renderWith(t, ref, 1, func() (*Report, error) {
+		rep := renderWith(t, func() (*Report, error) {
 			return ref.AnalyzeSQL(run, godbc.Embedded{DB: refDB})
 		})
 		if rep == refs[len(refs)-1] {
@@ -139,17 +139,17 @@ func TestVectorInterleavedDMLDeterminism(t *testing.T) {
 			if err := db.SetEngine(sqldb.EngineVector); err != nil {
 				t.Fatal(err)
 			}
-			a := New(g)
+			a := New(g, WithWorkers(workers))
 			q := godbc.Embedded{DB: db}
 			analyze := func() (*Report, error) { return a.AnalyzeSQL(run, q) }
-			if got := renderWith(t, a, workers, analyze); got != refs[0] {
+			if got := renderWith(t, analyze); got != refs[0] {
 				t.Errorf("workers=%d cache=%s: pre-DML vectorized report differs from the row baseline", workers, cache)
 			}
 			for i, dml := range interleavedDML {
 				if _, err := db.Exec(dml, nil); err != nil {
 					t.Fatal(err)
 				}
-				if got := renderWith(t, a, workers, analyze); got != refs[i+1] {
+				if got := renderWith(t, analyze); got != refs[i+1] {
 					t.Errorf("workers=%d cache=%s: report after step %d differs from the row baseline:\n--- want ---\n%s--- got ---\n%s",
 						workers, cache, i, refs[i+1], got)
 				}
@@ -177,8 +177,8 @@ func TestVectorShardedDeterminism(t *testing.T) {
 			}
 		}
 		for _, workers := range []int{1, 8} {
-			a := New(g)
-			got := renderWith(t, a, workers, func() (*Report, error) { return a.AnalyzeSQL(run, h.sdb) })
+			a := New(g, WithWorkers(workers))
+			got := renderWith(t, func() (*Report, error) { return a.AnalyzeSQL(run, h.sdb) })
 			if got != wantBefore {
 				t.Errorf("shards=%d workers=%d: vectorized report differs from the row baseline", shards, workers)
 			}
@@ -186,8 +186,8 @@ func TestVectorShardedDeterminism(t *testing.T) {
 		if _, err := h.sdb.Exec(halveTypedTiming, nil); err != nil {
 			t.Fatal(err)
 		}
-		a := New(g)
-		after := renderWith(t, a, 8, func() (*Report, error) { return a.AnalyzeSQL(run, h.sdb) })
+		a := New(g, WithWorkers(8))
+		after := renderWith(t, func() (*Report, error) { return a.AnalyzeSQL(run, h.sdb) })
 		if after != wantAfter {
 			t.Errorf("shards=%d: post-DML vectorized report differs from the row baseline:\n--- want ---\n%s--- got ---\n%s",
 				shards, wantAfter, after)

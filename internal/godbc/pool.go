@@ -22,8 +22,7 @@ import (
 // connections that suffered a transport-level failure are discarded instead
 // of being returned to the pool.
 type Pool struct {
-	addr      string
-	fetchSize int
+	addr string
 
 	// slots bounds the number of checked-out plus idle connections.
 	slots chan struct{}
@@ -48,7 +47,6 @@ func NewPool(addr string, size int) (*Pool, error) {
 	}
 	p := &Pool{
 		addr:         addr,
-		fetchSize:    DefaultFetchSize,
 		slots:        make(chan struct{}, size),
 		checkoutWait: metrics.MustHistogram(),
 	}
@@ -60,26 +58,12 @@ func NewPool(addr string, size int) (*Pool, error) {
 		return nil, err
 	}
 	p.dialed.Inc()
-	c.SetFetchSize(p.fetchSize)
 	p.idle = append(p.idle, c)
 	return p, nil
 }
 
 // Size returns the pool capacity.
 func (p *Pool) Size() int { return cap(p.slots) }
-
-// SetFetchSize sets the cursor fetch size applied to pooled connections.
-func (p *Pool) SetFetchSize(n int) {
-	if n < 1 {
-		n = 1
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.fetchSize = n
-	for _, c := range p.idle {
-		c.SetFetchSize(n)
-	}
-}
 
 // acquireSlot claims one capacity slot, observing ctx while blocked and
 // recording the wait into the checkout metrics. The common case — a free
@@ -130,12 +114,8 @@ func (p *Pool) GetCtx(ctx context.Context) (*Conn, error) {
 		c = p.idle[n-1]
 		p.idle = p.idle[:n-1]
 	}
-	fetch := p.fetchSize
 	p.mu.Unlock()
 	if c != nil {
-		// Re-apply the pool's current fetch size: the connection may have
-		// been checked out across a SetFetchSize call.
-		c.SetFetchSize(fetch)
 		return c, nil
 	}
 	c, err := Dial(p.addr)
@@ -144,7 +124,6 @@ func (p *Pool) GetCtx(ctx context.Context) (*Conn, error) {
 		return nil, err
 	}
 	p.dialed.Inc()
-	c.SetFetchSize(fetch)
 	return c, nil
 }
 

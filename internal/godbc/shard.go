@@ -134,13 +134,6 @@ func (s *ShardedDB) ShardFor(runID int64) int { return s.policy(runID, len(s.poo
 // such as loading.
 func (s *ShardedDB) Pool(i int) *Pool { return s.pools[i] }
 
-// SetFetchSize sets the cursor fetch size on every shard's pool.
-func (s *ShardedDB) SetFetchSize(n int) {
-	for _, p := range s.pools {
-		p.SetFetchSize(n)
-	}
-}
-
 // SplitAddrs parses a comma-separated shard list ("host1,host2,..."),
 // trimming whitespace and rejecting blank entries — the one parser behind
 // every CLI's -db flag, so the address rules cannot drift between the tools

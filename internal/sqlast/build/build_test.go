@@ -3,28 +3,39 @@ package build
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/sqldb"
 )
+
+func col(qual, name string) *sqldb.EColumn { return &sqldb.EColumn{Qual: qual, Name: name} }
+
+func param(name string) *sqldb.EParam { return &sqldb.EParam{Ordinal: -1, Name: name} }
+
+func lit(v sqldb.Value) *sqldb.ELit { return &sqldb.ELit{Value: v} }
+
+func one() *sqldb.ELit { return lit(sqldb.NewInt(1)) }
 
 // propertyShapedSelect builds a tree shaped like a compiled ASL property:
 // a scalar aggregate subquery over a junction join, with named parameters.
-func propertyShapedSelect() *Select {
-	inner := &Select{
-		Items: []Item{{Expr: &Call{Name: "SUM", Args: []Expr{&Col{Table: "a1", Name: "Time"}}}}},
-		From:  &Table{Name: "Region_TypTimes", Alias: "j2"},
-		Joins: []Join{{
-			Table: Table{Name: "TypedTiming", Alias: "a1"},
-			On:    &Bin{Op: OpEq, L: &Col{Table: "a1", Name: "id"}, R: &Col{Table: "j2", Name: "elem_id"}},
+func propertyShapedSelect() *sqldb.SelectStmt {
+	inner := &sqldb.SelectStmt{
+		Items: []sqldb.SelectItem{{Expr: &sqldb.ECall{Name: "SUM", Args: []sqldb.Expr{col("a1", "Time")}}}},
+		From:  &sqldb.TableRef{Table: "Region_TypTimes", Alias: "j2"},
+		Joins: []sqldb.Join{{
+			Table: sqldb.TableRef{Table: "TypedTiming", Alias: "a1"},
+			On:    &sqldb.EBinary{Op: sqldb.OpEq, L: col("a1", "id"), R: col("j2", "elem_id")},
 		}},
-		Where: []Expr{
-			&Bin{Op: OpEq, L: &Col{Table: "j2", Name: "owner_id"}, R: &Param{Name: "r", Kind: KindInt}},
-			&Paren{X: &Bin{Op: OpEq, L: &Col{Table: "a1", Name: "Run_id"}, R: &Param{Name: "t", Kind: KindInt}}},
+		Where: &sqldb.EBinary{Op: sqldb.OpAnd,
+			L: &sqldb.EBinary{Op: sqldb.OpEq, L: col("j2", "owner_id"), R: param("r")},
+			R: &sqldb.EBinary{Op: sqldb.OpEq, L: col("a1", "Run_id"), R: param("t"), Paren: true},
 		},
 	}
-	return &Select{Items: []Item{
-		{Expr: &Paren{X: &Bin{Op: OpGt,
-			L: &Call{Name: "COALESCE", Args: []Expr{&Subquery{Sel: inner}, &Int{V: 0}}},
-			R: &Int{V: 0}}}, As: "c0"},
-		{Expr: &Int{V: 1}, As: "f0"},
+	return &sqldb.SelectStmt{Items: []sqldb.SelectItem{
+		{Expr: &sqldb.EBinary{Op: sqldb.OpGt,
+			L:     &sqldb.ECall{Name: "COALESCE", Args: []sqldb.Expr{&sqldb.ESubquery{Select: inner}, lit(sqldb.NewInt(0))}},
+			R:     lit(sqldb.NewInt(0)),
+			Paren: true}, Alias: "c0"},
+		{Expr: one(), Alias: "f0"},
 	}}
 }
 
@@ -81,11 +92,11 @@ func TestOracle7Spelling(t *testing.T) {
 }
 
 func TestDialectDivergenceMatrix(t *testing.T) {
-	sel := &Select{
-		Items:   []Item{{Expr: &Col{Name: "x"}}, {Expr: &Bool{V: true}, As: "b"}},
-		From:    &Table{Name: "T"},
-		OrderBy: []OrderKey{{Expr: &Col{Name: "x"}, Desc: true}},
-		Limit:   &Int{V: 5},
+	sel := &sqldb.SelectStmt{
+		Items:   []sqldb.SelectItem{{Expr: col("", "x")}, {Expr: lit(sqldb.NewBool(true)), Alias: "b"}},
+		From:    &sqldb.TableRef{Table: "T"},
+		OrderBy: []sqldb.OrderItem{{Expr: col("", "x"), Desc: true}},
+		Limit:   lit(sqldb.NewInt(5)),
 	}
 	kj, err := Kojakdb.Render(sel)
 	if err != nil {
@@ -134,24 +145,28 @@ func TestInjectionRejected(t *testing.T) {
 	for _, name := range Names() {
 		d, _ := Lookup(name)
 		for _, h := range hostile {
-			cases := []Stmt{
-				&Select{Items: []Item{{Expr: &Col{Name: h}}}},
-				&Select{Items: []Item{{Star: true}}, From: &Table{Name: h}},
-				&Select{Items: []Item{{Expr: &Param{Name: h}}}},
-				&Select{Items: []Item{{Expr: &Call{Name: h, Star: true}}}},
-				&Insert{Table: h, Cols: []string{"c"}, Values: []Expr{&Int{V: 1}}},
-				&Insert{Table: "T", Cols: []string{h}, Values: []Expr{&Int{V: 1}}},
-				&CreateTable{Name: h, Cols: []ColDef{{Name: "id", Type: TInt}}},
-				&CreateTable{Name: "T", Cols: []ColDef{{Name: h, Type: TInt}}},
-				&CreateIndex{Name: h, Table: "T", Cols: []string{"c"}},
+			cases := []sqldb.Stmt{
+				&sqldb.SelectStmt{Items: []sqldb.SelectItem{{Expr: col("", h)}}},
+				&sqldb.SelectStmt{Items: []sqldb.SelectItem{{Star: true}}, From: &sqldb.TableRef{Table: h}},
+				&sqldb.SelectStmt{Items: []sqldb.SelectItem{{Expr: &sqldb.ECall{Name: h, Star: true}}}},
+				&sqldb.InsertStmt{Table: h, Cols: []string{"c"}, Rows: [][]sqldb.Expr{{one()}}},
+				&sqldb.InsertStmt{Table: "T", Cols: []string{h}, Rows: [][]sqldb.Expr{{one()}}},
+				&sqldb.CreateTableStmt{Name: h, Cols: []sqldb.Column{{Name: "id", Type: sqldb.TInt}}},
+				&sqldb.CreateTableStmt{Name: "T", Cols: []sqldb.Column{{Name: h, Type: sqldb.TInt}}},
+				&sqldb.CreateIndexStmt{Name: h, Table: "T", Column: "c"},
+				&sqldb.CreateIndexStmt{Name: "i", Table: h, Column: "c"},
+				&sqldb.CreateIndexStmt{Name: "i", Table: "T", Column: h},
 			}
-			// Table qualifier, item alias, and table alias are optional:
-			// empty means absent there, so only non-empty hostiles apply.
+			// Parameter name, table qualifier, item alias, and table alias
+			// are optional: empty means absent there (an empty parameter
+			// name is a positional marker), so only non-empty hostiles
+			// apply.
 			if h != "" {
 				cases = append(cases,
-					&Select{Items: []Item{{Expr: &Col{Table: h, Name: "ok"}}}},
-					&Select{Items: []Item{{Expr: &Int{V: 1}, As: h}}},
-					&Select{Items: []Item{{Star: true}}, From: &Table{Name: "T", Alias: h}})
+					&sqldb.SelectStmt{Items: []sqldb.SelectItem{{Expr: param(h)}}},
+					&sqldb.SelectStmt{Items: []sqldb.SelectItem{{Expr: col(h, "ok")}}},
+					&sqldb.SelectStmt{Items: []sqldb.SelectItem{{Expr: one(), Alias: h}}},
+					&sqldb.SelectStmt{Items: []sqldb.SelectItem{{Star: true}}, From: &sqldb.TableRef{Table: "T", Alias: h}})
 			}
 			for i, s := range cases {
 				if _, err := d.Render(s); err == nil {
@@ -161,7 +176,7 @@ func TestInjectionRejected(t *testing.T) {
 		}
 	}
 	// Hostile string *values* are fine — they are escaped, not rejected.
-	r, err := Kojakdb.Render(&Select{Items: []Item{{Expr: &Str{V: "'; DROP TABLE T; --"}}}})
+	r, err := Kojakdb.Render(&sqldb.SelectStmt{Items: []sqldb.SelectItem{{Expr: lit(sqldb.NewText("'; DROP TABLE T; --"))}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,9 +186,9 @@ func TestInjectionRejected(t *testing.T) {
 }
 
 func TestMixedMarkersRejectedWhenPositional(t *testing.T) {
-	sel := &Select{Items: []Item{
-		{Expr: &Param{Name: "p"}},
-		{Expr: &Ordinal{N: 0}},
+	sel := &sqldb.SelectStmt{Items: []sqldb.SelectItem{
+		{Expr: param("p")},
+		{Expr: &sqldb.EParam{Ordinal: 0}},
 	}}
 	if _, err := ANSI.Render(sel); err == nil {
 		t.Error("ansi rendered mixed named+ordinal markers without error")
@@ -183,38 +198,40 @@ func TestMixedMarkersRejectedWhenPositional(t *testing.T) {
 	}
 }
 
-func TestNamedParams(t *testing.T) {
-	sel := propertyShapedSelect()
-	ps, err := NamedParams(sel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ps) != 2 || ps[0].Name != "r" || ps[1].Name != "t" {
-		t.Errorf("NamedParams = %v", ps)
-	}
-	if ps[0].Kind != KindInt {
-		t.Errorf("param r kind = %v, want int", ps[0].Kind)
-	}
-	conflicted := &Select{Items: []Item{
-		{Expr: &Param{Name: "p", Kind: KindInt}},
-		{Expr: &Param{Name: "p", Kind: KindText}},
-	}}
-	if _, err := NamedParams(conflicted); err == nil {
-		t.Error("conflicting kinds for one name accepted")
-	}
-}
-
 func TestFloatAndStringLiterals(t *testing.T) {
-	r, err := Kojakdb.Render(&Select{Items: []Item{
-		{Expr: &Float{V: 0.25}},
-		{Expr: &Float{V: 1e21}},
-		{Expr: &Str{V: "it's"}},
-		{Expr: &Null{}},
+	r, err := Kojakdb.Render(&sqldb.SelectStmt{Items: []sqldb.SelectItem{
+		{Expr: lit(sqldb.NewFloat(0.25))},
+		{Expr: lit(sqldb.NewFloat(1e21))},
+		{Expr: lit(sqldb.NewText("it's"))},
+		{Expr: lit(sqldb.Null)},
 	}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := "SELECT 0.25, 1e+21, 'it''s', NULL"; r.SQL != want {
 		t.Errorf("literals:\n got: %s\nwant: %s", r.SQL, want)
+	}
+}
+
+// TestUnaryMinusNeverOpensComment: a unary minus before an operand that
+// itself starts with '-' is spaced, or the two would lex as a "--" comment.
+func TestUnaryMinusNeverOpensComment(t *testing.T) {
+	neg := func(x sqldb.Expr) sqldb.Expr { return &sqldb.EUnary{Neg: true, X: x} }
+	for _, tc := range []struct {
+		x    sqldb.Expr
+		want string
+	}{
+		{neg(neg(one())), "SELECT - -1"},
+		{neg(lit(sqldb.NewInt(-1))), "SELECT - -1"},
+		{neg(&sqldb.EUnary{Neg: true, X: one(), Paren: true}), "SELECT -(-1)"},
+		{neg(one()), "SELECT -1"},
+	} {
+		r, err := Kojakdb.Render(&sqldb.SelectStmt{Items: []sqldb.SelectItem{{Expr: tc.x}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.SQL != tc.want {
+			t.Errorf("got %s, want %s", r.SQL, tc.want)
+		}
 	}
 }

@@ -57,7 +57,7 @@ type Dialect struct {
 	// literals.
 	BoolAsInt bool
 
-	// Types spells the abstract column types, indexed by ColType.
+	// Types spells the column types, indexed by sqldb.ColType.
 	Types [4]string
 }
 

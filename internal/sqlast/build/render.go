@@ -1,10 +1,50 @@
+// Package build renders the engine's SQL AST (internal/sqldb's statement and
+// expression nodes) per database dialect. sqlgen constructs those nodes
+// directly instead of concatenating strings, and Render spells them:
+// identifier validation at render time (the injection kill — no identifier
+// with quotes, spaces, or punctuation ever reaches a statement), parameter
+// markers, quoting, LIMIT, NULL ordering, and column types per dialect.
+//
+// The package declares no node types of its own: one SQL AST serves both
+// what sqlgen emits and what the engine parses. Grouping is the Paren field
+// of sqldb's EBinary, EUnary, EIsNull and EIn nodes; the renderer prints
+// parentheses if and only if it is set.
+//
+// The kojakdb dialect is canonical: its rendering of every statement sqlgen
+// generates is the text plan-cache and result-cache keys are built from. See
+// docs/SQL.md for the generated subset grammar and the dialect divergence
+// matrix.
 package build
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
+
+	"repro/internal/sqldb"
 )
+
+// ValidIdent reports whether s is a safe SQL identifier: a letter or
+// underscore followed by letters, digits, or underscores. The renderer
+// rejects everything else, in every dialect — quoting is a spelling choice,
+// never an escape hatch for hostile names.
+func ValidIdent(s string) bool {
+	if s == "" {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		switch {
+		case c == '_' || c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z':
+		case c >= '0' && c <= '9':
+			if i == 0 {
+				return false
+			}
+		default:
+			return false
+		}
+	}
+	return true
+}
 
 // Rendered is the output of a Render pass.
 type Rendered struct {
@@ -18,8 +58,9 @@ type Rendered struct {
 
 // Render spells the statement for the dialect. Every identifier and
 // parameter name is validated; an invalid one fails the whole render — no
-// partially-escaped statement is ever returned.
-func Render(s Stmt, d *Dialect) (Rendered, error) {
+// partially-escaped statement is ever returned. SELECT, INSERT, CREATE TABLE
+// and CREATE INDEX render; other statements are an error.
+func Render(s sqldb.Stmt, d *Dialect) (Rendered, error) {
 	r := &renderer{d: d}
 	r.stmt(s)
 	if r.err != nil {
@@ -32,7 +73,7 @@ func Render(s Stmt, d *Dialect) (Rendered, error) {
 }
 
 // Render spells the statement for the receiver dialect.
-func (d *Dialect) Render(s Stmt) (Rendered, error) { return Render(s, d) }
+func (d *Dialect) Render(s sqldb.Stmt) (Rendered, error) { return Render(s, d) }
 
 type renderer struct {
 	d          *Dialect
@@ -66,30 +107,44 @@ func (r *renderer) ident(s string) {
 	r.b.WriteString(s)
 }
 
-func (r *renderer) stmt(s Stmt) {
+// list renders n comma-separated elements.
+func (r *renderer) list(n int, elem func(i int)) {
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			r.b.WriteString(", ")
+		}
+		elem(i)
+	}
+}
+
+func (r *renderer) exprs(es []sqldb.Expr) {
+	r.list(len(es), func(i int) { r.expr(es[i]) })
+}
+
+func (r *renderer) stmt(s sqldb.Stmt) {
 	switch x := s.(type) {
-	case *Select:
+	case *sqldb.SelectStmt:
 		r.sel(x)
-	case *Insert:
+	case *sqldb.InsertStmt:
 		r.insert(x)
-	case *CreateTable:
+	case *sqldb.CreateTableStmt:
 		r.createTable(x)
-	case *CreateIndex:
+	case *sqldb.CreateIndexStmt:
 		r.createIndex(x)
 	default:
 		r.fail("unhandled statement %T", s)
 	}
 }
 
-func (r *renderer) table(t Table) {
-	r.ident(t.Name)
+func (r *renderer) table(t sqldb.TableRef) {
+	r.ident(t.Table)
 	if t.Alias != "" {
 		r.b.WriteString(" ")
 		r.ident(t.Alias)
 	}
 }
 
-func (r *renderer) sel(s *Select) {
+func (r *renderer) sel(s *sqldb.SelectStmt) {
 	if s == nil {
 		r.fail("nil SELECT")
 		return
@@ -99,10 +154,8 @@ func (r *renderer) sel(s *Select) {
 		return
 	}
 	r.b.WriteString("SELECT ")
-	for i, it := range s.Items {
-		if i > 0 {
-			r.b.WriteString(", ")
-		}
+	r.list(len(s.Items), func(i int) {
+		it := s.Items[i]
 		if it.Star {
 			r.b.WriteString("*")
 		} else if it.Expr == nil {
@@ -110,11 +163,11 @@ func (r *renderer) sel(s *Select) {
 		} else {
 			r.expr(it.Expr)
 		}
-		if it.As != "" {
+		if it.Alias != "" {
 			r.b.WriteString(" AS ")
-			r.ident(it.As)
+			r.ident(it.Alias)
 		}
-	}
+	})
 	if s.From != nil {
 		r.b.WriteString(" FROM ")
 		r.table(*s.From)
@@ -127,23 +180,13 @@ func (r *renderer) sel(s *Select) {
 	} else if len(s.Joins) > 0 {
 		r.fail("JOIN without FROM")
 	}
-	if len(s.Where) > 0 {
+	if s.Where != nil {
 		r.b.WriteString(" WHERE ")
-		for i, w := range s.Where {
-			if i > 0 {
-				r.b.WriteString(" AND ")
-			}
-			r.expr(w)
-		}
+		r.expr(s.Where)
 	}
 	if len(s.GroupBy) > 0 {
 		r.b.WriteString(" GROUP BY ")
-		for i, g := range s.GroupBy {
-			if i > 0 {
-				r.b.WriteString(", ")
-			}
-			r.expr(g)
-		}
+		r.exprs(s.GroupBy)
 	}
 	if s.Having != nil {
 		r.b.WriteString(" HAVING ")
@@ -151,23 +194,19 @@ func (r *renderer) sel(s *Select) {
 	}
 	if len(s.OrderBy) > 0 {
 		r.b.WriteString(" ORDER BY ")
-		for i, k := range s.OrderBy {
-			if i > 0 {
-				r.b.WriteString(", ")
-			}
+		r.list(len(s.OrderBy), func(i int) {
+			k := s.OrderBy[i]
 			r.expr(k.Expr)
 			if k.Desc {
 				r.b.WriteString(" DESC")
 			}
 			switch {
-			case r.d.ExplicitNullOrder && k.NullsFirst:
+			case k.NullsFirst:
 				r.b.WriteString(" NULLS FIRST")
 			case r.d.ExplicitNullOrder:
 				r.b.WriteString(" NULLS LAST")
-			case k.NullsFirst:
-				r.b.WriteString(" NULLS FIRST")
 			}
-		}
+		})
 	}
 	if s.Limit != nil {
 		switch r.d.LimitStyle {
@@ -184,31 +223,30 @@ func (r *renderer) sel(s *Select) {
 	}
 }
 
-func (r *renderer) insert(s *Insert) {
-	if len(s.Cols) != len(s.Values) {
-		r.fail("INSERT INTO %s: %d columns but %d values", s.Table, len(s.Cols), len(s.Values))
+func (r *renderer) insert(s *sqldb.InsertStmt) {
+	if len(s.Rows) == 0 {
+		r.fail("INSERT INTO %s with no rows", s.Table)
 		return
+	}
+	for _, row := range s.Rows {
+		if len(row) != len(s.Cols) {
+			r.fail("INSERT INTO %s: %d columns but %d values", s.Table, len(s.Cols), len(row))
+			return
+		}
 	}
 	r.b.WriteString("INSERT INTO ")
 	r.ident(s.Table)
 	r.b.WriteString(" (")
-	for i, c := range s.Cols {
-		if i > 0 {
-			r.b.WriteString(", ")
-		}
-		r.ident(c)
-	}
-	r.b.WriteString(") VALUES (")
-	for i, v := range s.Values {
-		if i > 0 {
-			r.b.WriteString(", ")
-		}
-		r.expr(v)
-	}
-	r.b.WriteString(")")
+	r.list(len(s.Cols), func(i int) { r.ident(s.Cols[i]) })
+	r.b.WriteString(") VALUES ")
+	r.list(len(s.Rows), func(i int) {
+		r.b.WriteString("(")
+		r.exprs(s.Rows[i])
+		r.b.WriteString(")")
+	})
 }
 
-func (r *renderer) createTable(s *CreateTable) {
+func (r *renderer) createTable(s *sqldb.CreateTableStmt) {
 	if len(s.Cols) == 0 {
 		r.fail("CREATE TABLE %s with no columns", s.Name)
 		return
@@ -216,10 +254,8 @@ func (r *renderer) createTable(s *CreateTable) {
 	r.b.WriteString("CREATE TABLE ")
 	r.ident(s.Name)
 	r.b.WriteString(" (")
-	for i, c := range s.Cols {
-		if i > 0 {
-			r.b.WriteString(", ")
-		}
+	r.list(len(s.Cols), func(i int) {
+		c := s.Cols[i]
 		r.ident(c.Name)
 		if c.Type < 0 || int(c.Type) >= len(r.d.Types) {
 			r.fail("CREATE TABLE %s: column %s has unknown type %d", s.Name, c.Name, c.Type)
@@ -227,59 +263,56 @@ func (r *renderer) createTable(s *CreateTable) {
 		}
 		r.b.WriteString(" ")
 		r.b.WriteString(r.d.Types[c.Type])
-		if c.PrimaryKey {
+		if c.Primary {
 			r.b.WriteString(" PRIMARY KEY")
 		}
 		if c.NotNull {
 			r.b.WriteString(" NOT NULL")
 		}
-	}
+	})
 	r.b.WriteString(")")
 }
 
-func (r *renderer) createIndex(s *CreateIndex) {
-	if len(s.Cols) == 0 {
-		r.fail("CREATE INDEX %s with no columns", s.Name)
-		return
-	}
+func (r *renderer) createIndex(s *sqldb.CreateIndexStmt) {
 	r.b.WriteString("CREATE INDEX ")
 	r.ident(s.Name)
 	r.b.WriteString(" ON ")
 	r.ident(s.Table)
 	r.b.WriteString(" (")
-	for i, c := range s.Cols {
-		if i > 0 {
-			r.b.WriteString(", ")
-		}
-		r.ident(c)
-	}
+	r.ident(s.Column)
 	r.b.WriteString(")")
 }
 
-func (r *renderer) expr(e Expr) {
+// open and close print the parentheses of a node whose Paren field is set.
+func (r *renderer) open(paren bool) {
+	if paren {
+		r.b.WriteString("(")
+	}
+}
+
+func (r *renderer) close(paren bool) {
+	if paren {
+		r.b.WriteString(")")
+	}
+}
+
+func (r *renderer) expr(e sqldb.Expr) {
 	switch x := e.(type) {
-	case *Int:
-		r.b.WriteString(strconv.FormatInt(x.V, 10))
-	case *Float:
-		r.b.WriteString(strconv.FormatFloat(x.V, 'g', -1, 64))
-	case *Str:
-		r.b.WriteString("'")
-		r.b.WriteString(strings.ReplaceAll(x.V, "'", "''"))
-		r.b.WriteString("'")
-	case *Bool:
+	case *sqldb.ELit:
 		switch {
-		case r.d.BoolAsInt && x.V:
+		case r.d.BoolAsInt && x.Value.IsBool() && x.Value.Bool():
 			r.b.WriteString("1")
-		case r.d.BoolAsInt:
+		case r.d.BoolAsInt && x.Value.IsBool():
 			r.b.WriteString("0")
-		case x.V:
-			r.b.WriteString("TRUE")
 		default:
-			r.b.WriteString("FALSE")
+			r.b.WriteString(x.Value.String())
 		}
-	case *Null:
-		r.b.WriteString("NULL")
-	case *Param:
+	case *sqldb.EParam:
+		if x.Name == "" {
+			r.sawOrdinal = true
+			r.b.WriteString("?")
+			return
+		}
 		if !ValidIdent(x.Name) {
 			r.fail("invalid parameter name %q", x.Name)
 			return
@@ -296,40 +329,42 @@ func (r *renderer) expr(e Expr) {
 			r.b.WriteString("?")
 			r.order = append(r.order, x.Name)
 		}
-	case *Ordinal:
-		r.sawOrdinal = true
-		r.b.WriteString("?")
-	case *Col:
-		if x.Table != "" {
-			r.ident(x.Table)
+	case *sqldb.EColumn:
+		if x.Qual != "" {
+			r.ident(x.Qual)
 			r.b.WriteString(".")
 		}
 		r.ident(x.Name)
-	case *Bin:
+	case *sqldb.EBinary:
+		r.open(x.Paren)
 		r.expr(x.L)
 		r.b.WriteString(" ")
 		r.b.WriteString(x.Op.String())
 		r.b.WriteString(" ")
 		r.expr(x.R)
-	case *Un:
-		if x.Op == OpNeg {
-			r.b.WriteString("-")
-		} else {
+		r.close(x.Paren)
+	case *sqldb.EUnary:
+		r.open(x.Paren)
+		switch {
+		case !x.Neg:
 			r.b.WriteString("NOT ")
+		case leadsWithMinus(x.X):
+			r.b.WriteString("- ") // "--" would open a comment
+		default:
+			r.b.WriteString("-")
 		}
 		r.expr(x.X)
-	case *Paren:
-		r.b.WriteString("(")
-		r.expr(x.X)
-		r.b.WriteString(")")
-	case *IsNull:
+		r.close(x.Paren)
+	case *sqldb.EIsNull:
+		r.open(x.Paren)
 		r.expr(x.X)
 		if x.Not {
 			r.b.WriteString(" IS NOT NULL")
 		} else {
 			r.b.WriteString(" IS NULL")
 		}
-	case *Call:
+		r.close(x.Paren)
+	case *sqldb.ECall:
 		// Function names share the identifier alphabet but are never
 		// quoted or case-folded: they name engine builtins, not schema
 		// objects.
@@ -342,18 +377,14 @@ func (r *renderer) expr(e Expr) {
 		if x.Star {
 			r.b.WriteString("*")
 		}
-		for i, a := range x.Args {
-			if i > 0 {
-				r.b.WriteString(", ")
-			}
-			r.expr(a)
-		}
+		r.exprs(x.Args)
 		r.b.WriteString(")")
-	case *Subquery:
+	case *sqldb.ESubquery:
 		r.b.WriteString("(")
-		r.sel(x.Sel)
+		r.sel(x.Select)
 		r.b.WriteString(")")
-	case *In:
+	case *sqldb.EIn:
+		r.open(x.Paren)
 		r.expr(x.X)
 		if x.Not {
 			r.b.WriteString(" NOT IN (")
@@ -363,21 +394,34 @@ func (r *renderer) expr(e Expr) {
 		if x.Sub != nil {
 			r.sel(x.Sub)
 		} else {
-			for i, a := range x.List {
-				if i > 0 {
-					r.b.WriteString(", ")
-				}
-				r.expr(a)
-			}
+			r.exprs(x.List)
 		}
 		r.b.WriteString(")")
-	case *Exists:
+		r.close(x.Paren)
+	case *sqldb.EExists:
 		r.b.WriteString("EXISTS (")
-		r.sel(x.Sel)
+		r.sel(x.Select)
 		r.b.WriteString(")")
 	case nil:
 		r.fail("nil expression")
 	default:
 		r.fail("unhandled expression %T", e)
 	}
+}
+
+// leadsWithMinus reports whether e renders starting with a '-'.
+func leadsWithMinus(e sqldb.Expr) bool {
+	switch x := e.(type) {
+	case *sqldb.ELit:
+		return strings.HasPrefix(x.Value.String(), "-")
+	case *sqldb.EUnary:
+		return x.Neg && !x.Paren
+	case *sqldb.EBinary:
+		return !x.Paren && leadsWithMinus(x.L)
+	case *sqldb.EIsNull:
+		return !x.Paren && leadsWithMinus(x.X)
+	case *sqldb.EIn:
+		return !x.Paren && leadsWithMinus(x.X)
+	}
+	return false
 }

@@ -273,7 +273,7 @@ func (db *DB) buildPlan(stmt Stmt) (*stmtPlan, error) {
 			return nil, err
 		}
 		p.canonKey = strconv.FormatInt(db.canonicalID(FormatSelect(st)), 10) + "\x1f"
-		p.markers = selectMarkers(st)
+		p.markers = SelectMarkers(st)
 	case *InsertStmt:
 		if db.tables[strings.ToLower(st.Table)] == nil {
 			return nil, fmt.Errorf("sqldb: no table %s", st.Table)
@@ -323,9 +323,9 @@ func (db *DB) buildPlan(stmt Stmt) (*stmtPlan, error) {
 	return p, nil
 }
 
-// selectMarkers returns the distinct parameter markers of a SELECT in order
-// of first appearance.
-func selectMarkers(st *SelectStmt) []EParam {
+// SelectMarkers returns the distinct parameter markers of a SELECT in order
+// of first appearance, nested subqueries included.
+func SelectMarkers(st *SelectStmt) []EParam {
 	fi := &freeInfo{}
 	collectFreeSelect(st, nil, fi, make(map[string]bool))
 	var markers []EParam

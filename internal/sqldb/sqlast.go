@@ -198,15 +198,22 @@ func (op BinOp) String() string {
 }
 
 // EBinary is a binary operation.
+//
+// Paren, here and on EUnary, EIsNull and EIn, records explicit grouping: the
+// parser sets it where the source wrote parentheses, and the dialect
+// renderer (internal/sqlast/build) prints them if and only if it is set. The
+// engine never reads it; FormatExpr ignores it.
 type EBinary struct {
-	Op   BinOp
-	L, R Expr
+	Op    BinOp
+	L, R  Expr
+	Paren bool
 }
 
 // EUnary is unary minus or NOT.
 type EUnary struct {
-	Neg bool // true: -x, false: NOT x
-	X   Expr
+	X     Expr
+	Neg   bool // true: -x, false: NOT x
+	Paren bool
 }
 
 // ECall is a function or aggregate call; Star marks COUNT(*).
@@ -230,16 +237,18 @@ type ESubquery struct{ Select *SelectStmt }
 
 // EIsNull is "x IS [NOT] NULL".
 type EIsNull struct {
-	X   Expr
-	Not bool
+	X     Expr
+	Not   bool
+	Paren bool
 }
 
 // EIn is "x IN (SELECT ...)" or "x IN (e1, e2, ...)".
 type EIn struct {
-	X    Expr
-	Sub  *SelectStmt // nil when List is set
-	List []Expr
-	Not  bool
+	X     Expr
+	Sub   *SelectStmt // nil when List is set
+	List  []Expr
+	Not   bool
+	Paren bool
 }
 
 // EExists is "EXISTS (SELECT ...)".

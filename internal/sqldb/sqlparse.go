@@ -874,6 +874,16 @@ func (p *sqlParser) parsePrimary() (Expr, error) {
 			if err := p.expectSym(")"); err != nil {
 				return nil, err
 			}
+			switch x := e.(type) {
+			case *EBinary:
+				x.Paren = true
+			case *EUnary:
+				x.Paren = true
+			case *EIsNull:
+				x.Paren = true
+			case *EIn:
+				x.Paren = true
+			}
 			return e, nil
 		}
 	case sqlIdent:

@@ -102,7 +102,7 @@ func TestCommands(t *testing.T) {
 
 // TestCosyAgainstKojakdb runs the full client/server deployment: a kojakdb
 // wire server with the COSY schema, and cosy analyzing through a connection
-// pool with an explicit fetch size, prepared statements end to end.
+// pool, prepared statements end to end.
 func TestCosyAgainstKojakdb(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries")
@@ -153,7 +153,7 @@ func TestCosyAgainstKojakdb(t *testing.T) {
 
 	out, err := exec.Command(bins["cosy"],
 		"-workload", "particles", "-nope", "32",
-		"-engine", "sql", "-db", addr, "-fetchsize", "25", "-workers", "4").CombinedOutput()
+		"-engine", "sql", "-db", addr, "-workers", "4").CombinedOutput()
 	if err != nil {
 		t.Fatalf("cosy -engine sql -db: %v\n%s", err, out)
 	}
