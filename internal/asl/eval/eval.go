@@ -95,11 +95,9 @@ func New(w *sem.World) *Evaluator {
 // World returns the world the evaluator operates on.
 func (ev *Evaluator) World() *sem.World { return ev.world }
 
-// SetConst overrides a specification constant (e.g. ImbalanceThreshold) at
-// analysis time, mirroring the paper's "user- or tool-defined threshold".
-func (ev *Evaluator) SetConst(name string, v object.Value) { ev.consts[name] = v }
-
-// constValue resolves a specification constant, caching the result.
+// constValue resolves a specification constant from its declaration, caching
+// the result. A "user- or tool-defined threshold" in the paper's words is a
+// world that declares the constant with the user's value.
 func (ev *Evaluator) constValue(name string) (object.Value, bool, error) {
 	if v, ok := ev.consts[name]; ok {
 		return v, true, nil

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/asl/ast"
 	"repro/internal/asl/object"
 	"repro/internal/asl/parser"
 	"repro/internal/asl/sem"
@@ -256,10 +257,12 @@ func TestPropertyErrors(t *testing.T) {
 	}
 }
 
+// TestConstOverride: the evaluator reads a constant from its declaration, so
+// an override is a declaration of another value.
 func TestConstOverride(t *testing.T) {
-	_, ev, bind := world(t)
-	ev.SetConst("Threshold", object.Float(5.0))
-	res, err := ev.EvalProperty("Hot", bind["region"], bind["runA"])
+	w, _, bind := world(t)
+	w.ConstDecls["Threshold"].Value = &ast.FloatLit{Value: 5.0}
+	res, err := New(w).EvalProperty("Hot", bind["region"], bind["runA"])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,6 +23,7 @@ import (
 	"context"
 	"fmt"
 
+	"repro/internal/asl/object"
 	"repro/internal/asl/sqlgen"
 	"repro/internal/model"
 	"repro/internal/sqldb"
@@ -47,22 +48,15 @@ func (a *Analyzer) AnalyzeObjectCtx(ctx context.Context, run *model.TestRun) (*R
 // store-fetching queries observe it when the executor supports contexts, and
 // the interpretation phase checks it between instances.
 func (a *Analyzer) AnalyzeClientSideCtx(ctx context.Context, run *model.TestRun, q QueryExec) (*Report, error) {
-	if a.constErr != nil {
-		return nil, a.constErr
+	pl, err := a.planFor(run)
+	if err != nil {
+		return nil, err
 	}
 	store, err := sqlgen.ReadStore(a.world, ctxQueryExec(ctx, q))
 	if err != nil {
 		return nil, err
 	}
-	version := a.versionOf(run)
-	if version == nil {
-		return nil, fmt.Errorf("core: run not part of the analyzed dataset")
-	}
-	sc, err := a.scopeFromStore(store, version, run.NoPe)
-	if err != nil {
-		return nil, err
-	}
-	items, err := a.enumerate(sc)
+	items, err := fetched(pl.ctxs, store)
 	if err != nil {
 		return nil, err
 	}
@@ -71,6 +65,30 @@ func (a *Analyzer) AnalyzeClientSideCtx(ctx context.Context, run *model.TestRun,
 		return nil, err
 	}
 	return a.finish("client-sql", run.NoPe, instances), nil
+}
+
+// fetched returns the planned contexts over a store fetched from the
+// database: every argument object is replaced by the fetched object of its
+// id, so the interpreter reads the database's data, not the graph's.
+func fetched(ctxs []instCtx, store *object.Store) ([]instCtx, error) {
+	byID := make(map[int64]*object.Object, store.Len())
+	for _, o := range store.All() {
+		byID[o.ID] = o
+	}
+	out := make([]instCtx, len(ctxs))
+	for i, c := range ctxs {
+		args := make([]object.Value, len(c.args))
+		for k, arg := range c.args {
+			planned := arg.(*object.Object)
+			o := byID[planned.ID]
+			if o == nil || o.Class.Name != planned.Class.Name {
+				return nil, fmt.Errorf("core: %s %d not in database", planned.Class.Name, planned.ID)
+			}
+			args[k] = o
+		}
+		out[i] = instCtx{prop: c.prop, label: c.label, args: args}
+	}
+	return out, nil
 }
 
 // ctxQueryExec binds a context to an executor: the returned executor routes

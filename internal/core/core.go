@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"maps"
 	"slices"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -150,10 +149,14 @@ func WithSQLDialect(name string) Option {
 }
 
 // Analyzer evaluates the canonical property set over a materialized graph.
-// Property instances are evaluated on a bounded worker pool (see WithWorkers
+// Every engine reads the analyzer's one world — the specification with the
+// constant overrides declared in it — and its one plan per run. Property
+// instances are evaluated on a bounded worker pool (see WithWorkers
 // and parallel.go); results are merged deterministically, so reports do not
 // depend on the worker count.
 type Analyzer struct {
+	// world is the graph's specification, with every constant override
+	// declared as a literal of its value (see New).
 	world      *sem.World
 	graph      *model.Graph
 	threshold  float64
@@ -201,13 +204,29 @@ func New(g *model.Graph, opts ...Option) *Analyzer {
 	for _, o := range opts {
 		o(a)
 	}
-	for _, name := range slices.Sorted(maps.Keys(a.consts)) {
-		if _, ok := a.world.ConstDecls[name]; !ok {
-			a.constErr = fmt.Errorf("core: unknown constant %s", name)
-			break
-		}
+	if len(a.consts) > 0 {
+		a.world, a.constErr = withConsts(g.World, a.consts)
 	}
 	return a
+}
+
+// withConsts returns a shallow copy of w in which each named constant is
+// declared as a literal of its override value. The object interpreter and the
+// SQL compiler both read a constant from its declaration, so every engine sees
+// the same override, and a constant computed from an overridden one follows
+// it. A name w does not declare is an error, and w is returned as it is.
+func withConsts(w *sem.World, consts map[string]float64) (*sem.World, error) {
+	over := *w
+	over.ConstDecls = maps.Clone(w.ConstDecls)
+	for _, name := range slices.Sorted(maps.Keys(consts)) {
+		decl, ok := w.ConstDecls[name]
+		if !ok {
+			return w, fmt.Errorf("core: unknown constant %s", name)
+		}
+		lit := &ast.FloatLit{LitPos: decl.Value.Pos(), Value: consts[name]}
+		over.ConstDecls[name] = &ast.ConstDecl{Type: decl.Type, Name: name, Value: lit}
+	}
+	return &over, nil
 }
 
 // Threshold returns the configured problem threshold.
@@ -232,6 +251,9 @@ type instCtx struct {
 	prop  string
 	label string
 	args  []object.Value
+	// region scopes the context for guided search: the region itself, or the
+	// calling region of a call site (nil when the call site has none).
+	region *object.Object
 	// params carries the argument object ids for the SQL engine, keyed by
 	// parameter name.
 	params *sqldb.Params
@@ -265,9 +287,8 @@ func (a *Analyzer) scopeFromGraph(run *model.TestRun) (*scope, error) {
 
 // versionRuns and contextPaths declare, once, how the canonical data model
 // contains an analysis's contexts: a program version owns its test runs and,
-// through its functions, the regions and the call sites. scopeFromStore walks
-// these attributes over fetched objects; the set form of a property query
-// joins the same path's junction tables into its context relation
+// through its functions, the regions and the call sites. The set form of a
+// property query joins the path's junction tables into its context relation
 // (sqlgen.CompilePropertySet).
 const (
 	versionClass = "ProgVersion"
@@ -284,78 +305,6 @@ var contextPaths = map[string]sqlgen.ContextPath{
 func ContextPath(class string) (sqlgen.ContextPath, bool) {
 	p, ok := contextPaths[class]
 	return p, ok
-}
-
-// elems returns the objects of a set attribute, in set order.
-func elems(o *object.Object, attr string) []*object.Object {
-	set, _ := o.Get(attr).(*object.Set)
-	if set == nil {
-		return nil
-	}
-	var out []*object.Object
-	for _, e := range set.Elems {
-		if eo, ok := e.(*object.Object); ok {
-			out = append(out, eo)
-		}
-	}
-	return out
-}
-
-// reach returns the objects a path of set attributes leads to from root, in
-// depth-first set order.
-func reach(root *object.Object, steps []string) []*object.Object {
-	if len(steps) == 0 {
-		return []*object.Object{root}
-	}
-	var out []*object.Object
-	for _, o := range elems(root, steps[0]) {
-		out = append(out, reach(o, steps[1:])...)
-	}
-	return out
-}
-
-// scopeFromStore rebuilds the scope inside a store fetched back from the
-// database: it locates the analyzer's program by name, the version by
-// compilation timestamp, and the run by processor count, then walks the
-// containment paths in order.
-func (a *Analyzer) scopeFromStore(store *object.Store, version *model.Version, nope int) (*scope, error) {
-	var prog *object.Object
-	for _, p := range store.OfClass("Program") {
-		if n, ok := p.Get("Name").(object.Str); ok && string(n) == a.graph.Dataset.Program {
-			prog = p
-			break
-		}
-	}
-	if prog == nil {
-		return nil, fmt.Errorf("core: program %s not in database", a.graph.Dataset.Program)
-	}
-	var verObj *object.Object
-	for _, vo := range elems(prog, "Versions") {
-		if c, ok := vo.Get("Compilation").(object.DateTime); ok && int64(c) == version.Compilation.Unix() {
-			verObj = vo
-			break
-		}
-	}
-	if verObj == nil {
-		return nil, fmt.Errorf("core: program version not in database")
-	}
-	sc := &scope{}
-	for _, ro := range elems(verObj, versionRuns) {
-		if n, ok := ro.Get("NoPe").(object.Int); ok && int(n) == nope {
-			sc.run = ro
-			break
-		}
-	}
-	if sc.run == nil {
-		return nil, fmt.Errorf("core: no test run with %d PEs", nope)
-	}
-	sc.regions = reach(verObj, contextPaths["Region"].Steps)
-	sc.calls = reach(verObj, contextPaths["FunctionCall"].Steps)
-	var err error
-	if sc.basis, err = findBasis(sc.regions); err != nil {
-		return nil, err
-	}
-	return sc, nil
 }
 
 // contexts enumerates the instances of a property over a scope: properties
@@ -376,11 +325,12 @@ func (a *Analyzer) contexts(sc *scope, prop string) ([]instCtx, error) {
 		return nil, fmt.Errorf("core: property %s: first parameter is not class typed", prop)
 	}
 
-	mk := func(label string, first *object.Object) instCtx {
+	mk := func(label string, first, region *object.Object) instCtx {
 		return instCtx{
-			prop:  prop,
-			label: label,
-			args:  []object.Value{first, sc.run, sc.basis},
+			prop:   prop,
+			label:  label,
+			args:   []object.Value{first, sc.run, sc.basis},
+			region: region,
 			params: &sqldb.Params{Named: map[string]sqldb.Value{
 				sig.Params[0].Name: sqldb.NewInt(first.ID),
 				sig.Params[1].Name: sqldb.NewInt(sc.run.ID),
@@ -394,7 +344,7 @@ func (a *Analyzer) contexts(sc *scope, prop string) ([]instCtx, error) {
 	case "Region":
 		for _, r := range sc.regions {
 			name, _ := r.Get("Name").(object.Str)
-			out = append(out, mk("region "+string(name), r))
+			out = append(out, mk("region "+string(name), r, r))
 		}
 	case "FunctionCall":
 		filter := a.callFilter[prop]
@@ -404,12 +354,13 @@ func (a *Analyzer) contexts(sc *scope, prop string) ([]instCtx, error) {
 				continue
 			}
 			where := ""
-			if reg, ok := c.Get("CallingReg").(*object.Object); ok {
+			reg, _ := c.Get("CallingReg").(*object.Object)
+			if reg != nil {
 				if n, ok := reg.Get("Name").(object.Str); ok {
 					where = "@" + string(n)
 				}
 			}
-			out = append(out, mk("call "+string(callee)+where, c))
+			out = append(out, mk("call "+string(callee)+where, c, reg))
 		}
 	default:
 		return nil, fmt.Errorf("core: property %s: unsupported context class %s", prop, firstClass.Name)
@@ -473,16 +424,6 @@ func bySeverity(a, b Instance) int {
 // interpreter over the in-memory graph.
 func (a *Analyzer) AnalyzeObject(run *model.TestRun) (*Report, error) {
 	return a.AnalyzeObjectCtx(context.Background(), run)
-}
-
-// objectEvaluator builds the object engine with the configured constant
-// overrides applied.
-func (a *Analyzer) objectEvaluator() *eval.Evaluator {
-	ev := eval.New(a.world)
-	for name, v := range a.consts {
-		ev.SetConst(name, object.Float(v))
-	}
-	return ev
 }
 
 // preparedProp is a compiled property as one analysis executes it: the query
@@ -553,24 +494,7 @@ func (c preparedProp) close() {
 	}
 }
 
-// enumerate lists every property instance of a scope in the canonical
-// sequence, afresh. Only scopes rebuilt from a fetched store come here: their
-// objects are new on every fetch, so a plan keyed on them would never be
-// found again and never released. Runs of the analyzer's own graph go
-// through planFor.
-func (a *Analyzer) enumerate(sc *scope) ([]instCtx, error) {
-	var all []instCtx
-	for _, prop := range a.props {
-		ctxs, err := a.contexts(sc, prop)
-		if err != nil {
-			return nil, err
-		}
-		all = append(all, ctxs...)
-	}
-	return all, nil
-}
-
-// evalObject runs the object engine over enumerated instances, fanning them
+// evalObject runs the object engine over planned instances, fanning them
 // out across the worker pool. The ASL evaluator caches constants and tracks
 // call depth, so each worker interprets with its own Evaluator; the object
 // graph itself is read-only during evaluation. Cancellation is observed
@@ -586,25 +510,29 @@ func (a *Analyzer) evalObject(ctx context.Context, items []instCtx) ([]Instance,
 		}
 		ev := evs[worker]
 		if ev == nil {
-			ev = a.objectEvaluator()
+			ev = eval.New(a.world)
 			evs[worker] = ev
 		}
-		it := items[i]
-		in := Instance{Property: it.prop, Context: it.label}
-		res, err := ev.EvalProperty(it.prop, it.args...)
-		if err != nil {
-			in.Diagnostic = err.Error()
-		} else {
-			in.Holds = res.Holds
-			in.Confidence = res.Confidence
-			in.Severity = res.Severity
-		}
-		instances[i] = in
+		instances[i] = evalInstance(ev, items[i])
 	})
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	return instances, nil
+}
+
+// evalInstance evaluates one property instance with the object interpreter.
+func evalInstance(ev *eval.Evaluator, it instCtx) Instance {
+	in := Instance{Property: it.prop, Context: it.label}
+	res, err := ev.EvalProperty(it.prop, it.args...)
+	if err != nil {
+		in.Diagnostic = err.Error()
+	} else {
+		in.Holds = res.Holds
+		in.Confidence = res.Confidence
+		in.Severity = res.Severity
+	}
+	return in
 }
 
 // QueryExec is the query interface shared by the embedded engine and godbc
@@ -721,80 +649,6 @@ func queryPreparer(q QueryExec) (sqlgen.QueryPreparer, error) {
 	return p, nil
 }
 
-// overrideConsts applies the constant overrides to a property's rendered SQL.
-// The compiler inlines constants as their literal SQL spelling, so an
-// override is a textual substitution of that spelling; number spellings are
-// dialect-invariant, so the substitution works on any dialect's rendering.
-// Only literal-valued constants (the canonical spec's thresholds) can be
-// overridden on the SQL path.
-//
-// All overrides are applied in one pass over whole numeric tokens (see
-// replaceNumbers), so an override neither touches a longer literal that
-// merely contains the old spelling nor sees another override's new value.
-func (a *Analyzer) overrideConsts(sql string) (string, error) {
-	if len(a.consts) == 0 {
-		return sql, nil
-	}
-	subst := make(map[string]string, len(a.consts)) // old spelling -> new spelling
-	for _, name := range slices.Sorted(maps.Keys(a.consts)) {
-		decl := a.world.ConstDecls[name] // New vetted the names (constErr)
-		var old string
-		switch lit := decl.Value.(type) {
-		case *ast.FloatLit:
-			old = strconv.FormatFloat(lit.Value, 'g', -1, 64)
-		case *ast.IntLit:
-			old = strconv.FormatInt(lit.Value, 10)
-		default:
-			return "", fmt.Errorf("core: constant %s is not a literal; cannot override it in the SQL engine", name)
-		}
-		repl := strconv.FormatFloat(a.consts[name], 'g', -1, 64)
-		if prev, dup := subst[old]; dup && prev != repl {
-			return "", fmt.Errorf("core: constant %s is spelled %s like another overridden constant; the SQL engine cannot override them apart", name, old)
-		}
-		subst[old] = repl
-	}
-	return replaceNumbers(sql, subst), nil
-}
-
-// replaceNumbers rewrites the numeric literals of sql that subst maps, in one
-// left-to-right pass. A literal is a whole token: a maximal run of digits,
-// letters, '_' and '.' (with an exponent's sign taken into a token that
-// starts like a number), so "0.25" is never found inside "10.25", "d25" or
-// "1e-25". Quoted strings and identifiers are copied through untouched, and
-// substituted text is never rescanned.
-func replaceNumbers(sql string, subst map[string]string) string {
-	word := func(c byte) bool {
-		return c == '_' || c == '.' || '0' <= c && c <= '9' || 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z'
-	}
-	var b strings.Builder
-	for i := 0; i < len(sql); {
-		j := i + 1
-		switch c := sql[i]; {
-		case c == '\'' || c == '"':
-			for j < len(sql) && sql[j] != c {
-				j++
-			}
-			j = min(j+1, len(sql))
-		case word(c):
-			number := c == '.' || '0' <= c && c <= '9'
-			for j < len(sql) && word(sql[j]) {
-				if number && (sql[j] == 'e' || sql[j] == 'E') && j+1 < len(sql) && (sql[j+1] == '+' || sql[j+1] == '-') {
-					j++
-				}
-				j++
-			}
-			if repl, ok := subst[sql[i:j]]; ok {
-				b.WriteString(repl)
-				i = j
-				continue
-			}
-		}
-		b.WriteString(sql[i:j])
-		i = j
-	}
-	return b.String()
-}
-
 // interpretRow folds the result of a per-context property query — a single
 // row — into an Outcome.
 func interpretRow(cp *sqlgen.CompiledProperty, set *sqldb.ResultSet) Outcome {
@@ -883,16 +737,4 @@ func foldRow(cp *sqlgen.CompiledProperty, row sqldb.Row) Outcome {
 // components and evaluating the expressions in the analysis tool").
 func (a *Analyzer) AnalyzeClientSide(run *model.TestRun, q QueryExec) (*Report, error) {
 	return a.AnalyzeClientSideCtx(context.Background(), run, q)
-}
-
-// versionOf returns the dataset version containing the run.
-func (a *Analyzer) versionOf(run *model.TestRun) *model.Version {
-	for _, v := range a.graph.Dataset.Versions {
-		for _, r := range v.Runs {
-			if r == run {
-				return v
-			}
-		}
-	}
-	return nil
 }

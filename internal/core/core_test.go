@@ -1,14 +1,18 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
 
 	"repro/internal/apprentice"
+	"repro/internal/asl/parser"
+	"repro/internal/asl/sem"
 	"repro/internal/asl/sqlgen"
 	"repro/internal/godbc"
 	"repro/internal/model"
+	"repro/internal/sqlast/build"
 	"repro/internal/sqldb"
 )
 
@@ -274,36 +278,93 @@ func TestConstOverride(t *testing.T) {
 	}
 }
 
-// TestConstOverrideRewritesWholeLiteralsOnce: the SQL path applies overrides
-// to whole numeric literals, all in one pass. A longer literal, an
-// identifier or a string that merely contains the old spelling is left
-// alone, and one override's new value is never taken for another constant's
-// old one.
-func TestConstOverrideRewritesWholeLiteralsOnce(t *testing.T) {
-	g := buildGraph(t, apprentice.Stencil())
+// constProbeSpec extends the canonical specification with two properties for
+// the constant-override tests: one whose condition holds a bare literal
+// spelled like ImbalanceThreshold's default, and one whose condition reads a
+// constant derived from ImbalanceThreshold.
+const constProbeSpec = `
+float Doubled = 2.0 * ImbalanceThreshold;
 
-	one := New(g, WithConst("ImbalanceThreshold", 0.5))
-	got, err := one.overrideConsts(`SELECT (a.Dev > (0.25 * a.Mean)) AS c0, 10.25 AS x, 0.255 AS y, d0.25 AS z, 1e-0.25, 'at 0.25' AS s, "0.25" FROM t a WHERE a.v<0.25`)
+property OverheadShare(Region r, TestRun t, Region Basis) {
+  LET
+    float Measured = Summary(r, t).Ovhd;
+  IN
+  CONDITION: Measured > 0.25 * Duration(r, t);
+  CONFIDENCE: 1;
+  SEVERITY: Measured / Duration(Basis, t);
+}
+
+property DoubledImbalance(FunctionCall Call, TestRun t, Region Basis) {
+  LET
+    CallTiming ct = UNIQUE({c IN Call.Sums WITH c.Run == t});
+  IN
+  CONDITION: ct.StdevTime > Doubled * ct.MeanTime;
+  CONFIDENCE: 1;
+  SEVERITY: ct.MeanTime / Duration(Basis, t);
+}
+`
+
+// TestConstOverrideEnginesAgree: a constant override changes the value of a
+// declaration, the same one on every engine. A literal that merely shares the
+// overridden constant's spelling keeps its value, and a constant computed
+// from others can be overridden like a literal one.
+func TestConstOverrideEnginesAgree(t *testing.T) {
+	spec, err := parser.Parse(model.SpecSource + constProbeSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := `SELECT (a.Dev > (0.5 * a.Mean)) AS c0, 10.25 AS x, 0.255 AS y, d0.25 AS z, 1e-0.25, 'at 0.25' AS s, "0.25" FROM t a WHERE a.v<0.5`
-	if got != want {
-		t.Errorf("one override:\n got %s\nwant %s", got, want)
+	world, err := sem.Check(spec)
+	if err != nil {
+		t.Fatal(err)
 	}
+	g := buildGraph(t, apprentice.Stencil())
+	g.World = world
+	q := godbc.Embedded{DB: loadDB(t, g)}
+	run := lastRun(g)
 
-	// GranularityMeanTime's new value is GranularityCallRate's old spelling.
-	// Overrides are kept in a map, so repeat: a chained rewrite shows up for
-	// one iteration order only.
-	two := New(g, WithConst("GranularityMeanTime", 1000), WithConst("GranularityCallRate", 7))
-	for i := 0; i < 32; i++ {
-		got, err := two.overrideConsts(`(c.MeanCalls > 1000) AND (c.MeanTime / c.MeanCalls < 0.0001)`)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := `(c.MeanCalls > 7) AND (c.MeanTime / c.MeanCalls < 1000)`; got != want {
-			t.Fatalf("two overrides:\n got %s\nwant %s", got, want)
-		}
+	for _, tc := range []struct {
+		prop, name string
+		value      float64
+	}{
+		{"OverheadShare", "ImbalanceThreshold", 0.9},
+		{"DoubledImbalance", "Doubled", 0.01},
+		{"DoubledImbalance", "ImbalanceThreshold", 0.005},
+	} {
+		t.Run(fmt.Sprintf("%s/%s=%g", tc.prop, tc.name, tc.value), func(t *testing.T) {
+			opts := []Option{WithProperties(tc.prop), WithConst(tc.name, tc.value)}
+			obj, err := New(g, opts...).AnalyzeObject(run)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(obj.Instances) == 0 {
+				t.Fatal("the object engine finds no instance: the case shows nothing")
+			}
+			for _, dialect := range build.Names() {
+				for _, bs := range []int{1, 32} {
+					a := New(g, append(opts, WithSQLDialect(dialect), WithBatchSize(bs))...)
+					sql, err := a.AnalyzeSQL(run, q)
+					if err != nil {
+						t.Fatalf("%s, batch size %d: %v", dialect, bs, err)
+					}
+					compareReports(t, obj, sql)
+				}
+			}
+			client, err := New(g, opts...).AnalyzeClientSide(run, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			compareReports(t, obj, client)
+
+			guided, _, err := New(g, opts...).AnalyzeGuided(run, DefaultHierarchy())
+			if err != nil {
+				t.Fatal(err)
+			}
+			guidedSQL, _, err := New(g, opts...).AnalyzeGuidedSQL(run, DefaultHierarchy(), q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			compareReports(t, guided, guidedSQL)
+		})
 	}
 }
 
@@ -311,12 +372,12 @@ func TestConstOverrideRewritesWholeLiteralsOnce(t *testing.T) {
 // value equals the other's old spelling, the SQL engine must still evaluate
 // what the object engine evaluates. Every call of the workload has a call
 // rate above 0 and a mean time per call below 1000, so the property holds
-// everywhere it is evaluated — unless the SQL text was rewritten twice, into
-// "mean time per call < 0", which holds nowhere.
+// everywhere it is evaluated — unless one override were applied on top of
+// the other, into "mean time per call < 0", which holds nowhere.
 func TestTwoConstOverridesEnginesAgree(t *testing.T) {
 	g := buildGraph(t, apprentice.FineGrained())
 	db := loadDB(t, g)
-	for i := 0; i < 16; i++ { // map order again: see above
+	for i := 0; i < 16; i++ { // overrides are kept in a map: vary its order
 		a := New(g, WithProperties("FrequentFineGrainedCalls"),
 			WithConst("GranularityMeanTime", 1000), WithConst("GranularityCallRate", 0))
 		obj, err := a.AnalyzeObject(lastRun(g))

@@ -38,8 +38,8 @@ func TestDialectDeterminism(t *testing.T) {
 }
 
 // TestDialectConstOverride checks that constant overrides compose with
-// non-canonical renderings: number spellings are dialect-invariant, so the
-// textual substitution must hit in every dialect and shift the same reports.
+// non-canonical renderings: the override is an inlined literal in every
+// dialect's rendering and must shift the report in each.
 func TestDialectConstOverride(t *testing.T) {
 	g := buildGraph(t, apprentice.Particles())
 	db := loadDB(t, g)

@@ -18,8 +18,9 @@ import (
 // positional fill of a positional-marker dialect, and the batch layout. The
 // Analyzer builds it once per run and every later analysis of the run — the
 // tuning cycle's repeats, every tenant of the resident service — reads it.
-// What depends on (graph, options) only — each property's compiled, rendered
-// and const-overridden queries, per-context and set form — is built once per
+// What depends on (graph, options) only — each property's compiled and
+// rendered queries, per-context and set form, with the constant overrides
+// inlined as the literals the analyzer's world declares — is built once per
 // Analyzer (compiledProps).
 // Options are only applied in New and the graph is immutable, so neither ever
 // goes stale; what a plan retains is bounded by the runs of the one graph the
@@ -70,8 +71,8 @@ type planProp struct {
 
 // planFor returns the run's plan, building it on first use. Failures — a run
 // outside the dataset, a property the enumeration cannot place — are not
-// kept. Every engine but the client-side one starts here, so this is also
-// where an unknown constant override refuses the analysis.
+// kept. Every engine starts here, so this is also where an unknown constant
+// override refuses the analysis.
 func (a *Analyzer) planFor(run *model.TestRun) (*runPlan, error) {
 	if a.constErr != nil {
 		return nil, a.constErr
@@ -152,9 +153,9 @@ func (pl *runPlan) bind(compiled []compiledProp) (bindErrs, setErrs []error) {
 }
 
 // compiledProp is one property's compiled query: the SQL text (rendered in
-// the analyzer's dialect, with constant overrides applied) and the compiler's
-// column layout. It depends on nothing but the graph and the options, so the
-// Analyzer makes one per property and every plan and analysis shares it.
+// the analyzer's dialect) and the compiler's column layout. It depends on
+// nothing but the graph and the options, so the Analyzer makes one per
+// property and every plan and analysis shares it.
 type compiledProp struct {
 	sql string
 	cp  *sqlgen.CompiledProperty
@@ -209,8 +210,7 @@ func (a *Analyzer) compileProp(prop string) compiledProp {
 	return c
 }
 
-// renderProp spells a compiled statement in the analyzer's dialect and
-// applies the constant overrides.
+// renderProp spells a compiled statement in the analyzer's dialect.
 func (a *Analyzer) renderProp(cp *sqlgen.CompiledProperty) compiledProp {
 	// The canonical dialect's rendering is cp.SQL itself — reuse it so the
 	// default path pays no render and keeps the exact plan-cache text.
@@ -223,10 +223,6 @@ func (a *Analyzer) renderProp(cp *sqlgen.CompiledProperty) compiledProp {
 		}
 		sql = r.SQL
 		paramOrder = r.ParamOrder
-	}
-	sql, err := a.overrideConsts(sql)
-	if err != nil {
-		return compiledProp{err: err}
 	}
 	return compiledProp{sql: sql, cp: cp, runParam: a.runParam(cp.Name), paramOrder: paramOrder}
 }

@@ -1,12 +1,15 @@
 package core
 
 import (
+	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
 	"repro/internal/apprentice"
 	"repro/internal/godbc"
 	"repro/internal/model"
+	"repro/internal/sqldb"
 )
 
 // The evaluation plan (plan.go) is built once per run and shared by every
@@ -14,8 +17,8 @@ import (
 // that: the reports of a long-lived analyzer are those of a fresh one, the
 // shared parameter sets are never written after the plan is published (the
 // race detector watches the positional fill in particular), a second analysis
-// allocates per request and not per instance, and scopes rebuilt from a
-// fetched store stay out of the memo.
+// allocates per request and not per instance, and the client-side engine
+// reads the same plan as every other engine.
 
 func TestPlanReusedAcrossAnalyses(t *testing.T) {
 	g := buildGraph(t, apprentice.Particles())
@@ -165,16 +168,67 @@ func TestWarmAnalysisAllocatesPerRequest(t *testing.T) {
 	t.Logf("%d instances, %.0f allocations per warm analysis", instances, allocs)
 }
 
-func TestClientSideAnalysisKeepsNoPlan(t *testing.T) {
+// TestClientSideReadsTheDatabase: the client-side engine evaluates the run's
+// plan over objects fetched from the database, so after DML it answers what
+// the SQL engine answers, not what the graph says, and its analyses share the
+// one plan of the run.
+func TestClientSideReadsTheDatabase(t *testing.T) {
 	g := buildGraph(t, apprentice.Particles())
 	db := loadDB(t, g)
+	q := godbc.Embedded{DB: db}
+	run := lastRun(g)
+	update := &sqldb.Params{Named: map[string]sqldb.Value{"r": sqldb.NewInt(g.Runs[run].ID)}}
+	if _, err := db.Exec(`UPDATE TotalTiming SET Incl = Incl * 3 WHERE Run_id = $r`, update); err != nil {
+		t.Fatal(err)
+	}
+
 	a := New(g)
+	obj, err := a.AnalyzeObject(run)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sql, err := a.AnalyzeSQL(run, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reflect.DeepEqual(obj.Instances, sql.Instances) {
+		t.Fatal("the UPDATE left the SQL engine's report as the graph's: the test shows nothing")
+	}
+	client, err := a.AnalyzeClientSide(run, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compareReports(t, sql, client)
+
+	b := New(g)
 	for range 2 {
-		if _, err := a.AnalyzeClientSide(lastRun(g), godbc.Embedded{DB: db}); err != nil {
+		if _, err := b.AnalyzeClientSide(run, q); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if n := len(a.plans); n != 0 {
-		t.Fatalf("a store-derived scope entered the plan memo: %d plans", n)
+	if n := len(b.plans); n != 1 {
+		t.Fatalf("two client-side analyses of one run left %d plans, want 1", n)
+	}
+}
+
+// TestClientSideMissingObjectIsAnError: a planned context whose object the
+// database no longer holds fails the client-side analysis, naming the object.
+func TestClientSideMissingObjectIsAnError(t *testing.T) {
+	g := buildGraph(t, apprentice.Particles())
+	db := loadDB(t, g)
+	call := g.OrderedCalls[0]
+	id := &sqldb.Params{Named: map[string]sqldb.Value{"id": sqldb.NewInt(call.ID)}}
+	for _, stmt := range []string{
+		`DELETE FROM FunctionCall_Sums WHERE owner_id = $id`,
+		`DELETE FROM Function_Calls WHERE elem_id = $id`,
+		`DELETE FROM FunctionCall WHERE id = $id`,
+	} {
+		if _, err := db.Exec(stmt, id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, err := New(g).AnalyzeClientSide(lastRun(g), godbc.Embedded{DB: db})
+	if want := fmt.Sprintf("core: FunctionCall %d not in database", call.ID); err == nil || err.Error() != want {
+		t.Fatalf("err %v, want %q", err, want)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 
+	"repro/internal/asl/eval"
 	"repro/internal/asl/object"
 	"repro/internal/asl/sem"
 	"repro/internal/model"
@@ -114,20 +115,11 @@ func (s SearchStats) Savings() float64 {
 // region's cost is explained by overheads recorded in its descendants),
 // and call-scoped refinements at the call sites inside that subtree.
 func (a *Analyzer) AnalyzeGuided(run *model.TestRun, h Hierarchy) (*Report, *SearchStats, error) {
-	ev := a.objectEvaluator()
+	ev := eval.New(a.world)
 	evalGroup := func(_ *runPlan, _ int, ctxs []instCtx) []Instance {
 		out := make([]Instance, len(ctxs))
 		for i, ctx := range ctxs {
-			in := Instance{Property: ctx.prop, Context: ctx.label}
-			res, err := ev.EvalProperty(ctx.prop, ctx.args...)
-			if err != nil {
-				in.Diagnostic = err.Error()
-			} else {
-				in.Holds = res.Holds
-				in.Confidence = res.Confidence
-				in.Severity = res.Severity
-			}
-			out[i] = in
+			out[i] = evalInstance(ev, ctx)
 		}
 		return out
 	}
@@ -244,9 +236,8 @@ func (a *Analyzer) analyzeGuided(run *model.TestRun, h Hierarchy, engine string,
 		for i, in := range evalGroup(pl, pi, pending) {
 			instances = append(instances, in)
 			if in.Holds && in.Severity > a.threshold {
-				region := contextRegion(pending[i])
 				for _, child := range h.Children(it.prop, a.props) {
-					queue = append(queue, item{prop: child, root: region})
+					queue = append(queue, item{prop: child, root: pending[i].region})
 				}
 			}
 		}
@@ -256,26 +247,10 @@ func (a *Analyzer) analyzeGuided(run *model.TestRun, h Hierarchy, engine string,
 	return rep, stats, nil
 }
 
-// contextRegion extracts the region object scoping a context: the first
-// argument for region properties, the calling region for call properties.
-func contextRegion(ctx instCtx) *object.Object {
-	first, _ := ctx.args[0].(*object.Object)
-	if first == nil {
-		return nil
-	}
-	if first.Class.Name == "Region" {
-		return first
-	}
-	if reg, ok := first.Get("CallingReg").(*object.Object); ok {
-		return reg
-	}
-	return nil
-}
-
 // ctxInSubtree reports whether a context's region lies in the subtree
 // rooted at the given region (following ParentRegion links).
 func ctxInSubtree(ctx instCtx, root *object.Object) bool {
-	for r := contextRegion(ctx); r != nil; {
+	for r := ctx.region; r != nil; {
 		if r == root {
 			return true
 		}

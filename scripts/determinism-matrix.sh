@@ -6,17 +6,18 @@
 #       Build cmd/cosy and cmd/apprentice from SRCDIR (default: this
 #       checkout) and run cosy in process over every apprentice.Library()
 #       workload x -engine object|sql|client x -workers 1|8 x
-#       -batchsize 1|32 x -cache on|off; for -engine sql also x
-#       -sql-dialect kojakdb|ansi|oracle7, with and without -guided. Each
-#       engine (guided sql counting as one) also runs once with no flags:
-#       its default report. Writes OUTDIR/<workload>_<engine>_<variant>.txt
-#       and exits non-zero if any run failed (its file then holds stderr).
+#       -batchsize 1|32 x -cache on|off; -engine object and sql also with
+#       -guided, and -engine sql also x -sql-dialect kojakdb|ansi|oracle7.
+#       Each engine (guided object and guided sql counting as one each) also
+#       runs once with no flags: its default report. Writes
+#       OUTDIR/<workload>_<engine>_<variant>.txt and exits non-zero if any
+#       run failed (its file then holds stderr).
 #
 #   scripts/determinism-matrix.sh check OUTDIR
 #       The within-commit invariant: for each workload and engine, every
-#       variant byte-matches that engine's default report (guided sql's
-#       variants match guided sql's default). Prints each mismatch and
-#       exits non-zero if there is one.
+#       variant byte-matches that engine's default report (a guided
+#       search's variants match that guided search's default). Prints each
+#       mismatch and exits non-zero if there is one.
 #
 #   scripts/determinism-matrix.sh diff OLDDIR NEWDIR
 #       Lists the configurations whose report differs between two runs (a
@@ -67,6 +68,7 @@ run() {
 		for e in object sql client; do
 			one "${w}_${e}_default" -workload "$w" -engine "$e"
 		done
+		one "${w}_object-guided_default" -workload "$w" -engine object -guided
 		one "${w}_sql-guided_default" -workload "$w" -engine sql -guided
 		for workers in 1 8; do
 			for bs in 1 32; do
@@ -74,6 +76,7 @@ run() {
 					local v="w${workers}_b${bs}_cache-${cache}"
 					local -a common=(-workload "$w" -workers "$workers" -batchsize "$bs" -cache "$cache")
 					one "${w}_object_${v}" "${common[@]}" -engine object
+					one "${w}_object-guided_${v}" "${common[@]}" -engine object -guided
 					one "${w}_client_${v}" "${common[@]}" -engine client
 					for dialect in kojakdb ansi oracle7; do
 						one "${w}_sql_${v}_${dialect}" "${common[@]}" -engine sql -sql-dialect "$dialect"
