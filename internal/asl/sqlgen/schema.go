@@ -164,9 +164,9 @@ func toSQLValue(v object.Value) (sqldb.Value, error) {
 	return sqldb.Null, fmt.Errorf("sqlgen: cannot store %s value in a column", v.TypeName())
 }
 
-// LoadPlan converts an object store into one INSERT statement per object
-// plus one per set membership, mirroring the record-at-a-time insertion the
-// paper benchmarks. Statements come out in store allocation order. It is the
+// LoadPlan converts an object store into multi-row INSERT statements, one
+// row per object and one per set membership: each table's rows in store
+// allocation order, at most maxInsertRows to a statement. It is the
 // un-routed view of RoutedLoadPlan (shard.go), which owns the single
 // emission walk so routing attribution can never drift from the statements.
 func LoadPlan(store *object.Store) ([]Statement, error) {
@@ -209,16 +209,18 @@ func CreateSchema(w *sem.World, exec Executor) error {
 	return nil
 }
 
-// Load executes the full load plan for a store.
+// Load executes the full load plan for a store, in plan order, and returns
+// the number of statements executed. A failed statement's error names its
+// table; the engine's names the failing row.
 func Load(store *object.Store, exec Executor) (int, error) {
-	plan, err := LoadPlan(store)
+	plan, err := RoutedLoadPlan(store, nil)
 	if err != nil {
 		return 0, err
 	}
 	n := 0
 	for _, stmt := range plan {
 		if _, err := exec.Exec(stmt.SQL, stmt.Params); err != nil {
-			return n, fmt.Errorf("sqlgen: %s: %w", stmt.SQL, err)
+			return n, fmt.Errorf("sqlgen: loading %s: %w", stmt.Table, err)
 		}
 		n++
 	}

@@ -30,11 +30,12 @@ type RoutedPreparer interface {
 }
 
 // RoutedStatement is one statement of a sharded load plan: the statement
-// itself plus the object id of the test run that owns it. RunID 0 marks a
-// statement with no owning run — structural data that must be replicated to
-// every shard.
+// itself, the table it inserts into, and the object id of the test run that
+// owns its rows. RunID 0 marks a statement with no owning run — structural
+// data that must be replicated to every shard.
 type RoutedStatement struct {
 	Statement
+	Table string
 	RunID int64
 }
 
@@ -53,92 +54,149 @@ func runOf(obj *object.Object, partitioned map[string]bool) int64 {
 	return 0
 }
 
-// RoutedLoadPlan is the load-plan emission walk: one INSERT per object plus
-// one per set membership, in store allocation order, each tagged with the
-// object id of its owning run. An object whose class is in the partitioned
-// set (and every junction row whose element is such an object) routes to its
-// run; everything else is tagged for broadcast. A nil partitioned set tags
-// everything broadcast — that is LoadPlan. Which classes are safely
-// partitionable is a property of the ASL specification, not of the store —
-// for the canonical COSY spec it is model.RunPartitioned.
+// maxInsertRows is the most rows one load-plan INSERT carries. It is the
+// wire protocol's batch limit (wire.MaxBatch; a test holds the two equal):
+// one request carries at most that many rows, whether as the bindings of a
+// prepared batch or as the rows of one VALUES list.
+const maxInsertRows = 256
+
+// RoutedLoadPlan is the load-plan emission walk. It walks the store in
+// allocation order and gives each object one row in its class's table and
+// each set membership one row in the attribute's junction table. Every row is
+// tagged with the object id of its owning run: an object whose class is in
+// the partitioned set (and every junction row whose element is such an
+// object) belongs to its run, and every other row has run 0, for broadcast.
+// A nil partitioned set tags everything broadcast; that is LoadPlan. Which
+// classes are safely partitionable is a property of the ASL specification,
+// not of the store; for the canonical COSY spec it is model.RunPartitioned.
+//
+// The rows of one (table, run) group become multi-row INSERTs of at most
+// maxInsertRows rows each, in allocation order, and the groups come out in
+// the order of their first rows. So every statement holds one table and one
+// run, and a table's rows of one run keep their walk order; with a nil set
+// that is each table's whole walk order.
 func RoutedLoadPlan(store *object.Store, partitioned map[string]bool) ([]RoutedStatement, error) {
-	var stmts []RoutedStatement
+	type groupKey struct {
+		table string
+		run   int64
+	}
+	// A group's rows are flattened into vals, len(cols) values per row.
+	type group struct {
+		groupKey
+		cols []string
+		vals []sqldb.Value
+	}
+	groups := make(map[groupKey]*group)
+	var order []*group
+	groupFor := func(table string, run int64, cols []string) *group {
+		k := groupKey{table, run}
+		g := groups[k]
+		if g == nil {
+			g = &group{groupKey: k, cols: cols}
+			groups[k] = g
+			order = append(order, g)
+		}
+		return g
+	}
+	classCols := make(map[*sem.Class][]string)
+	junctionCols := []string{"owner_id", "elem_id"}
 	for _, obj := range store.All() {
 		cls := obj.Class
-		colNames := []string{"id"}
-		vals := []sqldb.Value{sqldb.NewInt(obj.ID)}
-		var junctions []RoutedStatement
-		for _, attr := range cls.AllAttrs() {
-			if _, isSet := attr.Type.(*sem.Set); isSet {
-				setVal, ok := obj.Get(attr.Name).(*object.Set)
-				if !ok {
-					continue
+		attrs := cls.AllAttrs()
+		cols, ok := classCols[cls]
+		if !ok {
+			cols = []string{"id"}
+			for _, attr := range attrs {
+				if _, isSet := attr.Type.(*sem.Set); !isSet {
+					cols = append(cols, ColumnFor(attr))
 				}
-				j := JunctionFor(cls, attr.Name)
-				for _, elem := range setVal.Elems {
-					eo, ok := elem.(*object.Object)
-					if !ok {
-						return nil, fmt.Errorf("sqlgen: %s.%s holds a non-object element", cls.Name, attr.Name)
-					}
-					sql, err := insertSQL(j, []string{"owner_id", "elem_id"})
-					if err != nil {
-						return nil, err
-					}
-					junctions = append(junctions, RoutedStatement{
-						Statement: Statement{
-							SQL: sql,
-							Params: &sqldb.Params{Positional: []sqldb.Value{
-								sqldb.NewInt(obj.ID), sqldb.NewInt(eo.ID),
-							}},
-						},
-						RunID: runOf(eo, partitioned),
-					})
+			}
+			classCols[cls] = cols
+		}
+		g := groupFor(cls.Name, runOf(obj, partitioned), cols)
+		g.vals = append(g.vals, sqldb.NewInt(obj.ID))
+		for _, attr := range attrs {
+			if _, isSet := attr.Type.(*sem.Set); !isSet {
+				sv, err := toSQLValue(obj.Get(attr.Name))
+				if err != nil {
+					return nil, fmt.Errorf("sqlgen: %s.%s: %w", cls.Name, attr.Name, err)
 				}
+				g.vals = append(g.vals, sv)
 				continue
 			}
-			sv, err := toSQLValue(obj.Get(attr.Name))
-			if err != nil {
-				return nil, fmt.Errorf("sqlgen: %s.%s: %w", cls.Name, attr.Name, err)
+			setVal, ok := obj.Get(attr.Name).(*object.Set)
+			if !ok {
+				continue
 			}
-			colNames = append(colNames, ColumnFor(attr))
-			vals = append(vals, sv)
+			j := JunctionFor(cls, attr.Name)
+			for _, elem := range setVal.Elems {
+				eo, ok := elem.(*object.Object)
+				if !ok {
+					return nil, fmt.Errorf("sqlgen: %s.%s holds a non-object element", cls.Name, attr.Name)
+				}
+				jg := groupFor(j, runOf(eo, partitioned), junctionCols)
+				jg.vals = append(jg.vals, sqldb.NewInt(obj.ID), sqldb.NewInt(eo.ID))
+			}
 		}
-		sql, err := insertSQL(cls.Name, colNames)
-		if err != nil {
-			return nil, err
+	}
+	// Full statements of a table share one text.
+	type shape struct {
+		table string
+		rows  int
+	}
+	texts := make(map[shape]string)
+	var stmts []RoutedStatement
+	for _, g := range order {
+		chunk := maxInsertRows * len(g.cols)
+		for lo := 0; lo < len(g.vals); lo += chunk {
+			hi := min(lo+chunk, len(g.vals))
+			sh := shape{g.table, (hi - lo) / len(g.cols)}
+			sql, ok := texts[sh]
+			if !ok {
+				var err error
+				if sql, err = insertSQL(g.table, g.cols, sh.rows); err != nil {
+					return nil, err
+				}
+				texts[sh] = sql
+			}
+			stmts = append(stmts, RoutedStatement{
+				Statement: Statement{
+					SQL:    sql,
+					Params: &sqldb.Params{Positional: g.vals[lo:hi:hi]},
+				},
+				Table: g.table,
+				RunID: g.run,
+			})
 		}
-		stmts = append(stmts, RoutedStatement{
-			Statement: Statement{
-				SQL:    sql,
-				Params: &sqldb.Params{Positional: vals},
-			},
-			RunID: runOf(obj, partitioned),
-		})
-		stmts = append(stmts, junctions...)
 	}
 	return stmts, nil
 }
 
-// insertSQL builds a positional-parameter INSERT for the table and columns
-// in the canonical dialect, validating every identifier on the way.
-func insertSQL(table string, cols []string) (string, error) {
-	values := make([]sqldb.Expr, len(cols))
-	for i := range cols {
-		values[i] = &sqldb.EParam{Ordinal: i}
+// insertSQL builds a positional-parameter INSERT of rows rows for the table
+// and columns in the canonical dialect, validating every identifier on the
+// way.
+func insertSQL(table string, cols []string, rows int) (string, error) {
+	values := make([][]sqldb.Expr, rows)
+	for r := range values {
+		values[r] = make([]sqldb.Expr, len(cols))
+		for i := range cols {
+			values[r][i] = &sqldb.EParam{Ordinal: r*len(cols) + i}
+		}
 	}
-	r, err := build.Kojakdb.Render(&sqldb.InsertStmt{Table: table, Cols: cols, Rows: [][]sqldb.Expr{values}})
+	rendered, err := build.Kojakdb.Render(&sqldb.InsertStmt{Table: table, Cols: cols, Rows: values})
 	if err != nil {
 		return "", fmt.Errorf("sqlgen: %w", err)
 	}
-	return r.SQL, nil
+	return rendered.SQL, nil
 }
 
 // LoadSharded executes a store's load plan across shards: broadcast
 // statements run on every shard, run-owned statements only on the shard
 // shardFor assigns to their run. Each shard receives its statement stream in
-// plan order, and the streams execute concurrently — on remote profiles a
-// replicated load therefore costs one shard's round trips, not the sum of
-// all of them. It returns the number of statements executed per shard.
+// plan order, so a shard's table holds its rows grouped by run, each run's in
+// walk order (RoutedLoadPlan). The streams execute concurrently — on remote
+// profiles a replicated load therefore costs one shard's round trips, not the
+// sum of all of them. It returns the number of statements executed per shard.
 // shardFor must be the same routing policy the analyzer queries with
 // (godbc.ShardedDB.ShardFor), or queries will miss their data.
 func LoadSharded(store *object.Store, partitioned map[string]bool, shardFor func(runID int64) int, shards ...Executor) ([]int, error) {
@@ -172,7 +230,7 @@ func LoadSharded(store *object.Store, partitioned map[string]bool, shardFor func
 			defer wg.Done()
 			for _, stmt := range streams[i] {
 				if _, err := shards[i].Exec(stmt.SQL, stmt.Params); err != nil {
-					errs[i] = fmt.Errorf("sqlgen: shard %d: %s: %w", i, stmt.SQL, err)
+					errs[i] = fmt.Errorf("sqlgen: shard %d: loading %s: %w", i, stmt.Table, err)
 					return
 				}
 				counts[i]++

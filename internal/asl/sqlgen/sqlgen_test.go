@@ -1,6 +1,7 @@
 package sqlgen
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -127,13 +128,14 @@ func buildStore(t *testing.T, w *sem.World) (*object.Store, *object.Object, *obj
 func TestLoadPlanAndLoad(t *testing.T) {
 	w := testWorld(t)
 	store, _, _ := buildStore(t, w)
-	plan, err := LoadPlan(store)
+	plan, err := RoutedLoadPlan(store, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 4 objects + 2 junction rows.
-	if len(plan) != 6 {
-		t.Fatalf("plan size = %d, want 6", len(plan))
+	// 4 objects + 2 junction rows, each table's in walk order.
+	rows, _ := planRows(t, plan)
+	if len(rows) != 6 || !reflect.DeepEqual(groupRows(rows, byTable), groupRows(storeWalk(t, store, nil), byTable)) {
+		t.Fatalf("plan rows %v differ from the store walk", rows)
 	}
 	db := sqldb.NewDB()
 	exec := dbExecutor(db)
@@ -144,8 +146,8 @@ func TestLoadPlanAndLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 6 {
-		t.Fatalf("loaded %d statements", n)
+	if n != len(plan) {
+		t.Fatalf("loaded %d statements of %d", n, len(plan))
 	}
 	res := db.MustExec("SELECT COUNT(*) FROM Timing", nil)
 	if res.Set.Rows[0][0].Int() != 2 {

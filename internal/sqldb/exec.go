@@ -113,31 +113,41 @@ func (db *DB) execInsertLocked(st *InsertStmt, params *Params, plan *stmtPlan) (
 	}
 	ec := &execCtx{db: db, params: params, plan: plan}
 	n := 0
-	// A multi-row INSERT that fails midway leaves its earlier rows inserted,
-	// so the data version must move whenever anything landed — error or not.
+	// A multi-row INSERT that fails at a row leaves the rows before it
+	// inserted, and its error names the row. The data version moves once
+	// whenever anything landed — error or not.
 	defer func() {
 		if n > 0 {
 			db.bumpData(t)
 		}
 	}()
 	for _, exprs := range st.Rows {
-		if len(exprs) != len(colPos) {
-			return nil, fmt.Errorf("sqldb: INSERT has %d values for %d columns", len(exprs), len(colPos))
-		}
-		row := make(Row, len(t.Columns))
-		for i, e := range exprs {
-			v, err := ec.eval(e, nil)
-			if err != nil {
-				return nil, err
+		if err := insertRow(ec, t, colPos, exprs); err != nil {
+			if len(st.Rows) > 1 {
+				err = fmt.Errorf("sqldb: INSERT INTO %s row %d of %d: %w", st.Table, n+1, len(st.Rows), err)
 			}
-			row[colPos[i]] = v
-		}
-		if err := t.insert(row); err != nil {
 			return nil, err
 		}
 		n++
 	}
 	return &Result{Affected: n}, nil
+}
+
+// insertRow evaluates one VALUES row and appends it to t, colPos mapping the
+// row's values to table columns.
+func insertRow(ec *execCtx, t *Table, colPos []int, exprs []Expr) error {
+	if len(exprs) != len(colPos) {
+		return fmt.Errorf("sqldb: INSERT has %d values for %d columns", len(exprs), len(colPos))
+	}
+	row := make(Row, len(t.Columns))
+	for i, e := range exprs {
+		v, err := ec.eval(e, nil)
+		if err != nil {
+			return err
+		}
+		row[colPos[i]] = v
+	}
+	return t.insert(row)
 }
 
 // execUpdateLocked is the UPDATE core; db.mu must be held exclusively.

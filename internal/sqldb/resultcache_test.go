@@ -2,6 +2,7 @@ package sqldb
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -384,5 +385,45 @@ func TestExecuteBatchAllHitsAllocateNothingPerKey(t *testing.T) {
 		if got, ceiling := allocs(n), float64(n+4); got > ceiling {
 			t.Fatalf("an all-hit batch of %d bindings allocates %.0f times, ceiling %.0f: one Result per binding, O(1) per batch", n, got, ceiling)
 		}
+	}
+}
+
+// TestMultiRowInsertFailsAtARow pins the partial-failure rule of a multi-row
+// INSERT: a duplicate primary key at row k (0-based) of 256 leaves the k rows
+// before it inserted, the error names the row, the table's data version
+// moves exactly once, and a cached SELECT over the table re-executes.
+func TestMultiRowInsertFailsAtARow(t *testing.T) {
+	const rows, k = 256, 100
+	db := resultCacheDB(t) // typed holds ids 1, 2, 3
+	const q = `SELECT COUNT(*) FROM typed`
+	db.MustExec(q, nil)
+	if !db.MustExec(q, nil).Cached {
+		t.Fatal("repeated SELECT missed the cache")
+	}
+	vals := make([]Value, 0, 3*rows)
+	for r := range rows {
+		id := int64(10 + r)
+		if r == k {
+			id = 2
+		}
+		vals = append(vals, NewInt(id), NewInt(1), NewFloat(0.5))
+	}
+	sql := `INSERT INTO typed (id, run_id, time) VALUES (?, ?, ?)` + strings.Repeat(`, (?, ?, ?)`, rows-1)
+	typed := db.tables["typed"]
+	dml, ver := db.dml.Load(), typed.dataVer.Load()
+	_, err := db.Exec(sql, &Params{Positional: vals})
+	want := fmt.Sprintf("sqldb: INSERT INTO typed row %d of %d: sqldb: table typed: duplicate primary key 2", k+1, rows)
+	if err == nil || err.Error() != want {
+		t.Fatalf("err = %v, want %q", err, want)
+	}
+	if got := db.dml.Load(); got != dml+1 || typed.dataVer.Load() != got || got == ver {
+		t.Fatalf("data versions: global %d -> %d, table %d -> %d; want one bump", dml, got, ver, typed.dataVer.Load())
+	}
+	res := db.MustExec(q, nil)
+	if res.Cached {
+		t.Fatal("SELECT after the partial INSERT answered from the cache")
+	}
+	if got := res.Set.Rows[0][0].Int(); got != 3+k {
+		t.Fatalf("typed holds %d rows, want %d", got, 3+k)
 	}
 }

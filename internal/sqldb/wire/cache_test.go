@@ -13,10 +13,16 @@ import (
 // responses themselves.
 func startCacheServer(t *testing.T) (*sqldb.DB, *wire.Server, *wire.Codec) {
 	t.Helper()
+	return startProfiledServer(t, wire.ProfileFast)
+}
+
+// startProfiledServer is startCacheServer under a vendor profile.
+func startProfiledServer(t *testing.T, profile wire.Profile) (*sqldb.DB, *wire.Server, *wire.Codec) {
+	t.Helper()
 	db := sqldb.NewDB()
 	db.MustExec(`CREATE TABLE typed (id INTEGER PRIMARY KEY, run_id INTEGER, time REAL)`, nil)
 	db.MustExec(`INSERT INTO typed (id, run_id, time) VALUES (1, 1, 1.0), (2, 1, 2.0), (3, 2, 4.0)`, nil)
-	srv, err := wire.NewServer(db, wire.ProfileFast, nil)
+	srv, err := wire.NewServer(db, profile, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,9 +9,13 @@
 #       -batchsize 1|32 x -cache on|off; -engine object and sql also with
 #       -guided, and -engine sql also x -sql-dialect kojakdb|ansi|oracle7.
 #       Each engine (guided object and guided sql counting as one each) also
-#       runs once with no flags: its default report. Writes
-#       OUTDIR/<workload>_<engine>_<variant>.txt and exits non-zero if any
-#       run failed (its file then holds stderr).
+#       runs once with no flags: its default report. Per workload it also
+#       starts two kojakdb shards (-shards 2) on free loopback ports, loads
+#       them with the -workers 1 -batchsize 1 run of -engine sql -db a,b,
+#       and runs the other -workers 1|8 x -batchsize 1|32 pairs against
+#       them -preloaded: the <workload>_sql_w<N>_b<M>_sharded variants.
+#       Writes OUTDIR/<workload>_<engine>_<variant>.txt and exits non-zero
+#       if any run failed (its file then holds stderr).
 #
 #   scripts/determinism-matrix.sh check OUTDIR
 #       The within-commit invariant: for each workload and engine, every
@@ -27,6 +31,39 @@ set -euo pipefail
 
 here="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 
+# start_shards BINDIR: two kojakdb shards on free loopback ports; sets shards
+# to their comma-separated addresses and shard_pids to their processes.
+shards=""
+shard_pids=()
+start_shards() {
+	local bin="$1" i addr log
+	shards=""
+	for i in 0 1; do
+		log="$bin/kojakdb$i.log"
+		: >"$log" # no address of the last workload's shard is read
+		"$bin/kojakdb" -addr 127.0.0.1:0 -shards 2 -shard-id "$i" >"$log" 2>&1 &
+		shard_pids+=($!)
+		addr=""
+		for _ in $(seq 100); do
+			addr="$(sed -n 's/^kojakdb: serving on \([^ ]*\) .*/\1/p' "$log")"
+			[ -n "$addr" ] && break
+			sleep 0.1
+		done
+		if [ -z "$addr" ]; then
+			echo "kojakdb shard $i did not start:" >&2
+			cat "$log" >&2
+			return 1
+		fi
+		shards="${shards:+$shards,}$addr"
+	done
+}
+stop_shards() {
+	[ ${#shard_pids[@]} -gt 0 ] || return 0
+	kill "${shard_pids[@]}" 2>/dev/null || true
+	wait "${shard_pids[@]}" 2>/dev/null || true
+	shard_pids=()
+}
+
 usage() {
 	sed -n '2,/^set -euo/p' "${BASH_SOURCE[0]}" | sed '$d; s/^# \{0,1\}//' >&2
 	exit 2
@@ -38,8 +75,9 @@ run() {
 	out="$(cd "$out" && pwd)"
 	local bin
 	bin="$(mktemp -d)"
-	trap "rm -rf '$bin'" EXIT
-	(cd "$src" && go build -o "$bin/cosy" ./cmd/cosy && go build -o "$bin/apprentice" ./cmd/apprentice)
+	trap "stop_shards; rm -rf '$bin'" EXIT
+	(cd "$src" && go build -o "$bin/cosy" ./cmd/cosy && go build -o "$bin/apprentice" ./cmd/apprentice &&
+		go build -o "$bin/kojakdb" ./cmd/kojakdb)
 
 	# "available workloads: a, b, c + scaled": the library, less the
 	# generated scaled workload, which takes its own flags.
@@ -85,6 +123,18 @@ run() {
 				done
 			done
 		done
+		start_shards "$bin"
+		for workers in 1 8; do
+			for bs in 1 32; do
+				local -a load=(-preloaded)
+				if [ "$workers" = 1 ] && [ "$bs" = 1 ]; then
+					load=() # the first run creates the schema and loads
+				fi
+				one "${w}_sql_w${workers}_b${bs}_sharded" -workload "$w" -engine sql -db "$shards" \
+					-workers "$workers" -batchsize "$bs" "${load[@]}"
+			done
+		done
+		stop_shards
 	done
 	echo "determinism matrix: $runs reports in $out (${#workloads[@]} workloads), $failed failed"
 	[ "$failed" -eq 0 ]
