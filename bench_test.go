@@ -874,8 +874,9 @@ func BenchmarkColdAnalyzeProperty(b *testing.B) {
 }
 
 // BenchmarkColdAnalyzeGuided is guided search (AnalyzeGuidedSQL) over the
-// same cache-off runs: its refinement steps evaluate subsets of the properties
-// context by context, as per-context batches.
+// same cache-off runs: one set-form execution per property, as in
+// BenchmarkColdAnalyze, and a refinement search over their results that
+// reports only the instances it visits.
 func BenchmarkColdAnalyzeGuided(b *testing.B) {
 	g, db := coldDB(b)
 	runs := g.Dataset.Versions[0].Runs
@@ -1231,6 +1232,14 @@ func BenchmarkGuidedVsExhaustive(b *testing.B) {
 	g := mustGraph(b, apprentice.Amdahl(), 2, 8, 32)
 	run := g.Dataset.Versions[0].Runs[2]
 	a := core.New(g)
+	db := uncachedDB()
+	if err := sqlgen.CreateSchema(g.World, embeddedExecutor(db)); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := sqlgen.Load(g.Store, embeddedExecutor(db)); err != nil {
+		b.Fatal(err)
+	}
+	q := godbc.Embedded{DB: db}
 
 	b.Run("exhaustive", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -1243,6 +1252,24 @@ func BenchmarkGuidedVsExhaustive(b *testing.B) {
 		var saved float64
 		for i := 0; i < b.N; i++ {
 			_, stats, err := a.AnalyzeGuided(run, core.DefaultHierarchy())
+			if err != nil {
+				b.Fatal(err)
+			}
+			saved = stats.Savings()
+		}
+		b.ReportMetric(saved*100, "%saved")
+	})
+	b.Run("sql-exhaustive", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := a.AnalyzeSQL(run, q); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("sql-guided", func(b *testing.B) {
+		var saved float64
+		for i := 0; i < b.N; i++ {
+			_, stats, err := a.AnalyzeGuidedSQL(run, core.DefaultHierarchy(), q)
 			if err != nil {
 				b.Fatal(err)
 			}

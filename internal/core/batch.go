@@ -23,7 +23,8 @@ import (
 // it once — a batch of one binding, the run and the ranking basis — and maps
 // the rows it answers with to the plan's instances by their ctx column
 // (evalSQLSet): one round trip, one result-cache entry and one result set per
-// property instead of one per context.
+// property instead of one per context. Guided search (AnalyzeGuidedSQL) runs
+// the same evaluation (evalSQL) and reads the instances it visits.
 //
 // The per-context path is what the set form falls back to, and what runs
 // outright where the set form does not apply. Every context of a property
@@ -37,7 +38,6 @@ import (
 //     the whole statement; executed per context, that region gets its
 //     diagnostic and its neighbours their outcomes, which is what a report has
 //     always shown;
-//   - for guided search (AnalyzeGuidedSQL), whose steps evaluate subsets;
 //   - for every property under WithBatchSize(1), "per-instance execution": a
 //     batch of one binding per context, which makes it the differential oracle
 //     of the set form in every determinism test that varies the batch size.
@@ -55,8 +55,8 @@ const DefaultBatchSize = 32
 // request on the SQL engines: n = 1 executes per instance, one batch of one
 // binding per context; n > 1 evaluates each property by its set form — one
 // execution for all contexts — and sizes the array-bound batches of the
-// per-context path wherever that runs (set-form fallback, guided search); and
-// n <= 0 selects DefaultBatchSize.
+// per-context path wherever that runs (the set-form fallback); and n <= 0
+// selects DefaultBatchSize.
 func WithBatchSize(n int) Option { return func(a *Analyzer) { a.batchSize = n } }
 
 // BatchSize returns the effective batch size used for an analysis.

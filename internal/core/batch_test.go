@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/apprentice"
@@ -150,25 +151,30 @@ func TestAnalyzeSQLBatchesEveryContext(t *testing.T) {
 	}
 }
 
-// TestGuidedSQLBatchesGroups: the refinement search ships each step's
-// contexts as batches and never per instance when batching is on.
-func TestGuidedSQLBatchesGroups(t *testing.T) {
+// TestGuidedSQLExecutesAsAnalyzeSQL: the refinement search issues exactly the
+// exhaustive analysis's executions — one batch of one binding per set-form
+// property, nothing per instance — and reads the instances it visits from
+// their results.
+func TestGuidedSQLExecutesAsAnalyzeSQL(t *testing.T) {
 	g := buildGraph(t, apprentice.Particles())
 	db := loadDB(t, g)
-	q := &trafficExec{Embedded: godbc.Embedded{DB: db}}
+	run := lastRun(g)
 	a := New(g, WithBatchSize(DefaultBatchSize))
-	_, stats, err := a.AnalyzeGuidedSQL(lastRun(g), DefaultHierarchy(), q)
+	full := &trafficExec{Embedded: godbc.Embedded{DB: db}}
+	if _, err := a.AnalyzeSQL(run, full); err != nil {
+		t.Fatal(err)
+	}
+	q := &trafficExec{Embedded: godbc.Embedded{DB: db}}
+	_, stats, err := a.AnalyzeGuidedSQL(run, DefaultHierarchy(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q.perExec != 0 {
-		t.Errorf("%d per-instance executions on the batched guided path", q.perExec)
+	want := fmt.Sprintf("%d batches of %d bindings, 0 single, 0 text", len(a.props), len(a.props))
+	if got := q.counts(); got != want || full.counts() != want {
+		t.Errorf("guided sql: %s; AnalyzeSQL: %s; want %s each", got, full.counts(), want)
 	}
-	if q.bindings != stats.Evaluated {
-		t.Errorf("batches carried %d bindings for %d evaluated instances", q.bindings, stats.Evaluated)
-	}
-	if q.batches == 0 || q.batches >= stats.Evaluated {
-		t.Errorf("%d batches for %d instances: no amortization", q.batches, stats.Evaluated)
+	if stats.Evaluated == 0 || stats.Evaluated >= stats.Exhaustive {
+		t.Errorf("search visited %d of %d instances", stats.Evaluated, stats.Exhaustive)
 	}
 	if live := db.Stats().PreparedLive; live != 0 {
 		t.Errorf("%d prepared handles leaked", live)

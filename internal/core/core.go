@@ -251,9 +251,11 @@ type instCtx struct {
 	prop  string
 	label string
 	args  []object.Value
-	// region scopes the context for guided search: the region itself, or the
-	// calling region of a call site (nil when the call site has none).
-	region *object.Object
+	// reg is the pre-order index, in the scope, of the region that scopes the
+	// context for guided search: the region itself, or the calling region of
+	// a call site (-1 when the call site has none). [reg, regEnd) is that
+	// region's subtree; without a region it is every region.
+	reg, regEnd int
 	// params carries the argument object ids for the SQL engine, keyed by
 	// parameter name.
 	params *sqldb.Params
@@ -269,6 +271,10 @@ type scope struct {
 	calls   []*object.Object
 	run     *object.Object
 	basis   *object.Object
+	// subtree maps each region to the index range [lo, hi) of its subtree in
+	// regions. Their order is a pre-order walk of each function's region
+	// trees (model.Region.Walk), so a subtree is contiguous.
+	subtree map[*object.Object][2]int
 }
 
 // scopeFromGraph builds the scope for a run of the analyzer's own dataset.
@@ -281,6 +287,17 @@ func (a *Analyzer) scopeFromGraph(run *model.TestRun) (*scope, error) {
 	var err error
 	if sc.basis, err = findBasis(sc.regions); err != nil {
 		return nil, err
+	}
+	// Backwards, a region's descendants are done before it, and reading its
+	// ParentRegion once extends the parent's range.
+	sc.subtree = make(map[*object.Object][2]int, len(sc.regions))
+	for i := len(sc.regions) - 1; i >= 0; i-- {
+		r := sc.regions[i]
+		span := [2]int{i, max(sc.subtree[r][1], i+1)}
+		sc.subtree[r] = span
+		if p, ok := r.Get("ParentRegion").(*object.Object); ok {
+			sc.subtree[p] = [2]int{0, max(sc.subtree[p][1], span[1])}
+		}
 	}
 	return sc, nil
 }
@@ -326,11 +343,16 @@ func (a *Analyzer) contexts(sc *scope, prop string) ([]instCtx, error) {
 	}
 
 	mk := func(label string, first, region *object.Object) instCtx {
+		span, ok := sc.subtree[region]
+		if !ok {
+			span = [2]int{-1, len(sc.regions)}
+		}
 		return instCtx{
 			prop:   prop,
 			label:  label,
 			args:   []object.Value{first, sc.run, sc.basis},
-			region: region,
+			reg:    span[0],
+			regEnd: span[1],
 			params: &sqldb.Params{Named: map[string]sqldb.Value{
 				sig.Params[0].Name: sqldb.NewInt(first.ID),
 				sig.Params[1].Name: sqldb.NewInt(sc.run.ID),
@@ -582,6 +604,19 @@ func (a *Analyzer) AnalyzeSQLCtx(ctx context.Context, run *model.TestRun, q Quer
 	if err != nil {
 		return nil, err
 	}
+	instances, err := a.evalSQL(ctx, pl, preparer, a.queryWorkers(q))
+	if err != nil {
+		return nil, err
+	}
+	return a.finish("sql", run.NoPe, instances), nil
+}
+
+// evalSQL evaluates every instance of the plan in the database, instance i
+// into slot i: the SQL engines' one evaluation, which the exhaustive analysis
+// reports in full and the guided search reads the visited instances of. A
+// property that does not compile, a lost shard and cancellation are errors;
+// every other failure is the diagnostic of the instances it hits.
+func (a *Analyzer) evalSQL(ctx context.Context, pl *runPlan, preparer sqlgen.QueryPreparer, workers int) ([]Instance, error) {
 	compiled := a.compiledProps()
 	bindErrs, setErrs := pl.bind(compiled)
 	props := make([]preparedProp, 0, len(compiled))
@@ -607,7 +642,7 @@ func (a *Analyzer) AnalyzeSQLCtx(ctx context.Context, run *model.TestRun, q Quer
 	}
 	instances := make([]Instance, len(pl.ctxs))
 	fail := &analysisAbort{}
-	runPool(a.queryWorkers(q), len(units), func(_, ui int) {
+	runPool(workers, len(units), func(_, ui int) {
 		u := units[ui]
 		end := u.start + u.n
 		ctxs, bindings, out := pl.ctxs[u.start:end], pl.bindings[u.start:end], instances[u.start:end]
@@ -636,7 +671,7 @@ func (a *Analyzer) AnalyzeSQLCtx(ctx context.Context, run *model.TestRun, q Quer
 	if err := fail.Err(); err != nil {
 		return nil, err
 	}
-	return a.finish("sql", run.NoPe, instances), nil
+	return instances, nil
 }
 
 // queryPreparer returns the one capability the SQL engines ask of an

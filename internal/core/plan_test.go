@@ -63,8 +63,8 @@ func TestPlanReusedAcrossAnalyses(t *testing.T) {
 			}
 
 			// The other engines read the same plan: the guided SQL search
-			// hands its subsets of the shared parameter sets to the executor,
-			// the object engine the shared argument lists.
+			// its set-form bindings and region ranges, the object engine the
+			// shared argument lists.
 			for _, run := range two {
 				if _, _, err := shared.AnalyzeGuidedSQL(run, DefaultHierarchy(), q); err != nil {
 					t.Fatal(err)

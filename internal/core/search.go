@@ -3,13 +3,12 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/asl/eval"
-	"repro/internal/asl/object"
 	"repro/internal/asl/sem"
 	"repro/internal/model"
-	"repro/internal/sqldb"
 )
 
 // Hierarchy is a property refinement tree: child property -> parent
@@ -92,7 +91,10 @@ func (h Hierarchy) Validate(known map[string]*sem.PropertySig) error {
 // SearchStats reports how much work the guided search did compared to
 // exhaustive evaluation.
 type SearchStats struct {
-	// Evaluated counts property instances actually evaluated.
+	// Evaluated counts the property instances the search visited. The object
+	// engine evaluates only those; on the SQL engines the database answers
+	// each property with one statement for all its contexts, and the search
+	// reads the visited instances from its results.
 	Evaluated int
 	// Exhaustive counts the instances a full evaluation would touch.
 	Exhaustive int
@@ -113,154 +115,90 @@ func (s SearchStats) Savings() float64 {
 // and program structure: when a property is proven at region r, its
 // refinements are evaluated throughout r's region subtree (a parent
 // region's cost is explained by overheads recorded in its descendants),
-// and call-scoped refinements at the call sites inside that subtree.
+// and call-scoped refinements at the call sites inside that subtree. The
+// object engine evaluates only the instances the search visits.
 func (a *Analyzer) AnalyzeGuided(run *model.TestRun, h Hierarchy) (*Report, *SearchStats, error) {
-	ev := eval.New(a.world)
-	evalGroup := func(_ *runPlan, _ int, ctxs []instCtx) []Instance {
-		out := make([]Instance, len(ctxs))
-		for i, ctx := range ctxs {
-			out[i] = evalInstance(ev, ctx)
-		}
-		return out
+	pl, err := a.guidedPlan(run, h)
+	if err != nil {
+		return nil, nil, err
 	}
-	return a.analyzeGuided(run, h, "guided", evalGroup)
+	ev := eval.New(a.world)
+	found, stats := a.search(pl, h, func(k int) Instance { return evalInstance(ev, pl.ctxs[k]) })
+	return a.finish("guided", run.NoPe, found), stats, nil
 }
 
-// AnalyzeGuidedSQL runs the same refinement-driven search with the compiled
-// SQL queries executed inside the database. The search revisits each
-// property across many contexts as it descends the region tree, so each
-// property's query is prepared once, on first use, and executed per context.
-// The contexts a search step opens up are evaluated together, so each step
-// costs one round trip per BatchSize contexts rather than one per context. A
-// step evaluates a subset of a property's contexts, so the search stays on
-// the per-context statements: the set form answers for all contexts or none.
-// Like AnalyzeSQL, it refuses an executor that cannot prepare statements.
+// AnalyzeGuidedSQL runs the same refinement-driven search over the compiled
+// SQL queries executed inside the database. The database answers every
+// property with one set statement for all its contexts, exactly as AnalyzeSQL
+// evaluates it, and the search reads the instances it visits from those
+// results. Like AnalyzeSQL, it refuses an executor that cannot prepare statements and
+// fails on a property that does not compile.
 func (a *Analyzer) AnalyzeGuidedSQL(run *model.TestRun, h Hierarchy, q QueryExec) (*Report, *SearchStats, error) {
 	preparer, err := queryPreparer(q)
 	if err != nil {
 		return nil, nil, err
 	}
-	prepared := make(map[int]preparedProp)
-	defer func() {
-		for _, c := range prepared {
-			c.close()
-		}
-	}()
-	fail := &analysisAbort{}
-	evalGroup := func(pl *runPlan, prop int, ctxs []instCtx) []Instance {
-		// Compiled after the plan: planFor refuses unknown constants first.
-		compiled := a.compiledProps()
-		out := make([]Instance, len(ctxs))
-		// A property that does not compile produces its diagnostic once per
-		// context; the others search on.
-		if err := compiled[prop].err; err != nil {
-			diagnose(ctxs, out, err)
-			return out
-		}
-		c, ok := prepared[prop]
-		if !ok {
-			bindErrs, _ := pl.bind(compiled)
-			c = compiled[prop].prepare(preparer, bindErrs[prop])
-			prepared[prop] = c
-		}
-		bindings := make([]*sqldb.Params, len(ctxs))
-		for i, ctx := range ctxs {
-			bindings[i] = ctx.params
-		}
-		a.evalSQLCtxs(context.Background(), c, ctxs, bindings, out, fail)
-		return out
-	}
-	rep, stats, err := a.analyzeGuided(run, h, "guided-sql", evalGroup)
-	if err == nil {
-		// A lost shard aborts the search; see AnalyzeSQL.
-		if ferr := fail.Err(); ferr != nil {
-			return nil, nil, ferr
-		}
-	}
-	return rep, stats, err
-}
-
-// analyzeGuided is the engine-agnostic refinement search; evalGroup
-// evaluates the instances one search step opened up — contexts of the plan's
-// property prop — one Instance per context in context order (batched inside
-// the SQL engine when supported).
-func (a *Analyzer) analyzeGuided(run *model.TestRun, h Hierarchy, engine string, evalGroup func(pl *runPlan, prop int, ctxs []instCtx) []Instance) (*Report, *SearchStats, error) {
-	if err := h.Validate(a.world.Props); err != nil {
-		return nil, nil, err
-	}
-	pl, err := a.planFor(run)
+	pl, err := a.guidedPlan(run, h)
 	if err != nil {
 		return nil, nil, err
 	}
-
-	stats := &SearchStats{Exhaustive: len(pl.ctxs)}
-
-	var instances []Instance
-	evaluated := make(map[string]bool)
-
-	// The work list pairs a property with the region subtree that scopes it.
-	type item struct {
-		prop string
-		root *object.Object // nil means "all regions" (search roots)
+	instances, err := a.evalSQL(context.Background(), pl, preparer, a.queryWorkers(q))
+	if err != nil {
+		return nil, nil, err
 	}
+	found, stats := a.search(pl, h, func(k int) Instance { return instances[k] })
+	return a.finish("guided-sql", run.NoPe, found), stats, nil
+}
+
+// guidedPlan validates the hierarchy and returns the run's plan.
+func (a *Analyzer) guidedPlan(run *model.TestRun, h Hierarchy) (*runPlan, error) {
+	if err := h.Validate(a.world.Props); err != nil {
+		return nil, err
+	}
+	return a.planFor(run)
+}
+
+// search is the engine-agnostic refinement search over a plan. It visits
+// plan indexes — each instance at most once — and evaluates a visited
+// instance k with at(k), in visit order.
+func (a *Analyzer) search(pl *runPlan, h Hierarchy, at func(k int) Instance) ([]Instance, *SearchStats) {
+	found := make([]Instance, 0, len(pl.ctxs))
+	visited := make([]bool, len(pl.ctxs))
+
+	// The work list pairs a property, by its index in a.props, with the
+	// region index range [lo, hi) that scopes it; a search root's range,
+	// lo = -1, takes every context.
+	type item struct{ prop, lo, hi int }
 	var queue []item
 	for _, root := range h.Roots(a.props) {
-		queue = append(queue, item{prop: root})
+		queue = append(queue, item{prop: slices.Index(a.props, root), lo: -1, hi: math.MaxInt})
 	}
-
+	children := make([][]int, len(a.props))
+	for pi, name := range a.props {
+		for _, child := range h.Children(name, a.props) {
+			children[pi] = append(children[pi], slices.Index(a.props, child))
+		}
+	}
 	for len(queue) > 0 {
 		it := queue[0]
 		queue = queue[1:]
-		pi := slices.Index(a.props, it.prop)
-		p := pl.props[pi]
-		// Collect the contexts this step opens up, then evaluate them as one
-		// group: the refinement decisions below depend only on each
-		// instance's own outcome, so deferring them past the group changes
-		// neither the visit set nor the visit order.
-		var pending []instCtx
-		for _, ctx := range pl.ctxs[p.start : p.start+p.n] {
-			if it.root != nil && !ctxInSubtree(ctx, it.root) {
+		p := pl.props[it.prop]
+		for k := p.start; k < p.start+p.n; k++ {
+			ctx := &pl.ctxs[k]
+			if visited[k] || ctx.reg < it.lo || ctx.reg >= it.hi {
 				continue
 			}
-			key := it.prop + "\x00" + ctx.label
-			if evaluated[key] {
-				continue
-			}
-			evaluated[key] = true
-			pending = append(pending, ctx)
-		}
-		if len(pending) == 0 {
-			continue
-		}
-		stats.Evaluated += len(pending)
-		for i, in := range evalGroup(pl, pi, pending) {
-			instances = append(instances, in)
+			visited[k] = true
+			in := at(k)
+			found = append(found, in)
 			if in.Holds && in.Severity > a.threshold {
-				for _, child := range h.Children(it.prop, a.props) {
-					queue = append(queue, item{prop: child, root: pending[i].region})
+				for _, child := range children[it.prop] {
+					queue = append(queue, item{prop: child, lo: ctx.reg, hi: ctx.regEnd})
 				}
 			}
 		}
 	}
-
-	rep := a.finish(engine, run.NoPe, instances)
-	return rep, stats, nil
-}
-
-// ctxInSubtree reports whether a context's region lies in the subtree
-// rooted at the given region (following ParentRegion links).
-func ctxInSubtree(ctx instCtx, root *object.Object) bool {
-	for r := ctx.region; r != nil; {
-		if r == root {
-			return true
-		}
-		parent, ok := r.Get("ParentRegion").(*object.Object)
-		if !ok {
-			return false
-		}
-		r = parent
-	}
-	return false
+	return found, &SearchStats{Evaluated: len(found), Exhaustive: len(pl.ctxs)}
 }
 
 // SortedBySeverity returns instances ordered as reports order them; used by

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"maps"
+	"slices"
 	"testing"
 
 	"repro/internal/apprentice"
+	"repro/internal/asl/object"
 	"repro/internal/model"
 )
 
@@ -39,12 +42,33 @@ func TestHierarchyStructure(t *testing.T) {
 	}
 }
 
+// sharedLabels is FineGrained with two more functions, each holding a loop
+// named "loop": two regions, two contexts per property, one label. Both loops
+// are root-level problems.
+func sharedLabels() *apprentice.Workload {
+	w := apprentice.FineGrained()
+	w.Name = "sharedlabels"
+	for i, name := range []string{"a", "b"} {
+		w.Funcs = append(w.Funcs, &apprentice.FuncSpec{Name: name, Regions: []*apprentice.RegionSpec{{
+			Name: name, Kind: model.KindSubprogram,
+			Children: []*apprentice.RegionSpec{{
+				Name: "loop", Kind: model.KindLoop,
+				SerialWork: 0.2 + 0.1*float64(i), ParallelWork: 2.0, Imbalance: 0.3, SyncAfter: true,
+			}},
+		}}})
+	}
+	return w
+}
+
 // TestGuidedSearchMatchesExhaustiveOnProblems verifies the OPAL-style
 // search finds every performance problem the exhaustive evaluation finds
 // whose ancestors are problems too (that is the contract of refinement),
-// while evaluating fewer instances.
+// while evaluating fewer instances. Instances are matched per (property,
+// context label) key with their counts: distinct contexts may share a label.
 func TestGuidedSearchMatchesExhaustiveOnProblems(t *testing.T) {
-	for name, w := range apprentice.Library() {
+	workloads := apprentice.Library()
+	workloads["sharedlabels"] = sharedLabels()
+	for name, w := range workloads {
 		t.Run(name, func(t *testing.T) {
 			g := buildGraph(t, w)
 			a := New(g)
@@ -63,34 +87,32 @@ func TestGuidedSearchMatchesExhaustiveOnProblems(t *testing.T) {
 				t.Fatalf("guided evaluated %d > exhaustive %d", stats.Evaluated, stats.Exhaustive)
 			}
 			// Everything the guided search reports must exist identically in
-			// the full report.
-			fullByKey := map[string]Instance{}
+			// the full report, as often.
+			key := func(in Instance) string { return in.Property + "/" + in.Context }
+			fullByKey := map[string][]Instance{}
 			for _, in := range full.Instances {
-				fullByKey[in.Property+"/"+in.Context] = in
+				fullByKey[key(in)] = append(fullByKey[key(in)], in)
 			}
 			for _, in := range guided.Instances {
-				ref, ok := fullByKey[in.Property+"/"+in.Context]
-				if !ok {
-					t.Fatalf("guided found %s %s absent from exhaustive report", in.Property, in.Context)
+				refs := fullByKey[key(in)]
+				i := slices.IndexFunc(refs, func(ref Instance) bool { return closeEnough(ref.Severity, in.Severity) })
+				if i < 0 {
+					t.Fatalf("guided found %s %s (severity %g) absent from exhaustive report", in.Property, in.Context, in.Severity)
 				}
-				if !closeEnough(ref.Severity, in.Severity) {
-					t.Fatalf("%s %s: guided severity %g, exhaustive %g", in.Property, in.Context, in.Severity, ref.Severity)
-				}
+				fullByKey[key(in)] = slices.Delete(refs, i, i+1)
 			}
 			// Root-level problems must never be missed.
-			for _, in := range full.Problems() {
-				if in.Property != "SublinearSpeedup" {
-					continue
-				}
-				found := false
-				for _, gin := range guided.Instances {
-					if gin.Property == in.Property && gin.Context == in.Context {
-						found = true
+			problems := func(rep *Report) map[string]int {
+				n := map[string]int{}
+				for _, in := range rep.Problems() {
+					if in.Property == "SublinearSpeedup" {
+						n[key(in)]++
 					}
 				}
-				if !found {
-					t.Fatalf("guided search missed root problem %s %s", in.Property, in.Context)
-				}
+				return n
+			}
+			if want, got := problems(full), problems(guided); !maps.Equal(want, got) {
+				t.Fatalf("root problems: exhaustive %v, guided %v", want, got)
 			}
 		})
 	}
@@ -155,4 +177,66 @@ func TestSortedBySeverity(t *testing.T) {
 	if out[1].Property != "A" || out[1].Context != "x" {
 		t.Fatalf("tie-break: %+v", out)
 	}
+}
+
+// TestSubtreeIntervalsMatchParentWalk: the guided search tests subtree
+// membership as a pre-order index range, which holds only while every
+// region's subtree is contiguous in the scope's region order. For every
+// context and every region, the range must say what following ParentRegion
+// links says.
+func TestSubtreeIntervalsMatchParentWalk(t *testing.T) {
+	workloads := apprentice.Library()
+	workloads["scaled"] = apprentice.ScaledStencil(8, 14)
+	for name, w := range workloads {
+		t.Run(name, func(t *testing.T) {
+			g := buildGraph(t, w)
+			pl, err := New(g).planFor(lastRun(g))
+			if err != nil {
+				t.Fatal(err)
+			}
+			regions := g.OrderedRegions
+			// A Region context's range is its own region's subtree.
+			subtree := map[*object.Object][2]int{}
+			for _, ctx := range pl.ctxs {
+				if r := ctx.args[0].(*object.Object); r.Class.Name == "Region" {
+					subtree[r] = [2]int{ctx.reg, ctx.regEnd}
+				}
+			}
+			if len(subtree) != len(regions) {
+				t.Fatalf("%d of %d regions have a range", len(subtree), len(regions))
+			}
+			for _, ctx := range pl.ctxs {
+				own := ctx.args[0].(*object.Object)
+				if own.Class.Name == "FunctionCall" {
+					own, _ = own.Get("CallingReg").(*object.Object)
+				}
+				if own == nil {
+					if ctx.reg != -1 || ctx.regEnd != len(regions) {
+						t.Fatalf("%s %s without a region: range [%d, %d)", ctx.prop, ctx.label, ctx.reg, ctx.regEnd)
+					}
+					continue
+				}
+				for _, root := range regions {
+					r := subtree[root]
+					in := r[0] <= ctx.reg && ctx.reg < r[1]
+					if walk := inSubtree(own, root); in != walk {
+						t.Fatalf("%s %s in the subtree of region %s: range says %v, ParentRegion walk %v",
+							ctx.prop, ctx.label, root.Get("Name"), in, walk)
+					}
+				}
+			}
+		})
+	}
+}
+
+// inSubtree reports whether region r lies in the subtree rooted at root,
+// following ParentRegion links.
+func inSubtree(r, root *object.Object) bool {
+	for r != nil {
+		if r == root {
+			return true
+		}
+		r, _ = r.Get("ParentRegion").(*object.Object)
+	}
+	return false
 }
