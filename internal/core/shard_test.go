@@ -24,9 +24,9 @@ type shardHarness struct {
 
 // startShardHarness shards a graph across n zero-overhead servers and dials
 // them.
-func startShardHarness(t testing.TB, g *model.Graph, n int, opts ...godbc.ShardedOption) *shardHarness {
+func startShardHarness(t testing.TB, g *model.Graph, n int) *shardHarness {
 	t.Helper()
-	return startProfiledShardHarness(t, g, n, wire.ProfileFast, opts...)
+	return startProfiledShardHarness(t, g, n, wire.ProfileFast)
 }
 
 // shardConns is the harness's pool size per shard.
@@ -34,7 +34,7 @@ const shardConns = 8
 
 // startProfiledShardHarness is startShardHarness with the servers charging
 // the given vendor profile.
-func startProfiledShardHarness(t testing.TB, g *model.Graph, n int, profile wire.Profile, opts ...godbc.ShardedOption) *shardHarness {
+func startProfiledShardHarness(t testing.TB, g *model.Graph, n int, profile wire.Profile) *shardHarness {
 	t.Helper()
 	h := &shardHarness{}
 	addrs := make([]string, n)
@@ -52,7 +52,7 @@ func startProfiledShardHarness(t testing.TB, g *model.Graph, n int, profile wire
 		h.dbs = append(h.dbs, db)
 		addrs[i] = srv.Addr()
 	}
-	sdb, err := godbc.DialSharded(addrs, shardConns, opts...)
+	sdb, err := godbc.DialSharded(addrs, shardConns)
 	if err != nil {
 		t.Fatal(err)
 	}

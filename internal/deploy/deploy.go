@@ -34,9 +34,9 @@ func Dataset(in, workload string) (*model.Dataset, error) {
 	return apprentice.Simulate(w, apprentice.PartitionSweep(2, 4, 8, 16, 32), 42)
 }
 
-// Conns is the number of pooled connections (per server) that lets analyses
-// concurrent analyses run unthrottled: every evaluation worker of every one
-// of them may hold a connection at once. workers is the count as
+// Conns is the number of pooled connections (per server) that lets the given
+// number of concurrent analyses run unthrottled: every evaluation worker of
+// every one of them may hold a connection at once. workers is the count as
 // core.WithWorkers takes it, so 0 — GOMAXPROCS workers per analysis — sizes
 // for GOMAXPROCS, not for one.
 func Conns(analyses, workers int) int {

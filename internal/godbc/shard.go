@@ -28,13 +28,10 @@ import (
 	"repro/internal/sqldb"
 )
 
-// RoutingPolicy maps a run's object id to a shard index in [0, shards). A
-// policy must be pure: the loader and the analyzer both consult it, and rows
-// land on the shard the queries will ask.
-type RoutingPolicy func(runID int64, shards int) int
-
-// HashRouting is the default policy: FNV-1a over the run id's eight bytes,
-// reduced modulo the shard count. Runs spread uniformly and independently of
+// HashRouting maps a run's object id to the index of the shard owning it, in
+// [0, shards): FNV-1a over the run id's eight bytes, reduced modulo the shard
+// count. It is pure — the loader and the analyzer both consult it (through
+// ShardedDB.ShardFor), and rows land on the shard the queries will ask. Runs spread uniformly and independently of
 // allocation order, so growing a sweep does not pile new runs onto one shard.
 func HashRouting(runID int64, shards int) int {
 	if shards <= 1 {
@@ -82,31 +79,19 @@ func (e *ShardError) ShardAddr() string { return e.Addr }
 //   - un-routed reads pin to the first shard, which is correct only for
 //     replicated tables — a documented restriction, not a checked one.
 type ShardedDB struct {
-	addrs  []string
-	pools  []*Pool
-	policy RoutingPolicy
-}
-
-// ShardedOption configures a ShardedDB.
-type ShardedOption func(*ShardedDB)
-
-// WithRoutingPolicy replaces the default HashRouting policy.
-func WithRoutingPolicy(p RoutingPolicy) ShardedOption {
-	return func(s *ShardedDB) { s.policy = p }
+	addrs []string
+	pools []*Pool
 }
 
 // DialSharded connects one pool of connsPerShard connections to every shard
 // address. Every address is validated eagerly — a COSY analysis must not
 // start against a partial database — and a dial failure reports the dead
 // shard as a ShardError. A single address is a valid one-shard deployment.
-func DialSharded(addrs []string, connsPerShard int, opts ...ShardedOption) (*ShardedDB, error) {
+func DialSharded(addrs []string, connsPerShard int) (*ShardedDB, error) {
 	if len(addrs) == 0 {
 		return nil, fmt.Errorf("godbc: no shard addresses")
 	}
-	s := &ShardedDB{addrs: append([]string(nil), addrs...), policy: HashRouting}
-	for _, o := range opts {
-		o(s)
-	}
+	s := &ShardedDB{addrs: append([]string(nil), addrs...)}
 	for _, addr := range s.addrs {
 		if strings.TrimSpace(addr) == "" {
 			return nil, fmt.Errorf("godbc: empty shard address in %q", strings.Join(addrs, ","))
@@ -128,7 +113,7 @@ func (s *ShardedDB) Shards() int { return len(s.pools) }
 
 // ShardFor returns the index of the shard owning a run. Loaders pass this to
 // sqlgen.LoadSharded so data and queries route identically.
-func (s *ShardedDB) ShardFor(runID int64) int { return s.policy(runID, len(s.pools)) }
+func (s *ShardedDB) ShardFor(runID int64) int { return HashRouting(runID, len(s.pools)) }
 
 // Pool returns the connection pool of one shard, for per-shard bulk work
 // such as loading.
@@ -246,11 +231,7 @@ func (s *ShardedDB) route(runParam string, params *sqldb.Params) (int, error) {
 	if !ok || !v.IsInt() {
 		return 0, fmt.Errorf("godbc: routed execution does not bind run parameter %s to a run id", runParam)
 	}
-	i := s.policy(v.Int(), len(s.pools))
-	if i < 0 || i >= len(s.pools) {
-		return 0, fmt.Errorf("godbc: routing policy sent run %d to shard %d of %d", v.Int(), i, len(s.pools))
-	}
-	return i, nil
+	return s.ShardFor(v.Int()), nil
 }
 
 // ConcurrentQuery marks the sharded database as safe for concurrent

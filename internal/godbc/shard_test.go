@@ -3,6 +3,7 @@ package godbc_test
 import (
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -16,7 +17,7 @@ import (
 // startShards launches n wire servers, each over its own database holding a
 // table t(run INTEGER, v INTEGER) where v encodes the shard index, so tests
 // can verify which shard served a row. Rows for run r exist only on the
-// shard modRouting assigns r to.
+// shard sdb.ShardFor assigns r to.
 func startShards(t *testing.T, n int, runs ...int64) ([]*wire.Server, *godbc.ShardedDB) {
 	t.Helper()
 	servers := make([]*wire.Server, n)
@@ -37,23 +38,32 @@ func startShards(t *testing.T, n int, runs ...int64) ([]*wire.Server, *godbc.Sha
 		t.Cleanup(func() { srv.Close() })
 		servers[i], addrs[i], dbs[i] = srv, srv.Addr(), db
 	}
+	sdb, err := godbc.DialSharded(addrs, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sdb.Close() })
 	for _, run := range runs {
-		shard := int(run % int64(n))
+		shard := sdb.ShardFor(run)
 		if _, err := dbs[shard].Exec("INSERT INTO t (run, v) VALUES (?, ?)", &sqldb.Params{
 			Positional: []sqldb.Value{sqldb.NewInt(run), sqldb.NewInt(int64(shard))}}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	sdb, err := godbc.DialSharded(addrs, 4, godbc.WithRoutingPolicy(modRouting))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { sdb.Close() })
 	return servers, sdb
 }
 
-// modRouting routes run r to shard r mod n — transparent for tests.
-func modRouting(runID int64, shards int) int { return int(runID % int64(shards)) }
+// runOn returns the first of runs that shard owns.
+func runOn(t *testing.T, sdb *godbc.ShardedDB, shard int, runs ...int64) int64 {
+	t.Helper()
+	for _, r := range runs {
+		if sdb.ShardFor(r) == shard {
+			return r
+		}
+	}
+	t.Fatalf("no run of %v routes to shard %d", runs, shard)
+	return 0
+}
 
 func runParams(runs ...int64) []*sqldb.Params {
 	out := make([]*sqldb.Params, len(runs))
@@ -126,27 +136,39 @@ func TestDialShardedReportsDeadShard(t *testing.T) {
 // by the shard owning the bound run — the returned v encodes the serving
 // shard — while un-routed query text pins to the first shard.
 func TestRoutedQueryHitsOwningShard(t *testing.T) {
-	_, sdb := startShards(t, 3, 1, 2, 3, 4, 5, 6)
+	runs := []int64{1, 2, 3, 4, 5, 6, 7, 8, 9}
+	_, sdb := startShards(t, 3, runs...)
 	pq, err := sdb.PrepareRoutedQuery("SELECT v FROM t WHERE run = $t", "t")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pq.Close()
-	for run := int64(1); run <= 6; run++ {
+	owned := make([]int, sdb.Shards())
+	for _, run := range runs {
+		want := sdb.ShardFor(run)
+		owned[want]++
 		set, err := pq.ExecQuery(runParams(run)[0])
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(set.Rows) != 1 || set.Rows[0][0].Int() != run%3 {
-			t.Fatalf("run %d: rows %v, want v=%d", run, set.Rows, run%3)
+		if len(set.Rows) != 1 || set.Rows[0][0].Int() != int64(want) {
+			t.Fatalf("run %d: rows %v, want v=%d", run, set.Rows, want)
 		}
+	}
+	if slices.Contains(owned, 0) {
+		t.Fatalf("runs %v leave a shard empty: %v per shard", runs, owned)
 	}
 	set, err := sdb.ExecQueryContext(context.Background(), "SELECT v FROM t", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(set.Rows) != 2 || set.Rows[0][0].Int() != 0 || set.Rows[1][0].Int() != 0 {
-		t.Fatalf("un-routed text: rows %v, want the first shard's two", set.Rows)
+	if len(set.Rows) != owned[0] {
+		t.Fatalf("un-routed text: rows %v, want the first shard's %d", set.Rows, owned[0])
+	}
+	for _, r := range set.Rows {
+		if r[0].Int() != 0 {
+			t.Fatalf("un-routed text: rows %v, want the first shard's", set.Rows)
+		}
 	}
 }
 
@@ -179,8 +201,8 @@ func TestShardedBatchMergesInBindingOrder(t *testing.T) {
 				t.Fatalf("binding %d (run %d): %v", i, run, results[i].Err)
 			}
 			rows := results[i].Set.Rows
-			if len(rows) != 1 || rows[0][0].Int() != run%3 {
-				t.Fatalf("binding %d (run %d): rows %v, want v=%d", i, run, rows, run%3)
+			if want := int64(sdb.ShardFor(run)); len(rows) != 1 || rows[0][0].Int() != want {
+				t.Fatalf("binding %d (run %d): rows %v, want v=%d", i, run, rows, want)
 			}
 		}
 	}
@@ -212,7 +234,8 @@ func TestShardedExecBroadcasts(t *testing.T) {
 // runs owned by live shards keep working.
 func TestShardLossTaggedWithAddress(t *testing.T) {
 	servers, sdb := startShards(t, 2, 1, 2, 3, 4)
-	deadAddr := servers[1].Addr() // owns odd runs under modRouting
+	live, dead := runOn(t, sdb, 0, 1, 2, 3, 4), runOn(t, sdb, 1, 1, 2, 3, 4)
+	deadAddr := servers[1].Addr()
 	if err := servers[1].Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -221,10 +244,10 @@ func TestShardLossTaggedWithAddress(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pq.Close()
-	if _, err := pq.ExecQuery(runParams(2)[0]); err != nil {
+	if _, err := pq.ExecQuery(runParams(live)[0]); err != nil {
 		t.Fatalf("live shard: %v", err)
 	}
-	_, err = pq.ExecQuery(runParams(1)[0])
+	_, err = pq.ExecQuery(runParams(dead)[0])
 	if err == nil {
 		t.Fatal("query against the dead shard succeeded")
 	}
@@ -238,7 +261,7 @@ func TestShardLossTaggedWithAddress(t *testing.T) {
 	// A mixed batch fails as a whole, again naming the dead shard: no
 	// partial results leak out of a batch that could not complete.
 	bq := pq.(sqlgen.BatchPreparedQuery)
-	_, err = bq.ExecQueryBatch(runParams(2, 1, 4, 3))
+	_, err = bq.ExecQueryBatch(runParams(live, dead, live))
 	if err == nil {
 		t.Fatal("mixed batch over a dead shard succeeded")
 	}
@@ -268,7 +291,7 @@ func TestShardedStmtConcurrent(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if set.Rows[0][0].Int() != run%2 {
+				if set.Rows[0][0].Int() != int64(sdb.ShardFor(run)) {
 					t.Errorf("run %d served by wrong shard: %v", run, set.Rows)
 				}
 			}

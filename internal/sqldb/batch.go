@@ -61,9 +61,9 @@ func (ps *PreparedStmt) ExecuteBatchContext(ctx context.Context, bindings []*Par
 // runs through. A plan the schema moved past is rebuilt under that lock, where
 // no DDL can move the schema again, so no binding runs against stale table
 // storage.
-func (ps *PreparedStmt) execBatch(ctx context.Context, bindings []*Params, out []BatchResult) error {
-	db := ps.db
-	plan := ps.plan.Load()
+func (s *sharedStmt) execBatch(ctx context.Context, bindings []*Params, out []BatchResult) error {
+	db := s.db
+	plan := s.plan.Load()
 	switch plan.stmt.(type) {
 	case *SelectStmt:
 		db.mu.RLock()
@@ -76,7 +76,7 @@ func (ps *PreparedStmt) execBatch(ctx context.Context, bindings []*Params, out [
 	}
 	if plan.version != db.ddl.Load() {
 		var err error
-		if plan, err = ps.replan(); err != nil {
+		if plan, err = s.replan(); err != nil {
 			return err
 		}
 	}

@@ -247,9 +247,11 @@ func FuzzEngineDifferential(f *testing.F) {
 		// row: a duplicate build key (v = 10 twice) probed, left unprobed,
 		// and guarded out by AND; keys no row carries under a scalar, SUM and
 		// COUNT; NULL keys on both sides (v is NULL in rows 2 and 5); a REAL
-		// against an INTEGER key (the memo serves it); a residual dividing by
-		// zero on a row (v = 30) no outer row probes; an empty outer
-		// relation; and two keys whose second outer side is itself a probe.
+		// against an INTEGER key (refused: the SELECT runs on the row
+		// interpreter); a residual dividing by zero on a row (v = 30) no outer
+		// row probes (the build fails, and the SELECT replays on the row
+		// interpreter); an empty outer relation; and two keys whose second
+		// outer side is itself a probe.
 		`SELECT o.id, (SELECT i.w FROM fuzz_aux i WHERE i.v = o.v AND i.id > 0) FROM fuzz_aux o ORDER BY o.id`,
 		`SELECT o.id, (SELECT i.w FROM fuzz_aux i WHERE i.v = o.v AND i.id > 0) FROM fuzz_aux o WHERE o.v <> 10 ORDER BY o.id`,
 		`SELECT o.id, o.v <> 10 AND (SELECT i.w FROM fuzz_aux i WHERE i.v = o.v AND i.id > 0) > 1 FROM fuzz_aux o ORDER BY o.id`,

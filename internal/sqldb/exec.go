@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -53,11 +54,11 @@ type Result struct {
 // parse and plan phases. Planning validates every referenced table, so Exec
 // refuses what Prepare refuses, with the same error.
 func (db *DB) Exec(query string, params *Params) (*Result, error) {
-	ps, err := db.cachedStmt(query)
+	s, err := db.cachedStmt(query)
 	if err != nil {
 		return nil, err
 	}
-	return ps.Execute(params)
+	return s.execute(params)
 }
 
 // MustExec executes a statement and panics on error; intended for schema
@@ -157,9 +158,11 @@ func (db *DB) execUpdateLocked(st *UpdateStmt, params *Params, plan *stmtPlan) (
 		return nil, fmt.Errorf("sqldb: no table %s", st.Table)
 	}
 	// Columnar path: a compiled DML plan evaluates WHERE/SET batch-at-a-time
-	// over the column vectors (vecdml.go).
+	// over the column vectors (vecdml.go); a replay runs the row path below.
 	if plan.dml != nil && db.vecOn.Load() {
-		return db.vecExecUpdateLocked(params, plan, t)
+		if res, err := db.vecExecUpdateLocked(params, plan, t); !db.replayed(err) {
+			return res, err
+		}
 	}
 	ec := &execCtx{db: db, params: params, plan: plan}
 	// Phase 1 (read): evaluate WHERE and the SET expressions against the
@@ -215,7 +218,9 @@ func (db *DB) execDeleteLocked(st *DeleteStmt, params *Params, plan *stmtPlan) (
 	}
 	// Columnar path: see vecdml.go.
 	if plan.dml != nil && db.vecOn.Load() {
-		return db.vecExecDeleteLocked(params, plan, t)
+		if res, err := db.vecExecDeleteLocked(params, plan, t); !db.replayed(err) {
+			return res, err
+		}
 	}
 	ec := &execCtx{db: db, params: params, plan: plan}
 	// Phase 1 (read): decide which rows survive without the write lock held.
@@ -461,32 +466,111 @@ type groupCtx struct {
 	tuples []tuple
 }
 
-// vecPlanFor returns the select's plan when the vectorized engine will run
-// it: compiled, and the engine selected. Callers on scalar-position paths use
-// it to skip ResultSet materialization (vecExecScalar et al.).
+// vecPlanFor returns the plan of a SELECT node the vectorized engine runs, or
+// nil when the row interpreter runs it: the row engine is selected, or the
+// compiler refused the node's shape, which counts as a fallback.
 func (ec *execCtx) vecPlanFor(st *SelectStmt) *selectPlan {
 	if !ec.db.vecOn.Load() {
 		return nil
 	}
-	if sp := ec.plan.selects[st]; sp.vec != nil {
-		return sp
+	sp := ec.plan.selects[st]
+	if sp.vec == nil {
+		ec.db.countFallback(sp.vecReason)
+		return nil
 	}
-	return nil
+	return sp
 }
 
+// replayed reports whether a vectorized execution returned errReplay, and
+// counts a "subquery" fallback when it did: the caller then runs the
+// statement or SELECT node whole on the row interpreter.
+func (db *DB) replayed(err error) bool {
+	if !errors.Is(err, errReplay) {
+		return false
+	}
+	db.countFallback(fbSubquery)
+	return true
+}
+
+// vecReplay is replayed for a SELECT node, which counts in VecSelects when
+// its vectorized execution stands.
+func (db *DB) vecReplay(err error) bool {
+	if db.replayed(err) {
+		return true
+	}
+	db.vecSelects.Add(1)
+	return false
+}
+
+// execSelect runs one SELECT node: batch-at-a-time when the vectorized
+// engine runs it (vecPlanFor), on the row interpreter otherwise and on a
+// replay.
 func (ec *execCtx) execSelect(st *SelectStmt, parent *frame) (*ResultSet, error) {
+	if sp := ec.vecPlanFor(st); sp != nil {
+		if set, err := ec.vecExecSelect(st, sp, parent); !ec.db.vecReplay(err) {
+			return set, err
+		}
+	}
+	return ec.rowSelect(st, parent)
+}
+
+// evalSub evaluates a scalar subquery, or an EXISTS, e over SELECT st: from
+// the per-execution cache when e is invariant, else by running st —
+// vectorized without materializing a ResultSet when the vectorized engine
+// runs it (vecPlanFor), on the row interpreter otherwise and on a replay.
+func (ec *execCtx) evalSub(e Expr, st *SelectStmt, exists bool, fr *frame) (Value, error) {
+	cacheable := ec.invariant(e, fr)
+	var key string
+	if cacheable {
+		key = ec.plan.keys[e]
+		if v, ok := ec.subCache[key]; ok {
+			return v, nil
+		}
+	}
+	var v Value
+	var err error
+	replay := true
+	if sp := ec.vecPlanFor(st); sp != nil {
+		v, err = ec.vecExecSub(st, sp, exists, fr)
+		replay = ec.db.vecReplay(err)
+	}
+	if replay {
+		var set *ResultSet
+		if set, err = ec.rowSelect(st, fr); err == nil {
+			v, err = subValue(exists, len(set.Columns), len(set.Rows), func(i int) Value { return set.Rows[i][0] })
+		}
+	}
+	if err != nil {
+		return Null, err
+	}
+	if cacheable {
+		ec.memoSub(key, v)
+	}
+	return v, nil
+}
+
+// subValue is the value of a SELECT with ncols columns and nrows rows, the
+// first cell of row i at(i), in EXISTS position — whether it has rows — or
+// in scalar-subquery position: one column, and 0 rows give NULL, one row its
+// value, more the cardinality error.
+func subValue(exists bool, ncols, nrows int, at func(int) Value) (Value, error) {
+	switch {
+	case exists:
+		return NewBool(nrows > 0), nil
+	case ncols != 1:
+		return Null, fmt.Errorf("sqldb: scalar subquery returns %d columns", ncols)
+	case nrows == 0:
+		return Null, nil
+	case nrows == 1:
+		return at(0), nil
+	}
+	return Null, fmt.Errorf("sqldb: scalar subquery returned %d rows", nrows)
+}
+
+// rowSelect runs one SELECT node on the row interpreter.
+func (ec *execCtx) rowSelect(st *SelectStmt, parent *frame) (*ResultSet, error) {
 	// sp is the precomputed strategy of this SELECT node.
 	sp := ec.plan.selects[st]
-	// Engine dispatch: a SELECT with a compiled vectorized form runs
-	// batch-at-a-time when the vectorized engine is selected; shapes the
-	// compiler refused stay on the row interpreter below.
-	if ec.db.vecOn.Load() {
-		if sp.vec != nil {
-			ec.db.vecSelects.Add(1)
-			return ec.vecExecSelect(st, sp, parent)
-		}
-		ec.db.countFallback(sp.vecReason)
-	}
 	fr := &frame{parent: parent}
 	var tuples []tuple
 
@@ -1174,74 +1258,9 @@ func (ec *execCtx) eval(e Expr, fr *frame) (Value, error) {
 		}
 		return NewBool(v.IsNull() != x.Not), nil
 	case *ESubquery:
-		cacheable := ec.invariant(x, fr)
-		var key string
-		if cacheable {
-			key = ec.plan.keys[x]
-			if v, ok := ec.subCache[key]; ok {
-				return v, nil
-			}
-		}
-		var v Value
-		if sp := ec.vecPlanFor(x.Select); sp != nil {
-			ec.db.vecSelects.Add(1)
-			if n := len(sp.vec.columns); n != 1 {
-				return Null, fmt.Errorf("sqldb: scalar subquery returns %d columns", n)
-			}
-			sv, err := ec.vecExecScalar(x.Select, sp, fr)
-			if err != nil {
-				return Null, err
-			}
-			v = sv
-		} else {
-			set, err := ec.execSelect(x.Select, fr)
-			if err != nil {
-				return Null, err
-			}
-			if len(set.Columns) != 1 {
-				return Null, fmt.Errorf("sqldb: scalar subquery returns %d columns", len(set.Columns))
-			}
-			switch len(set.Rows) {
-			case 0:
-				v = Null
-			case 1:
-				v = set.Rows[0][0]
-			default:
-				return Null, fmt.Errorf("sqldb: scalar subquery returned %d rows", len(set.Rows))
-			}
-		}
-		if cacheable {
-			ec.memoSub(key, v)
-		}
-		return v, nil
+		return ec.evalSub(x, x.Select, false, fr)
 	case *EExists:
-		cacheable := ec.invariant(x, fr)
-		var key string
-		if cacheable {
-			key = ec.plan.keys[x]
-			if v, ok := ec.subCache[key]; ok {
-				return v, nil
-			}
-		}
-		var v Value
-		if sp := ec.vecPlanFor(x.Select); sp != nil {
-			ec.db.vecSelects.Add(1)
-			ev, err := ec.vecExecExists(x.Select, sp, fr)
-			if err != nil {
-				return Null, err
-			}
-			v = ev
-		} else {
-			set, err := ec.execSelect(x.Select, fr)
-			if err != nil {
-				return Null, err
-			}
-			v = NewBool(len(set.Rows) > 0)
-		}
-		if cacheable {
-			ec.memoSub(key, v)
-		}
-		return v, nil
+		return ec.evalSub(x, x.Select, true, fr)
 	case *EIn:
 		return ec.evalIn(x, fr)
 	}

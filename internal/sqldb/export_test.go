@@ -1,14 +1,5 @@
 package sqldb
 
-// SetDecorrelation turns the vectorized compiler's build sides for
-// correlated subqueries on or off for statements planned afterwards, and
-// empties the plan cache so ad-hoc statements replan. Off, every correlated
-// subquery runs through the per-row memo.
-func (db *DB) SetDecorrelation(on bool) {
-	db.memoOnly.Store(!on)
-	db.clearPlanCache()
-}
-
 // ShrinkPlanCache lowers the plan cache's capacity, for tests that need
 // evictions without filling DefaultPlanCacheSize slots; entries beyond it go
 // at the next miss.

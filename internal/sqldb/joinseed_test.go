@@ -50,10 +50,11 @@ func pinDB(t testing.TB, unindexed string) *DB {
 // TestJoinPinnedSeedAgrees: a SELECT whose FROM table is seeded through the
 // joined table its WHERE pins — a decorrelated build side, or a plain join —
 // gives what the full scan gives, errors included: on the row engine, on the
-// vectorized engine, through the per-row memo, and with either index of the
-// join access missing, where every engine scans. seeded says whether the
-// join access may serve the decorrelated execution on the fully indexed
-// database; where it may not, the scan must.
+// vectorized engine, and with either index of the join access missing, where
+// every engine scans. seeded says whether the join access may serve the
+// decorrelated execution on the fully indexed database; where it may not, the
+// scan must. A build that raises replays its outer SELECT on the row
+// interpreter, which raises too: the only fallbacks, under subquery.
 func TestJoinPinnedSeedAgrees(t *testing.T) {
 	const (
 		sum    = `SELECT o.id, (SELECT SUM(a.v) FROM j JOIN a ON a.id = j.elem WHERE j.owner = o.id AND a.run = $t) FROM o ORDER BY o.id`
@@ -99,13 +100,11 @@ func TestJoinPinnedSeedAgrees(t *testing.T) {
 		err    string
 		seeded bool // some scan of j seeded fewer than all of j's rows
 	}
-	run := func(t *testing.T, db *DB, sql string, pin Value, engine string, decorrelate bool) outcome {
+	run := func(t *testing.T, db *DB, sql string, pin Value, engine string) outcome {
 		t.Helper()
 		if err := db.SetEngine(engine); err != nil {
 			t.Fatal(err)
 		}
-		db.SetDecorrelation(decorrelate)
-		defer db.SetDecorrelation(true)
 		var o outcome
 		all := db.Table("j").NumRows()
 		db.OnSeed(func(table string, rows int) {
@@ -116,7 +115,9 @@ func TestJoinPinnedSeedAgrees(t *testing.T) {
 		defer db.OnSeed(nil)
 		before := db.Stats()
 		res, err := db.Exec(sql, &Params{Named: map[string]Value{"t": pin}})
-		if after := db.Stats(); after.VecFallbacks != before.VecFallbacks {
+		after := db.Stats()
+		fallbacks := after.VecFallbacks - before.VecFallbacks
+		if sub := after.VecFallbackReasons.Subquery - before.VecFallbackReasons.Subquery; fallbacks != sub || (err == nil && fallbacks != 0) {
 			t.Fatalf("%s fell back: %+v", engine, after.VecFallbackReasons)
 		}
 		if err != nil {
@@ -129,7 +130,7 @@ func TestJoinPinnedSeedAgrees(t *testing.T) {
 	dbs := map[string]*DB{"": pinDB(t, ""), "j.elem": pinDB(t, "j.elem"), "a": pinDB(t, "a")}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			want := run(t, dbs[""], c.sql, c.pin, EngineVector, true)
+			want := run(t, dbs[""], c.sql, c.pin, EngineVector)
 			if (want.err != "") != c.wantErr {
 				t.Fatalf("error = %q, want error: %v", want.err, c.wantErr)
 			}
@@ -137,12 +138,9 @@ func TestJoinPinnedSeedAgrees(t *testing.T) {
 				t.Errorf("seeded through the join access: %v, want %v", want.seeded, c.seeded)
 			}
 			for _, unindexed := range []string{"", "j.elem", "a"} {
-				for _, ref := range []struct {
-					engine      string
-					decorrelate bool
-				}{{EngineVector, true}, {EngineVector, false}, {EngineRow, true}} {
-					got := run(t, dbs[unindexed], c.sql, c.pin, ref.engine, ref.decorrelate)
-					name := fmt.Sprintf("%s (decorrelation %v) without index %q", ref.engine, ref.decorrelate, unindexed)
+				for _, engine := range []string{EngineVector, EngineRow} {
+					got := run(t, dbs[unindexed], c.sql, c.pin, engine)
+					name := fmt.Sprintf("%s engine without index %q", engine, unindexed)
 					if unindexed != "" && got.seeded {
 						t.Errorf("%s seeded through a missing index", name)
 					}
@@ -209,11 +207,10 @@ func TestJoinPinnedBuildSeedsOneRun(t *testing.T) {
 // build seeded through the pinned element table, whose rows are stored in
 // reverse: the seed restores junction storage order, so float SUMs and AVGs
 // (key 1 holds 1e16, 1, -1e16, 1: 1 left to right, 0 right to left) have the
-// bits of the row engine and the memo.
+// bits of the row engine.
 func TestJoinPinnedSumOrderStable(t *testing.T) {
 	db := NewDB()
 	db.SetResultCacheSize(0)
-	defer db.SetDecorrelation(true)
 	for _, s := range []string{
 		`CREATE TABLE g (id INTEGER PRIMARY KEY)`,
 		`CREATE TABLE f (owner INTEGER, elem INTEGER)`,
@@ -241,12 +238,11 @@ func TestJoinPinnedSumOrderStable(t *testing.T) {
 	}
 	const q = `SELECT g.id, (SELECT SUM(e.v) FROM f JOIN e ON e.id = f.elem WHERE f.owner = g.id AND e.run = 1),
 		(SELECT AVG(e.v) FROM f JOIN e ON e.id = f.elem WHERE f.owner = g.id AND e.run = 1) FROM g ORDER BY g.id`
-	run := func(engine string, decorrelate bool) *ResultSet {
+	run := func(engine string) *ResultSet {
 		t.Helper()
 		if err := db.SetEngine(engine); err != nil {
 			t.Fatal(err)
 		}
-		db.SetDecorrelation(decorrelate)
 		seeded := 0
 		db.OnSeed(func(table string, rows int) {
 			if table == "f" && rows < db.Table("f").NumRows() {
@@ -255,25 +251,21 @@ func TestJoinPinnedSumOrderStable(t *testing.T) {
 		})
 		defer db.OnSeed(nil)
 		set := mustQuery(t, db, q, nil)
-		if engine == EngineVector && decorrelate && seeded != 2 {
+		if engine == EngineVector && seeded != 2 {
 			t.Fatalf("%d builds seeded through the pinned table, want 2", seeded)
 		}
 		return set
 	}
-	got := run(EngineVector, true)
+	got := run(EngineVector)
 	if sum := got.Rows[0][1]; sum.Float() != 1 {
 		t.Errorf("SUM over key 1 = %s, want 1 (junction storage order)", sum)
 	}
-	for _, ref := range []struct {
-		name string
-		set  *ResultSet
-	}{{"row engine", run(EngineRow, true)}, {"memo", run(EngineVector, false)}} {
-		for i, r := range got.Rows {
-			for j, v := range r {
-				w := ref.set.Rows[i][j]
-				if v.String() != w.String() || math.Float64bits(v.Float()) != math.Float64bits(w.Float()) {
-					t.Errorf("row %d col %d: seeded %s (%b), %s %s (%b)", i, j, v, v.Float(), ref.name, w, w.Float())
-				}
+	ref := run(EngineRow)
+	for i, r := range got.Rows {
+		for j, v := range r {
+			w := ref.Rows[i][j]
+			if v.String() != w.String() || math.Float64bits(v.Float()) != math.Float64bits(w.Float()) {
+				t.Errorf("row %d col %d: seeded %s (%b), row engine %s (%b)", i, j, v, v.Float(), w, w.Float())
 			}
 		}
 	}

@@ -15,14 +15,14 @@ import (
 // execution so that a statement which runs many times with only its
 // parameters changing (the ASL property queries run once per property ×
 // context instance) pays its front-end cost once. Every statement runs
-// planned: Prepare plans it, ad-hoc Exec plans it through the plan cache, and
-// there is no unplanned execution.
+// planned: Prepare and ad-hoc Exec both take their plan from the plan cache,
+// which plans the statement on a miss, and there is no unplanned execution.
 //
 // A plan captures everything about a statement that does not depend on
 // parameter values or row data: the parsed AST, the resolved tables, the
 // chosen access paths and join strategies, the free-column analysis of every
 // subquery, and the canonical cache keys of invariant subqueries. Plans are
-// immutable after construction, so one PreparedStmt may be executed from many
+// immutable after construction, so one plan may be executed from many
 // goroutines concurrently; per-execution state (current rows, the invariant
 // subquery result cache) lives in the execCtx created per execution.
 //
@@ -34,7 +34,7 @@ import (
 // that point.
 
 // DefaultPlanCacheSize is the capacity of the per-DB plan cache that backs
-// ad-hoc Exec calls.
+// Exec and Prepare.
 const DefaultPlanCacheSize = 128
 
 // stmtPlan is one immutable execution plan.
@@ -49,7 +49,7 @@ type stmtPlan struct {
 	// tree may nest SELECTs in subqueries and IN clauses).
 	selects map[*SelectStmt]*selectPlan
 	// corrIDs interns the canonical text of the correlated subexpressions the
-	// vectorized compiler compiles, builds and memoizes by (corrID); written
+	// vectorized compiler compiles and builds by (corrID); written
 	// while the plan is built, read-only after.
 	corrIDs map[string]int32
 	// canonKey is the interned identity of the statement's canonical text,
@@ -68,9 +68,6 @@ type stmtPlan struct {
 	// the statement and all its subqueries, deduplicated); the result cache
 	// derives an entry's freshness from their data versions.
 	tables []*Table
-	// memoOnly compiles every correlated subquery without a build side (see
-	// decorrelate in vec.go); set from DB.memoOnly, which only tests raise.
-	memoOnly bool
 }
 
 // addTable records a referenced table, deduplicating by identity.
@@ -158,33 +155,39 @@ type selectPlan struct {
 }
 
 // PreparedStmt is a reusable handle for one statement. It is safe for
-// concurrent use; executions bind fresh parameters each call.
+// concurrent use; executions bind fresh parameters each call. Every handle
+// over one text shares the plan cache's sharedStmt, and with it the plan.
 type PreparedStmt struct {
+	*sharedStmt
+	closed atomic.Bool
+}
+
+// sharedStmt is one statement text and its current plan: what the plan cache
+// holds, and what every Prepare handle over the text and every ad-hoc Exec of
+// it executes. Plans are immutable, so one serves all of them.
+type sharedStmt struct {
 	db  *DB
 	sql string
 
 	// mu serializes replanning. Lock order: DB.mu, then mu.
-	mu      sync.Mutex
-	plan    atomic.Pointer[stmtPlan]
-	closed  atomic.Bool
-	counted bool // whether this handle is counted in DB.Stats
+	mu   sync.Mutex
+	plan atomic.Pointer[stmtPlan]
 }
 
-// Prepare parses and plans a statement for repeated execution, validating
-// every referenced table.
+// Prepare returns a handle over the statement's plan, validating every
+// referenced table: the plan cache's, parsed and planned on a miss.
 func (db *DB) Prepare(sql string) (*PreparedStmt, error) {
-	ps, err := db.prepare(sql)
+	s, err := db.cachedStmt(sql)
 	if err != nil {
 		return nil, err
 	}
-	ps.counted = true
 	db.preparedLive.Add(1)
-	return ps, nil
+	return &PreparedStmt{sharedStmt: s}, nil
 }
 
-// prepare parses and plans a statement into an uncounted handle, holding the
-// statement lock shared while it plans.
-func (db *DB) prepare(sql string) (*PreparedStmt, error) {
+// prepare parses and plans a statement, holding the statement lock shared
+// while it plans: the plan cache's miss path.
+func (db *DB) prepare(sql string) (*sharedStmt, error) {
 	stmt, err := ParseSQL(sql)
 	if err != nil {
 		return nil, err
@@ -195,9 +198,9 @@ func (db *DB) prepare(sql string) (*PreparedStmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	ps := &PreparedStmt{db: db, sql: sql}
-	ps.plan.Store(plan)
-	return ps, nil
+	s := &sharedStmt{db: db, sql: sql}
+	s.plan.Store(plan)
+	return s, nil
 }
 
 // SQL returns the statement text the handle was prepared from.
@@ -206,10 +209,7 @@ func (ps *PreparedStmt) SQL() string { return ps.sql }
 // Close releases the handle. Closing is idempotent; executing a closed
 // handle fails.
 func (ps *PreparedStmt) Close() error {
-	if ps.closed.Swap(true) {
-		return nil
-	}
-	if ps.counted {
+	if !ps.closed.Swap(true) {
 		ps.db.preparedLive.Add(-1)
 	}
 	return nil
@@ -218,20 +218,26 @@ func (ps *PreparedStmt) Close() error {
 // errClosed is what executing a closed handle returns.
 var errClosed = fmt.Errorf("sqldb: prepared statement is closed")
 
-// Execute runs the prepared statement with fresh parameters: a batch of one
-// binding (see execBatch), which counts in neither BatchExecs nor
-// BatchBindings. DDL, which reads no plan, runs through execDDL.
+// Execute runs the prepared statement with fresh parameters (see
+// sharedStmt.execute).
 func (ps *PreparedStmt) Execute(params *Params) (*Result, error) {
 	if ps.closed.Load() {
 		return nil, errClosed
 	}
-	switch stmt := ps.plan.Load().stmt.(type) {
+	return ps.execute(params)
+}
+
+// execute runs the statement with fresh parameters: a batch of one binding
+// (see execBatch), which counts in neither BatchExecs nor BatchBindings. DDL,
+// which reads no plan, runs through execDDL.
+func (s *sharedStmt) execute(params *Params) (*Result, error) {
+	switch stmt := s.plan.Load().stmt.(type) {
 	case *CreateTableStmt, *DropTableStmt, *CreateIndexStmt:
-		return ps.db.execDDL(stmt)
+		return s.db.execDDL(stmt)
 	}
 	bindings := [1]*Params{params}
 	var out [1]BatchResult
-	if err := ps.execBatch(context.Background(), bindings[:], out[:]); err != nil {
+	if err := s.execBatch(context.Background(), bindings[:], out[:]); err != nil {
 		return nil, err
 	}
 	return out[0].Res, out[0].Err
@@ -240,19 +246,19 @@ func (ps *PreparedStmt) Execute(params *Params) (*Result, error) {
 // replan rebuilds the plan after a schema change. The parsed AST is reused;
 // only table resolution and the derived strategies are redone. The caller
 // holds the statement lock, so the schema cannot move while the plan is built.
-func (ps *PreparedStmt) replan() (*stmtPlan, error) {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	plan := ps.plan.Load()
-	if plan.version == ps.db.ddl.Load() {
+func (s *sharedStmt) replan() (*stmtPlan, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	plan := s.plan.Load()
+	if plan.version == s.db.ddl.Load() {
 		return plan, nil // another execution replanned first
 	}
-	fresh, err := ps.db.buildPlan(plan.stmt)
+	fresh, err := s.db.buildPlan(plan.stmt)
 	if err != nil {
 		return nil, err
 	}
-	ps.db.replans.Add(1)
-	ps.plan.Store(fresh)
+	s.db.replans.Add(1)
+	s.plan.Store(fresh)
 	return fresh, nil
 }
 
@@ -260,12 +266,11 @@ func (ps *PreparedStmt) replan() (*stmtPlan, error) {
 // current schema. The caller holds the statement lock, at least shared.
 func (db *DB) buildPlan(stmt Stmt) (*stmtPlan, error) {
 	p := &stmtPlan{
-		stmt:     stmt,
-		version:  db.ddl.Load(),
-		free:     make(map[Expr]*freeInfo),
-		keys:     make(map[Expr]string),
-		selects:  make(map[*SelectStmt]*selectPlan),
-		memoOnly: db.memoOnly.Load(),
+		stmt:    stmt,
+		version: db.ddl.Load(),
+		free:    make(map[Expr]*freeInfo),
+		keys:    make(map[Expr]string),
+		selects: make(map[*SelectStmt]*selectPlan),
 	}
 	switch st := stmt.(type) {
 	case *SelectStmt:
@@ -687,27 +692,27 @@ func (p *stmtPlan) analyzeSub(e Expr) {
 // planCacheEntry is one LRU slot.
 type planCacheEntry struct {
 	sql string
-	ps  *PreparedStmt
+	s   *sharedStmt
 }
 
-// cachedStmt returns a shared prepared statement for the SQL text, preparing
-// and caching it on a miss. A statement that fails to parse or plan returns
-// the error Prepare would, and is not counted as a miss.
-func (db *DB) cachedStmt(sql string) (*PreparedStmt, error) {
+// cachedStmt returns the shared statement for the SQL text, preparing and
+// caching it on a miss. A statement that fails to parse or plan returns the
+// error, and is not counted as a miss.
+func (db *DB) cachedStmt(sql string) (*sharedStmt, error) {
 	db.planMu.Lock()
 	if el, ok := db.planIdx[sql]; ok {
 		db.planLRU.MoveToFront(el)
-		ps := el.Value.(*planCacheEntry).ps
+		s := el.Value.(*planCacheEntry).s
 		db.planHits.Add(1)
 		db.planMu.Unlock()
-		return ps, nil
+		return s, nil
 	}
 	db.planMu.Unlock()
 
 	// Parse and plan outside the cache lock; concurrent misses on the same
 	// text may both prepare, and the first insert wins the slot (later ones
 	// adopt it and discard their own work).
-	ps, err := db.prepare(sql)
+	s, err := db.prepare(sql)
 	if err != nil {
 		return nil, err
 	}
@@ -715,28 +720,27 @@ func (db *DB) cachedStmt(sql string) (*PreparedStmt, error) {
 	db.planMu.Lock()
 	defer db.planMu.Unlock()
 	if el, ok := db.planIdx[sql]; ok {
-		return el.Value.(*planCacheEntry).ps, nil
+		return el.Value.(*planCacheEntry).s, nil
 	}
-	if ps.plan.Load().version != db.ddl.Load() {
+	if s.plan.Load().version != db.ddl.Load() {
 		// DDL (and clearPlanCache) ran while we were planning: don't insert
 		// the stale plan, or its resolved tables could pin dropped storage
 		// in the cache indefinitely. The statement itself still executes
 		// (its execution replans).
-		return ps, nil
+		return s, nil
 	}
-	db.planIdx[sql] = db.planLRU.PushFront(&planCacheEntry{sql: sql, ps: ps})
+	db.planIdx[sql] = db.planLRU.PushFront(&planCacheEntry{sql: sql, s: s})
 	for db.planLRU.Len() > db.planCap {
 		last := db.planLRU.Back()
 		entry := last.Value.(*planCacheEntry)
 		db.planLRU.Remove(last)
 		delete(db.planIdx, entry.sql)
-		// The evicted statement is NOT closed: a concurrent Exec may have
-		// fetched it just before the eviction and still be executing it.
-		// Cache-internal statements are uncounted, so dropping the
-		// reference is the whole cleanup.
+		// Handles over the evicted statement, and Execs that fetched it just
+		// before the eviction, keep their reference and go on executing it;
+		// dropping the cache's is the whole cleanup.
 		db.planEvicts.Add(1)
 	}
-	return ps, nil
+	return s, nil
 }
 
 // clearPlanCache drops every cached plan. Called on DDL: stale plans would
@@ -756,8 +760,9 @@ func (db *DB) clearPlanCache() {
 // section of cosyd's /metrics. A counter added here and to Counters reaches
 // all of them; nothing else spells the fields out.
 type Stats struct {
-	// PlanCacheHits / Misses / Evictions count ad-hoc Exec traffic through
-	// the LRU plan cache; PlanCacheEntries is the current cache population.
+	// PlanCacheHits / Misses / Evictions count Exec and Prepare traffic
+	// through the LRU plan cache; PlanCacheEntries is the current cache
+	// population.
 	PlanCacheHits      int64 `json:"plan_cache_hits"`
 	PlanCacheMisses    int64 `json:"plan_cache_misses"`
 	PlanCacheEvictions int64 `json:"plan_cache_evictions"`

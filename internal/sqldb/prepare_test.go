@@ -134,6 +134,16 @@ func TestPreparedClosedHandleFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A second handle over the text shares the plan cache's plan, and
+	// outlives the first.
+	other, err := db.Prepare(`SELECT COUNT(*) FROM runs`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer other.Close()
+	if other.sharedStmt != ps.sharedStmt {
+		t.Fatal("two handles over one text hold two plans")
+	}
 	if err := ps.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -142,6 +152,9 @@ func TestPreparedClosedHandleFails(t *testing.T) {
 	}
 	if _, err := ps.Execute(nil); err == nil {
 		t.Fatal("execute after close succeeded")
+	}
+	if _, err := other.Execute(nil); err != nil {
+		t.Fatalf("the other handle after close: %v", err)
 	}
 }
 
@@ -368,13 +381,11 @@ func TestPreparedConcurrentExecution(t *testing.T) {
 
 // TestPreparedConcurrentWithDDL interleaves executions with index creation;
 // executions may see the plan before or after, but must never fail or race.
+// Every worker prepares a handle of its own over the one text, so they all
+// replan the plan they share.
 func TestPreparedConcurrentWithDDL(t *testing.T) {
 	db := prepDB(t)
-	ps, err := db.Prepare(`SELECT v FROM times WHERE run_id = $r`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ps.Close()
+	const q = `SELECT v FROM times WHERE run_id = $r`
 	var wg sync.WaitGroup
 	errs := make(chan error, 16)
 	wg.Add(1)
@@ -386,6 +397,12 @@ func TestPreparedConcurrentWithDDL(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			ps, err := db.Prepare(q)
+			if err != nil {
+				errs <- err
+				return
+			}
+			defer ps.Close()
 			for i := 0; i < 40; i++ {
 				if _, err := ps.Execute(&Params{Named: map[string]Value{"r": NewInt(int64(1 + i%3))}}); err != nil {
 					errs <- err

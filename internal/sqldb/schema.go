@@ -256,10 +256,6 @@ type DB struct {
 	vecFbOrder atomic.Int64
 	vecFbSub   atomic.Int64
 	vecFbOther atomic.Int64
-	// memoOnly, raised only by tests, plans correlated subqueries without
-	// build sides: the per-row memo is the reference the decorrelated form
-	// is checked against.
-	memoOnly atomic.Bool
 	// seedHook, set only by tests (export_test.go), observes the seed of
 	// every vectorized scan: the FROM table and how many rows it seeded.
 	seedHook func(from *Table, rows int)

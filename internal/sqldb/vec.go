@@ -18,14 +18,27 @@ package sqldb
 // expressions (evaluated per surviving group through the hybrid row
 // evaluator, aggregates pre-folded), and correlated subqueries — including
 // unqualified free references, resolved through a compile-time mirror of the
-// frame chain's scope walk (corrRefs). A correlated scalar subquery takes the
-// first of three forms that fits (corrSub): corrLookup's index probe for the
-// attribute-dereference shape; a hash build per execution over every key,
-// probed once per outer row, when the subquery is linked to the compiling
-// SELECT by equality conjuncts only (decorrelate); and the per-row memo, which
-// serves every other shape and takes over at runtime whenever a probe or a
-// build cannot reproduce the row engine exactly. What remains refused, with
-// the fallback reason it is counted under (Stats.VecFallbackReasons):
+// frame chain's scope walk (corrRefs).
+//
+// The engines meet at one boundary, a SELECT node, which runs in one of three
+// forms:
+//
+//   - vectorized whole, every correlated subexpression in it taking one of two
+//     forms (corrSub): vecLazy, once per execution, when it reads no local
+//     table; or a hash build per execution, probed once per row, when it is a
+//     scalar subquery linked to the compiling SELECT by equality conjuncts
+//     only (decorrelate);
+//   - replayed whole on the row interpreter, when a build or a probe cannot
+//     reproduce the row engine at run time — a build that raises, a key
+//     beyond ±2^53, a probe key that fails to evaluate. The pipeline returns
+//     errReplay, and the node's dispatch site (execSelect, eval's subquery
+//     and EXISTS cases, the columnar UPDATE/DELETE) runs it again on the row
+//     interpreter, counted as a "subquery" fallback: exact by construction;
+//   - on the row interpreter from the start, when the compiler refuses its
+//     shape.
+//
+// What the compiler refuses, with the fallback reason it is counted under
+// (Stats.VecFallbackReasons):
 //
 //   - equi-join outer keys that read the joined table itself (the row engine
 //     evaluates them with that row unset, which the compiled form cannot
@@ -35,10 +48,15 @@ package sqldb
 //   - grouped ORDER BY expressions whose aggregate arguments are not
 //     error-free when HAVING could reject the group, and non-grouped ORDER BY
 //     expressions that do not compile — "order-by-expr";
-//   - correlated subqueries whose free references reach a local table not yet
-//     bound at the pipeline stage, resolve into more than two local tables
-//     (the memo key packs two positions), or traverse an inner scope the
-//     compile-time walk cannot mirror — "subquery";
+//   - correlated subexpressions that read a local table and are not an
+//     equality-correlated scalar subquery with INTEGER or BOOLEAN keys —
+//     correlated EXISTS and IN, non-equality correlation, REAL or TEXT keys,
+//     more than two keys, a computed inner key beside a residual conjunct, a
+//     residual conjunct that could seed the subquery's table through an
+//     access path, a build that does not vectorize — and those whose free
+//     references reach a local table not yet bound at the pipeline stage, or
+//     traverse an inner scope the compile-time walk cannot mirror —
+//     "subquery";
 //   - columns that do not resolve, or resolve ambiguously, within the
 //     SELECT's own tables; aggregates outside grouped projections/HAVING,
 //     nested aggregates, and malformed calls; non-closed LIMIT expressions;
@@ -170,12 +188,9 @@ type vecCtx struct {
 	// btStore backs bts so bound tables need no per-execution allocations.
 	btStore []boundTable
 	// subVals memoizes lazily evaluated closed subexpressions for this
-	// execution; inSubs memoizes IN-subquery candidate lists; corrMemo
-	// memoizes correlated subexpressions per (expression, local row
-	// positions) — see corrSub.
-	subVals  map[Expr]Value
-	inSubs   map[*EIn][]Value
-	corrMemo map[corrKey]Value
+	// execution; inSubs memoizes IN-subquery candidate lists.
+	subVals map[Expr]Value
+	inSubs  map[*EIn][]Value
 	// colPool is a free list of scratch vcols; selBuf is the reusable
 	// selection vector of the filter operators; seed and keyBuf are the
 	// reusable seed-position and group-key buffers.
@@ -254,7 +269,6 @@ func (vc *vecCtx) release() {
 	vc.fr = frame{}
 	clear(vc.subVals)
 	clear(vc.inSubs)
-	clear(vc.corrMemo)
 	clear(vc.pre)
 	for i := range vc.sg.accs {
 		vc.sg.accs[i] = aggAcc{}
@@ -279,7 +293,7 @@ func (vc *vecCtx) release() {
 	clear(vc.callArgs[:cap(vc.callArgs)])
 	for i := range vc.builds {
 		bd := &vc.builds[i]
-		bd.state = buildPending
+		bd.done = false
 		clear(bd.index)
 		clear(bd.hits)
 		clear(bd.accs)
@@ -287,19 +301,6 @@ func (vc *vecCtx) release() {
 	}
 	vc.b.n, vc.nb.n = 0, 0
 	vecCtxPool.Put(vc)
-}
-
-// corrKey identifies one memoized evaluation of a correlated subexpression:
-// its canonical text, interned per plan (stmtPlan.corrID), plus the packed
-// storage positions of the local tables it reads. Keying by text rather than
-// by node makes the several spellings of one value — a LET-bound subquery the
-// property compiler renders once per use — one evaluation per outer row:
-// within one SELECT's execution equal text resolves against the same scopes,
-// so it has the same value. Positions are a perfect proxy for row contents —
-// DML never runs concurrently with a SELECT (exclusive statement lock).
-type corrKey struct {
-	id  int32
-	pos uint64
 }
 
 func (vc *vecCtx) getCol() *vcol {
@@ -893,17 +894,6 @@ func closedSelect(st *SelectStmt) bool {
 	return !fi.unqual && len(fi.quals) == 0
 }
 
-// freeOf returns the free-variable analysis of e, reusing the plan's memo
-// when available.
-func (cp *vecCompiler) freeOf(e Expr) *freeInfo {
-	if fi, ok := cp.p.free[e]; ok {
-		return fi
-	}
-	fi := &freeInfo{}
-	collectFree(e, nil, fi, make(map[string]bool))
-	return fi
-}
-
 // corrScope is one inner SELECT's scope during corrRefs's walk: its planned
 // tables, visible up to limit — the number of tables the row engine has bound
 // at the clause being walked (join-On clauses and access-path seeds run with
@@ -1087,46 +1077,46 @@ func (w *corrWalk) walkSel(st *SelectStmt) {
 }
 
 // corrSub compiles a correlated subexpression (a subquery, EXISTS, or IN)
-// into a vexpr. A scalar subquery takes the first of three forms that fits:
+// into a vexpr, in one of two forms:
 //
-//  1. corrLookup — the attribute-dereference shape, one index probe per row;
-//  2. decorrelate — equality-correlated subqueries, one hash build per
-//     execution over every key and one probe per row;
-//  3. the memo — every other shape, and the runtime fallback of the two
-//     above.
+//  1. vecLazy, when the expression depends on no local table — correlated
+//     only with enclosing SELECTs, as every subquery nested below the context
+//     relation of a set-form property query is. Its free references resolve
+//     in outer frames, which are fixed for the whole execution, so it has one
+//     value per execution, like a closed one: evaluated on the first batch
+//     that reaches it and handed out as a constant.
+//  2. decorrelate, for a scalar subquery linked to the compiling SELECT by
+//     equality conjuncts only: one hash build per execution over every key,
+//     probed once per row.
 //
-// The memo binds the local rows the expression depends on and delegates to
-// the row evaluator — so semantics, including every error, are the row
-// engine's by construction — memoized per distinct combination of local row
-// positions under the expression's canonical text (corrKey). The dependency
-// set comes from corrRefs, a compile-time mirror of the frame chain's scope
-// walk, so unqualified references resolve exactly as they would at runtime.
-// Free references beyond the local tables resolve in *outer* frames, which
-// are fixed for the whole execution, so they do not enter the memo key; a
+// Every other correlated shape refuses, under "subquery", and the whole
+// SELECT node runs on the row interpreter. The dependency set comes from
+// corrRefs, a compile-time mirror of the frame chain's scope walk, so
+// unqualified references resolve exactly as they would at runtime; a
 // reference reaching a local table beyond ntab (not yet bound at this
 // pipeline stage) refuses.
 //
-// An expression that depends on no local table at all — correlated only with
-// enclosing SELECTs, as every subquery nested below the context relation of a
-// set-form property query is — has one value per execution, like a closed
-// one: it is evaluated on the first batch that reaches it and handed out as a
-// constant (vecLazy), not probed per row.
-//
-// The row engine re-evaluates the subexpression per tuple; it is
-// deterministic and side-effect free, so per-distinct-row evaluation returns
-// the same values and raises an error for the same batches of rows. When
-// duplicates exist the evaluation *count* differs, never the outcome. For the
-// same reason every spelling of one canonical text at one pipeline stage
-// shares one compiled form (corrSite): a LET value the property compiler
-// renders in c0 and again in s0 is analyzed and compiled once.
+// Every spelling of one canonical text at one pipeline stage shares one
+// compiled form (corrSite), and so one build: a LET value the property
+// compiler renders in c0 and again in s0 is analyzed, compiled and built
+// once. Within one SELECT's execution equal text resolves against the same
+// scopes, so it has the same value.
 func (cp *vecCompiler) corrSub(e Expr, ntab int) (vexpr, bool) {
 	site := corrSite{id: cp.p.corrID(e), ntab: ntab}
 	if ve, ok := cp.subs[site]; ok {
 		return ve, true
 	}
-	ve, ok := cp.compileCorr(e, ntab, site.id)
+	deps, ok := cp.corrRefs(e, ntab, nil)
 	if !ok {
-		return nil, false
+		return nil, cp.fail(fbSubquery)
+	}
+	var ve vexpr
+	if len(deps.locals) == 0 {
+		ve = vecLazy(e)
+	} else if x, isSub := e.(*ESubquery); !isSub {
+		return nil, cp.fail(fbSubquery)
+	} else if ve, ok = cp.decorrelate(x, ntab); !ok {
+		return nil, cp.fail(fbSubquery)
 	}
 	if cp.subs == nil {
 		cp.subs = make(map[corrSite]vexpr)
@@ -1141,187 +1131,6 @@ func (cp *vecCompiler) corrSub(e Expr, ntab int) (vexpr, bool) {
 type corrSite struct {
 	id   int32
 	ntab int
-}
-
-// compileCorr builds corrSub's vexpr for the subexpression whose canonical
-// text is id.
-func (cp *vecCompiler) compileCorr(e Expr, ntab int, id int32) (vexpr, bool) {
-	deps, ok := cp.corrRefs(e, ntab, nil)
-	if !ok {
-		return nil, cp.fail(fbSubquery)
-	}
-	locals := deps.locals
-	if len(locals) > 2 {
-		return nil, cp.fail(fbSubquery) // memo key packs at most two positions
-	}
-	if len(locals) == 0 {
-		return vecLazy(e), true
-	}
-	memoized := func(vc *vecCtx, b *vbatch, out *vcol) error {
-		vals := out.alloc(b.n)
-		for i := 0; i < b.n; i++ {
-			key := corrKey{id: id}
-			for _, t := range locals {
-				key.pos = key.pos<<32 | uint64(uint32(b.pos[t][i]))
-			}
-			if v, ok := vc.corrMemo[key]; ok {
-				vals[i] = v
-				continue
-			}
-			for _, t := range locals {
-				vc.bts[t].bind(int(b.pos[t][i]))
-			}
-			v, err := vc.ec.eval(e, &vc.fr)
-			for _, t := range locals {
-				vc.bts[t].at = 0
-			}
-			if err != nil {
-				return err
-			}
-			if vc.corrMemo == nil {
-				vc.corrMemo = make(map[corrKey]Value)
-			}
-			vc.corrMemo[key] = v
-			vals[i] = v
-		}
-		return nil
-	}
-	if x, isSub := e.(*ESubquery); isSub {
-		if ve, ok := cp.corrLookup(x, ntab, memoized); ok {
-			return ve, true
-		}
-		if ve, ok := cp.decorrelate(x, ntab, memoized); ok {
-			return ve, true
-		}
-	}
-	return memoized, true
-}
-
-// corrLookup vectorizes the correlated point-lookup shape the ASL property
-// compiler emits for attribute dereference:
-//
-//	(SELECT d.attr FROM Class d WHERE d.id = <expr over local tables>)
-//
-// a single-table, single-column scalar subquery whose WHERE is exactly one
-// equality pinning a column of the inner table to an expression over the
-// local batch tables. The row engine runs the full execSelect machinery per
-// outer tuple — frames, seeding, a ResultSet — for what is one hash-index
-// probe. Here the key side is evaluated batch-at-a-time, then each row does
-// the probe plus the same equality recheck the row engine applies after
-// index seeding (shared applyBinary kernel, same operand order), so NULL
-// keys, duplicate matches, and comparison errors behave identically:
-// 0 matches → NULL, n>1 matches → the row engine's cardinality error.
-//
-// Two nuances route to the generic delegation path (slow, corrSub's memoized
-// form) at runtime rather than diverge: a missing index on the pinned column (the row engine
-// would scan), and a key evaluation error (the row engine surfaces it only
-// through the per-row recheck, which it never reaches when the inner table
-// is empty).
-func (cp *vecCompiler) corrLookup(x *ESubquery, ntab int, slow vexpr) (vexpr, bool) {
-	st := x.Select
-	if st.From == nil || len(st.Joins) != 0 || st.Where == nil ||
-		len(st.GroupBy) != 0 || st.Having != nil || len(st.OrderBy) != 0 ||
-		st.Limit != nil || len(st.Items) != 1 || st.Items[0].Star {
-		return nil, false
-	}
-	sub := cp.p.selects[st]
-	if sub == nil || sub.from == nil {
-		return nil, false
-	}
-	t, binding := sub.from, sub.fromBinding
-	itemCol, ok := subTableCol(st.Items[0].Expr, binding, t)
-	if !ok {
-		return nil, false
-	}
-	eq, ok := st.Where.(*EBinary)
-	if !ok || eq.Op != OpEq {
-		return nil, false
-	}
-	keyCol, keyExpr, colIsLeft := -1, Expr(nil), false
-	if c, ok := subTableCol(eq.L, binding, t); ok {
-		keyCol, keyExpr, colIsLeft = c, eq.R, true
-	} else if c, ok := subTableCol(eq.R, binding, t); ok {
-		keyCol, keyExpr, colIsLeft = c, eq.L, false
-	}
-	if keyCol < 0 {
-		return nil, false
-	}
-	// The key must vectorize over the local tables alone; references into
-	// the inner scope (or unqualified names, which the inner scope could
-	// shadow) would compile against the wrong tables.
-	fi := cp.freeOf(keyExpr)
-	if fi.unqual {
-		return nil, false
-	}
-	for _, q := range fi.quals {
-		if q == binding {
-			return nil, false
-		}
-	}
-	kx, ok := cp.compile(keyExpr, ntab)
-	if !ok {
-		return nil, false
-	}
-	return func(vc *vecCtx, b *vbatch, out *vcol) error {
-		// Grab the probe index once per batch: index mutations happen only
-		// under the exclusive DB statement lock, which excludes SELECTs.
-		idx := t.index(keyCol)
-		if idx == nil {
-			return slow(vc, b, out)
-		}
-		kc := vc.getCol()
-		defer vc.putCol(kc)
-		if err := kx(vc, b, kc); err != nil {
-			return slow(vc, b, out)
-		}
-		vals := out.alloc(b.n)
-		for i := 0; i < b.n; i++ {
-			kv := kc.at(i)
-			nmatch, matched := 0, -1
-			for _, p := range idx.get(kv) {
-				sv := t.cols[keyCol].value(p)
-				var eqv Value
-				var err error
-				if colIsLeft {
-					eqv, err = applyBinary(OpEq, sv, kv)
-				} else {
-					eqv, err = applyBinary(OpEq, kv, sv)
-				}
-				if err != nil {
-					return err
-				}
-				if !eqv.IsNull() && eqv.Bool() {
-					nmatch++
-					matched = p
-				}
-			}
-			switch nmatch {
-			case 0:
-				vals[i] = Null
-			case 1:
-				vals[i] = t.cols[itemCol].value(matched)
-			default:
-				return fmt.Errorf("sqldb: scalar subquery returned %d rows", nmatch)
-			}
-		}
-		return nil
-	}, true
-}
-
-// subTableCol resolves an expression as a plain column of the subquery's own
-// table: qualified by its binding, or unqualified with the name present in
-// the table (the inner scope wins resolution in both engines).
-func subTableCol(e Expr, binding string, t *Table) (int, bool) {
-	x, ok := e.(*EColumn)
-	if !ok {
-		return 0, false
-	}
-	lqual, lname := x.keys()
-	if lqual != "" && lqual != binding {
-		return 0, false
-	}
-	c, ok := t.colIdx[lname]
-	return c, ok
 }
 
 // corrBuildPlan is the build side of a decorrelated subquery (decorrelate):
@@ -1360,25 +1169,25 @@ type corrBuildPlan struct {
 // (planJoinAccess); it filters by every non-key conjunct and evaluates the
 // inner keys on every row that passes — so an inner key that could raise
 // (anything but a column or a literal) is allowed only without such a
-// filter. A build that succeeds has therefore seen every
-// error the correlated form could raise. One that fails, and a probe key that
-// fails to evaluate (the correlated form evaluates it only against rows of
-// the subquery, which may have none), hand the batch to slow, the memo, which
-// reproduces the row engine exactly. Per key, rows arrive in FROM-table
-// storage order, then join-match order — the order the correlated execution
-// visits them — so aggregates fold bit-identically.
+// filter. A build that succeeds has therefore seen every error the
+// correlated form could raise. One that fails, and a probe key that fails to
+// evaluate (the correlated form evaluates it only against rows of the
+// subquery, which may have none), return errReplay: the compiling SELECT
+// runs again, whole, on the row interpreter. Per key, rows arrive in
+// FROM-table storage order, then join-match order — the order the correlated
+// execution visits them — so aggregates fold bit-identically.
 //
 // Both sides of a key share one static type, INTEGER or BOOLEAN (keyType):
 // hash equality is Compare's equality there — across types, or for REALs,
 // where NaN compares equal to every number, it is not — and for INTEGERs
 // only within ±2^53, beyond which Compare's float64 conversion merges
-// neighbours; such keys hand the batch to slow at runtime (corrHash). TEXT
-// keys would hash exactly too; no property needs them, so they stay on the
-// memo and the hash key stays two machine words.
-func (cp *vecCompiler) decorrelate(x *ESubquery, ntab int, slow vexpr) (vexpr, bool) {
+// neighbours; such keys replay at runtime (corrHash). TEXT keys would hash
+// exactly too; no property needs them, so they refuse and the hash key stays
+// two machine words.
+func (cp *vecCompiler) decorrelate(x *ESubquery, ntab int) (vexpr, bool) {
 	st := x.Select
 	sp := cp.p.selects[st]
-	if cp.p.memoOnly || sp == nil || sp.from == nil || st.Where == nil ||
+	if sp == nil || sp.from == nil || st.Where == nil ||
 		len(st.GroupBy) != 0 || st.Having != nil || len(st.OrderBy) != 0 ||
 		st.Limit != nil || len(st.Items) != 1 || st.Items[0].Star {
 		return nil, false
@@ -1447,7 +1256,7 @@ func (cp *vecCompiler) decorrelate(x *ESubquery, ntab int, slow vexpr) (vexpr, b
 		}
 		keys[j] = ke
 	}
-	return corrProbe(bp, keys, slow), true
+	return corrProbe(bp, keys), true
 }
 
 // keySides splits a correlated WHERE conjunct of a subquery into the inner
@@ -1582,7 +1391,7 @@ func (cp *vecCompiler) corrBuild(id int32, st *SelectStmt, sp *selectPlan, inner
 // corrProbe is the per-row side of a decorrelated subquery: evaluate the
 // outer keys over the batch, build on first use (vecCtx.buildSide), and look
 // every row up.
-func corrProbe(bp *corrBuildPlan, keys []vexpr, slow vexpr) vexpr {
+func corrProbe(bp *corrBuildPlan, keys []vexpr) vexpr {
 	return func(vc *vecCtx, b *vbatch, out *vcol) error {
 		var cols [2]*vcol
 		defer func() {
@@ -1594,13 +1403,13 @@ func corrProbe(bp *corrBuildPlan, keys []vexpr, slow vexpr) vexpr {
 		}()
 		for j, ke := range keys {
 			cols[j] = vc.getCol()
-			if err := ke(vc, b, cols[j]); err != nil {
-				return slow(vc, b, out)
+			if ke(vc, b, cols[j]) != nil {
+				return errReplay
 			}
 		}
-		bd := vc.buildSide(bp)
-		if bd == nil {
-			return slow(vc, b, out)
+		bd, err := vc.buildSide(bp)
+		if err != nil {
+			return err
 		}
 		vals := out.alloc(b.n)
 		var kv [2]Value
@@ -1611,7 +1420,7 @@ func corrProbe(bp *corrBuildPlan, keys []vexpr, slow vexpr) vexpr {
 			k, null, ok := corrHash(kv[:len(keys)])
 			switch {
 			case !ok:
-				return slow(vc, b, out)
+				return errReplay
 			case null:
 				vals[i] = bp.empty
 				continue

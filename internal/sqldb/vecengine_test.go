@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
@@ -309,41 +310,40 @@ func TestVecPropertyShapeVectorizes(t *testing.T) {
 	}
 }
 
-// TestCorrelatedDuplicatesExecuteOnce: build sides, like the memo behind
-// them, are keyed by canonical text, so the two spellings of one value — a
-// LET-bound subquery the property compiler renders once per use, in c0 and
-// again in s0 — cost one build, not two: the outer execution plus one build,
-// however many outer rows probe it. The memo alone pays one execution per
-// outer row, again once for both spellings.
+// TestCorrelatedDuplicatesExecuteOnce: build sides are keyed by canonical
+// text, so the two spellings of one value — a LET-bound subquery the property
+// compiler renders once per use, in c0 and again in s0 — cost one build, not
+// two: the outer execution plus one build, however many outer rows probe it.
+// The row engine gives the same rows.
 func TestCorrelatedDuplicatesExecuteOnce(t *testing.T) {
 	db := parityDB(t)
-	if err := db.SetEngine(EngineVector); err != nil {
-		t.Fatal(err)
-	}
-	defer db.SetDecorrelation(true)
 	const sub = `(SELECT SUM(i.val) FROM item i WHERE i.grp = g.id AND i.id < 500)`
-	selects := func(sql string) int64 {
+	run := func(engine, sql string) (*ResultSet, int64) {
+		if err := db.SetEngine(engine); err != nil {
+			t.Fatal(err)
+		}
 		before := db.Stats()
-		if _, err := db.Exec(sql, nil); err != nil {
+		res, err := db.Exec(sql, nil)
+		if err != nil {
 			t.Fatal(err)
 		}
 		after := db.Stats()
 		if after.VecFallbacks != before.VecFallbacks {
 			t.Fatalf("%s fell back: %+v", sql, after.VecFallbackReasons)
 		}
-		return after.VecSelects - before.VecSelects
+		return res.Set, after.VecSelects - before.VecSelects
 	}
-	const outerRows = 4
-	for _, tc := range []struct {
-		decorrelate bool
-		want        int64
-	}{{true, 1 + 1}, {false, 1 + outerRows}} {
-		db.SetDecorrelation(tc.decorrelate)
-		once := selects(`SELECT g.id, ` + sub + ` > 100 AS c0 FROM grp g`)
-		twice := selects(`SELECT g.id, ` + sub + ` > 100 AS c0, ` + sub + ` / 2 AS s0 FROM grp g`)
-		if once != tc.want || twice != once {
-			t.Errorf("decorrelation %v: one use of the subquery: %d SELECTs, two uses: %d; want %d both",
-				tc.decorrelate, once, twice, tc.want)
+	defer db.SetEngine(EngineVector)
+	for _, sql := range []string{
+		`SELECT g.id, ` + sub + ` > 100 AS c0 FROM grp g`,
+		`SELECT g.id, ` + sub + ` > 100 AS c0, ` + sub + ` / 2 AS s0 FROM grp g`,
+	} {
+		vec, selects := run(EngineVector, sql)
+		if selects != 1+1 {
+			t.Errorf("%s: %d SELECTs, want 2: the outer one and one build", sql, selects)
+		}
+		if row, _ := run(EngineRow, sql); !reflect.DeepEqual(vec, row) {
+			t.Errorf("%s diverges:\nvector: %+v\nrow:    %+v", sql, vec, row)
 		}
 	}
 }
@@ -372,85 +372,176 @@ func decorrDB(t testing.TB) *DB {
 }
 
 // TestDecorrelatedSubqueriesAgree: a correlated subquery answered from a
-// build side gives what the row engine gives, and what the per-row memo
-// gives, errors included, for the shapes where hashing could part from
-// per-row execution. selects is the VecSelects delta of the decorrelated
-// execution: the outer SELECT plus one per build — plus, where the memo
-// serves the subquery, one per outer row it evaluates.
+// build side gives what the row engine gives, errors included, for the shapes
+// where hashing could part from per-row execution. selects is the VecSelects
+// delta of the vectorized execution: the outer SELECT plus one per build —
+// or, where the outer SELECT runs on the row interpreter (fallback: refused
+// at compile time, or replayed after its build failed), one per outer row
+// that evaluates the subquery, plus the failed build.
 func TestDecorrelatedSubqueriesAgree(t *testing.T) {
 	db := decorrDB(t)
-	defer db.SetDecorrelation(true)
+	defer db.SetEngine(EngineVector)
 	cases := []struct {
-		name    string
-		sql     string
-		selects int64
-		wantErr bool
+		name     string
+		sql      string
+		selects  int64
+		fallback bool
+		wantErr  bool
 	}{
-		// Key 3 has two rows: an error for the row that probes it. (A WHERE
-		// of the key alone would take corrLookup's index probe instead; run
-		// > 0 holds everywhere.)
-		{"duplicate-probed", `SELECT o.id, (SELECT s.v FROM s WHERE s.k = o.k AND s.run > 0) FROM o ORDER BY o.id`, 2, true},
-		{"duplicate-unprobed", `SELECT o.id, (SELECT s.v FROM s WHERE s.k = o.k AND s.run > 0) FROM o WHERE o.k <> 3 ORDER BY o.id`, 2, false},
+		// Key 3 has two rows: an error for the row that probes it.
+		{"duplicate-probed", `SELECT o.id, (SELECT s.v FROM s WHERE s.k = o.k AND s.run > 0) FROM o ORDER BY o.id`, 2, false, true},
+		{"duplicate-unprobed", `SELECT o.id, (SELECT s.v FROM s WHERE s.k = o.k AND s.run > 0) FROM o WHERE o.k <> 3 ORDER BY o.id`, 2, false, false},
 		// The grammar has no CASE; AND's short circuit is the guard. Row 3
 		// never evaluates the probe, so nothing raises.
-		{"duplicate-guarded", `SELECT o.id, o.id <> 3 AND (SELECT s.v FROM s WHERE s.k = o.k AND s.run > 0) > 1 FROM o ORDER BY o.id`, 2, false},
+		{"duplicate-guarded", `SELECT o.id, o.id <> 3 AND (SELECT s.v FROM s WHERE s.k = o.k AND s.run > 0) > 1 FROM o ORDER BY o.id`, 2, false, false},
 		{"missing-keys", `SELECT o.id, (SELECT s.v FROM s WHERE s.k = o.k AND s.run < 2), (SELECT SUM(s.v) FROM s WHERE s.k = o.k),
-			(SELECT COUNT(*) FROM s WHERE s.k = o.k), (SELECT COUNT(s.w) FROM s WHERE o.k = s.k) FROM o ORDER BY o.id`, 5, false},
-		{"null-keys", `SELECT o.id, (SELECT COUNT(*) FROM s WHERE s.k = o.k), (SELECT MAX(s.v) FROM s WHERE o.k = s.k) FROM o ORDER BY o.id`, 3, false},
-		// REAL against INTEGER does not hash like it compares: the memo
-		// serves the subquery, one execution per outer row.
-		{"int-float-key", `SELECT o.id, (SELECT COUNT(*) FROM s WHERE s.kf = o.k) FROM o ORDER BY o.id`, 1 + 6, false},
+			(SELECT COUNT(*) FROM s WHERE s.k = o.k), (SELECT COUNT(s.w) FROM s WHERE o.k = s.k) FROM o ORDER BY o.id`, 5, false, false},
+		{"null-keys", `SELECT o.id, (SELECT COUNT(*) FROM s WHERE s.k = o.k), (SELECT MAX(s.v) FROM s WHERE o.k = s.k) FROM o ORDER BY o.id`, 3, false, false},
+		// REAL against INTEGER does not hash like it compares: refused, the
+		// outer SELECT runs on the row interpreter, the subquery once per
+		// outer row.
+		{"int-float-key", `SELECT o.id, (SELECT COUNT(*) FROM s WHERE s.kf = o.k) FROM o ORDER BY o.id`, 6, true, false},
 		// The build divides by zero on key 9, which no outer row probes: the
-		// failed build counts, then the memo answers per outer row.
-		{"residual-error-unprobed", `SELECT o.id, (SELECT s.v FROM s WHERE s.k = o.k AND s.run < 2 AND 10 / s.w > 1) FROM o WHERE o.k IS NOT NULL ORDER BY o.id`, 1 + 1 + 5, false},
+		// failed build counts, then the outer SELECT replays on the row
+		// interpreter and runs the subquery per outer row with a key.
+		{"residual-error-unprobed", `SELECT o.id, (SELECT s.v FROM s WHERE s.k = o.k AND s.run < 2 AND 10 / s.w > 1) FROM o WHERE o.k IS NOT NULL ORDER BY o.id`, 1 + 5, true, false},
 		// A residual pinning the FROM table's column could seed the
-		// correlated execution through an index, by Key equality: the memo.
-		{"residual-access-path", `SELECT o.id, (SELECT s.v FROM s WHERE s.k = o.k AND s.run = 1) FROM o ORDER BY o.id`, 1 + 6, false},
-		{"empty-outer", `SELECT o.id, (SELECT s.v FROM s WHERE s.k = o.k AND s.run > 0) FROM o WHERE o.id < 0`, 1, false},
+		// correlated execution through an index, by Key equality: refused.
+		{"residual-access-path", `SELECT o.id, (SELECT s.v FROM s WHERE s.k = o.k AND s.run = 1) FROM o ORDER BY o.id`, 6, true, false},
+		{"empty-outer", `SELECT o.id, (SELECT s.v FROM s WHERE s.k = o.k AND s.run > 0) FROM o WHERE o.id < 0`, 1, false, false},
 		// Two key conjuncts whose second outer side is itself a probe: the
-		// set form's a12 shape, and its a4 shape with a subquery inner side.
-		{"two-key-probe", `SELECT o.id, (SELECT s.v FROM s WHERE s.k = o.k AND s.run = (SELECT MIN(m.run) FROM s m WHERE m.k = o.k)) FROM o ORDER BY o.id`, 3, false},
-		{"two-key-subquery-inner", `SELECT o.id, (SELECT s.run FROM s WHERE s.k = o.k AND (SELECT r.w FROM s r WHERE r.id = s.id) = (SELECT MAX(m.w) FROM s m WHERE m.k = o.k)) FROM o ORDER BY o.id`, 3, false},
+		// set form's a12 shape, and its a4 shape with a subquery inner side,
+		// which is a build of its own inside the first one's.
+		{"two-key-probe", `SELECT o.id, (SELECT s.v FROM s WHERE s.k = o.k AND s.run = (SELECT MIN(m.run) FROM s m WHERE m.k = o.k)) FROM o ORDER BY o.id`, 3, false, false},
+		{"two-key-subquery-inner", `SELECT o.id, (SELECT s.run FROM s WHERE s.k = o.k AND (SELECT r.w FROM s r WHERE r.id = s.id) = (SELECT MAX(m.w) FROM s m WHERE m.k = o.k)) FROM o ORDER BY o.id`, 4, false, false},
 	}
-	run := func(t *testing.T, sql, engine string, decorrelate bool) (*ResultSet, error, int64) {
+	type outcome struct {
+		set               *ResultSet
+		err               error
+		selects, fallback int64
+	}
+	run := func(t *testing.T, sql, engine string) outcome {
 		t.Helper()
 		if err := db.SetEngine(engine); err != nil {
 			t.Fatal(err)
 		}
-		db.SetDecorrelation(decorrelate)
 		before := db.Stats()
 		res, err := db.Exec(sql, nil)
 		after := db.Stats()
-		if after.VecFallbacks != before.VecFallbacks {
-			t.Fatalf("%s fell back: %+v", engine, after.VecFallbackReasons)
+		o := outcome{err: err, selects: after.VecSelects - before.VecSelects, fallback: after.VecFallbacks - before.VecFallbacks}
+		if sub := after.VecFallbackReasons.Subquery - before.VecFallbackReasons.Subquery; sub != o.fallback {
+			t.Fatalf("%s: %d fallbacks, %d of them under subquery: %+v", engine, o.fallback, sub, after.VecFallbackReasons)
 		}
-		if err != nil {
-			return nil, err, after.VecSelects - before.VecSelects
+		if err == nil {
+			o.set = res.Set
 		}
-		return res.Set, nil, after.VecSelects - before.VecSelects
+		return o
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			vec, vecErr, selects := run(t, c.sql, EngineVector, true)
-			memo, memoErr, _ := run(t, c.sql, EngineVector, false)
-			row, rowErr, _ := run(t, c.sql, EngineRow, true)
-			if selects != c.selects {
-				t.Errorf("decorrelated execution ran %d SELECTs, want %d", selects, c.selects)
+			vec := run(t, c.sql, EngineVector)
+			row := run(t, c.sql, EngineRow)
+			if vec.selects != c.selects {
+				t.Errorf("vectorized execution ran %d SELECTs, want %d", vec.selects, c.selects)
 			}
-			if (vecErr != nil) != c.wantErr {
-				t.Fatalf("error = %v, want error: %v", vecErr, c.wantErr)
+			if want := map[bool]int64{false: 0, true: 1}[c.fallback]; vec.fallback != want {
+				t.Errorf("%d fallbacks, want %d", vec.fallback, want)
 			}
-			for _, other := range []struct {
-				name string
-				set  *ResultSet
-				err  error
-			}{{"row engine", row, rowErr}, {"memo", memo, memoErr}} {
-				if fmt.Sprint(vecErr) != fmt.Sprint(other.err) {
-					t.Errorf("error diverges from the %s: decorrelated %v, %s %v", other.name, vecErr, other.name, other.err)
+			if (vec.err != nil) != c.wantErr {
+				t.Fatalf("error = %v, want error: %v", vec.err, c.wantErr)
+			}
+			if fmt.Sprint(vec.err) != fmt.Sprint(row.err) {
+				t.Errorf("error diverges from the row engine: vector %v, row %v", vec.err, row.err)
+			}
+			if !reflect.DeepEqual(vec.set, row.set) {
+				t.Errorf("result diverges from the row engine:\nvector: %+v\nrow:    %+v", vec.set, row.set)
+			}
+		})
+	}
+}
+
+// TestReplayBoundary: a correlated shape the vectorized compiler refuses, and
+// a build or probe that cannot reproduce the row engine at run time, run
+// their SELECT node — or their UPDATE — whole on the row interpreter: the
+// results and errors are the row engine's, each execution counts one
+// fallback, under subquery, and the replay sentinel never leaves the package,
+// executed alone or in a batch whose bindings differ in $t.
+func TestReplayBoundary(t *testing.T) {
+	db := decorrDB(t)
+	defer db.SetEngine(EngineVector)
+	for _, c := range []struct{ name, sql string }{
+		// Refused at compile time.
+		{"correlated-exists", `SELECT o.id FROM o WHERE EXISTS (SELECT s.id FROM s WHERE s.k = o.k AND s.run = $t) ORDER BY o.id`},
+		{"correlated-in", `SELECT o.id FROM o WHERE o.id + 9 IN (SELECT s.id FROM s WHERE s.k = o.k AND s.run >= $t) ORDER BY o.id`},
+		{"non-equality", `SELECT o.id, (SELECT COUNT(*) FROM s WHERE s.k < o.k AND s.run >= $t) FROM o ORDER BY o.id`},
+		{"real-key", `SELECT o.id, (SELECT COUNT(*) FROM s WHERE s.kf = o.k AND s.run >= $t) FROM o ORDER BY o.id`},
+		{"residual-access-path", `SELECT o.id, (SELECT s.v FROM s WHERE s.k = o.k AND s.run = $t) FROM o ORDER BY o.id`},
+		// Replayed at run time: the build divides by zero on key 9, which no
+		// outer row probes (and, for $t = 2, key 3 has two rows: an error on
+		// both engines); a probe key past 2^53; a probe key that divides by
+		// zero where the build, and so the correlated subquery, is empty.
+		{"build-error-unprobed", `SELECT o.id, (SELECT s.v FROM s WHERE s.k = o.k AND s.run <= $t AND 10 / s.w > 1) FROM o WHERE o.k IS NOT NULL ORDER BY o.id`},
+		{"key-past-2^53", `SELECT o.id, (SELECT COUNT(*) FROM s WHERE s.k = o.k + 9007199254740992 AND s.run >= $t) FROM o ORDER BY o.id`},
+		{"key-error-empty-build", `SELECT o.id, (SELECT COUNT(*) FROM s WHERE s.run > $t + 5 AND s.k = 10 / (o.k - 3)) FROM o ORDER BY o.id`},
+		{"update-build-error", `UPDATE o SET k = k WHERE o.k IS NOT NULL AND (SELECT s.v FROM s WHERE s.k = o.k AND s.run <= $t AND 10 / s.w > 1) IS NULL`},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			bindings := []*Params{
+				{Named: map[string]Value{"t": NewInt(1)}},
+				{Named: map[string]Value{"t": NewInt(2)}},
+			}
+			type outcome struct {
+				res                 []BatchResult
+				fallbacks, subquery int64
+			}
+			run := func(engine string) outcome {
+				if err := db.SetEngine(engine); err != nil {
+					t.Fatal(err)
 				}
-				if !reflect.DeepEqual(vec, other.set) {
-					t.Errorf("result diverges from the %s:\ndecorrelated: %+v\n%s: %+v", other.name, vec, other.name, other.set)
+				before := db.Stats()
+				var o outcome
+				for _, b := range bindings {
+					res, err := db.Exec(c.sql, b)
+					o.res = append(o.res, BatchResult{Res: res, Err: err})
 				}
+				ps, err := db.Prepare(c.sql)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer ps.Close()
+				batch, err := ps.ExecuteBatch(bindings)
+				if err != nil {
+					t.Fatal(err)
+				}
+				o.res = append(o.res, batch...)
+				after := db.Stats()
+				o.fallbacks = after.VecFallbacks - before.VecFallbacks
+				o.subquery = after.VecFallbackReasons.Subquery - before.VecFallbackReasons.Subquery
+				return o
+			}
+			vec, row := run(EngineVector), run(EngineRow)
+			if n := int64(len(vec.res)); vec.fallbacks != n || vec.subquery != n {
+				t.Errorf("%d executions counted %d fallbacks, %d under subquery; want %d and %d", n, vec.fallbacks, vec.subquery, n, n)
+			}
+			errs := 0
+			for i := range vec.res {
+				v, r := vec.res[i], row.res[i]
+				if errors.Is(v.Err, errReplay) || strings.Contains(fmt.Sprint(v.Err), errReplay.Error()) {
+					t.Fatalf("execution %d: the replay sentinel escaped: %v", i, v.Err)
+				}
+				if fmt.Sprint(v.Err) != fmt.Sprint(r.Err) {
+					t.Errorf("execution %d: error %v, row engine %v", i, v.Err, r.Err)
+				}
+				if v.Err != nil {
+					errs++
+					continue
+				}
+				if !reflect.DeepEqual(v.Res.Set, r.Res.Set) || v.Res.Affected != r.Res.Affected {
+					t.Errorf("execution %d:\nvector: %+v\nrow:    %+v", i, v.Res, r.Res)
+				}
+			}
+			if errs == len(vec.res) {
+				t.Errorf("every execution failed: %v", vec.res[0].Err)
 			}
 		})
 	}
@@ -742,11 +833,10 @@ func TestVecSumOrderStable(t *testing.T) {
 // order the correlated execution visits them — storage order — so a float
 // SUM whose value depends on that order (key 1 holds 1e16, 1, -1e16, 1:
 // 1 left to right, 2 or 0 in other orders; key 2's rows interleave) has the
-// row engine's bits and the memo's.
+// row engine's bits.
 func TestDecorrelatedSumOrderStable(t *testing.T) {
 	db := NewDB()
 	db.SetResultCacheSize(0)
-	defer db.SetDecorrelation(true)
 	db.MustExec(`CREATE TABLE g (id INTEGER PRIMARY KEY)`, nil)
 	db.MustExec(`CREATE TABLE f (id INTEGER PRIMARY KEY, k INTEGER, v REAL)`, nil)
 	db.MustExec(`INSERT INTO g (id) VALUES (1), (2)`, nil)
@@ -757,33 +847,28 @@ func TestDecorrelatedSumOrderStable(t *testing.T) {
 		db.MustExec(`INSERT INTO f (id, k, v) VALUES (?, ?, ?)`, &Params{Positional: []Value{NewInt(int64(i)), NewInt(r.k), NewFloat(r.v)}})
 	}
 	const q = `SELECT g.id, (SELECT SUM(f.v) FROM f WHERE f.k = g.id), (SELECT AVG(f.v) FROM f WHERE f.k = g.id) FROM g ORDER BY g.id`
-	run := func(engine string, decorrelate bool) *ResultSet {
+	run := func(engine string) *ResultSet {
 		t.Helper()
 		if err := db.SetEngine(engine); err != nil {
 			t.Fatal(err)
 		}
-		db.SetDecorrelation(decorrelate)
 		before := db.Stats()
 		set := mustQuery(t, db, q, nil)
-		if selects := db.Stats().VecSelects - before.VecSelects; engine == EngineVector && decorrelate && selects != 3 {
+		if selects := db.Stats().VecSelects - before.VecSelects; engine == EngineVector && selects != 3 {
 			t.Fatalf("%d SELECTs, want 3: the outer one and two builds", selects)
 		}
 		return set
 	}
-	got := run(EngineVector, true)
+	got := run(EngineVector)
 	if sum := got.Rows[0][1]; sum.Float() != 1 {
 		t.Errorf("SUM over key 1 = %s, want 1 (storage order)", sum)
 	}
-	for _, ref := range []struct {
-		name string
-		set  *ResultSet
-	}{{"row engine", run(EngineRow, true)}, {"memo", run(EngineVector, false)}} {
-		for i, r := range got.Rows {
-			for j, v := range r {
-				w := ref.set.Rows[i][j]
-				if v.String() != w.String() || math.Float64bits(v.Float()) != math.Float64bits(w.Float()) {
-					t.Errorf("row %d col %d: decorrelated %s (%b), %s %s (%b)", i, j, v, v.Float(), ref.name, w, w.Float())
-				}
+	ref := run(EngineRow)
+	for i, r := range got.Rows {
+		for j, v := range r {
+			w := ref.Rows[i][j]
+			if v.String() != w.String() || math.Float64bits(v.Float()) != math.Float64bits(w.Float()) {
+				t.Errorf("row %d col %d: decorrelated %s (%b), row engine %s (%b)", i, j, v, v.Float(), w, w.Float())
 			}
 		}
 	}

@@ -24,7 +24,10 @@ package sqldb
 // (execCtx.aggPre), against the group's representative row — and, once an
 // aggregate is read, its last row (execCtx.aggLast).
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
 
 // vecGroup is the streaming state of one group: the row positions of the
 // group's first row (mirroring the row engine's rep tuple) and of its last
@@ -51,32 +54,15 @@ func (ec *execCtx) vecExecSelect(st *SelectStmt, sp *selectPlan, parent *frame) 
 	return set, nil
 }
 
-// vecExecScalar evaluates a planned single-column SELECT in scalar-subquery
-// position without materializing a ResultSet — the shape the property
-// queries hit once per attribute dereference. Cardinality semantics are the
-// row engine's: 0 rows → NULL, one row → its value, more → the error.
-func (ec *execCtx) vecExecScalar(st *SelectStmt, sp *selectPlan, parent *frame) (Value, error) {
+// vecExecSub evaluates a planned SELECT in scalar-subquery or EXISTS
+// position (subValue) without materializing a ResultSet — the shape the
+// property queries hit once per attribute dereference.
+func (ec *execCtx) vecExecSub(st *SelectStmt, sp *selectPlan, exists bool, parent *frame) (Value, error) {
 	rows, err := ec.vecExecRows(st, sp, parent)
 	if err != nil {
 		return Null, err
 	}
-	switch len(rows) {
-	case 0:
-		return Null, nil
-	case 1:
-		return rows[0].row[0], nil
-	}
-	return Null, fmt.Errorf("sqldb: scalar subquery returned %d rows", len(rows))
-}
-
-// vecExecExists evaluates a planned SELECT in EXISTS position without
-// materializing a ResultSet.
-func (ec *execCtx) vecExecExists(st *SelectStmt, sp *selectPlan, parent *frame) (Value, error) {
-	rows, err := ec.vecExecRows(st, sp, parent)
-	if err != nil {
-		return Null, err
-	}
-	return NewBool(len(rows) > 0), nil
+	return subValue(exists, len(sp.vec.columns), len(rows), func(i int) Value { return rows[i].row[0] })
 }
 
 // vecExecRows runs the compiled pipeline of one planned SELECT and returns
@@ -181,8 +167,8 @@ func (vc *vecCtx) scan(sp *selectPlan, parent *frame, sink func(b *vbatch) error
 	vp := sp.vec
 
 	// Bind the tables. No row is bound — batch positions replace the
-	// binding — except while grouped finalization or the correlated memo
-	// evaluates one row through the row evaluator.
+	// binding — except while grouped finalization evaluates one row through
+	// the row evaluator.
 	// A table-less SELECT binds nothing and runs one batch of one empty
 	// tuple, mirroring the row engine's single seed tuple.
 	vc.fr = frame{parent: parent}
@@ -320,17 +306,11 @@ func (vc *vecCtx) scan(sp *selectPlan, parent *frame, sink func(b *vbatch) error
 // (corrBuildPlan), filled by the first probe that needs it: index maps each
 // key to its entry in hits and, for an aggregate item, in accs.
 type corrBuild struct {
-	state uint8 // buildPending, buildDone or buildFailed
+	done  bool
 	index map[corrHashKey]int32
 	hits  []corrHit
 	accs  []aggAcc
 }
-
-const (
-	buildPending uint8 = iota
-	buildDone
-	buildFailed
-)
 
 // corrHashKey is a build-side hash key: the INTEGER or BOOLEAN payloads of
 // its one or two components.
@@ -349,8 +329,11 @@ type corrHit struct {
 // integer equality.
 const exactInt = 1 << 53
 
-// errBuildKey aborts a build over a key corrHash refuses.
-var errBuildKey = fmt.Errorf("sqldb: build key outside exact hashing")
+// errReplay is what a vectorized SELECT returns when a build or a probe
+// cannot reproduce the row engine (see decorrelate): the SELECT node's
+// dispatch site runs it again, whole, on the row interpreter (replayed). It
+// never leaves the package.
+var errReplay = errors.New("sqldb: replay on the row interpreter")
 
 // corrHash packs a key tuple. null reports a NULL component, which never
 // matches; ok=false a component hashing cannot compare as Compare does — an
@@ -375,27 +358,27 @@ func corrHash(vals []Value) (k corrHashKey, null, ok bool) {
 }
 
 // buildSide returns this execution's build side of bp, running the build on
-// first use; nil when building failed and the memo serves the execution
-// instead.
-func (vc *vecCtx) buildSide(bp *corrBuildPlan) *corrBuild {
+// first use.
+func (vc *vecCtx) buildSide(bp *corrBuildPlan) (*corrBuild, error) {
 	for len(vc.builds) <= bp.slot {
 		vc.builds = append(vc.builds, corrBuild{})
 	}
 	bd := &vc.builds[bp.slot]
-	if bd.state == buildPending {
-		bd.state = vc.build(bp, bd)
+	if !bd.done {
+		if err := vc.build(bp, bd); err != nil {
+			return nil, err
+		}
+		bd.done = true
 	}
-	if bd.state == buildFailed {
-		return nil
-	}
-	return bd
+	return bd, nil
 }
 
 // build runs bp's synthesized SELECT — one planned execution, counted in
 // VecSelects, with the compiling SELECT's frame as parent, as the correlated
 // subquery has — folding its batches straight into the hash table. Any
-// error, and any key corrHash refuses, fails the build.
-func (vc *vecCtx) build(bp *corrBuildPlan, bd *corrBuild) uint8 {
+// error, and any key corrHash refuses, is errReplay: the build may have read
+// rows the correlated executions never visit.
+func (vc *vecCtx) build(bp *corrBuildPlan, bd *corrBuild) error {
 	vc.ec.db.vecSelects.Add(1)
 	bvc := acquireVecCtx(vc.ec, bp.sp.vec.nTab)
 	defer bvc.release()
@@ -403,7 +386,7 @@ func (vc *vecCtx) build(bp *corrBuildPlan, bd *corrBuild) uint8 {
 		bd.index = make(map[corrHashKey]int32)
 	}
 	if err := bvc.scan(bp.sp, &vc.fr, func(b *vbatch) error { return bvc.fold(bp, bd, b) }); err != nil {
-		return buildFailed
+		return errReplay
 	}
 	if bp.agg != "" {
 		for i := range bd.hits {
@@ -414,12 +397,12 @@ func (vc *vecCtx) build(bp *corrBuildPlan, bd *corrBuild) uint8 {
 			}
 			v, err := bd.accs[i].final(bp.agg, bp.agg)
 			if err != nil {
-				return buildFailed
+				return errReplay
 			}
 			h.v = v
 		}
 	}
-	return buildDone
+	return nil
 }
 
 // fold hashes one batch of a build's rows: it evaluates the keys and the
@@ -449,7 +432,7 @@ func (vc *vecCtx) fold(bp *corrBuildPlan, bd *corrBuild, b *vbatch) error {
 		k, null, ok := corrHash(kv[:bp.nkey])
 		switch {
 		case !ok:
-			return errBuildKey
+			return errReplay
 		case null:
 			continue
 		}
