@@ -92,9 +92,6 @@ func New(w *sem.World) *Evaluator {
 	return &Evaluator{world: w, consts: make(map[string]object.Value)}
 }
 
-// World returns the world the evaluator operates on.
-func (ev *Evaluator) World() *sem.World { return ev.world }
-
 // constValue resolves a specification constant from its declaration, caching
 // the result. A "user- or tool-defined threshold" in the paper's words is a
 // world that declares the constant with the user's value.

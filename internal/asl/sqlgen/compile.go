@@ -52,10 +52,6 @@ type CompiledProperty struct {
 	// and severity column.
 	ConfGuards []string
 	SevGuards  []string
-
-	// refs are the declared parameters the query references, in
-	// first-occurrence order.
-	refs []sem.Attr
 }
 
 // Render spells the property query for the named dialect. The kojakdb
@@ -68,61 +64,9 @@ func (cp *CompiledProperty) Render(dialect string) (build.Rendered, error) {
 	return d.Render(cp.AST)
 }
 
-// CheckBinding validates a parameter binding against the property's declared
-// parameters: every parameter the query references must be bound under
-// Params.Named with a value of the column type of its declared ASL type
-// (NULL is always accepted), and every bound name must be a declared
-// parameter.
-func (cp *CompiledProperty) CheckBinding(p *sqldb.Params) error {
-	var named map[string]sqldb.Value
-	if p != nil {
-		named = p.Named
-	}
-	for _, ref := range cp.refs {
-		v, ok := named[ref.Name]
-		if !ok {
-			return fmt.Errorf("sqlgen: property %s: no value bound for parameter $%s", cp.Name, ref.Name)
-		}
-		if t, err := colTypeFor(ref.Type); err == nil && !typeAccepts(t, v) {
-			return fmt.Errorf("sqlgen: property %s: parameter $%s wants %s, bound %s", cp.Name, ref.Name, typeNames[t], v)
-		}
-	}
-	if len(named) > len(cp.Params) {
-		declared := make(map[string]bool, len(cp.Params))
-		for _, p := range cp.Params {
-			declared[p.Name] = true
-		}
-		for name := range named {
-			if !declared[name] {
-				return fmt.Errorf("sqlgen: property %s: bound parameter $%s is not declared", cp.Name, name)
-			}
-		}
-	}
-	return nil
-}
-
-// typeNames spells column types in binding errors.
-var typeNames = [...]string{sqldb.TInt: "int", sqldb.TFloat: "float", sqldb.TText: "text", sqldb.TBool: "bool"}
-
-// typeAccepts reports whether a bound value fits a parameter's column type.
-// NULL is a legitimate binding for every type.
-func typeAccepts(t sqldb.ColType, v sqldb.Value) bool {
-	switch {
-	case v.IsNull():
-		return true
-	case t == sqldb.TInt:
-		return v.IsInt()
-	case t == sqldb.TFloat:
-		return v.IsNumeric()
-	case t == sqldb.TText:
-		return v.IsText()
-	}
-	return v.IsBool()
-}
-
 // FillPositional populates p.Positional with the named values in marker
 // order — the binding conversion for positional-marker dialects. Named stays
-// populated: sharded routing and binding checks read it.
+// populated: sharded routing reads it.
 func FillPositional(p *sqldb.Params, order []string) error {
 	vals := make([]sqldb.Value, len(order))
 	for i, name := range order {
@@ -413,13 +357,6 @@ func compileProperty(w *sem.World, name string, path *ContextPath) (*CompiledPro
 		out.SevGuards = append(out.SevGuards, g.Guard)
 	}
 	out.AST = sel
-	for _, m := range sqldb.SelectMarkers(sel) {
-		for _, p := range sig.Params {
-			if p.Name == m.Name {
-				out.refs = append(out.refs, p)
-			}
-		}
-	}
 	r, err := build.Kojakdb.Render(sel)
 	if err != nil {
 		return nil, fmt.Errorf("sqlgen: property %s: %w", name, err)

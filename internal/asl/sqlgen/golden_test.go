@@ -80,59 +80,6 @@ func TestGoldenSQLParses(t *testing.T) {
 	}
 }
 
-// TestCheckBinding covers the parameter-cardinality error cases: missing
-// parameter, kind mismatch, undeclared extra, and the accepted shapes
-// (exact binding, NULL for any kind).
-func TestCheckBinding(t *testing.T) {
-	w := model.MustCompileSpec()
-	cp, err := CompileProperty(w, "LoadImbalance")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cp.Params) != 3 {
-		t.Fatalf("LoadImbalance declares %d params, want 3", len(cp.Params))
-	}
-	bind := func(names ...string) *sqldb.Params {
-		p := &sqldb.Params{Named: map[string]sqldb.Value{}}
-		for _, n := range names {
-			p.Named[n] = sqldb.NewInt(1)
-		}
-		return p
-	}
-	all := []string{cp.Params[0].Name, cp.Params[1].Name, cp.Params[2].Name}
-
-	if err := cp.CheckBinding(bind(all...)); err != nil {
-		t.Errorf("full binding rejected: %v", err)
-	}
-	if err := cp.CheckBinding(bind(all[:2]...)); err == nil {
-		t.Error("missing parameter accepted")
-	} else if !strings.Contains(err.Error(), "no value bound") {
-		t.Errorf("missing parameter: wrong error %v", err)
-	}
-	extra := bind(all...)
-	extra.Named["intruder"] = sqldb.NewInt(7)
-	if err := cp.CheckBinding(extra); err == nil {
-		t.Error("undeclared extra parameter accepted")
-	} else if !strings.Contains(err.Error(), "not declared") {
-		t.Errorf("extra parameter: wrong error %v", err)
-	}
-	wrongKind := bind(all...)
-	wrongKind.Named[all[0]] = sqldb.NewText("not an id")
-	if err := cp.CheckBinding(wrongKind); err == nil {
-		t.Error("kind mismatch accepted (class-typed parameter bound to text)")
-	} else if !strings.Contains(err.Error(), "wants int") {
-		t.Errorf("kind mismatch: wrong error %v", err)
-	}
-	nulled := bind(all...)
-	nulled.Named[all[0]] = sqldb.Null
-	if err := cp.CheckBinding(nulled); err != nil {
-		t.Errorf("NULL binding rejected: %v", err)
-	}
-	if err := cp.CheckBinding(nil); err == nil {
-		t.Error("nil params accepted for a parameterized property")
-	}
-}
-
 // TestFillPositional checks the named→positional conversion used by
 // positional-marker dialects, including duplicated markers.
 func TestFillPositional(t *testing.T) {

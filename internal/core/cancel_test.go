@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/apprentice"
 	"repro/internal/godbc"
+	"repro/internal/sqldb"
 	"repro/internal/sqldb/wire"
 	"repro/internal/testutil"
 )
@@ -182,5 +183,61 @@ func TestShardedCancelAtCheckout(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("canceled analysis still waits at pool checkout")
+	}
+}
+
+// fetchExec records how the client-side engine fetches tables: through the
+// context-observing call or the plain one. onFetch runs before each fetch
+// (counted from 1) reaches the database.
+type fetchExec struct {
+	godbc.Embedded
+	plain, withCtx int
+	onFetch        func(n int)
+}
+
+func (e *fetchExec) ExecQuery(sql string, p *sqldb.Params) (*sqldb.ResultSet, error) {
+	e.plain++
+	e.onFetch(e.plain + e.withCtx)
+	return e.Embedded.ExecQuery(sql, p)
+}
+
+func (e *fetchExec) ExecQueryContext(ctx context.Context, sql string, p *sqldb.Params) (*sqldb.ResultSet, error) {
+	e.withCtx++
+	e.onFetch(e.plain + e.withCtx)
+	return e.Embedded.ExecQueryContext(ctx, sql, p)
+}
+
+// TestClientSideFetchesObserveTheContext: under a cancelable context every
+// table fetch of the client-side engine carries the context, and a cancel
+// during the third fetch ends the analysis with the context's error and no
+// fourth fetch.
+func TestClientSideFetchesObserveTheContext(t *testing.T) {
+	g := buildGraph(t, apprentice.Particles())
+	run := lastRun(g)
+	q := &fetchExec{Embedded: godbc.Embedded{DB: loadDB(t, g)}, onFetch: func(int) {}}
+	live, stop := context.WithCancel(context.Background())
+	defer stop()
+	if _, err := New(g).AnalyzeClientSideCtx(live, run, q); err != nil {
+		t.Fatal(err)
+	}
+	if q.plain != 0 || q.withCtx < 4 {
+		t.Fatalf("%d plain fetches and %d with the context, want none and every one", q.plain, q.withCtx)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	fetches := 0
+	q = &fetchExec{Embedded: q.Embedded, onFetch: func(n int) {
+		fetches = n
+		if n == 3 {
+			cancel()
+		}
+	}}
+	rep, err := New(g).AnalyzeClientSideCtx(ctx, run, q)
+	if !errors.Is(err, context.Canceled) || rep != nil {
+		t.Fatalf("report %v, err %v; want no report and context.Canceled", rep != nil, err)
+	}
+	if fetches != 3 {
+		t.Errorf("%d fetches, want the analysis to stop at the canceled third", fetches)
 	}
 }

@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"repro/internal/apprentice"
+	"repro/internal/asl/parser"
+	"repro/internal/asl/sem"
 	"repro/internal/asl/sqlgen"
 	"repro/internal/godbc"
 	"repro/internal/model"
@@ -157,6 +159,57 @@ func TestUnknownConstIsAnErrorOnEveryEngine(t *testing.T) {
 		rep, err := e.analyze()
 		if rep != nil || err == nil || err.Error() != "core: unknown constant NoSuchConst" {
 			t.Errorf("%s: report %v, err %v; want no report and the unknown constant named", e.name, rep != nil, err)
+		}
+	}
+}
+
+// TestMisshapenSignatureIsAnErrorOnEveryEngine: every engine binds a
+// property's parameters by position — context, run, ranking basis — so a user
+// property declaring another shape is refused by each of them, in the same
+// words naming it, before any evaluation: not analyzed into diagnostics that
+// differ by engine.
+func TestMisshapenSignatureIsAnErrorOnEveryEngine(t *testing.T) {
+	for _, c := range []struct{ decl, params string }{
+		{"Swapped(Region r, Region Basis, TestRun t)", "(Region r, Region Basis, TestRun t)"},
+		{"Unbased(Region r, TestRun t)", "(Region r, TestRun t)"},
+	} {
+		spec, err := parser.Parse(model.SpecSource + "\nproperty " + c.decl + ` {
+  CONDITION: Duration(r, t) > 0;
+  CONFIDENCE: 1;
+  SEVERITY: Duration(r, t);
+}
+`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		world, err := sem.Check(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := buildGraph(t, apprentice.Particles())
+		g.World = world
+		run := lastRun(g)
+		q := godbc.Embedded{DB: loadDB(t, g)}
+		name, _, _ := strings.Cut(c.decl, "(")
+		a := New(g, WithProperties(append(slices.Clone(model.AllProperties), name)...))
+		want := "core: property " + name + ": parameters " + c.params + ", want (Region or FunctionCall context, TestRun run, Region basis)"
+		for _, e := range []struct {
+			engine  string
+			analyze func() (*Report, error)
+		}{
+			{"object", func() (*Report, error) { return a.AnalyzeObject(run) }},
+			{"client", func() (*Report, error) { return a.AnalyzeClientSide(run, q) }},
+			{"sql", func() (*Report, error) { return a.AnalyzeSQL(run, q) }},
+			{"guided", func() (*Report, error) { rep, _, err := a.AnalyzeGuided(run, DefaultHierarchy()); return rep, err }},
+			{"guided-sql", func() (*Report, error) {
+				rep, _, err := a.AnalyzeGuidedSQL(run, DefaultHierarchy(), q)
+				return rep, err
+			}},
+		} {
+			rep, err := e.analyze()
+			if rep != nil || err == nil || err.Error() != want {
+				t.Errorf("%s, %s: report %v, err %v; want no report and %q", name, e.engine, rep != nil, err, want)
+			}
 		}
 	}
 }

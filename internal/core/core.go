@@ -125,13 +125,6 @@ func WithProperties(names ...string) Option {
 	return func(a *Analyzer) { a.props = append([]string(nil), names...) }
 }
 
-// WithCallFilter restricts a FunctionCall-context property to call sites of
-// the named callee ("" removes the restriction). By default LoadImbalance is
-// restricted to the barrier routine, as the paper prescribes.
-func WithCallFilter(property, callee string) Option {
-	return func(a *Analyzer) { a.callFilter[property] = callee }
-}
-
 // WithConst overrides a specification constant (e.g. ImbalanceThreshold).
 func WithConst(name string, value float64) Option {
 	return func(a *Analyzer) { a.consts[name] = value }
@@ -157,12 +150,11 @@ func WithSQLDialect(name string) Option {
 type Analyzer struct {
 	// world is the graph's specification, with every constant override
 	// declared as a literal of its value (see New).
-	world      *sem.World
-	graph      *model.Graph
-	threshold  float64
-	props      []string
-	callFilter map[string]string
-	consts     map[string]float64
+	world     *sem.World
+	graph     *model.Graph
+	threshold float64
+	props     []string
+	consts    map[string]float64
 	// constErr, set by New, names a constant override the specification does
 	// not declare; every engine refuses to analyze with it.
 	constErr error
@@ -193,13 +185,12 @@ type Analyzer struct {
 // New returns an analyzer over the graph.
 func New(g *model.Graph, opts ...Option) *Analyzer {
 	a := &Analyzer{
-		world:      g.World,
-		graph:      g,
-		threshold:  DefaultThreshold,
-		props:      append([]string(nil), model.AllProperties...),
-		callFilter: map[string]string{"LoadImbalance": model.BarrierFunction},
-		consts:     make(map[string]float64),
-		plans:      make(map[*model.TestRun]*runPlan),
+		world:     g.World,
+		graph:     g,
+		threshold: DefaultThreshold,
+		props:     append([]string(nil), model.AllProperties...),
+		consts:    make(map[string]float64),
+		plans:     make(map[*model.TestRun]*runPlan),
 	}
 	for _, o := range opts {
 		o(a)
@@ -228,9 +219,6 @@ func withConsts(w *sem.World, consts map[string]float64) (*sem.World, error) {
 	}
 	return &over, nil
 }
-
-// Threshold returns the configured problem threshold.
-func (a *Analyzer) Threshold() float64 { return a.threshold }
 
 // Fallbacks reports how many times a property's set-form statement — one
 // execution for all its contexts — failed or came back malformed, so that the
@@ -326,20 +314,19 @@ func ContextPath(class string) (sqlgen.ContextPath, bool) {
 
 // contexts enumerates the instances of a property over a scope: properties
 // with a Region first parameter get one instance per region; properties
-// with a FunctionCall first parameter one per (optionally filtered) call
-// site. The test run and ranking basis fill the remaining parameters.
+// with a FunctionCall first parameter one per call site (LoadImbalance's only
+// those of the barrier routine, as the paper prescribes). The test run and
+// ranking basis fill the remaining parameters. Every engine binds them by
+// position, so this is where a property's signature is vouched for: a
+// context of either class, a TestRun and a Region, in that order, or the
+// analysis is refused.
 func (a *Analyzer) contexts(sc *scope, prop string) ([]instCtx, error) {
-	decl := a.world.PropDecls[prop]
-	if decl == nil {
+	if a.world.PropDecls[prop] == nil {
 		return nil, fmt.Errorf("core: unknown property %s", prop)
 	}
-	sig := a.world.Props[prop]
-	if len(sig.Params) != 3 {
-		return nil, fmt.Errorf("core: property %s: unsupported parameter count %d", prop, len(sig.Params))
-	}
-	firstClass, ok := sig.Params[0].Type.(*sem.Class)
-	if !ok {
-		return nil, fmt.Errorf("core: property %s: first parameter is not class typed", prop)
+	sig := a.world.Props[prop].Params
+	if len(sig) != 3 || !isClass(sig[0], "Region", "FunctionCall") || !isClass(sig[1], "TestRun") || !isClass(sig[2], "Region") {
+		return nil, fmt.Errorf("core: property %s: parameters %s, want (Region or FunctionCall context, TestRun run, Region basis)", prop, paramList(sig))
 	}
 
 	mk := func(label string, first, region *object.Object) instCtx {
@@ -354,40 +341,51 @@ func (a *Analyzer) contexts(sc *scope, prop string) ([]instCtx, error) {
 			reg:    span[0],
 			regEnd: span[1],
 			params: &sqldb.Params{Named: map[string]sqldb.Value{
-				sig.Params[0].Name: sqldb.NewInt(first.ID),
-				sig.Params[1].Name: sqldb.NewInt(sc.run.ID),
-				sig.Params[2].Name: sqldb.NewInt(sc.basis.ID),
+				sig[0].Name: sqldb.NewInt(first.ID),
+				sig[1].Name: sqldb.NewInt(sc.run.ID),
+				sig[2].Name: sqldb.NewInt(sc.basis.ID),
 			}},
 		}
 	}
 
 	var out []instCtx
-	switch firstClass.Name {
-	case "Region":
+	if isClass(sig[0], "Region") {
 		for _, r := range sc.regions {
 			name, _ := r.Get("Name").(object.Str)
 			out = append(out, mk("region "+string(name), r, r))
 		}
-	case "FunctionCall":
-		filter := a.callFilter[prop]
-		for _, c := range sc.calls {
-			callee, _ := c.Get("Callee").(object.Str)
-			if filter != "" && string(callee) != filter {
-				continue
-			}
-			where := ""
-			reg, _ := c.Get("CallingReg").(*object.Object)
-			if reg != nil {
-				if n, ok := reg.Get("Name").(object.Str); ok {
-					where = "@" + string(n)
-				}
-			}
-			out = append(out, mk("call "+string(callee)+where, c, reg))
+		return out, nil
+	}
+	for _, c := range sc.calls {
+		callee, _ := c.Get("Callee").(object.Str)
+		if prop == "LoadImbalance" && string(callee) != model.BarrierFunction {
+			continue
 		}
-	default:
-		return nil, fmt.Errorf("core: property %s: unsupported context class %s", prop, firstClass.Name)
+		where := ""
+		reg, _ := c.Get("CallingReg").(*object.Object)
+		if reg != nil {
+			if n, ok := reg.Get("Name").(object.Str); ok {
+				where = "@" + string(n)
+			}
+		}
+		out = append(out, mk("call "+string(callee)+where, c, reg))
 	}
 	return out, nil
+}
+
+// isClass reports whether a parameter is typed by one of the named classes.
+func isClass(p sem.Attr, names ...string) bool {
+	cls, ok := p.Type.(*sem.Class)
+	return ok && slices.Contains(names, cls.Name)
+}
+
+// paramList spells a parameter list as declared: "(Region r, TestRun t)".
+func paramList(params []sem.Attr) string {
+	parts := make([]string, len(params))
+	for i, p := range params {
+		parts[i] = p.Type.String() + " " + p.Name
+	}
+	return "(" + strings.Join(parts, ", ") + ")"
 }
 
 // findBasis locates the whole-program region, the default ranking basis.
@@ -454,8 +452,8 @@ func (a *Analyzer) AnalyzeObject(run *model.TestRun) (*Report, error) {
 type preparedProp struct {
 	*compiledProp
 	// err, when set, diagnoses every context of the property without a query
-	// being issued: the plan's verdict on the run's bindings (runPlan.bind), a
-	// prepare the executor refused, or a handle that cannot execute batches.
+	// being issued: a prepare the executor refused, or a handle that cannot
+	// execute batches.
 	err error
 	// handle is the prepared statement, closed after the analysis; batch is
 	// its context-observing batch execution, the one call every work unit
@@ -464,34 +462,15 @@ type preparedProp struct {
 	batch  sqlgen.ContextBatchPreparedQuery
 }
 
-// runParam returns the name of a property's TestRun-typed parameter, or ""
-// when the property has none to route on.
-func (a *Analyzer) runParam(prop string) string {
-	sig := a.world.Props[prop]
-	if sig == nil {
-		return ""
-	}
-	for _, p := range sig.Params {
-		if cls, ok := p.Type.(*sem.Class); ok && cls.Name == "TestRun" {
-			return p.Name
-		}
-	}
-	return ""
-}
-
 // prepare readies a compiled property for one analysis by preparing its
 // query. Sharded executors (sqlgen.RoutedPreparer) are handed the property's
 // run parameter so every execution routes to the shard owning its context's
 // run. A refused prepare, or a handle without sqlgen.ContextBatchPreparedQuery,
-// becomes the property's diagnostic like a binding mismatch: errors never
-// abort a run.
-func (c *compiledProp) prepare(preparer sqlgen.QueryPreparer, bindErr error) preparedProp {
-	p := preparedProp{compiledProp: c, err: bindErr}
-	if bindErr != nil {
-		return p
-	}
+// becomes the property's diagnostic: errors never abort a run.
+func (c *compiledProp) prepare(preparer sqlgen.QueryPreparer) preparedProp {
+	p := preparedProp{compiledProp: c}
 	var pq sqlgen.PreparedQuery
-	if rp, ok := preparer.(sqlgen.RoutedPreparer); ok && c.runParam != "" {
+	if rp, ok := preparer.(sqlgen.RoutedPreparer); ok {
 		pq, p.err = rp.PrepareRoutedQuery(c.sql, c.runParam)
 	} else {
 		pq, p.err = preparer.PrepareQuery(c.sql)
@@ -618,7 +597,9 @@ func (a *Analyzer) AnalyzeSQLCtx(ctx context.Context, run *model.TestRun, q Quer
 // every other failure is the diagnostic of the instances it hits.
 func (a *Analyzer) evalSQL(ctx context.Context, pl *runPlan, preparer sqlgen.QueryPreparer, workers int) ([]Instance, error) {
 	compiled := a.compiledProps()
-	bindErrs, setErrs := pl.bind(compiled)
+	if err := pl.bind(compiled); err != nil {
+		return nil, err
+	}
 	props := make([]preparedProp, 0, len(compiled))
 	defer func() {
 		for _, c := range props {
@@ -632,12 +613,12 @@ func (a *Analyzer) evalSQL(ctx context.Context, pl *runPlan, preparer sqlgen.Que
 		if c.err != nil {
 			return nil, c.err
 		}
-		if a.BatchSize() > 1 && p.n > 0 && c.set != nil && setErrs[i] == nil {
-			props = append(props, c.set.prepare(preparer, nil))
+		if a.BatchSize() > 1 && p.n > 0 && c.set != nil {
+			props = append(props, c.set.prepare(preparer))
 			units = append(units, chunk{prop: i, start: p.start, n: p.n, set: true})
 			continue
 		}
-		props = append(props, c.prepare(preparer, bindErrs[i]))
+		props = append(props, c.prepare(preparer))
 		units = append(units, p.chunks...)
 	}
 	instances := make([]Instance, len(pl.ctxs))
@@ -657,7 +638,7 @@ func (a *Analyzer) evalSQL(ctx context.Context, pl *runPlan, preparer sqlgen.Que
 		// the per-context path says which contexts are to blame.
 		a.setFallbacks.Add(1)
 		a.lastFallback.Store(&pl.props[u.prop].name)
-		per := compiled[u.prop].prepare(preparer, bindErrs[u.prop])
+		per := compiled[u.prop].prepare(preparer)
 		defer per.close()
 		a.evalSQLCtxs(ctx, per, ctxs, bindings, out, fail)
 	})

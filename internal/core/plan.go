@@ -14,10 +14,10 @@ import (
 
 // The evaluation plan. Everything an analysis derives from (graph, options,
 // run) alone is the same on every analysis of that run: the enumerated
-// instances with their labels and parameter sets, the binding check, the
-// positional fill of a positional-marker dialect, and the batch layout. The
-// Analyzer builds it once per run and every later analysis of the run — the
-// tuning cycle's repeats, every tenant of the resident service — reads it.
+// instances with their labels and parameter sets, the positional fill of a
+// positional-marker dialect, and the batch layout. The Analyzer builds it
+// once per run and every later analysis of the run — the tuning cycle's
+// repeats, every tenant of the resident service — reads it.
 // What depends on (graph, options) only — each property's compiled and
 // rendered queries, per-context and set form, with the constant overrides
 // inlined as the literals the analyzer's world declares — is built once per
@@ -45,12 +45,7 @@ type runPlan struct {
 	// The SQL engines' half, made by the run's first SQL analysis (bind); the
 	// object engine neither waits for it nor reads a parameter set.
 	bindOnce sync.Once
-	// bindErrs[i], when set, is why property i's contexts cannot be bound to
-	// its query; it diagnoses every one of them without a query being issued.
-	// setErrs[i] is the same verdict on the one binding of its set form; a
-	// property it is set for is evaluated per context.
-	bindErrs []error
-	setErrs  []error
+	bindErr  error
 }
 
 // planProp delimits one property's instances in runPlan.ctxs and holds its
@@ -126,30 +121,27 @@ func (a *Analyzer) buildPlan(sc *scope) (*runPlan, error) {
 	return pl, nil
 }
 
-// bind validates every context's bindings against its property's compiled
-// parameter list and, when the dialect renders positional markers, fills each
-// context's positional slice from its named bindings in marker order — the
-// one write a parameter set ever sees, made once, before any SQL analysis
-// reads the set. A mismatch is systematic (every context of a property binds
-// the same parameter shape), so the first failure stands for the whole
-// property. The set form's one binding per property gets the same treatment.
-// It returns the verdicts per property: per-context, set form.
-func (pl *runPlan) bind(compiled []compiledProp) (bindErrs, setErrs []error) {
+// bind fills, when the dialect renders positional markers, each execution's
+// positional slice from its named bindings in marker order — the one write a
+// parameter set ever sees, made once, before any SQL analysis reads the set.
+// contexts vouched for every property's signature, so each binding names
+// exactly the parameters its statement's markers do, and a fill cannot fail;
+// if one did, it would be the analysis's error.
+func (pl *runPlan) bind(compiled []compiledProp) error {
 	pl.bindOnce.Do(func() {
-		pl.bindErrs = make([]error, len(pl.props))
-		pl.setErrs = make([]error, len(pl.props))
 		for i, p := range pl.props {
 			c := &compiled[i]
-			if c.err != nil {
-				continue
+			if pl.bindErr = c.fill(pl.bindings[p.start : p.start+p.n]); pl.bindErr != nil {
+				return
 			}
-			pl.bindErrs[i] = c.bind(pl.bindings[p.start : p.start+p.n])
 			if c.set != nil {
-				pl.setErrs[i] = c.set.bind(p.setBinding)
+				if pl.bindErr = c.set.fill(p.setBinding); pl.bindErr != nil {
+					return
+				}
 			}
 		}
 	})
-	return pl.bindErrs, pl.setErrs
+	return pl.bindErr
 }
 
 // compiledProp is one property's compiled query: the SQL text (rendered in
@@ -162,9 +154,9 @@ type compiledProp struct {
 	// paramOrder is the rendered marker order of a positional-marker dialect;
 	// nil for named-marker dialects (kojakdb, oracle7).
 	paramOrder []string
-	// runParam names the property's TestRun-typed parameter, the routing key
-	// of sharded executors: every execution goes to the shard owning the run
-	// bound under this name.
+	// runParam names the property's TestRun parameter (its second, as
+	// contexts vouched), the routing key of sharded executors: every
+	// execution goes to the shard owning the run bound under this name.
 	runParam string
 	// err says why the property has no query.
 	err error
@@ -224,20 +216,19 @@ func (a *Analyzer) renderProp(cp *sqlgen.CompiledProperty) compiledProp {
 		sql = r.SQL
 		paramOrder = r.ParamOrder
 	}
-	return compiledProp{sql: sql, cp: cp, runParam: a.runParam(cp.Name), paramOrder: paramOrder}
+	runParam := a.world.Props[cp.Name].Params[1].Name
+	return compiledProp{sql: sql, cp: cp, runParam: runParam, paramOrder: paramOrder}
 }
 
-// bind checks and fills the parameter sets of one statement's executions (see
-// runPlan.bind).
-func (c *compiledProp) bind(bindings []*sqldb.Params) error {
+// fill fills the positional slices of one statement's executions (see
+// runPlan.bind); a named-marker dialect has nothing to fill.
+func (c *compiledProp) fill(bindings []*sqldb.Params) error {
+	if c.paramOrder == nil {
+		return nil
+	}
 	for _, params := range bindings {
-		if err := c.cp.CheckBinding(params); err != nil {
+		if err := sqlgen.FillPositional(params, c.paramOrder); err != nil {
 			return err
-		}
-		if c.paramOrder != nil {
-			if err := sqlgen.FillPositional(params, c.paramOrder); err != nil {
-				return err
-			}
 		}
 	}
 	return nil

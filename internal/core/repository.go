@@ -49,9 +49,6 @@ func (r *Repository) Programs() []string { return append([]string(nil), r.order.
 // Graph returns the graph of a stored program, or nil.
 func (r *Repository) Graph(program string) *model.Graph { return r.graphs[program] }
 
-// Store returns the shared object store (e.g. for loading into a database).
-func (r *Repository) Store() *object.Store { return r.store }
-
 // Load creates the schema and loads the entire repository through the
 // executor.
 func (r *Repository) Load(exec sqlgen.Executor) error {

@@ -302,9 +302,8 @@ func TestSetFormIgnoresRowsOutsideThePlan(t *testing.T) {
 	run := lastRun(g)
 	q := godbc.Embedded{DB: db}
 
-	const filtered = "FrequentFineGrainedCalls"
-	callee, _ := g.OrderedCalls[0].Get("Callee").(object.Str)
-	opts := []Option{WithCallFilter(filtered, string(callee)), WithWorkers(1)}
+	const filtered = "LoadImbalance" // planned at the barrier's call sites only
+	opts := []Option{WithWorkers(1)}
 	ref := New(g, opts...)
 	obj, err := ref.AnalyzeObject(run)
 	if err != nil {

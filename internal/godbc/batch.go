@@ -6,6 +6,10 @@ package godbc
 // protocol's MaxBatch), so N executions of the same statement cost one
 // client/server round trip instead of N. The request is built and its reply
 // decoded in request.go (execBatch).
+//
+// A batch is also the only way a prepared handle executes: each handle's
+// ExecQueryBatchContext is its one execution body, and a single execution
+// is a batch of one binding (execOne).
 
 import (
 	"context"
@@ -38,7 +42,7 @@ func (st *Stmt) ExecBatch(bindings []*sqldb.Params) ([]BatchResult, error) {
 
 // ---------------------------------------------------------------------------
 // sqlgen.BatchPreparedQuery implementations — one per preparer, so the
-// analyzer's batched path runs against every executor.
+// analyzer's one execution call runs against every executor.
 // ---------------------------------------------------------------------------
 
 // ExecQueryBatch implements sqlgen.BatchPreparedQuery on a connection-bound
@@ -83,26 +87,41 @@ func (s embeddedStmt) ExecQueryBatch(bindings []*sqldb.Params) ([]sqlgen.BatchQu
 }
 
 // ExecQueryBatchContext hands ctx to the engine, which observes it between
-// bindings, and to the vendor delay.
+// bindings, and to the vendor delay: the profile's price of each binding's
+// execution, as the wire server charges it.
 func (s embeddedStmt) ExecQueryBatchContext(ctx context.Context, bindings []*sqldb.Params) ([]sqlgen.BatchQueryResult, error) {
 	results, err := s.ps.ExecuteBatchContext(ctx, bindings)
 	if err != nil {
 		return nil, err
 	}
+	// A binding the cache answered costs nothing: no vendor work ran.
 	var delay time.Duration
 	for _, r := range results {
-		if r.Err == nil && r.Res.Cached {
-			continue // the cache answered; no vendor work to charge
-		}
-		delay += s.profile.PerStatement
-		if r.Err == nil && r.Res.Set != nil {
-			delay += time.Duration(len(r.Res.Set.Rows)) * s.profile.PerRowRead
+		switch {
+		case r.Err != nil:
+			delay += s.profile.Cost(false, 0, 0)
+		case !r.Res.Cached:
+			read := 0
+			if r.Res.Set != nil {
+				read = len(r.Res.Set.Rows)
+			}
+			delay += s.profile.Cost(false, r.Res.Affected, read)
 		}
 	}
 	if err := wire.DelayCtx(ctx, delay); err != nil {
 		return nil, err
 	}
 	return toQueryResults(results), nil
+}
+
+// execOne executes a prepared handle once, as a batch of one binding — what
+// every handle's ExecQuery and ExecQueryContext are.
+func execOne(ctx context.Context, h sqlgen.ContextBatchPreparedQuery, params *sqldb.Params) (*sqldb.ResultSet, error) {
+	results, err := h.ExecQueryBatchContext(ctx, []*sqldb.Params{params})
+	if err != nil {
+		return nil, err
+	}
+	return results[0].Set, results[0].Err
 }
 
 func toQueryResults(results []sqldb.BatchResult) []sqlgen.BatchQueryResult {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/asl/sqlgen"
@@ -46,6 +47,50 @@ func renderBatch(t *testing.T, results []sqlgen.BatchQueryResult) string {
 	return out
 }
 
+// executors opens each executor over a fresh database and returns it with,
+// for the wire executors, the server it talks to. Their handles are the
+// four prepared handle types: Stmt, PooledStmt, ShardedStmt, embeddedStmt.
+var executors = []struct {
+	name string
+	open func(t *testing.T) (executor, *wire.Server)
+}{
+	{"Conn", func(t *testing.T) (executor, *wire.Server) {
+		_, srv := startCachePair(t)
+		c, err := godbc.Dial(srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		return c, srv
+	}},
+	{"Pool", func(t *testing.T) (executor, *wire.Server) {
+		_, srv := startCachePair(t)
+		p, err := godbc.NewPool(srv.Addr(), 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { p.Close() })
+		return p, srv
+	}},
+	{"ShardedDB", func(t *testing.T) (executor, *wire.Server) {
+		_, srv := startCachePair(t)
+		s, err := godbc.DialSharded([]string{srv.Addr()}, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { s.Close() })
+		return s, srv
+	}},
+	{"Embedded", func(t *testing.T) (executor, *wire.Server) {
+		db, _ := startCachePair(t)
+		return godbc.Embedded{DB: db}, nil
+	}},
+	{"ProfiledEmbedded", func(t *testing.T) (executor, *wire.Server) {
+		db, _ := startCachePair(t)
+		return godbc.Embedded{DB: db, Profile: wire.ProfileMSSQL}, nil
+	}},
+}
+
 // TestContextEquivalence: on every executor, the plain-named call, its
 // ...Context form under context.Background(), and the same under a live
 // cancelable context are one body and so return the same rows, for text,
@@ -57,49 +102,6 @@ func TestContextEquivalence(t *testing.T) {
 		return &sqldb.Params{Named: map[string]sqldb.Value{"r": sqldb.NewInt(r)}}
 	}
 	bindings := []*sqldb.Params{runParam(1), runParam(2), runParam(3)}
-
-	// Each constructor returns the executor over a fresh database and, for
-	// the wire executors, the server it talks to.
-	executors := []struct {
-		name string
-		open func(t *testing.T) (executor, *wire.Server)
-	}{
-		{"Conn", func(t *testing.T) (executor, *wire.Server) {
-			_, srv := startCachePair(t)
-			c, err := godbc.Dial(srv.Addr())
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { c.Close() })
-			return c, srv
-		}},
-		{"Pool", func(t *testing.T) (executor, *wire.Server) {
-			_, srv := startCachePair(t)
-			p, err := godbc.NewPool(srv.Addr(), 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { p.Close() })
-			return p, srv
-		}},
-		{"ShardedDB", func(t *testing.T) (executor, *wire.Server) {
-			_, srv := startCachePair(t)
-			s, err := godbc.DialSharded([]string{srv.Addr()}, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { s.Close() })
-			return s, srv
-		}},
-		{"Embedded", func(t *testing.T) (executor, *wire.Server) {
-			db, _ := startCachePair(t)
-			return godbc.Embedded{DB: db}, nil
-		}},
-		{"ProfiledEmbedded", func(t *testing.T) (executor, *wire.Server) {
-			db, _ := startCachePair(t)
-			return godbc.Embedded{DB: db, Profile: wire.ProfileMSSQL}, nil
-		}},
-	}
 
 	live, stop := context.WithCancel(context.Background())
 	defer stop()
@@ -183,6 +185,54 @@ func TestContextEquivalence(t *testing.T) {
 			if sent := requests() - before; srv != nil && sent != 1 {
 				t.Errorf("canceled calls sent the server %d requests", sent-1)
 			}
+		})
+	}
+}
+
+// TestSingleExecutionIsABatchOfOne: on every prepared handle, ExecQuery and
+// ExecQueryContext return what ExecQueryBatchContext returns for one binding
+// — the rows, a statement error, and the error of a closed handle.
+func TestSingleExecutionIsABatchOfOne(t *testing.T) {
+	const query = `SELECT id, time FROM typed WHERE run_id = $r ORDER BY id`
+	outcome := func(set *sqldb.ResultSet, err error) string {
+		if err != nil {
+			return "error: " + err.Error()
+		}
+		return render(set)
+	}
+	for _, ex := range executors {
+		t.Run(ex.name, func(t *testing.T) {
+			e, _ := ex.open(t)
+			pq, err := e.PrepareQuery(query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := pq.(handle)
+			check := func(what string, params *sqldb.Params, wantErr bool) {
+				t.Helper()
+				results, err := h.ExecQueryBatchContext(context.Background(), []*sqldb.Params{params})
+				var set *sqldb.ResultSet
+				if err == nil {
+					set, err = results[0].Set, results[0].Err
+				}
+				want := outcome(set, err)
+				if got := outcome(h.ExecQuery(params)); got != want {
+					t.Errorf("%s: ExecQuery gives %q, a batch of one %q", what, got, want)
+				}
+				if got := outcome(h.ExecQueryContext(context.Background(), params)); got != want {
+					t.Errorf("%s: ExecQueryContext gives %q, a batch of one %q", what, got, want)
+				}
+				if strings.HasPrefix(want, "error: ") != wantErr {
+					t.Errorf("%s: a batch of one gives %q", what, want)
+				}
+			}
+			run2 := &sqldb.Params{Named: map[string]sqldb.Value{"r": sqldb.NewInt(2)}}
+			check("rows", run2, false)
+			check("statement error", nil, true)
+			if err := pq.Close(); err != nil {
+				t.Fatal(err)
+			}
+			check("closed handle", run2, true)
 		})
 	}
 }

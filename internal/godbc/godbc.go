@@ -273,7 +273,7 @@ type Embedded struct {
 }
 
 // Exec implements Executor. Text execution compiles the statement anew, so
-// the profile's prepare cost is charged on every call (use PrepareQuery to
+// the profile's price includes compilation on every call (use PrepareQuery to
 // pay it once). A result the engine's cache answered skips the vendor delays
 // — the modeled driver never compiled or executed anything.
 func (e Embedded) Exec(query string, params *sqldb.Params) (Result, error) {
@@ -282,7 +282,7 @@ func (e Embedded) Exec(query string, params *sqldb.Params) (Result, error) {
 		return Result{}, err
 	}
 	if !res.Cached {
-		wire.Delay(e.Profile.PerPrepare + e.Profile.PerStatement + time.Duration(res.Affected)*e.Profile.PerRowWrite)
+		wire.Delay(e.Profile.Cost(true, res.Affected, 0))
 	}
 	return Result{Affected: res.Affected}, nil
 }
@@ -301,23 +301,16 @@ func (e Embedded) ExecQueryContext(ctx context.Context, query string, params *sq
 		return nil, err
 	}
 	res, err := e.DB.Exec(query, params)
-	return chargedSet(ctx, res, err, e.Profile.PerPrepare+e.Profile.PerStatement, e.Profile.PerRowRead)
-}
-
-// chargedSet unwraps an engine result that must carry rows and charges the
-// vendor's fixed and per-row costs for it, unless the engine's cache answered.
-func chargedSet(ctx context.Context, res *sqldb.Result, err error, fixed, perRow time.Duration) (*sqldb.ResultSet, error) {
 	if err != nil {
 		return nil, err
 	}
 	if res.Set == nil {
 		return nil, fmt.Errorf("godbc: statement produced no result set")
 	}
-	if res.Cached {
-		return res.Set, nil
-	}
-	if err := wire.DelayCtx(ctx, fixed+time.Duration(len(res.Set.Rows))*perRow); err != nil {
-		return nil, err
+	if !res.Cached {
+		if err := wire.DelayCtx(ctx, e.Profile.Cost(true, 0, len(res.Set.Rows))); err != nil {
+			return nil, err
+		}
 	}
 	return res.Set, nil
 }
@@ -329,8 +322,7 @@ func chargedSet(ctx context.Context, res *sqldb.Result, err error, fixed, perRow
 // concurrently spin) its simulated delays would divide the very cost the
 // profile exists to model.
 func (e Embedded) ConcurrentQuery() bool {
-	p := e.Profile
-	return p.PerPrepare+p.PerStatement+p.PerRowWrite+p.PerRowRead == 0
+	return e.Profile.Cost(true, 1, 1) == 0
 }
 
 // CursorQuery adapts a connection so that every ExecQuery is served through

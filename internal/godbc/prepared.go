@@ -4,7 +4,8 @@ package godbc
 // analogue for the wire protocol and the embedded engine. A statement is
 // parsed and planned once — on the server for networked connections,
 // in-process for the embedded configurations — and then executed repeatedly
-// with fresh parameters, paying only the execution cost per call.
+// with fresh parameters, paying only the execution cost per call. Every
+// handle has one execution body, ExecQueryBatchContext (batch.go).
 
 import (
 	"context"
@@ -22,7 +23,6 @@ import (
 type Stmt struct {
 	conn   *Conn
 	id     int64
-	sql    string
 	closed bool
 }
 
@@ -33,35 +33,21 @@ func (c *Conn) Prepare(query string) (*Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Stmt{conn: c, id: id, sql: query}, nil
+	return &Stmt{conn: c, id: id}, nil
 }
-
-// SQL returns the statement text the handle was prepared from.
-func (st *Stmt) SQL() string { return st.sql }
 
 // errStmtClosed is returned by executions on a closed handle.
 var errStmtClosed = fmt.Errorf("godbc: prepared statement is closed")
 
-// Exec runs the prepared statement and returns the affected-row count.
-func (st *Stmt) Exec(params *sqldb.Params) (Result, error) {
-	if st.closed {
-		return Result{}, errStmtClosed
-	}
-	return execAffected(context.Background(), st.conn, preparedExec(st.id, params))
-}
-
-// ExecQuery runs the prepared SELECT and returns the complete result set in
-// a single round trip.
+// ExecQuery runs the prepared SELECT once and returns the complete result
+// set in a single round trip.
 func (st *Stmt) ExecQuery(params *sqldb.Params) (*sqldb.ResultSet, error) {
-	return st.ExecQueryContext(context.Background(), params)
+	return execOne(context.Background(), st, params)
 }
 
 // ExecQueryContext is ExecQuery observing a context.
 func (st *Stmt) ExecQueryContext(ctx context.Context, params *sqldb.Params) (*sqldb.ResultSet, error) {
-	if st.closed {
-		return nil, errStmtClosed
-	}
-	return execSet(ctx, st.conn, preparedExec(st.id, params))
+	return execOne(ctx, st, params)
 }
 
 // Close releases the server-side handle. Closing is idempotent.
@@ -118,20 +104,15 @@ func (p *Pool) PrepareQuery(query string) (sqlgen.PreparedQuery, error) {
 }
 
 // ExecQuery checks a connection out of the pool, ensures the statement is
-// prepared on it, and executes.
+// prepared on it, and executes once.
 func (ps *PooledStmt) ExecQuery(params *sqldb.Params) (*sqldb.ResultSet, error) {
-	return ps.ExecQueryContext(context.Background(), params)
+	return execOne(context.Background(), ps, params)
 }
 
 // ExecQueryContext is ExecQuery observing ctx at checkout and across the
 // round trip.
 func (ps *PooledStmt) ExecQueryContext(ctx context.Context, params *sqldb.Params) (*sqldb.ResultSet, error) {
-	c, st, err := ps.checkout(ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer ps.pool.Put(c)
-	return st.ExecQueryContext(ctx, params)
+	return execOne(ctx, ps, params)
 }
 
 // checkout takes a connection from the pool and returns it with the
@@ -164,7 +145,7 @@ func (ps *PooledStmt) Close() error {
 
 // embeddedStmt adapts a sqldb prepared statement to sqlgen.PreparedQuery. The
 // vendor's compile cost was paid at prepare time, so executions are charged
-// only the profile's per-statement and per-row delays.
+// the profile's price without it.
 type embeddedStmt struct {
 	ps      *sqldb.PreparedStmt
 	profile wire.Profile
@@ -178,20 +159,16 @@ func (e Embedded) PrepareQuery(query string) (sqlgen.PreparedQuery, error) {
 	if err != nil {
 		return nil, err
 	}
-	wire.Delay(e.Profile.PerPrepare + e.Profile.PerStatement)
+	wire.Delay(e.Profile.Cost(true, 0, 0))
 	return embeddedStmt{ps: ps, profile: e.Profile}, nil
 }
 
 func (s embeddedStmt) ExecQuery(params *sqldb.Params) (*sqldb.ResultSet, error) {
-	return s.ExecQueryContext(context.Background(), params)
+	return execOne(context.Background(), s, params)
 }
 
 func (s embeddedStmt) ExecQueryContext(ctx context.Context, params *sqldb.Params) (*sqldb.ResultSet, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	res, err := s.ps.Execute(params)
-	return chargedSet(ctx, res, err, s.profile.PerStatement, s.profile.PerRowRead)
+	return execOne(ctx, s, params)
 }
 
 func (s embeddedStmt) Close() error { return s.ps.Close() }

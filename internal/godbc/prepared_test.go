@@ -77,14 +77,14 @@ func TestConnPreparedWrite(t *testing.T) {
 	}
 	defer st.Close()
 	for i := 21; i <= 23; i++ {
-		res, err := st.Exec(&sqldb.Params{Named: map[string]sqldb.Value{
+		res, err := st.ExecBatch([]*sqldb.Params{{Named: map[string]sqldb.Value{
 			"id": sqldb.NewInt(int64(i)), "v": sqldb.NewFloat(0),
-		}})
+		}}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Affected != 1 {
-			t.Fatalf("affected = %d", res.Affected)
+		if res[0].Err != nil || res[0].Affected != 1 {
+			t.Fatalf("binding: affected = %d, err %v", res[0].Affected, res[0].Err)
 		}
 	}
 	if n := db.Table("t").NumRows(); n != 23 {

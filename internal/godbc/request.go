@@ -58,11 +58,6 @@ func textExec(query string, params *sqldb.Params) *wire.Request {
 	return withParams(&wire.Request{Kind: wire.ReqExec, SQL: query}, params)
 }
 
-// preparedExec builds one execution of a server-side prepared handle.
-func preparedExec(stmtID int64, params *sqldb.Params) *wire.Request {
-	return withParams(&wire.Request{Kind: wire.ReqExecPrepared, StmtID: stmtID}, params)
-}
-
 // execAffected sends an execution and decodes its reply as a non-query
 // outcome.
 func execAffected(ctx context.Context, c *Conn, req *wire.Request) (Result, error) {

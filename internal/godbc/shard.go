@@ -272,17 +272,12 @@ type ShardedStmt struct {
 
 // ExecQuery executes one parameter set on the shard owning its run.
 func (st *ShardedStmt) ExecQuery(params *sqldb.Params) (*sqldb.ResultSet, error) {
-	return st.ExecQueryContext(context.Background(), params)
+	return execOne(context.Background(), st, params)
 }
 
 // ExecQueryContext is ExecQuery observing a context.
 func (st *ShardedStmt) ExecQueryContext(ctx context.Context, params *sqldb.Params) (*sqldb.ResultSet, error) {
-	i, err := st.db.route(st.runParam, params)
-	if err != nil {
-		return nil, err
-	}
-	set, err := st.stmts[i].ExecQueryContext(ctx, params)
-	return set, st.db.tag(i, err)
+	return execOne(ctx, st, params)
 }
 
 // ExecQueryBatch implements sqlgen.BatchPreparedQuery across shards: the

@@ -109,9 +109,6 @@ func (a *Admission) SetTenant(tenant string, cfg TenantConfig) {
 	a.mu.Unlock()
 }
 
-// Capacity returns the concurrent-acquisition bound.
-func (a *Admission) Capacity() int { return a.capacity }
-
 // Stats returns a snapshot of the admission counters.
 func (a *Admission) Stats() AdmissionStats {
 	a.mu.Lock()

@@ -203,9 +203,6 @@ func (db *DB) prepare(sql string) (*sharedStmt, error) {
 	return s, nil
 }
 
-// SQL returns the statement text the handle was prepared from.
-func (ps *PreparedStmt) SQL() string { return ps.sql }
-
 // Close releases the handle. Closing is idempotent; executing a closed
 // handle fails.
 func (ps *PreparedStmt) Close() error {

@@ -887,13 +887,6 @@ func (cp *vecCompiler) closed(e Expr) bool {
 	return !fi.unqual && len(fi.quals) == 0
 }
 
-// closedSelect is the closed test for a bare SELECT node (IN subqueries).
-func closedSelect(st *SelectStmt) bool {
-	fi := &freeInfo{}
-	collectFreeSelect(st, nil, fi, make(map[string]bool))
-	return !fi.unqual && len(fi.quals) == 0
-}
-
 // corrScope is one inner SELECT's scope during corrRefs's walk: its planned
 // tables, visible up to limit — the number of tables the row engine has bound
 // at the clause being walked (join-On clauses and access-path seeds run with
@@ -1562,10 +1555,13 @@ func (cp *vecCompiler) compile(e Expr, ntab int) (vexpr, bool) {
 		}
 		return cp.corrSub(x, ntab)
 	case *EIn:
-		if x.Sub != nil && !closedSelect(x.Sub) {
-			// Correlated IN subquery: delegate the whole node per distinct
-			// local row (the needle is re-evaluated with it).
-			return cp.corrSub(x, ntab)
+		if x.Sub != nil {
+			// An IN subquery that depends on no local table has one candidate
+			// list per execution (inCandidates); a correlated one compiles
+			// with its needle through corrSub.
+			if deps, ok := cp.corrRefs(&ESubquery{Select: x.Sub}, ntab, nil); !ok || len(deps.locals) > 0 {
+				return cp.corrSub(x, ntab)
+			}
 		}
 		xe, ok := cp.compile(x.X, ntab)
 		if !ok {

@@ -348,6 +348,46 @@ func TestCorrelatedDuplicatesExecuteOnce(t *testing.T) {
 	}
 }
 
+// TestClosedInSubqueryRunsOnce: an IN subquery that reads no table of the
+// enclosing SELECT has one candidate list per execution however its columns
+// are spelled — an unqualified column resolves in the subquery's own scope
+// first — so neither spelling falls back, each costs two SELECTs (the outer
+// one and the subquery, not one subquery per row), and the row engine gives
+// the same rows.
+func TestClosedInSubqueryRunsOnce(t *testing.T) {
+	db := parityDB(t)
+	defer db.SetEngine(EngineVector)
+	run := func(engine, sql string) (*ResultSet, int64) {
+		t.Helper()
+		if err := db.SetEngine(engine); err != nil {
+			t.Fatal(err)
+		}
+		before := db.Stats()
+		res, err := db.Exec(sql, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		after := db.Stats()
+		if after.VecFallbacks != before.VecFallbacks {
+			t.Fatalf("%s fell back: %+v", sql, after.VecFallbackReasons)
+		}
+		return res.Set, after.VecSelects - before.VecSelects
+	}
+	for _, sql := range []string{
+		`SELECT id FROM item WHERE grp IN (SELECT id FROM grp WHERE boss IS NOT NULL)`,
+		`SELECT i.id FROM item i WHERE i.grp IN (SELECT g.id FROM grp g WHERE g.boss IS NOT NULL)`,
+		`SELECT id FROM item WHERE grp NOT IN (SELECT boss FROM grp WHERE name <> 'two')`,
+	} {
+		vec, selects := run(EngineVector, sql)
+		if selects != 2 {
+			t.Errorf("%s: %d SELECTs, want 2: the outer one and the subquery once", sql, selects)
+		}
+		if row, _ := run(EngineRow, sql); !reflect.DeepEqual(vec, row) {
+			t.Errorf("%s diverges:\nvector: %+v\nrow:    %+v", sql, vec, row)
+		}
+	}
+}
+
 // decorrDB builds the two tables the decorrelation cases join: an outer
 // relation o and a subquery table s whose key k has one row (1, 2), two rows
 // (3, one per run), no row (4) and a NULL, with a zero divisor w on a key (9)

@@ -25,7 +25,7 @@ const (
 	ReqCloseCursor                      // discard a cursor
 	ReqPing                             // round-trip probe
 	ReqPrepare                          // parse and plan, return a statement handle
-	ReqExecPrepared                     // execute a prepared handle, inline result
+	ReqExecPrepared                     // retired single execution: answered as an unknown kind
 	ReqClosePrepared                    // discard a statement handle
 	ReqExecBatch                        // execute a prepared handle once per binding, inline results
 	ReqServerStats                      // fetch the engine's counters and the server's own
@@ -53,8 +53,8 @@ type Request struct {
 	Named    map[string]WireValue
 	CursorID int64
 	FetchN   int
-	// StmtID addresses a server-side prepared statement for ReqExecPrepared,
-	// ReqClosePrepared, and ReqExecBatch; prepared requests ship no SQL text.
+	// StmtID addresses a server-side prepared statement for ReqClosePrepared
+	// and ReqExecBatch; prepared requests ship no SQL text.
 	StmtID int64
 	// Batch carries the parameter bindings of a ReqExecBatch: one entry per
 	// execution of the prepared handle, at most MaxBatch of them.
@@ -121,8 +121,8 @@ type Response struct {
 	// Items holds the per-binding outcomes of a ReqExecBatch.
 	Items []BatchItem
 	// CacheHits counts how many of this reply's results were served from the
-	// server's result cache (0 or 1 for single executions, up to the binding
-	// count for a batch).
+	// server's result cache (0 or 1 for a text execution or a cursor, up to
+	// the binding count for a batch).
 	CacheHits int
 	// Server is the counter snapshot answering a ReqServerStats.
 	Server *ServerStats
@@ -208,6 +208,20 @@ var (
 	// protocol cost in tests and benchmarks.
 	ProfileFast = Profile{Name: "fast"}
 )
+
+// Cost is the vendor's price list, the one both the wire server and
+// godbc.Embedded charge through: the price of one statement execution is the
+// fixed per-statement overhead, plus compilation when compile is set (a text
+// execution, a prepare, a cursor open — not an execution of a prepared
+// handle), plus the per-row charges for the rows written and read. A result
+// the cache answered costs nothing, and callers do not charge it.
+func (p Profile) Cost(compile bool, written, read int) time.Duration {
+	d := p.PerStatement + time.Duration(written)*p.PerRowWrite + time.Duration(read)*p.PerRowRead
+	if compile {
+		d += p.PerPrepare
+	}
+	return d
+}
 
 // String renders the profile name.
 func (p Profile) String() string { return p.Name }

@@ -2,10 +2,10 @@ package wire_test
 
 // The server decodes every request of a connection into the same memory
 // (requestDecoder, connState's batch scratch). What one request leaves there
-// must never show in the next: these tests send a long batch, then a shorter
-// one with other names and values, then a text execution down one connection,
-// and hold every reply against what a connection that has seen nothing
-// answers.
+// must never show in the next: these tests send a long batch, then shorter
+// ones with other names and values, then a text execution down one
+// connection, and hold every reply against what a connection that has seen
+// nothing answers.
 
 import (
 	"bytes"
@@ -57,8 +57,9 @@ func TestServerReusesRequestScratch(t *testing.T) {
 		return []*wire.Request{
 			{Kind: wire.ReqExecBatch, StmtID: stmt, Batch: batchA},
 			{Kind: wire.ReqExecBatch, StmtID: stmt, Batch: batchB},
-			{Kind: wire.ReqExecPrepared, StmtID: stmt, Pos: []sqldb.Value{sqldb.NewInt(1)}, Named: map[string]sqldb.Value{"a": sqldb.NewInt(2), "b": sqldb.NewInt(3)}},
-			{Kind: wire.ReqExecPrepared, StmtID: stmt, Named: map[string]sqldb.Value{"b": sqldb.NewInt(3)}}, // no $a, no ?
+			{Kind: wire.ReqExecBatch, StmtID: stmt, Batch: []wire.BatchBinding{{Pos: []sqldb.Value{sqldb.NewInt(1)}, Named: map[string]sqldb.Value{"a": sqldb.NewInt(2), "b": sqldb.NewInt(3)}}}},
+			{Kind: wire.ReqExecBatch, StmtID: stmt, Batch: []wire.BatchBinding{{Named: map[string]sqldb.Value{"a": sqldb.NewInt(2), "b": sqldb.NewInt(3)}}}}, // no ?
+			{Kind: wire.ReqExecBatch, StmtID: stmt, Batch: []wire.BatchBinding{{Named: map[string]sqldb.Value{"b": sqldb.NewInt(3)}}}},                       // no $a, no ?
 			{Kind: wire.ReqExec, SQL: "SELECT $c", Named: map[string]sqldb.Value{"c": sqldb.NewText("text protocol")}},
 			{Kind: wire.ReqExec, SQL: "SELECT $a"}, // nothing bound
 			{Kind: wire.ReqExecBatch, StmtID: stmt, Batch: batchA[:2]},
@@ -102,7 +103,15 @@ func TestServerReusesRequestScratch(t *testing.T) {
 					if got.Items[2].Err != "" {
 						t.Fatalf("the complete binding of batch B failed: %s", got.Items[2].Err)
 					}
-				case 3, 5:
+				case 2:
+					if got.Err != "" || got.Items[0].Err != "" {
+						t.Fatalf("the complete single binding failed: %s%s", got.Err, got.Items[0].Err)
+					}
+				case 3, 4:
+					if got.Items[0].Err == "" {
+						t.Fatalf("the single binding of request %d was answered %v: a parameter of an earlier request leaked into it", i, got.Items[0].Rows)
+					}
+				case 6:
 					if got.Err == "" {
 						t.Fatalf("request %d was answered %v: a parameter of an earlier request leaked into it", i, got.Rows)
 					}

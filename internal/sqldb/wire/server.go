@@ -138,8 +138,6 @@ func (s *Server) serve(req *Request, st *connState) *Response {
 		return &Response{}
 	case ReqPrepare:
 		return s.servePrepare(req, st)
-	case ReqExecPrepared:
-		return s.serveExecPrepared(req, st)
 	case ReqClosePrepared:
 		if ps, ok := st.stmts[req.StmtID]; ok {
 			delete(st.stmts, req.StmtID)
@@ -168,39 +166,12 @@ func paramsInto(dst *sqldb.Params, pos []sqldb.Value, named map[string]sqldb.Val
 	return dst
 }
 
+// serveExec answers a text-protocol execution, which compiles the statement
+// anew every time. A result the cache served costs the vendor server nothing
+// beyond the round trip (already charged in serve): no compiler or executor
+// ran.
 func (s *Server) serveExec(req *Request) *Response {
 	res, err := s.db.Exec(req.SQL, paramsInto(new(sqldb.Params), req.Pos, req.Named))
-	// A text-protocol execution compiles the statement anew every time, so
-	// it is charged the prepare cost on top of the per-statement overhead.
-	return s.execReply(res, err, s.profile.PerPrepare)
-}
-
-func (s *Server) servePrepare(req *Request, st *connState) *Response {
-	ps, err := s.db.Prepare(req.SQL)
-	if err != nil {
-		return &Response{Err: err.Error()}
-	}
-	s.sleep(s.profile.PerPrepare + s.profile.PerStatement)
-	id := atomic.AddInt64(&s.nextStmt, 1)
-	st.stmts[id] = ps
-	return &Response{StmtID: id}
-}
-
-func (s *Server) serveExecPrepared(req *Request, st *connState) *Response {
-	ps, ok := st.stmts[req.StmtID]
-	if !ok {
-		return &Response{Err: fmt.Sprintf("wire: no prepared statement %d", req.StmtID)}
-	}
-	// Executing a prepared handle skips the compile cost.
-	res, err := ps.Execute(paramsInto(new(sqldb.Params), req.Pos, req.Named))
-	return s.execReply(res, err, 0)
-}
-
-// execReply answers one execution of a statement. A result the cache served
-// costs the vendor server nothing beyond the round trip (already charged in
-// serve): no compiler or executor ran. Any other pays compile, the fixed
-// per-statement overhead and the row costs.
-func (s *Server) execReply(res *sqldb.Result, err error, compile time.Duration) *Response {
 	if err != nil {
 		return &Response{Err: err.Error()}
 	}
@@ -213,9 +184,19 @@ func (s *Server) execReply(res *sqldb.Result, err error, compile time.Duration) 
 		resp.CacheHits = 1
 		return resp
 	}
-	s.sleep(compile + s.profile.PerStatement + time.Duration(res.Affected)*s.profile.PerRowWrite)
-	s.sleep(time.Duration(len(resp.Rows)) * s.profile.PerRowRead)
+	s.sleep(s.profile.Cost(true, res.Affected, len(resp.Rows)))
 	return resp
+}
+
+func (s *Server) servePrepare(req *Request, st *connState) *Response {
+	ps, err := s.db.Prepare(req.SQL)
+	if err != nil {
+		return &Response{Err: err.Error()}
+	}
+	s.sleep(s.profile.Cost(true, 0, 0))
+	id := atomic.AddInt64(&s.nextStmt, 1)
+	st.stmts[id] = ps
+	return &Response{StmtID: id}
 }
 
 // serveExecBatch executes a prepared handle once per binding. The whole batch
@@ -247,27 +228,22 @@ func (s *Server) serveExecBatch(req *Request, st *connState) *Response {
 	for i, r := range results {
 		if r.Err != nil {
 			resp.Items[i] = BatchItem{Err: r.Err.Error()}
-			delay += s.profile.PerStatement
+			delay += s.profile.Cost(false, 0, 0)
 			continue
 		}
-		item := BatchItem{Affected: r.Res.Affected}
-		if r.Res.Cached {
-			// A binding the result cache answered costs the vendor server
-			// nothing beyond the (already charged, batch-wide) round trip.
-			item.Cached = true
-			item.Columns = r.Res.Set.Columns
-			item.Rows = replyRows(r.Res.Set.Rows)
-			resp.Items[i] = item
-			resp.CacheHits++
-			continue
-		}
-		delay += s.profile.PerStatement + time.Duration(r.Res.Affected)*s.profile.PerRowWrite
+		item := &resp.Items[i]
+		*item = BatchItem{Affected: r.Res.Affected, Cached: r.Res.Cached}
 		if r.Res.Set != nil {
 			item.Columns = r.Res.Set.Columns
 			item.Rows = replyRows(r.Res.Set.Rows)
-			delay += time.Duration(len(item.Rows)) * s.profile.PerRowRead
 		}
-		resp.Items[i] = item
+		if r.Res.Cached {
+			// A binding the result cache answered costs the vendor server
+			// nothing beyond the (already charged, batch-wide) round trip.
+			resp.CacheHits++
+			continue
+		}
+		delay += s.profile.Cost(false, item.Affected, len(item.Rows))
 	}
 	s.sleep(delay)
 	return resp
@@ -282,7 +258,7 @@ func (s *Server) serveQueryCursor(req *Request, st *connState) *Response {
 		return &Response{Err: "wire: statement produced no result set"}
 	}
 	if !res.Cached {
-		s.sleep(s.profile.PerPrepare + s.profile.PerStatement)
+		s.sleep(s.profile.Cost(true, 0, 0))
 	}
 	id := atomic.AddInt64(&s.nextCursor, 1)
 	st.cursors[id] = &cursor{set: res.Set}
