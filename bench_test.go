@@ -832,7 +832,8 @@ func coldDB(b *testing.B) (*model.Graph, *sqldb.DB) {
 
 // coldAnalyze times cache-off analyses of the last four runs in rotation
 // (after one untimed pass over them) and reports the SELECT executions per
-// analysis as selects/op. With wantBottleneck every report must name one,
+// analysis as selects/op, and the rows their build sides visit as
+// buildrows/op. With wantBottleneck every report must name one,
 // which an analysis of all properties does; one property alone may find none.
 func coldAnalyze(b *testing.B, wantBottleneck bool, opts ...core.Option) {
 	g, db := coldDB(b)
@@ -863,6 +864,7 @@ func coldAnalyze(b *testing.B, wantBottleneck bool, opts ...core.Option) {
 		b.Fatalf("%d SELECTs fell back to the row interpreter: %+v", n, after.VecFallbackReasons)
 	}
 	b.ReportMetric(float64(after.VecSelects-before.VecSelects)/float64(b.N), "selects/op")
+	b.ReportMetric(float64(after.BuildRows-before.BuildRows)/float64(b.N), "buildrows/op")
 }
 
 func BenchmarkColdAnalyze(b *testing.B) { coldAnalyze(b, true) }
@@ -870,6 +872,92 @@ func BenchmarkColdAnalyze(b *testing.B) { coldAnalyze(b, true) }
 func BenchmarkColdAnalyzeProperty(b *testing.B) {
 	for _, name := range model.AllProperties {
 		b.Run(name, func(b *testing.B) { coldAnalyze(b, false, core.WithProperties(name)) })
+	}
+}
+
+// BenchmarkRestrictedVsPerContext (E26) prices the restricted set form —
+// the set-form statement plus "AND x3.elem_id = $ctx", which evaluates one
+// context — against the per-context statement, on the cold dataset, for
+// the property whose builds are keyed by the context and by the
+// minimum-processor run (SublinearSpeedup) and one whose builds are pinned
+// to $t (MeasuredCost). One op executes each form for the same 64 contexts;
+// restricted_ms and per_context_ms are the two halves, and ratio their
+// quotient, the cost of running one statement text for both.
+func BenchmarkRestrictedVsPerContext(b *testing.B) {
+	g, db := coldDB(b)
+	one := func(sql string) sqldb.Value {
+		b.Helper()
+		res, err := db.Exec(sql, nil)
+		if err != nil || len(res.Set.Rows) == 0 {
+			b.Fatalf("%s: %v", sql, err)
+		}
+		return res.Set.Rows[0][0]
+	}
+	run := one(`SELECT id FROM TestRun ORDER BY NoPe DESC LIMIT 1`)
+	basis := one(`SELECT id FROM Region WHERE Kind = 'program'`)
+	for _, name := range []string{"SublinearSpeedup", "MeasuredCost"} {
+		b.Run(name, func(b *testing.B) {
+			path, ok := core.ContextPath(g.World.Props[name].Params[0].Type.(*sem.Class).Name)
+			if !ok {
+				b.Fatalf("%s: no containment path", name)
+			}
+			set, err := sqlgen.CompilePropertySet(g.World, name, path)
+			if err != nil {
+				b.Fatal(err)
+			}
+			per, err := sqlgen.CompileProperty(g.World, name)
+			if err != nil {
+				b.Fatal(err)
+			}
+			restrictedSQL := set.SQL + " AND x3.elem_id = $ctx"
+			if _, err := sqldb.ParseSQL(restrictedSQL); err != nil {
+				b.Fatalf("the restricted set form does not parse: %v", err)
+			}
+			all, err := db.Exec(set.SQL, &sqldb.Params{Named: map[string]sqldb.Value{
+				set.Params[0].Name: run, set.Params[1].Name: basis,
+			}})
+			if err != nil || len(all.Set.Rows) < 64 {
+				b.Fatalf("set form: %v", err)
+			}
+			restricted, err := db.Prepare(restrictedSQL)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer restricted.Close()
+			perContext, err := db.Prepare(per.SQL)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer perContext.Close()
+			var rParams, pParams []*sqldb.Params
+			for _, row := range all.Set.Rows[:64] {
+				rParams = append(rParams, &sqldb.Params{Named: map[string]sqldb.Value{
+					set.Params[0].Name: run, set.Params[1].Name: basis, "ctx": row[0],
+				}})
+				pParams = append(pParams, &sqldb.Params{Named: map[string]sqldb.Value{
+					per.Params[0].Name: row[0], per.Params[1].Name: run, per.Params[2].Name: basis,
+				}})
+			}
+			execAll := func(ps *sqldb.PreparedStmt, params []*sqldb.Params) time.Duration {
+				start := time.Now()
+				for _, p := range params {
+					res, err := ps.Execute(p)
+					if err != nil || len(res.Set.Rows) != 1 {
+						b.Fatalf("%v (%+v)", err, res)
+					}
+				}
+				return time.Since(start)
+			}
+			var rTime, pTime time.Duration
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rTime += execAll(restricted, rParams)
+				pTime += execAll(perContext, pParams)
+			}
+			b.ReportMetric(float64(rTime.Microseconds())/1e3/float64(b.N), "restricted_ms")
+			b.ReportMetric(float64(pTime.Microseconds())/1e3/float64(b.N), "per_context_ms")
+			b.ReportMetric(float64(rTime)/float64(pTime), "ratio")
+		})
 	}
 }
 

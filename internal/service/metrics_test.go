@@ -183,7 +183,7 @@ func TestMetricsBackendKeys(t *testing.T) {
 	}
 	keys := func(m map[string]json.RawMessage) []string { return slices.Sorted(maps.Keys(m)) }
 	want := []string{
-		"batch_bindings", "batch_execs",
+		"batch_bindings", "batch_execs", "build_rows",
 		"plan_cache_entries", "plan_cache_evictions", "plan_cache_hits", "plan_cache_misses",
 		"prepared_live", "replans", "requests",
 		"result_cache_entries", "result_cache_evictions", "result_cache_hits",

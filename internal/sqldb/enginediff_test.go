@@ -270,6 +270,9 @@ func FuzzEngineDifferential(f *testing.F) {
 		f.Add(compileSet(f, w, name).SQL, run, basis, int64(3))
 	}
 	f.Add(`SELECT (SELECT x.w FROM fuzz_aux x WHERE x.id = $r AND x.v = $basis) / (SELECT MAX(y.w) FROM fuzz_aux y WHERE y.v = $basis)`, int64(1), int64(10), int64(4))
+	for _, s := range probeKeyedSeeds {
+		f.Add(s.sql, s.p[0], s.p[1], s.p[2])
+	}
 
 	f.Fuzz(func(t *testing.T, sql string, p1, p2, p3 int64) {
 		stmt, err := sqldb.ParseSQL(sql)
@@ -296,6 +299,7 @@ func FuzzEngineDifferential(f *testing.F) {
 		if (vecErr == nil) != (rowErr == nil) {
 			t.Fatalf("engine divergence on %q: vector err=%v, row err=%v", sql, vecErr, rowErr)
 		}
+		checkProbeKeyed(t, db, sql, [3]int64{p1, p2, p3}, params)
 		if vecErr != nil {
 			return // both failed: agreement
 		}
@@ -331,4 +335,62 @@ func FuzzEngineDifferential(f *testing.F) {
 			}
 		}
 	})
+}
+
+// probeKeyedSeeds are FuzzEngineDifferential seeds whose decorrelated
+// builds are seeded by the values their probes carry — through the
+// junction's owner key or the timing table's run key — or rebuilt by scan,
+// where a second probe of the same build asks for a value the first did not
+// read. Run as seeds, each must fall back 0 times and seed the junction as
+// listed: the rows each build scan of Region_TotTimes reads (12 is a scan).
+var probeKeyedSeeds = []struct {
+	name, sql string
+	p         [3]int64
+	seeds     []int
+}{
+	// Run 4 reaches six timing rows, the owners all twelve junction rows;
+	// the minimum-run build scans.
+	{"probe-keyed-join-key", `SELECT x.elem_id, (SELECT t.Incl FROM Region_TotTimes j JOIN TotalTiming t ON t.id = j.elem_id WHERE j.owner_id = x.elem_id AND t.Run_id = (SELECT MIN(u.Run_id) FROM Region_TotTimes k JOIN TotalTiming u ON u.id = k.elem_id WHERE k.owner_id = x.elem_id)) FROM Function_Regions x ORDER BY x.elem_id`, [3]int64{1, 2, 3}, []int{12, 6}},
+	// One context: the owner reaches two rows in both builds.
+	{"probe-keyed-from-key", `SELECT x.elem_id, (SELECT t.Incl FROM Region_TotTimes j JOIN TotalTiming t ON t.id = j.elem_id WHERE j.owner_id = x.elem_id AND t.Run_id = (SELECT MIN(u.Run_id) FROM Region_TotTimes k JOIN TotalTiming u ON u.id = k.elem_id WHERE k.owner_id = x.elem_id)) FROM Function_Regions x WHERE x.elem_id = $k ORDER BY x.elem_id`, [3]int64{12, 2, 3}, []int{2, 2}},
+	// The guarded probe asks for run 4, the unguarded one for run 5 too: the
+	// build is rebuilt by scan.
+	{"probe-keyed-rebuilds", `SELECT x.elem_id, r.id, r.id = (SELECT MIN(q.id) FROM TestRun q) AND (SELECT t.Incl FROM Region_TotTimes j JOIN TotalTiming t ON t.id = j.elem_id WHERE j.owner_id = x.elem_id AND t.Run_id = r.id) > 1, (SELECT t.Incl FROM Region_TotTimes j JOIN TotalTiming t ON t.id = j.elem_id WHERE j.owner_id = x.elem_id AND t.Run_id = r.id) FROM Function_Regions x JOIN TestRun r ON r.id > 0 ORDER BY x.elem_id, r.id`, [3]int64{1, 2, 3}, []int{6, 12}},
+	// A NULL run matches nothing and reads nothing.
+	{"probe-keyed-null-component", `SELECT x.elem_id, o.id, (SELECT COUNT(*) FROM Region_TotTimes j JOIN TotalTiming t ON t.id = j.elem_id WHERE j.owner_id = x.elem_id AND t.Run_id = (SELECT r.id FROM TestRun r WHERE r.NoPe = o.id)) FROM Function_Regions x JOIN fuzz_aux o ON o.id <> 4 ORDER BY x.elem_id, o.id`, [3]int64{1, 2, 3}, []int{6}},
+	// The residual divides: the build is not quiet and scans.
+	{"probe-keyed-unquiet-residual", `SELECT x.elem_id, (SELECT t.Incl FROM Region_TotTimes j JOIN TotalTiming t ON t.id = j.elem_id WHERE j.owner_id = x.elem_id AND 1 / t.Incl > 0 AND t.Run_id = $t) FROM Function_Regions x WHERE x.elem_id < $k ORDER BY x.elem_id`, [3]int64{4, 12, 3}, []int{12}},
+}
+
+// checkProbeKeyed runs sql again on the vectorized engine where it is a
+// probe-keyed seed (probeKeyedSeeds): it must succeed without falling back,
+// and seed the junction as listed.
+func checkProbeKeyed(t *testing.T, db *sqldb.DB, sql string, p [3]int64, params *sqldb.Params) {
+	for _, s := range probeKeyedSeeds {
+		if s.sql != sql || s.p != p {
+			continue
+		}
+		if err := db.SetEngine(sqldb.EngineVector); err != nil {
+			t.Fatal(err)
+		}
+		var seeds []int
+		db.OnSeed(func(table string, rows int) {
+			if table == "Region_TotTimes" {
+				seeds = append(seeds, rows)
+			}
+		})
+		before := db.Stats()
+		_, err := db.Exec(sql, params)
+		after := db.Stats()
+		db.OnSeed(nil)
+		if err != nil {
+			t.Fatalf("%s: %v", s.name, err)
+		}
+		if n := after.VecFallbacks - before.VecFallbacks; n != 0 {
+			t.Errorf("%s: %d fallbacks: %+v", s.name, n, after.VecFallbackReasons)
+		}
+		if !reflect.DeepEqual(seeds, s.seeds) {
+			t.Errorf("%s: junction seeds %v, want %v", s.name, seeds, s.seeds)
+		}
+	}
 }

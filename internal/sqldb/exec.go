@@ -810,74 +810,116 @@ func setTuple(fr *frame, tp tuple) {
 // clause contains a top-level "col = expr" conjunct on an indexed column of
 // this table whose right-hand side is independent of the scanned table
 // (literals, parameters, outer-scope correlations, and uncorrelated
-// subqueries all qualify); else the rows the join access reaches (joinSeed);
-// else every row. This turns the nested dereference subqueries emitted by the
-// ASL property compiler from full scans into O(1) point lookups, and a build
-// side pinned to one run into a read of that run's rows. The candidate
-// conjuncts were matched at prepare time; whether a column is indexed is
-// still checked here so lazily built join indexes are picked up.
+// subqueries all qualify); else the rows the join access reaches; else every
+// row. This turns the nested dereference subqueries emitted by the ASL
+// property compiler from full scans into O(1) point lookups, and a SELECT
+// pinned to one run into a read of that run's rows. Both seeds are one value
+// through seedKeys, which a decorrelated build also seeds through with the
+// values its probes carry (vecCtx.startBuild). The candidate conjuncts were
+// matched at prepare time; whether a column is indexed is still checked here
+// so lazily built join indexes are picked up.
 func (ec *execCtx) seed(sp *selectPlan, fr *frame, buf []int32) []int32 {
 	for _, ap := range sp.access {
-		idx := sp.from.index(ap.col)
-		if idx == nil {
+		ka := keyAccess{join: -1, col: ap.col}
+		ix := sp.keyIndex(ka)
+		if ix == nil {
 			continue
 		}
 		v, err := ec.eval(ap.val, fr)
 		if err != nil {
 			continue // not evaluable up front; fall back to a scan
 		}
-		for _, p := range idx.get(v) {
-			buf = append(buf, int32(p))
+		return sp.seedKeys(ka, ix, []Value{v}, buf)
+	}
+	if v, ok := ec.pinValue(sp, fr); ok {
+		if ix := sp.keyIndex(sp.pin.keyAccess); ix != nil {
+			return sp.seedKeys(sp.pin.keyAccess, ix, []Value{v}, buf)
 		}
-		return buf
 	}
-	if seeded, ok := ec.joinSeed(sp, fr, buf); ok {
-		return seeded
-	}
-	n := sp.from.nrows // stable: DML runs under the exclusive statement lock
-	for i := 0; i < n; i++ {
-		buf = append(buf, int32(i))
-	}
-	return buf
+	return appendRows(buf, sp.from.nrows) // stable: DML runs under the exclusive statement lock
 }
 
-// joinSeed appends the join access's candidates to buf: the first table's
-// rows whose joined column holds the key of a row of J the pin selects, each
-// once and in storage order, so rows — and float sums over them — arrive as
-// the scan delivers them. It reports false, for the scan to serve, when the
-// plan has no join access, either index is missing, or the pin value is not
-// exact for the pinned column (pinExact); a NULL value seeds nothing, as the
-// pin holds on no row.
-func (ec *execCtx) joinSeed(sp *selectPlan, fr *frame, buf []int32) ([]int32, bool) {
-	ja := &sp.pin
-	if ja.val == nil {
-		return buf, false
+// pinValue evaluates the join access's value for one execution. ok is false,
+// for the scan to serve, when the SELECT has no join access, the value fails
+// to evaluate, or it is not exact for the pinned column (pinExact). A NULL
+// value is ok: it holds on no row and seeds nothing.
+func (ec *execCtx) pinValue(sp *selectPlan, fr *frame) (Value, bool) {
+	if sp.pin.val == nil {
+		return Null, false
 	}
-	jt := sp.joins[ja.join].table
-	pinIdx, keyIdx := jt.index(ja.col), sp.from.index(ja.fromCol)
-	if pinIdx == nil || keyIdx == nil {
-		return buf, false
+	v, err := ec.eval(sp.pin.val, fr)
+	if err != nil {
+		return Null, false
 	}
-	v, err := ec.eval(ja.val, fr)
-	switch {
-	case err != nil:
-		return buf, false
-	case v.IsNull():
-		return buf, true
-	case !pinExact(v, jt.Columns[ja.col].Type):
-		return buf, false
-	}
+	return v, v.IsNull() || pinExact(v, sp.colType(sp.pin.keyAccess))
+}
+
+// seedKeys appends to buf the positions of the first table's rows that ka
+// reaches from vals, looked up by index Key in ix, ka's index (keyIndex):
+// the rows whose column holds one of them or, through a joined table J,
+// whose join column holds the key of a J row that does. Positions come out
+// ascending and each once, so rows — and float sums over them — arrive as
+// the scan delivers them. On F's own column a NULL value reaches the NULL
+// cells, as the row engine's access path does; through J it reaches
+// nothing, since the equality it stands for holds on no row.
+func (sp *selectPlan) seedKeys(ka keyAccess, ix *hashIndex, vals []Value, buf []int32) []int32 {
 	n := len(buf)
-	keys := jt.cols[sp.joins[ja.join].eqCol]
-	for _, p := range pinIdx.get(v) {
-		if k := keys.value(p); !k.IsNull() {
-			for _, q := range keyIdx.get(k) {
-				buf = append(buf, int32(q))
+	if ka.join < 0 {
+		for _, v := range vals {
+			for _, p := range ix.get(v) {
+				buf = append(buf, int32(p))
+			}
+		}
+		if len(vals) == 1 {
+			return buf // one index entry: ascending already
+		}
+	} else {
+		jp := &sp.joins[ka.join]
+		keys, fx := jp.table.cols[jp.eqCol], sp.from.index(ka.fromCol)
+		for _, v := range vals {
+			if v.IsNull() {
+				continue
+			}
+			for _, p := range ix.get(v) {
+				if k := keys.value(p); !k.IsNull() {
+					for _, q := range fx.get(k) {
+						buf = append(buf, int32(q))
+					}
+				}
 			}
 		}
 	}
 	slices.Sort(buf[n:])
-	return buf[:n+len(slices.Compact(buf[n:]))], true
+	return buf[:n+len(slices.Compact(buf[n:]))]
+}
+
+// keyIndex is the index ka looks values up in — F's, or J's — nil, for the
+// scan to serve, when it or, through J, F's join index is missing.
+func (sp *selectPlan) keyIndex(ka keyAccess) *hashIndex {
+	_, tab := sp.table(ka.join + 1)
+	ix := tab.index(ka.col)
+	if ix == nil || ka.join >= 0 && sp.from.index(ka.fromCol) == nil {
+		return nil
+	}
+	return ix
+}
+
+// keyHits is the number of entries of ix, ka's index, that seedKeys looks v
+// up to: the rows of F, or of J, holding it — the measure a build picks its
+// seed by.
+func keyHits(ix *hashIndex, ka keyAccess, v Value) int {
+	if ka.join >= 0 && v.IsNull() {
+		return 0
+	}
+	return len(ix.get(v))
+}
+
+// appendRows appends the positions of every row of a table of n rows.
+func appendRows(buf []int32, n int) []int32 {
+	for i := 0; i < n; i++ {
+		buf = append(buf, int32(i))
+	}
+	return buf
 }
 
 // conjuncts flattens a top-level AND tree.

@@ -43,6 +43,7 @@ func (db *DB) SetStats(s Stats) {
 	db.vecFbOrder.Store(r.OrderExpr)
 	db.vecFbSub.Store(r.Subquery)
 	db.vecFbOther.Store(r.Other)
+	db.buildRows.Store(s.BuildRows)
 }
 
 // OnSeed makes every vectorized scan report the name of the FROM table it

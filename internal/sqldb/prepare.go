@@ -107,17 +107,24 @@ type accessPath struct {
 	val Expr
 }
 
-// joinAccess seeds the first table F of a SELECT through a joined table J the
-// WHERE pins — a semi-join reduction: a top-level "J.col = val" conjunct, val
-// a literal or parameter, where J's join is the hash join "J.key = F.fromCol".
+// keyAccess reaches rows of the first table F of a SELECT by values looked
+// up in one indexed column: F's own (join < 0), or that of a joined table J
+// whose join is the hash join "J.key = F.fromCol" — a semi-join reduction
+// (seedKeys).
+type keyAccess struct {
+	join    int // J's ordinal in selectPlan.joins, -1 for F's own column
+	col     int // the column the values are looked up in
+	fromCol int // F's join column, when join >= 0
+}
+
+// joinAccess seeds F through a joined table J the WHERE pins: a top-level
+// "J.col = val" conjunct, val a literal or parameter, reached as a keyAccess.
 // The F rows whose fromCol holds a key one of J's pinned rows carries are a
 // superset of the rows that survive the join and the pin (ec.seed). val is
 // nil when the SELECT has no join access (planJoinAccess).
 type joinAccess struct {
-	join    int // J's ordinal in selectPlan.joins
-	col     int // J's pinned column
-	val     Expr
-	fromCol int
+	keyAccess
+	val Expr
 }
 
 // joinPlan is the precomputed strategy for one JOIN clause.
@@ -381,7 +388,9 @@ func (p *stmtPlan) planSelect(db *DB, st *SelectStmt) error {
 			jp.eqCol, jp.outer, jp.rest = joinStrategy(j.On, jbt)
 			sp.joins = append(sp.joins, jp)
 		}
-		sp.pin = planJoinAccess(sp, conds)
+		if len(sp.joins) > 0 {
+			sp.pin, _ = planJoinAccess(sp, conds)
+		}
 	}
 	var tables []*Table
 	if sp.from != nil {
@@ -425,36 +434,33 @@ func (p *stmtPlan) planSelect(db *DB, st *SelectStmt) error {
 
 // planJoinAccess finds the join access of a planned SELECT among conds, the
 // top-level conjuncts of its WHERE — for a build side, of the synthesized
-// WHERE, which holds no key conjunct. The seed skips F rows the scan would
-// have joined and filtered, so the access is taken only where no skipped row
-// could raise: every join key is a column and every join residue and every
-// conjunct but the pin is quiet; the pin value itself is checked per
-// execution (pinExact). Quiet everywhere, not only ahead of the pin: a pin
-// that evaluates to NULL — on a NULL cell — does not cut AND short, so the
-// conjuncts after it still run on that row.
-func planJoinAccess(sp *selectPlan, conds []Expr) joinAccess {
-	if len(sp.joins) == 0 {
-		return joinAccess{}
-	}
+// WHERE, which holds no key conjunct — and reports whether the SELECT is
+// quiet: a row a seed skips is one the scan would have joined and filtered
+// without raising, because every join key is a column and every join residue
+// and every conjunct but the pin is quiet. The pin value itself is checked
+// per execution (pinExact). Quiet everywhere, not only ahead of the pin: a
+// pin that evaluates to NULL — on a NULL cell — does not cut AND short, so
+// the conjuncts after it still run on that row. Only a quiet SELECT has a
+// join access.
+func planJoinAccess(sp *selectPlan, conds []Expr) (pin joinAccess, quiet bool) {
 	for k := range sp.joins {
 		jp := &sp.joins[k]
 		if jp.eqCol >= 0 {
 			key, ok := jp.outer.(*EColumn)
 			if !ok {
-				return joinAccess{}
+				return joinAccess{}, false
 			}
 			lqual, lname := key.keys()
 			if _, _, n := sp.resolve(lqual, lname, k+2); n != 1 {
-				return joinAccess{}
+				return joinAccess{}, false
 			}
 		}
 		for _, c := range jp.rest {
 			if !sp.quiet(c, k+2) {
-				return joinAccess{}
+				return joinAccess{}, false
 			}
 		}
 	}
-	var pin joinAccess
 	for _, c := range conds {
 		if pin.val == nil {
 			if pin = sp.matchPin(c); pin.val != nil {
@@ -462,15 +468,15 @@ func planJoinAccess(sp *selectPlan, conds []Expr) joinAccess {
 			}
 		}
 		if !sp.quiet(c, 1+len(sp.joins)) {
-			return joinAccess{}
+			return joinAccess{}, false
 		}
 	}
-	return pin
+	return pin, true
 }
 
 // matchPin matches a conjunct "J.col = val" (either orientation) on a joined
-// table J whose join is the hash join "J.key = F.fromCol", with val a literal
-// or parameter and col of a type pinExact can admit a value for.
+// table J reached by a key access (colAccess), with val a literal or
+// parameter.
 func (sp *selectPlan) matchPin(c Expr) joinAccess {
 	eq, ok := c.(*EBinary)
 	if !ok || eq.Op != OpEq {
@@ -490,26 +496,43 @@ func (sp *selectPlan) matchPin(c Expr) joinAccess {
 	if !isCol {
 		return joinAccess{}
 	}
-	lqual, lname := col.keys()
+	if ka, ok := sp.colAccess(col); ok && ka.join >= 0 {
+		return joinAccess{keyAccess: ka, val: val}
+	}
+	return joinAccess{}
+}
+
+// colAccess is the key access through the column c names: a column of F, or
+// of a joined table J whose join is the hash join "J.key = F.fromCol" on
+// columns, of a type pinExact can admit a value for.
+func (sp *selectPlan) colAccess(c *EColumn) (keyAccess, bool) {
+	lqual, lname := c.keys()
 	t, pc, n := sp.resolve(lqual, lname, 1+len(sp.joins))
-	if n != 1 || t == 0 {
-		return joinAccess{}
+	if n != 1 {
+		return keyAccess{}, false
+	}
+	if _, tab := sp.table(t); tab.Columns[pc].Type == TFloat {
+		return keyAccess{}, false
+	}
+	if t == 0 {
+		return keyAccess{join: -1, col: pc}, true
 	}
 	jp := &sp.joins[t-1]
-	switch jp.table.Columns[pc].Type {
-	case TInt, TBool, TText:
-	default:
-		return joinAccess{}
-	}
 	key, _ := jp.outer.(*EColumn)
 	if jp.eqCol < 0 || key == nil {
-		return joinAccess{}
+		return keyAccess{}, false
 	}
 	lqual, lname = key.keys()
 	if ft, fc, n := sp.resolve(lqual, lname, t+1); n == 1 && ft == 0 {
-		return joinAccess{join: t - 1, col: pc, val: val, fromCol: fc}
+		return keyAccess{join: t - 1, col: pc, fromCol: fc}, true
 	}
-	return joinAccess{}
+	return keyAccess{}, false
+}
+
+// colType is the declared type of the column ka looks values up in.
+func (sp *selectPlan) colType(ka keyAccess) ColType {
+	_, tab := sp.table(ka.join + 1)
+	return tab.Columns[ka.col].Type
 }
 
 // pinExact reports whether a non-NULL pin value v compares with every
@@ -790,6 +813,10 @@ type Stats struct {
 	VecSelects         int64           `json:"vec_selects"`
 	VecFallbacks       int64           `json:"vec_fallbacks"`
 	VecFallbackReasons FallbackReasons `json:"vec_fallback_reasons"`
+	// BuildRows counts the rows the build sides of decorrelated subqueries
+	// visit after their seed: every row of a scanned FROM table, or only
+	// those the pinned run or the probed keys reach (vecCtx.startBuild).
+	BuildRows int64 `json:"build_rows"`
 }
 
 // FallbackReasons is the per-shape breakdown of Stats.VecFallbacks (the fb*
@@ -815,6 +842,7 @@ func (s *Stats) Counters() []*int64 {
 		&s.ResultCacheEvictions, &s.ResultCacheEntries,
 		&s.VecSelects, &s.VecFallbacks,
 		&r.JoinShape, &r.Star, &r.OrderExpr, &r.Subquery, &r.Other,
+		&s.BuildRows,
 	}
 }
 
@@ -857,6 +885,7 @@ func (db *DB) Stats() Stats {
 			Subquery:  db.vecFbSub.Load(),
 			Other:     db.vecFbOther.Load(),
 		},
+		BuildRows: db.buildRows.Load(),
 	}
 }
 

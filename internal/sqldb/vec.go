@@ -228,7 +228,10 @@ type vecCtx struct {
 	// builds holds the build sides of the execution's decorrelated
 	// subqueries, by the slot the compiler gave each (corrBuildPlan.slot);
 	// their hash maps survive release, emptied, for the next execution.
-	builds []corrBuild
+	// probeVals is the scratch list of the values a build's first probe
+	// carries for one of its keys (vecCtx.startBuild).
+	builds    []corrBuild
+	probeVals []Value
 }
 
 var vecCtxPool = sync.Pool{New: func() any { return new(vecCtx) }}
@@ -291,9 +294,13 @@ func (vc *vecCtx) release() {
 	}
 	vc.fuseVals = vc.fuseVals[:0]
 	clear(vc.callArgs[:cap(vc.callArgs)])
+	clear(vc.probeVals)
+	vc.probeVals = vc.probeVals[:0]
 	for i := range vc.builds {
 		bd := &vc.builds[i]
-		bd.done = false
+		bd.started = false
+		clear(bd.vals)
+		bd.vals = bd.vals[:0]
 		clear(bd.index)
 		clear(bd.hits)
 		clear(bd.accs)
@@ -1142,31 +1149,46 @@ type corrBuildPlan struct {
 	star bool
 	// empty is the value of a key no row carries: NULL, or 0 under COUNT.
 	empty Value
+	// keyed lists the inner keys the build may be seeded through by the
+	// values its probes carry (vecCtx.startBuild): columns reached by a key
+	// access (colAccess). It is empty unless every row such a seed skips is
+	// one the correlated form evaluates nothing raising on — planJoinAccess's
+	// quiet rule over the residue, and every inner key a column or a literal.
+	keyed []probeKey
+}
+
+// probeKey is an inner key of a build, key its ordinal, that a key access
+// reaches.
+type probeKey struct {
+	key int
+	ka  keyAccess
 }
 
 // decorrelate compiles a scalar subquery whose only links to the compiling
 // SELECT's tables are one or two top-level WHERE conjuncts inner = outer —
 // inner reading the subquery's own tables and parameters only, outer nothing
 // of the subquery's scope — into a probe of a build side (corrBuildPlan).
-// The rest of the subquery runs once per execution over every key, when the
-// first batch reaches the probe; each row then looks its outer key up in a
-// hash map. A key no row carries gives NULL (0 under COUNT); a key several
-// rows carry raises the row engine's cardinality error, for the rows that
-// probe it only; a NULL component never matches.
+// The rest of the subquery runs once per execution, when the first batch
+// reaches the probe, over the keys that batch asks for — or over every key,
+// where seeding by them would not read fewer rows (vecCtx.startBuild), or
+// where a later batch asks for a key that seed did not read; each row then
+// looks its outer key up in a hash map. A key no row carries gives NULL (0
+// under COUNT); a key several rows carry raises the row engine's cardinality
+// error, for the rows that probe it only; a NULL component never matches.
 //
 // The build may evaluate the subquery's expressions on rows the correlated
 // executions never visit, never the other way round: it scans the FROM table
 // (a correlated access path other than a key's own would seed it by Key
-// equality, which parts from Compare's — refused), or seeds it through the
-// joined table its residue pins where no row it skips could raise
-// (planJoinAccess); it filters by every non-key conjunct and evaluates the
-// inner keys on every row that passes — so an inner key that could raise
-// (anything but a column or a literal) is allowed only without such a
-// filter. A build that succeeds has therefore seen every error the
-// correlated form could raise. One that fails, and a probe key that fails to
-// evaluate (the correlated form evaluates it only against rows of the
-// subquery, which may have none), return errReplay: the compiling SELECT
-// runs again, whole, on the row interpreter. Per key, rows arrive in
+// equality, which parts from Compare's — refused), or seeds it through a key
+// or the pinned joined table where no row it skips could raise
+// (planJoinAccess, vecCtx.startBuild); it filters by every non-key conjunct
+// and evaluates the inner keys on every row that passes — so an inner key
+// that could raise (anything but a column or a literal) is allowed only
+// without such a filter. A build that succeeds has therefore seen every
+// error the correlated form could raise. One that fails, and a probe key
+// that fails to evaluate (the correlated form evaluates it only against rows
+// of the subquery, which may have none), return errReplay: the compiling
+// SELECT runs again, whole, on the row interpreter. Per key, rows arrive in
 // FROM-table storage order, then join-match order — the order the correlated
 // execution visits them — so aggregates fold bit-identically.
 //
@@ -1365,11 +1387,27 @@ func (cp *vecCompiler) corrBuild(id int32, st *SelectStmt, sp *selectPlan, inner
 	}
 	if bp != nil {
 		// The subquery's tables and join strategies, and no access path on
-		// the FROM table — the build reads every key — but the join access
-		// its residue pins: the build visits the FROM table's candidate rows
-		// in storage order.
+		// the FROM table — the build is seeded by what its probes ask for,
+		// or by the join access its residue pins (vecCtx.startBuild) — so it
+		// visits the FROM table's candidate rows in storage order.
 		bp.sp = &selectPlan{from: sp.from, fromBinding: sp.fromBinding, joins: sp.joins}
-		bp.sp.pin = planJoinAccess(bp.sp, resid)
+		var quiet bool
+		bp.sp.pin, quiet = planJoinAccess(bp.sp, resid)
+		for j, in := range inner {
+			col, isCol := in.(*EColumn)
+			if !isCol {
+				if _, isLit := in.(*ELit); !isLit {
+					quiet = false
+				}
+				continue
+			}
+			if ka, ok := bp.sp.colAccess(col); ok {
+				bp.keyed = append(bp.keyed, probeKey{key: j, ka: ka})
+			}
+		}
+		if !quiet {
+			bp.keyed = nil
+		}
 		if bp.sp.vec, _ = compileVecSelect(cp.p, syn, bp.sp); bp.sp.vec == nil {
 			bp = nil
 		}
@@ -1400,7 +1438,7 @@ func corrProbe(bp *corrBuildPlan, keys []vexpr) vexpr {
 				return errReplay
 			}
 		}
-		bd, err := vc.buildSide(bp)
+		bd, err := vc.buildSide(bp, cols[:len(keys)], b.n)
 		if err != nil {
 			return err
 		}

@@ -2,6 +2,7 @@ package sqldb
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -103,15 +104,15 @@ func BenchmarkEngineJoin(b *testing.B) {
 	benchPrepared(b, db, `SELECT COUNT(*) FROM m JOIN g ON m.grp = g.id WHERE m.val > 60`)
 }
 
-// BenchmarkEngineJoinPinned measures the join access: a junction of 250 000
-// rows joined to the 1e6-row fact table, which the WHERE pins by an indexed
-// column, so the junction is seeded with the 15 625 rows whose fact rows the
-// pin selects instead of being scanned whole (the shape of a property's
-// build side pinned to one run).
-func BenchmarkEngineJoinPinned(b *testing.B) {
+// junctionDB adds to the 1e6-row fact table a junction jx of 250 000 rows
+// (owner = i mod 256, elem = 4i+3: one fact row in four is reached, and
+// grp = elem mod 64 holds 7 for one junction row in sixteen), with jx.owner,
+// jx.elem and m.grp indexed: the shape of a property's build side.
+func junctionDB(b *testing.B) *DB {
 	db := benchDB(b, 1_000_000)
 	for _, s := range []string{
 		`CREATE TABLE jx (owner INTEGER, elem INTEGER)`,
+		`CREATE INDEX jx_owner ON jx (owner)`,
 		`CREATE INDEX jx_elem ON jx (elem)`,
 		`CREATE INDEX m_grp ON m (grp)`,
 	} {
@@ -127,8 +128,6 @@ func BenchmarkEngineJoinPinned(b *testing.B) {
 	const rows, chunk = 250_000, 4096
 	bindings := make([]*Params, 0, chunk)
 	for i := 0; i < rows; i++ {
-		// elem = 4i+3 reaches one fact row in four; grp = elem % 64 holds 7
-		// for one junction row in sixteen.
 		bindings = append(bindings, &Params{Positional: []Value{NewInt(int64(i % 256)), NewInt(int64(4*i + 3))}})
 		if len(bindings) == chunk || i == rows-1 {
 			if _, err := ins.ExecuteBatch(bindings); err != nil {
@@ -137,7 +136,37 @@ func BenchmarkEngineJoinPinned(b *testing.B) {
 			bindings = bindings[:0]
 		}
 	}
-	benchPrepared(b, db, `SELECT COUNT(*), SUM(m.val) FROM jx JOIN m ON m.id = jx.elem WHERE m.grp = 7`)
+	return db
+}
+
+// BenchmarkEngineJoinPinned measures the join access: the junction joined to
+// the fact table, which the WHERE pins by an indexed column, so the junction
+// is seeded with the 15 625 rows whose fact rows the pin selects instead of
+// being scanned whole (the shape of a property's build side pinned to one
+// run).
+func BenchmarkEngineJoinPinned(b *testing.B) {
+	benchPrepared(b, junctionDB(b), `SELECT COUNT(*), SUM(m.val) FROM jx JOIN m ON m.id = jx.elem WHERE m.grp = 7`)
+}
+
+// BenchmarkEngineJoinKeyed measures a probe-keyed build: 64 contexts, each
+// correlated with the junction by its owner and with the fact table by a
+// group, which is 7 for every context. The build's probes ask for a quarter
+// of the owners — 62 500 junction rows — but for one group, whose 15 625
+// fact rows seed it (the shape of SublinearSpeedup's a12, probed with one
+// run).
+func BenchmarkEngineJoinKeyed(b *testing.B) {
+	db := junctionDB(b)
+	if _, err := db.Exec(`CREATE TABLE cx (id INTEGER PRIMARY KEY, grp INTEGER)`, nil); err != nil {
+		b.Fatal(err)
+	}
+	rows := make([]string, 64)
+	for i := range rows {
+		rows[i] = fmt.Sprintf("(%d, 7)", i)
+	}
+	if _, err := db.Exec(`INSERT INTO cx (id, grp) VALUES `+strings.Join(rows, ", "), nil); err != nil {
+		b.Fatal(err)
+	}
+	benchPrepared(b, db, `SELECT cx.id, (SELECT SUM(m.val) FROM jx JOIN m ON m.id = jx.elem WHERE jx.owner = cx.id AND m.grp = cx.grp) FROM cx`)
 }
 
 // BenchmarkEngineSeek measures the indexed point-lookup shape the ASL

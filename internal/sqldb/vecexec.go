@@ -25,8 +25,10 @@ package sqldb
 // aggregate is read, its last row (execCtx.aggLast).
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // vecGroup is the streaming state of one group: the row positions of the
@@ -161,38 +163,48 @@ func (ec *execCtx) vecExecRows(st *SelectStmt, sp *selectPlan, parent *frame) ([
 
 // scan runs the pipeline of a planned SELECT up to its WHERE clause — seed,
 // joins, filter — with parent as the enclosing frame, and hands every batch
-// with surviving rows to sink: the projection or grouping of vecExecRows, or
-// a build side's fold (vecCtx.build).
+// with surviving rows to sink: the projection or grouping of vecExecRows.
 func (vc *vecCtx) scan(sp *selectPlan, parent *frame, sink func(b *vbatch) error) error {
-	vp := sp.vec
+	vc.bind(sp, parent)
+	if sp.vec.nTab == 0 {
+		return vc.scanSeed(sp, nil, sink)
+	}
+	// Seed positions while the frame holds only the first table —
+	// access-path keys resolve exactly as they would in the row engine's
+	// seed phase.
+	vc.fr.tables = vc.bts[:1]
+	vc.seed = vc.ec.seed(sp, &vc.fr, vc.seed[:0])
+	return vc.scanSeed(sp, vc.seed, sink)
+}
 
-	// Bind the tables. No row is bound — batch positions replace the
-	// binding — except while grouped finalization evaluates one row through
-	// the row evaluator.
-	// A table-less SELECT binds nothing and runs one batch of one empty
-	// tuple, mirroring the row engine's single seed tuple.
+// bind binds the tables of a planned SELECT, with parent as the enclosing
+// frame. No row is bound — batch positions replace the binding — except
+// while grouped finalization evaluates one row through the row evaluator.
+func (vc *vecCtx) bind(sp *selectPlan, parent *frame) {
 	vc.fr = frame{parent: parent}
-	bts, tabs := vc.bts, vc.tabs
-	fr := &vc.fr
-	var seed []int32
-	if vp.nTab > 0 {
-		vc.btStore[0] = boundTable{binding: sp.fromBinding, table: sp.from}
-		vc.tabs[0] = sp.from
-		for i := range sp.joins {
-			vc.btStore[i+1] = boundTable{binding: sp.joins[i].binding, table: sp.joins[i].table}
-			vc.tabs[i+1] = sp.joins[i].table
-		}
-		fr.tables = bts[:1]
+	if sp.vec.nTab == 0 {
+		return
+	}
+	vc.btStore[0] = boundTable{binding: sp.fromBinding, table: sp.from}
+	vc.tabs[0] = sp.from
+	for i := range sp.joins {
+		vc.btStore[i+1] = boundTable{binding: sp.joins[i].binding, table: sp.joins[i].table}
+		vc.tabs[i+1] = sp.joins[i].table
+	}
+}
 
-		// Seed positions while the frame holds only the first table —
-		// access-path keys resolve exactly as they would in the row engine's
-		// seed phase.
-		vc.seed = vc.ec.seed(sp, fr, vc.seed[:0])
-		seed = vc.seed
+// scanSeed runs the pipeline of a bound SELECT (bind) from seed, the
+// positions of its first table's candidate rows in storage order (a scan, or
+// a build side's — vecCtx.startBuild). A table-less SELECT runs one batch of
+// one empty tuple, mirroring the row engine's single seed tuple.
+func (vc *vecCtx) scanSeed(sp *selectPlan, seed []int32, sink func(b *vbatch) error) error {
+	vp := sp.vec
+	tabs := vc.tabs
+	if vp.nTab > 0 {
+		vc.fr.tables = vc.bts
 		if h := vc.ec.db.seedHook; h != nil {
 			h(sp.from, len(seed))
 		}
-		fr.tables = bts
 	}
 
 	// Grab each equi-join's probe index once: indexes mutate only under the
@@ -303,13 +315,19 @@ func (vc *vecCtx) scan(sp *selectPlan, parent *frame, sink func(b *vbatch) error
 }
 
 // corrBuild is one execution's build side of a decorrelated subquery
-// (corrBuildPlan), filled by the first probe that needs it: index maps each
-// key to its entry in hits and, for an aggregate item, in accs.
+// (corrBuildPlan), started by the first probe that needs it: index maps each
+// key to its entry in hits and, for an aggregate item, in accs. via is the
+// bp.keyed entry the build is seeded through, -1 once it holds every key;
+// seeded through a key, it holds the entries of the keys whose component
+// there is one of vals, the values it read, ascending — others it may hold
+// in part, and a probe for one rebuilds it by scan.
 type corrBuild struct {
-	done  bool
-	index map[corrHashKey]int32
-	hits  []corrHit
-	accs  []aggAcc
+	started bool
+	via     int
+	vals    []Value
+	index   map[corrHashKey]int32
+	hits    []corrHit
+	accs    []aggAcc
 }
 
 // corrHashKey is a build-side hash key: the INTEGER or BOOLEAN payloads of
@@ -357,35 +375,145 @@ func corrHash(vals []Value) (k corrHashKey, null, ok bool) {
 	return k, false, true
 }
 
-// buildSide returns this execution's build side of bp, running the build on
-// first use.
-func (vc *vecCtx) buildSide(bp *corrBuildPlan) (*corrBuild, error) {
+// buildSide returns this execution's build side of bp holding every key the
+// n probe rows of keys ask for: the first probe starts it (startBuild), and
+// a later one that asks a build seeded by a key for a value it has not read
+// rebuilds it by scan. It counts once in VecSelects.
+func (vc *vecCtx) buildSide(bp *corrBuildPlan, keys []*vcol, n int) (*corrBuild, error) {
 	for len(vc.builds) <= bp.slot {
 		vc.builds = append(vc.builds, corrBuild{})
 	}
 	bd := &vc.builds[bp.slot]
-	if !bd.done {
-		if err := vc.build(bp, bd); err != nil {
-			return nil, err
-		}
-		bd.done = true
+	switch {
+	case !bd.started:
+		bd.started = true
+		vc.ec.db.vecSelects.Add(1)
+		return bd, vc.startBuild(bp, bd, keys, n)
+	case bd.via >= 0 && !bd.holds(bp, keys, n):
+		clear(bd.index)
+		clear(bd.hits)
+		clear(bd.accs)
+		bd.hits, bd.accs, bd.via = bd.hits[:0], bd.accs[:0], -1
+		return bd, vc.runBuild(bp, bd, nil, nil)
 	}
 	return bd, nil
 }
 
-// build runs bp's synthesized SELECT — one planned execution, counted in
-// VecSelects, with the compiling SELECT's frame as parent, as the correlated
-// subquery has — folding its batches straight into the hash table. Any
-// error, and any key corrHash refuses, is errReplay: the build may have read
-// rows the correlated executions never visit.
-func (vc *vecCtx) build(bp *corrBuildPlan, bd *corrBuild) error {
-	vc.ec.db.vecSelects.Add(1)
+// startBuild runs bp's build for its first probe batch. It seeds the FROM
+// table through whichever access reaches the fewest index hits: the join
+// access its residue pins, with one value, or an inner key (bp.keyed), with
+// the distinct values the batch probes it with — sideways information
+// passing from the probe to the build. Every value must be exact for the
+// column (pinExact), and a key seeds only where the pin, if any, is: the
+// pin conjunct may raise on a row the key would skip. A NULL value matches
+// nothing and reads nothing. Where no access reaches fewer rows than the
+// table holds, the build scans it whole.
+func (vc *vecCtx) startBuild(bp *corrBuildPlan, bd *corrBuild, keys []*vcol, n int) error {
+	sp := bp.sp
+	bd.via = -1
+	best, keyed := sp.from.nrows, len(bp.keyed) > 0
+	var pin Value
+	pinned := false
+	if sp.pin.val != nil {
+		v, ok := vc.ec.pinValue(sp, &vc.fr)
+		switch ix := sp.keyIndex(sp.pin.keyAccess); {
+		case !ok:
+			keyed = false
+		case ix != nil:
+			if hits := keyHits(ix, sp.pin.keyAccess, v); hits < best {
+				best, pin, pinned = hits, v, true
+			}
+		}
+	}
+	for c := 0; keyed && c < len(bp.keyed); c++ {
+		pk := &bp.keyed[c]
+		ix := sp.keyIndex(pk.ka)
+		if ix == nil {
+			continue
+		}
+		vals, ok := probeVals(keys[pk.key], n, sp.colType(pk.ka), vc.probeVals)
+		vc.probeVals = vals
+		if !ok {
+			continue
+		}
+		hits := 0
+		for _, v := range vals {
+			if hits += keyHits(ix, pk.ka, v); hits >= best {
+				break
+			}
+		}
+		if hits < best {
+			best, bd.via, pinned = hits, c, false
+			bd.vals, vc.probeVals = vals, bd.vals[:0]
+		}
+	}
+	switch {
+	case bd.via >= 0:
+		return vc.runBuild(bp, bd, &bp.keyed[bd.via].ka, bd.vals)
+	case pinned:
+		return vc.runBuild(bp, bd, &sp.pin.keyAccess, []Value{pin})
+	}
+	return vc.runBuild(bp, bd, nil, nil)
+}
+
+// probeVals lists in buf the distinct values, ascending, the n rows of col
+// carry, NULLs left out. false when one is not exact for a column of type
+// typ (pinExact).
+func probeVals(col *vcol, n int, typ ColType, buf []Value) ([]Value, bool) {
+	buf = buf[:0]
+	for i := 0; i < n; i++ {
+		switch v := col.at(i); {
+		case v.IsNull():
+		case !pinExact(v, typ):
+			return buf, false
+		case len(buf) == 0 || buf[len(buf)-1].i != v.i:
+			buf = append(buf, v)
+		}
+	}
+	slices.SortFunc(buf, comparePayload)
+	return slices.CompactFunc(buf, func(a, b Value) bool { return a.i == b.i }), true
+}
+
+// comparePayload orders INTEGER or BOOLEAN values of one kind.
+func comparePayload(a, b Value) int { return cmp.Compare(a.i, b.i) }
+
+// holds reports whether a build seeded by a key has read every value the n
+// probe rows of keys carry for it. Both sides of a key share one static
+// type (keyType), so a payload found in vals is a value read.
+func (bd *corrBuild) holds(bp *corrBuildPlan, keys []*vcol, n int) bool {
+	col := keys[bp.keyed[bd.via].key]
+	for i := 0; i < n; i++ {
+		v := col.at(i)
+		if v.IsNull() {
+			continue
+		}
+		if _, found := slices.BinarySearchFunc(bd.vals, v, comparePayload); !found {
+			return false
+		}
+	}
+	return true
+}
+
+// runBuild runs bp's synthesized SELECT over the FROM rows ka reaches from
+// vals (seedKeys; every row when ka is nil) — with the compiling SELECT's
+// frame as parent, as the correlated subquery has — folding its batches
+// straight into the hash table, and finalizes the aggregates. Any error, and
+// any key corrHash refuses, is errReplay: the build may have read rows the
+// correlated executions never visit.
+func (vc *vecCtx) runBuild(bp *corrBuildPlan, bd *corrBuild, ka *keyAccess, vals []Value) error {
 	bvc := acquireVecCtx(vc.ec, bp.sp.vec.nTab)
 	defer bvc.release()
+	bvc.bind(bp.sp, &vc.fr)
+	if ka == nil {
+		bvc.seed = appendRows(bvc.seed[:0], bp.sp.from.nrows)
+	} else {
+		bvc.seed = bp.sp.seedKeys(*ka, bp.sp.keyIndex(*ka), vals, bvc.seed[:0])
+	}
+	vc.ec.db.buildRows.Add(int64(len(bvc.seed)))
 	if bd.index == nil {
 		bd.index = make(map[corrHashKey]int32)
 	}
-	if err := bvc.scan(bp.sp, &vc.fr, func(b *vbatch) error { return bvc.fold(bp, bd, b) }); err != nil {
+	if err := bvc.scanSeed(bp.sp, bvc.seed, func(b *vbatch) error { return bvc.fold(bp, bd, b) }); err != nil {
 		return errReplay
 	}
 	if bp.agg != "" {
