@@ -216,7 +216,9 @@ func checkRoundTrip(t *testing.T, sql string) string {
 // trip in every dialect, and the renderings evaluate like the source. Each
 // case's grouping changes its value or its parse when dropped, except where
 // precedence already agrees (NOT binds looser than =) or the grouped node
-// carries its own parentheses (a scalar subquery).
+// carries its own parentheses (a scalar subquery). The last case keeps a
+// literal's type instead: an integral REAL renders with its point, or it
+// would parse back as an INTEGER.
 func TestRenderKeepsGrouping(t *testing.T) {
 	for _, tc := range []struct{ src, want string }{
 		{"SELECT id FROM fuzz_aux WHERE (v = 10 OR b) AND id > 1", ""},
@@ -228,6 +230,7 @@ func TestRenderKeepsGrouping(t *testing.T) {
 		{"SELECT id FROM fuzz_aux WHERE (NOT b) = (id > 2)", ""},
 		{"SELECT ((SELECT COUNT(*) FROM fuzz_aux)) + id FROM fuzz_aux",
 			"SELECT (SELECT COUNT(*) FROM fuzz_aux) + id FROM fuzz_aux"},
+		{"SELECT 1.0 AS v, v + 2.0 AS w FROM fuzz_aux", ""},
 	} {
 		want := tc.want
 		if want == "" {

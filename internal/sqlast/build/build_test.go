@@ -202,13 +202,15 @@ func TestFloatAndStringLiterals(t *testing.T) {
 	r, err := Kojakdb.Render(&sqldb.SelectStmt{Items: []sqldb.SelectItem{
 		{Expr: lit(sqldb.NewFloat(0.25))},
 		{Expr: lit(sqldb.NewFloat(1e21))},
+		{Expr: lit(sqldb.NewFloat(1000))},
+		{Expr: lit(sqldb.NewInt(1000))},
 		{Expr: lit(sqldb.NewText("it's"))},
 		{Expr: lit(sqldb.Null)},
 	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := "SELECT 0.25, 1e+21, 'it''s', NULL"; r.SQL != want {
+	if want := "SELECT 0.25, 1e+21, 1000.0, 1000, 'it''s', NULL"; r.SQL != want {
 		t.Errorf("literals:\n got: %s\nwant: %s", r.SQL, want)
 	}
 }

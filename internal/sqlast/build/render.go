@@ -305,7 +305,13 @@ func (r *renderer) expr(e sqldb.Expr) {
 		case r.d.BoolAsInt && x.Value.IsBool():
 			r.b.WriteString("0")
 		default:
-			r.b.WriteString(x.Value.String())
+			lit := x.Value.String()
+			r.b.WriteString(lit)
+			// An integral REAL spells like an INTEGER; the point keeps it
+			// REAL when the text is parsed back.
+			if x.Value.IsNumeric() && !x.Value.IsInt() && !strings.ContainsAny(lit, ".eEIN") {
+				r.b.WriteString(".0")
+			}
 		}
 	case *sqldb.EParam:
 		if x.Name == "" {

@@ -96,7 +96,7 @@ func (s *sharedStmt) execBatch(ctx context.Context, bindings []*Params, out []Ba
 			}
 			var dataVer int64
 			var cacheable bool
-			key, dataVer, cacheable = db.cacheKeyFor(plan, params, key)
+			key, dataVer, cacheable = s.cacheKeyFor(plan, params, key)
 			if cacheable {
 				if set, hit := db.lookupResult(key, plan.version, dataVer); hit {
 					out[i] = BatchResult{Res: &Result{Set: set, Cached: true}}

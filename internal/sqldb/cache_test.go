@@ -107,38 +107,6 @@ func TestIndexedLookupThroughSubqueryRHS(t *testing.T) {
 	}
 }
 
-func TestFormatExprRoundTrip(t *testing.T) {
-	// FormatExpr output must re-parse to an expression that formats
-	// identically (it is the cache key, so stability matters).
-	exprs := []string{
-		`1 + 2 * 3`,
-		`a.b = 'x''y'`,
-		`(SELECT MAX(v) FROM times t WHERE t.run_id = $r)`,
-		`x IS NOT NULL AND NOT (y < 3)`,
-		`v IN (1, 2, 3)`,
-		`v NOT IN (SELECT id FROM runs)`,
-		`EXISTS (SELECT 1 FROM runs WHERE nope > 2)`,
-		`COALESCE(NULL, -4.5) || ''`,
-		`COUNT(*)`,
-	}
-	for _, src := range exprs {
-		stmt, err := ParseSQL("SELECT " + src)
-		if err != nil {
-			t.Fatalf("%s: %v", src, err)
-		}
-		e := stmt.(*SelectStmt).Items[0].Expr
-		text := FormatExpr(e)
-		stmt2, err := ParseSQL("SELECT " + text)
-		if err != nil {
-			t.Fatalf("re-parse %q: %v", text, err)
-		}
-		text2 := FormatExpr(stmt2.(*SelectStmt).Items[0].Expr)
-		if text != text2 {
-			t.Fatalf("format not stable: %q vs %q", text, text2)
-		}
-	}
-}
-
 func TestExprRefsBinding(t *testing.T) {
 	parse := func(src string) Expr {
 		stmt, err := ParseSQL("SELECT " + src)
@@ -197,12 +165,5 @@ func TestAggregateInsideSubqueryOfGroupedQuery(t *testing.T) {
 	}
 	if len(res.Set.Rows) != 3 {
 		t.Fatalf("rows: %v", res.Set.Rows)
-	}
-}
-
-func TestStringQuotingInFormat(t *testing.T) {
-	// Embedded quotes must render SQL-escaped so the text re-parses.
-	if got := FormatExpr(&ELit{Value: NewText("a'b")}); got != "'a''b'" {
-		t.Fatalf("format: %q, want %q", got, "'a''b'")
 	}
 }

@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -100,27 +101,37 @@ func TestFetchFirstEquivalentToLimit(t *testing.T) {
 	}
 }
 
-// TestNullsFirstCanonicalization pins the cache-key behavior: NULLS LAST is
-// the default and canonicalizes away (sharing plan/result-cache entries with
-// the unmodified spelling), NULLS FIRST survives.
+// TestNullsFirstCanonicalization pins the parse: NULLS LAST spells out the
+// default and parses to the bare key, FETCH FIRST n ROWS ONLY to LIMIT n,
+// and NULLS FIRST survives.
 func TestNullsFirstCanonicalization(t *testing.T) {
-	cases := []struct{ in, want string }{
+	cases := []struct{ in, same string }{
 		{`SELECT id FROM emp ORDER BY salary NULLS LAST`, `SELECT id FROM emp ORDER BY salary`},
-		{`SELECT id FROM emp ORDER BY salary NULLS FIRST`, `SELECT id FROM emp ORDER BY salary NULLS FIRST`},
-		{`SELECT id FROM emp ORDER BY salary DESC NULLS FIRST`, `SELECT id FROM emp ORDER BY salary DESC NULLS FIRST`},
+		{`SELECT id FROM emp ORDER BY salary DESC NULLS LAST`, `SELECT id FROM emp ORDER BY salary DESC`},
 		{`SELECT id FROM emp FETCH FIRST 2 ROWS ONLY`, `SELECT id FROM emp LIMIT 2`},
+		{`SELECT id FROM emp FETCH FIRST 1 ROW ONLY`, `SELECT id FROM emp LIMIT 1`},
+	}
+	parse := func(sql string) *SelectStmt {
+		t.Helper()
+		stmt, err := ParseSQL(sql)
+		if err != nil {
+			t.Fatalf("parse %q: %v", sql, err)
+		}
+		return stmt.(*SelectStmt)
 	}
 	for _, c := range cases {
-		stmt, err := ParseSQL(c.in)
-		if err != nil {
-			t.Fatalf("parse %q: %v", c.in, err)
+		got, want := parse(c.in), parse(c.same)
+		if !reflect.DeepEqual(got.OrderBy, want.OrderBy) || !reflect.DeepEqual(got.Limit, want.Limit) {
+			t.Errorf("%q parses to ORDER BY %+v LIMIT %+v, want those of %q: %+v %+v",
+				c.in, got.OrderBy, got.Limit, c.same, want.OrderBy, want.Limit)
 		}
-		sel, ok := stmt.(*SelectStmt)
-		if !ok {
-			t.Fatalf("parse %q: not a SELECT", c.in)
-		}
-		if got := FormatSelect(sel); got != c.want {
-			t.Errorf("canonical(%q) = %q, want %q", c.in, got, c.want)
+	}
+	for _, sql := range []string{
+		`SELECT id FROM emp ORDER BY salary NULLS FIRST`,
+		`SELECT id FROM emp ORDER BY salary DESC NULLS FIRST`,
+	} {
+		if o := parse(sql).OrderBy[0]; !o.NullsFirst {
+			t.Errorf("%q lost NULLS FIRST: %+v", sql, o)
 		}
 	}
 }

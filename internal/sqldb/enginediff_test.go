@@ -65,14 +65,7 @@ func diffDB(tb testing.TB) *sqldb.DB {
 			s.err = err
 			return
 		}
-		for _, q := range []string{
-			`CREATE TABLE fuzz_aux (id INTEGER PRIMARY KEY, v INTEGER, w REAL, s TEXT, b BOOLEAN)`,
-			`INSERT INTO fuzz_aux (id, v, w, s, b) VALUES (1, 10, 1.5, 'alpha', TRUE)`,
-			`INSERT INTO fuzz_aux (id, v, w, s, b) VALUES (2, NULL, 2.5, 'beta', FALSE)`,
-			`INSERT INTO fuzz_aux (id, v, w, s, b) VALUES (3, 30, NULL, NULL, TRUE)`,
-			`INSERT INTO fuzz_aux (id, v, w, s, b) VALUES (4, 10, 4.0, 'alpha', NULL)`,
-			`INSERT INTO fuzz_aux (id, v, w, s, b) VALUES (5, NULL, NULL, 'gamma', NULL)`,
-		} {
+		for _, q := range fuzzAux {
 			if _, err := db.Exec(q, nil); err != nil {
 				s.err = err
 				return
@@ -84,6 +77,16 @@ func diffDB(tb testing.TB) *sqldb.DB {
 		tb.Fatal(s.err)
 	}
 	return s.db
+}
+
+// fuzzAux creates and fills the auxiliary table.
+var fuzzAux = []string{
+	`CREATE TABLE fuzz_aux (id INTEGER PRIMARY KEY, v INTEGER, w REAL, s TEXT, b BOOLEAN)`,
+	`INSERT INTO fuzz_aux (id, v, w, s, b) VALUES (1, 10, 1.5, 'alpha', TRUE)`,
+	`INSERT INTO fuzz_aux (id, v, w, s, b) VALUES (2, NULL, 2.5, 'beta', FALSE)`,
+	`INSERT INTO fuzz_aux (id, v, w, s, b) VALUES (3, 30, NULL, NULL, TRUE)`,
+	`INSERT INTO fuzz_aux (id, v, w, s, b) VALUES (4, 10, 4.0, 'alpha', NULL)`,
+	`INSERT INTO fuzz_aux (id, v, w, s, b) VALUES (5, NULL, NULL, 'gamma', NULL)`,
 }
 
 // bindParams builds actual parameters for a query from three fuzz-controlled

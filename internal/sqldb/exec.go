@@ -325,12 +325,12 @@ type execCtx struct {
 	// holds the tuples of the current group.
 	group *groupCtx
 	// subCache holds the results of subqueries that are invariant for the
-	// whole statement (no free columns; parameters only), keyed by the plan's
-	// canonical text of the subquery, so textually identical subqueries share
-	// one slot. The ASL property compiler emits the same
-	// parameter-correlated subquery many times, so this cache is the
-	// difference between linear and multiplicative cost.
-	subCache map[string]Value
+	// whole statement (no free columns; parameters only), indexed by the
+	// shape id the parser gave the subquery, so subqueries with identical
+	// source text share one slot (ESubquery.Shape). The ASL property
+	// compiler emits the same parameter-correlated subquery many times, so
+	// this cache is the difference between linear and multiplicative cost.
+	subCache []subMemo
 	// aggPre, when non-nil, maps aggregate call nodes to precomputed values:
 	// the vectorized engine accumulates aggregates batch-at-a-time and then
 	// evaluates the grouped projection/HAVING scalar parts through the row
@@ -342,13 +342,19 @@ type execCtx struct {
 	aggLast tuple
 }
 
+// subMemo is one slot of execCtx.subCache; ok marks it filled.
+type subMemo struct {
+	v  Value
+	ok bool
+}
+
 // memoSub memoizes the value of an invariant subquery for this execution.
 // Only values get here: a failed evaluation is not cached.
-func (ec *execCtx) memoSub(key string, v Value) {
+func (ec *execCtx) memoSub(shape int, v Value) {
 	if ec.subCache == nil {
-		ec.subCache = make(map[string]Value)
+		ec.subCache = make([]subMemo, ec.plan.shapes)
 	}
-	ec.subCache[key] = v
+	ec.subCache[shape] = subMemo{v: v, ok: true}
 }
 
 // freeInfo summarizes what an expression may read from outside itself: outer
@@ -514,18 +520,15 @@ func (ec *execCtx) execSelect(st *SelectStmt, parent *frame) (*ResultSet, error)
 	return ec.rowSelect(st, parent)
 }
 
-// evalSub evaluates a scalar subquery, or an EXISTS, e over SELECT st: from
-// the per-execution cache when e is invariant, else by running st —
-// vectorized without materializing a ResultSet when the vectorized engine
-// runs it (vecPlanFor), on the row interpreter otherwise and on a replay.
-func (ec *execCtx) evalSub(e Expr, st *SelectStmt, exists bool, fr *frame) (Value, error) {
+// evalSub evaluates a scalar subquery, or an EXISTS, e of the given shape
+// over SELECT st: from the per-execution cache when e is invariant, else by
+// running st — vectorized without materializing a ResultSet when the
+// vectorized engine runs it (vecPlanFor), on the row interpreter otherwise
+// and on a replay.
+func (ec *execCtx) evalSub(e Expr, shape int, st *SelectStmt, exists bool, fr *frame) (Value, error) {
 	cacheable := ec.invariant(e, fr)
-	var key string
-	if cacheable {
-		key = ec.plan.keys[e]
-		if v, ok := ec.subCache[key]; ok {
-			return v, nil
-		}
+	if cacheable && ec.subCache != nil && ec.subCache[shape].ok {
+		return ec.subCache[shape].v, nil
 	}
 	var v Value
 	var err error
@@ -544,7 +547,7 @@ func (ec *execCtx) evalSub(e Expr, st *SelectStmt, exists bool, fr *frame) (Valu
 		return Null, err
 	}
 	if cacheable {
-		ec.memoSub(key, v)
+		ec.memoSub(shape, v)
 	}
 	return v, nil
 }
@@ -1300,9 +1303,9 @@ func (ec *execCtx) eval(e Expr, fr *frame) (Value, error) {
 		}
 		return NewBool(v.IsNull() != x.Not), nil
 	case *ESubquery:
-		return ec.evalSub(x, x.Select, false, fr)
+		return ec.evalSub(x, x.Shape, x.Select, false, fr)
 	case *EExists:
-		return ec.evalSub(x, x.Select, true, fr)
+		return ec.evalSub(x, x.Shape, x.Select, true, fr)
 	case *EIn:
 		return ec.evalIn(x, fr)
 	}

@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -20,11 +19,11 @@ import (
 //
 // A plan captures everything about a statement that does not depend on
 // parameter values or row data: the parsed AST, the resolved tables, the
-// chosen access paths and join strategies, the free-column analysis of every
-// subquery, and the canonical cache keys of invariant subqueries. Plans are
-// immutable after construction, so one plan may be executed from many
-// goroutines concurrently; per-execution state (current rows, the invariant
-// subquery result cache) lives in the execCtx created per execution.
+// chosen access paths and join strategies, and the free-column analysis of
+// every subquery. Plans are immutable after construction, so one plan may be
+// executed from many goroutines concurrently; per-execution state (current
+// rows, the invariant subquery result cache) lives in the execCtx created per
+// execution.
 //
 // Plans are invalidated by DDL: every CREATE TABLE, DROP TABLE, and CREATE
 // INDEX bumps the database's schema version under the exclusive statement
@@ -41,22 +40,13 @@ const DefaultPlanCacheSize = 128
 type stmtPlan struct {
 	stmt    Stmt
 	version int64 // schema version the plan was built against
-	// free and keys memoize the free-column analysis and the canonical text
-	// of subquery nodes, read-only after planning.
-	free map[Expr]*freeInfo
-	keys map[Expr]string
+	// free memoizes the free-column analysis of subquery nodes, read-only
+	// after planning; shapes bounds their shape ids (ESubquery.Shape).
+	free   map[Expr]*freeInfo
+	shapes int
 	// selects holds the per-SELECT plans, keyed by AST node (the statement
 	// tree may nest SELECTs in subqueries and IN clauses).
 	selects map[*SelectStmt]*selectPlan
-	// corrIDs interns the canonical text of the correlated subexpressions the
-	// vectorized compiler compiles and builds by (corrID); written
-	// while the plan is built, read-only after.
-	corrIDs map[string]int32
-	// canonKey is the interned identity of the statement's canonical text,
-	// rendered as a result-cache key prefix; empty for statements the result
-	// cache does not serve (DML). Interning keeps keys compact — property
-	// queries run to kilobytes of SQL (see DB.canonicalID).
-	canonKey string
 	// markers lists the parameter markers a SELECT reads, subqueries included,
 	// each once, in the order the statement text first mentions them: what
 	// its result-cache key fingerprints (see cacheKeyFor).
@@ -78,24 +68,6 @@ func (p *stmtPlan) addTable(t *Table) {
 		}
 	}
 	p.tables = append(p.tables, t)
-}
-
-// corrID returns the identity of a correlated subexpression's canonical text
-// within the plan: textually equal expressions get the same id.
-func (p *stmtPlan) corrID(e Expr) int32 {
-	text, ok := p.keys[e]
-	if !ok {
-		text = FormatExpr(e) // a correlated IN: analyzeSub keeps subqueries only
-	}
-	id, ok := p.corrIDs[text]
-	if !ok {
-		if p.corrIDs == nil {
-			p.corrIDs = make(map[string]int32)
-		}
-		id = int32(len(p.corrIDs))
-		p.corrIDs[text] = id
-	}
-	return id
 }
 
 // accessPath is a candidate index lookup for the first table of a SELECT:
@@ -175,6 +147,11 @@ type PreparedStmt struct {
 type sharedStmt struct {
 	db  *DB
 	sql string
+	// id numbers the statement in the order the DB prepared it: the identity
+	// its SELECT results are cached under (cacheKeyFor). A text the plan
+	// cache evicted and prepares again gets a fresh id, orphaning the results
+	// cached under the old one until the result cache's LRU drops them.
+	id int64
 
 	// mu serializes replanning. Lock order: DB.mu, then mu.
 	mu   sync.Mutex
@@ -205,7 +182,7 @@ func (db *DB) prepare(sql string) (*sharedStmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &sharedStmt{db: db, sql: sql}
+	s := &sharedStmt{db: db, sql: sql, id: db.stmtIDs.Add(1)}
 	s.plan.Store(plan)
 	return s, nil
 }
@@ -273,7 +250,6 @@ func (db *DB) buildPlan(stmt Stmt) (*stmtPlan, error) {
 		stmt:    stmt,
 		version: db.ddl.Load(),
 		free:    make(map[Expr]*freeInfo),
-		keys:    make(map[Expr]string),
 		selects: make(map[*SelectStmt]*selectPlan),
 	}
 	switch st := stmt.(type) {
@@ -281,7 +257,6 @@ func (db *DB) buildPlan(stmt Stmt) (*stmtPlan, error) {
 		if err := p.planSelect(db, st); err != nil {
 			return nil, err
 		}
-		p.canonKey = strconv.FormatInt(db.canonicalID(FormatSelect(st)), 10) + "\x1f"
 		p.markers = SelectMarkers(st)
 	case *InsertStmt:
 		if db.tables[strings.ToLower(st.Table)] == nil {
@@ -651,7 +626,7 @@ func (sp *selectPlan) resolve(lqual, lname string, n int) (t, col, matches int) 
 }
 
 // planExpr walks an expression, planning nested SELECTs and precomputing the
-// free-column analysis and cache key of every subquery node.
+// free-column analysis of every subquery node.
 func (p *stmtPlan) planExpr(db *DB, e Expr) error {
 	switch x := e.(type) {
 	case nil, *ELit, *EParam, *EColumn:
@@ -671,10 +646,10 @@ func (p *stmtPlan) planExpr(db *DB, e Expr) error {
 	case *EIsNull:
 		return p.planExpr(db, x.X)
 	case *ESubquery:
-		p.analyzeSub(x)
+		p.analyzeSub(x, x.Shape)
 		return p.planSelect(db, x.Select)
 	case *EExists:
-		p.analyzeSub(x)
+		p.analyzeSub(x, x.Shape)
 		return p.planSelect(db, x.Select)
 	case *EIn:
 		if err := p.planExpr(db, x.X); err != nil {
@@ -693,16 +668,16 @@ func (p *stmtPlan) planExpr(db *DB, e Expr) error {
 }
 
 // analyzeSub precomputes what the executor would otherwise derive per
-// execution: the free-column summary (which decides invariant-subquery
-// caching) and the canonical text used as the cache key.
-func (p *stmtPlan) analyzeSub(e Expr) {
+// execution: the free-column summary of a subquery node, which decides
+// invariant-subquery caching, and the room its shape id takes.
+func (p *stmtPlan) analyzeSub(e Expr, shape int) {
 	if _, done := p.free[e]; done {
 		return
 	}
 	fi := &freeInfo{}
 	collectFree(e, nil, fi, make(map[string]bool))
 	p.free[e] = fi
-	p.keys[e] = FormatExpr(e)
+	p.shapes = max(p.shapes, shape+1)
 }
 
 // ---------------------------------------------------------------------------
@@ -898,7 +873,8 @@ func (db *DB) initPlanCache() {
 
 // planFields groups the DB's prepared-statement state; embedded in DB.
 type planFields struct {
-	ddl atomic.Int64 // schema version, bumped by DDL
+	ddl     atomic.Int64 // schema version, bumped by DDL
+	stmtIDs atomic.Int64 // sharedStmt.id source
 
 	planMu  sync.Mutex
 	planCap int

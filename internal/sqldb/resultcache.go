@@ -22,13 +22,12 @@ import (
 // arbitrary join. DML to one table invalidates only the entries whose plans
 // reference it; entries over other tables keep their stamps and keep hitting.
 //
-// Cache keys combine the canonical statement text (the parser's own
-// rendering, so spelling differences share an entry), a type-tagged
-// fingerprint of the parameters the statement reads, and the schema version
-// the plan was built against. Entries
-// store the version stamps they were computed at; a lookup that finds an
-// entry with stale stamps removes it and counts an invalidation. Only SELECT
-// statements are cached — DML never is.
+// Cache keys combine the statement's identity (the plan cache's sharedStmt,
+// numbered at prepare: every Prepare and Exec of one text shares it) and a
+// type-tagged fingerprint of the parameters the statement reads. Entries
+// store the schema version and the data-version stamps they were computed
+// at; a lookup that finds an entry with stale ones removes it and counts an
+// invalidation. Only SELECT statements are cached — DML never is.
 //
 // Cached ResultSets are shared between the cache and every caller that hits
 // it; like the row snapshots returned by scan, they must be treated as
@@ -68,25 +67,7 @@ type cacheFields struct {
 	resMisses  atomic.Int64
 	resInvalid atomic.Int64
 	resEvicts  atomic.Int64
-
-	// canonMu guards the canonical-text intern table. Property queries run to
-	// many kilobytes of SQL; hashing that per lookup (under resMu, on every
-	// binding of every batch) would serialize the cache, so each distinct
-	// canonical text is interned to a small integer once, at plan time, and
-	// cache keys carry the integer. nextCanon is the id source; it never
-	// resets, so an id never names two different texts even across table
-	// resets (see canonicalID).
-	canonMu   sync.Mutex
-	canonIDs  map[string]int64
-	nextCanon int64
 }
-
-// canonInternCap bounds the intern table. Ad-hoc SELECTs with inline
-// literals produce unboundedly many distinct texts on a long-running server;
-// when the table fills, it is reset rather than grown. Plans built earlier
-// keep their already-derived keys, and a re-planned text re-interning to a
-// fresh id merely orphans its old cache entries for the LRU to evict.
-const canonInternCap = 8192
 
 // initResultCache sets up the cache containers; called from NewDB.
 func (db *DB) initResultCache() {
@@ -94,26 +75,6 @@ func (db *DB) initResultCache() {
 	db.resOn.Store(true)
 	db.resLRU = list.New()
 	db.resIdx = make(map[string]*list.Element)
-	db.canonIDs = make(map[string]int64)
-}
-
-// canonicalID interns a canonical statement text, returning its stable
-// small-integer identity. Exact string match in the table guarantees two
-// distinct texts never share an id, and the monotone id source guarantees an
-// id never names two different texts, so compact keys stay collision-free.
-// Called once per plan build.
-func (db *DB) canonicalID(text string) int64 {
-	db.canonMu.Lock()
-	defer db.canonMu.Unlock()
-	if id, ok := db.canonIDs[text]; ok {
-		return id
-	}
-	if len(db.canonIDs) >= canonInternCap {
-		clear(db.canonIDs)
-	}
-	db.nextCanon++
-	db.canonIDs[text] = db.nextCanon
-	return db.nextCanon
 }
 
 // SetResultCacheSize bounds the result cache; n <= 0 disables caching and
@@ -154,23 +115,24 @@ func (db *DB) bumpData(t *Table) {
 
 // keyBufSize is the room callers give a result-cache key on their stack: a
 // lookup that hits never turns its key into a string, so with a key that
-// fits (an interned identity and a few numbers do) it allocates nothing.
+// fits (a statement id and a few numbers do) it allocates nothing.
 const keyBufSize = 128
 
 // cacheKeyFor builds, in buf's storage (grown if the key outgrows it; the
-// returned key is the storage to pass next time), the result-cache key of a
-// planned SELECT under a binding, and reads the statement's current
-// data-version stamp. The key is the plan's canonical identity followed by the fingerprint
-// of the parameters the statement reads (fingerprintMarkers). ok is false
-// when the statement is not cacheable: not a SELECT, the cache disabled, or
-// a marker the binding leaves unbound — the execution then
-// reports that itself. Must be called with db.mu held at least shared, so the
-// stamps read here are consistent with the rows the execution will see.
-func (db *DB) cacheKeyFor(plan *stmtPlan, params *Params, buf []byte) (key []byte, dataVer int64, ok bool) {
-	if plan.canonKey == "" || !db.resOn.Load() {
+// returned key is the storage to pass next time), the result-cache key of
+// the statement's planned SELECT under a binding, and reads the statement's
+// current data-version stamp. The key is the statement id followed by the
+// fingerprint of the parameters the statement reads (fingerprintMarkers). ok
+// is false when the statement is not cacheable: the cache disabled, or a
+// marker the binding leaves unbound — the execution then reports that
+// itself. Must be called with db.mu held at least shared, so the stamps read
+// here are consistent with the rows the execution will see.
+func (s *sharedStmt) cacheKeyFor(plan *stmtPlan, params *Params, buf []byte) (key []byte, dataVer int64, ok bool) {
+	if !s.db.resOn.Load() {
 		return buf, 0, false
 	}
-	key, ok = fingerprintMarkers(append(buf[:0], plan.canonKey...), plan.markers, params)
+	key = append(strconv.AppendInt(buf[:0], s.id, 10), '\x1f')
+	key, ok = fingerprintMarkers(key, plan.markers, params)
 	if !ok {
 		return key, 0, false
 	}
@@ -185,7 +147,7 @@ func (db *DB) cacheKeyFor(plan *stmtPlan, params *Params, buf []byte) (key []byt
 // fingerprintMarkers appends the fingerprint of the values a binding gives the
 // markers, in marker order, or reports false when it leaves one unbound. The
 // markers of a statement are fixed by its text, so two fingerprints behind
-// the same canonical identity line up value by value: no names are needed, and
+// the same statement id line up value by value: no names are needed, and
 // a parameter the statement never reads is not part of the key.
 func fingerprintMarkers(key []byte, markers []EParam, params *Params) ([]byte, bool) {
 	for i := range markers {

@@ -57,8 +57,8 @@ func TestResultCachePreparedAndAdHocShareEntries(t *testing.T) {
 		t.Fatalf("prepared warm-up: cached=%v err=%v", res != nil && res.Cached, err)
 	}
 	// The ad-hoc execution of the same text and binding must hit the entry
-	// the prepared execution stored: the key is the canonical statement, not
-	// the handle.
+	// the prepared execution stored: the key is the plan cache's statement,
+	// which every handle and Exec of the text shares.
 	if res := db.MustExec(q, params); !res.Cached {
 		t.Fatal("ad-hoc execution after prepared execution missed the cache")
 	}
@@ -215,22 +215,6 @@ func TestExecuteBatchCachesPerBinding(t *testing.T) {
 	}
 	if second[0].Res.Set.Rows[0][0].Float() != 3.0 || second[1].Res.Set.Rows[0][0].Float() != 4.0 {
 		t.Fatalf("cached batch values wrong: %v", second)
-	}
-}
-
-func TestCanonicalInternTableBounded(t *testing.T) {
-	db := NewDB()
-	first := db.canonicalID("SELECT 1")
-	for i := 0; i < canonInternCap; i++ {
-		db.canonicalID(fmt.Sprintf("SELECT %d FROM x", i))
-	}
-	if len(db.canonIDs) > canonInternCap {
-		t.Fatalf("intern table grew to %d entries, cap is %d", len(db.canonIDs), canonInternCap)
-	}
-	// The reset dropped "SELECT 1"; re-interning must yield a fresh id, never
-	// reuse one — an id naming two texts would alias cache entries.
-	if again := db.canonicalID("SELECT 1"); again <= first {
-		t.Fatalf("id %d reused or reissued after reset (first was %d)", again, first)
 	}
 }
 

@@ -202,7 +202,7 @@ func (op BinOp) String() string {
 // Paren, here and on EUnary, EIsNull and EIn, records explicit grouping: the
 // parser sets it where the source wrote parentheses, and the dialect
 // renderer (internal/sqlast/build) prints them if and only if it is set. The
-// engine never reads it; FormatExpr ignores it.
+// engine never reads it.
 type EBinary struct {
 	Op    BinOp
 	L, R  Expr
@@ -233,7 +233,17 @@ func (c *ECall) IsAggregate() bool {
 }
 
 // ESubquery is a scalar subquery "(SELECT ...)".
-type ESubquery struct{ Select *SelectStmt }
+//
+// Shape, here and on EExists and EIn, is the node's identity within its
+// statement, given by the parser: nodes whose source text is byte-identical,
+// and holds no positional ?, share one shape id, so the engine computes one
+// of them and reuses the result for the others (execCtx.subCache, corrSite).
+// Ids are dense from 0 per statement; a node built by hand carries 0 and is
+// for rendering only — the engine executes parsed statements alone.
+type ESubquery struct {
+	Select *SelectStmt
+	Shape  int
+}
 
 // EIsNull is "x IS [NOT] NULL".
 type EIsNull struct {
@@ -242,17 +252,23 @@ type EIsNull struct {
 	Paren bool
 }
 
-// EIn is "x IN (SELECT ...)" or "x IN (e1, e2, ...)".
+// EIn is "x IN (SELECT ...)" or "x IN (e1, e2, ...)". Shape is set for the
+// subquery form only; its source text runs from the needle to the closing
+// parenthesis.
 type EIn struct {
 	X     Expr
 	Sub   *SelectStmt // nil when List is set
 	List  []Expr
 	Not   bool
 	Paren bool
+	Shape int
 }
 
 // EExists is "EXISTS (SELECT ...)".
-type EExists struct{ Select *SelectStmt }
+type EExists struct {
+	Select *SelectStmt
+	Shape  int
+}
 
 func (*EColumn) sqlExpr()   {}
 func (*ELit) sqlExpr()      {}

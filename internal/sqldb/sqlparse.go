@@ -52,6 +52,7 @@ func sqlLex(src string) ([]sqlTok, error) {
 			}
 			toks = append(toks, sqlTok{sqlNumber, src[start:i], start})
 		case c == '\'':
+			start := i
 			i++
 			var b strings.Builder
 			closed := false
@@ -72,7 +73,7 @@ func sqlLex(src string) ([]sqlTok, error) {
 			if !closed {
 				return nil, fmt.Errorf("sqldb: unterminated string literal at offset %d", i)
 			}
-			toks = append(toks, sqlTok{sqlString, b.String(), i})
+			toks = append(toks, sqlTok{sqlString, b.String(), start})
 		case c == '"':
 			start := i
 			i++
@@ -132,9 +133,14 @@ func isSQLDigit(c byte) bool { return '0' <= c && c <= '9' }
 
 // sqlParser parses one SQL statement.
 type sqlParser struct {
+	src     string
 	toks    []sqlTok
 	pos     int
 	nparams int // positional parameter counter
+	// shapes maps the source span of every subquery node parsed so far to
+	// its shape id, nshapes counts the ids given (see shape).
+	shapes  map[string]int
+	nshapes int
 }
 
 // ParseSQL parses a single SQL statement.
@@ -143,7 +149,7 @@ func ParseSQL(src string) (Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &sqlParser{toks: toks}
+	p := &sqlParser{src: src, toks: toks}
 	stmt, err := p.parseStmt()
 	if err != nil {
 		return nil, err
@@ -156,6 +162,31 @@ func ParseSQL(src string) (Stmt, error) {
 }
 
 func (p *sqlParser) cur() sqlTok { return p.toks[p.pos] }
+
+// shape returns the shape id of the subquery node just parsed (ESubquery,
+// EExists, or an IN over a subquery), whose source span starts at byte start
+// and ends with the closing parenthesis last consumed; nparams is the
+// positional-marker count when the span began. Within a statement, nodes
+// whose spans are byte-identical share an id, so they are one expression:
+// the same tokens parsed from the same grammar rule. (The spans of different
+// kinds never coincide: a scalar subquery's opens with the parenthesis that
+// closes it, an EXISTS's with the keyword, an IN's with its needle.) A span
+// holding a positional ? gets an id of its own, since its markers' ordinals
+// differ from any other span's. Ids are dense from 0.
+func (p *sqlParser) shape(start, nparams int) int {
+	if p.nparams == nparams {
+		span := p.src[start : p.toks[p.pos-1].off+1]
+		if id, ok := p.shapes[span]; ok {
+			return id
+		}
+		if p.shapes == nil {
+			p.shapes = make(map[string]int)
+		}
+		p.shapes[span] = p.nshapes
+	}
+	p.nshapes++
+	return p.nshapes - 1
+}
 
 func (p *sqlParser) next() sqlTok {
 	t := p.toks[p.pos]
@@ -672,6 +703,7 @@ func (p *sqlParser) parseNot() (Expr, error) {
 }
 
 func (p *sqlParser) parseComparison() (Expr, error) {
+	start, nparams := p.cur().off, p.nparams
 	l, err := p.parseAdditive()
 	if err != nil {
 		return nil, err
@@ -702,7 +734,7 @@ func (p *sqlParser) parseComparison() (Expr, error) {
 			if err := p.expectSym(")"); err != nil {
 				return nil, err
 			}
-			return &EIn{X: l, Sub: sub, Not: not}, nil
+			return &EIn{X: l, Sub: sub, Not: not, Shape: p.shape(start, nparams)}, nil
 		}
 		var list []Expr
 		for {
@@ -827,7 +859,7 @@ func (p *sqlParser) parseUnary() (Expr, error) {
 }
 
 func (p *sqlParser) parsePrimary() (Expr, error) {
-	t := p.cur()
+	t, nparams := p.cur(), p.nparams
 	switch t.kind {
 	case sqlNumber:
 		p.next()
@@ -865,7 +897,7 @@ func (p *sqlParser) parsePrimary() (Expr, error) {
 				if err := p.expectSym(")"); err != nil {
 					return nil, err
 				}
-				return &ESubquery{Select: sub}, nil
+				return &ESubquery{Select: sub, Shape: p.shape(t.off, nparams)}, nil
 			}
 			e, err := p.parseExpr()
 			if err != nil {
@@ -909,7 +941,7 @@ func (p *sqlParser) parsePrimary() (Expr, error) {
 			if err := p.expectSym(")"); err != nil {
 				return nil, err
 			}
-			return &EExists{Select: sub}, nil
+			return &EExists{Select: sub, Shape: p.shape(t.off, nparams)}, nil
 		}
 		p.next()
 		return p.identTail(t)

@@ -467,10 +467,10 @@ type vecCompiler struct {
 	// fails, "other" when no site recorded anything sharper.
 	reason string
 	// subs holds the compiled correlated subexpressions (corrSub); builds
-	// the build sides of the decorrelated ones by canonical text (corrID),
-	// nil for a text whose build does not vectorize.
+	// the build sides of the decorrelated ones by shape id (ESubquery.Shape),
+	// nil for a shape whose build does not vectorize.
 	subs   map[corrSite]vexpr
-	builds map[int32]*corrBuildPlan
+	builds map[int]*corrBuildPlan
 }
 
 // fail records a refusal reason (first one wins) and returns false for use
@@ -1076,8 +1076,8 @@ func (w *corrWalk) walkSel(st *SelectStmt) {
 	w.scopes = w.scopes[:sc]
 }
 
-// corrSub compiles a correlated subexpression (a subquery, EXISTS, or IN)
-// into a vexpr, in one of two forms:
+// corrSub compiles a correlated subexpression (a subquery, EXISTS, or IN) of
+// the given shape into a vexpr, in one of two forms:
 //
 //  1. vecLazy, when the expression depends on no local table — correlated
 //     only with enclosing SELECTs, as every subquery nested below the context
@@ -1096,13 +1096,13 @@ func (w *corrWalk) walkSel(st *SelectStmt) {
 // reference reaching a local table beyond ntab (not yet bound at this
 // pipeline stage) refuses.
 //
-// Every spelling of one canonical text at one pipeline stage shares one
-// compiled form (corrSite), and so one build: a LET value the property
-// compiler renders in c0 and again in s0 is analyzed, compiled and built
-// once. Within one SELECT's execution equal text resolves against the same
-// scopes, so it has the same value.
-func (cp *vecCompiler) corrSub(e Expr, ntab int) (vexpr, bool) {
-	site := corrSite{id: cp.p.corrID(e), ntab: ntab}
+// Every occurrence of one shape at one pipeline stage shares one compiled
+// form (corrSite), and so one build: a LET value the property compiler
+// renders in c0 and again in s0 — byte-identical text, so one shape id — is
+// analyzed, compiled and built once. Within one SELECT's execution equal
+// text resolves against the same scopes, so it has the same value.
+func (cp *vecCompiler) corrSub(e Expr, shape, ntab int) (vexpr, bool) {
+	site := corrSite{shape: shape, ntab: ntab}
 	if ve, ok := cp.subs[site]; ok {
 		return ve, true
 	}
@@ -1126,18 +1126,18 @@ func (cp *vecCompiler) corrSub(e Expr, ntab int) (vexpr, bool) {
 }
 
 // corrSite identifies a correlated subexpression's compiled form within one
-// SELECT node: its canonical text (corrID) and the pipeline stage it runs at
-// (column resolution depends on the tables bound).
+// SELECT node: its shape id and the pipeline stage it runs at (column
+// resolution depends on the tables bound).
 type corrSite struct {
-	id   int32
-	ntab int
+	shape int
+	ntab  int
 }
 
 // corrBuildPlan is the build side of a decorrelated subquery (decorrelate):
 // a SELECT synthesized over the subquery's own tables that projects the
 // inner key expressions followed by the value — the item, or the argument
 // of an aggregate item, which the build folds per key — planned and compiled
-// once, and shared by every spelling of the subquery's canonical text in the
+// once, and shared by every occurrence of the subquery's shape in the
 // compiling SELECT.
 type corrBuildPlan struct {
 	sp   *selectPlan
@@ -1259,7 +1259,7 @@ func (cp *vecCompiler) decorrelate(x *ESubquery, ntab int) (vexpr, bool) {
 			}
 		}
 	}
-	bp := cp.corrBuild(cp.p.corrID(x), st, sp, inner, resid, call)
+	bp := cp.corrBuild(x.Shape, st, sp, inner, resid, call)
 	if bp == nil {
 		return nil, false
 	}
@@ -1351,13 +1351,13 @@ func (cp *vecCompiler) keyType(e Expr, scopes []*corrScope) (ColType, bool) {
 	return 0, false
 }
 
-// corrBuild returns the build side of the decorrelated subquery whose
-// canonical text is id, synthesizing and compiling it on first use: the
+// corrBuild returns the build side of the decorrelated subquery of the given
+// shape, synthesizing and compiling it on first use: the
 // subquery's FROM and joins, its non-key conjuncts as WHERE, its inner keys
 // then its value as projection. nil when the aggregate is malformed (the
 // row engine raises its error) or the synthesized SELECT does not vectorize.
-func (cp *vecCompiler) corrBuild(id int32, st *SelectStmt, sp *selectPlan, inner, resid []Expr, call *ECall) *corrBuildPlan {
-	if bp, done := cp.builds[id]; done {
+func (cp *vecCompiler) corrBuild(shape int, st *SelectStmt, sp *selectPlan, inner, resid []Expr, call *ECall) *corrBuildPlan {
+	if bp, done := cp.builds[shape]; done {
 		return bp
 	}
 	syn := &SelectStmt{From: st.From, Joins: st.Joins}
@@ -1413,9 +1413,9 @@ func (cp *vecCompiler) corrBuild(id int32, st *SelectStmt, sp *selectPlan, inner
 		}
 	}
 	if cp.builds == nil {
-		cp.builds = make(map[int32]*corrBuildPlan)
+		cp.builds = make(map[int]*corrBuildPlan)
 	}
-	cp.builds[id] = bp
+	cp.builds[shape] = bp
 	return bp
 }
 
@@ -1586,19 +1586,19 @@ func (cp *vecCompiler) compile(e Expr, ntab int) (vexpr, bool) {
 		if cp.closed(x) {
 			return vecLazy(x), true
 		}
-		return cp.corrSub(x, ntab)
+		return cp.corrSub(x, x.Shape, ntab)
 	case *EExists:
 		if cp.closed(x) {
 			return vecLazy(x), true
 		}
-		return cp.corrSub(x, ntab)
+		return cp.corrSub(x, x.Shape, ntab)
 	case *EIn:
 		if x.Sub != nil {
 			// An IN subquery that depends on no local table has one candidate
 			// list per execution (inCandidates); a correlated one compiles
 			// with its needle through corrSub.
 			if deps, ok := cp.corrRefs(&ESubquery{Select: x.Sub}, ntab, nil); !ok || len(deps.locals) > 0 {
-				return cp.corrSub(x, ntab)
+				return cp.corrSub(x, x.Shape, ntab)
 			}
 		}
 		xe, ok := cp.compile(x.X, ntab)

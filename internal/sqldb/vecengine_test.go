@@ -310,8 +310,8 @@ func TestVecPropertyShapeVectorizes(t *testing.T) {
 	}
 }
 
-// TestCorrelatedDuplicatesExecuteOnce: build sides are keyed by canonical
-// text, so the two spellings of one value — a LET-bound subquery the property
+// TestCorrelatedDuplicatesExecuteOnce: build sides are keyed by shape id, so
+// the two occurrences of one value — a LET-bound subquery the property
 // compiler renders once per use, in c0 and again in s0 — cost one build, not
 // two: the outer execution plus one build, however many outer rows probe it.
 // The row engine gives the same rows.
