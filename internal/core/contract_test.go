@@ -214,6 +214,25 @@ func TestMisshapenSignatureIsAnErrorOnEveryEngine(t *testing.T) {
 	}
 }
 
+// TestSetFormCompileErrorFailsAnalysis: a set form that does not compile is
+// its property's error, as the per-context form's is — not a per-context
+// evaluation that neither the report nor Analyzer.Fallbacks shows. Here the
+// Region contexts' containment path names a step the model lacks.
+func TestSetFormCompileErrorFailsAnalysis(t *testing.T) {
+	saved := contextPaths["Region"]
+	contextPaths["Region"] = sqlgen.ContextPath{Root: saved.Root, Runs: saved.Runs, Steps: []string{"NoSuchStep"}}
+	defer func() { contextPaths["Region"] = saved }()
+	g := buildGraph(t, apprentice.Particles())
+	a := New(g, WithProperties("MeasuredCost"))
+	rep, err := a.AnalyzeSQL(lastRun(g), godbc.Embedded{DB: loadDB(t, g)})
+	if rep != nil || err == nil || !strings.Contains(err.Error(), "core: compiling the set form of MeasuredCost") {
+		t.Fatalf("report %v, err %v; want no report and the set form's compile error", rep != nil, err)
+	}
+	if n, _ := a.Fallbacks(); n != 0 {
+		t.Errorf("%d set fallbacks, want 0", n)
+	}
+}
+
 // TestDroppedTableDiagnosesOnlyItsProperty: a statement the engine will not
 // prepare — here, over a dropped table — diagnoses its property's contexts and
 // nothing else, on every executor; per instance and by the set form the

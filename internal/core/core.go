@@ -597,6 +597,11 @@ func (a *Analyzer) AnalyzeSQLCtx(ctx context.Context, run *model.TestRun, q Quer
 // every other failure is the diagnostic of the instances it hits.
 func (a *Analyzer) evalSQL(ctx context.Context, pl *runPlan, preparer sqlgen.QueryPreparer, workers int) ([]Instance, error) {
 	compiled := a.compiledProps()
+	for i := range compiled {
+		if err := compiled[i].err; err != nil {
+			return nil, err
+		}
+	}
 	if err := pl.bind(compiled); err != nil {
 		return nil, err
 	}
@@ -610,10 +615,7 @@ func (a *Analyzer) evalSQL(ctx context.Context, pl *runPlan, preparer sqlgen.Que
 	units := make([]chunk, 0, len(compiled))
 	for i := range compiled {
 		c, p := &compiled[i], &pl.props[i]
-		if c.err != nil {
-			return nil, c.err
-		}
-		if a.BatchSize() > 1 && p.n > 0 && c.set != nil {
+		if a.BatchSize() > 1 && p.n > 0 {
 			props = append(props, c.set.prepare(preparer))
 			units = append(units, chunk{prop: i, start: p.start, n: p.n, set: true})
 			continue

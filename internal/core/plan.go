@@ -134,10 +134,8 @@ func (pl *runPlan) bind(compiled []compiledProp) error {
 			if pl.bindErr = c.fill(pl.bindings[p.start : p.start+p.n]); pl.bindErr != nil {
 				return
 			}
-			if c.set != nil {
-				if pl.bindErr = c.set.fill(p.setBinding); pl.bindErr != nil {
-					return
-				}
+			if pl.bindErr = c.set.fill(p.setBinding); pl.bindErr != nil {
+				return
 			}
 		}
 	})
@@ -160,10 +158,8 @@ type compiledProp struct {
 	runParam string
 	// err says why the property has no query.
 	err error
-	// set is the property's set form — one statement answering for every
-	// context of a run, see sqlgen.CompilePropertySet — or nil when the
-	// property has none (a context class without a declared containment
-	// path); such a property is evaluated per context.
+	// set is the property's set form: one statement answering for every
+	// context of a run, see sqlgen.CompilePropertySet.
 	set *compiledProp
 }
 
@@ -180,25 +176,29 @@ func (a *Analyzer) compiledProps() []compiledProp {
 }
 
 // compileProp compiles a property for the SQL engines: the per-context query
-// and, where its context class has a containment path, the set form.
+// and the set form, over the containment path of its context class. Either
+// failing to compile or render is the property's error.
 func (a *Analyzer) compileProp(prop string) compiledProp {
 	cp, err := sqlgen.CompileProperty(a.world, prop)
 	if err != nil {
 		return compiledProp{err: fmt.Errorf("core: compiling %s: %w", prop, err)}
 	}
 	c := a.renderProp(cp)
-	if c.err != nil || len(cp.Params) == 0 {
+	if c.err != nil {
 		return c
 	}
-	if cls, ok := cp.Params[0].Type.(*sem.Class); ok {
-		if path, ok := contextPaths[cls.Name]; ok {
-			if scp, err := sqlgen.CompilePropertySet(a.world, prop, path); err == nil {
-				if set := a.renderProp(scp); set.err == nil {
-					c.set = &set
-				}
-			}
-		}
+	// contexts vouched for a Region or FunctionCall context, and each has a
+	// containment path.
+	path := contextPaths[cp.Params[0].Type.(*sem.Class).Name]
+	scp, err := sqlgen.CompilePropertySet(a.world, prop, path)
+	if err != nil {
+		return compiledProp{err: fmt.Errorf("core: compiling the set form of %s: %w", prop, err)}
 	}
+	set := a.renderProp(scp)
+	if set.err != nil {
+		return set
+	}
+	c.set = &set
 	return c
 }
 

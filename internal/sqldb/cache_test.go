@@ -107,33 +107,45 @@ func TestIndexedLookupThroughSubqueryRHS(t *testing.T) {
 	}
 }
 
-func TestExprRefsBinding(t *testing.T) {
-	parse := func(src string) Expr {
-		stmt, err := ParseSQL("SELECT " + src)
-		if err != nil {
-			t.Fatalf("%s: %v", src, err)
-		}
-		return stmt.(*SelectStmt).Items[0].Expr
-	}
+// TestPlanReads: the planner records what an expression reads by the
+// bindings of its column references, subqueries included: here, whether an
+// item of a SELECT over runs t reads t. A subquery that binds a name itself
+// shadows the outer table, and a reference that binds nothing reads nothing.
+func TestPlanReads(t *testing.T) {
+	db := cacheDB(t)
 	cases := []struct {
-		src     string
-		binding string
-		want    bool
+		src  string
+		want bool
 	}{
-		{"1 + 2", "t", false},
-		{"$p", "t", false},
-		{"t.x", "t", true},
-		{"u.x", "t", false},
-		{"x", "t", true}, // unqualified: conservative
-		{"(SELECT a.v FROM times a WHERE a.run_id = t.id)", "t", true},
-		{"(SELECT a.v FROM times a WHERE a.run_id = 1)", "t", false},
-		{"(SELECT t.v FROM times t)", "t", false}, // shadowed
-		{"EXISTS (SELECT 1 FROM runs r WHERE r.id = t.id)", "t", true},
-		{"v IN (SELECT t.id FROM runs t)", "t", true}, // v unqualified
+		{"1 + 2", false},
+		{"$p", false},
+		{"t.nope", true},
+		{"u.nope", false}, // u binds nothing
+		{"nope", true},
+		{"v", false}, // runs has no v
+		{"(SELECT a.v FROM times a WHERE a.run_id = t.id)", true},
+		{"(SELECT a.v FROM times a WHERE a.run_id = 1)", false},
+		{"(SELECT t.v FROM times t)", false},                              // shadowed
+		{"(SELECT MAX(v) FROM times WHERE run_id = id)", false},           // times has an id
+		{"(SELECT MAX(v) FROM times WHERE run_id = nope)", true},          // times has no nope
+		{"(SELECT MAX(t.v) FROM times t WHERE t.run_id = t.nope)", false}, // unknown, not t's
+		{"EXISTS (SELECT 1 FROM runs r WHERE r.id = t.id)", true},
+		{"nope IN (SELECT t.id FROM runs t)", true},
 	}
 	for _, c := range cases {
-		if got := exprRefsBinding(parse(c.src), c.binding); got != c.want {
-			t.Errorf("exprRefsBinding(%q, %q) = %v, want %v", c.src, c.binding, got, c.want)
+		sql := "SELECT " + c.src + " FROM runs t"
+		stmt, err := ParseSQL(sql)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		db.mu.RLock()
+		p, err := db.buildPlan(stmt)
+		db.mu.RUnlock()
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		if got := p.reads(stmt.(*SelectStmt).Items[0].Expr).at(0); got != c.want {
+			t.Errorf("%s reads t: %v, want %v", c.src, got, c.want)
 		}
 	}
 }

@@ -273,42 +273,6 @@ func (bt *boundTable) value(col int) Value {
 	return bt.table.cols[col].value(bt.at - 1)
 }
 
-// frame is a lexical scope of bound tables; parent scopes make correlated
-// subqueries work.
-type frame struct {
-	parent *frame
-	tables []*boundTable
-}
-
-// resolve finds the bound table and column position for a column reference.
-func (fr *frame) resolve(ref *EColumn) (*boundTable, int, error) {
-	lqual, lname := ref.keys()
-	for scope := fr; scope != nil; scope = scope.parent {
-		var foundBT *boundTable
-		foundCol := -1
-		for _, bt := range scope.tables {
-			if lqual != "" && bt.binding != lqual {
-				continue
-			}
-			col, ok := bt.table.colIdx[lname]
-			if !ok {
-				continue
-			}
-			if foundBT != nil {
-				return nil, 0, fmt.Errorf("sqldb: ambiguous column %s", ref.Name)
-			}
-			foundBT, foundCol = bt, col
-		}
-		if foundBT != nil {
-			return foundBT, foundCol, nil
-		}
-	}
-	if ref.Qual != "" {
-		return nil, 0, fmt.Errorf("sqldb: unknown column %s.%s", ref.Qual, ref.Name)
-	}
-	return nil, 0, fmt.Errorf("sqldb: unknown column %s", ref.Name)
-}
-
 // tuple is one joined row: the boundTable.at of each bound table, in binding
 // order (0 binds no row).
 type tuple []int
@@ -325,7 +289,8 @@ type execCtx struct {
 	// holds the tuples of the current group.
 	group *groupCtx
 	// subCache holds the results of subqueries that are invariant for the
-	// whole statement (no free columns; parameters only), indexed by the
+	// whole statement (they read no SELECT around them, selectPlan.outer;
+	// parameters and data only), indexed by the
 	// shape id the parser gave the subquery, so subqueries with identical
 	// source text share one slot (ESubquery.Shape). The ASL property
 	// compiler emits the same parameter-correlated subquery many times, so
@@ -355,116 +320,6 @@ func (ec *execCtx) memoSub(shape int, v Value) {
 		ec.subCache = make([]subMemo, ec.plan.shapes)
 	}
 	ec.subCache[shape] = subMemo{v: v, ok: true}
-}
-
-// freeInfo summarizes what an expression may read from outside itself: outer
-// bindings and statement parameters.
-type freeInfo struct {
-	// unqual is set when the expression contains an unqualified column (or
-	// a star), which could resolve to any binding.
-	unqual bool
-	// quals holds the lower-cased table qualifiers referenced.
-	quals []string
-	// params holds every parameter marker the expression reads, nested
-	// subqueries included (a marker may appear more than once).
-	params []*EParam
-}
-
-func collectFree(e Expr, shadow map[string]bool, fi *freeInfo, seen map[string]bool) {
-	switch x := e.(type) {
-	case nil, *ELit:
-	case *EParam:
-		fi.params = append(fi.params, x)
-	case *EColumn:
-		lq, _ := x.keys()
-		if lq == "" {
-			fi.unqual = true
-			return
-		}
-		if !shadow[lq] && !seen[lq] {
-			seen[lq] = true
-			fi.quals = append(fi.quals, lq)
-		}
-	case *EBinary:
-		collectFree(x.L, shadow, fi, seen)
-		collectFree(x.R, shadow, fi, seen)
-	case *EUnary:
-		collectFree(x.X, shadow, fi, seen)
-	case *ECall:
-		for _, a := range x.Args {
-			collectFree(a, shadow, fi, seen)
-		}
-	case *EIsNull:
-		collectFree(x.X, shadow, fi, seen)
-	case *ESubquery:
-		collectFreeSelect(x.Select, shadow, fi, seen)
-	case *EExists:
-		collectFreeSelect(x.Select, shadow, fi, seen)
-	case *EIn:
-		collectFree(x.X, shadow, fi, seen)
-		if x.Sub != nil {
-			collectFreeSelect(x.Sub, shadow, fi, seen)
-		}
-		for _, a := range x.List {
-			collectFree(a, shadow, fi, seen)
-		}
-	default:
-		fi.unqual = true // unknown node: be conservative
-	}
-}
-
-func collectFreeSelect(st *SelectStmt, shadow map[string]bool, fi *freeInfo, seen map[string]bool) {
-	inner := make(map[string]bool, len(shadow)+1+len(st.Joins))
-	for k := range shadow {
-		inner[k] = true
-	}
-	if st.From != nil {
-		inner[strings.ToLower(st.From.Binding())] = true
-	}
-	for _, j := range st.Joins {
-		inner[strings.ToLower(j.Table.Binding())] = true
-	}
-	for _, item := range st.Items {
-		if item.Star {
-			continue // expands only the subquery's own tables
-		}
-		collectFree(item.Expr, inner, fi, seen)
-	}
-	for _, j := range st.Joins {
-		collectFree(j.On, inner, fi, seen)
-	}
-	collectFree(st.Where, inner, fi, seen)
-	collectFree(st.Having, inner, fi, seen)
-	collectFree(st.Limit, inner, fi, seen)
-	for _, g := range st.GroupBy {
-		collectFree(g, inner, fi, seen)
-	}
-	for _, o := range st.OrderBy {
-		collectFree(o.Expr, inner, fi, seen)
-	}
-}
-
-// invariant reports whether e cannot observe any binding of the frame
-// chain, making its value constant for the whole statement execution.
-func (ec *execCtx) invariant(e Expr, fr *frame) bool {
-	fi := ec.plan.free[e]
-	if fi.unqual && fr != nil {
-		for scope := fr; scope != nil; scope = scope.parent {
-			if len(scope.tables) > 0 {
-				return false
-			}
-		}
-	}
-	for _, q := range fi.quals {
-		for scope := fr; scope != nil; scope = scope.parent {
-			for _, bt := range scope.tables {
-				if bt.binding == q {
-					return false
-				}
-			}
-		}
-	}
-	return true
 }
 
 type groupCtx struct {
@@ -520,13 +375,13 @@ func (ec *execCtx) execSelect(st *SelectStmt, parent *frame) (*ResultSet, error)
 	return ec.rowSelect(st, parent)
 }
 
-// evalSub evaluates a scalar subquery, or an EXISTS, e of the given shape
-// over SELECT st: from the per-execution cache when e is invariant, else by
-// running st — vectorized without materializing a ResultSet when the
-// vectorized engine runs it (vecPlanFor), on the row interpreter otherwise
-// and on a replay.
-func (ec *execCtx) evalSub(e Expr, shape int, st *SelectStmt, exists bool, fr *frame) (Value, error) {
-	cacheable := ec.invariant(e, fr)
+// evalSub evaluates a scalar subquery, or an EXISTS, of the given shape over
+// SELECT st: from the per-execution cache when st reads no SELECT around it
+// (selectPlan.outer), else by running st — vectorized without materializing
+// a ResultSet when the vectorized engine runs it (vecPlanFor), on the row
+// interpreter otherwise and on a replay.
+func (ec *execCtx) evalSub(shape int, st *SelectStmt, exists bool, fr *frame) (Value, error) {
+	cacheable := len(ec.plan.selects[st].outer.tabs) == 0
 	if cacheable && ec.subCache != nil && ec.subCache[shape].ok {
 		return ec.subCache[shape].v, nil
 	}
@@ -574,7 +429,7 @@ func subValue(exists bool, ncols, nrows int, at func(int) Value) (Value, error) 
 func (ec *execCtx) rowSelect(st *SelectStmt, parent *frame) (*ResultSet, error) {
 	// sp is the precomputed strategy of this SELECT node.
 	sp := ec.plan.selects[st]
-	fr := &frame{parent: parent}
+	fr := &frame{parent: parent, level: sp.level}
 	var tuples []tuple
 
 	if st.From == nil {
@@ -811,9 +666,9 @@ func setTuple(fr *frame, tp tuple) {
 // buf, ascending, and returns it. Both engines seed through it, so they visit
 // the same rows. The candidates are a hash index's positions when the WHERE
 // clause contains a top-level "col = expr" conjunct on an indexed column of
-// this table whose right-hand side is independent of the scanned table
-// (literals, parameters, outer-scope correlations, and uncorrelated
-// subqueries all qualify); else the rows the join access reaches; else every
+// this table whose right-hand side reads no table of the SELECT (literals,
+// parameters, outer-scope correlations, and uncorrelated subqueries all
+// qualify: matchColConst); else the rows the join access reaches; else every
 // row. This turns the nested dereference subqueries emitted by the ASL
 // property compiler from full scans into O(1) point lookups, and a SELECT
 // pinned to one run into a read of that run's rows. Both seeds are one value
@@ -935,113 +790,28 @@ func appendConjuncts(dst []Expr, e Expr) []Expr {
 	return append(dst, e)
 }
 
-// matchColConst matches "bt.col = expr" (either orientation) where expr does
-// not reference the scanned table; returns (-1, nil) if no match.
-func matchColConst(bin *EBinary, bt *boundTable) (int, Expr) {
-	try := func(colE, constE Expr) (int, Expr) {
+// matchColConst matches "F.col = val" (either orientation), F the first
+// table of the SELECT sp, where val reads no table of sp and binds every
+// reference: the seed evaluates val with F alone bound (ec.seed), where a
+// reference to a table joined later, or one that binds nothing, could
+// resolve to an outer namesake. It returns (-1, nil) if no match.
+func (p *stmtPlan) matchColConst(sp *selectPlan, bin *EBinary) (int, Expr) {
+	try := func(colE, val Expr) (int, Expr) {
 		col, ok := colE.(*EColumn)
 		if !ok {
 			return -1, nil
 		}
-		if col.Qual != "" && strings.ToLower(col.Qual) != bt.binding {
-			return -1, nil
+		if ref, local := p.local(sp, col); local && ref.tab == 0 {
+			if r := p.reads(val); !r.unbound && !r.at(sp.level) {
+				return ref.col, val
+			}
 		}
-		pos := bt.table.ColumnIndex(col.Name)
-		if pos < 0 || exprRefsBinding(constE, bt.binding) {
-			return -1, nil
-		}
-		return pos, constE
+		return -1, nil
 	}
 	if col, c := try(bin.L, bin.R); col >= 0 {
 		return col, c
 	}
 	return try(bin.R, bin.L)
-}
-
-// exprRefsBinding reports whether the expression might reference columns of
-// the table bound under the given (lower-cased) name. Unqualified columns
-// are treated as possible references. Subqueries are analyzed recursively;
-// a subquery that rebinds the same name shadows the outer table, so its
-// interior cannot reference it.
-func exprRefsBinding(e Expr, binding string) bool {
-	switch x := e.(type) {
-	case nil:
-		return false
-	case *ELit, *EParam:
-		return false
-	case *EColumn:
-		return x.Qual == "" || strings.ToLower(x.Qual) == binding
-	case *EBinary:
-		return exprRefsBinding(x.L, binding) || exprRefsBinding(x.R, binding)
-	case *EUnary:
-		return exprRefsBinding(x.X, binding)
-	case *ECall:
-		for _, a := range x.Args {
-			if exprRefsBinding(a, binding) {
-				return true
-			}
-		}
-		return false
-	case *EIsNull:
-		return exprRefsBinding(x.X, binding)
-	case *ESubquery:
-		return selectRefsBinding(x.Select, binding)
-	case *EExists:
-		return selectRefsBinding(x.Select, binding)
-	case *EIn:
-		if exprRefsBinding(x.X, binding) {
-			return true
-		}
-		if x.Sub != nil && selectRefsBinding(x.Sub, binding) {
-			return true
-		}
-		for _, a := range x.List {
-			if exprRefsBinding(a, binding) {
-				return true
-			}
-		}
-		return false
-	}
-	return true // unknown node: be conservative
-}
-
-func selectRefsBinding(st *SelectStmt, binding string) bool {
-	// If the subquery rebinds the name, outer references are shadowed.
-	if st.From != nil && strings.ToLower(st.From.Binding()) == binding {
-		return false
-	}
-	for _, j := range st.Joins {
-		if strings.ToLower(j.Table.Binding()) == binding {
-			return false
-		}
-	}
-	for _, item := range st.Items {
-		if item.Star {
-			return true // star could expand the outer binding's columns
-		}
-		if exprRefsBinding(item.Expr, binding) {
-			return true
-		}
-	}
-	for _, j := range st.Joins {
-		if exprRefsBinding(j.On, binding) {
-			return true
-		}
-	}
-	if exprRefsBinding(st.Where, binding) || exprRefsBinding(st.Having, binding) || exprRefsBinding(st.Limit, binding) {
-		return true
-	}
-	for _, g := range st.GroupBy {
-		if exprRefsBinding(g, binding) {
-			return true
-		}
-	}
-	for _, o := range st.OrderBy {
-		if exprRefsBinding(o.Expr, binding) {
-			return true
-		}
-	}
-	return false
 }
 
 // join extends each tuple with matching rows of the newly bound table,
@@ -1107,16 +877,17 @@ func (ec *execCtx) checkConjuncts(conds []Expr, fr *frame, tp tuple, jbt *boundT
 	return true, nil
 }
 
-// joinStrategy chooses how to execute one JOIN: it scans the ON conjuncts
-// for a "jbt.col = outerExpr" condition usable as a hash join. eqCol is -1
-// when none exists; rest holds the conjuncts still checked per candidate row
-// (all of them in the nested-loop case). Called by the planner.
-func joinStrategy(on Expr, jbt *boundTable) (eqCol int, outer Expr, rest []Expr) {
+// joinStrategy chooses how to execute join k of the SELECT sp: it scans the
+// ON conjuncts for a "J.col = outerExpr" condition usable as a hash join, J
+// the joined table. eqCol is -1 when none exists; rest holds the conjuncts
+// still checked per candidate row (all of them in the nested-loop case).
+// Called by the planner.
+func (p *stmtPlan) joinStrategy(sp *selectPlan, on Expr, k int) (eqCol int, outer Expr, rest []Expr) {
 	eqCol = -1
 	for _, conj := range conjuncts(on) {
 		if eqCol < 0 {
 			if bin, ok := conj.(*EBinary); ok && bin.Op == OpEq {
-				if col, other := matchJoinCol(bin, jbt); col >= 0 {
+				if col, other := p.matchJoinCol(sp, bin, k); col >= 0 {
 					eqCol, outer = col, other
 					continue
 				}
@@ -1223,21 +994,19 @@ func sortRows(rows []sortableRow, order []OrderItem) error {
 	return sortErr
 }
 
-// matchJoinCol matches "jbt.col = expr" where expr does not reference jbt.
-func matchJoinCol(bin *EBinary, jbt *boundTable) (int, Expr) {
+// matchJoinCol matches "J.col = expr" (either orientation), J the table join
+// k of the SELECT sp binds, where expr does not read J.
+func (p *stmtPlan) matchJoinCol(sp *selectPlan, bin *EBinary, k int) (int, Expr) {
 	try := func(colE, otherE Expr) (int, Expr) {
 		col, ok := colE.(*EColumn)
 		if !ok {
 			return -1, nil
 		}
-		if strings.ToLower(col.Qual) != jbt.binding {
+		ref, local := p.local(sp, col)
+		if !local || ref.tab != k+1 || slices.Contains(p.reads(otherE).tabs, tabRef{sp.level, k + 1}) {
 			return -1, nil
 		}
-		pos := jbt.table.ColumnIndex(col.Name)
-		if pos < 0 || exprRefsBinding(otherE, jbt.binding) {
-			return -1, nil
-		}
-		return pos, otherE
+		return ref.col, otherE
 	}
 	if col, other := try(bin.L, bin.R); col >= 0 {
 		return col, other
@@ -1281,11 +1050,7 @@ func (ec *execCtx) eval(e Expr, fr *frame) (Value, error) {
 		}
 		return Null, fmt.Errorf("sqldb: missing positional parameter %d", x.Ordinal+1)
 	case *EColumn:
-		bt, col, err := fr.resolve(x)
-		if err != nil {
-			return Null, err
-		}
-		return bt.value(col), nil
+		return ec.column(x, fr)
 	case *EUnary:
 		v, err := ec.eval(x.X, fr)
 		if err != nil {
@@ -1303,9 +1068,9 @@ func (ec *execCtx) eval(e Expr, fr *frame) (Value, error) {
 		}
 		return NewBool(v.IsNull() != x.Not), nil
 	case *ESubquery:
-		return ec.evalSub(x, x.Shape, x.Select, false, fr)
+		return ec.evalSub(x.Shape, x.Select, false, fr)
 	case *EExists:
-		return ec.evalSub(x, x.Shape, x.Select, true, fr)
+		return ec.evalSub(x.Shape, x.Select, true, fr)
 	case *EIn:
 		return ec.evalIn(x, fr)
 	}
@@ -1672,10 +1437,14 @@ func (ec *execCtx) evalAggregate(x *ECall, fr *frame) (Value, error) {
 		return Null, fmt.Errorf("sqldb: aggregate %s takes 1 argument", x.Name)
 	}
 
+	// The argument is evaluated where the call is: an aggregate a subquery
+	// holds and does not own folds over the tuples of the enclosing group,
+	// whose frame lies around fr, and its references resolve from their own
+	// scope outward, as the planner binds them.
 	acc := newAggAcc()
 	for _, tp := range g.tuples {
 		setTuple(g.fr, tp)
-		v, err := ec.eval(x.Args[0], g.fr)
+		v, err := ec.eval(x.Args[0], fr)
 		if err != nil {
 			return Null, err
 		}

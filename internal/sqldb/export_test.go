@@ -1,5 +1,10 @@
 package sqldb
 
+// Every test of the package holds the planner's bindings against the row
+// interpreter's run-time resolution (execCtx.column): a reference the two
+// resolve apart panics.
+func init() { checkBinder = true }
+
 // ShrinkPlanCache lowers the plan cache's capacity, for tests that need
 // evictions without filling DefaultPlanCacheSize slots; entries beyond it go
 // at the next miss.

@@ -19,11 +19,11 @@ import (
 //
 // A plan captures everything about a statement that does not depend on
 // parameter values or row data: the parsed AST, the resolved tables, the
-// chosen access paths and join strategies, and the free-column analysis of
-// every subquery. Plans are immutable after construction, so one plan may be
-// executed from many goroutines concurrently; per-execution state (current
-// rows, the invariant subquery result cache) lives in the execCtx created per
-// execution.
+// binding of every column reference (scope.go), and the chosen access paths
+// and join strategies. A replan after DDL rebinds every reference. Plans are
+// immutable after construction, so one plan may be executed from many
+// goroutines concurrently; per-execution state (current rows, the invariant
+// subquery result cache) lives in the execCtx created per execution.
 //
 // Plans are invalidated by DDL: every CREATE TABLE, DROP TABLE, and CREATE
 // INDEX bumps the database's schema version under the exclusive statement
@@ -40,9 +40,9 @@ const DefaultPlanCacheSize = 128
 type stmtPlan struct {
 	stmt    Stmt
 	version int64 // schema version the plan was built against
-	// free memoizes the free-column analysis of subquery nodes, read-only
-	// after planning; shapes bounds their shape ids (ESubquery.Shape).
-	free   map[Expr]*freeInfo
+	// cols binds every column reference of the statement (scope.go); shapes
+	// bounds the shape ids of its subqueries (ESubquery.Shape).
+	cols   map[*EColumn]colRef
 	shapes int
 	// selects holds the per-SELECT plans, keyed by AST node (the statement
 	// tree may nest SELECTs in subqueries and IN clauses).
@@ -118,6 +118,12 @@ type joinPlan struct {
 // when the node's shape is covered, the compiled physical operator pipeline
 // of the vectorized engine.
 type selectPlan struct {
+	// level is the SELECT's nesting depth: 0 for the statement's outermost
+	// scope. outer is what it reads of the SELECTs around it, subqueries
+	// included: a SELECT that reads none of them has one value per statement
+	// execution (execCtx.subCache).
+	level       int
+	outer       reads
 	from        *Table // nil for table-less SELECT
 	fromBinding string
 	access      []accessPath
@@ -249,12 +255,16 @@ func (db *DB) buildPlan(stmt Stmt) (*stmtPlan, error) {
 	p := &stmtPlan{
 		stmt:    stmt,
 		version: db.ddl.Load(),
-		free:    make(map[Expr]*freeInfo),
+		cols:    make(map[*EColumn]colRef),
 		selects: make(map[*SelectStmt]*selectPlan),
 	}
+	pl := &planner{db: db, p: p}
+	// An UPDATE or DELETE binds its WHERE and SET expressions in the scope of
+	// its one table, as the row interpreter's frame holds it.
+	var dml *selectPlan
 	switch st := stmt.(type) {
 	case *SelectStmt:
-		if err := p.planSelect(db, st); err != nil {
+		if err := pl.planSelect(st); err != nil {
 			return nil, err
 		}
 		p.markers = SelectMarkers(st)
@@ -264,28 +274,30 @@ func (db *DB) buildPlan(stmt Stmt) (*stmtPlan, error) {
 		}
 		for _, row := range st.Rows {
 			for _, e := range row {
-				if err := p.planExpr(db, e); err != nil {
+				if err := pl.planExpr(e); err != nil {
 					return nil, err
 				}
 			}
 		}
 	case *UpdateStmt:
-		if db.tables[strings.ToLower(st.Table)] == nil {
+		if dml = db.dmlScope(st.Table); dml == nil {
 			return nil, fmt.Errorf("sqldb: no table %s", st.Table)
 		}
+		pl.scopes = []scope{{sp: dml, width: 1}}
 		for _, set := range st.Sets {
-			if err := p.planExpr(db, set.Value); err != nil {
+			if err := pl.planExpr(set.Value); err != nil {
 				return nil, err
 			}
 		}
-		if err := p.planExpr(db, st.Where); err != nil {
+		if err := pl.planExpr(st.Where); err != nil {
 			return nil, err
 		}
 	case *DeleteStmt:
-		if db.tables[strings.ToLower(st.Table)] == nil {
+		if dml = db.dmlScope(st.Table); dml == nil {
 			return nil, fmt.Errorf("sqldb: no table %s", st.Table)
 		}
-		if err := p.planExpr(db, st.Where); err != nil {
+		pl.scopes = []scope{{sp: dml, width: 1}}
+		if err := pl.planExpr(st.Where); err != nil {
 			return nil, err
 		}
 	case *CreateTableStmt, *DropTableStmt, *CreateIndexStmt:
@@ -293,116 +305,123 @@ func (db *DB) buildPlan(stmt Stmt) (*stmtPlan, error) {
 	}
 	// Second pass: compile the physical operator pipeline of every SELECT
 	// node the vectorized engine covers, and the columnar DML pipeline of
-	// UPDATE/DELETE statements. This runs after the logical pass so the
-	// free-column analyses of all subqueries are available.
+	// UPDATE/DELETE statements. This runs after the logical pass so every
+	// reference is bound and every subquery's reads are known.
 	for st, sp := range p.selects {
 		sp.vec, sp.vecReason = compileVecSelect(p, st, sp)
 	}
 	switch st := stmt.(type) {
 	case *UpdateStmt:
-		p.dml = compileVecDML(p, db.tables[strings.ToLower(st.Table)], st.Table, st.Where, st.Sets)
+		p.dml = compileVecDML(p, dml, st.Where, st.Sets)
 	case *DeleteStmt:
-		p.dml = compileVecDML(p, db.tables[strings.ToLower(st.Table)], st.Table, st.Where, nil)
+		p.dml = compileVecDML(p, dml, st.Where, nil)
 	}
 	return p, nil
+}
+
+// dmlScope is the scope an UPDATE or DELETE of the named table binds in, nil
+// when there is no such table.
+func (db *DB) dmlScope(table string) *selectPlan {
+	t := db.tables[strings.ToLower(table)]
+	if t == nil {
+		return nil
+	}
+	return &selectPlan{from: t, fromBinding: strings.ToLower(table)}
 }
 
 // SelectMarkers returns the distinct parameter markers of a SELECT in order
 // of first appearance, nested subqueries included.
 func SelectMarkers(st *SelectStmt) []EParam {
-	fi := &freeInfo{}
-	collectFreeSelect(st, nil, fi, make(map[string]bool))
 	var markers []EParam
-	for _, p := range fi.params {
-		if !slices.Contains(markers, *p) {
-			markers = append(markers, *p)
-		}
+	var visit func(st *SelectStmt)
+	visit = func(st *SelectStmt) {
+		eachClause(st, 0, nil, func(e Expr, _ int) {
+			walkExpr(e, func(e Expr) {
+				switch x := e.(type) {
+				case *EParam:
+					if !slices.Contains(markers, *x) {
+						markers = append(markers, *x)
+					}
+				case *ESubquery:
+					visit(x.Select)
+				case *EExists:
+					visit(x.Select)
+				case *EIn:
+					if x.Sub != nil {
+						visit(x.Sub)
+					}
+				}
+			})
+		})
 	}
+	visit(st)
 	return markers
 }
 
-// planSelect builds the strategy of one SELECT node and recurses into its
-// nested subqueries. Called with db.mu read-held.
-func (p *stmtPlan) planSelect(db *DB, st *SelectStmt) error {
-	if _, done := p.selects[st]; done {
-		return nil
-	}
-	sp := &selectPlan{}
+// planSelect builds the strategy of one SELECT node: it resolves the tables,
+// binds every column reference of the clauses, planning the SELECTs nested
+// in them, and then chooses the access paths and join strategies by those
+// bindings. Called with db.mu read-held.
+func (pl *planner) planSelect(st *SelectStmt) error {
+	db, p := pl.db, pl.p
+	sp := &selectPlan{level: len(pl.scopes)}
+	var tables []*Table
 	if st.From != nil {
 		t := db.tables[strings.ToLower(st.From.Table)]
 		if t == nil {
 			return fmt.Errorf("sqldb: no table %s", st.From.Table)
 		}
-		sp.from = t
-		sp.fromBinding = strings.ToLower(st.From.Binding())
-		p.addTable(t)
-		// Access paths: index-lookup candidates among the WHERE conjuncts,
-		// then the join access. Whether the columns are actually indexed is
-		// checked at execution, so plans stay valid when the join planner
-		// builds indexes lazily.
-		bt := &boundTable{binding: sp.fromBinding, table: t}
-		var conds []Expr
-		if st.Where != nil {
-			conds = conjuncts(st.Where)
-			for _, conj := range conds {
-				if bin, ok := conj.(*EBinary); ok && bin.Op == OpEq {
-					if col, val := matchColConst(bin, bt); col >= 0 {
-						sp.access = append(sp.access, accessPath{col: col, val: val})
-					}
-				}
-			}
-		}
+		sp.from, sp.fromBinding = t, strings.ToLower(st.From.Binding())
+		tables = append(tables, t)
 		for _, j := range st.Joins {
 			jt := db.tables[strings.ToLower(j.Table.Table)]
 			if jt == nil {
 				return fmt.Errorf("sqldb: no table %s", j.Table.Table)
 			}
-			jp := joinPlan{table: jt, binding: strings.ToLower(j.Table.Binding())}
-			p.addTable(jt)
-			jbt := &boundTable{binding: jp.binding, table: jt}
-			jp.eqCol, jp.outer, jp.rest = joinStrategy(j.On, jbt)
-			sp.joins = append(sp.joins, jp)
-		}
-		if len(sp.joins) > 0 {
-			sp.pin, _ = planJoinAccess(sp, conds)
+			sp.joins = append(sp.joins, joinPlan{table: jt, binding: strings.ToLower(j.Table.Binding())})
+			tables = append(tables, jt)
 		}
 	}
-	var tables []*Table
-	if sp.from != nil {
-		tables = append(tables, sp.from)
-		for _, jp := range sp.joins {
-			tables = append(tables, jp.table)
-		}
+	for _, t := range tables {
+		p.addTable(t)
 	}
 	sp.grouped, sp.aliases = selectShape(st, tables)
 	p.selects[st] = sp
 
-	for _, item := range st.Items {
-		if !item.Star {
-			if err := p.planExpr(db, item.Expr); err != nil {
-				return err
+	pl.scopes = append(pl.scopes, scope{sp: sp})
+	var err error
+	eachClause(st, len(tables), sp.aliases, func(e Expr, width int) {
+		pl.scopes[len(pl.scopes)-1].width = width
+		if err == nil {
+			err = pl.planExpr(e)
+		}
+	})
+	pl.scopes = pl.scopes[:len(pl.scopes)-1]
+	if err != nil || sp.from == nil {
+		return err
+	}
+
+	// Access paths: index-lookup candidates among the WHERE conjuncts, then
+	// the join access. Whether the columns are actually indexed is checked
+	// at execution, so plans stay valid when the join planner builds indexes
+	// lazily.
+	var conds []Expr
+	if st.Where != nil {
+		conds = conjuncts(st.Where)
+		for _, conj := range conds {
+			if bin, ok := conj.(*EBinary); ok && bin.Op == OpEq {
+				if col, val := p.matchColConst(sp, bin); col >= 0 {
+					sp.access = append(sp.access, accessPath{col: col, val: val})
+				}
 			}
 		}
 	}
-	for _, j := range st.Joins {
-		if err := p.planExpr(db, j.On); err != nil {
-			return err
-		}
+	for k, j := range st.Joins {
+		jp := &sp.joins[k]
+		jp.eqCol, jp.outer, jp.rest = p.joinStrategy(sp, j.On, k)
 	}
-	for _, e := range []Expr{st.Where, st.Having, st.Limit} {
-		if err := p.planExpr(db, e); err != nil {
-			return err
-		}
-	}
-	for _, g := range st.GroupBy {
-		if err := p.planExpr(db, g); err != nil {
-			return err
-		}
-	}
-	for _, o := range st.OrderBy {
-		if err := p.planExpr(db, o.Expr); err != nil {
-			return err
-		}
+	if len(sp.joins) > 0 {
+		sp.pin, _ = p.planJoinAccess(sp, conds)
 	}
 	return nil
 }
@@ -417,7 +436,7 @@ func (p *stmtPlan) planSelect(db *DB, st *SelectStmt) error {
 // pin that evaluates to NULL — on a NULL cell — does not cut AND short, so
 // the conjuncts after it still run on that row. Only a quiet SELECT has a
 // join access.
-func planJoinAccess(sp *selectPlan, conds []Expr) (pin joinAccess, quiet bool) {
+func (p *stmtPlan) planJoinAccess(sp *selectPlan, conds []Expr) (pin joinAccess, quiet bool) {
 	for k := range sp.joins {
 		jp := &sp.joins[k]
 		if jp.eqCol >= 0 {
@@ -425,24 +444,23 @@ func planJoinAccess(sp *selectPlan, conds []Expr) (pin joinAccess, quiet bool) {
 			if !ok {
 				return joinAccess{}, false
 			}
-			lqual, lname := key.keys()
-			if _, _, n := sp.resolve(lqual, lname, k+2); n != 1 {
+			if _, local := p.local(sp, key); !local {
 				return joinAccess{}, false
 			}
 		}
 		for _, c := range jp.rest {
-			if !sp.quiet(c, k+2) {
+			if !p.quiet(sp, c) {
 				return joinAccess{}, false
 			}
 		}
 	}
 	for _, c := range conds {
 		if pin.val == nil {
-			if pin = sp.matchPin(c); pin.val != nil {
+			if pin = p.matchPin(sp, c); pin.val != nil {
 				continue
 			}
 		}
-		if !sp.quiet(c, 1+len(sp.joins)) {
+		if !p.quiet(sp, c) {
 			return joinAccess{}, false
 		}
 	}
@@ -452,7 +470,7 @@ func planJoinAccess(sp *selectPlan, conds []Expr) (pin joinAccess, quiet bool) {
 // matchPin matches a conjunct "J.col = val" (either orientation) on a joined
 // table J reached by a key access (colAccess), with val a literal or
 // parameter.
-func (sp *selectPlan) matchPin(c Expr) joinAccess {
+func (p *stmtPlan) matchPin(sp *selectPlan, c Expr) joinAccess {
 	eq, ok := c.(*EBinary)
 	if !ok || eq.Op != OpEq {
 		return joinAccess{}
@@ -471,7 +489,7 @@ func (sp *selectPlan) matchPin(c Expr) joinAccess {
 	if !isCol {
 		return joinAccess{}
 	}
-	if ka, ok := sp.colAccess(col); ok && ka.join >= 0 {
+	if ka, ok := p.colAccess(sp, col); ok && ka.join >= 0 {
 		return joinAccess{keyAccess: ka, val: val}
 	}
 	return joinAccess{}
@@ -480,26 +498,21 @@ func (sp *selectPlan) matchPin(c Expr) joinAccess {
 // colAccess is the key access through the column c names: a column of F, or
 // of a joined table J whose join is the hash join "J.key = F.fromCol" on
 // columns, of a type pinExact can admit a value for.
-func (sp *selectPlan) colAccess(c *EColumn) (keyAccess, bool) {
-	lqual, lname := c.keys()
-	t, pc, n := sp.resolve(lqual, lname, 1+len(sp.joins))
-	if n != 1 {
+func (p *stmtPlan) colAccess(sp *selectPlan, c *EColumn) (keyAccess, bool) {
+	ref, local := p.local(sp, c)
+	if !local || ref.typ == TFloat {
 		return keyAccess{}, false
 	}
-	if _, tab := sp.table(t); tab.Columns[pc].Type == TFloat {
-		return keyAccess{}, false
+	if ref.tab == 0 {
+		return keyAccess{join: -1, col: ref.col}, true
 	}
-	if t == 0 {
-		return keyAccess{join: -1, col: pc}, true
-	}
-	jp := &sp.joins[t-1]
+	jp := &sp.joins[ref.tab-1]
 	key, _ := jp.outer.(*EColumn)
 	if jp.eqCol < 0 || key == nil {
 		return keyAccess{}, false
 	}
-	lqual, lname = key.keys()
-	if ft, fc, n := sp.resolve(lqual, lname, t+1); n == 1 && ft == 0 {
-		return keyAccess{join: t - 1, col: pc, fromCol: fc}, true
+	if from, local := p.local(sp, key); local && from.tab == 0 {
+		return keyAccess{join: ref.tab - 1, col: ref.col, fromCol: from.col}, true
 	}
 	return keyAccess{}, false
 }
@@ -527,32 +540,32 @@ func pinExact(v Value, typ ColType) bool {
 	return false
 }
 
-// quiet reports whether the predicate e, evaluated over the first n tables of
-// the SELECT, yields TRUE, FALSE or NULL on every row without raising:
-// comparisons of columns and literals that Compare orders against each other,
-// combined by AND, OR and NOT, and IS [NOT] NULL tests of them.
-func (sp *selectPlan) quiet(e Expr, n int) bool {
+// quiet reports whether the predicate e, a clause of the SELECT sp, yields
+// TRUE, FALSE or NULL on every row without raising: comparisons of columns
+// and literals that Compare orders against each other, combined by AND, OR
+// and NOT, and IS [NOT] NULL tests of them.
+func (p *stmtPlan) quiet(sp *selectPlan, e Expr) bool {
 	switch x := e.(type) {
 	case *EBinary:
 		switch x.Op {
 		case OpAnd, OpOr:
-			return sp.quiet(x.L, n) && sp.quiet(x.R, n)
+			return p.quiet(sp, x.L) && p.quiet(sp, x.R)
 		case OpEq, OpNeq, OpLt, OpLeq, OpGt, OpGeq:
-			l, r := sp.class(x.L, n), sp.class(x.R, n)
+			l, r := p.class(sp, x.L), p.class(sp, x.R)
 			return l != classNone && r != classNone && (l == r || l == classNull || r == classNull)
 		}
 	case *EUnary:
-		return !x.Neg && sp.quiet(x.X, n)
+		return !x.Neg && p.quiet(sp, x.X)
 	case *EIsNull:
-		return sp.class(x.X, n) != classNone
+		return p.class(sp, x.X) != classNone
 	case *ELit, *EColumn:
-		c := sp.class(e, n)
+		c := p.class(sp, e)
 		return c == classBool || c == classNull
 	}
 	return false
 }
 
-// Comparison classes of a column or literal operand (selectPlan.class):
+// Comparison classes of a column or literal operand (stmtPlan.class):
 // Compare orders two non-NULL values without raising when their classes are
 // equal.
 const (
@@ -563,10 +576,9 @@ const (
 	classBool
 )
 
-// class is the comparison class of a literal, or of a column resolving among
-// the first n tables of the SELECT by its declared type — storage coerces
-// every cell to it.
-func (sp *selectPlan) class(e Expr, n int) int {
+// class is the comparison class of a literal, or of a column of the SELECT
+// sp by its declared type — storage coerces every cell to it.
+func (p *stmtPlan) class(sp *selectPlan, e Expr) int {
 	switch x := e.(type) {
 	case *ELit:
 		switch x.Value.kind {
@@ -580,13 +592,11 @@ func (sp *selectPlan) class(e Expr, n int) int {
 			return classBool
 		}
 	case *EColumn:
-		lqual, lname := x.keys()
-		t, c, matches := sp.resolve(lqual, lname, n)
-		if matches != 1 {
+		ref, local := p.local(sp, x)
+		if !local {
 			return classNone
 		}
-		_, tab := sp.table(t)
-		switch tab.Columns[c].Type {
+		switch ref.typ {
 		case TInt, TFloat:
 			return classNum
 		case TText:
@@ -606,78 +616,6 @@ func (sp *selectPlan) table(t int) (string, *Table) {
 	}
 	jp := &sp.joins[t-1]
 	return jp.binding, jp.table
-}
-
-// resolve finds a column reference among the first n bound tables of the
-// SELECT as frame.resolve does within one scope — qualifier filter plus
-// column membership: matches counts the tables holding it, t and col locate
-// the last one.
-func (sp *selectPlan) resolve(lqual, lname string, n int) (t, col, matches int) {
-	for i := 0; i < n; i++ {
-		bind, tab := sp.table(i)
-		if lqual != "" && bind != lqual {
-			continue
-		}
-		if c, has := tab.colIdx[lname]; has {
-			t, col, matches = i, c, matches+1
-		}
-	}
-	return t, col, matches
-}
-
-// planExpr walks an expression, planning nested SELECTs and precomputing the
-// free-column analysis of every subquery node.
-func (p *stmtPlan) planExpr(db *DB, e Expr) error {
-	switch x := e.(type) {
-	case nil, *ELit, *EParam, *EColumn:
-	case *EBinary:
-		if err := p.planExpr(db, x.L); err != nil {
-			return err
-		}
-		return p.planExpr(db, x.R)
-	case *EUnary:
-		return p.planExpr(db, x.X)
-	case *ECall:
-		for _, a := range x.Args {
-			if err := p.planExpr(db, a); err != nil {
-				return err
-			}
-		}
-	case *EIsNull:
-		return p.planExpr(db, x.X)
-	case *ESubquery:
-		p.analyzeSub(x, x.Shape)
-		return p.planSelect(db, x.Select)
-	case *EExists:
-		p.analyzeSub(x, x.Shape)
-		return p.planSelect(db, x.Select)
-	case *EIn:
-		if err := p.planExpr(db, x.X); err != nil {
-			return err
-		}
-		for _, a := range x.List {
-			if err := p.planExpr(db, a); err != nil {
-				return err
-			}
-		}
-		if x.Sub != nil {
-			return p.planSelect(db, x.Sub)
-		}
-	}
-	return nil
-}
-
-// analyzeSub precomputes what the executor would otherwise derive per
-// execution: the free-column summary of a subquery node, which decides
-// invariant-subquery caching, and the room its shape id takes.
-func (p *stmtPlan) analyzeSub(e Expr, shape int) {
-	if _, done := p.free[e]; done {
-		return
-	}
-	fi := &freeInfo{}
-	collectFree(e, nil, fi, make(map[string]bool))
-	p.free[e] = fi
-	p.shapes = max(p.shapes, shape+1)
 }
 
 // ---------------------------------------------------------------------------
@@ -797,7 +735,7 @@ type Stats struct {
 // FallbackReasons is the per-shape breakdown of Stats.VecFallbacks (the fb*
 // refusal reasons in vec.go).
 type FallbackReasons struct {
-	JoinShape int64 `json:"join_shape"` // equi-join outer key reads the joined table
+	JoinShape int64 `json:"join_shape"` // kept for the wire: no join key reads its joined table (matchJoinCol)
 	Star      int64 `json:"star"`       // grouped SELECT *
 	OrderExpr int64 `json:"order_expr"` // ORDER BY expression key outside the compiled forms
 	Subquery  int64 `json:"subquery"`   // correlated subquery outside the mirrored scopes

@@ -269,8 +269,6 @@ type DB struct {
 func (db *DB) countFallback(reason string) {
 	db.vecFallbacks.Add(1)
 	switch reason {
-	case fbJoinShape:
-		db.vecFbJoin.Add(1)
 	case fbStar:
 		db.vecFbStar.Add(1)
 	case fbOrderExpr:

@@ -16,9 +16,9 @@ package sqldb
 // an equi-join column (block-wise cross products narrowed by the compiled
 // conjuncts, in the row engine's emission order), grouped ORDER BY
 // expressions (evaluated per surviving group through the hybrid row
-// evaluator, aggregates pre-folded), and correlated subqueries — including
-// unqualified free references, resolved through a compile-time mirror of the
-// frame chain's scope walk (corrRefs).
+// evaluator, aggregates pre-folded), and correlated subqueries. Column loads,
+// outer references and correlation read the planner's bindings (scope.go):
+// the compiler looks no name up.
 //
 // The engines meet at one boundary, a SELECT node, which runs in one of three
 // forms:
@@ -40,9 +40,6 @@ package sqldb
 // What the compiler refuses, with the fallback reason it is counted under
 // (Stats.VecFallbackReasons):
 //
-//   - equi-join outer keys that read the joined table itself (the row engine
-//     evaluates them with that row unset, which the compiled form cannot
-//     represent) — "join-shape";
 //   - SELECT * in grouped queries (the representative row may be absent;
 //     the row engine pads it per group) — "star";
 //   - grouped ORDER BY expressions whose aggregate arguments are not
@@ -53,12 +50,8 @@ package sqldb
 //     correlated EXISTS and IN, non-equality correlation, REAL or TEXT keys,
 //     more than two keys, a computed inner key beside a residual conjunct, a
 //     residual conjunct that could seed the subquery's table through an
-//     access path, a build that does not vectorize — and those whose free
-//     references reach a local table not yet bound at the pipeline stage, or
-//     traverse an inner scope the compile-time walk cannot mirror —
-//     "subquery";
-//   - columns that do not resolve, or resolve ambiguously, within the
-//     SELECT's own tables; aggregates outside grouped projections/HAVING,
+//     access path, a build that does not vectorize — "subquery";
+//   - aggregates outside grouped projections/HAVING,
 //     nested aggregates, and malformed calls; non-closed LIMIT expressions;
 //     aggregates in lazily-evaluated positions — behind a short-circuited
 //     AND/OR right side, or in the projection of a query with HAVING (the
@@ -77,7 +70,6 @@ package sqldb
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -115,7 +107,6 @@ const vecBatchSize = 1024
 // Fallback reason labels (Stats.VecFallbackReasons): which refusal criterion
 // sent a planned SELECT node back to the row interpreter.
 const (
-	fbJoinShape = "join-shape"
 	fbStar      = "star"
 	fbOrderExpr = "order-by-expr"
 	fbSubquery  = "subquery"
@@ -456,21 +447,20 @@ type vecSelectPlan struct {
 	columns []string
 }
 
-// vecCompiler carries the compile-time scope of one SELECT node.
+// vecCompiler carries the compile-time state of one SELECT node: its plan
+// and bound tables.
 type vecCompiler struct {
-	p     *stmtPlan
-	sp    *selectPlan
-	tabs  []*Table
-	binds []string
+	p    *stmtPlan
+	sp   *selectPlan
+	tabs []*Table
 	// reason records the first — most specific — refusal criterion hit while
 	// compiling this node (the fb* labels above); consulted when compilation
 	// fails, "other" when no site recorded anything sharper.
 	reason string
 	// subs holds the compiled correlated subexpressions (corrSub); builds
-	// the build sides of the decorrelated ones by shape id (ESubquery.Shape),
-	// nil for a shape whose build does not vectorize.
+	// counts the build sides of the decorrelated ones.
 	subs   map[corrSite]vexpr
-	builds map[int]*corrBuildPlan
+	builds int
 }
 
 // fail records a refusal reason (first one wins) and returns false for use
@@ -498,29 +488,21 @@ func compileVecSelect(p *stmtPlan, st *SelectStmt, sp *selectPlan) (*vecSelectPl
 	cp := &vecCompiler{p: p, sp: sp}
 	if sp.from != nil {
 		cp.tabs = append(cp.tabs, sp.from)
-		cp.binds = append(cp.binds, sp.fromBinding)
 		for i := range sp.joins {
 			cp.tabs = append(cp.tabs, sp.joins[i].table)
-			cp.binds = append(cp.binds, sp.joins[i].binding)
 		}
 	}
 	vp := &vecSelectPlan{nTab: len(cp.tabs), grouped: sp.grouped}
 
 	// Joins: an equi-join probes the hash index; without an equi-join column
 	// the pipeline expands the block-wise cross product and narrows by every
-	// conjunct in order (crossJoin). An equi-join outer key that touches the
-	// joined table itself refuses: it is evaluated before the probe, and the
-	// row engine evaluates it with the joined row unset, which the compiled
-	// form cannot represent.
+	// conjunct in order (crossJoin). An equi-join outer key never reads the
+	// joined table (matchJoinCol): it is evaluated before the probe.
 	for k := range sp.joins {
 		jp := &sp.joins[k]
 		scope := k + 2 // tables bound while this join runs, joined table included
 		vj := vecJoin{eqCol: jp.eqCol}
 		if jp.eqCol >= 0 {
-			if refsTable(jp.outer, cp, scope, k+1) {
-				cp.fail(fbJoinShape)
-				return nil, cp.failReason()
-			}
 			outer, ok := cp.compile(jp.outer, scope)
 			if !ok {
 				return nil, cp.failReason()
@@ -598,10 +580,10 @@ func compileVecSelect(p *stmtPlan, st *SelectStmt, sp *selectPlan) (*vecSelectPl
 		vp.order = append(vp.order, key)
 	}
 
-	// LIMIT is evaluated once through the row engine; it must be closed (the
-	// row engine evaluates it against whatever frame state the tuple loop
-	// left behind — only a closed expression is deterministic there).
-	if st.Limit != nil && !cp.closed(st.Limit) {
+	// LIMIT is evaluated once through the row engine; it must read no table
+	// (the row engine evaluates it against whatever frame state the tuple
+	// loop left behind — only a closed expression is deterministic there).
+	if r := p.reads(st.Limit); len(r.tabs) > 0 || r.unbound {
 		return nil, cp.failReason()
 	}
 
@@ -789,13 +771,12 @@ func (cp *vecCompiler) aggArgSafe(name string, e Expr) bool {
 		}
 		return true
 	case *EColumn:
-		tab, col, ok := cp.resolveCol(x, len(cp.tabs))
-		if !ok {
+		ref, local := cp.p.local(cp.sp, x)
+		if !local {
 			return false
 		}
-		typ := cp.tabs[tab].Columns[col].Type
 		if name == "SUM" || name == "AVG" {
-			return typ == TInt || typ == TFloat
+			return ref.typ == TInt || ref.typ == TFloat
 		}
 		return true // MIN/MAX/COUNT over a homogeneous column cannot error
 	}
@@ -839,284 +820,43 @@ func (cp *vecCompiler) compileOrderKey(e Expr, st *SelectStmt, sp *selectPlan, v
 	return vecOrderKey{outCol: -1, ex: ex}, true
 }
 
-// resolveCol resolves a column reference against the first ntab bound
-// tables, exactly as frame.resolve would within the local scope: qualifier
-// filter, ambiguity is a refusal (the row engine raises the error).
-func (cp *vecCompiler) resolveCol(x *EColumn, ntab int) (int, int, bool) {
-	lqual, lname := x.keys()
-	tab, col := -1, -1
-	for t := 0; t < ntab; t++ {
-		if lqual != "" && cp.binds[t] != lqual {
-			continue
-		}
-		c, ok := cp.tabs[t].colIdx[lname]
-		if !ok {
-			continue
-		}
-		if tab >= 0 {
-			return 0, 0, false // ambiguous: row engine raises the error
-		}
-		tab, col = t, c
-	}
-	if tab < 0 {
-		return 0, 0, false // outer reference, unknown, or not yet bound
-	}
-	return tab, col, true
-}
-
-// outerRef reports whether a column reference can be satisfied by no table of
-// the compiling SELECT, bound yet or not. At run time such a reference walks
-// past the SELECT's own scope into the enclosing frames, which do not move
-// while the SELECT executes: it is a per-execution constant (vecFrameEval),
-// or, when no enclosing scope knows the name either, the row engine's
-// resolution error — raised, like there, only if a row reaches it.
-func (cp *vecCompiler) outerRef(x *EColumn) bool {
-	lqual, lname := x.keys()
-	for t := range cp.tabs {
-		if lqual != "" && cp.binds[t] != lqual {
-			continue
-		}
-		if _, ok := cp.tabs[t].colIdx[lname]; ok {
-			return false
-		}
-	}
-	return true
-}
-
-// closed reports whether an expression cannot reference any table binding,
-// inner or outer — its value is fixed for a whole statement execution.
-func (cp *vecCompiler) closed(e Expr) bool {
-	fi, ok := cp.p.free[e]
-	if !ok {
-		fi = &freeInfo{}
-		collectFree(e, nil, fi, make(map[string]bool))
-	}
-	return !fi.unqual && len(fi.quals) == 0
-}
-
-// corrScope is one inner SELECT's scope during corrRefs's walk: its planned
-// tables, visible up to limit — the number of tables the row engine has bound
-// at the clause being walked (join-On clauses and access-path seeds run with
-// partial frames).
-type corrScope struct {
-	sp    *selectPlan
-	limit int
-}
-
-// lookup counts the visible tables of the scope a reference resolves into
-// (selectPlan.resolve) and returns the declared type of the column it found
-// last.
-func (sc *corrScope) lookup(lqual, lname string) (n int, typ ColType) {
-	t, c, n := sc.sp.resolve(lqual, lname, sc.limit)
-	if n > 0 {
-		_, tab := sc.sp.table(t)
-		typ = tab.Columns[c].Type
-	}
-	return n, typ
-}
-
-// corrDeps is where the free references of a subexpression resolve
-// (corrRefs): the compiling SELECT's local tables (ordinals into cp.tabs,
-// ascending), the base scope the walk started under, and frames beyond the
-// compiling SELECT (outer).
-type corrDeps struct {
-	locals      []int
-	base, outer bool
-}
-
-// corrRefs computes which local tables a correlated subexpression depends
-// on, by mirroring at compile time the scope walk frame.resolve performs at
-// runtime: a reference is tried against each inner SELECT scope it is nested
-// under, innermost first — at the partial frame width of the clause it
-// appears in — then against base (when not nil: the scope of a subquery
-// whose clause e is), then against the compiling SELECT's own tables, and a
-// reference resolving past all of those reaches outer frames, which are
-// fixed for a whole execution and carry no dependency. A reference that
-// resolves (even ambiguously — delegation raises the row engine's error) in
-// an inner scope is not a local dependency. Refuses (ok=false) when a local
-// resolution reaches a table not yet bound at pipeline stage ntab, or when a
-// nested SELECT has no plan to mirror.
-func (cp *vecCompiler) corrRefs(e Expr, ntab int, base *corrScope) (corrDeps, bool) {
-	var buf [4]corrScope
-	w := corrWalk{cp: cp, ntab: ntab, scopes: buf[:0], ok: true}
-	if base != nil {
-		w.scopes, w.nbase = append(w.scopes, *base), 1
-	}
-	w.walk(e)
-	if !w.ok {
-		return corrDeps{}, false
-	}
-	sort.Ints(w.d.locals)
-	return w.d, true
-}
-
-// corrWalk is the state of one corrRefs walk: the SELECT scopes entered,
-// innermost last, the first nbase of them the base.
-type corrWalk struct {
-	cp     *vecCompiler
-	ntab   int
-	scopes []corrScope
-	nbase  int
-	d      corrDeps
-	ok     bool
-}
-
-func (w *corrWalk) resolve(x *EColumn) {
-	lqual, lname := x.keys()
-	for i := len(w.scopes) - 1; i >= 0; i-- {
-		if n, _ := w.scopes[i].lookup(lqual, lname); n > 0 {
-			w.d.base = w.d.base || i < w.nbase
-			return // resolved within an inner scope
-		}
-	}
-	local := false
-	for t := range w.cp.tabs {
-		if lqual != "" && w.cp.binds[t] != lqual {
-			continue
-		}
-		if _, has := w.cp.tabs[t].colIdx[lname]; !has {
-			continue
-		}
-		if t >= w.ntab {
-			w.ok = false // local table not yet bound at this stage
-			return
-		}
-		local = true
-		if !slices.Contains(w.d.locals, t) {
-			w.d.locals = append(w.d.locals, t)
-		}
-	}
-	// No local match either: the reference reaches an outer frame (or is
-	// unknown — the delegated evaluation raises the row engine's error).
-	w.d.outer = w.d.outer || !local
-}
-
-func (w *corrWalk) walk(e Expr) {
-	if !w.ok || e == nil {
-		return
-	}
-	switch x := e.(type) {
-	case *ELit, *EParam:
-	case *EColumn:
-		w.resolve(x)
-	case *EBinary:
-		w.walk(x.L)
-		w.walk(x.R)
-	case *EUnary:
-		w.walk(x.X)
-	case *EIsNull:
-		w.walk(x.X)
-	case *ECall:
-		for _, a := range x.Args {
-			w.walk(a)
-		}
-	case *ESubquery:
-		w.walkSel(x.Select)
-	case *EExists:
-		w.walkSel(x.Select)
-	case *EIn:
-		w.walk(x.X)
-		for _, a := range x.List {
-			w.walk(a)
-		}
-		if x.Sub != nil {
-			w.walkSel(x.Sub)
-		}
-	default:
-		w.ok = false
-	}
-}
-
-func (w *corrWalk) walkSel(st *SelectStmt) {
-	sp := w.cp.p.selects[st]
-	if sp == nil || (st.From != nil && sp.from == nil) {
-		w.ok = false // no plan to mirror resolution against
-		return
-	}
-	full := 0
-	if sp.from != nil {
-		full = 1 + len(sp.joins)
-	}
-	sc := len(w.scopes)
-	w.scopes = append(w.scopes, corrScope{sp: sp})
-	if sp.from != nil {
-		// Access-path seed keys are evaluated with only the first table
-		// bound (ec.seed); resolve them at that frame width too.
-		w.scopes[sc].limit = 1
-		for _, ap := range sp.access {
-			w.walk(ap.val)
-		}
-	}
-	for k := range st.Joins {
-		w.scopes[sc].limit = k + 2
-		w.walk(st.Joins[k].On)
-	}
-	w.scopes[sc].limit = full
-	for _, item := range st.Items {
-		if !item.Star {
-			w.walk(item.Expr)
-		}
-	}
-	w.walk(st.Where)
-	for _, g := range st.GroupBy {
-		w.walk(g)
-	}
-	w.walk(st.Having)
-	for _, o := range st.OrderBy {
-		// A bare name matching a select alias resolves to the output
-		// column, not through the frame chain (orderKeys).
-		if col, isCol := o.Expr.(*EColumn); isCol && col.Qual == "" {
-			if _, alias := sp.aliases[strings.ToLower(col.Name)]; alias {
-				continue
-			}
-		}
-		w.walk(o.Expr)
-	}
-	w.walk(st.Limit)
-	w.scopes = w.scopes[:sc]
-}
-
-// corrSub compiles a correlated subexpression (a subquery, EXISTS, or IN) of
-// the given shape into a vexpr, in one of two forms:
+// corrSub compiles a subquery or EXISTS of the given shape into a vexpr, in
+// one of two forms:
 //
-//  1. vecLazy, when the expression depends on no local table — correlated
-//     only with enclosing SELECTs, as every subquery nested below the context
-//     relation of a set-form property query is. Its free references resolve
-//     in outer frames, which are fixed for the whole execution, so it has one
-//     value per execution, like a closed one: evaluated on the first batch
-//     that reaches it and handed out as a constant.
+//  1. vecLazy, when it reads no local table — closed, or correlated only
+//     with enclosing SELECTs, as every subquery nested below the context
+//     relation of a set-form property query is. The frames it reads are
+//     fixed for the whole execution, so it has one value per execution:
+//     evaluated on the first batch that reaches it and handed out as a
+//     constant.
 //  2. decorrelate, for a scalar subquery linked to the compiling SELECT by
 //     equality conjuncts only: one hash build per execution over every key,
 //     probed once per row.
 //
 // Every other correlated shape refuses, under "subquery", and the whole
-// SELECT node runs on the row interpreter. The dependency set comes from
-// corrRefs, a compile-time mirror of the frame chain's scope walk, so
-// unqualified references resolve exactly as they would at runtime; a
-// reference reaching a local table beyond ntab (not yet bound at this
-// pipeline stage) refuses.
+// SELECT node runs on the row interpreter. What it reads comes from the
+// planner's bindings (stmtPlan.reads).
 //
 // Every occurrence of one shape at one pipeline stage shares one compiled
 // form (corrSite), and so one build: a LET value the property compiler
 // renders in c0 and again in s0 — byte-identical text, so one shape id — is
-// analyzed, compiled and built once. Within one SELECT's execution equal
-// text resolves against the same scopes, so it has the same value.
+// analyzed, compiled and built once. Within one SELECT, equal text at one
+// stage binds alike, so it has the same value.
 func (cp *vecCompiler) corrSub(e Expr, shape, ntab int) (vexpr, bool) {
 	site := corrSite{shape: shape, ntab: ntab}
 	if ve, ok := cp.subs[site]; ok {
 		return ve, true
 	}
-	deps, ok := cp.corrRefs(e, ntab, nil)
-	if !ok {
-		return nil, cp.fail(fbSubquery)
-	}
-	var ve vexpr
-	if len(deps.locals) == 0 {
-		ve = vecLazy(e)
-	} else if x, isSub := e.(*ESubquery); !isSub {
-		return nil, cp.fail(fbSubquery)
-	} else if ve, ok = cp.decorrelate(x, ntab); !ok {
-		return nil, cp.fail(fbSubquery)
+	ve := vecLazy(e)
+	if cp.p.reads(e).at(cp.sp.level) {
+		x, isSub := e.(*ESubquery)
+		if !isSub {
+			return nil, cp.fail(fbSubquery)
+		}
+		var ok bool
+		if ve, ok = cp.decorrelate(x, ntab); !ok {
+			return nil, cp.fail(fbSubquery)
+		}
 	}
 	if cp.subs == nil {
 		cp.subs = make(map[corrSite]vexpr)
@@ -1126,8 +866,8 @@ func (cp *vecCompiler) corrSub(e Expr, shape, ntab int) (vexpr, bool) {
 }
 
 // corrSite identifies a correlated subexpression's compiled form within one
-// SELECT node: its shape id and the pipeline stage it runs at (column
-// resolution depends on the tables bound).
+// SELECT node: its shape id and the pipeline stage it runs at (a clause
+// binds its references among the tables bound at its stage).
 type corrSite struct {
 	shape int
 	ntab  int
@@ -1137,8 +877,7 @@ type corrSite struct {
 // a SELECT synthesized over the subquery's own tables that projects the
 // inner key expressions followed by the value — the item, or the argument
 // of an aggregate item, which the build folds per key — planned and compiled
-// once, and shared by every occurrence of the subquery's shape in the
-// compiling SELECT.
+// once, and shared by every occurrence of the subquery's site (corrSite).
 type corrBuildPlan struct {
 	sp   *selectPlan
 	slot int // the execution's build state is vecCtx.builds[slot]
@@ -1202,7 +941,7 @@ type probeKey struct {
 func (cp *vecCompiler) decorrelate(x *ESubquery, ntab int) (vexpr, bool) {
 	st := x.Select
 	sp := cp.p.selects[st]
-	if sp == nil || sp.from == nil || st.Where == nil ||
+	if sp.from == nil || st.Where == nil ||
 		len(st.GroupBy) != 0 || st.Having != nil || len(st.OrderBy) != 0 ||
 		st.Limit != nil || len(st.Items) != 1 || st.Items[0].Star {
 		return nil, false
@@ -1215,16 +954,12 @@ func (cp *vecCompiler) decorrelate(x *ESubquery, ntab int) (vexpr, bool) {
 			return nil, false
 		}
 	}
-	scope := &corrScope{sp: sp, limit: 1 + len(sp.joins)}
-	uncorrelated := func(e Expr, sc *corrScope) bool {
-		d, ok := cp.corrRefs(e, ntab, sc)
-		return ok && len(d.locals) == 0
-	}
-	if !uncorrelated(item, scope) {
+	correlated := func(e Expr) bool { return cp.p.reads(e).at(cp.sp.level) }
+	if correlated(item) {
 		return nil, false
 	}
-	for k := range st.Joins {
-		if !uncorrelated(st.Joins[k].On, &corrScope{sp: sp, limit: k + 2}) {
+	for _, j := range st.Joins {
+		if correlated(j.On) {
 			return nil, false
 		}
 	}
@@ -1232,11 +967,11 @@ func (cp *vecCompiler) decorrelate(x *ESubquery, ntab int) (vexpr, bool) {
 	var cbuf, rbuf [8]Expr
 	inner, outer, resid := ibuf[:0], obuf[:0], rbuf[:0]
 	for _, c := range appendConjuncts(cbuf[:0], st.Where) {
-		if uncorrelated(c, scope) {
+		if !correlated(c) {
 			resid = append(resid, c)
 			continue
 		}
-		in, out, ok := cp.keySides(c, ntab, scope)
+		in, out, ok := cp.keySides(c, sp.level)
 		if !ok || len(inner) == 2 {
 			return nil, false
 		}
@@ -1259,7 +994,7 @@ func (cp *vecCompiler) decorrelate(x *ESubquery, ntab int) (vexpr, bool) {
 			}
 		}
 	}
-	bp := cp.corrBuild(x.Shape, st, sp, inner, resid, call)
+	bp := cp.corrBuild(st, sp, inner, resid, call)
 	if bp == nil {
 		return nil, false
 	}
@@ -1274,29 +1009,25 @@ func (cp *vecCompiler) decorrelate(x *ESubquery, ntab int) (vexpr, bool) {
 	return corrProbe(bp, keys), true
 }
 
-// keySides splits a correlated WHERE conjunct of a subquery into the inner
-// and outer side of a decorrelation key: an equality whose inner side reads
-// only the subquery's scope and parameters, whose outer side reads nothing
-// of the subquery's scope, and whose sides share a hashable static type.
-func (cp *vecCompiler) keySides(c Expr, ntab int, scope *corrScope) (inner, outer Expr, ok bool) {
+// keySides splits a correlated WHERE conjunct of a subquery, the SELECT at
+// nesting level level, into the inner and outer side of a decorrelation key:
+// an equality whose inner side reads only the subquery's tables and
+// parameters, whose outer side reads none of the subquery's tables, and
+// whose sides share a hashable static type.
+func (cp *vecCompiler) keySides(c Expr, level int) (inner, outer Expr, ok bool) {
 	eq, isBin := c.(*EBinary)
 	if !isBin || eq.Op != OpEq {
 		return nil, nil, false
 	}
 	fits := func(in, out Expr) bool {
-		di, ok := cp.corrRefs(in, ntab, scope)
-		if !ok || len(di.locals) > 0 || di.outer {
+		if !cp.p.reads(in).within(level) || cp.p.reads(out).at(level) {
 			return false
 		}
-		do, ok := cp.corrRefs(out, ntab, scope)
-		if !ok || do.base {
-			return false
-		}
-		ti, ok := cp.keyType(in, []*corrScope{scope})
+		ti, ok := cp.keyType(in)
 		if !ok {
 			return false
 		}
-		to, ok := cp.keyType(out, nil)
+		to, ok := cp.keyType(out)
 		return ok && ti == to
 	}
 	switch {
@@ -1310,10 +1041,9 @@ func (cp *vecCompiler) keySides(c Expr, ntab int, scope *corrScope) (inner, oute
 
 // keyType is the static type of a decorrelation key — a literal, or the
 // declared type of the column it reads, through scalar subqueries and
-// MIN/MAX — when the build side hashes it: INTEGER or BOOLEAN. scopes are the
-// SELECT scopes the key is evaluated under, innermost last, ahead of the
-// compiling SELECT's own tables.
-func (cp *vecCompiler) keyType(e Expr, scopes []*corrScope) (ColType, bool) {
+// MIN/MAX — when the build side hashes it: INTEGER or BOOLEAN. A column of a
+// SELECT around the compiling one has no type here.
+func (cp *vecCompiler) keyType(e Expr) (ColType, bool) {
 	hashable := func(t ColType) (ColType, bool) { return t, t == TInt || t == TBool }
 	switch x := e.(type) {
 	case *ELit:
@@ -1324,42 +1054,29 @@ func (cp *vecCompiler) keyType(e Expr, scopes []*corrScope) (ColType, bool) {
 			return TBool, true
 		}
 	case *EColumn:
-		lqual, lname := x.keys()
-		for i := len(scopes) - 1; i >= 0; i-- {
-			switch n, typ := scopes[i].lookup(lqual, lname); n {
-			case 0:
-				continue
-			case 1:
-				return hashable(typ)
-			}
-			return 0, false // ambiguous
-		}
-		if t, c, ok := cp.resolveCol(x, len(cp.tabs)); ok {
-			return hashable(cp.tabs[t].Columns[c].Type)
+		if ref := cp.p.cols[x]; ref.tab >= 0 && ref.level >= cp.sp.level {
+			return hashable(ref.typ)
 		}
 	case *ESubquery:
 		st := x.Select
-		if sp := cp.p.selects[st]; sp != nil && sp.from != nil && len(st.Items) == 1 && !st.Items[0].Star {
-			inner := append(scopes[:len(scopes):len(scopes)], &corrScope{sp: sp, limit: 1 + len(sp.joins)})
-			return cp.keyType(st.Items[0].Expr, inner)
+		if cp.p.selects[st].from != nil && len(st.Items) == 1 && !st.Items[0].Star {
+			return cp.keyType(st.Items[0].Expr)
 		}
 	case *ECall:
 		if name := strings.ToUpper(x.Name); (name == "MIN" || name == "MAX") && !x.Star && len(x.Args) == 1 {
-			return cp.keyType(x.Args[0], scopes)
+			return cp.keyType(x.Args[0])
 		}
 	}
 	return 0, false
 }
 
-// corrBuild returns the build side of the decorrelated subquery of the given
-// shape, synthesizing and compiling it on first use: the
-// subquery's FROM and joins, its non-key conjuncts as WHERE, its inner keys
-// then its value as projection. nil when the aggregate is malformed (the
-// row engine raises its error) or the synthesized SELECT does not vectorize.
-func (cp *vecCompiler) corrBuild(shape int, st *SelectStmt, sp *selectPlan, inner, resid []Expr, call *ECall) *corrBuildPlan {
-	if bp, done := cp.builds[shape]; done {
-		return bp
-	}
+// corrBuild synthesizes and compiles the build side of a decorrelated
+// subquery: the subquery's FROM and joins, its non-key conjuncts as WHERE,
+// its inner keys then its value as projection — the subquery's own
+// expressions, bound in its scope, which the build's has the same tables as.
+// nil when the aggregate is malformed (the row engine raises its error) or
+// the synthesized SELECT does not vectorize.
+func (cp *vecCompiler) corrBuild(st *SelectStmt, sp *selectPlan, inner, resid []Expr, call *ECall) *corrBuildPlan {
 	syn := &SelectStmt{From: st.From, Joins: st.Joins}
 	for _, c := range resid {
 		if syn.Where == nil {
@@ -1371,7 +1088,7 @@ func (cp *vecCompiler) corrBuild(shape int, st *SelectStmt, sp *selectPlan, inne
 	for _, k := range inner {
 		syn.Items = append(syn.Items, SelectItem{Expr: k})
 	}
-	bp := &corrBuildPlan{slot: len(cp.builds), nkey: len(inner)}
+	bp := &corrBuildPlan{slot: cp.builds, nkey: len(inner)}
 	switch {
 	case call == nil:
 		syn.Items = append(syn.Items, st.Items[0])
@@ -1383,39 +1100,34 @@ func (cp *vecCompiler) corrBuild(shape int, st *SelectStmt, sp *selectPlan, inne
 			bp.empty = NewInt(0)
 		}
 	default:
-		bp = nil
+		return nil
 	}
-	if bp != nil {
-		// The subquery's tables and join strategies, and no access path on
-		// the FROM table — the build is seeded by what its probes ask for,
-		// or by the join access its residue pins (vecCtx.startBuild) — so it
-		// visits the FROM table's candidate rows in storage order.
-		bp.sp = &selectPlan{from: sp.from, fromBinding: sp.fromBinding, joins: sp.joins}
-		var quiet bool
-		bp.sp.pin, quiet = planJoinAccess(bp.sp, resid)
-		for j, in := range inner {
-			col, isCol := in.(*EColumn)
-			if !isCol {
-				if _, isLit := in.(*ELit); !isLit {
-					quiet = false
-				}
-				continue
+	// The subquery's tables and join strategies, and no access path on the
+	// FROM table — the build is seeded by what its probes ask for, or by the
+	// join access its residue pins (vecCtx.startBuild) — so it visits the
+	// FROM table's candidate rows in storage order.
+	bp.sp = &selectPlan{level: sp.level, from: sp.from, fromBinding: sp.fromBinding, joins: sp.joins}
+	var quiet bool
+	bp.sp.pin, quiet = cp.p.planJoinAccess(bp.sp, resid)
+	for j, in := range inner {
+		col, isCol := in.(*EColumn)
+		if !isCol {
+			if _, isLit := in.(*ELit); !isLit {
+				quiet = false
 			}
-			if ka, ok := bp.sp.colAccess(col); ok {
-				bp.keyed = append(bp.keyed, probeKey{key: j, ka: ka})
-			}
+			continue
 		}
-		if !quiet {
-			bp.keyed = nil
-		}
-		if bp.sp.vec, _ = compileVecSelect(cp.p, syn, bp.sp); bp.sp.vec == nil {
-			bp = nil
+		if ka, ok := cp.p.colAccess(bp.sp, col); ok {
+			bp.keyed = append(bp.keyed, probeKey{key: j, ka: ka})
 		}
 	}
-	if cp.builds == nil {
-		cp.builds = make(map[int]*corrBuildPlan)
+	if !quiet {
+		bp.keyed = nil
 	}
-	cp.builds[shape] = bp
+	if bp.sp.vec, _ = compileVecSelect(cp.p, syn, bp.sp); bp.sp.vec == nil {
+		return nil
+	}
+	cp.builds++
 	return bp
 }
 
@@ -1470,42 +1182,6 @@ func corrProbe(bp *corrBuildPlan, keys []vexpr) vexpr {
 	}
 }
 
-// refsTable reports whether the expression references the bound table with
-// ordinal tab (used to refuse outer keys that read the joined table).
-func refsTable(e Expr, cp *vecCompiler, ntab, tab int) bool {
-	found := false
-	var walk func(Expr)
-	walk = func(e Expr) {
-		if found {
-			return
-		}
-		switch x := e.(type) {
-		case *EColumn:
-			if t, _, ok := cp.resolveCol(x, ntab); ok && t == tab {
-				found = true
-			}
-		case *EBinary:
-			walk(x.L)
-			walk(x.R)
-		case *EUnary:
-			walk(x.X)
-		case *ECall:
-			for _, a := range x.Args {
-				walk(a)
-			}
-		case *EIsNull:
-			walk(x.X)
-		case *EIn:
-			walk(x.X)
-			for _, a := range x.List {
-				walk(a)
-			}
-		}
-	}
-	walk(e)
-	return found
-}
-
 // compile builds the vexpr of one expression over the first ntab bound
 // tables, or reports that the shape is not covered.
 func (cp *vecCompiler) compile(e Expr, ntab int) (vexpr, bool) {
@@ -1517,13 +1193,17 @@ func (cp *vecCompiler) compile(e Expr, ntab int) (vexpr, bool) {
 			return nil
 		}, true
 	case *EParam:
-		return vecFrameEval(x), true
+		return vecParam(x), true
 	case *EColumn:
-		if tab, col, ok := cp.resolveCol(x, ntab); ok {
-			return vecColumn(tab, col), true
-		}
-		if cp.outerRef(x) {
-			return vecFrameEval(x), true
+		ref := cp.p.cols[x]
+		switch {
+		case ref.tab < 0:
+			err := unboundErr(x, ref.ambiguous)
+			return func(*vecCtx, *vbatch, *vcol) error { return err }, true
+		case ref.level == cp.sp.level && ref.tab < ntab:
+			return vecColumn(ref.tab, ref.col), true
+		case ref.level < cp.sp.level:
+			return vecOuter(ref), true
 		}
 		return nil, false
 	case *EUnary:
@@ -1583,23 +1263,14 @@ func (cp *vecCompiler) compile(e Expr, ntab int) (vexpr, bool) {
 		}
 		return vecCall(x.Name, args), true
 	case *ESubquery:
-		if cp.closed(x) {
-			return vecLazy(x), true
-		}
 		return cp.corrSub(x, x.Shape, ntab)
 	case *EExists:
-		if cp.closed(x) {
-			return vecLazy(x), true
-		}
 		return cp.corrSub(x, x.Shape, ntab)
 	case *EIn:
-		if x.Sub != nil {
-			// An IN subquery that depends on no local table has one candidate
-			// list per execution (inCandidates); a correlated one compiles
-			// with its needle through corrSub.
-			if deps, ok := cp.corrRefs(&ESubquery{Select: x.Sub}, ntab, nil); !ok || len(deps.locals) > 0 {
-				return cp.corrSub(x, x.Shape, ntab)
-			}
+		// An IN subquery that reads no local table has one candidate list per
+		// execution (inCandidates); a correlated one refuses.
+		if x.Sub != nil && cp.p.selects[x.Sub].outer.at(cp.sp.level) {
+			return nil, cp.fail(fbSubquery)
 		}
 		xe, ok := cp.compile(x.X, ntab)
 		if !ok {
@@ -1625,17 +1296,29 @@ func (cp *vecCompiler) compile(e Expr, ntab int) (vexpr, bool) {
 // Compiled operators
 // ---------------------------------------------------------------------------
 
-// vecFrameEval evaluates an expression whose value is fixed for one execution
-// of the SELECT — a parameter marker, a reference into an enclosing scope —
-// through the row evaluator against the frame chain, on every batch that
-// reaches it: bindings, resolution and errors are the row engine's.
-func vecFrameEval(e Expr) vexpr {
+// vecParam evaluates a parameter marker through the row evaluator, on every
+// batch that reaches it: binding errors are the row engine's.
+func vecParam(x *EParam) vexpr {
 	return func(vc *vecCtx, b *vbatch, out *vcol) error {
-		v, err := vc.ec.eval(e, &vc.fr)
+		v, err := vc.ec.eval(x, &vc.fr)
 		if err != nil {
 			return err
 		}
 		out.setConst(v)
+		return nil
+	}
+}
+
+// vecOuter reads the column ref binds, of a SELECT around the compiling one:
+// a per-execution constant, since the frames around a SELECT do not move
+// while it executes.
+func vecOuter(ref colRef) vexpr {
+	return func(vc *vecCtx, b *vbatch, out *vcol) error {
+		fr := vc.fr.parent
+		for fr.level != ref.level {
+			fr = fr.parent
+		}
+		out.setConst(fr.tables[ref.tab].value(ref.col))
 		return nil
 	}
 }

@@ -1,9 +1,6 @@
 package sqldb
 
-import (
-	"slices"
-	"strings"
-)
+import "slices"
 
 // Columnar DML. UPDATE and DELETE evaluate their WHERE clause as a vectorized
 // predicate over the column vectors — fused kernels when the clause is all
@@ -28,16 +25,14 @@ type vecDMLPlan struct {
 	cols    []int   // UPDATE: target column of each SET
 }
 
-// compileVecDML compiles the WHERE clause of an UPDATE or DELETE on table,
-// and an UPDATE's SET expressions, against t. Any refusal returns nil: the
-// row path runs (and raises resolution errors like a missing SET column
-// itself).
-func compileVecDML(p *stmtPlan, t *Table, table string, where Expr, sets []SetClause) *vecDMLPlan {
-	if t == nil {
-		return nil
-	}
-	dp := &vecDMLPlan{binding: strings.ToLower(table)}
-	cp := &vecCompiler{p: p, tabs: []*Table{t}, binds: []string{dp.binding}}
+// compileVecDML compiles the WHERE clause of an UPDATE or DELETE, and an
+// UPDATE's SET expressions, in sp, the scope of its one table. Any refusal
+// returns nil: the row path runs (and raises resolution errors like a
+// missing SET column itself).
+func compileVecDML(p *stmtPlan, sp *selectPlan, where Expr, sets []SetClause) *vecDMLPlan {
+	t := sp.from
+	dp := &vecDMLPlan{binding: sp.fromBinding}
+	cp := &vecCompiler{p: p, sp: sp, tabs: []*Table{t}}
 	if where != nil {
 		f, ok := cp.compile(where, 1)
 		if !ok {

@@ -181,7 +181,7 @@ func (vc *vecCtx) scan(sp *selectPlan, parent *frame, sink func(b *vbatch) error
 // frame. No row is bound — batch positions replace the binding — except
 // while grouped finalization evaluates one row through the row evaluator.
 func (vc *vecCtx) bind(sp *selectPlan, parent *frame) {
-	vc.fr = frame{parent: parent}
+	vc.fr = frame{parent: parent, level: sp.level}
 	if sp.vec.nTab == 0 {
 		return
 	}

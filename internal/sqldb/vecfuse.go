@@ -101,7 +101,7 @@ func (cp *vecCompiler) fuseFilter(where Expr, ntab int) []vpred {
 	cj := conjuncts(where)
 	preds := make([]vpred, 0, len(cj))
 	for _, c := range cj {
-		p, ok := cp.fuseCmp(c, ntab)
+		p, ok := cp.fuseCmp(c)
 		if !ok {
 			return nil
 		}
@@ -112,7 +112,7 @@ func (cp *vecCompiler) fuseFilter(where Expr, ntab int) []vpred {
 
 // fuseCmp fuses one conjunct of the form "col op comparand" or
 // "col op col" where op is a comparison operator.
-func (cp *vecCompiler) fuseCmp(e Expr, ntab int) (vpred, bool) {
+func (cp *vecCompiler) fuseCmp(e Expr) (vpred, bool) {
 	bin, ok := e.(*EBinary)
 	if !ok {
 		return vpred{}, false
@@ -121,42 +121,38 @@ func (cp *vecCompiler) fuseCmp(e Expr, ntab int) (vpred, bool) {
 	if !ok {
 		return vpred{}, false
 	}
-	lc, lok := bin.L.(*EColumn)
-	rc, rok := bin.R.(*EColumn)
-	// A reference into an enclosing scope is a comparand, not a column: its
-	// value is fixed for the execution (vecCompiler.outerRef), like a
+	// A column of the SELECT's own tables is read from the batch; any other
+	// reference — into an enclosing scope, or binding nothing — is a
+	// comparand: its value, or its error, is fixed for the execution, like a
 	// parameter's.
-	lok = lok && !cp.outerRef(lc)
-	rok = rok && !cp.outerRef(rc)
-	if lok && rok {
-		lt, lcol, ok1 := cp.resolveCol(lc, ntab)
-		rt, rcol, ok2 := cp.resolveCol(rc, ntab)
-		if !ok1 || !ok2 {
-			return vpred{}, false
+	local := func(e Expr) (colRef, bool) {
+		if x, ok := e.(*EColumn); ok {
+			return cp.p.local(cp.sp, x)
 		}
-		return cp.fuseColCol(acc, lt, lcol, rt, rcol)
+		return colRef{}, false
 	}
-	var colRef *EColumn
+	l, lok := local(bin.L)
+	r, rok := local(bin.R)
+	if lok && rok {
+		return fuseColCol(acc, l, r)
+	}
+	var ref colRef
 	var cmp Expr
 	switch {
 	case lok:
-		colRef, cmp = lc, bin.R
+		ref, cmp = l, bin.R
 	case rok:
-		colRef, cmp = rc, bin.L
+		ref, cmp = r, bin.L
 		acc = flipAcc(acc)
 	default:
 		return vpred{}, false
 	}
 	switch cmp.(type) {
-	case *ELit, *EParam, *EColumn: // an EColumn here is an outer reference
+	case *ELit, *EParam, *EColumn: // an EColumn here is not a local column
 	default:
 		return vpred{}, false
 	}
-	tab, col, ok := cp.resolveCol(colRef, ntab)
-	if !ok {
-		return vpred{}, false
-	}
-	ct := cp.tabs[tab].Columns[col].Type
+	tab, col, ct := ref.tab, ref.col, ref.typ
 	if lit, isLit := cmp.(*ELit); isLit && !lit.Value.IsNull() && !classOK(ct, lit.Value) {
 		return vpred{}, false // mixed-type comparison: the row engine errors
 	}
@@ -260,9 +256,9 @@ func (cp *vecCompiler) fuseCmp(e Expr, ntab int) (vpred, bool) {
 // on every non-NULL pair, so it is not fusable. The payload-type branch
 // inside the numeric loop is loop-invariant; the selection write stays
 // branch-free.
-func (cp *vecCompiler) fuseColCol(acc [3]int32, lt, lcol, rt, rcol int) (vpred, bool) {
-	lty := cp.tabs[lt].Columns[lcol].Type
-	rty := cp.tabs[rt].Columns[rcol].Type
+func fuseColCol(acc [3]int32, l, r colRef) (vpred, bool) {
+	lt, lcol, lty := l.tab, l.col, l.typ
+	rt, rcol, rty := r.tab, r.col, r.typ
 	lNum := lty == TInt || lty == TFloat
 	rNum := rty == TInt || rty == TFloat
 	switch {
