@@ -832,9 +832,11 @@ func coldDB(b *testing.B) (*model.Graph, *sqldb.DB) {
 
 // coldAnalyze times cache-off analyses of the last four runs in rotation
 // (after one untimed pass over them) and reports the SELECT executions per
-// analysis as selects/op, and the rows their build sides visit as
-// buildrows/op. With wantBottleneck every report must name one,
-// which an analysis of all properties does; one property alone may find none.
+// analysis as selects/op, the rows their build sides visit as buildrows/op,
+// and the builds a statement probed from the analysis's build table, made by
+// another, as sharedbuilds/op. With wantBottleneck every report must name
+// one, which an analysis of all properties does; one property alone may find
+// none.
 func coldAnalyze(b *testing.B, wantBottleneck bool, opts ...core.Option) {
 	g, db := coldDB(b)
 	runs := g.Dataset.Versions[0].Runs
@@ -865,6 +867,7 @@ func coldAnalyze(b *testing.B, wantBottleneck bool, opts ...core.Option) {
 	}
 	b.ReportMetric(float64(after.VecSelects-before.VecSelects)/float64(b.N), "selects/op")
 	b.ReportMetric(float64(after.BuildRows-before.BuildRows)/float64(b.N), "buildrows/op")
+	b.ReportMetric(float64(after.SharedBuilds-before.SharedBuilds)/float64(b.N), "sharedbuilds/op")
 }
 
 func BenchmarkColdAnalyze(b *testing.B) { coldAnalyze(b, true) }

@@ -130,8 +130,8 @@ func main() {
 		st.BatchExecs, st.BatchBindings)
 	fmt.Printf("kojakdb: result cache: %d hits, %d misses, %d invalidations, %d evictions (%d cached results)\n",
 		st.ResultCacheHits, st.ResultCacheMisses, st.ResultCacheInvalidations, st.ResultCacheEvictions, st.ResultCacheEntries)
-	fmt.Printf("kojakdb: select execution: %d vectorized selects, %d row-interpreter fallbacks, %d build rows\n",
-		st.VecSelects, st.VecFallbacks, st.BuildRows)
+	fmt.Printf("kojakdb: select execution: %d vectorized selects, %d row-interpreter fallbacks, %d build rows, %d shared builds\n",
+		st.VecSelects, st.VecFallbacks, st.BuildRows, st.SharedBuilds)
 	if st.VecFallbacks > 0 {
 		r := st.VecFallbackReasons
 		fmt.Printf("kojakdb: fallback reasons: %d join-shape, %d star, %d order-by-expr, %d subquery, %d other\n",

@@ -625,15 +625,18 @@ func (a *Analyzer) evalSQL(ctx context.Context, pl *runPlan, preparer sqlgen.Que
 	}
 	instances := make([]Instance, len(pl.ctxs))
 	fail := &analysisAbort{}
+	// The analysis's statements share the decorrelated builds their
+	// byte-identical subqueries make, where the engine runs in process.
+	bctx, closeBuilds := sqldb.ShareBuilds(ctx)
 	runPool(workers, len(units), func(_, ui int) {
 		u := units[ui]
 		end := u.start + u.n
 		ctxs, bindings, out := pl.ctxs[u.start:end], pl.bindings[u.start:end], instances[u.start:end]
 		if !u.set {
-			a.evalSQLCtxs(ctx, props[u.prop], ctxs, bindings, out, fail)
+			a.evalSQLCtxs(bctx, props[u.prop], ctxs, bindings, out, fail)
 			return
 		}
-		if a.evalSQLSet(ctx, props[u.prop], &pl.props[u.prop], ctxs, out, fail) {
+		if a.evalSQLSet(bctx, props[u.prop], &pl.props[u.prop], ctxs, out, fail) {
 			return
 		}
 		// The set statement did not prepare, failed or came back malformed:
@@ -642,8 +645,9 @@ func (a *Analyzer) evalSQL(ctx context.Context, pl *runPlan, preparer sqlgen.Que
 		a.lastFallback.Store(&pl.props[u.prop].name)
 		per := compiled[u.prop].prepare(preparer)
 		defer per.close()
-		a.evalSQLCtxs(ctx, per, ctxs, bindings, out, fail)
+		a.evalSQLCtxs(bctx, per, ctxs, bindings, out, fail)
 	})
+	closeBuilds()
 	// A lost shard aborts the analysis: a report missing one shard's answers
 	// is not a smaller report, it is a wrong one. Cancellation aborts the
 	// same way (fatalExecErr matches context errors); prefer reporting the

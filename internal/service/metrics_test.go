@@ -187,7 +187,7 @@ func TestMetricsBackendKeys(t *testing.T) {
 		"plan_cache_entries", "plan_cache_evictions", "plan_cache_hits", "plan_cache_misses",
 		"prepared_live", "replans", "requests",
 		"result_cache_entries", "result_cache_evictions", "result_cache_hits",
-		"result_cache_invalidations", "result_cache_misses",
+		"result_cache_invalidations", "result_cache_misses", "shared_builds",
 		"vec_fallback_reasons", "vec_fallbacks", "vec_selects", "vendor_ns",
 	}
 	if got := keys(doc.Backend); !slices.Equal(got, want) {

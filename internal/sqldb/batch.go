@@ -90,6 +90,7 @@ func (s *sharedStmt) execBatch(ctx context.Context, bindings []*Params, out []Ba
 		// never stamped newer than the rows it was computed from.
 		var buf [keyBufSize]byte
 		key := buf[:0]
+		builds := buildTableOf(ctx)
 		for i, params := range bindings {
 			if err := ctx.Err(); err != nil {
 				return err
@@ -103,7 +104,7 @@ func (s *sharedStmt) execBatch(ctx context.Context, bindings []*Params, out []Ba
 					continue
 				}
 			}
-			ec := &execCtx{db: db, params: params, plan: plan}
+			ec := &execCtx{db: db, params: params, plan: plan, builds: builds}
 			set, err := ec.execSelect(st, nil)
 			if err != nil {
 				out[i] = BatchResult{Err: err}

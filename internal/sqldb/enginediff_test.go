@@ -202,78 +202,7 @@ func TestSetFormEnginesAgree(t *testing.T) {
 // executions), as is text the parser rejects — the parse happens before
 // engine dispatch, so rejection cannot diverge.
 func FuzzEngineDifferential(f *testing.F) {
-	w := model.MustCompileSpec()
-	compiled, errs := sqlgen.CompileAll(w)
-	if len(errs) > 0 {
-		f.Fatalf("canonical properties failed to compile: %v", errs)
-	}
-	names := make([]string, 0, len(compiled))
-	for name := range compiled {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		f.Add(compiled[name].SQL, int64(1), int64(2), int64(3))
-	}
-	for _, sql := range []string{
-		`SELECT v, COUNT(id), SUM(w) FROM fuzz_aux GROUP BY v ORDER BY v`,
-		`SELECT a.id, b.s FROM fuzz_aux a JOIN fuzz_aux b ON a.v = b.v ORDER BY a.id, b.id`,
-		`SELECT s FROM fuzz_aux WHERE v > ? OR w IS NULL ORDER BY id LIMIT 3`,
-		`SELECT id FROM fuzz_aux x WHERE EXISTS (SELECT id FROM fuzz_aux y WHERE y.v = x.v AND y.id <> x.id)`,
-		`SELECT id, (SELECT MAX(w) FROM fuzz_aux y WHERE y.v = x.v) FROM fuzz_aux x ORDER BY id`,
-		`SELECT COUNT(id) FROM fuzz_aux WHERE b AND s IN ('alpha', 'gamma')`,
-		`SELECT v, AVG(w) FROM fuzz_aux GROUP BY v HAVING COUNT(id) > 1`,
-		`SELECT MIN(v), MAX(w), COUNT(s) FROM fuzz_aux WHERE id <> $k`,
-		// The shape sqlgen emits for an attribute of a UNIQUE value: the set
-		// query (junction ⋈ element) projecting the column, in scalar position.
-		`SELECT ((SELECT e.w FROM fuzz_aux j JOIN fuzz_aux e ON e.id = j.v WHERE j.id = $o AND (e.b = TRUE)) > 1) AS c0, (SELECT e.s FROM fuzz_aux j JOIN fuzz_aux e ON e.id = j.v WHERE j.id = $o AND (e.b = TRUE)) AS s0`,
-		// Batched below with $r varying and $basis constant across bindings.
-		`SELECT (SELECT x.w FROM fuzz_aux x WHERE x.id = $r AND x.v = $basis) / (SELECT MAX(y.w) FROM fuzz_aux y WHERE y.v = $basis)`,
-		`SELECT (SELECT x.s FROM fuzz_aux x WHERE x.id = ?), (SELECT COUNT(y.id) FROM fuzz_aux y WHERE y.v = ?), EXISTS (SELECT z.id FROM fuzz_aux z WHERE z.v = ?)`,
-		// Outer references, one and two SELECTs deep: as equality comparand
-		// of a fused filter, inside an OR chain, as access-path key (id is the
-		// primary key), NULL (rows 2 and 5 have no v), resolving nowhere
-		// (reached and never reached), and ambiguous in the enclosing scope
-		// (both TestRun bindings have NoPe, fuzz_aux has not).
-		`SELECT o.id, (SELECT COUNT(i.id) FROM fuzz_aux i WHERE i.v = o.v AND i.w > $k) FROM fuzz_aux o ORDER BY o.id`,
-		`SELECT o.id, (SELECT COUNT(i.id) FROM fuzz_aux i WHERE i.v = o.v OR i.w > o.w OR i.s = o.s) FROM fuzz_aux o ORDER BY o.id`,
-		`SELECT o.id, (SELECT i.s FROM fuzz_aux i WHERE i.id = o.v / 10) FROM fuzz_aux o ORDER BY o.id`,
-		`SELECT o.id, (SELECT MAX(m.w) FROM fuzz_aux m WHERE m.v = (SELECT MIN(n.v) FROM fuzz_aux n WHERE n.s = o.s OR n.id = $k)) FROM fuzz_aux o ORDER BY o.id`,
-		`SELECT o.id, (SELECT COUNT(m.id) FROM fuzz_aux m WHERE m.id IN (SELECT n.id FROM fuzz_aux n WHERE n.id = o.id OR n.v = o.v)) FROM fuzz_aux o ORDER BY o.id`,
-		`SELECT o.id, (SELECT COUNT(i.id) FROM fuzz_aux i WHERE i.v = z.v) FROM fuzz_aux o`,
-		`SELECT o.id, (SELECT COUNT(i.id) FROM fuzz_aux i WHERE i.id < 0 AND i.v = z.v) FROM fuzz_aux o ORDER BY o.id`,
-		`SELECT a.id, (SELECT COUNT(i.id) FROM fuzz_aux i WHERE i.v = NoPe) FROM TestRun a JOIN TestRun b ON a.id = b.id`,
-		// The set form's shape: a context relation, subqueries correlated
-		// with its key one and two levels down, the same one under two items.
-		`SELECT x.id AS ctx, ((SELECT e.w FROM fuzz_aux j JOIN fuzz_aux e ON e.v = j.v WHERE j.id = x.id AND (e.b = TRUE)) > 1) AS c0, ((SELECT e.w FROM fuzz_aux j JOIN fuzz_aux e ON e.v = j.v WHERE j.id = x.id AND (e.b = TRUE)) / (SELECT MAX(y.w) FROM fuzz_aux y WHERE y.v = $basis)) AS s0 FROM fuzz_aux r JOIN fuzz_aux x ON x.v = r.v WHERE r.id = $k`,
-		// Decorrelated subqueries — a hash build per execution, a probe per
-		// row: a duplicate build key (v = 10 twice) probed, left unprobed,
-		// and guarded out by AND; keys no row carries under a scalar, SUM and
-		// COUNT; NULL keys on both sides (v is NULL in rows 2 and 5); a REAL
-		// against an INTEGER key (refused: the SELECT runs on the row
-		// interpreter); a residual dividing by zero on a row (v = 30) no outer
-		// row probes (the build fails, and the SELECT replays on the row
-		// interpreter); an empty outer relation; and two keys whose second
-		// outer side is itself a probe.
-		`SELECT o.id, (SELECT i.w FROM fuzz_aux i WHERE i.v = o.v AND i.id > 0) FROM fuzz_aux o ORDER BY o.id`,
-		`SELECT o.id, (SELECT i.w FROM fuzz_aux i WHERE i.v = o.v AND i.id > 0) FROM fuzz_aux o WHERE o.v <> 10 ORDER BY o.id`,
-		`SELECT o.id, o.v <> 10 AND (SELECT i.w FROM fuzz_aux i WHERE i.v = o.v AND i.id > 0) > 1 FROM fuzz_aux o ORDER BY o.id`,
-		`SELECT o.id, (SELECT i.s FROM fuzz_aux i WHERE i.v = o.id AND i.w > 0), (SELECT SUM(i.w) FROM fuzz_aux i WHERE i.v = o.id), (SELECT COUNT(*) FROM fuzz_aux i WHERE o.id = i.v) FROM fuzz_aux o ORDER BY o.id`,
-		`SELECT o.id, (SELECT COUNT(i.id) FROM fuzz_aux i WHERE i.v = o.v), (SELECT MIN(i.w) FROM fuzz_aux i WHERE o.v = i.v) FROM fuzz_aux o ORDER BY o.id`,
-		`SELECT o.id, (SELECT COUNT(i.id) FROM fuzz_aux i WHERE i.w = o.v) FROM fuzz_aux o ORDER BY o.id`,
-		`SELECT o.id, (SELECT COUNT(i.id) FROM fuzz_aux i WHERE i.id = o.id AND 10 / (i.v - 30) > 0) FROM fuzz_aux o WHERE o.id <> 3 ORDER BY o.id`,
-		`SELECT o.id, (SELECT i.w FROM fuzz_aux i WHERE i.v = o.v AND i.id > 0) FROM fuzz_aux o WHERE o.id < 0`,
-		`SELECT o.id, (SELECT i.w FROM fuzz_aux i WHERE i.v = o.v AND i.id = (SELECT MIN(m.id) FROM fuzz_aux m WHERE m.v = o.v)) FROM fuzz_aux o ORDER BY o.id`,
-	} {
-		f.Add(sql, int64(10), int64(2), int64(30))
-	}
-	// The canonical set forms, bound to a run and a basis that exist.
-	run, basis := setFormIDs(f)
-	for _, name := range names {
-		f.Add(compileSet(f, w, name).SQL, run, basis, int64(3))
-	}
-	f.Add(`SELECT (SELECT x.w FROM fuzz_aux x WHERE x.id = $r AND x.v = $basis) / (SELECT MAX(y.w) FROM fuzz_aux y WHERE y.v = $basis)`, int64(1), int64(10), int64(4))
-	for _, s := range probeKeyedSeeds {
+	for _, s := range engineDiffSeeds(f) {
 		f.Add(s.sql, s.p[0], s.p[1], s.p[2])
 	}
 
@@ -338,6 +267,96 @@ func FuzzEngineDifferential(f *testing.F) {
 			}
 		}
 	})
+}
+
+// diffSeed is one seed of FuzzEngineDifferential: a statement and the three
+// values bindParams binds its markers from.
+type diffSeed struct {
+	sql string
+	p   [3]int64
+}
+
+// engineDiffSeeds is FuzzEngineDifferential's seed corpus written in code;
+// testdata/fuzz/FuzzEngineDifferential holds the rest.
+func engineDiffSeeds(tb testing.TB) []diffSeed {
+	tb.Helper()
+	var seeds []diffSeed
+	add := func(sql string, p1, p2, p3 int64) { seeds = append(seeds, diffSeed{sql, [3]int64{p1, p2, p3}}) }
+	w := model.MustCompileSpec()
+	compiled, errs := sqlgen.CompileAll(w)
+	if len(errs) > 0 {
+		tb.Fatalf("canonical properties failed to compile: %v", errs)
+	}
+	names := make([]string, 0, len(compiled))
+	for name := range compiled {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		add(compiled[name].SQL, int64(1), int64(2), int64(3))
+	}
+	for _, sql := range []string{
+		`SELECT v, COUNT(id), SUM(w) FROM fuzz_aux GROUP BY v ORDER BY v`,
+		`SELECT a.id, b.s FROM fuzz_aux a JOIN fuzz_aux b ON a.v = b.v ORDER BY a.id, b.id`,
+		`SELECT s FROM fuzz_aux WHERE v > ? OR w IS NULL ORDER BY id LIMIT 3`,
+		`SELECT id FROM fuzz_aux x WHERE EXISTS (SELECT id FROM fuzz_aux y WHERE y.v = x.v AND y.id <> x.id)`,
+		`SELECT id, (SELECT MAX(w) FROM fuzz_aux y WHERE y.v = x.v) FROM fuzz_aux x ORDER BY id`,
+		`SELECT COUNT(id) FROM fuzz_aux WHERE b AND s IN ('alpha', 'gamma')`,
+		`SELECT v, AVG(w) FROM fuzz_aux GROUP BY v HAVING COUNT(id) > 1`,
+		`SELECT MIN(v), MAX(w), COUNT(s) FROM fuzz_aux WHERE id <> $k`,
+		// The shape sqlgen emits for an attribute of a UNIQUE value: the set
+		// query (junction ⋈ element) projecting the column, in scalar position.
+		`SELECT ((SELECT e.w FROM fuzz_aux j JOIN fuzz_aux e ON e.id = j.v WHERE j.id = $o AND (e.b = TRUE)) > 1) AS c0, (SELECT e.s FROM fuzz_aux j JOIN fuzz_aux e ON e.id = j.v WHERE j.id = $o AND (e.b = TRUE)) AS s0`,
+		// Batched below with $r varying and $basis constant across bindings.
+		`SELECT (SELECT x.w FROM fuzz_aux x WHERE x.id = $r AND x.v = $basis) / (SELECT MAX(y.w) FROM fuzz_aux y WHERE y.v = $basis)`,
+		`SELECT (SELECT x.s FROM fuzz_aux x WHERE x.id = ?), (SELECT COUNT(y.id) FROM fuzz_aux y WHERE y.v = ?), EXISTS (SELECT z.id FROM fuzz_aux z WHERE z.v = ?)`,
+		// Outer references, one and two SELECTs deep: as equality comparand
+		// of a fused filter, inside an OR chain, as access-path key (id is the
+		// primary key), NULL (rows 2 and 5 have no v), resolving nowhere
+		// (reached and never reached), and ambiguous in the enclosing scope
+		// (both TestRun bindings have NoPe, fuzz_aux has not).
+		`SELECT o.id, (SELECT COUNT(i.id) FROM fuzz_aux i WHERE i.v = o.v AND i.w > $k) FROM fuzz_aux o ORDER BY o.id`,
+		`SELECT o.id, (SELECT COUNT(i.id) FROM fuzz_aux i WHERE i.v = o.v OR i.w > o.w OR i.s = o.s) FROM fuzz_aux o ORDER BY o.id`,
+		`SELECT o.id, (SELECT i.s FROM fuzz_aux i WHERE i.id = o.v / 10) FROM fuzz_aux o ORDER BY o.id`,
+		`SELECT o.id, (SELECT MAX(m.w) FROM fuzz_aux m WHERE m.v = (SELECT MIN(n.v) FROM fuzz_aux n WHERE n.s = o.s OR n.id = $k)) FROM fuzz_aux o ORDER BY o.id`,
+		`SELECT o.id, (SELECT COUNT(m.id) FROM fuzz_aux m WHERE m.id IN (SELECT n.id FROM fuzz_aux n WHERE n.id = o.id OR n.v = o.v)) FROM fuzz_aux o ORDER BY o.id`,
+		`SELECT o.id, (SELECT COUNT(i.id) FROM fuzz_aux i WHERE i.v = z.v) FROM fuzz_aux o`,
+		`SELECT o.id, (SELECT COUNT(i.id) FROM fuzz_aux i WHERE i.id < 0 AND i.v = z.v) FROM fuzz_aux o ORDER BY o.id`,
+		`SELECT a.id, (SELECT COUNT(i.id) FROM fuzz_aux i WHERE i.v = NoPe) FROM TestRun a JOIN TestRun b ON a.id = b.id`,
+		// The set form's shape: a context relation, subqueries correlated
+		// with its key one and two levels down, the same one under two items.
+		`SELECT x.id AS ctx, ((SELECT e.w FROM fuzz_aux j JOIN fuzz_aux e ON e.v = j.v WHERE j.id = x.id AND (e.b = TRUE)) > 1) AS c0, ((SELECT e.w FROM fuzz_aux j JOIN fuzz_aux e ON e.v = j.v WHERE j.id = x.id AND (e.b = TRUE)) / (SELECT MAX(y.w) FROM fuzz_aux y WHERE y.v = $basis)) AS s0 FROM fuzz_aux r JOIN fuzz_aux x ON x.v = r.v WHERE r.id = $k`,
+		// Decorrelated subqueries — a hash build per execution, a probe per
+		// row: a duplicate build key (v = 10 twice) probed, left unprobed,
+		// and guarded out by AND; keys no row carries under a scalar, SUM and
+		// COUNT; NULL keys on both sides (v is NULL in rows 2 and 5); a REAL
+		// against an INTEGER key (refused: the SELECT runs on the row
+		// interpreter); a residual dividing by zero on a row (v = 30) no outer
+		// row probes (the build fails, and the SELECT replays on the row
+		// interpreter); an empty outer relation; and two keys whose second
+		// outer side is itself a probe.
+		`SELECT o.id, (SELECT i.w FROM fuzz_aux i WHERE i.v = o.v AND i.id > 0) FROM fuzz_aux o ORDER BY o.id`,
+		`SELECT o.id, (SELECT i.w FROM fuzz_aux i WHERE i.v = o.v AND i.id > 0) FROM fuzz_aux o WHERE o.v <> 10 ORDER BY o.id`,
+		`SELECT o.id, o.v <> 10 AND (SELECT i.w FROM fuzz_aux i WHERE i.v = o.v AND i.id > 0) > 1 FROM fuzz_aux o ORDER BY o.id`,
+		`SELECT o.id, (SELECT i.s FROM fuzz_aux i WHERE i.v = o.id AND i.w > 0), (SELECT SUM(i.w) FROM fuzz_aux i WHERE i.v = o.id), (SELECT COUNT(*) FROM fuzz_aux i WHERE o.id = i.v) FROM fuzz_aux o ORDER BY o.id`,
+		`SELECT o.id, (SELECT COUNT(i.id) FROM fuzz_aux i WHERE i.v = o.v), (SELECT MIN(i.w) FROM fuzz_aux i WHERE o.v = i.v) FROM fuzz_aux o ORDER BY o.id`,
+		`SELECT o.id, (SELECT COUNT(i.id) FROM fuzz_aux i WHERE i.w = o.v) FROM fuzz_aux o ORDER BY o.id`,
+		`SELECT o.id, (SELECT COUNT(i.id) FROM fuzz_aux i WHERE i.id = o.id AND 10 / (i.v - 30) > 0) FROM fuzz_aux o WHERE o.id <> 3 ORDER BY o.id`,
+		`SELECT o.id, (SELECT i.w FROM fuzz_aux i WHERE i.v = o.v AND i.id > 0) FROM fuzz_aux o WHERE o.id < 0`,
+		`SELECT o.id, (SELECT i.w FROM fuzz_aux i WHERE i.v = o.v AND i.id = (SELECT MIN(m.id) FROM fuzz_aux m WHERE m.v = o.v)) FROM fuzz_aux o ORDER BY o.id`,
+	} {
+		add(sql, int64(10), int64(2), int64(30))
+	}
+	// The canonical set forms, bound to a run and a basis that exist.
+	run, basis := setFormIDs(tb)
+	for _, name := range names {
+		add(compileSet(tb, w, name).SQL, run, basis, int64(3))
+	}
+	add(`SELECT (SELECT x.w FROM fuzz_aux x WHERE x.id = $r AND x.v = $basis) / (SELECT MAX(y.w) FROM fuzz_aux y WHERE y.v = $basis)`, int64(1), int64(10), int64(4))
+	for _, s := range probeKeyedSeeds {
+		add(s.sql, s.p[0], s.p[1], s.p[2])
+	}
+	return seeds
 }
 
 // probeKeyedSeeds are FuzzEngineDifferential seeds whose decorrelated

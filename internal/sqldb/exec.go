@@ -305,6 +305,9 @@ type execCtx struct {
 	// empty group): reading a prefolded aggregate binds it, as evaluating
 	// the aggregate over the group's rows does (evalAggregate).
 	aggLast tuple
+	// builds is the build table of the analysis the statement runs in
+	// (ShareBuilds), nil outside one.
+	builds *buildTable
 }
 
 // subMemo is one slot of execCtx.subCache; ok marks it filled.

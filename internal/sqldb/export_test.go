@@ -49,6 +49,7 @@ func (db *DB) SetStats(s Stats) {
 	db.vecFbSub.Store(r.Subquery)
 	db.vecFbOther.Store(r.Other)
 	db.buildRows.Store(s.BuildRows)
+	db.sharedBuilds.Store(s.SharedBuilds)
 }
 
 // OnSeed makes every vectorized scan report the name of the FROM table it

@@ -358,6 +358,26 @@ func SelectMarkers(st *SelectStmt) []EParam {
 	return markers
 }
 
+// eachSelect calls f on st and on every SELECT nested in its clauses, each
+// before the SELECTs nested in it.
+func eachSelect(st *SelectStmt, f func(*SelectStmt)) {
+	f(st)
+	eachClause(st, 0, nil, func(e Expr, _ int) {
+		walkExpr(e, func(e Expr) {
+			switch x := e.(type) {
+			case *ESubquery:
+				eachSelect(x.Select, f)
+			case *EExists:
+				eachSelect(x.Select, f)
+			case *EIn:
+				if x.Sub != nil {
+					eachSelect(x.Sub, f)
+				}
+			}
+		})
+	})
+}
+
 // planSelect builds the strategy of one SELECT node: it resolves the tables,
 // binds every column reference of the clauses, planning the SELECTs nested
 // in them, and then chooses the access paths and join strategies by those
@@ -397,6 +417,9 @@ func (pl *planner) planSelect(st *SelectStmt) error {
 		}
 	})
 	pl.scopes = pl.scopes[:len(pl.scopes)-1]
+	if err == nil {
+		err = p.ownAggregate(st, sp)
+	}
 	if err != nil || sp.from == nil {
 		return err
 	}
@@ -424,6 +447,28 @@ func (pl *planner) planSelect(st *SelectStmt) error {
 		sp.pin, _ = p.planJoinAccess(sp, conds)
 	}
 	return nil
+}
+
+// ownAggregate returns the error of an aggregate in the WHERE or a join ON
+// of the SELECT sp plans whose argument reads a table of that SELECT. SQL
+// gives an aggregate to the query its argument reads, and that query's WHERE
+// and ONs filter the rows it would fold. An aggregate there whose argument
+// reads only SELECTs around it belongs to one of those, and stays.
+func (p *stmtPlan) ownAggregate(st *SelectStmt, sp *selectPlan) error {
+	var err error
+	check := func(clause string, e Expr) {
+		walkExpr(e, func(e Expr) {
+			x, ok := e.(*ECall)
+			if ok && err == nil && x.IsAggregate() && slices.ContainsFunc(x.Args, func(a Expr) bool { return p.reads(a).at(sp.level) }) {
+				err = fmt.Errorf("sqldb: aggregate %s in %s aggregates the rows it filters", x.Name, clause)
+			}
+		})
+	}
+	check("WHERE", st.Where)
+	for _, j := range st.Joins {
+		check("ON", j.On)
+	}
+	return err
 }
 
 // planJoinAccess finds the join access of a planned SELECT among conds, the
@@ -730,6 +775,10 @@ type Stats struct {
 	// visit after their seed: every row of a scanned FROM table, or only
 	// those the pinned run or the probed keys reach (vecCtx.startBuild).
 	BuildRows int64 `json:"build_rows"`
+	// SharedBuilds counts the builds an analysis's build table served to a
+	// statement that did not make them (ShareBuilds); such a build counts
+	// in neither VecSelects nor BuildRows.
+	SharedBuilds int64 `json:"shared_builds"`
 }
 
 // FallbackReasons is the per-shape breakdown of Stats.VecFallbacks (the fb*
@@ -755,7 +804,7 @@ func (s *Stats) Counters() []*int64 {
 		&s.ResultCacheEvictions, &s.ResultCacheEntries,
 		&s.VecSelects, &s.VecFallbacks,
 		&r.JoinShape, &r.Star, &r.OrderExpr, &r.Subquery, &r.Other,
-		&s.BuildRows,
+		&s.BuildRows, &s.SharedBuilds,
 	}
 }
 
@@ -798,7 +847,8 @@ func (db *DB) Stats() Stats {
 			Subquery:  db.vecFbSub.Load(),
 			Other:     db.vecFbOther.Load(),
 		},
-		BuildRows: db.buildRows.Load(),
+		BuildRows:    db.buildRows.Load(),
+		SharedBuilds: db.sharedBuilds.Load(),
 	}
 }
 

@@ -257,8 +257,10 @@ type DB struct {
 	vecFbSub   atomic.Int64
 	vecFbOther atomic.Int64
 	// buildRows counts the rows decorrelated build scans visit after their
-	// seed (Stats.BuildRows).
-	buildRows atomic.Int64
+	// seed (Stats.BuildRows); sharedBuilds the builds an analysis's build
+	// table served (Stats.SharedBuilds).
+	buildRows    atomic.Int64
+	sharedBuilds atomic.Int64
 	// seedHook, set only by tests (export_test.go), observes the seed of
 	// every vectorized scan: the FROM table and how many rows it seeded.
 	seedHook func(from *Table, rows int)

@@ -102,3 +102,34 @@ func scopeDB(t *testing.T, engine string, cache, index bool) *sqldb.DB {
 	}
 	return db
 }
+
+// TestAggregateBelongsToTheQueryItReads: SQL gives an aggregate to the query
+// its argument reads. One in that query's own WHERE or ON has no group to
+// fold over, and the planner refuses the statement on both engines; the row
+// interpreter used to fold it over whichever grouped query evaluated the
+// subquery. An aggregate whose argument reads only an enclosing grouped query
+// is that query's, and folds over its group.
+func TestAggregateBelongsToTheQueryItReads(t *testing.T) {
+	for _, engine := range []string{sqldb.EngineVector, sqldb.EngineRow} {
+		db := shapeDB(t, engine, false)
+		for _, sql := range []string{
+			`SELECT u.x, (SELECT COUNT(*) FROM u g WHERE g.k < MAX(g.k) + u.x) FROM u GROUP BY u.x`,
+			`SELECT k FROM u WHERE MAX(x) > 1`,
+			`SELECT a.k FROM u a JOIN u b ON SUM(b.x) > 1`,
+			// u has no row to filter: the refusal is the plan's.
+			`SELECT k FROM u WHERE k < 0 AND k = (SELECT COUNT(*) FROM t WHERE MIN(t.a) > 0)`,
+		} {
+			if _, err := db.Exec(sql, nil); err == nil || !strings.Contains(err.Error(), "aggregates the rows it filters") {
+				t.Errorf("%s: %s: err = %v", engine, sql, err)
+			}
+		}
+		res, err := db.Exec(`SELECT u.x, (SELECT COUNT(*) FROM t WHERE t.k < MAX(u.k)) FROM u GROUP BY u.x ORDER BY u.x`, nil)
+		if err != nil {
+			t.Fatalf("%s: outer aggregate: %v", engine, err)
+		}
+		want := []sqldb.Row{{sqldb.NewInt(10), sqldb.NewInt(0)}, {sqldb.NewInt(20), sqldb.NewInt(1)}}
+		if !reflect.DeepEqual(res.Set.Rows, want) {
+			t.Errorf("%s: outer aggregate: %v, want %v", engine, res.Set.Rows, want)
+		}
+	}
+}

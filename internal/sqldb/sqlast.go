@@ -240,9 +240,14 @@ func (c *ECall) IsAggregate() bool {
 // of them and reuses the result for the others (execCtx.subCache, corrSite).
 // Ids are dense from 0 per statement; a node built by hand carries 0 and is
 // for rendering only — the engine executes parsed statements alone.
+//
+// Span is the node's source text, as the parser read it, when it holds no
+// positional ?: the identity an analysis's statements share a build of the
+// subquery by (ShareBuilds). "" shares nothing.
 type ESubquery struct {
 	Select *SelectStmt
 	Shape  int
+	Span   string
 }
 
 // EIsNull is "x IS [NOT] NULL".

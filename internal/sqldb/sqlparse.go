@@ -172,12 +172,13 @@ func (p *sqlParser) cur() sqlTok { return p.toks[p.pos] }
 // kinds never coincide: a scalar subquery's opens with the parenthesis that
 // closes it, an EXISTS's with the keyword, an IN's with its needle.) A span
 // holding a positional ? gets an id of its own, since its markers' ordinals
-// differ from any other span's. Ids are dense from 0.
-func (p *sqlParser) shape(start, nparams int) int {
+// differ from any other span's. Ids are dense from 0. span is the node's
+// source text, "" for one holding a positional ?.
+func (p *sqlParser) shape(start, nparams int) (id int, span string) {
 	if p.nparams == nparams {
-		span := p.src[start : p.toks[p.pos-1].off+1]
+		span = p.src[start : p.toks[p.pos-1].off+1]
 		if id, ok := p.shapes[span]; ok {
-			return id
+			return id, span
 		}
 		if p.shapes == nil {
 			p.shapes = make(map[string]int)
@@ -185,7 +186,7 @@ func (p *sqlParser) shape(start, nparams int) int {
 		p.shapes[span] = p.nshapes
 	}
 	p.nshapes++
-	return p.nshapes - 1
+	return p.nshapes - 1, span
 }
 
 func (p *sqlParser) next() sqlTok {
@@ -734,7 +735,8 @@ func (p *sqlParser) parseComparison() (Expr, error) {
 			if err := p.expectSym(")"); err != nil {
 				return nil, err
 			}
-			return &EIn{X: l, Sub: sub, Not: not, Shape: p.shape(start, nparams)}, nil
+			shape, _ := p.shape(start, nparams)
+			return &EIn{X: l, Sub: sub, Not: not, Shape: shape}, nil
 		}
 		var list []Expr
 		for {
@@ -897,7 +899,8 @@ func (p *sqlParser) parsePrimary() (Expr, error) {
 				if err := p.expectSym(")"); err != nil {
 					return nil, err
 				}
-				return &ESubquery{Select: sub, Shape: p.shape(t.off, nparams)}, nil
+				shape, span := p.shape(t.off, nparams)
+				return &ESubquery{Select: sub, Shape: shape, Span: span}, nil
 			}
 			e, err := p.parseExpr()
 			if err != nil {
@@ -941,7 +944,8 @@ func (p *sqlParser) parsePrimary() (Expr, error) {
 			if err := p.expectSym(")"); err != nil {
 				return nil, err
 			}
-			return &EExists{Select: sub, Shape: p.shape(t.off, nparams)}, nil
+			shape, _ := p.shape(t.off, nparams)
+			return &EExists{Select: sub, Shape: shape}, nil
 		}
 		p.next()
 		return p.identTail(t)

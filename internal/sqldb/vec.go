@@ -218,7 +218,9 @@ type vecCtx struct {
 	callArgs []Value
 	// builds holds the build sides of the execution's decorrelated
 	// subqueries, by the slot the compiler gave each (corrBuildPlan.slot);
-	// their hash maps survive release, emptied, for the next execution.
+	// their hash maps survive release, emptied, for the next execution. A
+	// slot may instead point at the build an analysis's build table holds
+	// (corrBuild.shared).
 	// probeVals is the scratch list of the values a build's first probe
 	// carries for one of its keys (vecCtx.startBuild).
 	builds    []corrBuild
@@ -288,14 +290,7 @@ func (vc *vecCtx) release() {
 	clear(vc.probeVals)
 	vc.probeVals = vc.probeVals[:0]
 	for i := range vc.builds {
-		bd := &vc.builds[i]
-		bd.started = false
-		clear(bd.vals)
-		bd.vals = bd.vals[:0]
-		clear(bd.index)
-		clear(bd.hits)
-		clear(bd.accs)
-		bd.hits, bd.accs = bd.hits[:0], bd.accs[:0]
+		vc.builds[i].reset()
 	}
 	vc.b.n, vc.nb.n = 0, 0
 	vecCtxPool.Put(vc)
@@ -894,6 +889,9 @@ type corrBuildPlan struct {
 	// one the correlated form evaluates nothing raising on — planJoinAccess's
 	// quiet rule over the residue, and every inner key a column or a literal.
 	keyed []probeKey
+	// share identifies the build across the statements of an analysis
+	// (ShareBuilds); nil when the build is not shared.
+	share *buildShare
 }
 
 // probeKey is an inner key of a build, key its ordinal, that a key access
@@ -994,7 +992,7 @@ func (cp *vecCompiler) decorrelate(x *ESubquery, ntab int) (vexpr, bool) {
 			}
 		}
 	}
-	bp := cp.corrBuild(st, sp, inner, resid, call)
+	bp := cp.corrBuild(x, sp, inner, resid, call)
 	if bp == nil {
 		return nil, false
 	}
@@ -1076,7 +1074,8 @@ func (cp *vecCompiler) keyType(e Expr) (ColType, bool) {
 // expressions, bound in its scope, which the build's has the same tables as.
 // nil when the aggregate is malformed (the row engine raises its error) or
 // the synthesized SELECT does not vectorize.
-func (cp *vecCompiler) corrBuild(st *SelectStmt, sp *selectPlan, inner, resid []Expr, call *ECall) *corrBuildPlan {
+func (cp *vecCompiler) corrBuild(x *ESubquery, sp *selectPlan, inner, resid []Expr, call *ECall) *corrBuildPlan {
+	st := x.Select
 	syn := &SelectStmt{From: st.From, Joins: st.Joins}
 	for _, c := range resid {
 		if syn.Where == nil {
@@ -1127,6 +1126,7 @@ func (cp *vecCompiler) corrBuild(st *SelectStmt, sp *selectPlan, inner, resid []
 	if bp.sp.vec, _ = compileVecSelect(cp.p, syn, bp.sp); bp.sp.vec == nil {
 		return nil
 	}
+	bp.share = cp.buildShare(x, syn, bp.sp)
 	cp.builds++
 	return bp
 }

@@ -320,7 +320,9 @@ func (vc *vecCtx) scanSeed(sp *selectPlan, seed []int32, sink func(b *vbatch) er
 // bp.keyed entry the build is seeded through, -1 once it holds every key;
 // seeded through a key, it holds the entries of the keys whose component
 // there is one of vals, the values it read, ascending — others it may hold
-// in part, and a probe for one rebuilds it by scan.
+// in part, and a probe for one rebuilds it by scan. shared, when set, is the
+// complete build of an analysis's build table the execution probes instead
+// (ShareBuilds): it is read, never written.
 type corrBuild struct {
 	started bool
 	via     int
@@ -328,6 +330,19 @@ type corrBuild struct {
 	index   map[corrHashKey]int32
 	hits    []corrHit
 	accs    []aggAcc
+	shared  *corrBuild
+}
+
+// reset empties the build for its next use, keeping its maps' and slices'
+// capacity; a shared build it pointed at is left as it is.
+func (bd *corrBuild) reset() {
+	bd.started, bd.shared = false, nil
+	clear(bd.vals)
+	bd.vals = bd.vals[:0]
+	clear(bd.index)
+	clear(bd.hits)
+	clear(bd.accs)
+	bd.hits, bd.accs = bd.hits[:0], bd.accs[:0]
 }
 
 // corrHashKey is a build-side hash key: the INTEGER or BOOLEAN payloads of
@@ -376,17 +391,33 @@ func corrHash(vals []Value) (k corrHashKey, null, ok bool) {
 }
 
 // buildSide returns this execution's build side of bp holding every key the
-// n probe rows of keys ask for: the first probe starts it (startBuild), and
-// a later one that asks a build seeded by a key for a value it has not read
-// rebuilds it by scan. It counts once in VecSelects.
+// n probe rows of keys ask for: the first probe takes it from the analysis's
+// build table (sharedSide) or starts it (startBuild), and a later one that
+// asks a build seeded by a key for a value it has not read rebuilds it by
+// scan — a shared build, into the execution's own. A build the execution
+// makes counts once in VecSelects.
 func (vc *vecCtx) buildSide(bp *corrBuildPlan, keys []*vcol, n int) (*corrBuild, error) {
 	for len(vc.builds) <= bp.slot {
 		vc.builds = append(vc.builds, corrBuild{})
 	}
 	bd := &vc.builds[bp.slot]
+	if sb := bd.shared; sb != nil {
+		if sb.via < 0 || sb.holds(bp, keys, n) {
+			return sb, nil
+		}
+		bd.shared, bd.via = nil, -1
+		vc.ec.db.vecSelects.Add(1)
+		return bd, vc.runBuild(bp, bd, nil, nil)
+	}
 	switch {
 	case !bd.started:
 		bd.started = true
+		if t := vc.ec.builds; t != nil && bp.share != nil {
+			if sb, ok, err := vc.sharedSide(t, bp, keys, n); ok {
+				bd.shared = sb
+				return sb, err
+			}
+		}
 		vc.ec.db.vecSelects.Add(1)
 		return bd, vc.startBuild(bp, bd, keys, n)
 	case bd.via >= 0 && !bd.holds(bp, keys, n):
