@@ -878,14 +878,20 @@ func BenchmarkColdAnalyzeProperty(b *testing.B) {
 	}
 }
 
-// BenchmarkRestrictedVsPerContext (E26) prices the restricted set form —
-// the set-form statement plus "AND x3.elem_id = $ctx", which evaluates one
-// context — against the per-context statement, on the cold dataset, for
-// the property whose builds are keyed by the context and by the
-// minimum-processor run (SublinearSpeedup) and one whose builds are pinned
-// to $t (MeasuredCost). One op executes each form for the same 64 contexts;
-// restricted_ms and per_context_ms are the two halves, and ratio their
-// quotient, the cost of running one statement text for both.
+// BenchmarkRestrictedVsPerContext (E26, E28) prices the restricted set form
+// (sqlgen.CompiledProperty.Restrict: the set-form statement plus
+// "AND x3.elem_id = $r", which evaluates one context) against the
+// per-context statement, on the cold dataset, for the property whose builds
+// are keyed by the context and by the minimum-processor run
+// (SublinearSpeedup) and one whose builds are pinned to $t (MeasuredCost).
+// Both forms are driven as core drives its per-context executions: one op
+// executes each form for the same 64 contexts, in batches of
+// core.DefaultBatchSize bindings (ExecuteBatchContext), all batches of one
+// form under one analysis build table (sqldb.ShareBuilds). restricted_ms and
+// per_context_ms are the two halves and ratio their quotient, the cost of
+// running one statement text for both; buildrows and sharedbuilds are the
+// rows the restricted form's builds read and the builds it served from the
+// table, per op.
 func BenchmarkRestrictedVsPerContext(b *testing.B) {
 	g, db := coldDB(b)
 	one := func(sql string) sqldb.Value {
@@ -908,13 +914,13 @@ func BenchmarkRestrictedVsPerContext(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			per, err := sqlgen.CompileProperty(g.World, name)
+			rcp, err := set.Restrict()
 			if err != nil {
 				b.Fatal(err)
 			}
-			restrictedSQL := set.SQL + " AND x3.elem_id = $ctx"
-			if _, err := sqldb.ParseSQL(restrictedSQL); err != nil {
-				b.Fatalf("the restricted set form does not parse: %v", err)
+			per, err := sqlgen.CompileProperty(g.World, name)
+			if err != nil {
+				b.Fatal(err)
 			}
 			all, err := db.Exec(set.SQL, &sqldb.Params{Named: map[string]sqldb.Value{
 				set.Params[0].Name: run, set.Params[1].Name: basis,
@@ -922,7 +928,7 @@ func BenchmarkRestrictedVsPerContext(b *testing.B) {
 			if err != nil || len(all.Set.Rows) < 64 {
 				b.Fatalf("set form: %v", err)
 			}
-			restricted, err := db.Prepare(restrictedSQL)
+			restricted, err := db.Prepare(rcp.SQL)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -935,7 +941,7 @@ func BenchmarkRestrictedVsPerContext(b *testing.B) {
 			var rParams, pParams []*sqldb.Params
 			for _, row := range all.Set.Rows[:64] {
 				rParams = append(rParams, &sqldb.Params{Named: map[string]sqldb.Value{
-					set.Params[0].Name: run, set.Params[1].Name: basis, "ctx": row[0],
+					set.Params[0].Name: run, set.Params[1].Name: basis, set.Context: row[0],
 				}})
 				pParams = append(pParams, &sqldb.Params{Named: map[string]sqldb.Value{
 					per.Params[0].Name: row[0], per.Params[1].Name: run, per.Params[2].Name: basis,
@@ -943,23 +949,37 @@ func BenchmarkRestrictedVsPerContext(b *testing.B) {
 			}
 			execAll := func(ps *sqldb.PreparedStmt, params []*sqldb.Params) time.Duration {
 				start := time.Now()
-				for _, p := range params {
-					res, err := ps.Execute(p)
-					if err != nil || len(res.Set.Rows) != 1 {
-						b.Fatalf("%v (%+v)", err, res)
+				ctx, closeBuilds := sqldb.ShareBuilds(context.Background())
+				defer closeBuilds()
+				for lo := 0; lo < len(params); lo += core.DefaultBatchSize {
+					results, err := ps.ExecuteBatchContext(ctx, params[lo:min(lo+core.DefaultBatchSize, len(params))])
+					if err != nil {
+						b.Fatal(err)
+					}
+					for _, r := range results {
+						if r.Err != nil || len(r.Res.Set.Rows) != 1 {
+							b.Fatalf("%v (%+v)", r.Err, r.Res)
+						}
 					}
 				}
 				return time.Since(start)
 			}
 			var rTime, pTime time.Duration
+			var rStats sqldb.Stats
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				before := db.Stats()
 				rTime += execAll(restricted, rParams)
+				after := db.Stats()
+				rStats.BuildRows += after.BuildRows - before.BuildRows
+				rStats.SharedBuilds += after.SharedBuilds - before.SharedBuilds
 				pTime += execAll(perContext, pParams)
 			}
 			b.ReportMetric(float64(rTime.Microseconds())/1e3/float64(b.N), "restricted_ms")
 			b.ReportMetric(float64(pTime.Microseconds())/1e3/float64(b.N), "per_context_ms")
 			b.ReportMetric(float64(rTime)/float64(pTime), "ratio")
+			b.ReportMetric(float64(rStats.BuildRows)/float64(b.N), "buildrows")
+			b.ReportMetric(float64(rStats.SharedBuilds)/float64(b.N), "sharedbuilds")
 		})
 	}
 }

@@ -24,7 +24,7 @@ import (
 // of a test run at once: the first — context — parameter is not a marker but
 // the key column of a context relation the statement selects from, and each
 // row is one context's, its object id in a leading "ctx" column before the
-// same c/f/s columns.
+// same c/f/s columns. Restrict narrows it to the context bound under Context.
 //
 // NULL columns arise where the object evaluator would raise an evaluation
 // error (UNIQUE over an empty set, MIN over an empty selection, and so on);
@@ -62,6 +62,26 @@ func (cp *CompiledProperty) Render(dialect string) (build.Rendered, error) {
 		return build.Rendered{}, fmt.Errorf("sqlgen: unknown SQL dialect %q (have %s)", dialect, strings.Join(build.Names(), ", "))
 	}
 	return d.Render(cp.AST)
+}
+
+// Restrict returns the set form restricted to one context: the same tree with
+// one more conjunct, "<context column> = $<Context>", so the statement answers
+// with the row of the context bound under Context alone, its ctx column
+// included. It binds Context besides Params; in a positional-marker dialect
+// that marker comes last.
+func (cp *CompiledProperty) Restrict() (*CompiledProperty, error) {
+	if cp.Context == "" {
+		return nil, fmt.Errorf("sqlgen: property %s: only the set form restricts to a context", cp.Name)
+	}
+	sel := *cp.AST
+	sel.Where = and(sel.Where, eq(sel.Items[0].Expr, param(cp.Context)))
+	r, err := build.Kojakdb.Render(&sel)
+	if err != nil {
+		return nil, fmt.Errorf("sqlgen: property %s: %w", cp.Name, err)
+	}
+	out := *cp
+	out.AST, out.SQL = &sel, r.SQL
+	return &out, nil
 }
 
 // FillPositional populates p.Positional with the named values in marker

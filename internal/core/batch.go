@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"sync"
 
 	"repro/internal/asl/sqlgen"
@@ -27,10 +28,12 @@ import (
 // the same evaluation (evalSQL) and reads the instances it visits.
 //
 // The per-context path is what the set form falls back to, and what runs
-// outright where the set form does not apply. Every context of a property
-// executes the same prepared handle with only the parameters changing, so the
-// analyzer ships them as array-bound batches of up to BatchSize parameter sets
-// (evalSQLCtxs): one round trip per batch. It runs
+// outright where the set form does not apply: the same statement restricted
+// to one context (sqlgen.CompiledProperty.Restrict), whose one row folds as a
+// set-form row. Every context of a property executes the same prepared handle
+// with only the parameters changing, so the analyzer ships them as
+// array-bound batches of up to BatchSize parameter sets (evalSQLCtxs): one
+// round trip per batch. It runs
 //
 //   - for a property whose set statement failed to prepare or to execute, or
 //     did not answer with exactly one well-formed row per planned context —
@@ -125,16 +128,16 @@ func (f *analysisAbort) Err() error {
 	return f.err
 }
 
-// evalSQLCtxs evaluates contexts of one compiled property, writing one
-// Instance per context into out (out[i] belongs to ctxs[i], bindings[i] is
-// its parameter set), in batches of up to BatchSize bindings. Shard losses
-// are recorded in fail as well as diagnosed; once one is recorded, remaining
-// contexts are diagnosed without executing — the analysis is already doomed
-// to abort, and issuing more requests at a dead shard would pay a timeout
-// apiece for a report that will be discarded.
-func (a *Analyzer) evalSQLCtxs(ctx context.Context, c preparedProp, ctxs []instCtx, bindings []*sqldb.Params, out []Instance, fail *analysisAbort) {
-	// A binding mismatch (runPlan.bind) or a statement without a handle
-	// diagnoses the whole group without issuing a single query.
+// evalSQLCtxs evaluates contexts of one property by its restricted statement,
+// writing one Instance per context into out (out[i] belongs to ctxs[i]), in
+// batches of up to BatchSize bindings. Shard losses are recorded in fail as
+// well as diagnosed; once one is recorded, remaining contexts are diagnosed
+// without executing — the analysis is already doomed to abort, and issuing
+// more requests at a dead shard would pay a timeout apiece for a report that
+// will be discarded.
+func (a *Analyzer) evalSQLCtxs(ctx context.Context, c preparedProp, p *planProp, ctxs []instCtx, out []Instance, fail *analysisAbort) {
+	// A statement without a handle diagnoses the whole group without issuing
+	// a single query.
 	if c.err != nil {
 		diagnose(ctxs, out, c.err)
 		return
@@ -148,8 +151,42 @@ func (a *Analyzer) evalSQLCtxs(ctx context.Context, c preparedProp, ctxs []instC
 		if aborted(ctxs[start:], out[start:], fail) {
 			return
 		}
-		a.evalSQLBatch(ctx, c, ctxs[start:end], bindings[start:end], out[start:end], fail)
+		bindings, err := c.bind(p, ctxs[start:end])
+		if err != nil {
+			diagnose(ctxs[start:end], out[start:end], err)
+			continue
+		}
+		a.evalSQLBatch(ctx, c, ctxs[start:end], bindings, out[start:end], fail)
 	}
+}
+
+// bind returns one binding per context, for the restricted statement — the
+// set binding plus the context's id under the context parameter — or, given
+// none, the set statement's batch of one; each filled positionally where the
+// dialect binds by marker order. The plan's set binding is never written.
+// contexts vouched for every signature, so a fill cannot fail; if one did, it
+// would diagnose its contexts.
+func (c *compiledProp) bind(p *planProp, ctxs []instCtx) ([]*sqldb.Params, error) {
+	order := c.restricted.paramOrder
+	if len(ctxs) == 0 {
+		if order = c.whole.paramOrder; order == nil {
+			return p.setBinding, nil
+		}
+	}
+	out := make([]*sqldb.Params, max(len(ctxs), 1))
+	for i := range out {
+		out[i] = &sqldb.Params{Named: p.setBinding[0].Named}
+		if len(ctxs) > 0 {
+			out[i].Named = maps.Clone(out[i].Named)
+			out[i].Named[c.cp.Context] = sqldb.NewInt(ctxs[i].id())
+		}
+		if order != nil {
+			if err := sqlgen.FillPositional(out[i], order); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return out, nil
 }
 
 // diagnose fills every slot with one failure as its diagnostic.
@@ -196,7 +233,7 @@ func (a *Analyzer) evalSQLBatch(ctx context.Context, c preparedProp, ctxs []inst
 			fail.record(results[i].Err)
 			in.Diagnostic = results[i].Err.Error()
 		default:
-			in.Outcome = interpretRow(c.cp, results[i].Set)
+			in.Outcome = interpretRow(c.cp, ictx.id(), results[i].Set)
 		}
 		out[i] = in
 	}
@@ -219,7 +256,11 @@ func (a *Analyzer) evalSQLSet(ctx context.Context, c preparedProp, p *planProp, 
 	if c.err != nil {
 		return false
 	}
-	results, err := c.execBatch(ctx, p.setBinding)
+	bindings, err := c.bind(p, nil)
+	if err != nil {
+		return false
+	}
+	results, err := c.execBatch(ctx, bindings)
 	var set *sqldb.ResultSet
 	if err == nil {
 		set, err = results[0].Set, results[0].Err

@@ -244,10 +244,11 @@ type instCtx struct {
 	// a call site (-1 when the call site has none). [reg, regEnd) is that
 	// region's subtree; without a region it is every region.
 	reg, regEnd int
-	// params carries the argument object ids for the SQL engine, keyed by
-	// parameter name.
-	params *sqldb.Params
 }
+
+// id is the context's object id: the ctx column of its set-form row, and what
+// the restricted statement binds under the context parameter.
+func (c *instCtx) id() int64 { return c.args[0].(*object.Object).ID }
 
 // scope is the slice of a database one analysis looks at: the regions and
 // call sites of one program version, the selected test run, and the ranking
@@ -340,11 +341,6 @@ func (a *Analyzer) contexts(sc *scope, prop string) ([]instCtx, error) {
 			args:   []object.Value{first, sc.run, sc.basis},
 			reg:    span[0],
 			regEnd: span[1],
-			params: &sqldb.Params{Named: map[string]sqldb.Value{
-				sig[0].Name: sqldb.NewInt(first.ID),
-				sig[1].Name: sqldb.NewInt(sc.run.ID),
-				sig[2].Name: sqldb.NewInt(sc.basis.ID),
-			}},
 		}
 	}
 
@@ -446,9 +442,9 @@ func (a *Analyzer) AnalyzeObject(run *model.TestRun) (*Report, error) {
 	return a.AnalyzeObjectCtx(context.Background(), run)
 }
 
-// preparedProp is a compiled property as one analysis executes it: the query
-// and its prepared handle, shared by every context of the property, or why it
-// has none.
+// preparedProp is a compiled property as one analysis executes it: one of its
+// renderings and the prepared handle, shared by every execution of the
+// property in the analysis, or why it has none.
 type preparedProp struct {
 	*compiledProp
 	// err, when set, diagnoses every context of the property without a query
@@ -462,18 +458,19 @@ type preparedProp struct {
 	batch  sqlgen.ContextBatchPreparedQuery
 }
 
-// prepare readies a compiled property for one analysis by preparing its
-// query. Sharded executors (sqlgen.RoutedPreparer) are handed the property's
-// run parameter so every execution routes to the shard owning its context's
-// run. A refused prepare, or a handle without sqlgen.ContextBatchPreparedQuery,
-// becomes the property's diagnostic: errors never abort a run.
-func (c *compiledProp) prepare(preparer sqlgen.QueryPreparer) preparedProp {
+// prepare readies one rendering of a compiled property for one analysis by
+// preparing it. Sharded executors (sqlgen.RoutedPreparer) are handed the
+// property's run parameter so every execution routes to the shard owning its
+// context's run. A refused prepare, or a handle without
+// sqlgen.ContextBatchPreparedQuery, becomes the property's diagnostic: errors
+// never abort a run.
+func (c *compiledProp) prepare(preparer sqlgen.QueryPreparer, sql string) preparedProp {
 	p := preparedProp{compiledProp: c}
 	var pq sqlgen.PreparedQuery
 	if rp, ok := preparer.(sqlgen.RoutedPreparer); ok {
-		pq, p.err = rp.PrepareRoutedQuery(c.sql, c.runParam)
+		pq, p.err = rp.PrepareRoutedQuery(sql, c.runParam)
 	} else {
-		pq, p.err = preparer.PrepareQuery(c.sql)
+		pq, p.err = preparer.PrepareQuery(sql)
 	}
 	if p.err != nil {
 		return p
@@ -556,10 +553,11 @@ type QueryExec = sqlgen.QueryExecutor
 // set form: one statement whose contexts are a relation, executed once per
 // analysis as a batch of one binding, and answering with one row per context
 // (see batch.go). A property whose set statement fails, or does not answer for
-// exactly its planned contexts, is evaluated per context instead, in batches
-// of up to BatchSize bindings; WithBatchSize(1) evaluates every property so,
-// one binding per batch. Reports are byte-identical across all execution
-// modes, diagnostics included.
+// exactly its planned contexts, is evaluated per context instead — the same
+// statement restricted to one context — in batches of up to BatchSize
+// bindings; WithBatchSize(1) evaluates every property so, one binding per
+// batch. Reports are byte-identical across all execution modes, diagnostics
+// included.
 //
 // Queries are issued from the worker pool when q is safe for concurrent use
 // (godbc.Pool keeps one connection per in-flight query; godbc.Embedded
@@ -602,9 +600,6 @@ func (a *Analyzer) evalSQL(ctx context.Context, pl *runPlan, preparer sqlgen.Que
 			return nil, err
 		}
 	}
-	if err := pl.bind(compiled); err != nil {
-		return nil, err
-	}
 	props := make([]preparedProp, 0, len(compiled))
 	defer func() {
 		for _, c := range props {
@@ -616,11 +611,11 @@ func (a *Analyzer) evalSQL(ctx context.Context, pl *runPlan, preparer sqlgen.Que
 	for i := range compiled {
 		c, p := &compiled[i], &pl.props[i]
 		if a.BatchSize() > 1 && p.n > 0 {
-			props = append(props, c.set.prepare(preparer))
+			props = append(props, c.prepare(preparer, c.whole.sql))
 			units = append(units, chunk{prop: i, start: p.start, n: p.n, set: true})
 			continue
 		}
-		props = append(props, c.prepare(preparer))
+		props = append(props, c.prepare(preparer, c.restricted.sql))
 		units = append(units, p.chunks...)
 	}
 	instances := make([]Instance, len(pl.ctxs))
@@ -630,22 +625,24 @@ func (a *Analyzer) evalSQL(ctx context.Context, pl *runPlan, preparer sqlgen.Que
 	bctx, closeBuilds := sqldb.ShareBuilds(ctx)
 	runPool(workers, len(units), func(_, ui int) {
 		u := units[ui]
-		end := u.start + u.n
-		ctxs, bindings, out := pl.ctxs[u.start:end], pl.bindings[u.start:end], instances[u.start:end]
+		end, p := u.start+u.n, &pl.props[u.prop]
+		ctxs, out := pl.ctxs[u.start:end], instances[u.start:end]
 		if !u.set {
-			a.evalSQLCtxs(bctx, props[u.prop], ctxs, bindings, out, fail)
+			a.evalSQLCtxs(bctx, props[u.prop], p, ctxs, out, fail)
 			return
 		}
-		if a.evalSQLSet(bctx, props[u.prop], &pl.props[u.prop], ctxs, out, fail) {
+		if a.evalSQLSet(bctx, props[u.prop], p, ctxs, out, fail) {
 			return
 		}
 		// The set statement did not prepare, failed or came back malformed:
-		// the per-context path says which contexts are to blame.
+		// the restricted statement, per context, says which contexts are to
+		// blame.
 		a.setFallbacks.Add(1)
-		a.lastFallback.Store(&pl.props[u.prop].name)
-		per := compiled[u.prop].prepare(preparer)
+		a.lastFallback.Store(&p.name)
+		c := &compiled[u.prop]
+		per := c.prepare(preparer, c.restricted.sql)
 		defer per.close()
-		a.evalSQLCtxs(bctx, per, ctxs, bindings, out, fail)
+		a.evalSQLCtxs(bctx, per, p, ctxs, out, fail)
 	})
 	closeBuilds()
 	// A lost shard aborts the analysis: a report missing one shard's answers
@@ -671,13 +668,18 @@ func queryPreparer(q QueryExec) (sqlgen.QueryPreparer, error) {
 	return p, nil
 }
 
-// interpretRow folds the result of a per-context property query — a single
-// row — into an Outcome.
-func interpretRow(cp *sqlgen.CompiledProperty, set *sqldb.ResultSet) Outcome {
+// interpretRow folds the answer of a restricted statement into an Outcome:
+// exactly one row, the bound context's, whose columns after ctx fold as a
+// set-form row does.
+func interpretRow(cp *sqlgen.CompiledProperty, id int64, set *sqldb.ResultSet) Outcome {
 	if len(set.Rows) != 1 {
 		return Outcome{Diagnostic: fmt.Sprintf("compiled query returned %d rows", len(set.Rows))}
 	}
-	return foldRow(cp, set.Rows[0])
+	row := set.Rows[0]
+	if len(row) == 0 || !row[0].IsInt() || row[0].Int() != id {
+		return Outcome{Diagnostic: "compiled query answered for another context"}
+	}
+	return foldRow(cp, row[1:])
 }
 
 // rowWidth is the number of condition, confidence and severity columns of a
@@ -688,8 +690,8 @@ func rowWidth(cp *sqlgen.CompiledProperty) int {
 
 // foldRow folds one context's condition, confidence and severity columns into
 // an Outcome, applying the condition/guard semantics of the ASL evaluator. It
-// is the one row-folding function of the per-context and the set path (which
-// hands it the row without its leading ctx column), and allocates nothing.
+// is the one row-folding function of the per-context and the set path, which
+// both hand it a row without its leading ctx column, and allocates nothing.
 func foldRow(cp *sqlgen.CompiledProperty, row sqldb.Row) Outcome {
 	var out Outcome
 	nc := len(cp.CondLabels)

@@ -2,9 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
-	"repro/internal/asl/object"
 	"repro/internal/asl/sem"
 	"repro/internal/asl/sqlgen"
 	"repro/internal/model"
@@ -14,22 +12,23 @@ import (
 
 // The evaluation plan. Everything an analysis derives from (graph, options,
 // run) alone is the same on every analysis of that run: the enumerated
-// instances with their labels and parameter sets, the positional fill of a
-// positional-marker dialect, and the batch layout. The Analyzer builds it
-// once per run and every later analysis of the run — the tuning cycle's
-// repeats, every tenant of the resident service — reads it.
-// What depends on (graph, options) only — each property's compiled and
-// rendered queries, per-context and set form, with the constant overrides
-// inlined as the literals the analyzer's world declares — is built once per
-// Analyzer (compiledProps).
+// instances with their labels, each property's set binding (the run and the
+// ranking basis) and context index, and the per-context batch layout. The
+// Analyzer builds it once per run and every later analysis of the run — the
+// tuning cycle's repeats, every tenant of the resident service — reads it.
+// What depends on (graph, options) only — each property's one compiled
+// statement, the set form, rendered whole and restricted to one context, with
+// the constant overrides inlined as the literals the analyzer's world
+// declares — is built once per Analyzer (compiledProps).
 // Options are only applied in New and the graph is immutable, so neither ever
 // goes stale; what a plan retains is bounded by the runs of the one graph the
-// Analyzer holds. A plan is read-only once published: the parameter sets in
+// Analyzer holds. A plan is read-only once published: the set bindings in
 // particular are shared by concurrent analyses and handed to executors as
 // they are.
 //
 // Per analysis there remain the prepared handles (they belong to the
-// executor), the []Instance and the report.
+// executor), the bindings of whatever runs per context (compiledProp.bind),
+// the []Instance and the report.
 
 // runPlan is the evaluation plan of one run.
 type runPlan struct {
@@ -38,14 +37,8 @@ type runPlan struct {
 	// ctxs lists every property instance in the canonical (property order ×
 	// context order) sequence — the merge order of the parallel pipeline:
 	// instance i is written to slot i of the result, so the output is
-	// identical for any worker count. bindings[i] is ctxs[i].params, kept
-	// flat so a chunk's bindings are a subslice.
-	ctxs     []instCtx
-	bindings []*sqldb.Params
-	// The SQL engines' half, made by the run's first SQL analysis (bind); the
-	// object engine neither waits for it nor reads a parameter set.
-	bindOnce sync.Once
-	bindErr  error
+	// identical for any worker count.
+	ctxs []instCtx
 }
 
 // planProp delimits one property's instances in runPlan.ctxs and holds its
@@ -109,61 +102,41 @@ func (a *Analyzer) buildPlan(sc *scope) (*runPlan, error) {
 		}}}
 		p.index = make(map[int64]int, len(ctxs))
 		for k, c := range ctxs {
-			p.index[c.args[0].(*object.Object).ID] = k
+			p.index[c.id()] = k
 		}
 		pl.props[i] = p
 		pl.ctxs = append(pl.ctxs, ctxs...)
 	}
-	pl.bindings = make([]*sqldb.Params, len(pl.ctxs))
-	for i := range pl.ctxs {
-		pl.bindings[i] = pl.ctxs[i].params
-	}
 	return pl, nil
 }
 
-// bind fills, when the dialect renders positional markers, each execution's
-// positional slice from its named bindings in marker order — the one write a
-// parameter set ever sees, made once, before any SQL analysis reads the set.
-// contexts vouched for every property's signature, so each binding names
-// exactly the parameters its statement's markers do, and a fill cannot fail;
-// if one did, it would be the analysis's error.
-func (pl *runPlan) bind(compiled []compiledProp) error {
-	pl.bindOnce.Do(func() {
-		for i, p := range pl.props {
-			c := &compiled[i]
-			if pl.bindErr = c.fill(pl.bindings[p.start : p.start+p.n]); pl.bindErr != nil {
-				return
-			}
-			if pl.bindErr = c.set.fill(p.setBinding); pl.bindErr != nil {
-				return
-			}
-		}
-	})
-	return pl.bindErr
-}
-
-// compiledProp is one property's compiled query: the SQL text (rendered in
-// the analyzer's dialect) and the compiler's column layout. It depends on
-// nothing but the graph and the options, so the Analyzer makes one per
-// property and every plan and analysis shares it.
+// compiledProp is one property's compiled statement, the set form, and its
+// two renderings in the analyzer's dialect. It depends on nothing but the
+// graph and the options, so the Analyzer makes one per property and every
+// plan and analysis shares it.
 type compiledProp struct {
-	sql string
-	cp  *sqlgen.CompiledProperty
-	// paramOrder is the rendered marker order of a positional-marker dialect;
-	// nil for named-marker dialects (kojakdb, oracle7).
-	paramOrder []string
+	cp *sqlgen.CompiledProperty
+	// whole answers for every context of a run; restricted is the same
+	// statement narrowed to the context bound under cp.Context
+	// (sqlgen.CompiledProperty.Restrict), what runs per context.
+	whole, restricted stmt
 	// runParam names the property's TestRun parameter (its second, as
 	// contexts vouched), the routing key of sharded executors: every
 	// execution goes to the shard owning the run bound under this name.
 	runParam string
-	// err says why the property has no query.
+	// err says why the property has no statement.
 	err error
-	// set is the property's set form: one statement answering for every
-	// context of a run, see sqlgen.CompilePropertySet.
-	set *compiledProp
 }
 
-// compiledProps returns the compiled queries in the analyzer's property
+// stmt is one rendering of a compiled statement.
+type stmt struct {
+	sql string
+	// paramOrder is the rendered marker order of a positional-marker dialect;
+	// nil for named-marker dialects (kojakdb, oracle7).
+	paramOrder []string
+}
+
+// compiledProps returns the compiled statements in the analyzer's property
 // order, compiling them on the first SQL analysis.
 func (a *Analyzer) compiledProps() []compiledProp {
 	a.compileOnce.Do(func() {
@@ -175,61 +148,38 @@ func (a *Analyzer) compiledProps() []compiledProp {
 	return a.compiled
 }
 
-// compileProp compiles a property for the SQL engines: the per-context query
-// and the set form, over the containment path of its context class. Either
-// failing to compile or render is the property's error.
+// compileProp compiles a property's set form over the containment path of its
+// context class and renders it whole and restricted. Failing to compile or
+// render is the property's error.
 func (a *Analyzer) compileProp(prop string) compiledProp {
-	cp, err := sqlgen.CompileProperty(a.world, prop)
-	if err != nil {
-		return compiledProp{err: fmt.Errorf("core: compiling %s: %w", prop, err)}
-	}
-	c := a.renderProp(cp)
-	if c.err != nil {
-		return c
-	}
 	// contexts vouched for a Region or FunctionCall context, and each has a
 	// containment path.
-	path := contextPaths[cp.Params[0].Type.(*sem.Class).Name]
-	scp, err := sqlgen.CompilePropertySet(a.world, prop, path)
+	sig := a.world.Props[prop].Params
+	cp, err := sqlgen.CompilePropertySet(a.world, prop, contextPaths[sig[0].Type.(*sem.Class).Name])
 	if err != nil {
 		return compiledProp{err: fmt.Errorf("core: compiling the set form of %s: %w", prop, err)}
 	}
-	set := a.renderProp(scp)
-	if set.err != nil {
-		return set
+	c := compiledProp{cp: cp, runParam: sig[1].Name}
+	rcp, err := cp.Restrict()
+	if err != nil {
+		return compiledProp{err: fmt.Errorf("core: compiling %s: %w", prop, err)}
 	}
-	c.set = &set
+	if c.whole, c.err = a.render(cp); c.err == nil {
+		c.restricted, c.err = a.render(rcp)
+	}
 	return c
 }
 
-// renderProp spells a compiled statement in the analyzer's dialect.
-func (a *Analyzer) renderProp(cp *sqlgen.CompiledProperty) compiledProp {
+// render spells a compiled statement in the analyzer's dialect.
+func (a *Analyzer) render(cp *sqlgen.CompiledProperty) (stmt, error) {
 	// The canonical dialect's rendering is cp.SQL itself — reuse it so the
 	// default path pays no render and keeps the exact plan-cache text.
-	sql := cp.SQL
-	var paramOrder []string
-	if a.dialect != "" && a.dialect != build.Kojakdb.Name {
-		r, err := cp.Render(a.dialect)
-		if err != nil {
-			return compiledProp{err: fmt.Errorf("core: rendering %s: %w", cp.Name, err)}
-		}
-		sql = r.SQL
-		paramOrder = r.ParamOrder
+	if a.dialect == "" || a.dialect == build.Kojakdb.Name {
+		return stmt{sql: cp.SQL}, nil
 	}
-	runParam := a.world.Props[cp.Name].Params[1].Name
-	return compiledProp{sql: sql, cp: cp, runParam: runParam, paramOrder: paramOrder}
-}
-
-// fill fills the positional slices of one statement's executions (see
-// runPlan.bind); a named-marker dialect has nothing to fill.
-func (c *compiledProp) fill(bindings []*sqldb.Params) error {
-	if c.paramOrder == nil {
-		return nil
+	r, err := cp.Render(a.dialect)
+	if err != nil {
+		return stmt{}, fmt.Errorf("core: rendering %s: %w", cp.Name, err)
 	}
-	for _, params := range bindings {
-		if err := sqlgen.FillPositional(params, c.paramOrder); err != nil {
-			return err
-		}
-	}
-	return nil
+	return stmt{sql: r.SQL, paramOrder: r.ParamOrder}, nil
 }

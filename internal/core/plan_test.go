@@ -15,8 +15,8 @@ import (
 // The evaluation plan (plan.go) is built once per run and shared by every
 // later analysis of it, concurrent ones included. These tests hold it to
 // that: the reports of a long-lived analyzer are those of a fresh one, the
-// shared parameter sets are never written after the plan is published (the
-// race detector watches the positional fill in particular), a second analysis
+// shared set bindings are never written after the plan is published (the race
+// detector watches the positional fill, which fills copies), a second analysis
 // allocates per request and not per instance, and the client-side engine
 // reads the same plan as every other engine.
 
@@ -87,10 +87,11 @@ func TestPlanReusedAcrossAnalyses(t *testing.T) {
 	}
 }
 
-// TestObjectEngineCompilesNothing: the compiled queries belong to the
+// TestObjectEngineCompilesNothing: the compiled statements belong to the
 // analyzer, not to a plan, and only the SQL engines make them. A plan the
-// object engine built is bound (and, for ansi, positionally filled) by the
-// run's first SQL analysis while object analyses keep reading it.
+// object engine built serves the run's SQL analyses as it is — for ansi too,
+// whose positional bindings are filled per execution — while object analyses
+// keep reading it.
 func TestObjectEngineCompilesNothing(t *testing.T) {
 	g := buildGraph(t, apprentice.Particles())
 	db := loadDB(t, g)

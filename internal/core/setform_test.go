@@ -397,3 +397,33 @@ func TestSetFormTwoShards(t *testing.T) {
 		}
 	}
 }
+
+// TestInterpretRowChecksTheContext: a restricted statement's answer folds
+// only as exactly one row, the bound context's, read without its ctx column;
+// anything else is that context's diagnostic.
+func TestInterpretRowChecksTheContext(t *testing.T) {
+	path, _ := ContextPath("Region")
+	cp, err := sqlgen.CompilePropertySet(model.MustCompileSpec(), "MeasuredCost", path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// MeasuredCost answers c0, f0, s0 after ctx.
+	row := func(ctx int64) sqldb.Row {
+		return sqldb.Row{sqldb.NewInt(ctx), sqldb.NewBool(true), sqldb.NewInt(1), sqldb.NewFloat(0.5)}
+	}
+	for _, tc := range []struct {
+		rows []sqldb.Row
+		want Outcome
+	}{
+		{[]sqldb.Row{row(7)}, Outcome{Holds: true, Confidence: 1, Severity: 0.5}},
+		{nil, Outcome{Diagnostic: "compiled query returned 0 rows"}},
+		{[]sqldb.Row{row(7), row(7)}, Outcome{Diagnostic: "compiled query returned 2 rows"}},
+		{[]sqldb.Row{row(8)}, Outcome{Diagnostic: "compiled query answered for another context"}},
+		{[]sqldb.Row{{}}, Outcome{Diagnostic: "compiled query answered for another context"}},
+		{[]sqldb.Row{row(7)[:3]}, Outcome{Diagnostic: "compiled query returned wrong column count"}},
+	} {
+		if got := interpretRow(cp, 7, &sqldb.ResultSet{Rows: tc.rows}); got != tc.want {
+			t.Errorf("rows %v: %+v, want %+v", tc.rows, got, tc.want)
+		}
+	}
+}

@@ -352,6 +352,20 @@ func engineDiffSeeds(tb testing.TB) []diffSeed {
 	for _, name := range names {
 		add(compileSet(tb, w, name).SQL, run, basis, int64(3))
 	}
+	// The same, each restricted to the first context the set form answers
+	// for: the statement core runs per context. Its marker comes last.
+	for _, name := range names {
+		cp := compileSet(tb, w, name)
+		rcp, err := cp.Restrict()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		res, err := diffDB(tb).Exec(cp.SQL, bindParams(cp.SQL, run, basis, 0))
+		if err != nil || len(res.Set.Rows) == 0 {
+			tb.Fatalf("%s: set form: %v", name, err)
+		}
+		add(rcp.SQL, run, basis, res.Set.Rows[0][0].Int())
+	}
 	add(`SELECT (SELECT x.w FROM fuzz_aux x WHERE x.id = $r AND x.v = $basis) / (SELECT MAX(y.w) FROM fuzz_aux y WHERE y.v = $basis)`, int64(1), int64(10), int64(4))
 	for _, s := range probeKeyedSeeds {
 		add(s.sql, s.p[0], s.p[1], s.p[2])
