@@ -88,6 +88,11 @@ func (s *sharedStmt) execBatch(ctx context.Context, bindings []*Params, out []Ba
 		// lock is held for the whole batch, so no DML can move the versions
 		// between the first lookup and the last store, and a stored result is
 		// never stamped newer than the rows it was computed from.
+		//
+		// A batch of several bindings that runs under no analysis build
+		// table — over the wire, or from a caller that opened none — opens
+		// one at its first miss, so its bindings share the builds they make
+		// as an analysis's statements do (ShareBuilds).
 		var buf [keyBufSize]byte
 		key := buf[:0]
 		builds := buildTableOf(ctx)
@@ -103,6 +108,11 @@ func (s *sharedStmt) execBatch(ctx context.Context, bindings []*Params, out []Ba
 					out[i] = BatchResult{Res: &Result{Set: set, Cached: true}}
 					continue
 				}
+			}
+			if builds == nil && len(bindings) > 1 {
+				bctx, closeBuilds := ShareBuilds(ctx)
+				defer closeBuilds()
+				builds = buildTableOf(bctx)
 			}
 			ec := &execCtx{db: db, params: params, plan: plan, builds: builds}
 			set, err := ec.execSelect(st, nil)

@@ -356,3 +356,52 @@ func TestSharedBuildsSingleFlight(t *testing.T) {
 		}
 	}
 }
+
+// TestBatchSharesBuildsWithoutTable: a batch of several bindings run under
+// no build table opens its own, so the build its first binding makes, the
+// others probe — each answering as it does alone. A batch of one binding
+// opens none, and a batch under a table uses that table.
+func TestBatchSharesBuildsWithoutTable(t *testing.T) {
+	db := shareDB(t, 5, 6, 7)
+	const sql = `SELECT o.id, (SELECT SUM(t.x) FROM t WHERE t.g = o.g) FROM o WHERE o.id > $m ORDER BY o.id`
+	ps, err := db.Prepare(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ps.Close()
+	var bindings []*sqldb.Params
+	var alone []outcome
+	for m := range 3 {
+		p := &sqldb.Params{Named: map[string]sqldb.Value{"m": sqldb.NewInt(int64(m))}}
+		bindings = append(bindings, p)
+		alone = append(alone, runStmt(t, context.Background(), db, sql, p))
+	}
+	batch := func(ctx context.Context, bindings []*sqldb.Params) (shared int64) {
+		t.Helper()
+		before := db.Stats()
+		res, err := ps.ExecuteBatchContext(ctx, bindings)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range res {
+			if r.Err != nil || !reflect.DeepEqual(r.Res.Set, alone[i].set) {
+				t.Errorf("binding %d: %+v, alone %+v", i, r, alone[i])
+			}
+		}
+		return db.Stats().SharedBuilds - before.SharedBuilds
+	}
+	if n := batch(context.Background(), bindings); n != 2 {
+		t.Errorf("batch of 3 without a table: %d shared builds, want 2", n)
+	}
+	if n := batch(context.Background(), bindings[:1]); n != 0 {
+		t.Errorf("batch of 1 without a table: %d shared builds, want 0", n)
+	}
+	ctx, done := sqldb.ShareBuilds(context.Background())
+	defer done()
+	if n := batch(ctx, bindings[:1]); n != 0 {
+		t.Errorf("first batch under a table: %d shared builds, want 0", n)
+	}
+	if n := batch(ctx, bindings); n != 3 {
+		t.Errorf("second batch under the table: %d shared builds, want 3", n)
+	}
+}

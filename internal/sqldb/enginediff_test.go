@@ -87,6 +87,13 @@ var fuzzAux = []string{
 	`INSERT INTO fuzz_aux (id, v, w, s, b) VALUES (3, 30, NULL, NULL, TRUE)`,
 	`INSERT INTO fuzz_aux (id, v, w, s, b) VALUES (4, 10, 4.0, 'alpha', NULL)`,
 	`INSERT INTO fuzz_aux (id, v, w, s, b) VALUES (5, NULL, NULL, 'gamma', NULL)`,
+	// Build keys for every layout of a build side: negative, sparse, NULL,
+	// BOOLEAN, a second component g, and two beyond 2^53 (row 5) and at it
+	// (row 8), which Compare's float64 conversion makes equal.
+	`CREATE TABLE fuzz_keys (id INTEGER PRIMARY KEY, k INTEGER, b BOOLEAN, g INTEGER, w REAL)`,
+	`INSERT INTO fuzz_keys (id, k, b, g, w) VALUES (1, -5, TRUE, 1, 1.5), (2, -3, FALSE, 1, 2.5),
+		(3, 100000, TRUE, 2, 3.5), (4, -5, NULL, 2, 4.5), (5, 9007199254740993, TRUE, 1, 5.5),
+		(6, NULL, FALSE, NULL, 6.5), (7, 1000000000, TRUE, 1, 7.5), (8, 9007199254740992, FALSE, 2, 8.5)`,
 }
 
 // bindParams builds actual parameters for a query from three fuzz-controlled
@@ -377,25 +384,36 @@ func engineDiffSeeds(tb testing.TB) []diffSeed {
 // builds are seeded by the values their probes carry — through the
 // junction's owner key or the timing table's run key — or rebuilt by scan,
 // where a second probe of the same build asks for a value the first did not
-// read. Run as seeds, each must fall back 0 times and seed the junction as
-// listed: the rows each build scan of Region_TotTimes reads (12 is a scan).
+// read, and seeds whose build keys take each layout of a build side. Run as
+// seeds, each must fall back as many times as listed (replays count) and
+// seed the junction as listed: the rows each build scan of Region_TotTimes
+// reads (12 is a scan).
 var probeKeyedSeeds = []struct {
 	name, sql string
 	p         [3]int64
 	seeds     []int
+	fallbacks int64
 }{
 	// Run 4 reaches six timing rows, the owners all twelve junction rows;
 	// the minimum-run build scans.
-	{"probe-keyed-join-key", `SELECT x.elem_id, (SELECT t.Incl FROM Region_TotTimes j JOIN TotalTiming t ON t.id = j.elem_id WHERE j.owner_id = x.elem_id AND t.Run_id = (SELECT MIN(u.Run_id) FROM Region_TotTimes k JOIN TotalTiming u ON u.id = k.elem_id WHERE k.owner_id = x.elem_id)) FROM Function_Regions x ORDER BY x.elem_id`, [3]int64{1, 2, 3}, []int{12, 6}},
+	{"probe-keyed-join-key", `SELECT x.elem_id, (SELECT t.Incl FROM Region_TotTimes j JOIN TotalTiming t ON t.id = j.elem_id WHERE j.owner_id = x.elem_id AND t.Run_id = (SELECT MIN(u.Run_id) FROM Region_TotTimes k JOIN TotalTiming u ON u.id = k.elem_id WHERE k.owner_id = x.elem_id)) FROM Function_Regions x ORDER BY x.elem_id`, [3]int64{1, 2, 3}, []int{12, 6}, 0},
 	// One context: the owner reaches two rows in both builds.
-	{"probe-keyed-from-key", `SELECT x.elem_id, (SELECT t.Incl FROM Region_TotTimes j JOIN TotalTiming t ON t.id = j.elem_id WHERE j.owner_id = x.elem_id AND t.Run_id = (SELECT MIN(u.Run_id) FROM Region_TotTimes k JOIN TotalTiming u ON u.id = k.elem_id WHERE k.owner_id = x.elem_id)) FROM Function_Regions x WHERE x.elem_id = $k ORDER BY x.elem_id`, [3]int64{12, 2, 3}, []int{2, 2}},
+	{"probe-keyed-from-key", `SELECT x.elem_id, (SELECT t.Incl FROM Region_TotTimes j JOIN TotalTiming t ON t.id = j.elem_id WHERE j.owner_id = x.elem_id AND t.Run_id = (SELECT MIN(u.Run_id) FROM Region_TotTimes k JOIN TotalTiming u ON u.id = k.elem_id WHERE k.owner_id = x.elem_id)) FROM Function_Regions x WHERE x.elem_id = $k ORDER BY x.elem_id`, [3]int64{12, 2, 3}, []int{2, 2}, 0},
 	// The guarded probe asks for run 4, the unguarded one for run 5 too: the
 	// build is rebuilt by scan.
-	{"probe-keyed-rebuilds", `SELECT x.elem_id, r.id, r.id = (SELECT MIN(q.id) FROM TestRun q) AND (SELECT t.Incl FROM Region_TotTimes j JOIN TotalTiming t ON t.id = j.elem_id WHERE j.owner_id = x.elem_id AND t.Run_id = r.id) > 1, (SELECT t.Incl FROM Region_TotTimes j JOIN TotalTiming t ON t.id = j.elem_id WHERE j.owner_id = x.elem_id AND t.Run_id = r.id) FROM Function_Regions x JOIN TestRun r ON r.id > 0 ORDER BY x.elem_id, r.id`, [3]int64{1, 2, 3}, []int{6, 12}},
+	{"probe-keyed-rebuilds", `SELECT x.elem_id, r.id, r.id = (SELECT MIN(q.id) FROM TestRun q) AND (SELECT t.Incl FROM Region_TotTimes j JOIN TotalTiming t ON t.id = j.elem_id WHERE j.owner_id = x.elem_id AND t.Run_id = r.id) > 1, (SELECT t.Incl FROM Region_TotTimes j JOIN TotalTiming t ON t.id = j.elem_id WHERE j.owner_id = x.elem_id AND t.Run_id = r.id) FROM Function_Regions x JOIN TestRun r ON r.id > 0 ORDER BY x.elem_id, r.id`, [3]int64{1, 2, 3}, []int{6, 12}, 0},
 	// A NULL run matches nothing and reads nothing.
-	{"probe-keyed-null-component", `SELECT x.elem_id, o.id, (SELECT COUNT(*) FROM Region_TotTimes j JOIN TotalTiming t ON t.id = j.elem_id WHERE j.owner_id = x.elem_id AND t.Run_id = (SELECT r.id FROM TestRun r WHERE r.NoPe = o.id)) FROM Function_Regions x JOIN fuzz_aux o ON o.id <> 4 ORDER BY x.elem_id, o.id`, [3]int64{1, 2, 3}, []int{6}},
+	{"probe-keyed-null-component", `SELECT x.elem_id, o.id, (SELECT COUNT(*) FROM Region_TotTimes j JOIN TotalTiming t ON t.id = j.elem_id WHERE j.owner_id = x.elem_id AND t.Run_id = (SELECT r.id FROM TestRun r WHERE r.NoPe = o.id)) FROM Function_Regions x JOIN fuzz_aux o ON o.id <> 4 ORDER BY x.elem_id, o.id`, [3]int64{1, 2, 3}, []int{6}, 0},
 	// The residual divides: the build is not quiet and scans.
-	{"probe-keyed-unquiet-residual", `SELECT x.elem_id, (SELECT t.Incl FROM Region_TotTimes j JOIN TotalTiming t ON t.id = j.elem_id WHERE j.owner_id = x.elem_id AND 1 / t.Incl > 0 AND t.Run_id = $t) FROM Function_Regions x WHERE x.elem_id < $k ORDER BY x.elem_id`, [3]int64{4, 12, 3}, []int{12}},
+	{"probe-keyed-unquiet-residual", `SELECT x.elem_id, (SELECT t.Incl FROM Region_TotTimes j JOIN TotalTiming t ON t.id = j.elem_id WHERE j.owner_id = x.elem_id AND 1 / t.Incl > 0 AND t.Run_id = $t) FROM Function_Regions x WHERE x.elem_id < $k ORDER BY x.elem_id`, [3]int64{4, 12, 3}, []int{12}, 0},
+	// Keys spread over far more slots than rows: the build spills to its
+	// map. Probes outside the slot array find nothing.
+	{"build-keys-sparse", `SELECT o.id, (SELECT SUM(i.w) FROM fuzz_keys i WHERE i.k = o.k AND i.id <> 5) FROM fuzz_keys o WHERE o.id <> 5 ORDER BY o.id`, [3]int64{1, 2, 3}, nil, 0},
+	{"build-keys-negative", `SELECT o.id, (SELECT COUNT(*) FROM fuzz_keys i WHERE i.k = o.k AND i.k < $k) FROM fuzz_keys o WHERE o.id <> 5 ORDER BY o.id`, [3]int64{0, 2, 3}, nil, 0},
+	{"build-keys-boolean", `SELECT o.id, (SELECT MIN(i.w) FROM fuzz_keys i WHERE i.b = o.b) FROM fuzz_keys o ORDER BY o.id`, [3]int64{1, 2, 3}, nil, 0},
+	{"build-keys-two-components", `SELECT o.id, (SELECT MAX(i.w) FROM fuzz_keys i WHERE i.g = o.g AND i.b = o.b) FROM fuzz_keys o ORDER BY o.id`, [3]int64{1, 2, 3}, nil, 0},
+	// A build key beyond 2^53 replays: Compare equates it with 2^53.
+	{"build-keys-beyond-2^53", `SELECT o.id, (SELECT COUNT(*) FROM fuzz_keys i WHERE i.k = o.k) FROM fuzz_keys o ORDER BY o.id`, [3]int64{1, 2, 3}, nil, 1},
 }
 
 // checkProbeKeyed runs sql again on the vectorized engine where it is a
@@ -422,8 +440,8 @@ func checkProbeKeyed(t *testing.T, db *sqldb.DB, sql string, p [3]int64, params 
 		if err != nil {
 			t.Fatalf("%s: %v", s.name, err)
 		}
-		if n := after.VecFallbacks - before.VecFallbacks; n != 0 {
-			t.Errorf("%s: %d fallbacks: %+v", s.name, n, after.VecFallbackReasons)
+		if n := after.VecFallbacks - before.VecFallbacks; n != s.fallbacks {
+			t.Errorf("%s: %d fallbacks, want %d: %+v", s.name, n, s.fallbacks, after.VecFallbackReasons)
 		}
 		if !reflect.DeepEqual(seeds, s.seeds) {
 			t.Errorf("%s: junction seeds %v, want %v", s.name, seeds, s.seeds)

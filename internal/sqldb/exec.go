@@ -727,9 +727,7 @@ func (sp *selectPlan) seedKeys(ka keyAccess, ix *hashIndex, vals []Value, buf []
 	n := len(buf)
 	if ka.join < 0 {
 		for _, v := range vals {
-			for _, p := range ix.get(v) {
-				buf = append(buf, int32(p))
-			}
+			buf = append(buf, ix.get(v)...)
 		}
 		if len(vals) == 1 {
 			return buf // one index entry: ascending already
@@ -742,10 +740,8 @@ func (sp *selectPlan) seedKeys(ka keyAccess, ix *hashIndex, vals []Value, buf []
 				continue
 			}
 			for _, p := range ix.get(v) {
-				if k := keys.value(p); !k.IsNull() {
-					for _, q := range fx.get(k) {
-						buf = append(buf, int32(q))
-					}
+				if k := keys.value(int(p)); !k.IsNull() {
+					buf = append(buf, fx.get(k)...)
 				}
 			}
 		}
@@ -837,7 +833,8 @@ func (ec *execCtx) join(fr *frame, tuples []tuple, jbt *boundTable, jp *joinPlan
 			if key.IsNull() {
 				continue
 			}
-			for _, pos := range idx.get(key) {
+			for _, p := range idx.get(key) {
+				pos := int(p)
 				ok, err := ec.checkConjuncts(rest, fr, tp, jbt, pos)
 				if err != nil {
 					return nil, err

@@ -151,12 +151,7 @@ func (t *Table) createIndex(col int) {
 // buildIndex computes a hash index over one column from the column vector.
 // Caller holds t.mu exclusively (or the exclusive DB statement lock).
 func (t *Table) buildIndex(col int) *hashIndex {
-	idx := newHashIndex(t.Columns[col].Type)
-	cv := t.cols[col]
-	for pos := 0; pos < t.nrows; pos++ {
-		idx.add(cv.value(pos), pos)
-	}
-	return idx
+	return buildHashIndex(t.cols[col], t.nrows)
 }
 
 // updateRows is the write phase of an UPDATE, shared by both engines: row

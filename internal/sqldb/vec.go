@@ -72,6 +72,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // Engine names accepted by DB.SetEngine.
@@ -217,13 +218,13 @@ type vecCtx struct {
 	callCols []*vcol
 	callArgs []Value
 	// builds holds the build sides of the execution's decorrelated
-	// subqueries, by the slot the compiler gave each (corrBuildPlan.slot);
-	// their hash maps survive release, emptied, for the next execution. A
-	// slot may instead point at the build an analysis's build table holds
+	// subqueries, by the slot the compiler gave each (corrBuildPlan.slot),
+	// nil until the first probe takes it from its plan (corrBuildPlan.spare).
+	// A build may instead point at the one an analysis's build table holds
 	// (corrBuild.shared).
 	// probeVals is the scratch list of the values a build's first probe
 	// carries for one of its keys (vecCtx.startBuild).
-	builds    []corrBuild
+	builds    []*corrBuild
 	probeVals []Value
 }
 
@@ -289,8 +290,12 @@ func (vc *vecCtx) release() {
 	clear(vc.callArgs[:cap(vc.callArgs)])
 	clear(vc.probeVals)
 	vc.probeVals = vc.probeVals[:0]
-	for i := range vc.builds {
-		vc.builds[i].reset()
+	for i, bd := range vc.builds {
+		if bd != nil {
+			bd.reset()
+			bd.plan.spare.Store(bd)
+			vc.builds[i] = nil
+		}
 	}
 	vc.b.n, vc.nb.n = 0, 0
 	vecCtxPool.Put(vc)
@@ -876,7 +881,11 @@ type corrSite struct {
 type corrBuildPlan struct {
 	sp   *selectPlan
 	slot int // the execution's build state is vecCtx.builds[slot]
-	nkey int
+	// spare is the build state the last execution returned, emptied, at the
+	// size this build grew it to; an execution takes it, or makes its own
+	// when another execution holds it.
+	spare atomic.Pointer[corrBuild]
+	nkey  int
 	// agg is the upper-cased aggregate of an aggregate item, "" for a plain
 	// one; star marks COUNT(*), which projects no value.
 	agg  string
@@ -1168,7 +1177,7 @@ func corrProbe(bp *corrBuildPlan, keys []vexpr) vexpr {
 				vals[i] = bp.empty
 				continue
 			}
-			e, found := bd.index[k]
+			e, found := bd.find(k)
 			switch {
 			case !found:
 				vals[i] = bp.empty

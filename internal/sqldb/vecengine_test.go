@@ -4,9 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -719,6 +722,162 @@ func TestVecFusedFilterAllocs(t *testing.T) {
 	// ResultSet, the output row) — nothing proportional to the 3000 rows.
 	if allocs > 32 {
 		t.Fatalf("fused filter allocates %.1f per run, want <= 32", allocs)
+	}
+}
+
+// denseBuildDB holds dk: 1000 rows whose k is one of 1000 keys, every other
+// integer, and whose k4 is one of 4 — no index on either, so a build keyed
+// by them scans.
+func denseBuildDB(t *testing.T) *DB {
+	t.Helper()
+	db := NewDB()
+	db.SetResultCacheSize(0)
+	db.MustExec(`CREATE TABLE dk (id INTEGER PRIMARY KEY, k INTEGER, k4 INTEGER, v REAL)`, nil)
+	var sql strings.Builder
+	for i := range 1000 {
+		if i%500 == 0 {
+			sql.Reset()
+			sql.WriteString(`INSERT INTO dk (id, k, k4, v) VALUES `)
+		} else {
+			sql.WriteString(", ")
+		}
+		fmt.Fprintf(&sql, "(%d, %d, %d, %g)", i, 2*i, i%4, float64(i%17)/4)
+		if i%500 == 499 {
+			db.MustExec(sql.String(), nil)
+		}
+	}
+	return db
+}
+
+// TestDenseBuildAllocs: a decorrelated build over 1000 dense keys, executed
+// again and again, allocates no more than a fixed budget per execution —
+// its slot array, entries and accumulators come back from its plan at the
+// size it grew them to. They do so when the collector empties the pooled
+// contexts between executions too: the build of 1000 keys then allocates as
+// much as the same build of 4.
+func TestDenseBuildAllocs(t *testing.T) {
+	db := denseBuildDB(t)
+	allocs := func(sql string, runs int, churn bool) float64 {
+		ps, err := db.Prepare(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ps.Close()
+		exec := func() {
+			before := db.Stats()
+			res, err := ps.Execute(nil)
+			if after := db.Stats(); err != nil || after.BuildRows-before.BuildRows != 1000 || after.VecFallbacks != before.VecFallbacks {
+				t.Fatalf("%s: %v, %d build rows, %d fallbacks", sql, err, after.BuildRows-before.BuildRows, after.VecFallbacks-before.VecFallbacks)
+			}
+			if got := res.Set.Rows[0][0].Int(); got != 1000 {
+				t.Fatalf("%s: count %d, want 1000", sql, got)
+			}
+		}
+		exec() // warm the pools and the build's plan
+		return testing.AllocsPerRun(runs, func() {
+			if churn {
+				runtime.GC()
+				runtime.GC()
+			}
+			exec()
+		})
+	}
+	const byKey = `SELECT COUNT(*) FROM dk o WHERE (SELECT MAX(i.v) FROM dk i WHERE i.k = o.k) >= 0`
+	const byK4 = `SELECT COUNT(*) FROM dk o WHERE (SELECT MAX(i.v) FROM dk i WHERE i.k4 = o.k4) >= 0`
+	if n := allocs(byKey, 50, false); n > 32 && !raceEnabled {
+		t.Errorf("dense build of 1000 keys allocates %.1f per run, want <= 32", n)
+	}
+	if keys, four := allocs(byKey, 20, true), allocs(byK4, 20, true); keys > four+8 {
+		t.Errorf("under collector churn, the build of 1000 keys allocates %.1f per run, of 4 keys %.1f", keys, four)
+	}
+}
+
+// TestDenseBuildConcurrent: executions of one prepared statement running at
+// once each take a build state of their own — the plan's spare, or a new
+// one — and answer as one execution alone does. The builds read the keys
+// $m picks, so a state that came back with a slot or an entry of the
+// execution before it answers wrongly.
+func TestDenseBuildConcurrent(t *testing.T) {
+	db := denseBuildDB(t)
+	ps, err := db.Prepare(`SELECT SUM((SELECT MAX(i.v) FROM dk i WHERE i.k = o.k AND i.id % $m = 0)), SUM((SELECT COUNT(*) FROM dk i WHERE i.k4 = o.k4 AND i.k = o.k AND i.id % $m = 1)) FROM dk o`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ps.Close()
+	params := func(m int) *Params { return &Params{Named: map[string]Value{"m": NewInt(int64(m))}} }
+	want := make([]*ResultSet, 4)
+	for m := range want {
+		res, err := ps.Execute(params(m + 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[m] = res.Set
+	}
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 20 {
+				m := (g + i) % len(want)
+				res, err := ps.Execute(params(m + 1))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !reflect.DeepEqual(res.Set, want[m]) {
+					t.Errorf("$m = %d: %v, want %v", m+1, res.Set.Rows, want[m].Rows)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestCorrBuildLayouts drives one build state through builds whose keys are
+// dense, spread so that the slot array moves, sparse enough to spill to the
+// map, or of two components, emptied between builds as release empties
+// them: every key finds the entry it was given, no other key finds one, and
+// the emptied state holds no slot set.
+func TestCorrBuildLayouts(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	bd := &corrBuild{}
+	for round := range 300 {
+		nkey := 1 + round%5/4 // every fifth build has two components
+		rows := 1 + rng.Intn(300)
+		spread := []int64{1, 3, 50, 1 << 20}[rng.Intn(4)]
+		base := rng.Int63n(8)*500 - 2000 // windows of successive builds overlap
+		key := func() corrHashKey {
+			k := corrHashKey{base + rng.Int63n(spread*int64(rows)+1)}
+			if nkey == 2 {
+				k[1] = rng.Int63n(3)
+			}
+			return k
+		}
+		bd.dense, bd.rows = nkey == 1, rows
+		want := make(map[corrHashKey]int32)
+		for range rows {
+			k := key()
+			e, found := bd.find(k)
+			if w, ok := want[k]; ok != found || ok && w != e {
+				t.Fatalf("round %d, key %v: find = %d, %v; want %d, %v", round, k, e, found, w, ok)
+			}
+			if !found {
+				want[k] = bd.insert(k, false)
+			}
+		}
+		for range 2 * rows {
+			k := key()
+			w, ok := want[k]
+			if e, found := bd.find(k); ok != found || ok && w != e {
+				t.Fatalf("round %d, probe %v: find = %d, %v; want %d, %v", round, k, e, found, w, ok)
+			}
+		}
+		bd.reset()
+		if i := slices.IndexFunc(bd.slots, func(s int32) bool { return s != 0 }); i >= 0 {
+			t.Fatalf("round %d: slot %d still set after reset", round, i)
+		}
 	}
 }
 

@@ -315,34 +315,136 @@ func (vc *vecCtx) scanSeed(sp *selectPlan, seed []int32, sink func(b *vbatch) er
 }
 
 // corrBuild is one execution's build side of a decorrelated subquery
-// (corrBuildPlan), started by the first probe that needs it: index maps each
-// key to its entry in hits and, for an aggregate item, in accs. via is the
+// (corrBuildPlan), started by the first probe that needs it: each key finds
+// its entry in hits and, for an aggregate item, in accs. via is the
 // bp.keyed entry the build is seeded through, -1 once it holds every key;
 // seeded through a key, it holds the entries of the keys whose component
 // there is one of vals, the values it read, ascending — others it may hold
 // in part, and a probe for one rebuilds it by scan. shared, when set, is the
 // complete build of an analysis's build table the execution probes instead
-// (ShareBuilds): it is read, never written.
+// (ShareBuilds): it is read, never written. plan is the build plan whose
+// spare the build goes back to.
+//
+// A one-component key finds its entry by array offset while dense: slots[k-lo]
+// holds the entry plus one, 0 for a key with none. A two-component key, and
+// one whose keys spread over more than denseFactor slots per row the build
+// reads (rows), goes through index instead.
 type corrBuild struct {
 	started bool
 	via     int
 	vals    []Value
+	dense   bool
+	lo      int64
+	rows    int
+	slots   []int32
 	index   map[corrHashKey]int32
 	hits    []corrHit
 	accs    []aggAcc
 	shared  *corrBuild
+	plan    *corrBuildPlan
 }
 
-// reset empties the build for its next use, keeping its maps' and slices'
-// capacity; a shared build it pointed at is left as it is.
+// minSlots is the smallest slot array a dense build lays out.
+const minSlots = 64
+
+// reset empties the build for its next use, keeping its slot array's, map's
+// and slices' capacity; a shared build it pointed at is left as it is.
 func (bd *corrBuild) reset() {
 	bd.started, bd.shared = false, nil
 	clear(bd.vals)
 	bd.vals = bd.vals[:0]
-	clear(bd.index)
+	bd.clearEntries()
+}
+
+// clearEntries empties the build's entries: the slots it set, or its map.
+func (bd *corrBuild) clearEntries() {
+	if bd.dense {
+		for i := range bd.hits {
+			bd.slots[bd.hits[i].key-bd.lo] = 0
+		}
+	} else {
+		clear(bd.index)
+	}
 	clear(bd.hits)
 	clear(bd.accs)
 	bd.hits, bd.accs = bd.hits[:0], bd.accs[:0]
+}
+
+// find returns the entry of key k.
+func (bd *corrBuild) find(k corrHashKey) (e int32, found bool) {
+	if bd.dense {
+		if i := uint64(k[0] - bd.lo); i < uint64(len(bd.slots)) {
+			e := bd.slots[i]
+			return e - 1, e != 0
+		}
+		return 0, false
+	}
+	e, found = bd.index[k]
+	return e, found
+}
+
+// insert adds an entry for key k, which has none, and returns it.
+func (bd *corrBuild) insert(k corrHashKey, agg bool) int32 {
+	e := int32(len(bd.hits))
+	if bd.dense && !bd.place(k[0]) {
+		bd.spill()
+	}
+	if bd.dense {
+		bd.slots[k[0]-bd.lo] = e + 1
+	} else {
+		if bd.index == nil {
+			bd.index = make(map[corrHashKey]int32)
+		}
+		bd.index[k] = e
+	}
+	bd.hits = append(bd.hits, corrHit{key: k[0]})
+	if agg {
+		bd.accs = append(bd.accs, newAggAcc())
+	}
+	return e
+}
+
+// place lays the slot array over key k and the keys the build holds. It
+// moves the array only when k falls outside, growing it to twice the span
+// where it is shorter, so that the next move waits for the span to grow by
+// half. false, the array left as it is, when it would have to grow over
+// more than denseFactor slots per row the build reads.
+func (bd *corrBuild) place(k int64) bool {
+	if uint64(k-bd.lo) < uint64(len(bd.slots)) {
+		return true
+	}
+	lo, hi := k, k
+	for i := range bd.hits {
+		lo, hi = min(lo, bd.hits[i].key), max(hi, bd.hits[i].key)
+	}
+	span := hi - lo + 1
+	grow := 2*span > int64(len(bd.slots))
+	if grow && span > denseFactor*int64(bd.rows) {
+		return false
+	}
+	for i := range bd.hits {
+		bd.slots[bd.hits[i].key-bd.lo] = 0
+	}
+	if grow {
+		bd.slots = make([]int32, max(2*span, minSlots))
+	}
+	bd.lo = lo - (int64(len(bd.slots))-span)/2
+	for i := range bd.hits {
+		bd.slots[bd.hits[i].key-bd.lo] = int32(i) + 1
+	}
+	return true
+}
+
+// spill moves a dense build's entries to the map.
+func (bd *corrBuild) spill() {
+	if bd.index == nil {
+		bd.index = make(map[corrHashKey]int32, len(bd.hits))
+	}
+	for i := range bd.hits {
+		bd.slots[bd.hits[i].key-bd.lo] = 0
+		bd.index[corrHashKey{bd.hits[i].key}] = int32(i)
+	}
+	bd.dense = false
 }
 
 // corrHashKey is a build-side hash key: the INTEGER or BOOLEAN payloads of
@@ -353,6 +455,7 @@ type corrHashKey [2]int64
 // and the subquery's value — the first row's item, or the aggregate over the
 // rows, finalized from accs once the build is complete.
 type corrHit struct {
+	key  int64 // the first component
 	rows int64
 	v    Value
 }
@@ -398,9 +501,15 @@ func corrHash(vals []Value) (k corrHashKey, null, ok bool) {
 // makes counts once in VecSelects.
 func (vc *vecCtx) buildSide(bp *corrBuildPlan, keys []*vcol, n int) (*corrBuild, error) {
 	for len(vc.builds) <= bp.slot {
-		vc.builds = append(vc.builds, corrBuild{})
+		vc.builds = append(vc.builds, nil)
 	}
-	bd := &vc.builds[bp.slot]
+	bd := vc.builds[bp.slot]
+	if bd == nil {
+		if bd = bp.spare.Swap(nil); bd == nil {
+			bd = &corrBuild{plan: bp}
+		}
+		vc.builds[bp.slot] = bd
+	}
 	if sb := bd.shared; sb != nil {
 		if sb.via < 0 || sb.holds(bp, keys, n) {
 			return sb, nil
@@ -421,10 +530,8 @@ func (vc *vecCtx) buildSide(bp *corrBuildPlan, keys []*vcol, n int) (*corrBuild,
 		vc.ec.db.vecSelects.Add(1)
 		return bd, vc.startBuild(bp, bd, keys, n)
 	case bd.via >= 0 && !bd.holds(bp, keys, n):
-		clear(bd.index)
-		clear(bd.hits)
-		clear(bd.accs)
-		bd.hits, bd.accs, bd.via = bd.hits[:0], bd.accs[:0], -1
+		bd.clearEntries()
+		bd.via = -1
 		return bd, vc.runBuild(bp, bd, nil, nil)
 	}
 	return bd, nil
@@ -541,9 +648,7 @@ func (vc *vecCtx) runBuild(bp *corrBuildPlan, bd *corrBuild, ka *keyAccess, vals
 		bvc.seed = bp.sp.seedKeys(*ka, bp.sp.keyIndex(*ka), vals, bvc.seed[:0])
 	}
 	vc.ec.db.buildRows.Add(int64(len(bvc.seed)))
-	if bd.index == nil {
-		bd.index = make(map[corrHashKey]int32)
-	}
+	bd.dense, bd.rows = bp.nkey == 1, len(bvc.seed)
 	if err := bvc.scanSeed(bp.sp, bvc.seed, func(b *vbatch) error { return bvc.fold(bp, bd, b) }); err != nil {
 		return errReplay
 	}
@@ -595,14 +700,9 @@ func (vc *vecCtx) fold(bp *corrBuildPlan, bd *corrBuild, b *vbatch) error {
 		case null:
 			continue
 		}
-		e, found := bd.index[k]
+		e, found := bd.find(k)
 		if !found {
-			e = int32(len(bd.hits))
-			bd.index[k] = e
-			bd.hits = append(bd.hits, corrHit{})
-			if bp.agg != "" {
-				bd.accs = append(bd.accs, newAggAcc())
-			}
+			e = bd.insert(k, bp.agg != "")
 		}
 		h := &bd.hits[e]
 		h.rows++
@@ -642,7 +742,7 @@ func (vc *vecCtx) probeJoin(b, nb *vbatch, vj *vecJoin, k int, idx *hashIndex) e
 			for t := 0; t <= k; t++ {
 				nb.pos[t] = append(nb.pos[t], b.pos[t][i])
 			}
-			nb.pos[k+1] = append(nb.pos[k+1], int32(p))
+			nb.pos[k+1] = append(nb.pos[k+1], p)
 		}
 	}
 	nb.n = len(nb.pos[k+1])
