@@ -119,8 +119,8 @@ func render(out io.Writer, addr string, snap *service.MetricsSnapshot) {
 			b.VecSelects, b.VecFallbacks, b.PlanCacheHits, b.PlanCacheHits+b.PlanCacheMisses,
 			b.Requests, time.Duration(b.VendorNanos).Round(time.Millisecond))
 		if r := b.VecFallbackReasons; b.VecFallbacks > 0 {
-			fmt.Fprintf(out, "backend  fallback reasons  join-shape %d  star %d  order-by-expr %d  subquery %d  other %d\n",
-				r.JoinShape, r.Star, r.OrderExpr, r.Subquery, r.Other)
+			fmt.Fprintf(out, "backend  fallback reasons  star %d  order-by-expr %d  subquery %d  other %d\n",
+				r.Star, r.OrderExpr, r.Subquery, r.Other)
 		}
 		fmt.Fprintf(out, "backend  prepared %d live (%d replans)  %d batches carrying %d bindings\n",
 			b.PreparedLive, b.Replans, b.BatchExecs, b.BatchBindings)

@@ -134,8 +134,8 @@ func main() {
 		st.VecSelects, st.VecFallbacks, st.BuildRows, st.SharedBuilds)
 	if st.VecFallbacks > 0 {
 		r := st.VecFallbackReasons
-		fmt.Printf("kojakdb: fallback reasons: %d join-shape, %d star, %d order-by-expr, %d subquery, %d other\n",
-			r.JoinShape, r.Star, r.OrderExpr, r.Subquery, r.Other)
+		fmt.Printf("kojakdb: fallback reasons: %d star, %d order-by-expr, %d subquery, %d other\n",
+			r.Star, r.OrderExpr, r.Subquery, r.Other)
 	}
 }
 

@@ -197,7 +197,7 @@ func TestMetricsBackendKeys(t *testing.T) {
 	if err := json.Unmarshal(doc.Backend["vec_fallback_reasons"], &reasons); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := keys(reasons), []string{"join_shape", "order_expr", "other", "star", "subquery"}; !slices.Equal(got, want) {
+	if got, want := keys(reasons), []string{"order_expr", "other", "star", "subquery"}; !slices.Equal(got, want) {
 		t.Errorf("vec_fallback_reasons keys:\n got %v\nwant %v", got, want)
 	}
 }

@@ -44,9 +44,10 @@ import (
 // ShareBuilds returns a context carrying a new build table, and the function
 // that closes it. Every SELECT batch executed under the context
 // (ExecuteBatchContext) reads and fills the table. Call close once, after
-// the last statement under the context has returned: the table recycles
-// the builds it holds. Without a table, or over the wire, where the context
-// does not reach the engine, every statement makes its own builds.
+// the last statement under the context has returned: the table gives the
+// builds lent to it back to their plans. Without a table, or over the wire,
+// where the context does not reach the engine, every statement makes its
+// own builds.
 func ShareBuilds(ctx context.Context) (context.Context, func()) {
 	t, _ := buildTables.Get().(*buildTable)
 	if t == nil {
@@ -81,23 +82,20 @@ func buildTableOf(ctx context.Context) *buildTable {
 var buildTables sync.Pool
 
 // buildTable is one analysis's builds, and the context that carries them:
-// the analysis's own, embedded. m holds builds[:n], in the order they were
-// claimed; close empties them for the next analysis that takes the table,
-// which claims its builds in the same order, so a build's maps come back at
-// the size the same build grew them to. closeFn is close, bound once per
-// table.
+// the analysis's own, embedded. m finds each build by its key; the builds
+// themselves are their plans' state (corrBuildPlan.spare), lent to the
+// table by the statement that claimed them until close gives them back.
+// closeFn is close, bound once per table.
 type buildTable struct {
 	context.Context
 	mu      sync.Mutex
 	made    sync.Cond // broadcast when a build is settled
-	m       map[buildKey]*sharedBuild
-	builds  []*sharedBuild
-	n       int
+	m       map[buildKey]*corrBuild
 	closeFn func()
 }
 
 // buildKey is what a shared build is found by, but for the values of the
-// markers it reads (sharedBuild.params).
+// markers it reads (corrBuild.params).
 type buildKey struct {
 	db     *DB
 	span   string
@@ -105,61 +103,49 @@ type buildKey struct {
 	data   int64
 }
 
-// sharedBuild is one build of a table: made by the statement that claimed
-// it, then settled — ok when it completed, false when it replayed — and
-// read-only from then on. params is the fingerprint of the values of the
-// markers it read; next chains the builds under one buildKey.
-type sharedBuild struct {
-	corrBuild
-	params   []byte
-	next     *sharedBuild
-	done, ok bool
-}
-
 // claim returns the build under k and params, waiting while its maker
-// makes it, or, maker true, a new one the caller makes and then settles.
-func (t *buildTable) claim(k buildKey, params []byte) (e *sharedBuild, maker bool) {
+// makes it, or, maker true, a build of bp's own state lent to the table,
+// which the caller makes and then settles.
+func (t *buildTable) claim(bp *corrBuildPlan, k buildKey, params []byte) (bd *corrBuild, maker bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for e = t.m[k]; e != nil; e = e.next {
-		if bytes.Equal(e.params, params) {
-			for !e.done {
+	for bd = t.m[k]; bd != nil; bd = bd.next {
+		if bytes.Equal(bd.params, params) {
+			for !bd.done {
 				t.made.Wait()
 			}
-			return e, false
+			return bd, false
 		}
 	}
-	if t.n == len(t.builds) {
-		t.builds = append(t.builds, &sharedBuild{})
-	}
-	e = t.builds[t.n]
-	t.n++
 	if t.m == nil {
-		t.m = make(map[buildKey]*sharedBuild)
+		t.m = make(map[buildKey]*corrBuild)
 	}
-	e.params = append(e.params[:0], params...)
-	e.next = t.m[k]
-	t.m[k] = e
-	return e, true
+	bd = bp.take()
+	bd.params = append(bd.params[:0], params...)
+	bd.lent, bd.next = true, t.m[k]
+	t.m[k] = bd
+	return bd, true
 }
 
 // settle completes a claimed build and wakes the statements waiting on it.
-func (t *buildTable) settle(e *sharedBuild, ok bool) {
+func (t *buildTable) settle(bd *corrBuild, ok bool) {
 	t.mu.Lock()
-	e.done, e.ok = true, ok
+	bd.done, bd.ok = true, ok
 	t.mu.Unlock()
 	t.made.Broadcast()
 }
 
-// close empties the table, keeping its builds' capacity, and returns it to
-// the pool.
+// close gives every build lent to the table back to its plan, empties the
+// table and returns it to the pool.
 func (t *buildTable) close() {
 	t.mu.Lock()
-	for _, e := range t.builds[:t.n] {
-		e.reset()
-		e.next, e.done, e.ok = nil, false, false
+	for _, bd := range t.m {
+		for bd != nil {
+			next := bd.next
+			bd.plan.give(bd)
+			bd = next
+		}
 	}
-	t.n = 0
 	clear(t.m)
 	t.Context = nil
 	t.mu.Unlock()
@@ -207,10 +193,10 @@ func (cp *vecCompiler) buildShare(x *ESubquery, syn *SelectStmt, sp *selectPlan)
 
 // sharedSide returns the analysis's build of bp for the n probe rows of
 // keys: one a statement of the analysis made, or, first, the one this
-// execution makes for the table (counted as it would be unshared). ok is
-// false where the table cannot serve the probes — a marker the binding
-// leaves unbound, a build that replayed, or one seeded without a key these
-// probes ask for — and the execution builds its own.
+// execution makes and lends to the table (counted as it would be unshared).
+// ok is false where the table cannot serve the probes — a marker the
+// binding leaves unbound, a build that replayed, or one seeded without a key
+// these probes ask for — and the execution builds its own.
 func (vc *vecCtx) sharedSide(t *buildTable, bp *corrBuildPlan, keys []*vcol, n int) (bd *corrBuild, ok bool, err error) {
 	db, bs := vc.ec.db, bp.share
 	var buf [keyBufSize]byte
@@ -222,16 +208,16 @@ func (vc *vecCtx) sharedSide(t *buildTable, bp *corrBuildPlan, keys []*vcol, n i
 	for _, tab := range bs.tables {
 		k.data = max(k.data, tab.dataVer.Load())
 	}
-	e, maker := t.claim(k, params)
+	bd, maker := t.claim(bp, k, params)
 	if maker {
 		db.vecSelects.Add(1)
-		err := vc.startBuild(bp, &e.corrBuild, keys, n)
-		t.settle(e, err == nil)
-		return &e.corrBuild, true, err
+		err := vc.startBuild(bp, bd, keys, n)
+		t.settle(bd, err == nil)
+		return bd, true, err
 	}
-	if !e.ok || (e.via >= 0 && !e.holds(bp, keys, n)) {
+	if !bd.ok || (bd.via >= 0 && !bd.holds(bp, keys, n)) {
 		return nil, false, nil
 	}
 	db.sharedBuilds.Add(1)
-	return &e.corrBuild, true, nil
+	return bd, true, nil
 }

@@ -237,6 +237,43 @@ func TestSharedBuildsNegatives(t *testing.T) {
 		checkUnshared(t, runStmt(t, ctx, db, sql, nil), runStmt(t, context.Background(), db, sql, nil))
 	})
 
+	// Mutation: the maker rebuilds the lent build in place. The first 1024
+	// rows of o, one batch, probe group 1 and seed the build through t's
+	// index on g; the later rows probe group 2, and the maker rebuilds by
+	// scan into state of its own. The table's build still holds group 1
+	// only, so the second statement, whose rows all probe group 2, builds
+	// its own.
+	t.Run("maker's later batch outgrows its seeded build", func(t *testing.T) {
+		db := sqldb.NewDB()
+		db.SetResultCacheSize(0)
+		var rows strings.Builder
+		for id := 1; id <= 1100; id++ {
+			if id > 1 {
+				rows.WriteString(", ")
+			}
+			rows.WriteString("(" + strconv.Itoa(id) + ", " + strconv.Itoa(1+id/1025) + ")")
+		}
+		for _, q := range []string{
+			`CREATE TABLE t (k INTEGER PRIMARY KEY, g INTEGER, x INTEGER)`,
+			`CREATE INDEX t_g ON t (g)`,
+			`CREATE TABLE o (id INTEGER PRIMARY KEY, g INTEGER)`,
+			`INSERT INTO t VALUES (1, 1, 5), (2, 1, 6), (3, 2, 7), (4, 3, 8), (5, 3, 9), (6, 4, 1)`,
+			`INSERT INTO o VALUES ` + rows.String(),
+		} {
+			if _, err := db.Exec(q, nil); err != nil {
+				t.Fatalf("%s: %v", q, err)
+			}
+		}
+		ctx, done := sqldb.ShareBuilds(context.Background())
+		defer done()
+		maker, alone := runStmt(t, ctx, db, sumByGroup, nil), runStmt(t, context.Background(), db, sumByGroup, nil)
+		if !sameAnswer(maker, alone) || maker.selects != alone.selects+1 {
+			t.Fatalf("maker:\n got %+v\nwant %+v and one rebuild", maker, alone)
+		}
+		const sql = `SELECT o.g, (SELECT SUM(t.x) FROM t WHERE t.g = o.g) FROM o WHERE o.id > 1024 ORDER BY o.id DESC`
+		checkUnshared(t, runStmt(t, ctx, db, sql, nil), runStmt(t, context.Background(), db, sql, nil))
+	})
+
 	// Mutation: a build that replayed settled as complete. The build scans
 	// t, and row 2 divides by zero before row 3 is folded; no row of o
 	// probes group 1, so the row interpreter raises nothing.

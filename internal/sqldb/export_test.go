@@ -43,7 +43,6 @@ func (db *DB) SetStats(s Stats) {
 	db.vecSelects.Store(s.VecSelects)
 	db.vecFallbacks.Store(s.VecFallbacks)
 	r := s.VecFallbackReasons
-	db.vecFbJoin.Store(r.JoinShape)
 	db.vecFbStar.Store(r.Star)
 	db.vecFbOrder.Store(r.OrderExpr)
 	db.vecFbSub.Store(r.Subquery)

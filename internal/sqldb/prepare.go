@@ -784,7 +784,6 @@ type Stats struct {
 // FallbackReasons is the per-shape breakdown of Stats.VecFallbacks (the fb*
 // refusal reasons in vec.go).
 type FallbackReasons struct {
-	JoinShape int64 `json:"join_shape"` // kept for the wire: no join key reads its joined table (matchJoinCol)
 	Star      int64 `json:"star"`       // grouped SELECT *
 	OrderExpr int64 `json:"order_expr"` // ORDER BY expression key outside the compiled forms
 	Subquery  int64 `json:"subquery"`   // correlated subquery outside the mirrored scopes
@@ -803,7 +802,7 @@ func (s *Stats) Counters() []*int64 {
 		&s.ResultCacheHits, &s.ResultCacheMisses, &s.ResultCacheInvalidations,
 		&s.ResultCacheEvictions, &s.ResultCacheEntries,
 		&s.VecSelects, &s.VecFallbacks,
-		&r.JoinShape, &r.Star, &r.OrderExpr, &r.Subquery, &r.Other,
+		&r.Star, &r.OrderExpr, &r.Subquery, &r.Other,
 		&s.BuildRows, &s.SharedBuilds,
 	}
 }
@@ -841,7 +840,6 @@ func (db *DB) Stats() Stats {
 		VecSelects:   db.vecSelects.Load(),
 		VecFallbacks: db.vecFallbacks.Load(),
 		VecFallbackReasons: FallbackReasons{
-			JoinShape: db.vecFbJoin.Load(),
 			Star:      db.vecFbStar.Load(),
 			OrderExpr: db.vecFbOrder.Load(),
 			Subquery:  db.vecFbSub.Load(),

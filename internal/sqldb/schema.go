@@ -246,7 +246,6 @@ type DB struct {
 	vecSelects   atomic.Int64
 	vecFallbacks atomic.Int64
 	// Per-reason fallback counters (the fb* constants in vec.go).
-	vecFbJoin  atomic.Int64
 	vecFbStar  atomic.Int64
 	vecFbOrder atomic.Int64
 	vecFbSub   atomic.Int64

@@ -219,9 +219,9 @@ type vecCtx struct {
 	callArgs []Value
 	// builds holds the build sides of the execution's decorrelated
 	// subqueries, by the slot the compiler gave each (corrBuildPlan.slot),
-	// nil until the first probe takes it from its plan (corrBuildPlan.spare).
-	// A build may instead point at the one an analysis's build table holds
-	// (corrBuild.shared).
+	// nil until the first probe takes it from its plan (corrBuildPlan.take)
+	// or an analysis's build table (corrBuild.lent), which release leaves
+	// to the table.
 	// probeVals is the scratch list of the values a build's first probe
 	// carries for one of its keys (vecCtx.startBuild).
 	builds    []*corrBuild
@@ -291,11 +291,10 @@ func (vc *vecCtx) release() {
 	clear(vc.probeVals)
 	vc.probeVals = vc.probeVals[:0]
 	for i, bd := range vc.builds {
-		if bd != nil {
-			bd.reset()
-			bd.plan.spare.Store(bd)
-			vc.builds[i] = nil
+		if bd != nil && !bd.lent {
+			bd.plan.give(bd)
 		}
+		vc.builds[i] = nil
 	}
 	vc.b.n, vc.nb.n = 0, 0
 	vecCtxPool.Put(vc)
@@ -881,9 +880,9 @@ type corrSite struct {
 type corrBuildPlan struct {
 	sp   *selectPlan
 	slot int // the execution's build state is vecCtx.builds[slot]
-	// spare is the build state the last execution returned, emptied, at the
-	// size this build grew it to; an execution takes it, or makes its own
-	// when another execution holds it.
+	// spare is the build state the last execution or build table gave back,
+	// emptied, at the size this build grew it to (take, give). The plan is
+	// the state's one owner: a build table only borrows it.
 	spare atomic.Pointer[corrBuild]
 	nkey  int
 	// agg is the upper-cased aggregate of an aggregate item, "" for a plain
@@ -901,6 +900,21 @@ type corrBuildPlan struct {
 	// share identifies the build across the statements of an analysis
 	// (ShareBuilds); nil when the build is not shared.
 	share *buildShare
+}
+
+// take returns the plan's spare build state, or state of its own when
+// another execution or build table holds the spare.
+func (bp *corrBuildPlan) take() *corrBuild {
+	if bd := bp.spare.Swap(nil); bd != nil {
+		return bd
+	}
+	return &corrBuild{plan: bp}
+}
+
+// give empties bd and makes it the plan's spare.
+func (bp *corrBuildPlan) give(bd *corrBuild) {
+	bd.reset()
+	bp.spare.Store(bd)
 }
 
 // probeKey is an inner key of a build, key its ordinal, that a key access

@@ -320,37 +320,43 @@ func (vc *vecCtx) scanSeed(sp *selectPlan, seed []int32, sink func(b *vbatch) er
 // bp.keyed entry the build is seeded through, -1 once it holds every key;
 // seeded through a key, it holds the entries of the keys whose component
 // there is one of vals, the values it read, ascending — others it may hold
-// in part, and a probe for one rebuilds it by scan. shared, when set, is the
-// complete build of an analysis's build table the execution probes instead
-// (ShareBuilds): it is read, never written. plan is the build plan whose
-// spare the build goes back to.
+// in part, and a probe for one rebuilds it by scan. plan is the build plan
+// the state belongs to (corrBuildPlan.spare).
+//
+// A build its maker lent to an analysis's build table (lent; buildTable.claim)
+// is the table's until it closes: params is the fingerprint of the values of
+// the markers it read, next chains the builds under one buildKey, and done
+// and ok tell that it is settled and complete. From settle on it is read,
+// never written, by its maker too.
 //
 // A one-component key finds its entry by array offset while dense: slots[k-lo]
 // holds the entry plus one, 0 for a key with none. A two-component key, and
 // one whose keys spread over more than denseFactor slots per row the build
 // reads (rows), goes through index instead.
 type corrBuild struct {
-	started bool
-	via     int
-	vals    []Value
-	dense   bool
-	lo      int64
-	rows    int
-	slots   []int32
-	index   map[corrHashKey]int32
-	hits    []corrHit
-	accs    []aggAcc
-	shared  *corrBuild
-	plan    *corrBuildPlan
+	via   int
+	vals  []Value
+	dense bool
+	lo    int64
+	rows  int
+	slots []int32
+	index map[corrHashKey]int32
+	hits  []corrHit
+	accs  []aggAcc
+	plan  *corrBuildPlan
+
+	params         []byte
+	next           *corrBuild
+	lent, done, ok bool
 }
 
 // minSlots is the smallest slot array a dense build lays out.
 const minSlots = 64
 
 // reset empties the build for its next use, keeping its slot array's, map's
-// and slices' capacity; a shared build it pointed at is left as it is.
+// and slices' capacity.
 func (bd *corrBuild) reset() {
-	bd.started, bd.shared = false, nil
+	bd.next, bd.lent, bd.done, bd.ok = nil, false, false, false
 	clear(bd.vals)
 	bd.vals = bd.vals[:0]
 	bd.clearEntries()
@@ -495,42 +501,35 @@ func corrHash(vals []Value) (k corrHashKey, null, ok bool) {
 
 // buildSide returns this execution's build side of bp holding every key the
 // n probe rows of keys ask for: the first probe takes it from the analysis's
-// build table (sharedSide) or starts it (startBuild), and a later one that
-// asks a build seeded by a key for a value it has not read rebuilds it by
-// scan — a shared build, into the execution's own. A build the execution
-// makes counts once in VecSelects.
+// build table (sharedSide) or starts one in the plan's state (startBuild),
+// and a later one that asks a build seeded by a key for a value it has not
+// read rebuilds it by scan — a lent build, into state of the execution's
+// own. A build the execution makes counts once in VecSelects.
 func (vc *vecCtx) buildSide(bp *corrBuildPlan, keys []*vcol, n int) (*corrBuild, error) {
 	for len(vc.builds) <= bp.slot {
 		vc.builds = append(vc.builds, nil)
 	}
 	bd := vc.builds[bp.slot]
-	if bd == nil {
-		if bd = bp.spare.Swap(nil); bd == nil {
-			bd = &corrBuild{plan: bp}
-		}
-		vc.builds[bp.slot] = bd
-	}
-	if sb := bd.shared; sb != nil {
-		if sb.via < 0 || sb.holds(bp, keys, n) {
-			return sb, nil
-		}
-		bd.shared, bd.via = nil, -1
-		vc.ec.db.vecSelects.Add(1)
-		return bd, vc.runBuild(bp, bd, nil, nil)
-	}
 	switch {
-	case !bd.started:
-		bd.started = true
+	case bd == nil:
 		if t := vc.ec.builds; t != nil && bp.share != nil {
-			if sb, ok, err := vc.sharedSide(t, bp, keys, n); ok {
-				bd.shared = sb
-				return sb, err
+			if bd, ok, err := vc.sharedSide(t, bp, keys, n); ok {
+				vc.builds[bp.slot] = bd
+				return bd, err
 			}
 		}
+		bd = bp.take()
+		vc.builds[bp.slot] = bd
 		vc.ec.db.vecSelects.Add(1)
 		return bd, vc.startBuild(bp, bd, keys, n)
 	case bd.via >= 0 && !bd.holds(bp, keys, n):
-		bd.clearEntries()
+		if bd.lent {
+			bd = bp.take()
+			vc.builds[bp.slot] = bd
+			vc.ec.db.vecSelects.Add(1)
+		} else {
+			bd.clearEntries()
+		}
 		bd.via = -1
 		return bd, vc.runBuild(bp, bd, nil, nil)
 	}
