@@ -11,8 +11,10 @@ package wire_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"net"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -220,6 +222,20 @@ func FuzzReadResponse(f *testing.F) {
 	seeds = withTornAndHostile(seeds)
 	// The batch reply is long; its prefixes would crowd the others out.
 	seeds = append(seeds, encodeResponses(f, batchReply))
+	// Whole stats replies, also past the torn prefixes: one with every
+	// fallback reason and build counter in use, and one from a server whose
+	// snapshot carries a counter more than this client reads (the layout that
+	// still sent join_shape), which must fail on its trailing byte.
+	busy := encodeResponses(f, &wire.Response{Server: &wire.ServerStats{
+		Stats: sqldb.Stats{
+			VecSelects: 40, VecFallbacks: 10,
+			VecFallbackReasons: sqldb.FallbackReasons{Star: 1, OrderExpr: 2, Subquery: 3, Other: 4},
+			BuildRows:          1 << 20, SharedBuilds: 6,
+		},
+		Requests: 50, VendorNanos: 1 << 40,
+	}})
+	_, n := binary.Uvarint(busy)
+	seeds = append(seeds, busy, frame(append(slices.Clip(busy[n:]), 0)))
 	for _, s := range seeds {
 		f.Add(s)
 	}
