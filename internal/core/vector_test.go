@@ -95,7 +95,7 @@ var interleavedDML = []string{
 // TestVectorInterleavedDMLDeterminism: reports stay byte-identical to the row
 // interpreter's through an interleaved UPDATE/DELETE/UPDATE sequence, with
 // analyses between every step, at workers 1/8 × cache on/off. This is the
-// columnar DML path's determinism gate: its chunked, column-major matching
+// vectorized DML's determinism gate: its chunked, column-major matching
 // and SET evaluation must be invisible next to the row interpreter's
 // row-at-a-time read phase (both hand the same write phase their rows).
 func TestVectorInterleavedDMLDeterminism(t *testing.T) {

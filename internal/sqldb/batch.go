@@ -135,10 +135,8 @@ func (s *sharedStmt) execBatch(ctx context.Context, bindings []*Params, out []Ba
 			switch s := st.(type) {
 			case *InsertStmt:
 				res, err = db.execInsertLocked(s, params, plan)
-			case *UpdateStmt:
-				res, err = db.execUpdateLocked(s, params, plan)
-			case *DeleteStmt:
-				res, err = db.execDeleteLocked(s, params, plan)
+			case *UpdateStmt, *DeleteStmt:
+				res, err = db.execDMLLocked(params, plan)
 			}
 			out[i] = BatchResult{Res: res, Err: err}
 			if err != nil {

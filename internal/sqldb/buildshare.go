@@ -83,7 +83,7 @@ var buildTables sync.Pool
 
 // buildTable is one analysis's builds, and the context that carries them:
 // the analysis's own, embedded. m finds each build by its key; the builds
-// themselves are their plans' state (corrBuildPlan.spare), lent to the
+// themselves are their plans' state (corrBuildPlan.spares), lent to the
 // table by the statement that claimed them until close gives them back.
 // closeFn is close, bound once per table.
 type buildTable struct {

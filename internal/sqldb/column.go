@@ -101,11 +101,13 @@ func (c *colVec) setVal(i int, v Value) {
 	}
 }
 
-// compact drops every row whose keep bit is false, preserving order.
-func (c *colVec) compact(keep []bool) {
+// compact drops the rows at drop, ascending and each listed once,
+// preserving the order of the rest.
+func (c *colVec) compact(drop []int32) {
 	out := 0
 	for i := 0; i < c.n; i++ {
-		if !keep[i] {
+		if len(drop) > 0 && int(drop[0]) == i {
+			drop = drop[1:]
 			continue
 		}
 		if out != i {

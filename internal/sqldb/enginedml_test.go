@@ -4,12 +4,14 @@
 // row interpreter. After every statement the engines must agree on error
 // presence, affected-row counts, and the full table contents. Unlike
 // FuzzEngineDifferential the databases are rebuilt per execution (DML mutates
-// state) and the result cache stays ON — invalidation under columnar DML is
-// part of what is being tested.
+// state) and the result cache stays ON — invalidation under vectorized DML
+// is part of what is being tested. id and v are indexed, so DML that pins
+// either seeds through the index on both engines.
 package sqldb_test
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/sqldb"
@@ -17,7 +19,8 @@ import (
 
 // dmlFuzzDB builds a small single-table database on the given engine. The
 // table mixes all four column types and salts every nullable column with
-// NULLs so three-valued WHERE evaluation is always in play.
+// NULLs so three-valued WHERE evaluation is always in play. id and v are
+// indexed, so a WHERE that pins either seeds through its index.
 func dmlFuzzDB(tb testing.TB, engine string) *sqldb.DB {
 	tb.Helper()
 	db := sqldb.NewDB()
@@ -31,6 +34,7 @@ func dmlFuzzDB(tb testing.TB, engine string) *sqldb.DB {
 		}
 	}
 	mustExec(`CREATE TABLE fuzz_dml (id INTEGER PRIMARY KEY, v INTEGER, w REAL, s TEXT, b BOOLEAN)`, nil)
+	mustExec(`CREATE INDEX fuzz_dml_v ON fuzz_dml (v)`, nil)
 	tags := []string{"alpha", "beta", "gamma"}
 	for i := 0; i < 24; i++ {
 		p := &sqldb.Params{Named: map[string]sqldb.Value{
@@ -62,7 +66,12 @@ func dmlFuzzDB(tb testing.TB, engine string) *sqldb.DB {
 // parser rejects, or that parses to the wrong statement kind, is skipped —
 // both happen before engine dispatch, so they cannot diverge.
 func FuzzEngineDMLDifferential(f *testing.F) {
-	for _, seed := range [][2]string{
+	type seed struct {
+		upd, del   string
+		p1, p2, p3 int64
+	}
+	var seeds []seed
+	for _, s := range [][2]string{
 		{`UPDATE fuzz_dml SET v = v * 2 + 1 WHERE v > $k`,
 			`DELETE FROM fuzz_dml WHERE w IS NULL`},
 		{`UPDATE fuzz_dml SET s = 'patched', b = FALSE WHERE id % 3 = 0`,
@@ -73,8 +82,29 @@ func FuzzEngineDMLDifferential(f *testing.F) {
 			`DELETE FROM fuzz_dml WHERE NULL`},
 		{`UPDATE fuzz_dml SET v = v + 1`,
 			`DELETE FROM fuzz_dml WHERE w > (SELECT AVG(w) FROM fuzz_dml)`},
+		// Seeded through the id and v indexes.
+		{`UPDATE fuzz_dml SET w = w * 2, v = v + 1 WHERE v = $k`,
+			`DELETE FROM fuzz_dml WHERE id = $k OR v = $k`},
+		{`UPDATE fuzz_dml SET s = 'seeded' WHERE id = $k AND b`,
+			`DELETE FROM fuzz_dml WHERE v = $k AND w IS NULL`},
+		// Correlated subqueries over fuzz_dml itself, in a WHERE and in a
+		// SET: decorrelated builds, keyed by v, beside the seeded DML.
+		{`UPDATE fuzz_dml SET w = (SELECT MAX(x.w) FROM fuzz_dml x WHERE x.v = fuzz_dml.v) WHERE id > $k`,
+			`DELETE FROM fuzz_dml WHERE w < (SELECT AVG(x.w) FROM fuzz_dml x WHERE x.v = fuzz_dml.v)`},
+		{`UPDATE fuzz_dml SET v = (SELECT COUNT(*) FROM fuzz_dml x WHERE x.b = fuzz_dml.b) WHERE v = $k`,
+			`DELETE FROM fuzz_dml WHERE id = $k AND s = (SELECT MIN(x.s) FROM fuzz_dml x WHERE x.v = fuzz_dml.v)`},
 	} {
-		f.Add(seed[0], seed[1], int64(3), int64(7), int64(12))
+		seeds = append(seeds, seed{s[0], s[1], 3, 7, 12})
+	}
+	// A conjunct that raises on a row the id seed skips (v = 3 at id 3, 4 at
+	// id 4): seeded, neither engine raises; with $k = 3 the seeded row
+	// raises on both.
+	for _, k := range []int64{7, 3} {
+		seeds = append(seeds, seed{`UPDATE fuzz_dml SET s = 'seeded' WHERE 10 / (v - 4) > 0 AND id = $k`,
+			`DELETE FROM fuzz_dml WHERE 10 / (v - 3) > 0 AND id = $k`, k, 12, 4})
+	}
+	for _, s := range seeds {
+		f.Add(s.upd, s.del, s.p1, s.p2, s.p3)
 	}
 
 	f.Fuzz(func(t *testing.T, upd, del string, p1, p2, p3 int64) {
@@ -129,4 +159,123 @@ func FuzzEngineDMLDifferential(f *testing.F) {
 		step(del, bindParams(del, p1, p2, p3))
 		snapshot("after DELETE")
 	})
+}
+
+// TestDMLSeedsThroughIndex: an UPDATE or DELETE whose WHERE pins an indexed
+// column reads only the index's rows for the value, on either engine, as a
+// SELECT with the same WHERE does — so a conjunct that would raise only on a
+// row the seed skips raises nothing, where a scan raises.
+func TestDMLSeedsThroughIndex(t *testing.T) {
+	cases := []struct {
+		sql      string
+		k        int64
+		affected int
+		seeds    []int // rows of fuzz_dml each seed reads; 24 is a scan
+		wantErr  bool
+	}{
+		// v = 3 at id 3: the scan raises, the seed through id = 7 does not.
+		{`DELETE FROM fuzz_dml WHERE 10 / (v - 3) > 0 AND id = $k`, 7, 0, []int{1}, false},
+		{`DELETE FROM fuzz_dml WHERE 10 / (v - 3) > 0 AND id + 0 = $k`, 7, 0, []int{24}, true},
+		// v = 4 at id 4; v = 5 at id 12.
+		{`UPDATE fuzz_dml SET s = 'seeded' WHERE 10 / (v - 4) > 0 AND id = $k`, 12, 1, []int{1}, false},
+		// v = 3 at ids 3 and 17 (id 10's v is NULL).
+		{`UPDATE fuzz_dml SET w = w * 2 WHERE v = $k`, 3, 2, []int{2}, false},
+		{`DELETE FROM fuzz_dml WHERE v = $k`, 3, 2, []int{2}, false},
+	}
+	var snaps []*sqldb.ResultSet
+	for _, engine := range []string{sqldb.EngineVector, sqldb.EngineRow} {
+		db := dmlFuzzDB(t, engine)
+		for _, c := range cases {
+			var seeds []int
+			db.OnSeed(func(table string, rows int) {
+				if table == "fuzz_dml" {
+					seeds = append(seeds, rows)
+				}
+			})
+			res, err := db.Exec(c.sql, &sqldb.Params{Named: map[string]sqldb.Value{"k": sqldb.NewInt(c.k)}})
+			db.OnSeed(nil)
+			if (err != nil) != c.wantErr {
+				t.Fatalf("%s engine, %s: error %v, want error: %v", engine, c.sql, err, c.wantErr)
+			}
+			if err == nil && res.Affected != c.affected {
+				t.Errorf("%s engine, %s: %d rows affected, want %d", engine, c.sql, res.Affected, c.affected)
+			}
+			if !reflect.DeepEqual(seeds, c.seeds) {
+				t.Errorf("%s engine, %s: seeds %v, want %v", engine, c.sql, seeds, c.seeds)
+			}
+		}
+		res, err := db.Exec(`SELECT id, v, w, s, b FROM fuzz_dml ORDER BY id`, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snaps = append(snaps, res.Set)
+	}
+	if !reflect.DeepEqual(snaps[0], snaps[1]) {
+		t.Fatalf("engines diverge:\nvector: %v\nrow:    %v", snaps[0].Rows, snaps[1].Rows)
+	}
+}
+
+// TestDMLRunsTheSelectPipeline: a correlated subquery in a DML WHERE or SET
+// decorrelates into a build, as in a SELECT, with no fallback; a refused
+// WHERE counts as a fallback like any SELECT node's.
+func TestDMLRunsTheSelectPipeline(t *testing.T) {
+	cases := []struct {
+		sql       string
+		fallbacks int64
+	}{
+		{`UPDATE fuzz_dml SET w = (SELECT MAX(x.w) FROM fuzz_dml x WHERE x.v = fuzz_dml.v) WHERE id > 3`, 0},
+		{`DELETE FROM fuzz_dml WHERE w < (SELECT AVG(x.w) FROM fuzz_dml x WHERE x.v = fuzz_dml.v)`, 0},
+		// Correlated EXISTS does not vectorize.
+		{`DELETE FROM fuzz_dml WHERE EXISTS (SELECT 1 FROM fuzz_dml x WHERE x.v = fuzz_dml.v AND x.id > fuzz_dml.id)`, 1},
+	}
+	for _, c := range cases {
+		vec, row := dmlFuzzDB(t, sqldb.EngineVector), dmlFuzzDB(t, sqldb.EngineRow)
+		before := vec.Stats()
+		vr, err := vec.Exec(c.sql, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", c.sql, err)
+		}
+		after := vec.Stats()
+		if n := after.VecFallbacks - before.VecFallbacks; n != c.fallbacks {
+			t.Errorf("%s: %d fallbacks, want %d: %+v", c.sql, n, c.fallbacks, after.VecFallbackReasons)
+		}
+		if c.fallbacks == 0 && after.BuildRows == before.BuildRows {
+			t.Errorf("%s: no build ran", c.sql)
+		}
+		rr, err := row.Exec(c.sql, nil)
+		if err != nil {
+			t.Fatalf("%s on the row engine: %v", c.sql, err)
+		}
+		if vr.Affected != rr.Affected || vr.Affected == 0 {
+			t.Errorf("%s: vector affected %d, row %d", c.sql, vr.Affected, rr.Affected)
+		}
+		const snap = `SELECT id, v, w, s, b FROM fuzz_dml ORDER BY id`
+		vs, rs := vec.MustExec(snap, nil), row.MustExec(snap, nil)
+		if !reflect.DeepEqual(vs.Set, rs.Set) {
+			t.Errorf("%s: engines diverge:\nvector: %v\nrow:    %v", c.sql, vs.Set.Rows, rs.Set.Rows)
+		}
+	}
+}
+
+// TestDMLRefusedAtPrepare: an aggregate in a SET is refused when the
+// statement is prepared — it would make the SELECT that finds the rows
+// grouped — whether or not any row matches; one a subquery owns is not. The
+// SELECT's rule refuses an aggregate over the table in the WHERE, and an
+// unknown SET column is refused with the SET.
+func TestDMLRefusedAtPrepare(t *testing.T) {
+	db := dmlFuzzDB(t, sqldb.EngineVector)
+	for _, c := range []struct{ sql, err string }{
+		{`UPDATE fuzz_dml SET v = MAX(v)`, "aggregate in SET v"},
+		{`UPDATE fuzz_dml SET s = 'x', w = w + SUM(w) WHERE id < 0`, "aggregate in SET w"},
+		{`DELETE FROM fuzz_dml WHERE MAX(v) > 1`, "aggregate MAX in WHERE aggregates the rows it filters"},
+		{`UPDATE fuzz_dml SET nope = 1 WHERE id < 0`, "table fuzz_dml has no column nope"},
+	} {
+		if _, err := db.Prepare(c.sql); err == nil || !strings.Contains(err.Error(), c.err) {
+			t.Errorf("%s: prepare error %v, want %q", c.sql, err, c.err)
+		}
+	}
+	res, err := db.Exec(`UPDATE fuzz_dml SET v = (SELECT MAX(x.v) FROM fuzz_dml x) WHERE id = 1`, nil)
+	if err != nil || res.Affected != 1 {
+		t.Fatalf("aggregate in a SET subquery: %v, %+v", err, res)
+	}
 }

@@ -151,102 +151,65 @@ func insertRow(ec *execCtx, t *Table, colPos []int, exprs []Expr) error {
 	return t.insert(row)
 }
 
-// execUpdateLocked is the UPDATE core; db.mu must be held exclusively.
-func (db *DB) execUpdateLocked(st *UpdateStmt, params *Params, plan *stmtPlan) (*Result, error) {
-	t := db.tables[strings.ToLower(st.Table)]
-	if t == nil {
-		return nil, fmt.Errorf("sqldb: no table %s", st.Table)
-	}
-	// Columnar path: a compiled DML plan evaluates WHERE/SET batch-at-a-time
-	// over the column vectors (vecdml.go); a replay runs the row path below.
-	if plan.dml != nil && db.vecOn.Load() {
-		if res, err := db.vecExecUpdateLocked(params, plan, t); !db.replayed(err) {
-			return res, err
-		}
-	}
+// execDMLLocked is the UPDATE and DELETE core; db.mu must be held
+// exclusively. Phase 1 (read) runs plan.query, the SELECT that finds the
+// rows (planDML), on the engine that runs its SELECT node (vecPlanFor): it
+// lists the matched positions and, for an UPDATE, their new values, coerced
+// to the column types, and reads the pre-mutation state throughout. Phase 2
+// (write) runs only once every expression evaluated without error.
+func (db *DB) execDMLLocked(params *Params, plan *stmtPlan) (*Result, error) {
 	ec := &execCtx{db: db, params: params, plan: plan}
-	// Phase 1 (read): evaluate WHERE and the SET expressions against the
-	// pre-update state, without holding the table write lock, so that
-	// subqueries over the updated table itself can take read locks freely.
-	bt := &boundTable{binding: strings.ToLower(st.Table), table: t}
-	fr := &frame{tables: []*boundTable{bt}}
-	cols := make([]int, len(st.Sets))
-	for i, set := range st.Sets {
-		cols[i] = t.ColumnIndex(set.Column)
-		if cols[i] < 0 {
-			return nil, fmt.Errorf("sqldb: table %s has no column %s", st.Table, set.Column)
-		}
-	}
-	// pos lists the matched rows; vals holds their new values, one per SET
-	// in declaration order, row after row.
-	var pos []int
+	var pos []int32
 	var vals []Value
-	for p := 0; p < t.nrows; p++ {
-		bt.bind(p)
-		if st.Where != nil {
-			ok, err := ec.evalBool(st.Where, fr)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				continue
-			}
-		}
-		for j, set := range st.Sets {
-			v, err := ec.eval(set.Value, fr)
-			if err != nil {
-				return nil, err
-			}
-			cv, err := coerce(v, t.Columns[cols[j]].Type)
-			if err != nil {
-				return nil, err
-			}
-			vals = append(vals, cv)
-		}
-		pos = append(pos, p)
+	var err error
+	replay := true
+	if sp := ec.vecPlanFor(plan.query); sp != nil {
+		pos, vals, err = ec.vecMatch(sp)
+		replay = db.vecReplay(err)
 	}
-	// Phase 2 (write): shared with the columnar path.
-	t.updateRows(db, cols, pos, vals)
+	if replay {
+		pos, vals, err = ec.rowMatch(plan.query)
+	}
+	if err != nil {
+		return nil, err
+	}
+	t := plan.selects[plan.query].from
+	if _, update := plan.stmt.(*UpdateStmt); update {
+		t.updateRows(db, plan.sets, pos, vals)
+	} else {
+		t.deleteRows(db, pos)
+	}
 	return &Result{Affected: len(pos)}, nil
 }
 
-// execDeleteLocked is the DELETE core; db.mu must be held exclusively.
-func (db *DB) execDeleteLocked(st *DeleteStmt, params *Params, plan *stmtPlan) (*Result, error) {
-	t := db.tables[strings.ToLower(st.Table)]
-	if t == nil {
-		return nil, fmt.Errorf("sqldb: no table %s", st.Table)
+// rowMatch is execDMLLocked's phase 1 on the row interpreter: the positions
+// of the rows q's seed and WHERE keep, in storage order, and the values of
+// its items over each, row after row.
+func (ec *execCtx) rowMatch(q *SelectStmt) (pos []int32, vals []Value, err error) {
+	sp := ec.plan.selects[q]
+	fr, tuples, err := ec.rowTuples(q, sp, nil)
+	if err != nil {
+		return nil, nil, err
 	}
-	// Columnar path: see vecdml.go.
-	if plan.dml != nil && db.vecOn.Load() {
-		if res, err := db.vecExecDeleteLocked(params, plan, t); !db.replayed(err) {
-			return res, err
-		}
+	pos = make([]int32, 0, len(tuples))
+	if len(q.Items) > 0 {
+		vals = make([]Value, 0, len(tuples)*len(q.Items))
 	}
-	ec := &execCtx{db: db, params: params, plan: plan}
-	// Phase 1 (read): decide which rows survive without the write lock held.
-	bt := &boundTable{binding: strings.ToLower(st.Table), table: t}
-	fr := &frame{tables: []*boundTable{bt}}
-	keep := make([]bool, t.nrows)
-	n := 0
-	for p := range keep {
-		bt.bind(p)
-		del := true
-		if st.Where != nil {
-			ok, err := ec.evalBool(st.Where, fr)
+	for _, tp := range tuples {
+		setTuple(fr, tp)
+		for j, item := range q.Items {
+			v, err := ec.eval(item.Expr, fr)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
-			del = ok
+			if v, err = coerce(v, sp.from.Columns[ec.plan.sets[j]].Type); err != nil {
+				return nil, nil, err
+			}
+			vals = append(vals, v)
 		}
-		if del {
-			n++
-		} else {
-			keep[p] = true
-		}
+		pos = append(pos, int32(tp[0]-1))
 	}
-	// Phase 2 (write): shared with the columnar path.
-	t.deleteRows(db, keep, n)
-	return &Result{Affected: n}, nil
+	return pos, vals, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -432,49 +395,9 @@ func subValue(exists bool, ncols, nrows int, at func(int) Value) (Value, error) 
 func (ec *execCtx) rowSelect(st *SelectStmt, parent *frame) (*ResultSet, error) {
 	// sp is the precomputed strategy of this SELECT node.
 	sp := ec.plan.selects[st]
-	fr := &frame{parent: parent, level: sp.level}
-	var tuples []tuple
-
-	if st.From == nil {
-		tuples = []tuple{{}}
-	} else {
-		bt := &boundTable{binding: sp.fromBinding, table: sp.from}
-		fr.tables = append(fr.tables, bt)
-		// Seed tuples from the first table, through an index where the WHERE
-		// clause pins one (ec.seed).
-		seeds := ec.seed(sp, fr, nil)
-		at := make([]int, len(seeds)) // one backing array for all seed tuples
-		tuples = make([]tuple, len(seeds))
-		for i, pos := range seeds {
-			at[i] = int(pos) + 1
-			tuples[i] = at[i : i+1 : i+1]
-		}
-		for i := range sp.joins {
-			jp := &sp.joins[i]
-			jbt := &boundTable{binding: jp.binding, table: jp.table}
-			fr.tables = append(fr.tables, jbt)
-			joined, err := ec.join(fr, tuples, jbt, jp)
-			if err != nil {
-				return nil, err
-			}
-			tuples = joined
-		}
-	}
-
-	// WHERE filter.
-	if st.Where != nil {
-		kept := tuples[:0]
-		for _, tp := range tuples {
-			setTuple(fr, tp)
-			ok, err := ec.evalBool(st.Where, fr)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				kept = append(kept, tp)
-			}
-		}
-		tuples = kept
+	fr, tuples, err := ec.rowTuples(st, sp, parent)
+	if err != nil {
+		return nil, err
 	}
 
 	// aliases maps select alias -> output column; read-only, shared across
@@ -625,6 +548,63 @@ func (ec *execCtx) rowSelect(st *SelectStmt, parent *frame) (*ResultSet, error) 
 	return set, nil
 }
 
+// rowFrame is a frame of the row interpreter with room for its first bound
+// table inline: binding a one-table SELECT allocates once.
+type rowFrame struct {
+	frame
+	first boundTable
+	slot  [1]*boundTable
+}
+
+// rowTuples binds the tables of SELECT st, planned as sp, in a frame under
+// parent, and returns it with the tuples its seed, joins and WHERE keep.
+func (ec *execCtx) rowTuples(st *SelectStmt, sp *selectPlan, parent *frame) (*frame, []tuple, error) {
+	rf := &rowFrame{frame: frame{parent: parent, level: sp.level}}
+	fr := &rf.frame
+	var tuples []tuple
+	if st.From == nil {
+		tuples = []tuple{{}}
+	} else {
+		rf.first = boundTable{binding: sp.fromBinding, table: sp.from}
+		rf.slot[0] = &rf.first
+		fr.tables = rf.slot[:]
+		// Seed tuples from the first table, through an index where the WHERE
+		// clause pins one (ec.seed).
+		seeds := ec.seed(sp, fr, nil)
+		at := make([]int, len(seeds)) // one backing array for all seed tuples
+		tuples = make([]tuple, len(seeds))
+		for i, pos := range seeds {
+			at[i] = int(pos) + 1
+			tuples[i] = at[i : i+1 : i+1]
+		}
+		for i := range sp.joins {
+			jp := &sp.joins[i]
+			jbt := &boundTable{binding: jp.binding, table: jp.table}
+			fr.tables = append(fr.tables, jbt)
+			joined, err := ec.join(fr, tuples, jbt, jp)
+			if err != nil {
+				return nil, nil, err
+			}
+			tuples = joined
+		}
+	}
+	if st.Where != nil {
+		kept := tuples[:0]
+		for _, tp := range tuples {
+			setTuple(fr, tp)
+			ok, err := ec.evalBool(st.Where, fr)
+			if err != nil {
+				return nil, nil, err
+			}
+			if ok {
+				kept = append(kept, tp)
+			}
+		}
+		tuples = kept
+	}
+	return fr, tuples, nil
+}
+
 // groupTuples partitions tuples by the GROUP BY keys. Without GROUP BY all
 // tuples form one group (which exists even when empty). Returns the groups
 // and the deterministic iteration order of their keys.
@@ -690,14 +670,32 @@ func (ec *execCtx) seed(sp *selectPlan, fr *frame, buf []int32) []int32 {
 		if err != nil {
 			continue // not evaluable up front; fall back to a scan
 		}
-		return sp.seedKeys(ka, ix, []Value{v}, buf)
+		return ec.seedBy(sp, ka, ix, []Value{v}, buf)
 	}
 	if v, ok := ec.pinValue(sp, fr); ok {
 		if ix := sp.keyIndex(sp.pin.keyAccess); ix != nil {
-			return sp.seedKeys(sp.pin.keyAccess, ix, []Value{v}, buf)
+			return ec.seedBy(sp, sp.pin.keyAccess, ix, []Value{v}, buf)
 		}
 	}
-	return appendRows(buf, sp.from.nrows) // stable: DML runs under the exclusive statement lock
+	return ec.seedBy(sp, keyAccess{}, nil, nil, buf)
+}
+
+// seedBy appends to buf the positions of the rows of sp's first table that
+// ka reaches from vals through ix, ka's index (seedKeys), or of every row
+// when ix is nil, and reports them to the test hook (DB.seedHook). Every
+// seed of either engine is made here: a SELECT's (seed) and a build's
+// (vecCtx.runBuild).
+func (ec *execCtx) seedBy(sp *selectPlan, ka keyAccess, ix *hashIndex, vals []Value, buf []int32) []int32 {
+	n := len(buf)
+	if ix == nil {
+		buf = appendRows(buf, sp.from.nrows) // stable: DML runs under the exclusive statement lock
+	} else {
+		buf = sp.seedKeys(ka, ix, vals, buf)
+	}
+	if h := ec.db.seedHook; h != nil {
+		h(sp.from, len(buf)-n)
+	}
+	return buf
 }
 
 // pinValue evaluates the join access's value for one execution. ok is false,
@@ -773,6 +771,7 @@ func keyHits(ix *hashIndex, ka keyAccess, v Value) int {
 
 // appendRows appends the positions of every row of a table of n rows.
 func appendRows(buf []int32, n int) []int32 {
+	buf = slices.Grow(buf, n)
 	for i := 0; i < n; i++ {
 		buf = append(buf, int32(i))
 	}

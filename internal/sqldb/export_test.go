@@ -51,8 +51,9 @@ func (db *DB) SetStats(s Stats) {
 	db.sharedBuilds.Store(s.SharedBuilds)
 }
 
-// OnSeed makes every vectorized scan report the name of the FROM table it
-// seeds and how many of its rows it seeded, for tests that check how far a
+// OnSeed makes every seed of either engine — a SELECT's, a build's, an
+// UPDATE's or DELETE's — report the name of the FROM table it seeds and how
+// many of its rows it seeded, for tests that check how far a
 // seed reaches; nil stops the reports.
 func (db *DB) OnSeed(f func(table string, rows int)) {
 	if f == nil {

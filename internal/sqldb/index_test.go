@@ -206,11 +206,13 @@ func FuzzHashIndex(f *testing.F) {
 				if cv.n == 0 {
 					continue
 				}
-				keep := make([]bool, cv.n)
-				for i := range keep {
-					keep[i] = i != int(r.byte())%cv.n
+				var drop []int32
+				for i := range cv.n {
+					if i == int(r.byte())%cv.n {
+						drop = append(drop, int32(i))
+					}
 				}
-				cv.compact(keep)
+				cv.compact(drop)
 				ix = buildHashIndex(cv, cv.n)
 			default:
 				var p Value

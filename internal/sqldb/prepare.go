@@ -51,9 +51,10 @@ type stmtPlan struct {
 	// each once, in the order the statement text first mentions them: what
 	// its result-cache key fingerprints (see cacheKeyFor).
 	markers []EParam
-	// dml is the compiled columnar UPDATE/DELETE pipeline, nil when the
-	// statement is not DML or its shape is not vectorized (see vecdml.go).
-	dml *vecDMLPlan
+	// query is what an UPDATE or DELETE runs to find its rows (planDML); sets
+	// lists the column each SET value of an UPDATE is written to.
+	query *SelectStmt
+	sets  []int
 	// tables lists every table the plan references (FROM and JOIN clauses of
 	// the statement and all its subqueries, deduplicated); the result cache
 	// derives an entry's freshness from their data versions.
@@ -259,9 +260,6 @@ func (db *DB) buildPlan(stmt Stmt) (*stmtPlan, error) {
 		selects: make(map[*SelectStmt]*selectPlan),
 	}
 	pl := &planner{db: db, p: p}
-	// An UPDATE or DELETE binds its WHERE and SET expressions in the scope of
-	// its one table, as the row interpreter's frame holds it.
-	var dml *selectPlan
 	switch st := stmt.(type) {
 	case *SelectStmt:
 		if err := pl.planSelect(st); err != nil {
@@ -280,53 +278,50 @@ func (db *DB) buildPlan(stmt Stmt) (*stmtPlan, error) {
 			}
 		}
 	case *UpdateStmt:
-		if dml = db.dmlScope(st.Table); dml == nil {
-			return nil, fmt.Errorf("sqldb: no table %s", st.Table)
-		}
-		pl.scopes = []scope{{sp: dml, width: 1}}
-		for _, set := range st.Sets {
-			if err := pl.planExpr(set.Value); err != nil {
-				return nil, err
-			}
-		}
-		if err := pl.planExpr(st.Where); err != nil {
+		if err := pl.planDML(st.Table, st.Sets, st.Where); err != nil {
 			return nil, err
 		}
 	case *DeleteStmt:
-		if dml = db.dmlScope(st.Table); dml == nil {
-			return nil, fmt.Errorf("sqldb: no table %s", st.Table)
-		}
-		pl.scopes = []scope{{sp: dml, width: 1}}
-		if err := pl.planExpr(st.Where); err != nil {
+		if err := pl.planDML(st.Table, nil, st.Where); err != nil {
 			return nil, err
 		}
 	case *CreateTableStmt, *DropTableStmt, *CreateIndexStmt:
 		// DDL has nothing to precompute; Execute runs it through execDDL.
 	}
 	// Second pass: compile the physical operator pipeline of every SELECT
-	// node the vectorized engine covers, and the columnar DML pipeline of
-	// UPDATE/DELETE statements. This runs after the logical pass so every
-	// reference is bound and every subquery's reads are known.
+	// node the vectorized engine covers. This runs after the logical pass so
+	// every reference is bound and every subquery's reads are known.
 	for st, sp := range p.selects {
 		sp.vec, sp.vecReason = compileVecSelect(p, st, sp)
-	}
-	switch st := stmt.(type) {
-	case *UpdateStmt:
-		p.dml = compileVecDML(p, dml, st.Where, st.Sets)
-	case *DeleteStmt:
-		p.dml = compileVecDML(p, dml, st.Where, nil)
 	}
 	return p, nil
 }
 
-// dmlScope is the scope an UPDATE or DELETE of the named table binds in, nil
-// when there is no such table.
-func (db *DB) dmlScope(table string) *selectPlan {
-	t := db.tables[strings.ToLower(table)]
-	if t == nil {
-		return nil
+// planDML plans an UPDATE or DELETE of table as the SELECT that finds its
+// rows: FROM the table, its WHERE, and an UPDATE's SET values as items — so
+// DML binds, seeds, filters and builds as any SELECT does. An aggregate in a
+// SET is refused: it would turn that SELECT grouped.
+func (pl *planner) planDML(table string, sets []SetClause, where Expr) error {
+	q := &SelectStmt{From: &TableRef{Table: table}, Where: where}
+	for _, set := range sets {
+		if hasAggregate(set.Value) {
+			return fmt.Errorf("sqldb: aggregate in SET %s", set.Column)
+		}
+		q.Items = append(q.Items, SelectItem{Expr: set.Value})
 	}
-	return &selectPlan{from: t, fromBinding: strings.ToLower(table)}
+	if err := pl.planSelect(q); err != nil {
+		return err
+	}
+	t := pl.p.selects[q].from
+	for _, set := range sets {
+		c := t.ColumnIndex(set.Column)
+		if c < 0 {
+			return fmt.Errorf("sqldb: table %s has no column %s", table, set.Column)
+		}
+		pl.p.sets = append(pl.p.sets, c)
+	}
+	pl.p.query = q
+	return nil
 }
 
 // SelectMarkers returns the distinct parameter markers of a SELECT in order

@@ -159,14 +159,14 @@ func (t *Table) buildIndex(col int) *hashIndex {
 // coerced to its column type. The indexes over the assigned columns are
 // rebuilt, and db stamps the table with a fresh data version. Caller holds
 // db.mu exclusively.
-func (t *Table) updateRows(db *DB, cols, pos []int, vals []Value) {
+func (t *Table) updateRows(db *DB, cols []int, pos []int32, vals []Value) {
 	if len(pos) == 0 {
 		return
 	}
 	t.mu.Lock()
 	for i, p := range pos {
 		for j, c := range cols {
-			t.cols[c].setVal(p, vals[i*len(cols)+j])
+			t.cols[c].setVal(int(p), vals[i*len(cols)+j])
 		}
 	}
 	t.mu.Unlock()
@@ -175,18 +175,18 @@ func (t *Table) updateRows(db *DB, cols, pos []int, vals []Value) {
 }
 
 // deleteRows is the write phase of a DELETE, shared by both engines: it drops
-// the n rows whose keep bit is false, preserving the order of the rest. Every
-// index is rebuilt, and db stamps the table with a fresh data version.
-// Caller holds db.mu exclusively.
-func (t *Table) deleteRows(db *DB, keep []bool, n int) {
-	if n == 0 {
+// the rows at pos, ascending and each listed once, preserving the order of
+// the rest. Every index is rebuilt, and db stamps the table with a fresh data
+// version. Caller holds db.mu exclusively.
+func (t *Table) deleteRows(db *DB, pos []int32) {
+	if len(pos) == 0 {
 		return
 	}
 	t.mu.Lock()
 	for _, c := range t.cols {
-		c.compact(keep)
+		c.compact(pos)
 	}
-	t.nrows -= n
+	t.nrows -= len(pos)
 	t.mu.Unlock()
 	t.rebuildIndexes()
 	db.bumpData(t)
@@ -255,8 +255,9 @@ type DB struct {
 	// table served (Stats.SharedBuilds).
 	buildRows    atomic.Int64
 	sharedBuilds atomic.Int64
-	// seedHook, set only by tests (export_test.go), observes the seed of
-	// every vectorized scan: the FROM table and how many rows it seeded.
+	// seedHook, set only by tests (export_test.go), observes every seed of
+	// either engine (execCtx.seedBy): the FROM table and how many rows it
+	// seeded.
 	seedHook func(from *Table, rows int)
 }
 

@@ -252,11 +252,10 @@ func eachClause(st *SelectStmt, full int, aliases map[string]int, f func(e Expr,
 }
 
 // frame is a lexical scope of bound tables at run time, the SELECT at
-// nesting level level (an UPDATE's or DELETE's table at 0); parent scopes
-// make correlated subqueries work. Levels fall along the parent chain, and a
-// level may be missing — the decorrelated form of a subquery nested in
-// another's correlation key runs with the compiling SELECT's frame as its
-// parent — where nothing reads it.
+// nesting level level; parent scopes make correlated subqueries work. Levels
+// fall along the parent chain, and a level may be missing — the decorrelated
+// form of a subquery nested in another's correlation key runs with the
+// compiling SELECT's frame as its parent — where nothing reads it.
 type frame struct {
 	parent *frame
 	level  int

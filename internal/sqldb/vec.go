@@ -32,8 +32,8 @@ package sqldb
 //     reproduce the row engine at run time — a build that raises, a key
 //     beyond ±2^53, a probe key that fails to evaluate. The pipeline returns
 //     errReplay, and the node's dispatch site (execSelect, eval's subquery
-//     and EXISTS cases, the columnar UPDATE/DELETE) runs it again on the row
-//     interpreter, counted as a "subquery" fallback: exact by construction;
+//     and EXISTS cases, execDMLLocked) runs it again on the row interpreter,
+//     counted as a "subquery" fallback: exact by construction;
 //   - on the row interpreter from the start, when the compiler refuses its
 //     shape.
 //
@@ -880,11 +880,16 @@ type corrSite struct {
 type corrBuildPlan struct {
 	sp   *selectPlan
 	slot int // the execution's build state is vecCtx.builds[slot]
-	// spare is the build state the last execution or build table gave back,
-	// emptied, at the size this build grew it to (take, give). The plan is
-	// the state's one owner: a build table only borrows it.
-	spare atomic.Pointer[corrBuild]
-	nkey  int
+	// spares are the build states the last executions or build tables gave
+	// back, emptied, at the size this build grew them to (take, give): two,
+	// so that an execution which builds its own while a build table borrows
+	// the one finds the other. The plan is the states' one owner: a build
+	// table only borrows them.
+	spares [2]atomic.Pointer[corrBuild]
+	// spills counts the builds that spilled their slot array to the map
+	// (corrBuild.spill): once one has, every later build starts in the map.
+	spills atomic.Int64
+	nkey   int
 	// agg is the upper-cased aggregate of an aggregate item, "" for a plain
 	// one; star marks COUNT(*), which projects no value.
 	agg  string
@@ -902,19 +907,25 @@ type corrBuildPlan struct {
 	share *buildShare
 }
 
-// take returns the plan's spare build state, or state of its own when
-// another execution or build table holds the spare.
+// take returns one of the plan's spare build states, or state of its own
+// when other executions or build tables hold both.
 func (bp *corrBuildPlan) take() *corrBuild {
-	if bd := bp.spare.Swap(nil); bd != nil {
-		return bd
+	for i := range bp.spares {
+		if bd := bp.spares[i].Swap(nil); bd != nil {
+			return bd
+		}
 	}
 	return &corrBuild{plan: bp}
 }
 
-// give empties bd and makes it the plan's spare.
+// give empties bd and makes it a spare of the plan, unless it has two.
 func (bp *corrBuildPlan) give(bd *corrBuild) {
 	bd.reset()
-	bp.spare.Store(bd)
+	for i := range bp.spares {
+		if bp.spares[i].CompareAndSwap(nil, bd) {
+			return
+		}
+	}
 }
 
 // probeKey is an inner key of a build, key its ordinal, that a key access

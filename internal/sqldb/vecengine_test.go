@@ -823,6 +823,52 @@ func TestDenseBuildAllocs(t *testing.T) {
 	}
 }
 
+// TestBuildSpillsOncePerPlan: a build whose 100 keys spread over 99 001
+// ids, too thinly for a slot array, spills to the map in its plan's first
+// execution only; the plan's later builds start in the map.
+func TestBuildSpillsOncePerPlan(t *testing.T) {
+	db := NewDB()
+	db.SetResultCacheSize(0)
+	db.MustExec(`CREATE TABLE sk (id INTEGER PRIMARY KEY, k INTEGER, v REAL)`, nil)
+	var sql strings.Builder
+	sql.WriteString(`INSERT INTO sk (id, k, v) VALUES `)
+	for i := range 100 {
+		if i > 0 {
+			sql.WriteString(", ")
+		}
+		fmt.Fprintf(&sql, "(%d, %d, %d)", i, 1000*i, i%7)
+	}
+	db.MustExec(sql.String(), nil)
+	ps, err := db.Prepare(`SELECT COUNT(*) FROM sk o WHERE (SELECT MAX(i.v) FROM sk i WHERE i.k = o.k) >= 0`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ps.Close()
+	for run := range 3 {
+		// The analysis's build table shows the build, and through it its plan.
+		ctx, done := ShareBuilds(context.Background())
+		var bindings [1]*Params
+		var out [1]BatchResult
+		if err := ps.execBatch(ctx, bindings[:], out[:]); err != nil || out[0].Err != nil {
+			t.Fatal(err, out[0].Err)
+		}
+		if got := out[0].Res.Set.Rows[0][0].Int(); got != 100 {
+			t.Fatalf("run %d: count %d, want 100", run, got)
+		}
+		var plans []*corrBuildPlan
+		for _, bd := range buildTableOf(ctx).m {
+			plans = append(plans, bd.plan)
+		}
+		done()
+		if len(plans) != 1 {
+			t.Fatalf("run %d: %d builds, want 1", run, len(plans))
+		}
+		if n := plans[0].spills.Load(); n != 1 {
+			t.Fatalf("run %d: the plan's builds spilled %d times, want once", run, n)
+		}
+	}
+}
+
 // TestDenseBuildConcurrent: executions of one prepared statement running at
 // once each take a build state of their own — the plan's spare, or a new
 // one — and answer as one execution alone does. The builds read the keys

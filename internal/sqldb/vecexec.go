@@ -11,7 +11,8 @@ package sqldb
 //
 // The stages up to WHERE (scan) also feed the build side of a decorrelated
 // subquery (vec.go's decorrelate), which folds its batches straight into a
-// hash table keyed by the subquery's correlation keys (build, fold).
+// hash table keyed by the subquery's correlation keys (build, fold), and an
+// UPDATE or DELETE, which lists the rows they keep (vecMatch).
 //
 // The pipeline mirrors the row interpreter's observable behavior exactly:
 // same seed strategy (including falling back to a scan when an access path's
@@ -161,9 +162,46 @@ func (ec *execCtx) vecExecRows(st *SelectStmt, sp *selectPlan, parent *frame) ([
 	return rows, nil
 }
 
+// vecMatch is execDMLLocked's phase 1 on the vectorized engine: it runs the
+// pipeline of sp, the SELECT that finds an UPDATE's or DELETE's rows, up to
+// its WHERE, and lists the surviving positions of its table and, row after
+// row, its items' values, evaluated column-major per batch and coerced to
+// the types of the columns they are written to (stmtPlan.sets).
+func (ec *execCtx) vecMatch(sp *selectPlan) (pos []int32, vals []Value, err error) {
+	vc := acquireVecCtx(ec, sp.vec.nTab)
+	defer vc.release()
+	items := sp.vec.items
+	err = vc.scan(sp, nil, func(b *vbatch) error {
+		base, ns := len(vals), len(items)
+		vals = slices.Grow(vals, b.n*ns)[:base+b.n*ns]
+		c := vc.getCol()
+		defer vc.putCol(c)
+		for j, item := range items {
+			if err := item(vc, b, c); err != nil {
+				return err
+			}
+			typ := sp.from.Columns[ec.plan.sets[j]].Type
+			for i := 0; i < b.n; i++ {
+				v, err := coerce(c.at(i), typ)
+				if err != nil {
+					return err
+				}
+				vals[base+i*ns+j] = v
+			}
+		}
+		if pos == nil {
+			pos = make([]int32, 0, len(vc.seed)) // no more matches than seeded rows
+		}
+		pos = append(pos, b.pos[0][:b.n]...)
+		return nil
+	})
+	return pos, vals, err
+}
+
 // scan runs the pipeline of a planned SELECT up to its WHERE clause — seed,
 // joins, filter — with parent as the enclosing frame, and hands every batch
-// with surviving rows to sink: the projection or grouping of vecExecRows.
+// with surviving rows to sink: the projection or grouping of vecExecRows,
+// or an UPDATE's or DELETE's list of matches (vecMatch).
 func (vc *vecCtx) scan(sp *selectPlan, parent *frame, sink func(b *vbatch) error) error {
 	vc.bind(sp, parent)
 	if sp.vec.nTab == 0 {
@@ -202,9 +240,6 @@ func (vc *vecCtx) scanSeed(sp *selectPlan, seed []int32, sink func(b *vbatch) er
 	tabs := vc.tabs
 	if vp.nTab > 0 {
 		vc.fr.tables = vc.bts
-		if h := vc.ec.db.seedHook; h != nil {
-			h(sp.from, len(seed))
-		}
 	}
 
 	// Grab each equi-join's probe index once: indexes mutate only under the
@@ -321,7 +356,7 @@ func (vc *vecCtx) scanSeed(sp *selectPlan, seed []int32, sink func(b *vbatch) er
 // seeded through a key, it holds the entries of the keys whose component
 // there is one of vals, the values it read, ascending — others it may hold
 // in part, and a probe for one rebuilds it by scan. plan is the build plan
-// the state belongs to (corrBuildPlan.spare).
+// the state belongs to (corrBuildPlan.spares).
 //
 // A build its maker lent to an analysis's build table (lent; buildTable.claim)
 // is the table's until it closes: params is the fingerprint of the values of
@@ -330,9 +365,10 @@ func (vc *vecCtx) scanSeed(sp *selectPlan, seed []int32, sink func(b *vbatch) er
 // never written, by its maker too.
 //
 // A one-component key finds its entry by array offset while dense: slots[k-lo]
-// holds the entry plus one, 0 for a key with none. A two-component key, and
-// one whose keys spread over more than denseFactor slots per row the build
-// reads (rows), goes through index instead.
+// holds the entry plus one, 0 for a key with none. A two-component key, one
+// whose keys spread over more than denseFactor slots per row the build reads
+// (rows), and every key of a plan one such build spilled in
+// (corrBuildPlan.spills), go through index instead.
 type corrBuild struct {
 	via   int
 	vals  []Value
@@ -531,7 +567,7 @@ func (vc *vecCtx) buildSide(bp *corrBuildPlan, keys []*vcol, n int) (*corrBuild,
 			bd.clearEntries()
 		}
 		bd.via = -1
-		return bd, vc.runBuild(bp, bd, nil, nil)
+		return bd, vc.runBuild(bp, bd, keyAccess{}, nil, nil)
 	}
 	return bd, nil
 }
@@ -586,11 +622,12 @@ func (vc *vecCtx) startBuild(bp *corrBuildPlan, bd *corrBuild, keys []*vcol, n i
 	}
 	switch {
 	case bd.via >= 0:
-		return vc.runBuild(bp, bd, &bp.keyed[bd.via].ka, bd.vals)
+		ka := bp.keyed[bd.via].ka
+		return vc.runBuild(bp, bd, ka, sp.keyIndex(ka), bd.vals)
 	case pinned:
-		return vc.runBuild(bp, bd, &sp.pin.keyAccess, []Value{pin})
+		return vc.runBuild(bp, bd, sp.pin.keyAccess, sp.keyIndex(sp.pin.keyAccess), []Value{pin})
 	}
-	return vc.runBuild(bp, bd, nil, nil)
+	return vc.runBuild(bp, bd, keyAccess{}, nil, nil)
 }
 
 // probeVals lists in buf the distinct values, ascending, the n rows of col
@@ -632,23 +669,24 @@ func (bd *corrBuild) holds(bp *corrBuildPlan, keys []*vcol, n int) bool {
 }
 
 // runBuild runs bp's synthesized SELECT over the FROM rows ka reaches from
-// vals (seedKeys; every row when ka is nil) — with the compiling SELECT's
-// frame as parent, as the correlated subquery has — folding its batches
-// straight into the hash table, and finalizes the aggregates. Any error, and
-// any key corrHash refuses, is errReplay: the build may have read rows the
-// correlated executions never visit.
-func (vc *vecCtx) runBuild(bp *corrBuildPlan, bd *corrBuild, ka *keyAccess, vals []Value) error {
+// vals through ix, ka's index (seedBy; every row when ix is nil) — with the
+// compiling SELECT's frame as parent, as the correlated subquery has —
+// folding its batches straight into the hash table, and finalizes the
+// aggregates. Any error, and any key corrHash refuses, is errReplay: the
+// build may have read rows the correlated executions never visit.
+func (vc *vecCtx) runBuild(bp *corrBuildPlan, bd *corrBuild, ka keyAccess, ix *hashIndex, vals []Value) error {
 	bvc := acquireVecCtx(vc.ec, bp.sp.vec.nTab)
 	defer bvc.release()
 	bvc.bind(bp.sp, &vc.fr)
-	if ka == nil {
-		bvc.seed = appendRows(bvc.seed[:0], bp.sp.from.nrows)
-	} else {
-		bvc.seed = bp.sp.seedKeys(*ka, bp.sp.keyIndex(*ka), vals, bvc.seed[:0])
-	}
+	bvc.seed = vc.ec.seedBy(bp.sp, ka, ix, vals, bvc.seed[:0])
 	vc.ec.db.buildRows.Add(int64(len(bvc.seed)))
-	bd.dense, bd.rows = bp.nkey == 1, len(bvc.seed)
-	if err := bvc.scanSeed(bp.sp, bvc.seed, func(b *vbatch) error { return bvc.fold(bp, bd, b) }); err != nil {
+	dense := bp.nkey == 1 && bp.spills.Load() == 0
+	bd.dense, bd.rows = dense, len(bvc.seed)
+	err := bvc.scanSeed(bp.sp, bvc.seed, func(b *vbatch) error { return bvc.fold(bp, bd, b) })
+	if dense && !bd.dense {
+		bp.spills.Add(1) // the plan's later builds start in the map
+	}
+	if err != nil {
 		return errReplay
 	}
 	if bp.agg != "" {
