@@ -203,6 +203,67 @@ func TestSetFormEnginesAgree(t *testing.T) {
 	}
 }
 
+// TestCanonicalFiltersFuse: every vectorized scan with a WHERE clause that a
+// canonical set form and its per-context restriction run, in each dialect
+// the analyzer renders, runs the fused kernels — the statement's own SELECTs
+// and each decorrelated build over its synthesized WHERE. A clause left on
+// the compiled filter tree (CommunicationCost's and IOCost's chains of Type
+// equalities, before they fused as one membership test) fails here.
+func TestCanonicalFiltersFuse(t *testing.T) {
+	w := model.MustCompileSpec()
+	db := diffDB(t)
+	if err := db.SetEngine(sqldb.EngineVector); err != nil {
+		t.Fatal(err)
+	}
+	run, basis := setFormIDs(t)
+	var scans, tree int
+	db.OnFilter(func(fused bool) {
+		scans++
+		if !fused {
+			tree++
+		}
+	})
+	defer db.OnFilter(nil)
+	for _, name := range model.AllProperties {
+		set := compileSet(t, w, name)
+		restricted, err := set.Restrict()
+		if err != nil {
+			t.Fatal(err)
+		}
+		vals := map[string]sqldb.Value{set.Params[0].Name: sqldb.NewInt(run), set.Params[1].Name: sqldb.NewInt(basis)}
+		res, err := db.Exec(set.SQL, &sqldb.Params{Named: vals})
+		if err != nil || len(res.Set.Rows) == 0 {
+			t.Fatalf("%s: set form: %v", name, err)
+		}
+		vals[set.Context] = res.Set.Rows[0][0]
+		for form, cp := range map[string]*sqlgen.CompiledProperty{"set form": set, "restricted": restricted} {
+			for _, dialect := range []string{"kojakdb", "oracle7", "ansi"} {
+				r, err := cp.Render(dialect)
+				if err != nil {
+					t.Fatal(err)
+				}
+				params := &sqldb.Params{Named: vals}
+				if r.ParamOrder != nil {
+					params = &sqldb.Params{}
+					for _, p := range r.ParamOrder {
+						params.Positional = append(params.Positional, vals[p])
+					}
+				}
+				scans, tree = 0, 0
+				if _, err := db.Exec(r.SQL, params); err != nil {
+					t.Fatalf("%s, %s, %s: %v", name, form, dialect, err)
+				}
+				if scans == 0 {
+					t.Errorf("%s, %s, %s: no vectorized scan with a WHERE ran", name, form, dialect)
+				}
+				if tree > 0 {
+					t.Errorf("%s, %s, %s: %d of %d scans with a WHERE ran the filter tree", name, form, dialect, tree, scans)
+				}
+			}
+		}
+	}
+}
+
 // FuzzEngineDifferential cross-checks the engines on arbitrary SELECT text,
 // and a batched execution of it against its bindings executed one by one.
 // Non-SELECT statements are skipped (the database is shared across
@@ -351,6 +412,22 @@ func engineDiffSeeds(tb testing.TB) []diffSeed {
 		`SELECT o.id, (SELECT COUNT(i.id) FROM fuzz_aux i WHERE i.id = o.id AND 10 / (i.v - 30) > 0) FROM fuzz_aux o WHERE o.id <> 3 ORDER BY o.id`,
 		`SELECT o.id, (SELECT i.w FROM fuzz_aux i WHERE i.v = o.v AND i.id > 0) FROM fuzz_aux o WHERE o.id < 0`,
 		`SELECT o.id, (SELECT i.w FROM fuzz_aux i WHERE i.v = o.v AND i.id = (SELECT MIN(m.id) FROM fuzz_aux m WHERE m.v = o.v)) FROM fuzz_aux o ORDER BY o.id`,
+		// Disjunctions of text equalities over one TEXT column, which fuse as
+		// one membership test: over a NULL cell (row 3), with a duplicated
+		// literal, right-nested, parenthesised and beside another conjunct;
+		// and the shapes that stay on the filter tree — a leaf on a second
+		// column, with <, with a parameter (bound to an integer) or an outer
+		// reference, and text literals against an INTEGER column, which the
+		// row engine refuses.
+		`SELECT id FROM fuzz_aux WHERE s = 'alpha' OR s = 'gamma' ORDER BY id`,
+		`SELECT id FROM fuzz_aux WHERE s = 'beta' OR 'beta' = s OR s = 'alpha' ORDER BY id`,
+		`SELECT id FROM fuzz_aux WHERE s = 'alpha' OR (s = 'beta' OR (s = 'gamma' OR s = '')) ORDER BY id`,
+		`SELECT COUNT(*) FROM fuzz_aux WHERE ((s = 'alpha' OR s = 'beta') OR (s = 'delta' OR s = 'gamma')) AND v > $k`,
+		`SELECT id FROM fuzz_aux WHERE s = 'alpha' OR b = TRUE ORDER BY id`,
+		`SELECT id FROM fuzz_aux WHERE s = 'gamma' OR s < 'beta' ORDER BY id`,
+		`SELECT id FROM fuzz_aux WHERE s = 'alpha' OR s = $k ORDER BY id`,
+		`SELECT o.id, (SELECT COUNT(i.id) FROM fuzz_aux i WHERE i.s = 'beta' OR i.s = o.s) FROM fuzz_aux o ORDER BY o.id`,
+		`SELECT id FROM fuzz_aux WHERE v = 'x' OR v = 1`,
 	} {
 		add(sql, int64(10), int64(2), int64(30))
 	}

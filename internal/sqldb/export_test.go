@@ -62,3 +62,9 @@ func (db *DB) OnSeed(f func(table string, rows int)) {
 	}
 	db.seedHook = func(from *Table, rows int) { f(from.Name, rows) }
 }
+
+// OnFilter makes every vectorized scan with a WHERE clause — a SELECT's, a
+// decorrelated build's, an UPDATE's or DELETE's — report whether it runs the
+// fused kernels or the compiled filter tree, for tests that check which
+// filters leave the tree; nil stops the reports.
+func (db *DB) OnFilter(f func(fused bool)) { db.filterHook = f }

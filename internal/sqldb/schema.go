@@ -259,6 +259,9 @@ type DB struct {
 	// either engine (execCtx.seedBy): the FROM table and how many rows it
 	// seeded.
 	seedHook func(from *Table, rows int)
+	// filterHook, set only by tests, observes every vectorized scan with a
+	// WHERE (vecCtx.scanSeed): whether it runs the fused kernels.
+	filterHook func(fused bool)
 }
 
 // countFallback records one row-interpreter fallback under its refusal

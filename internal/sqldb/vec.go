@@ -430,10 +430,10 @@ type vecSelectPlan struct {
 	joins  []vecJoin
 	filter vexpr
 	// fused is the fused compare-and-select form of the WHERE clause when it
-	// is a pure AND-chain of fusable typed comparisons (vecfuse.go); the
-	// filter stage runs it instead of the closure chain, falling back to
-	// filter when a kernel's comparand does not fit its type class at
-	// execution time.
+	// is a pure AND-chain of fusable typed comparisons and text disjunctions
+	// (vecfuse.go); the filter stage runs it instead of the closure chain,
+	// falling back to filter when a kernel's comparand does not fit its type
+	// class at execution time.
 	fused   []vpred
 	grouped bool
 	// items is the compiled projection (non-grouped only; grouped queries

@@ -79,6 +79,14 @@ func BenchmarkEngineFilter(b *testing.B) {
 	benchEngines(b, 1_000_000, `SELECT COUNT(*) FROM m WHERE val > 100 AND grp < 32`)
 }
 
+// BenchmarkEngineFilterAnyOf filters by a disjunction of text equalities
+// over one column beside a comparison — the shape of CommunicationCost's and
+// IOCost's timing-type chains, which the vectorized engine fuses into one
+// membership kernel.
+func BenchmarkEngineFilterAnyOf(b *testing.B) {
+	benchEngines(b, 1_000_000, `SELECT COUNT(*) FROM m WHERE (tag = 'red' OR tag = 'cyan' OR tag = 'none') AND val > 100`)
+}
+
 func BenchmarkEngineProject(b *testing.B) {
 	benchEngines(b, 1_000_000, `SELECT id, val * 2 + 1 FROM m WHERE grp = 7 AND val > 110`)
 }

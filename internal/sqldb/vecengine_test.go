@@ -638,6 +638,67 @@ func TestOuterReferenceKeepsFusedFilter(t *testing.T) {
 	}
 }
 
+// TestFusedAnyOf: a disjunction of text equalities over one TEXT column
+// runs as one fused membership kernel, whatever its nesting and whichever
+// side its literals stand on, and answers as the row engine does over NULL
+// cells, an empty string and a duplicated literal. Any other leaf — a second
+// column, another operator, a parameter, an outer reference, a NULL or
+// non-text literal, a non-TEXT column — keeps the clause on the filter tree,
+// which raises the row engine's error where it has one.
+func TestFusedAnyOf(t *testing.T) {
+	db := NewDB()
+	db.SetResultCacheSize(0)
+	db.MustExec(`CREATE TABLE kv (id INTEGER PRIMARY KEY, s TEXT, u TEXT, v INTEGER)`, nil)
+	db.MustExec(`INSERT INTO kv (id, s, u, v) VALUES (1, 'Send', 'Send', 1), (2, NULL, 'Recv', NULL),
+		(3, 'Recv', NULL, 3), (4, '', 'x', 4), (5, 'send', 'Send', 5), (6, 'Put', 'Put', NULL), (7, NULL, NULL, 7)`, nil)
+	var fused []bool
+	db.filterHook = func(ok bool) { fused = append(fused, ok) }
+	params := &Params{Named: map[string]Value{"p": NewText("Put")}}
+	for _, c := range []struct {
+		sql        string
+		fuse, errs bool
+	}{
+		{`SELECT id FROM kv WHERE s = 'Send' OR s = 'Recv'`, true, false},
+		{`SELECT id FROM kv WHERE u = 'Send' OR 'Recv' = u`, true, false},
+		{`SELECT id FROM kv WHERE s = 'Send' OR s = 'Send' OR 'Recv' = s`, true, false},
+		{`SELECT id FROM kv WHERE s = 'Send' OR (s = 'Recv' OR (s = 'Put' OR s = ''))`, true, false},
+		{`SELECT id FROM kv WHERE (s = 'Send' OR s = 'Recv') OR ('Put' = s OR s = 'none')`, true, false},
+		{`SELECT COUNT(*) FROM kv WHERE (s = 'Send' OR s = 'Put') AND v > 1`, true, false},
+		{`SELECT id FROM kv WHERE s = 'Send' OR u = 'Recv'`, false, false},
+		{`SELECT id FROM kv WHERE s = 'Send' OR s < 'Recv'`, false, false},
+		{`SELECT id FROM kv WHERE s = 'Send' OR s = $p`, false, false},
+		{`SELECT id FROM kv WHERE s = 'Send' OR s = NULL`, false, false},
+		{`SELECT o.id, (SELECT COUNT(*) FROM kv i WHERE i.s = 'Send' OR i.s = o.u) FROM kv o`, false, false},
+		{`SELECT id FROM kv WHERE s = 'Send' OR s = 1`, false, true},
+		{`SELECT id FROM kv WHERE v = 'x' OR v = 1`, false, true},
+	} {
+		fused = fused[:0]
+		vec, vecErr := runEngine(t, db, EngineVector, c.sql, params)
+		if len(fused) == 0 {
+			t.Errorf("%s: no vectorized scan with a WHERE ran", c.sql)
+		}
+		for _, ok := range fused {
+			if ok != c.fuse {
+				t.Errorf("%s: fused %t, want %t", c.sql, ok, c.fuse)
+				break
+			}
+		}
+		row, rowErr := runEngine(t, db, EngineRow, c.sql, params)
+		switch {
+		case (rowErr != nil) != c.errs:
+			t.Errorf("%s: row err=%v", c.sql, rowErr)
+		case (vecErr == nil) != (rowErr == nil):
+			t.Errorf("%s: vector err=%v, row err=%v", c.sql, vecErr, rowErr)
+		case vecErr != nil:
+			if vecErr.Error() != rowErr.Error() {
+				t.Errorf("%s: vector err=%v, row err=%v", c.sql, vecErr, rowErr)
+			}
+		case !reflect.DeepEqual(vec, row):
+			t.Errorf("%s:\nvector: %+v\nrow:    %+v", c.sql, vec, row)
+		}
+	}
+}
+
 // TestRowEnginePointDMLBytesFlat pins that the row interpreter reads rows in
 // place: one UPDATE of a single row by id followed by a point SELECT by id
 // must allocate about as much over 30 000 rows as over 3 000. A row-major
@@ -699,30 +760,41 @@ func TestRowEnginePointDMLBytesFlat(t *testing.T) {
 // TestVecFusedFilterAllocs pins the allocation budget of the fused filter
 // path: a prepared aggregation whose WHERE runs on the fused kernels must
 // cost a small constant number of allocations per execution, independent of
-// row count (the per-row work reads the typed vectors directly).
+// row count (the per-row work reads the typed vectors directly) — for a chain
+// of three typed comparisons and for an 11-way disjunction of text
+// equalities, which fuses as one membership kernel, alike.
 func TestVecFusedFilterAllocs(t *testing.T) {
 	db := parityDB(t)
 	db.SetResultCacheSize(0)
 	if err := db.SetEngine(EngineVector); err != nil {
 		t.Fatal(err)
 	}
-	ps, err := db.Prepare(`SELECT COUNT(*) FROM item WHERE val > 1.5 AND grp = 1 AND tag <> 'red'`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ps.Close()
-	if _, err := ps.Execute(nil); err != nil {
-		t.Fatal(err) // warm the pools
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := ps.Execute(nil); err != nil {
+	for _, sql := range []string{
+		`SELECT COUNT(*) FROM item WHERE val > 1.5 AND grp = 1 AND tag <> 'red'`,
+		`SELECT COUNT(*) FROM item WHERE tag = 'Send' OR tag = 'Receive' OR tag = 'Broadcast' OR tag = 'Reduce' OR tag = 'Gather' OR tag = 'Scatter'
+			OR tag = 'AllToAll' OR tag = 'SharedGet' OR tag = 'SharedPut' OR tag = 'blue' OR tag = 'red'`,
+	} {
+		ps, err := db.Prepare(sql)
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	// The budget covers the per-execution fixed costs (execCtx, Result,
-	// ResultSet, the output row) — nothing proportional to the 3000 rows.
-	if allocs > 32 {
-		t.Fatalf("fused filter allocates %.1f per run, want <= 32", allocs)
+		if vp := ps.plan.Load().selects[ps.plan.Load().stmt.(*SelectStmt)].vec; vp == nil || vp.fused == nil {
+			t.Fatalf("%s: WHERE not fused", sql)
+		}
+		if _, err := ps.Execute(nil); err != nil {
+			t.Fatal(err) // warm the pools
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := ps.Execute(nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+		ps.Close()
+		// The budget covers the per-execution fixed costs (execCtx, Result,
+		// ResultSet, the output row) — nothing proportional to the 3000 rows.
+		if allocs > 32 {
+			t.Fatalf("%s: fused filter allocates %.1f per run, want <= 32", sql, allocs)
+		}
 	}
 }
 

@@ -264,6 +264,9 @@ func (vc *vecCtx) scanSeed(sp *selectPlan, seed []int32, sink func(b *vbatch) er
 	if fused != nil && !vc.fuseReady(fused) {
 		fused = nil
 	}
+	if h := vc.ec.db.filterHook; h != nil && vp.filter != nil {
+		h(fused != nil)
+	}
 
 	b, nb := &vc.b, &vc.nb
 	for start := 0; ; start += vecBatchSize {

@@ -12,6 +12,17 @@ import "strings"
 // allocate nothing per batch; the selection buffer and comparand slots live
 // on the pooled vecCtx.
 //
+// One more conjunct shape fuses: an OR tree, of any association and
+// parenthesisation, whose every leaf is "col = 'text'" (either operand order)
+// over one local TEXT column — the membership test the canonical
+// CommunicationCost and IOCost render as a chain of Type equalities. It
+// becomes one kernel that keeps a row when the cell is non-NULL and
+// byte-equal to one of the literals, scanning them in order and stopping at
+// the first hit: never more compares than the tree, which tests one disjunct
+// after another. TEXT against a TEXT literal never errors, so the kernel
+// needs no ready hook; a parameter, outer reference, NULL literal, other
+// operator or second column in any leaf keeps the clause on the tree.
+//
 // Correctness rests on one precondition: a fused kernel can never raise an
 // error. The row engine evaluates WHERE with full three-valued logic, where a
 // NULL left operand does NOT short-circuit AND — an error in the right
@@ -111,11 +122,15 @@ func (cp *vecCompiler) fuseFilter(where Expr, ntab int) []vpred {
 }
 
 // fuseCmp fuses one conjunct of the form "col op comparand" or
-// "col op col" where op is a comparison operator.
+// "col op col" where op is a comparison operator, or a disjunction of text
+// equalities over one column (fuseAnyOf).
 func (cp *vecCompiler) fuseCmp(e Expr) (vpred, bool) {
 	bin, ok := e.(*EBinary)
 	if !ok {
 		return vpred{}, false
+	}
+	if bin.Op == OpOr {
+		return cp.fuseAnyOf(bin)
 	}
 	acc, ok := cmpAccept(bin.Op)
 	if !ok {
@@ -249,6 +264,66 @@ func (cp *vecCompiler) fuseCmp(e Expr) (vpred, bool) {
 		}}, true
 	}
 	return vpred{}, false
+}
+
+// fuseAnyOf fuses an OR tree whose every leaf is "col = 'text'" or
+// "'text' = col" over the same local TEXT column into one membership kernel
+// (see the package comment above).
+func (cp *vecCompiler) fuseAnyOf(or *EBinary) (vpred, bool) {
+	var ref colRef
+	var lits []string
+	var walk func(e Expr) bool
+	walk = func(e Expr) bool {
+		bin, ok := e.(*EBinary)
+		switch {
+		case !ok:
+			return false
+		case bin.Op == OpOr:
+			return walk(bin.L) && walk(bin.R)
+		case bin.Op != OpEq:
+			return false
+		}
+		ce, le := bin.L, bin.R
+		if _, ok := ce.(*ELit); ok {
+			ce, le = le, ce
+		}
+		x, ok := ce.(*EColumn)
+		lit, isLit := le.(*ELit)
+		if !ok || !isLit || !lit.Value.IsText() {
+			return false
+		}
+		r, ok := cp.p.local(cp.sp, x)
+		if !ok || r.typ != TText || (lits != nil && (r.tab != ref.tab || r.col != ref.col)) {
+			return false
+		}
+		ref = r
+		lits = append(lits, lit.Value.Text())
+		return true
+	}
+	if !walk(or) {
+		return vpred{}, false
+	}
+	tab, col := ref.tab, ref.col
+	return vpred{apply: func(vc *vecCtx, b *vbatch, slot int, sel []int32) []int32 {
+		cv := vc.tabs[tab].cols[col]
+		pos := b.pos[tab]
+		nulls, strs := cv.nulls, cv.strs
+		n := 0
+		for i := 0; i < b.n; i++ {
+			p := pos[i]
+			s := strs[p]
+			hit := int32(0)
+			for _, lit := range lits {
+				if s == lit {
+					hit = 1
+					break
+				}
+			}
+			sel[n] = int32(i)
+			n += int(hit &^ nullBit(nulls, p))
+		}
+		return sel[:n]
+	}}, true
 }
 
 // fuseColCol fuses "col op col". Both sides must be of one comparison class
