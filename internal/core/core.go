@@ -88,32 +88,6 @@ func (r *Report) Bottleneck() *Instance {
 	return &r.Instances[0]
 }
 
-// Render formats the report as a text table.
-func (r *Report) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "COSY analysis: program %s, %d PEs (engine: %s)\n", r.Program, r.NoPe, r.Engine)
-	fmt.Fprintf(&b, "severity threshold: %.3f\n", r.Threshold)
-	if len(r.Instances) == 0 {
-		b.WriteString("no performance properties hold; nothing to tune\n")
-		return b.String()
-	}
-	fmt.Fprintf(&b, "%-28s %-34s %10s %6s %s\n", "PROPERTY", "CONTEXT", "SEVERITY", "CONF", "PROBLEM")
-	for _, in := range r.Instances {
-		mark := ""
-		if in.Severity > r.Threshold {
-			mark = "yes"
-		}
-		fmt.Fprintf(&b, "%-28s %-34s %10.4f %6.2f %s\n", in.Property, in.Context, in.Severity, in.Confidence, mark)
-	}
-	if bn := r.Bottleneck(); bn != nil {
-		fmt.Fprintf(&b, "bottleneck: %s at %s (severity %.4f)\n", bn.Property, bn.Context, bn.Severity)
-	}
-	for _, d := range r.Diagnostics {
-		fmt.Fprintf(&b, "diagnostic: %s %s: %s\n", d.Property, d.Context, d.Diagnostic)
-	}
-	return b.String()
-}
-
 // Option configures an Analyzer.
 type Option func(*Analyzer)
 
@@ -402,38 +376,62 @@ func (a *Analyzer) finish(engine string, nope int, instances []Instance) *Report
 		Engine:    engine,
 		Threshold: a.threshold,
 	}
-	for _, in := range instances {
+	keys := make([]severityKey, 0, len(instances))
+	for i := range instances {
+		in := &instances[i]
 		switch {
 		case in.Diagnostic != "":
-			rep.Diagnostics = append(rep.Diagnostics, in)
+			rep.Diagnostics = append(rep.Diagnostics, *in)
 		case in.Holds:
-			rep.Instances = append(rep.Instances, in)
+			keys = append(keys, severityKey{in.Severity, int32(i)})
 		default:
 			rep.Skipped++
 		}
 	}
-	slices.SortStableFunc(rep.Instances, bySeverity)
+	rep.Instances = sortBySeverity(instances, keys)
 	return rep
 }
 
-// bySeverity orders instances as reports list them: decreasing severity,
-// ties broken by property and context for determinism.
-func bySeverity(a, b Instance) int {
-	if a.Severity != b.Severity {
-		// A NaN severity is neither above nor below anything: it ties with
-		// every other, without falling through to the names.
-		switch {
-		case a.Severity > b.Severity:
-			return -1
-		case a.Severity < b.Severity:
-			return 1
+// severityKey is what the report sort moves in place of an Instance: its
+// severity and its index, 16 bytes with no pointer for the sort's moves to
+// pass through the write barrier.
+type severityKey struct {
+	severity float64
+	i        int32
+}
+
+// sortBySeverity returns the instances the keys index, ordered as reports list
+// them: decreasing severity, ties broken by property and context for
+// determinism. The sort is stable, so instances equal in all three keep the
+// order of keys. The result is allocated once, at its length (nil for no
+// keys).
+func sortBySeverity(in []Instance, keys []severityKey) []Instance {
+	if len(keys) == 0 {
+		return nil
+	}
+	slices.SortStableFunc(keys, func(x, y severityKey) int {
+		if x.severity != y.severity {
+			// A NaN severity is neither above nor below anything: it ties
+			// with every other, without falling through to the names.
+			switch {
+			case x.severity > y.severity:
+				return -1
+			case x.severity < y.severity:
+				return 1
+			}
+			return 0
 		}
-		return 0
+		a, b := &in[x.i], &in[y.i]
+		if c := strings.Compare(a.Property, b.Property); c != 0 {
+			return c
+		}
+		return strings.Compare(a.Context, b.Context)
+	})
+	out := make([]Instance, len(keys))
+	for j, k := range keys {
+		out[j] = in[k.i]
 	}
-	if c := strings.Compare(a.Property, b.Property); c != 0 {
-		return c
-	}
-	return strings.Compare(a.Context, b.Context)
+	return out
 }
 
 // AnalyzeObject evaluates all properties for the run using the ASL object

@@ -204,7 +204,9 @@ func (a *Analyzer) search(pl *runPlan, h Hierarchy, at func(k int) Instance) ([]
 // SortedBySeverity returns instances ordered as reports order them; used by
 // tests comparing guided and exhaustive results.
 func SortedBySeverity(in []Instance) []Instance {
-	out := append([]Instance(nil), in...)
-	slices.SortStableFunc(out, bySeverity)
-	return out
+	keys := make([]severityKey, len(in))
+	for i := range in {
+		keys[i] = severityKey{in[i].Severity, int32(i)}
+	}
+	return sortBySeverity(in, keys)
 }

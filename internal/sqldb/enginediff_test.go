@@ -428,6 +428,10 @@ func engineDiffSeeds(tb testing.TB) []diffSeed {
 		`SELECT id FROM fuzz_aux WHERE s = 'alpha' OR s = $k ORDER BY id`,
 		`SELECT o.id, (SELECT COUNT(i.id) FROM fuzz_aux i WHERE i.s = 'beta' OR i.s = o.s) FROM fuzz_aux o ORDER BY o.id`,
 		`SELECT id FROM fuzz_aux WHERE v = 'x' OR v = 1`,
+		// A quotient past the REAL range (4.0 / 1e-308 on row 4) is an
+		// arithmetic overflow on both engines, in a projection and a filter.
+		`SELECT id, w / 1e-308 FROM fuzz_aux ORDER BY id`,
+		`SELECT id FROM fuzz_aux WHERE w / 1e-308 > $k`,
 	} {
 		add(sql, int64(10), int64(2), int64(30))
 	}

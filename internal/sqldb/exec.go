@@ -1223,11 +1223,8 @@ func applyBinary(op BinOp, lv, rv Value) (Value, error) {
 			}
 			return NewInt(lv.Int() % rv.Int()), nil
 		}
-		if op == OpDiv {
-			if rv.Float() == 0 {
-				return Null, fmt.Errorf("sqldb: division by zero")
-			}
-			return NewFloat(lv.Float() / rv.Float()), nil
+		if op == OpDiv && rv.Float() == 0 {
+			return Null, fmt.Errorf("sqldb: division by zero")
 		}
 		if lv.IsInt() && rv.IsInt() {
 			switch op {
@@ -1247,6 +1244,8 @@ func applyBinary(op BinOp, lv, rv Value) (Value, error) {
 			f = lv.Float() - rv.Float()
 		case OpMul:
 			f = lv.Float() * rv.Float()
+		case OpDiv:
+			f = lv.Float() / rv.Float()
 		}
 		if math.IsNaN(f) || math.IsInf(f, 0) {
 			return Null, fmt.Errorf("sqldb: arithmetic overflow")

@@ -374,6 +374,33 @@ func TestDivisionByZero(t *testing.T) {
 	}
 }
 
+// TestDivisionOverflow: a quotient too large for a REAL is an arithmetic
+// overflow, as a product is, on both engines; it never reaches a result as
+// an infinity.
+func TestDivisionOverflow(t *testing.T) {
+	db := testDB(t)
+	db.SetResultCacheSize(0)
+	for _, engine := range []string{EngineVector, EngineRow} {
+		if err := db.SetEngine(engine); err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range []string{
+			`SELECT 1e300 / 1e-300`,
+			`SELECT -1e300 / 1e-300`,
+			`SELECT salary / 1e-307 FROM emp WHERE id = 1`,
+			`SELECT id FROM emp WHERE salary / 1e-307 > 0`,
+		} {
+			_, err := db.Exec(q, nil)
+			if err == nil || !strings.Contains(err.Error(), "arithmetic overflow") {
+				t.Errorf("%s: %s: err = %v, want arithmetic overflow", engine, q, err)
+			}
+		}
+		if got := mustQuery(t, db, `SELECT salary / 0.0625 FROM emp WHERE id = 1`, nil).Rows[0][0].String(); got != "1600" {
+			t.Errorf("%s: 100.0 / 0.0625 = %s, want 1600", engine, got)
+		}
+	}
+}
+
 func TestParseErrors(t *testing.T) {
 	db := testDB(t)
 	cases := []string{
