@@ -110,9 +110,8 @@ func (s *sharedStmt) execBatch(ctx context.Context, bindings []*Params, out []Ba
 				}
 			}
 			if builds == nil && len(bindings) > 1 {
-				bctx, closeBuilds := ShareBuilds(ctx)
-				defer closeBuilds()
-				builds = buildTableOf(bctx)
+				builds = newBuildTable()
+				defer builds.close()
 			}
 			ec := &execCtx{db: db, params: params, plan: plan, builds: builds}
 			set, err := ec.execSelect(st, nil)

@@ -13,7 +13,10 @@ import (
 // form again. An analysis opens a build table (ShareBuilds) on the context
 // its batches run under, and a build the first statement makes, every later
 // one probes — multiple-query optimization over one analysis, by recycling
-// the intermediate a statement already computed.
+// the intermediate a statement already computed. The table is an ordinary
+// value, made per analysis and carried as a value of its context; the
+// analysis that opened it is its one owner, and closing it gives the builds
+// lent to it back to their plans.
 //
 // A complete build is an immutable value: a pure function of the subquery's
 // text, the schema it was planned against, the rows of the tables it reads
@@ -49,28 +52,12 @@ import (
 // where the context does not reach the engine, every statement makes its
 // own builds.
 func ShareBuilds(ctx context.Context) (context.Context, func()) {
-	t, _ := buildTables.Get().(*buildTable)
-	if t == nil {
-		t = &buildTable{}
-		t.made.L = &t.mu
-		t.closeFn = t.close
-	}
-	t.Context = ctx
-	return t, t.closeFn
+	t := newBuildTable()
+	return context.WithValue(ctx, buildTableKey{}, t), t.close
 }
 
-// buildTableKey is the context key a build table answers to with itself.
+// buildTableKey is the context key of a build table.
 type buildTableKey struct{}
-
-// Value makes the table the context it carries itself on: ctx with the
-// table as the value of buildTableKey, as context.WithValue would make it,
-// without a context allocated per analysis.
-func (t *buildTable) Value(key any) any {
-	if key == (buildTableKey{}) {
-		return t
-	}
-	return t.Context.Value(key)
-}
 
 // buildTableOf returns the build table ctx carries, nil when it carries none.
 func buildTableOf(ctx context.Context) *buildTable {
@@ -78,20 +65,19 @@ func buildTableOf(ctx context.Context) *buildTable {
 	return t
 }
 
-// buildTables holds the tables closed analyses left, for the next to take.
-var buildTables sync.Pool
-
-// buildTable is one analysis's builds, and the context that carries them:
-// the analysis's own, embedded. m finds each build by its key; the builds
-// themselves are their plans' state (corrBuildPlan.spares), lent to the
-// table by the statement that claimed them until close gives them back.
-// closeFn is close, bound once per table.
+// buildTable is one analysis's builds. m finds each build by its key; the
+// builds themselves are their plans' state (corrBuildPlan.spares), lent to
+// the table by the statement that claimed them until close gives them back.
 type buildTable struct {
-	context.Context
-	mu      sync.Mutex
-	made    sync.Cond // broadcast when a build is settled
-	m       map[buildKey]*corrBuild
-	closeFn func()
+	mu   sync.Mutex
+	made sync.Cond // broadcast when a build is settled
+	m    map[buildKey]*corrBuild
+}
+
+func newBuildTable() *buildTable {
+	t := &buildTable{}
+	t.made.L = &t.mu
+	return t
 }
 
 // buildKey is what a shared build is found by, but for the values of the
@@ -135,10 +121,11 @@ func (t *buildTable) settle(bd *corrBuild, ok bool) {
 	t.made.Broadcast()
 }
 
-// close gives every build lent to the table back to its plan, empties the
-// table and returns it to the pool.
+// close gives every build lent to the table back to its plan and empties
+// the table.
 func (t *buildTable) close() {
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	for _, bd := range t.m {
 		for bd != nil {
 			next := bd.next
@@ -147,9 +134,6 @@ func (t *buildTable) close() {
 		}
 	}
 	clear(t.m)
-	t.Context = nil
-	t.mu.Unlock()
-	buildTables.Put(t)
 }
 
 // buildShare identifies a build across the statements of an analysis: the
@@ -204,10 +188,7 @@ func (vc *vecCtx) sharedSide(t *buildTable, bp *corrBuildPlan, keys []*vcol, n i
 	if !bound {
 		return nil, false, nil
 	}
-	k := buildKey{db: db, span: bs.span, schema: vc.ec.plan.version}
-	for _, tab := range bs.tables {
-		k.data = max(k.data, tab.dataVer.Load())
-	}
+	k := buildKey{db: db, span: bs.span, schema: vc.ec.plan.version, data: dataStamp(bs.tables)}
 	bd, maker := t.claim(bp, k, params)
 	if maker {
 		db.vecSelects.Add(1)

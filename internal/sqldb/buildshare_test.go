@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -440,5 +441,31 @@ func TestBatchSharesBuildsWithoutTable(t *testing.T) {
 	}
 	if n := batch(ctx, bindings); n != 3 {
 		t.Errorf("second batch under the table: %d shared builds, want 3", n)
+	}
+}
+
+// TestShareBuildsAllocsIgnoreCollections: a build table is made per
+// analysis, so opening and closing one allocates as much right after a
+// collection as it does with none since the last close.
+func TestShareBuildsAllocsIgnoreCollections(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	open := func(collect bool) (mallocs uint64) {
+		for range 20 {
+			if collect {
+				runtime.GC()
+				runtime.GC()
+			}
+			runtime.ReadMemStats(&before)
+			_, done := sqldb.ShareBuilds(context.Background())
+			done()
+			runtime.ReadMemStats(&after)
+			mallocs += after.Mallocs - before.Mallocs
+		}
+		return mallocs
+	}
+	open(false)
+	if quiet, collected := open(false), open(true); quiet != collected {
+		t.Errorf("20 build tables opened and closed: %d allocs; %d with a collection before each", quiet, collected)
 	}
 }

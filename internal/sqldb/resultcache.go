@@ -113,6 +113,16 @@ func (db *DB) bumpData(t *Table) {
 	t.dataVer.Store(db.dml.Add(1))
 }
 
+// dataStamp is the highest data version of tables, 0 for none: the stamp a
+// result or a shared build read from them is kept under.
+func dataStamp(tables []*Table) int64 {
+	var v int64
+	for _, t := range tables {
+		v = max(v, t.dataVer.Load())
+	}
+	return v
+}
+
 // keyBufSize is the room callers give a result-cache key on their stack: a
 // lookup that hits never turns its key into a string, so with a key that
 // fits (a statement id and a few numbers do) it allocates nothing.
@@ -136,12 +146,7 @@ func (s *sharedStmt) cacheKeyFor(plan *stmtPlan, params *Params, buf []byte) (ke
 	if !ok {
 		return key, 0, false
 	}
-	for _, t := range plan.tables {
-		if v := t.dataVer.Load(); v > dataVer {
-			dataVer = v
-		}
-	}
-	return key, dataVer, true
+	return key, dataStamp(plan.tables), true
 }
 
 // fingerprintMarkers appends the fingerprint of the values a binding gives the

@@ -2,6 +2,9 @@ package sqldb
 
 import (
 	"fmt"
+	"iter"
+	"maps"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -170,7 +173,7 @@ func (t *Table) updateRows(db *DB, cols []int, pos []int32, vals []Value) {
 		}
 	}
 	t.mu.Unlock()
-	t.rebuildIndexesOn(cols)
+	t.relayIndexes(slices.Values(cols))
 	db.bumpData(t)
 }
 
@@ -188,27 +191,18 @@ func (t *Table) deleteRows(db *DB, pos []int32) {
 	}
 	t.nrows -= len(pos)
 	t.mu.Unlock()
-	t.rebuildIndexes()
+	t.relayIndexes(maps.Keys(t.indexes))
 	db.bumpData(t)
 }
 
-// rebuildIndexes recomputes every index after a DELETE, which shifts row
-// positions.
-func (t *Table) rebuildIndexes() {
+// relayIndexes lays the indexes over cols out again from their column
+// vectors, skipping a column without one: DELETE, which shifts row
+// positions, passes every indexed column; UPDATE, which keeps every row in
+// place, the columns it assigned. cols is read under the table lock.
+func (t *Table) relayIndexes(cols iter.Seq[int]) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for col := range t.indexes {
-		t.indexes[col] = t.buildIndex(col)
-	}
-}
-
-// rebuildIndexesOn recomputes the indexes over the columns an UPDATE
-// assigned. UPDATE keeps every row in place, so an index over a column it did
-// not assign still holds.
-func (t *Table) rebuildIndexesOn(assigned []int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for _, col := range assigned {
+	for col := range cols {
 		if _, ok := t.indexes[col]; ok {
 			t.indexes[col] = t.buildIndex(col)
 		}

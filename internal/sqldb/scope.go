@@ -131,7 +131,9 @@ func (pl *planner) planExpr(e Expr) error {
 		case *EExists:
 			sub, pl.p.shapes = x.Select, max(pl.p.shapes, x.Shape+1)
 		case *EIn:
-			sub = x.Sub
+			if sub = x.Sub; sub != nil {
+				pl.p.shapes = max(pl.p.shapes, x.Shape+1)
+			}
 		}
 		if sub != nil && err == nil {
 			if err = pl.planSelect(sub); err == nil {

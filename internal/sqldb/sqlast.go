@@ -237,7 +237,8 @@ func (c *ECall) IsAggregate() bool {
 // Shape, here and on EExists and EIn, is the node's identity within its
 // statement, given by the parser: nodes whose source text is byte-identical,
 // and holds no positional ?, share one shape id, so the engine computes one
-// of them and reuses the result for the others (execCtx.subCache, corrSite).
+// of them and reuses the result for the others (execCtx.subCache,
+// vecCtx.subVals, corrSite).
 // Ids are dense from 0 per statement; a node built by hand carries 0 and is
 // for rendering only — the engine executes parsed statements alone.
 //

@@ -179,10 +179,15 @@ type vecCtx struct {
 	tabs []*Table
 	// btStore backs bts so bound tables need no per-execution allocations.
 	btStore []boundTable
-	// subVals memoizes lazily evaluated closed subexpressions for this
-	// execution; inSubs memoizes IN-subquery candidate lists.
-	subVals map[Expr]Value
-	inSubs  map[*EIn][]Value
+	// subVals memoizes the values of the lazily evaluated subqueries and
+	// EXISTS of this execution (vecLazy), inSubs the candidate lists of its
+	// IN subqueries (vecInSub), each by the shape id the parser gave the node
+	// (ESubquery.Shape): within one SELECT, equal text binds alike, so it has
+	// one value. Both are sized to the statement's shapes by the first
+	// execution that fills one, and release empties what it filled; a nil
+	// inSubs slot is a list not yet computed.
+	subVals []subMemo
+	inSubs  [][]Value
 	// colPool is a free list of scratch vcols; selBuf is the reusable
 	// selection vector of the filter operators; seed and keyBuf are the
 	// reusable seed-position and group-key buffers.
@@ -265,7 +270,9 @@ func (vc *vecCtx) release() {
 	vc.ec = nil
 	vc.fr = frame{}
 	clear(vc.subVals)
+	vc.subVals = vc.subVals[:0]
 	clear(vc.inSubs)
+	vc.inSubs = vc.inSubs[:0]
 	clear(vc.pre)
 	for i := range vc.sg.accs {
 		vc.sg.accs[i] = aggAcc{}
@@ -342,21 +349,22 @@ func (vc *vecCtx) getIdx() []int32 {
 
 func (vc *vecCtx) putIdx(s []int32) { vc.idxPool = append(vc.idxPool, s) }
 
-// lazyEval evaluates a subexpression whose value is fixed for this execution
-// — closed, or reading enclosing scopes only — once, through the row engine
-// (a closed one shares its invariant-subquery cache), and memoizes the value.
-func (vc *vecCtx) lazyEval(e Expr) (Value, error) {
-	if v, ok := vc.subVals[e]; ok {
-		return v, nil
+// lazyEval evaluates a subquery or EXISTS of the given shape whose value is
+// fixed for this execution — closed, or reading enclosing scopes only —
+// once, through the row engine (a closed one shares its invariant-subquery
+// cache), and memoizes the value.
+func (vc *vecCtx) lazyEval(e Expr, shape int) (Value, error) {
+	if shape < len(vc.subVals) && vc.subVals[shape].ok {
+		return vc.subVals[shape].v, nil
 	}
 	v, err := vc.ec.eval(e, &vc.fr)
 	if err != nil {
 		return Null, err
 	}
-	if vc.subVals == nil {
-		vc.subVals = make(map[Expr]Value)
+	if len(vc.subVals) == 0 {
+		vc.subVals = slices.Grow(vc.subVals, vc.ec.plan.shapes)[:vc.ec.plan.shapes]
 	}
-	vc.subVals[e] = v
+	vc.subVals[shape] = subMemo{v: v, ok: true}
 	return v, nil
 }
 
@@ -365,8 +373,8 @@ func (vc *vecCtx) lazyEval(e Expr) (Value, error) {
 // a closed subquery every execution returns the same rows (and the same
 // error, if any), so evaluating once is observationally identical.
 func (vc *vecCtx) inCandidates(x *EIn) ([]Value, error) {
-	if c, ok := vc.inSubs[x]; ok {
-		return c, nil
+	if x.Shape < len(vc.inSubs) && vc.inSubs[x.Shape] != nil {
+		return vc.inSubs[x.Shape], nil
 	}
 	set, err := vc.ec.execSelect(x.Sub, &vc.fr)
 	if err != nil {
@@ -379,10 +387,10 @@ func (vc *vecCtx) inCandidates(x *EIn) ([]Value, error) {
 	for _, r := range set.Rows {
 		cands = append(cands, r[0])
 	}
-	if vc.inSubs == nil {
-		vc.inSubs = make(map[*EIn][]Value)
+	if len(vc.inSubs) == 0 {
+		vc.inSubs = slices.Grow(vc.inSubs, vc.ec.plan.shapes)[:vc.ec.plan.shapes]
 	}
-	vc.inSubs[x] = cands
+	vc.inSubs[x.Shape] = cands
 	return cands, nil
 }
 
@@ -846,7 +854,7 @@ func (cp *vecCompiler) corrSub(e Expr, shape, ntab int) (vexpr, bool) {
 	if ve, ok := cp.subs[site]; ok {
 		return ve, true
 	}
-	ve := vecLazy(e)
+	ve := vecLazy(e, shape)
 	if cp.p.reads(e).at(cp.sp.level) {
 		x, isSub := e.(*ESubquery)
 		if !isSub {
@@ -1666,9 +1674,9 @@ func vecCall(name string, args []vexpr) vexpr {
 // SELECTs only) lazily: once per execution, on the first batch that reaches
 // it, through the row engine — which serves a closed one from the
 // statement-wide invariant-subquery cache.
-func vecLazy(e Expr) vexpr {
+func vecLazy(e Expr, shape int) vexpr {
 	return func(vc *vecCtx, b *vbatch, out *vcol) error {
-		v, err := vc.lazyEval(e)
+		v, err := vc.lazyEval(e, shape)
 		if err != nil {
 			return err
 		}

@@ -392,6 +392,53 @@ func TestClosedInSubqueryRunsOnce(t *testing.T) {
 	}
 }
 
+// TestSubqueryMemosPerExecution: a closed scalar subquery, an EXISTS and an
+// IN list have one value per execution, not per prepared statement: two
+// executions of one statement, an UPDATE between them, each see the data
+// current at their own execution, on both engines.
+func TestSubqueryMemosPerExecution(t *testing.T) {
+	const sql = `SELECT id, (SELECT MAX(boss) FROM grp) AS top,
+		EXISTS (SELECT id FROM grp WHERE boss = 4) AS four
+		FROM grp WHERE id IN (SELECT boss FROM grp WHERE boss IS NOT NULL) ORDER BY id`
+	row := func(id, top int64, four bool) Row { return Row{NewInt(id), NewInt(top), NewBool(four)} }
+	before := []Row{row(1, 4, true), row(3, 4, true)}
+	after := []Row{row(0, 3, false), row(1, 3, false), row(3, 3, false)}
+	for _, engine := range []string{EngineVector, EngineRow} {
+		db := parityDB(t)
+		if err := db.SetEngine(engine); err != nil {
+			t.Fatal(err)
+		}
+		ps, err := db.Prepare(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exec := func(want []Row) {
+			t.Helper()
+			res, err := ps.Execute(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(res.Set.Rows, want) {
+				t.Errorf("%s: %v, want %v", engine, res.Set.Rows, want)
+			}
+		}
+		// Each side runs twice: pooled contexts rotate between the outer
+		// SELECT and its subqueries, so the second run may reuse the
+		// context an earlier one left.
+		exec(before)
+		exec(before)
+		if _, err := db.Exec(`UPDATE grp SET boss = 0 WHERE id = 0`, nil); err != nil {
+			t.Fatal(err)
+		}
+		exec(after)
+		exec(after)
+		if fb := db.Stats().VecFallbacks; fb != 0 {
+			t.Errorf("%s: %d fallbacks", engine, fb)
+		}
+		ps.Close()
+	}
+}
+
 // decorrDB builds the two tables the decorrelation cases join: an outer
 // relation o and a subquery table s whose key k has one row (1, 2), two rows
 // (3, one per run), no row (4) and a NULL, with a zero divisor w on a key (9)
